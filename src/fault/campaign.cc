@@ -1,10 +1,10 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
+#include <deque>
 #include <iterator>
 #include <limits>
-#include <memory>
-#include <mutex>
+#include <optional>
 
 #include "analysis/vulnerability.hh"
 #include "fault/trial_pool.hh"
@@ -62,34 +62,49 @@ engineMetrics()
 /** All flip-mask bits live: the "never prunable" site live mask. */
 constexpr uint32_t LIVE_ALL = 0xffffffffu;
 
-/**
- * Wraps the golden run's profiling hook and additionally records, per
- * injectable retire, the site's live mask (the bits a drawn flip must
- * avoid for the trial to stay provably golden).
- */
-class PruneMaskRecorder : public sim::ExecHook
+/** Forwards each retire to every hook in order (golden-run observers). */
+class HookChain : public sim::ExecHook
 {
   public:
-    PruneMaskRecorder(sim::ExecHook &inner,
-                      const std::vector<bool> &injectable,
-                      const std::vector<uint32_t> &staticLiveMasks,
-                      std::vector<uint32_t> &masks)
-        : inner_(inner), injectable_(injectable),
-          staticLiveMasks_(staticLiveMasks), masks_(masks)
-    {
-    }
+    void add(sim::ExecHook &hook) { hooks_.push_back(&hook); }
 
     void
     onRetire(uint32_t staticIdx, const isa::Instruction &ins,
              sim::Machine &machine, sim::Memory &memory) override
     {
-        inner_.onRetire(staticIdx, ins, machine, memory);
+        for (sim::ExecHook *hook : hooks_)
+            hook->onRetire(staticIdx, ins, machine, memory);
+    }
+
+  private:
+    std::vector<sim::ExecHook *> hooks_;
+};
+
+/**
+ * Records, per injectable retire of the golden run, the site's live
+ * mask (the bits a drawn flip must avoid for the trial to stay
+ * provably golden).
+ */
+class PruneMaskRecorder : public sim::ExecHook
+{
+  public:
+    PruneMaskRecorder(const std::vector<bool> &injectable,
+                      const std::vector<uint32_t> &staticLiveMasks,
+                      std::vector<uint32_t> &masks)
+        : injectable_(injectable), staticLiveMasks_(staticLiveMasks),
+          masks_(masks)
+    {
+    }
+
+    void
+    onRetire(uint32_t staticIdx, const isa::Instruction &, sim::Machine &,
+             sim::Memory &) override
+    {
         if (staticIdx < injectable_.size() && injectable_[staticIdx])
             masks_.push_back(staticLiveMasks_[staticIdx]);
     }
 
   private:
-    sim::ExecHook &inner_;
     const std::vector<bool> &injectable_;
     const std::vector<uint32_t> &staticLiveMasks_;
     std::vector<uint32_t> &masks_;
@@ -131,6 +146,32 @@ computeSiteLiveMasks(const assembly::Program &program,
     return masks;
 }
 
+/** @return the plan's first injectable-stream site (max: none). */
+uint64_t
+firstSite(const InjectionPlan &plan)
+{
+    return plan.sites.empty() ? std::numeric_limits<uint64_t>::max()
+                              : plan.sites.front();
+}
+
+/** Per-worker state of the gang executor. */
+struct GangWorker
+{
+    GangWorker(const assembly::Program &program, sim::MemoryModel model,
+               unsigned width)
+        : base(program, model), drain(program, model),
+          gang(program, model, width)
+    {
+    }
+
+    /** Holds the gang's restored image, which the gang's copy-on-write
+     *  overlays reference: untouched while the gang runs. */
+    sim::Simulator base;
+    /** Finishes diverged lanes. */
+    sim::Simulator drain;
+    sim::GangSimulator gang;
+};
+
 } // namespace
 
 CampaignRunner::CampaignRunner(const assembly::Program &program,
@@ -160,39 +201,28 @@ CampaignRunner::CampaignRunner(const assembly::Program &program,
     // against.
     telemetry::TraceSpan goldenSpan("engine", "golden-run");
     sim::Simulator simulator(program_, model_);
-    sim::RunResult result;
+    InjectableCounter counter(injectable_);
+    HookChain hooks;
+    hooks.add(counter);
+    std::optional<sim::CheckpointRecorder> recorder;
     if (checkpointInterval_ > 0) {
         // The post-reset image is the snapshot baseline; only pages
         // the run itself writes go into the checkpoint deltas.
         simulator.memory().resetDirtyTracking();
-        sim::CheckpointRecorder recorder(injectable_, checkpointInterval_,
-                                         simulator, checkpoints_);
-        if (staticPrune_) {
-            PruneMaskRecorder pruneRecorder(recorder, injectable_,
-                                            staticLiveMasks,
-                                            siteLiveMasks_);
-            result = simulator.run(0, &pruneRecorder);
-        } else {
-            result = simulator.run(0, &recorder);
-        }
-        injectableDynamic_ = recorder.injectableRetired();
-    } else {
-        InjectableCounter counter(injectable_);
-        if (staticPrune_) {
-            PruneMaskRecorder pruneRecorder(counter, injectable_,
-                                            staticLiveMasks,
-                                            siteLiveMasks_);
-            result = simulator.run(0, &pruneRecorder);
-        } else {
-            result = simulator.run(0, &counter);
-        }
-        injectableDynamic_ = counter.count();
+        hooks.add(recorder.emplace(injectable_, checkpointInterval_,
+                                   simulator, checkpoints_));
     }
+    std::optional<PruneMaskRecorder> pruneRecorder;
+    if (staticPrune_)
+        hooks.add(pruneRecorder.emplace(injectable_, staticLiveMasks,
+                                        siteLiveMasks_));
+    sim::RunResult result = simulator.run(0, &hooks);
     if (!result.completed())
         fatal("CampaignRunner: golden run did not complete: ",
               result.toString());
     golden_ = simulator.output();
     goldenInstructions_ = result.instructions;
+    injectableDynamic_ = counter.count();
     for (uint32_t liveMask : siteLiveMasks_)
         prunableDynamic_ += liveMask != LIVE_ALL ? 1 : 0;
     if (staticPrune_ && siteLiveMasks_.size() != injectableDynamic_)
@@ -201,83 +231,20 @@ CampaignRunner::CampaignRunner(const assembly::Program &program,
               injectableDynamic_);
 }
 
-void
-CampaignRunner::runTrialFastForward(sim::Simulator &simulator,
-                                    const InjectionPlan &plan,
-                                    uint64_t budget,
-                                    TrialOutcome &outcome) const
+CampaignResult
+CampaignRunner::run(const CampaignConfig &config)
 {
-    // Start from the latest checkpoint the first injection site has
-    // not yet passed; everything before it is a bit-identical replay
-    // of the golden run. A trial with no sites at all (errors == 0)
-    // is the golden run, so it may jump to the last checkpoint and
-    // execute only the final stretch.
-    uint64_t injectableRetired = 0;
-    uint64_t instructionsSoFar = 0;
-    const sim::Checkpoint *checkpoint = checkpoints_.findForInjectable(
-        plan.sites.empty() ? std::numeric_limits<uint64_t>::max()
-                           : plan.sites.front());
-    if (checkpoint) {
-        simulator.restoreFrom(*checkpoint, golden_);
-        injectableRetired = checkpoint->injectableRetired;
-        instructionsSoFar = checkpoint->instructions;
-    } else {
-        simulator.fastReset();
-    }
-
-    // Run hookless from site to site, flipping the scheduled bit at
-    // each pause; the final leg (or a crash/timeout on the way) ends
-    // the trial.
-    uint64_t injected = 0;
-    size_t cursor = 0;
-    sim::RunResult run;
-    for (;;) {
-        uint64_t stopAfter =
-            cursor < plan.sites.size()
-                ? plan.sites[cursor] + 1 - injectableRetired
-                : 0; // no more sites: run to completion
-        run = simulator.runUntilInjectable(stopAfter, injectableBytes_,
-                                           budget, instructionsSoFar);
-        instructionsSoFar = run.instructions;
-        if (run.status != sim::RunStatus::Paused)
-            break;
-        injectableRetired = plan.sites[cursor] + 1;
-        // faultPc of a paused run is the static index of the
-        // just-retired site instruction.
-        if (flipResult(program_.code[run.faultPc], plan.masks[cursor],
-                       resultKinds_, simulator.machine(),
-                       simulator.memory()))
-            ++injected;
-        ++cursor;
-    }
-    outcome.run = run;
-    outcome.injected = injected;
+    return runRange(config, 0, config.trials);
 }
 
 CampaignResult
-CampaignRunner::run(const CampaignConfig &config,
-                    const std::function<void(const TrialOutcome &)> &onTrial)
-{
-    return runRange(config, 0, config.trials, onTrial);
-}
-
-CampaignResult
-CampaignRunner::runRange(
-    const CampaignConfig &config, uint64_t lo, uint64_t hi,
-    const std::function<void(const TrialOutcome &)> &onTrial)
+CampaignRunner::runRange(const CampaignConfig &config, uint64_t lo,
+                         uint64_t hi)
 {
     if (lo > hi || hi > config.trials)
         panic("CampaignRunner: bad trial range [", lo, ", ", hi,
               ") over ", config.trials, " trials");
     uint64_t count = hi - lo;
-
-    // Gang execution rides the checkpointed fast path only; the
-    // classic interval-0 Injector path stays gang-free so it remains
-    // an independent oracle for the batched interpreter.
-    unsigned gangWidth = resolveGangWidth(config.gangWidth);
-    if (gangWidth > 0 && checkpointInterval_ > 0 && count > 0)
-        return runRangeGang(config, lo, hi, gangWidth, onTrial);
-
     CampaignResult result;
     result.trials = static_cast<unsigned>(count);
     result.firstTrial = lo;
@@ -288,282 +255,229 @@ CampaignRunner::runRange(
     if (budget < goldenInstructions_ + 1000)
         budget = goldenInstructions_ + 1000;
 
-    unsigned workers = TrialPool::resolveWorkers(config.threads, count);
-
-    // One Simulator per worker: the simulator is self-contained (no
-    // global state), so worker-local instances make trials re-entrant.
-    std::vector<std::unique_ptr<sim::Simulator>> simulators;
-    simulators.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        simulators.push_back(
-            std::make_unique<sim::Simulator>(program_, model_));
-
-    // Per-worker tallies, merged in worker-index order below. The
-    // counts are order-insensitive sums, and every per-trial record
-    // lands in its own outcome slot, so the aggregate is deterministic
-    // for any thread count.
-    std::vector<OutcomeTally> tallies(workers);
-    std::vector<uint64_t> prunedCounts(workers, 0);
-    std::mutex observerMutex;
-
-    TrialPool::run(workers, count, [&](uint64_t i, unsigned w) {
-        // Counter-based stream keyed on the GLOBAL trial index: trial
-        // randomness depends only on (seed, t), never on scheduling
-        // or on which shard runs it.
-        uint64_t t = lo + i;
-        telemetry::TraceSpan trialSpan("engine", "trial");
-        if (trialSpan.active())
-            trialSpan.setArgs("{\"trial\":" + std::to_string(t) + "}");
-        Rng trialRng = Rng::forStream(config.seed, t);
-        InjectionPlan plan = samplePlan(injectableDynamic_,
-                                        config.errors, bitModel_,
-                                        trialRng);
-
+    // Plans are cheap and a pure function of (seed, trial): the
+    // counter-based stream is keyed on the GLOBAL trial index, never
+    // on scheduling or on which shard runs it. Every plan is drawn
+    // here, so the RNG stream is consumed identically whether or not
+    // the trial is then simulated.
+    std::vector<LiveTrial> live;
+    live.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+        Rng trialRng = Rng::forStream(config.seed, lo + i);
+        InjectionPlan plan = samplePlan(injectableDynamic_, config.errors,
+                                        bitModel_, trialRng);
         // Static-prune fast path: when every drawn flip lands entirely
         // in provably dead bits of its site's register result, the
         // trial retires the exact golden instruction stream with the
         // exact golden output, and every flip is a (counted) register
         // write of dead bits -- so the simulator's outcome is known
-        // without running it. The RNG stream was consumed identically
-        // above, keeping later trials untouched.
+        // without running it.
         bool pruned = staticPrune_;
-        if (pruned)
-            for (size_t k = 0; k < plan.sites.size(); ++k)
-                if (plan.masks[k] & siteLiveMasks_[plan.sites[k]]) {
-                    pruned = false;
-                    break;
-                }
-
-        sim::Simulator &simulator = *simulators[w];
-        TrialOutcome &outcome = result.outcomes[i];
-        if (pruned) {
-            outcome.run.status = sim::RunStatus::Completed;
-            outcome.run.instructions = goldenInstructions_;
-            outcome.run.faultPc = 0;
-            outcome.injected = plan.size();
-            ++prunedCounts[w];
-            engineMetrics().trialsPruned.add();
-        } else if (checkpointInterval_ > 0) {
-            runTrialFastForward(simulator, plan, budget, outcome);
-        } else {
-            Injector injector(injectable_, std::move(plan),
-                              resultKinds_);
-            simulator.reset();
-            outcome.run = simulator.run(budget, &injector);
-            outcome.injected = injector.injectedCount();
-        }
+        for (size_t k = 0; pruned && k < plan.sites.size(); ++k)
+            pruned = !(plan.masks[k] & siteLiveMasks_[plan.sites[k]]);
         if (!pruned) {
-            engineMetrics().trialsSimulated.add();
-            engineMetrics().trialInstructions.add(
-                outcome.run.instructions);
-        }
-
-        switch (outcome.run.status) {
-          case sim::RunStatus::Completed:
-            ++tallies[w].completed;
-            outcome.output = pruned ? golden_ : simulator.output();
-            break;
-          case sim::RunStatus::Timeout:
-            ++tallies[w].timedOut;
-            break;
-          default:
-            ++tallies[w].crashed;
-            break;
-        }
-        if (onTrial) {
-            std::lock_guard<std::mutex> lock(observerMutex);
-            onTrial(outcome);
-        }
-    });
-
-    OutcomeTally total;
-    for (const auto &tally : tallies)
-        total.merge(tally);
-    result.completed = static_cast<unsigned>(total.completed);
-    result.crashed = static_cast<unsigned>(total.crashed);
-    result.timedOut = static_cast<unsigned>(total.timedOut);
-    // An order-insensitive integer sum: deterministic per (seed,
-    // range) no matter how trials were scheduled across workers.
-    for (uint64_t pruned : prunedCounts)
-        result.trialsPruned += pruned;
-    // Fed in trial order (floating-point accumulation is partition
-    // sensitive, so per-worker partials would not be bit-stable).
-    for (const auto &outcome : result.outcomes)
-        result.trialInstructions.add(
-            static_cast<double>(outcome.run.instructions));
-    return result;
-}
-
-CampaignResult
-CampaignRunner::runRangeGang(
-    const CampaignConfig &config, uint64_t lo, uint64_t hi,
-    unsigned width,
-    const std::function<void(const TrialOutcome &)> &onTrial)
-{
-    uint64_t count = hi - lo;
-    CampaignResult result;
-    result.trials = static_cast<unsigned>(count);
-    result.firstTrial = lo;
-    result.outcomes.resize(count);
-
-    auto budget = static_cast<uint64_t>(
-        static_cast<double>(goldenInstructions_) * config.budgetFactor);
-    if (budget < goldenInstructions_ + 1000)
-        budget = goldenInstructions_ + 1000;
-
-    // Phase 1 (serial): plan sampling is cheap and a pure function of
-    // (seed, trial), so the whole range is drawn up front. Pruned
-    // trials are synthesized here exactly as the scalar path does;
-    // everything else queues for gang execution.
-    std::vector<GangTrial> live;
-    live.reserve(count);
-    OutcomeTally prunedTally;
-    for (uint64_t i = 0; i < count; ++i) {
-        uint64_t t = lo + i;
-        Rng trialRng = Rng::forStream(config.seed, t);
-        InjectionPlan plan = samplePlan(injectableDynamic_,
-                                        config.errors, bitModel_,
-                                        trialRng);
-        bool pruned = staticPrune_;
-        if (pruned)
-            for (size_t k = 0; k < plan.sites.size(); ++k)
-                if (plan.masks[k] & siteLiveMasks_[plan.sites[k]]) {
-                    pruned = false;
-                    break;
-                }
-        if (!pruned) {
-            live.push_back(GangTrial{i, std::move(plan)});
+            live.push_back(LiveTrial{i, std::move(plan)});
             continue;
         }
         TrialOutcome &outcome = result.outcomes[i];
         outcome.run.status = sim::RunStatus::Completed;
         outcome.run.instructions = goldenInstructions_;
-        outcome.run.faultPc = 0;
         outcome.injected = plan.size();
         outcome.output = golden_;
-        ++prunedTally.completed;
         ++result.trialsPruned;
-        engineMetrics().trialsPruned.add();
-        if (onTrial)
-            onTrial(outcome);
     }
+    EngineMetrics &metrics = engineMetrics();
+    metrics.trialsPruned.add(result.trialsPruned);
 
-    // Phase 2: group by first injection site (stable on trial index).
-    // A gang restores the checkpoint of its EARLIEST first site --
-    // instruction accounting includes the restored prefix, so an
-    // earlier restore changes nothing but replay length -- and sorting
-    // keeps that shared replay short.
-    std::sort(live.begin(), live.end(),
-              [](const GangTrial &a, const GangTrial &b) {
-                  uint64_t siteA = a.plan.sites.empty()
-                                       ? std::numeric_limits<uint64_t>::max()
-                                       : a.plan.sites.front();
-                  uint64_t siteB = b.plan.sites.empty()
-                                       ? std::numeric_limits<uint64_t>::max()
-                                       : b.plan.sites.front();
-                  return siteA != siteB ? siteA < siteB
-                                        : a.slot < b.slot;
-              });
+    // Gangs ride the checkpointed fast path only; the classic
+    // interval-0 Injector path stays gang-free so it remains an
+    // independent oracle for the batched interpreter.
+    unsigned gangWidth = resolveGangWidth(config.gangWidth);
+    if (gangWidth > 0 && checkpointInterval_ > 0)
+        runGangs(live, gangWidth, config.threads, budget, result.outcomes);
+    else
+        runScalar(live, lo, config.threads, budget, result.outcomes);
+    metrics.trialsSimulated.add(live.size());
 
-    uint64_t numGangs = (live.size() + width - 1) / width;
-    std::mutex observerMutex;
-    if (numGangs > 0) {
-        unsigned workers = TrialPool::resolveWorkers(config.threads,
-                                                     numGangs);
-        // Per worker: a base simulator holding the gang's restored
-        // image (referenced by the gang's COW overlays, so it must
-        // stay untouched while the gang runs) and a separate drain
-        // simulator for finishing divergent lanes.
-        struct Worker
-        {
-            std::unique_ptr<sim::Simulator> base;
-            std::unique_ptr<sim::Simulator> drain;
-            std::unique_ptr<sim::GangSimulator> gang;
-        };
-        std::vector<Worker> perWorker(workers);
-        for (auto &worker : perWorker) {
-            worker.base =
-                std::make_unique<sim::Simulator>(program_, model_);
-            worker.drain =
-                std::make_unique<sim::Simulator>(program_, model_);
-            worker.gang = std::make_unique<sim::GangSimulator>(
-                program_, model_, width);
+    // The tally folds the outcomes in trial order, so it -- and the
+    // floating-point instruction statistic, which is partition
+    // sensitive -- is bit-identical at any thread count or gang width.
+    for (const LiveTrial &trial : live)
+        metrics.trialInstructions.add(
+            result.outcomes[trial.slot].run.instructions);
+    for (const TrialOutcome &outcome : result.outcomes) {
+        switch (outcome.run.status) {
+          case sim::RunStatus::Completed: ++result.completed; break;
+          case sim::RunStatus::Timeout: ++result.timedOut; break;
+          default: ++result.crashed; break;
         }
-        std::vector<OutcomeTally> tallies(workers);
-
-        TrialPool::run(workers, numGangs, [&](uint64_t g, unsigned w) {
-            size_t first = static_cast<size_t>(g) * width;
-            unsigned lanes = static_cast<unsigned>(
-                std::min<size_t>(width, live.size() - first));
-            EngineMetrics &metrics = engineMetrics();
-            metrics.gangBatches.add();
-            metrics.gangLaneSlots.add(width);
-            metrics.gangLanes.add(lanes);
-            telemetry::TraceSpan gangSpan("engine", "gang");
-            if (gangSpan.active())
-                gangSpan.setArgs("{\"gang\":" + std::to_string(g) +
-                                 ",\"lanes\":" + std::to_string(lanes) +
-                                 "}");
-            runGang(live.data() + first, lanes, *perWorker[w].base,
-                    *perWorker[w].drain, *perWorker[w].gang, budget,
-                    result, tallies[w], onTrial, observerMutex);
-        });
-        for (const auto &tally : tallies)
-            prunedTally.merge(tally);
-    }
-
-    result.completed = static_cast<unsigned>(prunedTally.completed);
-    result.crashed = static_cast<unsigned>(prunedTally.crashed);
-    result.timedOut = static_cast<unsigned>(prunedTally.timedOut);
-    // Fed in trial order, exactly like the scalar path, so the
-    // statistic is bit-identical at any thread count or gang width.
-    for (const auto &outcome : result.outcomes)
         result.trialInstructions.add(
             static_cast<double>(outcome.run.instructions));
+    }
     return result;
 }
 
+const sim::Checkpoint &
+CampaignRunner::rewind(sim::Simulator &simulator,
+                       const sim::Checkpoint *checkpoint) const
+{
+    static const sim::Checkpoint programStart;
+    if (!checkpoint) {
+        simulator.fastReset();
+        return programStart;
+    }
+    simulator.restoreFrom(*checkpoint, golden_);
+    return *checkpoint;
+}
+
 void
-CampaignRunner::runGang(
-    const GangTrial *trials, unsigned lanes, sim::Simulator &base,
-    sim::Simulator &drain, sim::GangSimulator &gang, uint64_t budget,
-    CampaignResult &result, OutcomeTally &tally,
-    const std::function<void(const TrialOutcome &)> &onTrial,
-    std::mutex &observerMutex) const
+CampaignRunner::runSites(sim::Simulator &simulator,
+                         const InjectionPlan &plan, SiteCursor cursor,
+                         uint64_t injectableRetired, uint64_t instructions,
+                         uint64_t budget, TrialOutcome &outcome) const
+{
+    // Run hookless from site to site, flipping the scheduled bits at
+    // each pause; the final leg (or a crash/timeout on the way) ends
+    // the trial.
+    sim::RunResult run;
+    for (;;) {
+        uint64_t stopAfter =
+            cursor.next < plan.sites.size()
+                ? plan.sites[cursor.next] + 1 - injectableRetired
+                : 0; // no more sites: run to completion
+        run = simulator.runUntilInjectable(stopAfter, injectableBytes_,
+                                           budget, instructions);
+        instructions = run.instructions;
+        if (run.status != sim::RunStatus::Paused)
+            break;
+        injectableRetired = plan.sites[cursor.next] + 1;
+        // faultPc of a paused run is the static index of the
+        // just-retired site instruction.
+        flipNext(plan, cursor, program_.code[run.faultPc],
+                 simulator.machine(), simulator.memory());
+    }
+    outcome.run = run;
+    outcome.injected = cursor.injected;
+    if (run.completed())
+        outcome.output = simulator.output();
+}
+
+template <typename MachineT, typename MemoryT>
+void
+CampaignRunner::flipNext(const InjectionPlan &plan, SiteCursor &cursor,
+                         const isa::Instruction &ins, MachineT &machine,
+                         MemoryT &memory) const
+{
+    if (flipResultT(ins, plan.masks[cursor.next], resultKinds_, machine,
+                    memory))
+        ++cursor.injected;
+    ++cursor.next;
+}
+
+void
+CampaignRunner::runScalar(const std::vector<LiveTrial> &live,
+                          uint64_t firstTrial, unsigned threads,
+                          uint64_t budget,
+                          std::vector<TrialOutcome> &outcomes) const
+{
+    // One Simulator per worker: the simulator is self-contained (no
+    // global state), so worker-local instances make trials re-entrant.
+    unsigned workers = TrialPool::resolveWorkers(threads, live.size());
+    std::deque<sim::Simulator> simulators;
+    for (unsigned w = 0; w < workers; ++w)
+        simulators.emplace_back(program_, model_);
+
+    TrialPool::run(workers, live.size(), [&](uint64_t i, unsigned w) {
+        const LiveTrial &trial = live[i];
+        telemetry::TraceSpan trialSpan("engine", "trial");
+        if (trialSpan.active())
+            trialSpan.setArgs("{\"trial\":" +
+                              std::to_string(firstTrial + trial.slot) + "}");
+        sim::Simulator &simulator = simulators[w];
+        TrialOutcome &outcome = outcomes[trial.slot];
+        if (checkpointInterval_ == 0) {
+            Injector injector(injectable_, trial.plan, resultKinds_);
+            simulator.reset();
+            outcome.run = simulator.run(budget, &injector);
+            outcome.injected = injector.injectedCount();
+            if (outcome.run.completed())
+                outcome.output = simulator.output();
+            return;
+        }
+        // Start from the latest checkpoint the first injection site
+        // has not yet passed: everything before it is a bit-identical
+        // replay of the golden run. A trial with no sites at all
+        // (errors == 0) is the golden run, so it may jump to the last
+        // checkpoint and execute only the final stretch.
+        const sim::Checkpoint &at = rewind(
+            simulator, checkpoints_.findForInjectable(firstSite(trial.plan)));
+        runSites(simulator, trial.plan, SiteCursor{}, at.injectableRetired,
+                 at.instructions, budget, outcome);
+    });
+}
+
+void
+CampaignRunner::runGangs(std::vector<LiveTrial> &live, unsigned width,
+                         unsigned threads, uint64_t budget,
+                         std::vector<TrialOutcome> &outcomes) const
+{
+    // Group by first injection site (stable on trial order). A gang
+    // restores the checkpoint of its EARLIEST first site --
+    // instruction accounting includes the restored prefix, so an
+    // earlier restore changes nothing but replay length -- and
+    // sorting keeps that shared replay short.
+    std::stable_sort(live.begin(), live.end(),
+                     [](const LiveTrial &a, const LiveTrial &b) {
+                         return firstSite(a.plan) < firstSite(b.plan);
+                     });
+    uint64_t numGangs = (live.size() + width - 1) / width;
+    unsigned workers = TrialPool::resolveWorkers(threads, numGangs);
+    std::deque<GangWorker> perWorker;
+    for (unsigned w = 0; w < workers; ++w)
+        perWorker.emplace_back(program_, model_, width);
+
+    TrialPool::run(workers, numGangs, [&](uint64_t g, unsigned w) {
+        size_t first = static_cast<size_t>(g) * width;
+        unsigned lanes = static_cast<unsigned>(
+            std::min<size_t>(width, live.size() - first));
+        EngineMetrics &metrics = engineMetrics();
+        metrics.gangBatches.add();
+        metrics.gangLaneSlots.add(width);
+        metrics.gangLanes.add(lanes);
+        telemetry::TraceSpan gangSpan("engine", "gang");
+        if (gangSpan.active())
+            gangSpan.setArgs("{\"gang\":" + std::to_string(g) +
+                             ",\"lanes\":" + std::to_string(lanes) + "}");
+        GangWorker &worker = perWorker[w];
+        runGang(live.data() + first, lanes, worker.base, worker.drain,
+                worker.gang, budget, outcomes);
+    });
+}
+
+void
+CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
+                        sim::Simulator &base, sim::Simulator &drain,
+                        sim::GangSimulator &gang, uint64_t budget,
+                        std::vector<TrialOutcome> &outcomes) const
 {
     // Shared restore: the checkpoint of the gang's earliest first site
     // (trials arrive sorted, so that is lane 0's).
-    const sim::Checkpoint *checkpoint = checkpoints_.findForInjectable(
-        trials[0].plan.sites.empty()
-            ? std::numeric_limits<uint64_t>::max()
-            : trials[0].plan.sites.front());
-    uint64_t instructions = 0;
-    uint64_t injectableRetired = 0;
-    size_t outputPrefix = 0;
-    if (checkpoint) {
-        base.restoreFrom(*checkpoint, golden_);
-        instructions = checkpoint->instructions;
-        injectableRetired = checkpoint->injectableRetired;
-        outputPrefix = checkpoint->outputLength;
-    } else {
-        base.fastReset();
-    }
-    gang.reset(base.machine(), base.memory(), lanes, instructions,
-               injectableRetired, outputPrefix);
+    const sim::Checkpoint *checkpoint =
+        checkpoints_.findForInjectable(firstSite(trials[0].plan));
+    const sim::Checkpoint &at = rewind(base, checkpoint);
+    gang.reset(base.machine(), base.memory(), lanes, at.instructions,
+               at.injectableRetired, at.outputLength);
 
-    GangLaneCtx laneCtx[sim::GangSimulator::MAX_LANES];
+    SiteCursor cursors[sim::GangSimulator::MAX_LANES];
     for (;;) {
         // Next pause target: the earliest unapplied site over the
         // lanes still executing in the gang (evicted lanes finish
         // their own schedules in the drain).
         uint64_t nextSite = std::numeric_limits<uint64_t>::max();
         for (unsigned l = 0; l < lanes; ++l) {
-            if (!gang.laneInGang(l))
-                continue;
             const auto &sites = trials[l].plan.sites;
-            if (laneCtx[l].cursor < sites.size())
-                nextSite = std::min(nextSite,
-                                    sites[laneCtx[l].cursor]);
+            if (gang.laneInGang(l) && cursors[l].next < sites.size())
+                nextSite = std::min(nextSite, sites[cursors[l].next]);
         }
         uint64_t stopAfter =
             nextSite == std::numeric_limits<uint64_t>::max()
@@ -573,123 +487,59 @@ CampaignRunner::runGang(
             stopAfter, injectableBytes_, budget);
         if (run.status != sim::RunStatus::Paused)
             break; // gang drained (every lane has an exit record)
-        uint64_t site = gang.injectableRetired() - 1;
-        const isa::Instruction &ins = program_.code[run.faultPc];
         // Apply every flip scheduled at this site (several lanes can
         // share one). A lane that left the gang before its site is
         // skipped here; the drain applies its remaining flips.
+        uint64_t site = gang.injectableRetired() - 1;
         for (unsigned l = 0; l < lanes; ++l) {
-            if (!gang.laneInGang(l))
-                continue;
-            GangLaneCtx &ctx = laneCtx[l];
             const InjectionPlan &plan = trials[l].plan;
-            if (ctx.cursor >= plan.sites.size() ||
-                plan.sites[ctx.cursor] != site)
+            if (!gang.laneInGang(l) || cursors[l].next >= plan.sites.size() ||
+                plan.sites[cursors[l].next] != site)
                 continue;
             auto laneMachine = gang.laneMachine(l);
             auto laneMemory = gang.laneMemory(l);
-            if (flipResultT(ins, plan.masks[ctx.cursor], resultKinds_,
-                            laneMachine, laneMemory))
-                ++ctx.injected;
-            ++ctx.cursor;
+            flipNext(plan, cursors[l], program_.code[run.faultPc],
+                     laneMachine, laneMemory);
         }
     }
 
     for (const auto &exitRecord : gang.takeExits()) {
-        const GangTrial &trial = trials[exitRecord.lane];
-        GangLaneCtx &ctx = laneCtx[exitRecord.lane];
-        TrialOutcome &outcome = result.outcomes[trial.slot];
-        if (exitRecord.kind == sim::GangSimulator::ExitKind::Diverged) {
-            engineMetrics().gangEvictions.add();
-            telemetry::TraceSpan drainSpan("engine", "drain-lane");
-            if (drainSpan.active())
-                drainSpan.setArgs("{\"trial\":" +
-                                  std::to_string(trial.slot) + "}");
-            drainLane(drain, exitRecord, trial.plan, checkpoint, ctx,
-                      budget, outcome);
-        } else {
+        const LiveTrial &trial = trials[exitRecord.lane];
+        TrialOutcome &outcome = outcomes[trial.slot];
+        if (exitRecord.kind == sim::GangSimulator::ExitKind::Finished) {
             outcome.run = exitRecord.run;
-            outcome.injected = ctx.injected;
-            if (outcome.run.status == sim::RunStatus::Completed) {
-                outcome.output.reserve(outputPrefix +
-                                       exitRecord.outputTail.size());
+            outcome.injected = cursors[exitRecord.lane].injected;
+            if (outcome.run.completed()) {
                 outcome.output.assign(
                     golden_.begin(),
                     golden_.begin() +
-                        static_cast<ptrdiff_t>(outputPrefix));
+                        static_cast<ptrdiff_t>(at.outputLength));
                 outcome.output.insert(outcome.output.end(),
                                       exitRecord.outputTail.begin(),
                                       exitRecord.outputTail.end());
             }
+            continue;
         }
-        engineMetrics().trialsSimulated.add();
-        engineMetrics().trialInstructions.add(outcome.run.instructions);
-        switch (outcome.run.status) {
-          case sim::RunStatus::Completed:
-            ++tally.completed;
-            break;
-          case sim::RunStatus::Timeout:
-            ++tally.timedOut;
-            break;
-          default:
-            ++tally.crashed;
-            break;
-        }
-        if (onTrial) {
-            std::lock_guard<std::mutex> lock(observerMutex);
-            onTrial(outcome);
-        }
+        // A control-diverged lane: rehydrate the drain simulator with
+        // the lane's exact state at the divergence boundary -- shared
+        // restore, the lane's overlay pages on top, its registers +
+        // divergent PC, and its output so far -- and finish the trial
+        // through the site loop, so the result is bit-identical to
+        // never having ganged at all.
+        engineMetrics().gangEvictions.add();
+        telemetry::TraceSpan drainSpan("engine", "drain-lane");
+        if (drainSpan.active())
+            drainSpan.setArgs("{\"trial\":" + std::to_string(trial.slot) +
+                              "}");
+        rewind(drain, checkpoint);
+        for (const auto &[pageNumber, bytes] : exitRecord.pages)
+            drain.memory().setPage(pageNumber, bytes);
+        drain.machine() = exitRecord.machine;
+        drain.appendOutput(exitRecord.outputTail);
+        runSites(drain, trial.plan, cursors[exitRecord.lane],
+                 exitRecord.injectableRetired, exitRecord.instructions,
+                 budget, outcome);
     }
-}
-
-void
-CampaignRunner::drainLane(sim::Simulator &simulator,
-                          const sim::GangSimulator::LaneExit &exitRecord,
-                          const InjectionPlan &plan,
-                          const sim::Checkpoint *checkpoint,
-                          GangLaneCtx &lane, uint64_t budget,
-                          TrialOutcome &outcome) const
-{
-    // Rehydrate the scalar simulator with the lane's exact state at
-    // the divergence boundary: shared restore, the lane's overlay
-    // pages on top, its registers + divergent PC, and its output so
-    // far. From here the trial is the ordinary fast-forward site loop,
-    // so the result is bit-identical to never having ganged at all.
-    if (checkpoint)
-        simulator.restoreFrom(*checkpoint, golden_);
-    else
-        simulator.fastReset();
-    for (const auto &[pageNumber, bytes] : exitRecord.pages)
-        simulator.memory().setPage(pageNumber, bytes);
-    simulator.machine() = exitRecord.machine;
-    simulator.appendOutput(exitRecord.outputTail);
-
-    uint64_t injectableRetired = exitRecord.injectableRetired;
-    uint64_t instructionsSoFar = exitRecord.instructions;
-    size_t cursor = lane.cursor;
-    uint64_t injected = lane.injected;
-    sim::RunResult run;
-    for (;;) {
-        uint64_t stopAfter =
-            cursor < plan.sites.size()
-                ? plan.sites[cursor] + 1 - injectableRetired
-                : 0;
-        run = simulator.runUntilInjectable(stopAfter, injectableBytes_,
-                                           budget, instructionsSoFar);
-        instructionsSoFar = run.instructions;
-        if (run.status != sim::RunStatus::Paused)
-            break;
-        injectableRetired = plan.sites[cursor] + 1;
-        if (flipResult(program_.code[run.faultPc], plan.masks[cursor],
-                       resultKinds_, simulator.machine(),
-                       simulator.memory()))
-            ++injected;
-        ++cursor;
-    }
-    outcome.run = run;
-    outcome.injected = injected;
-    if (run.status == sim::RunStatus::Completed)
-        outcome.output = simulator.output();
 }
 
 CampaignResult

@@ -4,34 +4,35 @@
  *
  * A campaign fixes a program, an injectable-instruction set plus flip
  * semantics (i.e. an injection policy) and an error count, then runs
- * many independently seeded trials. Each trial reruns the program with a fresh uniform
- * injection plan and classifies the outcome; completed trials keep
- * their output stream so the caller can score fidelity against the
- * fault-free (golden) output.
+ * many independently seeded trials. Each trial reruns the program with
+ * a fresh uniform injection plan and classifies the outcome; completed
+ * trials keep their output stream so the caller can score fidelity
+ * against the fault-free (golden) output.
  *
- * Trials execute on a TrialPool: trial t derives its randomness from
- * Rng::forStream(seed, t) and writes into its own outcome slot, so a
- * cell's results are bit-identical for every thread count.
+ * One path per range: runRange() draws every trial's plan from
+ * Rng::forStream(seed, t), synthesizes the trials static pruning
+ * proves harmless, hands the rest to an executor that writes each
+ * trial's own outcome slot, and folds the tallies from the outcomes in
+ * trial order. A cell's results are therefore bit-identical for every
+ * thread count, gang width, checkpoint interval, and pruning mode.
  *
  * Trial fast-forwarding: every trial replays the golden run bit-for-bit
  * until its first injection site, so the golden profiling run records
  * periodic Checkpoints (see sim/checkpoint.hh) and each trial restores
  * the nearest one at-or-before its first site instead of starting from
- * reset. The tail -- and the gaps between injection sites -- run
- * through the simulator's hookless fast path, with the bit flips
- * applied directly at the exact sites. Campaign results are
- * bit-identical with checkpointing on (checkpointInterval > 0) or off
- * (0: the classic full-replay Injector-hook path), at every thread
- * count.
+ * reset. From there one site loop finishes the trial: the simulator's
+ * hookless fast path runs from site to site, and the bit flips are
+ * applied directly at each pause. With checkpointInterval 0 the scalar
+ * executor instead replays each trial in full through the Injector
+ * retire hook, an independent oracle for the fast path.
  *
- * Gang execution: on the checkpointed fast path, trials are grouped by
+ * Gang execution: on the checkpointed path, trials are grouped by
  * their first injection site into gangs of CampaignConfig::gangWidth
  * lanes that share one checkpoint restore and one fetch/decode stream
- * (sim/gang.hh). Lanes whose fault diverges control flow drain through
- * the scalar fast path, so results stay bit-identical to gangWidth = 0
- * (pure scalar) for every width, thread count, checkpoint interval,
- * and pruning mode. The classic interval-0 path never uses gangs,
- * keeping it an independent oracle.
+ * (sim/gang.hh). A lane whose fault diverges control flow leaves the
+ * gang with a state snapshot and finishes in the same site loop on a
+ * scalar simulator, so results match gangWidth = 0 (pure scalar) bit
+ * for bit.
  *
  * "Infinite execution" is detected by an instruction budget of
  * budgetFactor x the golden run's dynamic instruction count.
@@ -45,9 +46,7 @@
  * golden instruction stream with the exact golden output, so the
  * runner synthesizes that outcome instead of simulating: same
  * tallies, same per-trial records, same RNG stream (the plan is still
- * sampled), same observer calls. Campaign results are bit-identical
- * with pruning on or off at every thread count -- the same contract
- * checkpointing keeps -- with the skipped-trial count reported as
+ * sampled). The skipped-trial count is reported as
  * CampaignResult::trialsPruned.
  */
 
@@ -55,8 +54,6 @@
 #define ETC_FAULT_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <vector>
 
 #include "fault/injection.hh"
@@ -226,14 +223,9 @@ class CampaignRunner
      * config.threads value (including 0 = all cores): every trial is a
      * pure function of (config.seed, trial index).
      *
-     * @param config  trial count / error count / seed / budget / threads
-     * @param onTrial optional per-trial observer (progress reporting);
-     *                called exactly once per trial, under a lock, but
-     *                in unspecified order when threads > 1
+     * @param config trial count / error count / seed / budget / threads
      */
-    CampaignResult run(
-        const CampaignConfig &config,
-        const std::function<void(const TrialOutcome &)> &onTrial = {});
+    CampaignResult run(const CampaignConfig &config);
 
     /**
      * Run the shard of a cell covering trials [lo, hi).
@@ -249,9 +241,8 @@ class CampaignRunner
      * @param lo first trial index (inclusive), <= hi
      * @param hi one past the last trial index, <= config.trials
      */
-    CampaignResult runRange(
-        const CampaignConfig &config, uint64_t lo, uint64_t hi,
-        const std::function<void(const TrialOutcome &)> &onTrial = {});
+    CampaignResult runRange(const CampaignConfig &config, uint64_t lo,
+                            uint64_t hi);
 
     /**
      * Merge shard results into the monolithic cell result.
@@ -279,51 +270,65 @@ class CampaignRunner
     }
 
   private:
-    /** One trial via checkpoint restore + hookless site-to-site runs. */
-    void runTrialFastForward(sim::Simulator &simulator,
-                             const InjectionPlan &plan, uint64_t budget,
-                             TrialOutcome &outcome) const;
-
-    /// @name Gang execution (see sim/gang.hh and the file header)
-    /// @{
-
-    /** A live (not pruned) trial queued for gang execution: its global
-     *  outcome slot plus its sampled plan. */
-    struct GangTrial
+    /** A trial that must be simulated: its outcome slot and plan. */
+    struct LiveTrial
     {
         uint64_t slot; //!< index into CampaignResult::outcomes
         InjectionPlan plan;
     };
 
-    /** Per-lane injection progress carried from gang to drain. */
-    struct GangLaneCtx
+    /** Injection progress of one trial. */
+    struct SiteCursor
     {
-        size_t cursor = 0;    //!< next plan site to apply
+        size_t next = 0;       //!< next plan site to apply
         uint64_t injected = 0; //!< flips actually performed
     };
 
-    /** runRange() over gangs of @p width lanes (checkpointed path). */
-    CampaignResult runRangeGang(
-        const CampaignConfig &config, uint64_t lo, uint64_t hi,
-        unsigned width,
-        const std::function<void(const TrialOutcome &)> &onTrial);
+    /** Scalar executor: one trial at a time per worker. */
+    void runScalar(const std::vector<LiveTrial> &live, uint64_t firstTrial,
+                   unsigned threads, uint64_t budget,
+                   std::vector<TrialOutcome> &outcomes) const;
+
+    /** Gang executor: lockstep gangs of @p width lanes per worker. */
+    void runGangs(std::vector<LiveTrial> &live, unsigned width,
+                  unsigned threads, uint64_t budget,
+                  std::vector<TrialOutcome> &outcomes) const;
 
     /** Execute one gang of @p lanes trials end to end (restore, run,
-     *  flip at pauses, drain divergent lanes, record outcomes). */
-    void runGang(const GangTrial *trials, unsigned lanes,
+     *  flip at pauses, finish divergent lanes, record outcomes). */
+    void runGang(const LiveTrial *trials, unsigned lanes,
                  sim::Simulator &base, sim::Simulator &drain,
                  sim::GangSimulator &gang, uint64_t budget,
-                 CampaignResult &result, OutcomeTally &tally,
-                 const std::function<void(const TrialOutcome &)> &onTrial,
-                 std::mutex &observerMutex) const;
+                 std::vector<TrialOutcome> &outcomes) const;
 
-    /** Finish a control-diverged lane through the scalar fast path. */
-    void drainLane(sim::Simulator &simulator,
-                   const sim::GangSimulator::LaneExit &exitRecord,
-                   const InjectionPlan &plan,
-                   const sim::Checkpoint *checkpoint, GangLaneCtx &lane,
-                   uint64_t budget, TrialOutcome &outcome) const;
-    /// @}
+    /**
+     * Put @p simulator in the golden state of @p checkpoint, or at the
+     * program start when it is null.
+     *
+     * @return the checkpoint (all-zero counters at the program start)
+     */
+    const sim::Checkpoint &rewind(sim::Simulator &simulator,
+                                  const sim::Checkpoint *checkpoint) const;
+
+    /**
+     * The site loop: finish a trial on @p simulator from its current
+     * state, pausing at each remaining site of @p plan from @p cursor
+     * on to apply its flip, and record the outcome.
+     *
+     * @param injectableRetired injectable retires so far
+     * @param instructions      dynamic instructions so far
+     */
+    void runSites(sim::Simulator &simulator, const InjectionPlan &plan,
+                  SiteCursor cursor, uint64_t injectableRetired,
+                  uint64_t instructions, uint64_t budget,
+                  TrialOutcome &outcome) const;
+
+    /** Apply the flip at @p cursor (the just-retired @p ins) and
+     *  advance it. */
+    template <typename MachineT, typename MemoryT>
+    void flipNext(const InjectionPlan &plan, SiteCursor &cursor,
+                  const isa::Instruction &ins, MachineT &machine,
+                  MemoryT &memory) const;
 
     const assembly::Program &program_;
     std::vector<bool> injectable_;

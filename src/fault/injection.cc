@@ -63,13 +63,6 @@ samplePlan(uint64_t injectableDynamicCount, unsigned numErrors,
     return plan;
 }
 
-InjectionPlan
-samplePlan(uint64_t injectableDynamicCount, unsigned numErrors, Rng &rng)
-{
-    return samplePlan(injectableDynamicCount, numErrors, BitErrorModel{},
-                      rng);
-}
-
 Injector::Injector(const std::vector<bool> &injectable, InjectionPlan plan,
                    unsigned resultKinds)
     : injectable_(injectable), plan_(std::move(plan)),
@@ -83,15 +76,6 @@ flipResult(const isa::Instruction &ins, uint32_t mask,
            sim::Memory &memory)
 {
     return flipResultT(ins, mask, resultKinds, machine, memory);
-}
-
-bool
-flipResult(const isa::Instruction &ins, unsigned bit,
-           sim::Machine &machine, sim::Memory &memory)
-{
-    if (bit >= 32)
-        panic("flipResult: bit index ", bit, " out of range");
-    return flipResult(ins, uint32_t{1} << bit, RK_ALL, machine, memory);
 }
 
 void

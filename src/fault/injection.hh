@@ -35,6 +35,7 @@
 
 #include "asm/program.hh"
 #include "fault/policy.hh"
+#include "sim/semantics.hh"
 #include "sim/simulator.hh"
 #include "support/rng.hh"
 
@@ -84,10 +85,6 @@ InjectionPlan samplePlan(uint64_t injectableDynamicCount,
                          unsigned numErrors, const BitErrorModel &model,
                          Rng &rng);
 
-/** samplePlan() under the paper's uniform single-flip model. */
-InjectionPlan samplePlan(uint64_t injectableDynamicCount,
-                         unsigned numErrors, Rng &rng);
-
 namespace detail {
 
 /** Fold a 32-bit mask onto @p width bits: each set bit lands at
@@ -99,7 +96,20 @@ foldMask(uint32_t mask, unsigned width)
     uint32_t folded = 0;
     for (unsigned lo = 0; lo < 32; lo += width)
         folded ^= mask >> lo;
-    return folded & ((uint32_t{1} << width) - 1);
+    return folded & static_cast<uint32_t>((uint64_t{1} << width) - 1);
+}
+
+/** XOR @p mask, folded to T's width, into the T stored at @p addr.
+ *  @return false if it cannot be read back. */
+template <typename T, typename MemoryT>
+bool
+flipStored(MemoryT &memory, uint32_t addr, uint32_t mask)
+{
+    T value = 0;
+    if (memory.read(addr, value) != sim::MemStatus::Ok)
+        return false;
+    memory.write(addr, static_cast<T>(value ^ foldMask(mask, 8 * sizeof(T))));
+    return true;
 }
 
 } // namespace detail
@@ -117,7 +127,7 @@ foldMask(uint32_t mask, unsigned width)
  *
  * Templated over the machine/memory shape so the scalar Simulator and
  * a GangSimulator lane proxy (sim/gang.hh) run the byte-identical flip
- * logic: MachineT provides pc / readFlat / writeFlat / readInt and
+ * logic: MachineT provides pc / readFlat / writeFlat and
  * MemoryT the checked read/write accessors.
  *
  * @param resultKinds ResultKind bitmask of corruptible result kinds
@@ -143,39 +153,20 @@ flipResultT(const isa::Instruction &ins, uint32_t mask,
         return true;
     }
     if ((resultKinds & RK_MEMORY) && ins.isStore()) {
-        // A store's result is the memory value it wrote. Flip it
-        // in place (within the stored width); if the store went
-        // out of region under the lenient model, the value was
-        // dropped and there is nothing to corrupt.
-        uint32_t addr = machine.readInt(ins.rs) +
+        // A store's result is the memory value it wrote. Flip it in
+        // place (within the stored width); a store the strict model
+        // would fault on never retired, and one the lenient model
+        // dropped reads back as zero.
+        uint32_t addr = machine.readFlat(ins.rs) +
                         static_cast<uint32_t>(ins.imm);
         switch (ins.op) {
-          case isa::Opcode::SB: {
-            uint8_t value = 0;
-            if (memory.read8(addr, value) == sim::MemStatus::Ok) {
-                memory.write8(addr, static_cast<uint8_t>(
-                    value ^ detail::foldMask(mask, 8)));
-                return true;
-            }
-            return false;
-          }
-          case isa::Opcode::SH: {
-            uint16_t value = 0;
-            if (memory.read16(addr, value) == sim::MemStatus::Ok) {
-                memory.write16(addr, static_cast<uint16_t>(
-                    value ^ detail::foldMask(mask, 16)));
-                return true;
-            }
-            return false;
-          }
-          default: { // sw / swc1
-            uint32_t value = 0;
-            if (memory.read32(addr, value) == sim::MemStatus::Ok) {
-                memory.write32(addr, value ^ mask);
-                return true;
-            }
-            return false;
-          }
+#define ETC_FLIP_STORED(name, T)                                          \
+          case isa::Opcode::name:                                         \
+            return detail::flipStored<T>(memory, addr, mask);
+          ETC_SEM_STORES(ETC_FLIP_STORED)
+#undef ETC_FLIP_STORED
+          default:
+            break;
         }
     }
     return false;
@@ -185,11 +176,6 @@ flipResultT(const isa::Instruction &ins, uint32_t mask,
 bool flipResult(const isa::Instruction &ins, uint32_t mask,
                 unsigned resultKinds, sim::Machine &machine,
                 sim::Memory &memory);
-
-/** flipResult() of single bit @p bit with every result kind allowed
- *  (the legacy unrestricted behavior). */
-bool flipResult(const isa::Instruction &ins, unsigned bit,
-                sim::Machine &machine, sim::Memory &memory);
 
 /**
  * The retire hook that executes an InjectionPlan.

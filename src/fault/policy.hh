@@ -21,7 +21,7 @@
  * record can never alias results produced under different semantics.
  * The two legacy policies ("protected", "unprotected") reproduce the
  * paper's modes bit-for-bit -- same RNG draws, same flips, same store
- * fingerprints as the historical ProtectionMode enum paths.
+ * fingerprints as the historical binary protection switch.
  *
  * The process-wide registry starts with the built-in policies below;
  * embedders may add their own with registerInjectionPolicy().
@@ -103,9 +103,9 @@ struct InjectionPolicy
 
     /**
      * True for the two policies that reproduce the paper's original
-     * ProtectionMode semantics. Legacy policies keep their pre-policy
-     * CellKey canonical form (no policy hash folded in), so stores
-     * written before this layer existed keep serving records.
+     * protected/unprotected semantics. Legacy policies keep their
+     * pre-policy CellKey canonical form (no policy hash folded in), so
+     * stores written before this layer existed keep serving records.
      */
     bool legacy = false;
 
@@ -143,7 +143,7 @@ struct InjectionPolicy
     std::string resultKindsName() const;
 };
 
-/** Names of the two legacy policies (the ProtectionMode aliases). */
+/** Names of the two legacy policies (the paper's two modes). */
 inline constexpr const char *PROTECTED_POLICY = "protected";
 inline constexpr const char *UNPROTECTED_POLICY = "unprotected";
 

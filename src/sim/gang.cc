@@ -1,11 +1,9 @@
 #include "sim/gang.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
+#include "sim/semantics.hh"
 #include "support/logging.hh"
 
 namespace etc::sim {
@@ -65,7 +63,7 @@ GangSimulator::reset(const Machine &machine, const Memory &base,
 
     const unsigned g = width_;
     for (unsigned r = 0; r < NUM_REGS; ++r)
-        reg(g, r) = machine.readFlat(static_cast<RegId>(r));
+        reg(g, r) = machine.regs[r];
     lanePc_[g] = machine.pc;
     // Base pages are never written through the table (writes go
     // through pageForWrite, which clones un-owned pages first).
@@ -126,78 +124,40 @@ template <typename T>
 MemStatus
 GangSimulator::laneRead(unsigned slot, uint32_t addr, T &value)
 {
-    // Mirrors Memory::readN exactly: alignment first, then bounds
-    // (lenient out-of-region reads yield 0), then the page walk.
-    if (sizeof(T) > 1 && (addr & (sizeof(T) - 1)))
-        return MemStatus::Misaligned;
-    if (!inBounds(addr, sizeof(T))) {
-        if (model_ == MemoryModel::Strict)
-            return MemStatus::OutOfBounds;
-        value = 0;
-        return MemStatus::Ok;
-    }
+    bool touch;
+    MemStatus status = checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)),
+                                   model_, touch);
+    value = 0; // untouched pages read as zeroes too
     const uint8_t *page =
-        tables_[size_t{slot} * pageCount_ + pageIndex(addr)];
+        touch ? tables_[size_t{slot} * pageCount_ + pageIndex(addr)] : nullptr;
     if (page)
         std::memcpy(&value, page + (addr & (Memory::PAGE_SIZE - 1)),
                     sizeof(T));
-    else
-        value = 0; // untouched page reads as zeroes
-    return MemStatus::Ok;
+    return status;
 }
 
 template <typename T>
 MemStatus
 GangSimulator::laneWrite(unsigned slot, uint32_t addr, T value)
 {
-    if (sizeof(T) > 1 && (addr & (sizeof(T) - 1)))
-        return MemStatus::Misaligned;
-    if (!inBounds(addr, sizeof(T)))
-        return model_ == MemoryModel::Strict ? MemStatus::OutOfBounds
-                                             : MemStatus::Ok; // dropped
-    uint8_t *page = pageForWrite(slot, pageIndex(addr));
-    std::memcpy(page + (addr & (Memory::PAGE_SIZE - 1)), &value,
-                sizeof(T));
-    return MemStatus::Ok;
+    bool touch;
+    MemStatus status = checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)),
+                                   model_, touch);
+    if (touch)
+        std::memcpy(pageForWrite(slot, pageIndex(addr)) +
+                        (addr & (Memory::PAGE_SIZE - 1)),
+                    &value, sizeof(T));
+    return status;
 }
 
 // The lane proxies (used from fault/campaign.cc via flipResultT) need
 // out-of-line copies of the access templates.
-template MemStatus GangSimulator::laneRead<uint8_t>(unsigned, uint32_t,
-                                                    uint8_t &);
-template MemStatus GangSimulator::laneRead<uint16_t>(unsigned, uint32_t,
-                                                     uint16_t &);
-template MemStatus GangSimulator::laneRead<uint32_t>(unsigned, uint32_t,
-                                                     uint32_t &);
-template MemStatus GangSimulator::laneWrite<uint8_t>(unsigned, uint32_t,
-                                                     uint8_t);
-template MemStatus GangSimulator::laneWrite<uint16_t>(unsigned, uint32_t,
-                                                      uint16_t);
-template MemStatus GangSimulator::laneWrite<uint32_t>(unsigned, uint32_t,
-                                                      uint32_t);
-
-uint32_t
-GangSimulator::laneReadFlat(unsigned lane, RegId r) const
-{
-    // Storage is already flat (fcc at FP_FLAG_REG holds 0/1, $zero
-    // holds 0 by the write guards), so this is one indexed load.
-    return reg(lane, r);
-}
-
-void
-GangSimulator::laneWriteFlat(unsigned lane, RegId r, uint32_t value)
-{
-    // Mirrors Machine::writeFlat: $zero writes are discarded, the FP
-    // flag keeps only bit 0.
-    if (isIntReg(r)) {
-        if (r != REG_ZERO)
-            reg(lane, r) = value;
-    } else if (isFpReg(r)) {
-        reg(lane, r) = value;
-    } else {
-        reg(lane, r) = value & 1;
-    }
-}
+template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint8_t &);
+template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint16_t &);
+template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint32_t &);
+template MemStatus GangSimulator::laneWrite(unsigned, uint32_t, uint8_t);
+template MemStatus GangSimulator::laneWrite(unsigned, uint32_t, uint16_t);
+template MemStatus GangSimulator::laneWrite(unsigned, uint32_t, uint32_t);
 
 void
 GangSimulator::materialize(unsigned lane)
@@ -261,7 +221,7 @@ GangSimulator::evictDiverged(unsigned lane)
     exit.lane = lane;
     exit.kind = ExitKind::Diverged;
     for (unsigned r = 0; r < NUM_REGS; ++r)
-        exit.machine.writeFlat(static_cast<RegId>(r), reg(lane, r));
+        exit.machine.regs[r] = reg(lane, r);
     exit.machine.pc = lanePc_[lane];
     for (unsigned i = 0; i < pageCount_; ++i) {
         const uint8_t *page = tables_[size_t{lane} * pageCount_ + i];
@@ -378,31 +338,34 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
 {
     // Two execution regimes:
     //
-    //  * DENSE ops (plain ALU, FP arithmetic, branches, jumps, reg
-    //    moves) cannot fault and touch only register columns / next-PC
-    //    slots, so they compute over ALL stride_ columns
-    //    unconditionally -- branch-free, contiguous, vectorizable.
-    //    Dead columns (aliases, exited lanes, a retired golden) get
-    //    garbage, which is harmless: materialize() rewrites an alias's
-    //    whole column from golden, and exited lanes were snapshotted
-    //    at exit. This is what makes a gang step cheaper than N scalar
-    //    steps rather than merely batched.
+    //  * DENSE ops (register and flag results, branches, jumps) cannot
+    //    fault and touch only register columns / next-PC slots, so
+    //    they compute over ALL stride_ columns unconditionally --
+    //    branch-free, contiguous, vectorizable. Dead columns (aliases,
+    //    exited lanes, a retired golden) get garbage, which is
+    //    harmless: materialize() rewrites an alias's whole column from
+    //    golden, and exited lanes were snapshotted at exit. This is
+    //    what makes a gang step cheaper than N scalar steps rather
+    //    than merely batched.
     //
-    //  * GATED ops (div/rem, loads/stores, output) can fault or have
+    //  * GATED ops (divides, loads/stores, output) can fault or have
     //    per-lane memory/stream side effects, so they run only over
     //    the execute set.
+    //
+    // Both expand the shared semantics lists (sim/semantics.hh).
     const unsigned n = static_cast<unsigned>(execList_.size());
     const uint8_t *slots = execList_.data();
     const unsigned all = stride_;
     const uint32_t fall = thisPc + 1;
     uint32_t *pcs = lanePc_.data();
-    const uint32_t imm = static_cast<uint32_t>(ins.imm);
+    [[maybe_unused]] const uint32_t imm = static_cast<uint32_t>(ins.imm);
 
     // Register rows are always valid to form (unused operand fields
     // are zero, i.e. $zero's row).
-    uint32_t *d = &regs_[size_t{ins.rd} * stride_];
-    const uint32_t *a = &regs_[size_t{ins.rs} * stride_];
-    const uint32_t *b = &regs_[size_t{ins.rt} * stride_];
+    uint32_t *rdCol = &regs_[size_t{ins.rd} * stride_];
+    const uint32_t *rsCol = &regs_[size_t{ins.rs} * stride_];
+    const uint32_t *rtCol = &regs_[size_t{ins.rt} * stride_];
+    uint32_t *fccCol = &regs_[size_t{FP_FLAG_REG} * stride_];
 
     // Faults are recorded during the slot loops and processed after
     // them (evicting mid-loop would edit execList_ under iteration).
@@ -417,217 +380,125 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
 
     // Memory ops: lanes almost always agree on the address (a flip
     // rarely lands in an address register), so hoist the alignment /
-    // bounds / page-index work out of the lane loop when they do. Any
-    // lane disagreeing -- or a uniform address that faults -- drops to
-    // the per-lane laneRead/laneWrite path, which reproduces scalar
-    // fault semantics exactly.
+    // bounds / page-index work out of the lane loop when they do, and
+    // hand @p access each lane's page (by table slot) plus the shared
+    // in-page offset. Any lane disagreeing -- or a uniform address
+    // that faults -- returns false: the caller then takes the
+    // per-lane laneRead/laneWrite path, which reproduces scalar fault
+    // semantics exactly.
+    auto uniformAccess = [&](uint32_t width, auto &&access) {
+        const uint32_t addr = rsCol[slots[0]] + imm;
+        for (unsigned i = 1; i < n; ++i)
+            if (rsCol[slots[i]] + imm != addr)
+                return false;
+        if ((addr & (width - 1)) || !inBounds(addr, width))
+            return false;
+        const size_t index = pageIndex(addr);
+        const uint32_t offset = addr & (Memory::PAGE_SIZE - 1);
+        for (unsigned i = 0; i < n; ++i)
+            access(slots[i], index, offset);
+        return true;
+    };
     auto gatedLoad = [&](auto zero, auto &&writeback) {
         using T = decltype(zero);
-        const uint32_t addr0 = a[slots[0]] + imm;
-        bool uniform = true;
-        for (unsigned i = 1; i < n; ++i)
-            uniform &= (a[slots[i]] + imm) == addr0;
-        if (uniform && !(sizeof(T) > 1 && (addr0 & (sizeof(T) - 1))) &&
-            inBounds(addr0, sizeof(T))) {
-            const size_t index = pageIndex(addr0);
-            const uint32_t off = addr0 & (Memory::PAGE_SIZE - 1);
-            for (unsigned i = 0; i < n; ++i) {
-                unsigned s = slots[i];
-                const uint8_t *page =
-                    tables_[size_t{s} * pageCount_ + index];
+        if (uniformAccess(sizeof(T), [&](unsigned s, size_t index,
+                                         uint32_t offset) {
+                const uint8_t *page = tables_[s * pageCount_ + index];
                 T value{};
                 if (page)
-                    std::memcpy(&value, page + off, sizeof(T));
+                    std::memcpy(&value, page + offset, sizeof(T));
                 writeback(s, value);
-            }
+            }))
             return;
-        }
         for (unsigned i = 0; i < n; ++i) {
             unsigned s = slots[i];
             T value{};
-            if (laneRead(s, a[s] + imm, value) != MemStatus::Ok) {
+            if (laneRead(s, rsCol[s] + imm, value) != MemStatus::Ok)
                 faultLane(s, RunStatus::MemoryFault);
-                continue;
-            }
-            writeback(s, value);
+            else
+                writeback(s, value);
         }
     };
-    auto gatedStore = [&](auto narrow) {
-        using T = decltype(narrow(uint32_t{}));
-        const uint32_t addr0 = a[slots[0]] + imm;
-        bool uniform = true;
-        for (unsigned i = 1; i < n; ++i)
-            uniform &= (a[slots[i]] + imm) == addr0;
-        if (uniform && !(sizeof(T) > 1 && (addr0 & (sizeof(T) - 1))) &&
-            inBounds(addr0, sizeof(T))) {
-            const size_t index = pageIndex(addr0);
-            const uint32_t off = addr0 & (Memory::PAGE_SIZE - 1);
-            for (unsigned i = 0; i < n; ++i) {
-                unsigned s = slots[i];
-                uint8_t *page = pageForWrite(s, index);
-                T value = narrow(d[s]);
-                std::memcpy(page + off, &value, sizeof(T));
-            }
+    auto gatedStore = [&](auto zero) {
+        using T = decltype(zero);
+        if (uniformAccess(sizeof(T), [&](unsigned s, size_t index,
+                                         uint32_t offset) {
+                T value = static_cast<T>(rdCol[s]);
+                std::memcpy(pageForWrite(s, static_cast<unsigned>(index)) +
+                                offset,
+                            &value, sizeof(T));
+            }))
             return;
-        }
         for (unsigned i = 0; i < n; ++i) {
             unsigned s = slots[i];
-            if (laneWrite(s, a[s] + imm, narrow(d[s])) != MemStatus::Ok)
+            if (laneWrite(s, rsCol[s] + imm, static_cast<T>(rdCol[s])) !=
+                MemStatus::Ok)
                 faultLane(s, RunStatus::MemoryFault);
         }
     };
+
+// The operands the semantics lists are written over, for column s.
+#define ETC_LANE_OPERANDS(s)                                               \
+    [[maybe_unused]] const uint32_t a = rsCol[s];                          \
+    [[maybe_unused]] const uint32_t b = rtCol[s];                          \
+    [[maybe_unused]] const uint32_t fcc = fccCol[s];
 
 // Dense register write: every column, with the $zero discard hoisted
-// out of the loop ($zero as rd skips the whole op -- ALU ops have no
-// other architectural effect, exactly like Machine::writeInt).
-#define ETC_GANG_DENSE(expr)                                          \
-    do {                                                              \
-        if (ins.rd != REG_ZERO)                                       \
-            for (unsigned s = 0; s < all; ++s)                        \
-                d[s] = (expr);                                        \
-    } while (0)
-
-// Dense float helpers (columns hold raw bits).
-#define ETC_GANG_F(x) std::bit_cast<float>(x)
-#define ETC_GANG_BITS(x) std::bit_cast<uint32_t>(x)
+// out of the loop ($zero as rd skips the whole op -- these ops have no
+// other architectural effect).
+#define ETC_REGISTER_RESULT(name, expr)                                    \
+      case Opcode::name:                                                   \
+        if (ins.rd != REG_ZERO)                                            \
+            for (unsigned s = 0; s < all; ++s) {                           \
+                ETC_LANE_OPERANDS(s)                                       \
+                rdCol[s] = (expr);                                         \
+            }                                                              \
+        break;
+#define ETC_FLAG_RESULT(name, expr)                                        \
+      case Opcode::name:                                                   \
+        for (unsigned s = 0; s < all; ++s) {                               \
+            ETC_LANE_OPERANDS(s)                                           \
+            fccCol[s] = (expr) ? 1 : 0;                                    \
+        }                                                                  \
+        break;
+#define ETC_BRANCH(name, expr)                                             \
+      case Opcode::name:                                                   \
+        for (unsigned s = 0; s < all; ++s) {                               \
+            ETC_LANE_OPERANDS(s)                                           \
+            pcs[s] = (expr) ? ins.target : fall;                           \
+        }                                                                  \
+        break;
+#define ETC_DIVIDE(name, expr)                                             \
+      case Opcode::name:                                                   \
+        for (unsigned i = 0; i < n; ++i) {                                 \
+            const unsigned s = slots[i];                                   \
+            ETC_LANE_OPERANDS(s)                                           \
+            if (b == 0)                                                    \
+                faultLane(s, RunStatus::DivByZero);                        \
+            else if (ins.rd != REG_ZERO)                                   \
+                rdCol[s] = (expr);                                         \
+        }                                                                  \
+        break;
+#define ETC_LOAD(name, T, expr)                                            \
+      case Opcode::name:                                                   \
+        gatedLoad(T{}, [&](unsigned s, T v) {                              \
+            if (ins.rd != REG_ZERO)                                        \
+                rdCol[s] = (expr);                                         \
+        });                                                                \
+        break;
+#define ETC_STORE(name, T)                                                 \
+      case Opcode::name:                                                   \
+        gatedStore(T{});                                                   \
+        break;
 
     switch (ins.op) {
-      case Opcode::ADD: ETC_GANG_DENSE(a[s] + b[s]); break;
-      case Opcode::SUB: ETC_GANG_DENSE(a[s] - b[s]); break;
-      case Opcode::MUL: ETC_GANG_DENSE(a[s] * b[s]); break;
-      case Opcode::DIV:
-        for (unsigned i = 0; i < n; ++i) {
-            unsigned s = slots[i];
-            auto den = static_cast<int32_t>(b[s]);
-            if (den == 0) {
-                faultLane(s, RunStatus::DivByZero);
-                continue;
-            }
-            auto num = static_cast<int32_t>(a[s]);
-            if (ins.rd == REG_ZERO)
-                continue;
-            if (num == std::numeric_limits<int32_t>::min() && den == -1)
-                d[s] = static_cast<uint32_t>(num);
-            else
-                d[s] = static_cast<uint32_t>(num / den);
-        }
-        break;
-      case Opcode::REM:
-        for (unsigned i = 0; i < n; ++i) {
-            unsigned s = slots[i];
-            auto den = static_cast<int32_t>(b[s]);
-            if (den == 0) {
-                faultLane(s, RunStatus::DivByZero);
-                continue;
-            }
-            auto num = static_cast<int32_t>(a[s]);
-            if (ins.rd == REG_ZERO)
-                continue;
-            if (num == std::numeric_limits<int32_t>::min() && den == -1)
-                d[s] = 0;
-            else
-                d[s] = static_cast<uint32_t>(num % den);
-        }
-        break;
-      case Opcode::AND: ETC_GANG_DENSE(a[s] & b[s]); break;
-      case Opcode::OR: ETC_GANG_DENSE(a[s] | b[s]); break;
-      case Opcode::XOR: ETC_GANG_DENSE(a[s] ^ b[s]); break;
-      case Opcode::NOR: ETC_GANG_DENSE(~(a[s] | b[s])); break;
-      case Opcode::SLT:
-        ETC_GANG_DENSE(static_cast<int32_t>(a[s]) <
-                               static_cast<int32_t>(b[s])
-                           ? 1
-                           : 0);
-        break;
-      case Opcode::SLTU: ETC_GANG_DENSE(a[s] < b[s] ? 1 : 0); break;
-      case Opcode::SLLV: ETC_GANG_DENSE(a[s] << (b[s] & 31)); break;
-      case Opcode::SRLV: ETC_GANG_DENSE(a[s] >> (b[s] & 31)); break;
-      case Opcode::SRAV:
-        ETC_GANG_DENSE(static_cast<uint32_t>(
-            static_cast<int32_t>(a[s]) >> (b[s] & 31)));
-        break;
-      case Opcode::ADDI: ETC_GANG_DENSE(a[s] + imm); break;
-      case Opcode::ANDI: ETC_GANG_DENSE(a[s] & imm); break;
-      case Opcode::ORI: ETC_GANG_DENSE(a[s] | imm); break;
-      case Opcode::XORI: ETC_GANG_DENSE(a[s] ^ imm); break;
-      case Opcode::SLTI:
-        ETC_GANG_DENSE(static_cast<int32_t>(a[s]) < ins.imm ? 1 : 0);
-        break;
-      case Opcode::SLTIU: ETC_GANG_DENSE(a[s] < imm ? 1 : 0); break;
-      case Opcode::SLL: ETC_GANG_DENSE(a[s] << (ins.imm & 31)); break;
-      case Opcode::SRL: ETC_GANG_DENSE(a[s] >> (ins.imm & 31)); break;
-      case Opcode::SRA:
-        ETC_GANG_DENSE(static_cast<uint32_t>(
-            static_cast<int32_t>(a[s]) >> (ins.imm & 31)));
-        break;
-      case Opcode::LUI: ETC_GANG_DENSE(imm << 16); break;
+      ETC_SEM_REGISTER_RESULTS(ETC_REGISTER_RESULT)
+      ETC_SEM_FLAG_RESULTS(ETC_FLAG_RESULT)
+      ETC_SEM_BRANCHES(ETC_BRANCH)
+      ETC_SEM_DIVIDES(ETC_DIVIDE)
+      ETC_SEM_LOADS(ETC_LOAD)
+      ETC_SEM_STORES(ETC_STORE)
 
-      case Opcode::LW:
-        gatedLoad(uint32_t{}, [&](unsigned s, uint32_t value) {
-            if (ins.rd != REG_ZERO)
-                d[s] = value;
-        });
-        break;
-      case Opcode::LH:
-        gatedLoad(uint16_t{}, [&](unsigned s, uint16_t value) {
-            if (ins.rd != REG_ZERO)
-                d[s] = static_cast<uint32_t>(static_cast<int32_t>(
-                    static_cast<int16_t>(value)));
-        });
-        break;
-      case Opcode::LHU:
-        gatedLoad(uint16_t{}, [&](unsigned s, uint16_t value) {
-            if (ins.rd != REG_ZERO)
-                d[s] = value;
-        });
-        break;
-      case Opcode::LB:
-        gatedLoad(uint8_t{}, [&](unsigned s, uint8_t value) {
-            if (ins.rd != REG_ZERO)
-                d[s] = static_cast<uint32_t>(static_cast<int32_t>(
-                    static_cast<int8_t>(value)));
-        });
-        break;
-      case Opcode::LBU:
-        gatedLoad(uint8_t{}, [&](unsigned s, uint8_t value) {
-            if (ins.rd != REG_ZERO)
-                d[s] = value;
-        });
-        break;
-      case Opcode::SW:
-        gatedStore([](uint32_t v) { return v; });
-        break;
-      case Opcode::SH:
-        gatedStore([](uint32_t v) { return static_cast<uint16_t>(v); });
-        break;
-      case Opcode::SB:
-        gatedStore([](uint32_t v) { return static_cast<uint8_t>(v); });
-        break;
-
-      case Opcode::BEQ:
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = a[s] == b[s] ? ins.target : fall;
-        break;
-      case Opcode::BNE:
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = a[s] != b[s] ? ins.target : fall;
-        break;
-      case Opcode::BLEZ:
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = static_cast<int32_t>(a[s]) <= 0 ? ins.target : fall;
-        break;
-      case Opcode::BGTZ:
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = static_cast<int32_t>(a[s]) > 0 ? ins.target : fall;
-        break;
-      case Opcode::BLTZ:
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = static_cast<int32_t>(a[s]) < 0 ? ins.target : fall;
-        break;
-      case Opcode::BGEZ:
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = static_cast<int32_t>(a[s]) >= 0 ? ins.target : fall;
-        break;
       case Opcode::J:
         for (unsigned s = 0; s < all; ++s)
             pcs[s] = ins.target;
@@ -642,107 +513,17 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
       }
       case Opcode::JR:
         for (unsigned s = 0; s < all; ++s)
-            pcs[s] = a[s];
+            pcs[s] = rsCol[s];
         break;
       case Opcode::JALR:
         // Link write BEFORE the target read, like the scalar
         // interpreter: jalr with rd == rs jumps to the link.
         if (ins.rd != REG_ZERO)
             for (unsigned s = 0; s < all; ++s)
-                d[s] = fall;
+                rdCol[s] = fall;
         for (unsigned s = 0; s < all; ++s)
-            pcs[s] = a[s];
+            pcs[s] = rsCol[s];
         break;
-
-      case Opcode::ADDS:
-        ETC_GANG_DENSE(
-            ETC_GANG_BITS(ETC_GANG_F(a[s]) + ETC_GANG_F(b[s])));
-        break;
-      case Opcode::SUBS:
-        ETC_GANG_DENSE(
-            ETC_GANG_BITS(ETC_GANG_F(a[s]) - ETC_GANG_F(b[s])));
-        break;
-      case Opcode::MULS:
-        ETC_GANG_DENSE(
-            ETC_GANG_BITS(ETC_GANG_F(a[s]) * ETC_GANG_F(b[s])));
-        break;
-      case Opcode::DIVS:
-        ETC_GANG_DENSE(
-            ETC_GANG_BITS(ETC_GANG_F(a[s]) / ETC_GANG_F(b[s])));
-        break;
-      case Opcode::ABSS:
-        ETC_GANG_DENSE(ETC_GANG_BITS(std::fabs(ETC_GANG_F(a[s]))));
-        break;
-      case Opcode::NEGS:
-        ETC_GANG_DENSE(ETC_GANG_BITS(-ETC_GANG_F(a[s])));
-        break;
-      case Opcode::MOVS: ETC_GANG_DENSE(a[s]); break;
-      case Opcode::SQRTS:
-        ETC_GANG_DENSE(ETC_GANG_BITS(std::sqrt(ETC_GANG_F(a[s]))));
-        break;
-      case Opcode::CVTSW:
-        ETC_GANG_DENSE(ETC_GANG_BITS(
-            static_cast<float>(static_cast<int32_t>(a[s]))));
-        break;
-      case Opcode::CVTWS:
-        for (unsigned s = 0; s < all; ++s) {
-            float value = ETC_GANG_F(a[s]);
-            int32_t truncated;
-            if (std::isnan(value))
-                truncated = 0;
-            else if (value >= 2147483648.0f)
-                truncated = std::numeric_limits<int32_t>::max();
-            else if (value < -2147483648.0f)
-                truncated = std::numeric_limits<int32_t>::min();
-            else
-                truncated = static_cast<int32_t>(value);
-            d[s] = static_cast<uint32_t>(truncated);
-        }
-        break;
-      case Opcode::CEQS: {
-        uint32_t *fcc = &regs_[size_t{FP_FLAG_REG} * stride_];
-        for (unsigned s = 0; s < all; ++s)
-            fcc[s] = ETC_GANG_F(a[s]) == ETC_GANG_F(b[s]) ? 1 : 0;
-        break;
-      }
-      case Opcode::CLTS: {
-        uint32_t *fcc = &regs_[size_t{FP_FLAG_REG} * stride_];
-        for (unsigned s = 0; s < all; ++s)
-            fcc[s] = ETC_GANG_F(a[s]) < ETC_GANG_F(b[s]) ? 1 : 0;
-        break;
-      }
-      case Opcode::CLES: {
-        uint32_t *fcc = &regs_[size_t{FP_FLAG_REG} * stride_];
-        for (unsigned s = 0; s < all; ++s)
-            fcc[s] = ETC_GANG_F(a[s]) <= ETC_GANG_F(b[s]) ? 1 : 0;
-        break;
-      }
-      case Opcode::BC1T: {
-        const uint32_t *fcc = &regs_[size_t{FP_FLAG_REG} * stride_];
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = fcc[s] != 0 ? ins.target : fall;
-        break;
-      }
-      case Opcode::BC1F: {
-        const uint32_t *fcc = &regs_[size_t{FP_FLAG_REG} * stride_];
-        for (unsigned s = 0; s < all; ++s)
-            pcs[s] = fcc[s] == 0 ? ins.target : fall;
-        break;
-      }
-      case Opcode::LWC1:
-        gatedLoad(uint32_t{}, [&](unsigned s, uint32_t value) {
-            d[s] = value; // FP destination: no $zero discard
-        });
-        break;
-      case Opcode::SWC1:
-        gatedStore([](uint32_t v) { return v; });
-        break;
-      case Opcode::MTC1:
-        for (unsigned s = 0; s < all; ++s)
-            d[s] = a[s]; // FP destination: no $zero discard
-        break;
-      case Opcode::MFC1: ETC_GANG_DENSE(a[s]); break;
-
       case Opcode::NOP:
         break;
       case Opcode::HALT:
@@ -752,31 +533,27 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
         finishAll(RunStatus::Completed, 0);
         return true;
       case Opcode::OUTB:
+      case Opcode::OUTW: {
+        const int bytes = ins.op == Opcode::OUTW ? 4 : 1;
         for (unsigned i = 0; i < n; ++i) {
             unsigned s = slots[i];
-            outputs_[s].push_back(static_cast<uint8_t>(a[s]));
-            if (outputPrefix_ + outputs_[s].size() >
-                Simulator::OUTPUT_CAP)
-                faultLane(s, RunStatus::OutputOverflow);
-        }
-        break;
-      case Opcode::OUTW:
-        for (unsigned i = 0; i < n; ++i) {
-            unsigned s = slots[i];
-            uint32_t value = a[s];
-            for (int byte = 0; byte < 4; ++byte)
+            for (int byte = 0; byte < bytes; ++byte)
                 outputs_[s].push_back(
-                    static_cast<uint8_t>(value >> (8 * byte)));
-            if (outputPrefix_ + outputs_[s].size() >
-                Simulator::OUTPUT_CAP)
+                    static_cast<uint8_t>(rsCol[s] >> (8 * byte)));
+            if (outputPrefix_ + outputs_[s].size() > Simulator::OUTPUT_CAP)
                 faultLane(s, RunStatus::OutputOverflow);
         }
         break;
+      }
     }
 
-#undef ETC_GANG_DENSE
-#undef ETC_GANG_F
-#undef ETC_GANG_BITS
+#undef ETC_LANE_OPERANDS
+#undef ETC_REGISTER_RESULT
+#undef ETC_FLAG_RESULT
+#undef ETC_BRANCH
+#undef ETC_DIVIDE
+#undef ETC_LOAD
+#undef ETC_STORE
 
     for (unsigned i = 0; i < faults; ++i) {
         if (faultSlot[i] == width_)

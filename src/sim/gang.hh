@@ -143,20 +143,14 @@ class GangSimulator
         uint32_t
         readFlat(isa::RegId reg) const
         {
-            return gang_.laneReadFlat(lane_, reg);
+            return gang_.reg(lane_, reg);
         }
 
+        /** Mirrors Machine::writeFlat (see storedBits()). */
         void
         writeFlat(isa::RegId reg, uint32_t value)
         {
-            gang_.laneWriteFlat(lane_, reg, value);
-        }
-
-        /** Integer-register read (flat ids < NUM_INT_REGS). */
-        uint32_t
-        readInt(isa::RegId reg) const
-        {
-            return gang_.laneReadFlat(lane_, reg);
+            gang_.reg(lane_, reg) = storedBits(reg, value);
         }
 
       private:
@@ -174,33 +168,16 @@ class GangSimulator
     class LaneMemory
     {
       public:
+        template <typename T>
         MemStatus
-        read8(uint32_t addr, uint8_t &value)
+        read(uint32_t addr, T &value)
         {
             return gang_.laneRead(lane_, addr, value);
         }
+
+        template <typename T>
         MemStatus
-        read16(uint32_t addr, uint16_t &value)
-        {
-            return gang_.laneRead(lane_, addr, value);
-        }
-        MemStatus
-        read32(uint32_t addr, uint32_t &value)
-        {
-            return gang_.laneRead(lane_, addr, value);
-        }
-        MemStatus
-        write8(uint32_t addr, uint8_t value)
-        {
-            return gang_.laneWrite(lane_, addr, value);
-        }
-        MemStatus
-        write16(uint32_t addr, uint16_t value)
-        {
-            return gang_.laneWrite(lane_, addr, value);
-        }
-        MemStatus
-        write32(uint32_t addr, uint32_t value)
+        write(uint32_t addr, T value)
         {
             return gang_.laneWrite(lane_, addr, value);
         }
@@ -297,7 +274,7 @@ class GangSimulator
         Exited, //!< has a LaneExit record
     };
 
-    /// @name Per-lane register/PC access (slot = lane or golden slot)
+    /// @name Per-lane register access (slot = lane or golden slot)
     /// @{
     uint32_t
     reg(unsigned slot, unsigned flatReg) const
@@ -309,8 +286,6 @@ class GangSimulator
     {
         return regs_[flatReg * stride_ + slot];
     }
-    uint32_t laneReadFlat(unsigned lane, isa::RegId r) const;
-    void laneWriteFlat(unsigned lane, isa::RegId r, uint32_t value);
     /// @}
 
     /// @name Per-lane COW memory (mirrors Memory's checked accesses)

@@ -2,128 +2,66 @@
  * @file
  * Architectural register state of the simulated machine.
  *
- * FP registers are stored as raw 32-bit patterns so the fault injector
- * can flip any bit of any result uniformly; FP arithmetic bit-casts on
- * use. The FP condition flag occupies the same flat RegId space the
- * analysis uses (isa::FP_FLAG_REG).
+ * One flat register file indexed by RegId -- integer registers, FP
+ * registers, then the FP condition flag (isa::FP_FLAG_REG), the same
+ * layout the analysis and the gang's lane columns use. FP registers
+ * hold raw 32-bit patterns so the fault injector can flip any bit of
+ * any result uniformly; FP arithmetic bit-casts on use.
  */
 
 #ifndef ETC_SIM_MACHINE_HH
 #define ETC_SIM_MACHINE_HH
 
 #include <array>
-#include <bit>
 #include <cstdint>
 
 #include "isa/registers.hh"
-#include "support/logging.hh"
 
 namespace etc::sim {
 
 /**
- * Register file + PC. Plain aggregate; the Simulator owns one.
+ * @return what a write of @p value leaves in @p reg: $zero discards
+ *         every write and the FP flag keeps only bit 0.
  */
-class Machine
+constexpr uint32_t
+storedBits(isa::RegId reg, uint32_t value)
 {
-  public:
+    if (reg == isa::REG_ZERO)
+        return 0;
+    return reg == isa::FP_FLAG_REG ? value & 1 : value;
+}
+
+/**
+ * Register file + PC. Plain aggregate; the Simulator owns one. The
+ * interpreters write regs directly and keep regs[REG_ZERO] == 0 and
+ * regs[FP_FLAG_REG] in {0, 1}; everyone else goes through writeFlat().
+ */
+struct Machine
+{
     /** Reset all registers to zero (PC is managed by the Simulator). */
-    void
-    reset()
-    {
-        intRegs_.fill(0);
-        fpRegs_.fill(0);
-        fcc_ = 0;
-    }
+    void reset() { regs.fill(0); }
 
-    /** Read an integer register ($zero always reads 0). */
-    uint32_t
-    readInt(isa::RegId reg) const
-    {
-        return intRegs_[reg];
-    }
+    /** Read any register by flat id. */
+    uint32_t readFlat(isa::RegId reg) const { return regs[reg]; }
 
-    /** Write an integer register (writes to $zero are discarded). */
-    void
-    writeInt(isa::RegId reg, uint32_t value)
-    {
-        if (reg != isa::REG_ZERO)
-            intRegs_[reg] = value;
-    }
-
-    /** Read an FP register's raw bit pattern. */
-    uint32_t
-    readFpBits(unsigned fpIndex) const
-    {
-        return fpRegs_[fpIndex];
-    }
-
-    /** Write an FP register's raw bit pattern. */
-    void
-    writeFpBits(unsigned fpIndex, uint32_t bits)
-    {
-        fpRegs_[fpIndex] = bits;
-    }
-
-    /** Read an FP register as a float. */
-    float
-    readFp(unsigned fpIndex) const
-    {
-        return std::bit_cast<float>(fpRegs_[fpIndex]);
-    }
-
-    /** Write an FP register from a float. */
-    void
-    writeFp(unsigned fpIndex, float value)
-    {
-        fpRegs_[fpIndex] = std::bit_cast<uint32_t>(value);
-    }
-
-    /** The FP condition flag (set by c.xx.s, read by bc1t/bc1f). */
-    bool fcc() const { return fcc_ != 0; }
-    void setFcc(bool value) { fcc_ = value ? 1 : 0; }
-
-    /**
-     * Read any register by flat id (used by the injector and tests).
-     * For the FP flag the value is 0 or 1.
-     */
-    uint32_t
-    readFlat(isa::RegId reg) const
-    {
-        if (isa::isIntReg(reg))
-            return intRegs_[reg];
-        if (isa::isFpReg(reg))
-            return fpRegs_[reg - isa::NUM_INT_REGS];
-        return fcc_;
-    }
-
-    /** Write any register by flat id (injector interface). */
+    /** Write any register by flat id (see storedBits()). */
     void
     writeFlat(isa::RegId reg, uint32_t value)
     {
-        if (isa::isIntReg(reg)) {
-            writeInt(reg, value);
-        } else if (isa::isFpReg(reg)) {
-            fpRegs_[reg - isa::NUM_INT_REGS] = value;
-        } else {
-            fcc_ = value & 1;
-        }
+        regs[reg] = storedBits(reg, value);
     }
 
     /** Full architectural-state equality (checkpoint round-trips). */
     bool
     operator==(const Machine &other) const
     {
-        return pc == other.pc && fcc_ == other.fcc_ &&
-               intRegs_ == other.intRegs_ && fpRegs_ == other.fpRegs_;
+        return pc == other.pc && regs == other.regs;
     }
+
+    std::array<uint32_t, isa::NUM_REGS> regs{};
 
     /** Current program counter (an instruction index). */
     uint32_t pc = 0;
-
-  private:
-    std::array<uint32_t, isa::NUM_INT_REGS> intRegs_{};
-    std::array<uint32_t, isa::NUM_FP_REGS> fpRegs_{};
-    uint32_t fcc_ = 0;
 };
 
 } // namespace etc::sim

@@ -92,90 +92,38 @@ Memory::pagePtrForWrite(uint32_t addr)
     return slotPtr(seg, slot) + (addr & (PAGE_SIZE - 1));
 }
 
-// The read/write helpers share the same shape: alignment always traps;
-// an out-of-region access either faults (Strict) or degrades to a
-// zero read / dropped write (Lenient).
-
+template <typename T>
 MemStatus
-Memory::read32(uint32_t addr, uint32_t &value)
+Memory::read(uint32_t addr, T &value)
 {
-    if (addr & 3)
-        return MemStatus::Misaligned;
-    if (!inBounds(addr, 4)) {
-        if (model_ == MemoryModel::Strict)
-            return MemStatus::OutOfBounds;
-        value = 0;
-        return MemStatus::Ok;
-    }
-    // A 4-byte aligned access never crosses a page boundary.
-    std::memcpy(&value, pagePtr(addr), 4);
-    return MemStatus::Ok;
+    bool touch;
+    MemStatus status =
+        checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)), model_, touch);
+    value = 0;
+    // An aligned access never crosses a page boundary.
+    if (touch)
+        std::memcpy(&value, pagePtr(addr), sizeof(T));
+    return status;
 }
 
+template <typename T>
 MemStatus
-Memory::read16(uint32_t addr, uint16_t &value)
+Memory::write(uint32_t addr, T value)
 {
-    if (addr & 1)
-        return MemStatus::Misaligned;
-    if (!inBounds(addr, 2)) {
-        if (model_ == MemoryModel::Strict)
-            return MemStatus::OutOfBounds;
-        value = 0;
-        return MemStatus::Ok;
-    }
-    std::memcpy(&value, pagePtr(addr), 2);
-    return MemStatus::Ok;
+    bool touch;
+    MemStatus status =
+        checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)), model_, touch);
+    if (touch)
+        std::memcpy(pagePtrForWrite(addr), &value, sizeof(T));
+    return status;
 }
 
-MemStatus
-Memory::read8(uint32_t addr, uint8_t &value)
-{
-    if (!inBounds(addr, 1)) {
-        if (model_ == MemoryModel::Strict)
-            return MemStatus::OutOfBounds;
-        value = 0;
-        return MemStatus::Ok;
-    }
-    value = *pagePtr(addr);
-    return MemStatus::Ok;
-}
-
-MemStatus
-Memory::write32(uint32_t addr, uint32_t value)
-{
-    if (addr & 3)
-        return MemStatus::Misaligned;
-    if (!inBounds(addr, 4)) {
-        return model_ == MemoryModel::Strict ? MemStatus::OutOfBounds
-                                             : MemStatus::Ok;
-    }
-    std::memcpy(pagePtrForWrite(addr), &value, 4);
-    return MemStatus::Ok;
-}
-
-MemStatus
-Memory::write16(uint32_t addr, uint16_t value)
-{
-    if (addr & 1)
-        return MemStatus::Misaligned;
-    if (!inBounds(addr, 2)) {
-        return model_ == MemoryModel::Strict ? MemStatus::OutOfBounds
-                                             : MemStatus::Ok;
-    }
-    std::memcpy(pagePtrForWrite(addr), &value, 2);
-    return MemStatus::Ok;
-}
-
-MemStatus
-Memory::write8(uint32_t addr, uint8_t value)
-{
-    if (!inBounds(addr, 1)) {
-        return model_ == MemoryModel::Strict ? MemStatus::OutOfBounds
-                                             : MemStatus::Ok;
-    }
-    *pagePtrForWrite(addr) = value;
-    return MemStatus::Ok;
-}
+template MemStatus Memory::read(uint32_t, uint8_t &);
+template MemStatus Memory::read(uint32_t, uint16_t &);
+template MemStatus Memory::read(uint32_t, uint32_t &);
+template MemStatus Memory::write(uint32_t, uint8_t);
+template MemStatus Memory::write(uint32_t, uint16_t);
+template MemStatus Memory::write(uint32_t, uint32_t);
 
 uint32_t
 Memory::hostRead32(uint32_t addr)

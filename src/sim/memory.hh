@@ -55,6 +55,27 @@ enum class MemoryModel : uint8_t
 };
 
 /**
+ * The checks a guest access of @p width bytes at @p addr makes before
+ * it touches a page, shared by Memory and the gang's lane overlays:
+ * misaligned accesses trap, and out-of-region ones fault under the
+ * strict model. A lenient out-of-region access reports Ok but leaves
+ * @p touch false: the read yields zero, the write is dropped.
+ */
+inline MemStatus
+checkAccess(uint32_t addr, uint32_t width, bool inBounds, MemoryModel model,
+            bool &touch)
+{
+    touch = false;
+    if (addr & (width - 1))
+        return MemStatus::Misaligned;
+    if (!inBounds)
+        return model == MemoryModel::Strict ? MemStatus::OutOfBounds
+                                            : MemStatus::Ok;
+    touch = true;
+    return MemStatus::Ok;
+}
+
+/**
  * Paged sparse memory with two backed segments (data + stack).
  */
 class Memory
@@ -85,14 +106,13 @@ class Memory
      *  matches it, so a later revert must re-establish one. */
     void clear();
 
-    /// @name Guest accesses (bounds- and alignment-checked)
+    /// @name Guest accesses of a uint8_t, uint16_t, or uint32_t
+    /// (alignment- and bounds-checked; see checkAccess())
     /// @{
-    MemStatus read32(uint32_t addr, uint32_t &value);
-    MemStatus read16(uint32_t addr, uint16_t &value);
-    MemStatus read8(uint32_t addr, uint8_t &value);
-    MemStatus write32(uint32_t addr, uint32_t value);
-    MemStatus write16(uint32_t addr, uint16_t value);
-    MemStatus write8(uint32_t addr, uint8_t value);
+    template <typename T>
+    MemStatus read(uint32_t addr, T &value);
+    template <typename T>
+    MemStatus write(uint32_t addr, T value);
     /// @}
 
     /// @name Host accesses (for harness setup/extraction; panic on OOB)

@@ -1,9 +1,7 @@
 #include "sim/simulator.hh"
 
-#include <cmath>
-#include <limits>
-
 #include "sim/checkpoint.hh"
+#include "sim/semantics.hh"
 #include "support/logging.hh"
 #include "telemetry/metrics.hh"
 
@@ -92,10 +90,10 @@ Simulator::initMachine()
 {
     machine_.reset();
     machine_.pc = program_.entry;
-    machine_.writeInt(REG_SP, assembly::STACK_TOP);
+    machine_.regs[REG_SP] = assembly::STACK_TOP;
     // A return from the entry function jumps one past the end of code,
     // which run() treats as normal completion.
-    machine_.writeInt(REG_RA, program_.size());
+    machine_.regs[REG_RA] = program_.size();
 }
 
 void
@@ -178,32 +176,28 @@ Simulator::restoreFrom(const Checkpoint &checkpoint,
 }
 
 /*
- * The interpreter body below is written once, against the ETC_OP /
- * ETC_NEXT macros, and expanded into one of two dispatch strategies:
+ * The interpreter: threaded dispatch (GNU C labels-as-values). Every
+ * handler ends by retiring its instruction and jumping straight to the
+ * next handler through a label table indexed by opcode, so each opcode
+ * gets its own indirect branch and the branch predictor learns
+ * per-opcode successor patterns. The value-computing handlers are
+ * expanded from the shared semantics lists (sim/semantics.hh); only
+ * the ops that touch the PC, the link register, or the output stream
+ * are written here.
  *
- *  - Threaded dispatch (GNU C labels-as-values): every handler ends
- *    by retiring the instruction and jumping straight to the next
- *    handler through a label table indexed by opcode. Each opcode
- *    gets its own indirect branch, so the branch predictor learns
- *    per-opcode successor patterns instead of sharing one
- *    unpredictable switch branch across the whole ISA.
- *
- *  - A portable fetch/switch loop, used when the extension is
- *    unavailable.
- *
- * Both expansions retire instructions identically: prologue (PC
- * bounds, budget, fetch) -> execute -> epilogue (publish next PC,
- * run the retire policy). Faults return before the epilogue, so
- * faultPc is the faulting instruction's own PC.
+ * Every handler retires identically: prologue (PC bounds, budget,
+ * fetch) -> execute -> epilogue (publish next PC, run the retire
+ * policy). Faults return before the epilogue, so faultPc is the
+ * faulting instruction's own PC.
  */
 
-#if defined(__GNUC__) || defined(__clang__)
-#define ETC_THREADED_DISPATCH 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the interpreter needs GNU C labels-as-values (GCC or Clang)"
 #endif
 
-// Prologue: completion/bad-jump/budget checks, then fetch. Returns
-// out of runCore on any terminal condition.
-#define ETC_STEP_PROLOGUE()                                                \
+// Prologue: completion/bad-jump/budget checks, then fetch and jump to
+// the handler. Returns out of runCore on any terminal condition.
+#define ETC_DISPATCH()                                                     \
     do {                                                                   \
         if (m.pc >= codeSize) {                                            \
             /* Returning from the entry function lands exactly at */       \
@@ -220,19 +214,80 @@ Simulator::restoreFrom(const Checkpoint &checkpoint,
         thisPc = m.pc;                                                     \
         nextPc = m.pc + 1;                                                 \
         ++result.instructions;                                             \
+        goto *dispatch[static_cast<unsigned>(ins->op)];                    \
     } while (0)
 
 // Epilogue: publish the next PC before the retire policy so a control
 // transfer's "result" (the PC) is visible and corruptible.
-#define ETC_STEP_EPILOGUE()                                                \
-    do {                                                                   \
-        m.pc = nextPc;                                                     \
-        if (policy(thisPc, *ins, m, memory_)) {                            \
-            result.status = RunStatus::Paused;                             \
-            result.faultPc = thisPc;                                       \
-            return result;                                                 \
-        }                                                                  \
-    } while (0)
+#define ETC_NEXT                                                           \
+    m.pc = nextPc;                                                         \
+    if (policy(thisPc, *ins, m, memory_)) {                                \
+        result.status = RunStatus::Paused;                                 \
+        result.faultPc = thisPc;                                           \
+        return result;                                                     \
+    }                                                                      \
+    ETC_DISPATCH();
+
+// The operands the semantics lists are written over.
+#define ETC_OPERANDS                                                       \
+    [[maybe_unused]] const uint32_t a = R[ins->rs];                        \
+    [[maybe_unused]] const uint32_t b = R[ins->rt];                        \
+    [[maybe_unused]] const uint32_t imm =                                  \
+        static_cast<uint32_t>(ins->imm);                                   \
+    [[maybe_unused]] const uint32_t fcc = R[FP_FLAG_REG];
+
+#define ETC_REGISTER_RESULT(name, expr)                                    \
+    handle_##name : {                                                      \
+        ETC_OPERANDS                                                       \
+        if (ins->rd != REG_ZERO)                                           \
+            R[ins->rd] = (expr);                                           \
+    }                                                                      \
+    ETC_NEXT
+
+#define ETC_FLAG_RESULT(name, expr)                                        \
+    handle_##name : {                                                      \
+        ETC_OPERANDS                                                       \
+        R[FP_FLAG_REG] = (expr) ? 1 : 0;                                   \
+    }                                                                      \
+    ETC_NEXT
+
+#define ETC_BRANCH(name, expr)                                             \
+    handle_##name : {                                                      \
+        ETC_OPERANDS                                                       \
+        if (expr)                                                          \
+            nextPc = ins->target;                                          \
+    }                                                                      \
+    ETC_NEXT
+
+#define ETC_DIVIDE(name, expr)                                             \
+    handle_##name : {                                                      \
+        ETC_OPERANDS                                                       \
+        if (b == 0)                                                        \
+            return fault(RunStatus::DivByZero);                            \
+        if (ins->rd != REG_ZERO)                                           \
+            R[ins->rd] = (expr);                                           \
+    }                                                                      \
+    ETC_NEXT
+
+#define ETC_LOAD(name, T, expr)                                            \
+    handle_##name : {                                                      \
+        ETC_OPERANDS                                                       \
+        T v{};                                                             \
+        if (memory_.read(a + imm, v) != MemStatus::Ok)                     \
+            return fault(RunStatus::MemoryFault);                          \
+        if (ins->rd != REG_ZERO)                                           \
+            R[ins->rd] = (expr);                                           \
+    }                                                                      \
+    ETC_NEXT
+
+#define ETC_STORE(name, T)                                                 \
+    handle_##name : {                                                      \
+        ETC_OPERANDS                                                       \
+        if (memory_.write(a + imm, static_cast<T>(R[ins->rd])) !=          \
+            MemStatus::Ok)                                                 \
+            return fault(RunStatus::MemoryFault);                          \
+    }                                                                      \
+    ETC_NEXT
 
 template <typename Policy>
 RunResult
@@ -244,6 +299,7 @@ Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
     const auto codeSize = program_.size();
     const auto *code = program_.code.data();
     Machine &m = machine_;
+    uint32_t *R = m.regs.data();
 
     const Instruction *ins = nullptr;
     uint32_t thisPc = 0;
@@ -255,16 +311,6 @@ Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
         return result;
     };
 
-    auto rs = [&] { return m.readInt(ins->rs); };
-    auto rt = [&] { return m.readInt(ins->rt); };
-    auto srs = [&] { return static_cast<int32_t>(m.readInt(ins->rs)); };
-    auto srt = [&] { return static_cast<int32_t>(m.readInt(ins->rt)); };
-    auto fs = [&] { return m.readFp(ins->rs - NUM_INT_REGS); };
-    auto ft = [&] { return m.readFp(ins->rt - NUM_INT_REGS); };
-    auto setRd = [&](uint32_t v) { m.writeInt(ins->rd, v); };
-    auto setFd = [&](float v) { m.writeFp(ins->rd - NUM_INT_REGS, v); };
-
-#ifdef ETC_THREADED_DISPATCH
     // One label per opcode, in table order, so Opcode values index
     // the dispatch table directly.
     static const void *const dispatch[] = {
@@ -273,260 +319,63 @@ Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
 #undef ETC_X
     };
 
-#define ETC_OP(name) handle_##name:
-#define ETC_NEXT                                                           \
-    ETC_STEP_EPILOGUE();                                                   \
-    ETC_STEP_PROLOGUE();                                                   \
-    goto *dispatch[static_cast<unsigned>(ins->op)];
+    ETC_DISPATCH();
 
-    ETC_STEP_PROLOGUE();
-    goto *dispatch[static_cast<unsigned>(ins->op)];
-#else
+    ETC_SEM_REGISTER_RESULTS(ETC_REGISTER_RESULT)
+    ETC_SEM_FLAG_RESULTS(ETC_FLAG_RESULT)
+    ETC_SEM_BRANCHES(ETC_BRANCH)
+    ETC_SEM_DIVIDES(ETC_DIVIDE)
+    ETC_SEM_LOADS(ETC_LOAD)
+    ETC_SEM_STORES(ETC_STORE)
 
-#define ETC_OP(name) case Opcode::name:
-#define ETC_NEXT break;
-
-    while (true) {
-        ETC_STEP_PROLOGUE();
-        switch (ins->op) {
-#endif
-
-    ETC_OP(ADD) setRd(rs() + rt()); ETC_NEXT
-    ETC_OP(SUB) setRd(rs() - rt()); ETC_NEXT
-    ETC_OP(MUL) setRd(rs() * rt()); ETC_NEXT
-    ETC_OP(DIV) {
-        int32_t den = srt();
-        if (den == 0)
-            return fault(RunStatus::DivByZero);
-        int32_t num = srs();
-        // INT_MIN / -1 overflows in C++; MIPS leaves it
-        // unpredictable -- define it as wrapping to INT_MIN.
-        if (num == std::numeric_limits<int32_t>::min() && den == -1)
-            setRd(static_cast<uint32_t>(num));
-        else
-            setRd(static_cast<uint32_t>(num / den));
-    }
-    ETC_NEXT
-    ETC_OP(REM) {
-        int32_t den = srt();
-        if (den == 0)
-            return fault(RunStatus::DivByZero);
-        int32_t num = srs();
-        if (num == std::numeric_limits<int32_t>::min() && den == -1)
-            setRd(0);
-        else
-            setRd(static_cast<uint32_t>(num % den));
-    }
-    ETC_NEXT
-    ETC_OP(AND) setRd(rs() & rt()); ETC_NEXT
-    ETC_OP(OR) setRd(rs() | rt()); ETC_NEXT
-    ETC_OP(XOR) setRd(rs() ^ rt()); ETC_NEXT
-    ETC_OP(NOR) setRd(~(rs() | rt())); ETC_NEXT
-    ETC_OP(SLT) setRd(srs() < srt() ? 1 : 0); ETC_NEXT
-    ETC_OP(SLTU) setRd(rs() < rt() ? 1 : 0); ETC_NEXT
-    ETC_OP(SLLV) setRd(rs() << (rt() & 31)); ETC_NEXT
-    ETC_OP(SRLV) setRd(rs() >> (rt() & 31)); ETC_NEXT
-    ETC_OP(SRAV)
-    setRd(static_cast<uint32_t>(srs() >> (rt() & 31)));
-    ETC_NEXT
-    ETC_OP(ADDI) setRd(rs() + static_cast<uint32_t>(ins->imm)); ETC_NEXT
-    ETC_OP(ANDI) setRd(rs() & static_cast<uint32_t>(ins->imm)); ETC_NEXT
-    ETC_OP(ORI) setRd(rs() | static_cast<uint32_t>(ins->imm)); ETC_NEXT
-    ETC_OP(XORI) setRd(rs() ^ static_cast<uint32_t>(ins->imm)); ETC_NEXT
-    ETC_OP(SLTI) setRd(srs() < ins->imm ? 1 : 0); ETC_NEXT
-    ETC_OP(SLTIU)
-    setRd(rs() < static_cast<uint32_t>(ins->imm) ? 1 : 0);
-    ETC_NEXT
-    ETC_OP(SLL) setRd(rs() << (ins->imm & 31)); ETC_NEXT
-    ETC_OP(SRL) setRd(rs() >> (ins->imm & 31)); ETC_NEXT
-    ETC_OP(SRA)
-    setRd(static_cast<uint32_t>(srs() >> (ins->imm & 31)));
-    ETC_NEXT
-    ETC_OP(LUI) setRd(static_cast<uint32_t>(ins->imm) << 16); ETC_NEXT
-
-    ETC_OP(LW) {
-        uint32_t value = 0;
-        if (memory_.read32(rs() + static_cast<uint32_t>(ins->imm),
-                           value) != MemStatus::Ok)
-            return fault(RunStatus::MemoryFault);
-        setRd(value);
-    }
-    ETC_NEXT
-    ETC_OP(LH) {
-        uint16_t value = 0;
-        if (memory_.read16(rs() + static_cast<uint32_t>(ins->imm),
-                           value) != MemStatus::Ok)
-            return fault(RunStatus::MemoryFault);
-        setRd(static_cast<uint32_t>(
-            static_cast<int32_t>(static_cast<int16_t>(value))));
-    }
-    ETC_NEXT
-    ETC_OP(LHU) {
-        uint16_t value = 0;
-        if (memory_.read16(rs() + static_cast<uint32_t>(ins->imm),
-                           value) != MemStatus::Ok)
-            return fault(RunStatus::MemoryFault);
-        setRd(value);
-    }
-    ETC_NEXT
-    ETC_OP(LB) {
-        uint8_t value = 0;
-        if (memory_.read8(rs() + static_cast<uint32_t>(ins->imm),
-                          value) != MemStatus::Ok)
-            return fault(RunStatus::MemoryFault);
-        setRd(static_cast<uint32_t>(
-            static_cast<int32_t>(static_cast<int8_t>(value))));
-    }
-    ETC_NEXT
-    ETC_OP(LBU) {
-        uint8_t value = 0;
-        if (memory_.read8(rs() + static_cast<uint32_t>(ins->imm),
-                          value) != MemStatus::Ok)
-            return fault(RunStatus::MemoryFault);
-        setRd(value);
-    }
-    ETC_NEXT
-    ETC_OP(SW)
-    if (memory_.write32(rs() + static_cast<uint32_t>(ins->imm),
-                        m.readInt(ins->rd)) != MemStatus::Ok)
-        return fault(RunStatus::MemoryFault);
-    ETC_NEXT
-    ETC_OP(SH)
-    if (memory_.write16(rs() + static_cast<uint32_t>(ins->imm),
-                        static_cast<uint16_t>(m.readInt(ins->rd))) !=
-        MemStatus::Ok)
-        return fault(RunStatus::MemoryFault);
-    ETC_NEXT
-    ETC_OP(SB)
-    if (memory_.write8(rs() + static_cast<uint32_t>(ins->imm),
-                       static_cast<uint8_t>(m.readInt(ins->rd))) !=
-        MemStatus::Ok)
-        return fault(RunStatus::MemoryFault);
-    ETC_NEXT
-
-    ETC_OP(BEQ)
-    if (rs() == rt())
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(BNE)
-    if (rs() != rt())
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(BLEZ)
-    if (srs() <= 0)
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(BGTZ)
-    if (srs() > 0)
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(BLTZ)
-    if (srs() < 0)
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(BGEZ)
-    if (srs() >= 0)
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(J) nextPc = ins->target; ETC_NEXT
-    ETC_OP(JAL)
-    m.writeInt(REG_RA, thisPc + 1);
+handle_J:
     nextPc = ins->target;
     ETC_NEXT
-    ETC_OP(JR) nextPc = rs(); ETC_NEXT
-    ETC_OP(JALR)
-    m.writeInt(ins->rd, thisPc + 1);
-    nextPc = rs();
+handle_JAL:
+    R[REG_RA] = thisPc + 1;
+    nextPc = ins->target;
     ETC_NEXT
-
-    ETC_OP(ADDS) setFd(fs() + ft()); ETC_NEXT
-    ETC_OP(SUBS) setFd(fs() - ft()); ETC_NEXT
-    ETC_OP(MULS) setFd(fs() * ft()); ETC_NEXT
-    ETC_OP(DIVS) setFd(fs() / ft()); ETC_NEXT
-    ETC_OP(ABSS) setFd(std::fabs(fs())); ETC_NEXT
-    ETC_OP(NEGS) setFd(-fs()); ETC_NEXT
-    ETC_OP(MOVS) setFd(fs()); ETC_NEXT
-    ETC_OP(SQRTS) setFd(std::sqrt(fs())); ETC_NEXT
-    ETC_OP(CVTSW)
-    setFd(static_cast<float>(
-        static_cast<int32_t>(m.readFpBits(ins->rs - NUM_INT_REGS))));
+handle_JR:
+    nextPc = R[ins->rs];
     ETC_NEXT
-    ETC_OP(CVTWS) {
-        float value = fs();
-        int32_t truncated;
-        if (std::isnan(value))
-            truncated = 0;
-        else if (value >= 2147483648.0f)
-            truncated = std::numeric_limits<int32_t>::max();
-        else if (value < -2147483648.0f)
-            truncated = std::numeric_limits<int32_t>::min();
-        else
-            truncated = static_cast<int32_t>(value);
-        m.writeFpBits(ins->rd - NUM_INT_REGS,
-                      static_cast<uint32_t>(truncated));
-    }
+handle_JALR:
+    // Link before reading the target: jalr with rd == rs jumps to the
+    // link.
+    if (ins->rd != REG_ZERO)
+        R[ins->rd] = thisPc + 1;
+    nextPc = R[ins->rs];
     ETC_NEXT
-    ETC_OP(CEQS) m.setFcc(fs() == ft()); ETC_NEXT
-    ETC_OP(CLTS) m.setFcc(fs() < ft()); ETC_NEXT
-    ETC_OP(CLES) m.setFcc(fs() <= ft()); ETC_NEXT
-    ETC_OP(BC1T)
-    if (m.fcc())
-        nextPc = ins->target;
+handle_NOP:
     ETC_NEXT
-    ETC_OP(BC1F)
-    if (!m.fcc())
-        nextPc = ins->target;
-    ETC_NEXT
-    ETC_OP(LWC1) {
-        uint32_t value = 0;
-        if (memory_.read32(rs() + static_cast<uint32_t>(ins->imm),
-                           value) != MemStatus::Ok)
-            return fault(RunStatus::MemoryFault);
-        m.writeFpBits(ins->rd - NUM_INT_REGS, value);
-    }
-    ETC_NEXT
-    ETC_OP(SWC1)
-    if (memory_.write32(rs() + static_cast<uint32_t>(ins->imm),
-                        m.readFpBits(ins->rd - NUM_INT_REGS)) !=
-        MemStatus::Ok)
-        return fault(RunStatus::MemoryFault);
-    ETC_NEXT
-    ETC_OP(MTC1) m.writeFpBits(ins->rd - NUM_INT_REGS, rs()); ETC_NEXT
-    ETC_OP(MFC1)
-    m.writeInt(ins->rd, m.readFpBits(ins->rs - NUM_INT_REGS));
-    ETC_NEXT
-
-    ETC_OP(NOP) ETC_NEXT
-    ETC_OP(HALT)
+handle_HALT:
     // Completion dominates any pause request (HALT is never
     // injectable, so a counting policy cannot pause here).
     policy(thisPc, *ins, m, memory_);
     result.status = RunStatus::Completed;
     return result;
-    ETC_OP(OUTB)
-    output_.push_back(static_cast<uint8_t>(rs()));
+handle_OUTB:
+    output_.push_back(static_cast<uint8_t>(R[ins->rs]));
     if (output_.size() > OUTPUT_CAP)
         return fault(RunStatus::OutputOverflow);
     ETC_NEXT
-    ETC_OP(OUTW) {
-        uint32_t value = rs();
-        for (int b = 0; b < 4; ++b)
-            output_.push_back(static_cast<uint8_t>(value >> (8 * b)));
-        if (output_.size() > OUTPUT_CAP)
-            return fault(RunStatus::OutputOverflow);
-    }
+handle_OUTW: {
+    const uint32_t value = R[ins->rs];
+    for (int byte = 0; byte < 4; ++byte)
+        output_.push_back(static_cast<uint8_t>(value >> (8 * byte)));
+    if (output_.size() > OUTPUT_CAP)
+        return fault(RunStatus::OutputOverflow);
+}
     ETC_NEXT
-
-#ifndef ETC_THREADED_DISPATCH
-        }
-        ETC_STEP_EPILOGUE();
-    }
-#endif
 }
 
-#undef ETC_OP
+#undef ETC_DISPATCH
 #undef ETC_NEXT
-#undef ETC_STEP_PROLOGUE
-#undef ETC_STEP_EPILOGUE
+#undef ETC_OPERANDS
+#undef ETC_REGISTER_RESULT
+#undef ETC_FLAG_RESULT
+#undef ETC_BRANCH
+#undef ETC_DIVIDE
+#undef ETC_LOAD
+#undef ETC_STORE
 
 } // namespace etc::sim

@@ -114,16 +114,6 @@ TEST(CampaignDeterminismTest, RerunningACellIsReproducible)
     expectIdentical(runner.run(cellConfig(8)), runner.run(cellConfig(8)));
 }
 
-TEST(CampaignDeterminismTest, ObserverFiresOncePerTrialWhenParallel)
-{
-    auto prog = sumProgram();
-    CampaignRunner runner(prog, injectableWithoutProtection(prog));
-    auto config = cellConfig(8);
-    unsigned calls = 0;
-    runner.run(config, [&](const TrialOutcome &) { ++calls; });
-    EXPECT_EQ(calls, config.trials);
-}
-
 TEST(CampaignDeterminismTest, StudyCellIdenticalAcrossThreadCounts)
 {
     auto workload = workloads::createWorkload("adpcm",
@@ -135,8 +125,8 @@ TEST(CampaignDeterminismTest, StudyCellIdenticalAcrossThreadCounts)
 
     core::ErrorToleranceStudy serial(*workload, serialConfig);
     core::ErrorToleranceStudy parallel(*workload, parallelConfig);
-    auto a = serial.runCell(5, core::ProtectionMode::Protected);
-    auto b = parallel.runCell(5, core::ProtectionMode::Protected);
+    auto a = serial.runCell(5, fault::PROTECTED_POLICY);
+    auto b = parallel.runCell(5, fault::PROTECTED_POLICY);
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.crashed, b.crashed);
     EXPECT_EQ(a.timedOut, b.timedOut);

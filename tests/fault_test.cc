@@ -89,7 +89,7 @@ TEST(InjectableTest, SizeMismatchPanics)
 TEST(PlanTest, SamplesWithinStream)
 {
     Rng rng(5);
-    auto plan = samplePlan(1000, 10, rng);
+    auto plan = samplePlan(1000, 10, BitErrorModel{}, rng);
     EXPECT_EQ(plan.size(), 10u);
     EXPECT_TRUE(std::is_sorted(plan.sites.begin(), plan.sites.end()));
     for (uint64_t site : plan.sites)
@@ -104,15 +104,15 @@ TEST(PlanTest, SamplesWithinStream)
 TEST(PlanTest, MoreErrorsThanStreamClamps)
 {
     Rng rng(5);
-    auto plan = samplePlan(4, 100, rng);
+    auto plan = samplePlan(4, 100, BitErrorModel{}, rng);
     EXPECT_EQ(plan.size(), 4u);
 }
 
 TEST(PlanTest, DeterministicBySeed)
 {
     Rng a(77), b(77);
-    auto planA = samplePlan(5000, 25, a);
-    auto planB = samplePlan(5000, 25, b);
+    auto planA = samplePlan(5000, 25, BitErrorModel{}, a);
+    auto planB = samplePlan(5000, 25, BitErrorModel{}, b);
     EXPECT_EQ(planA.sites, planB.sites);
     EXPECT_EQ(planA.masks, planB.masks);
 }
@@ -285,18 +285,6 @@ TEST(CampaignTest, ClassificationBuckets)
             EXPECT_TRUE(outcome.output.empty());
         }
     }
-}
-
-TEST(CampaignTest, PerTrialObserverRuns)
-{
-    auto prog = sumProgram();
-    CampaignRunner runner(prog, injectableWithoutProtection(prog));
-    CampaignConfig config;
-    config.trials = 5;
-    config.errors = 1;
-    unsigned calls = 0;
-    runner.run(config, [&](const TrialOutcome &) { ++calls; });
-    EXPECT_EQ(calls, 5u);
 }
 
 TEST(CampaignTest, BitmapSizeMismatchPanics)

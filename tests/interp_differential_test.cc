@@ -120,7 +120,7 @@ apply(const LaneInit &init, MachineT &machine, MemoryT &memory)
     for (const auto &[reg, value] : init.regs)
         machine.writeFlat(reg, value);
     for (const auto &[addr, value] : init.words)
-        ASSERT_EQ(memory.write32(addr, value), MemStatus::Ok);
+        ASSERT_EQ(memory.write(addr, value), MemStatus::Ok);
 }
 
 /** Bytes of the compared memory windows; a faulting read is -1 - status. */
@@ -136,7 +136,7 @@ window(MemoryT &memory)
     for (const auto &[lo, hi] : ranges) {
         for (uint32_t addr = lo; addr < hi; ++addr) {
             uint8_t value = 0;
-            MemStatus status = memory.read8(addr, value);
+            MemStatus status = memory.read(addr, value);
             bytes.push_back(status == MemStatus::Ok
                                 ? value
                                 : -1 - static_cast<int>(status));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -65,7 +66,7 @@ TEST_P(IntAluTest, ComputesExpected)
     Simulator sim(prog);
     auto result = sim.run();
     ASSERT_TRUE(result.completed());
-    EXPECT_EQ(static_cast<int32_t>(sim.machine().readInt(REG_T0)),
+    EXPECT_EQ(static_cast<int32_t>(sim.machine().readFlat(REG_T0)),
               c.expected)
         << mnemonic(c.op) << " " << c.a << ", " << c.b;
 }
@@ -126,7 +127,7 @@ TEST_P(ImmAluTest, ComputesExpected)
     });
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(static_cast<int32_t>(sim.machine().readInt(REG_T0)),
+    EXPECT_EQ(static_cast<int32_t>(sim.machine().readFlat(REG_T0)),
               c.expected)
         << mnemonic(c.op);
 }
@@ -151,7 +152,7 @@ TEST(SimulatorTest, LuiShifts)
     });
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_T0), 0x12340000u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T0), 0x12340000u);
 }
 
 TEST(SimulatorTest, ZeroRegisterIsImmutable)
@@ -162,7 +163,7 @@ TEST(SimulatorTest, ZeroRegisterIsImmutable)
     });
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_T0), 0u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T0), 0u);
 }
 
 // ---- traps ---------------------------------------------------------------
@@ -228,7 +229,7 @@ TEST(SimulatorTest, ReturnFromEntryCompletes)
     auto prog = b.finish();
     Simulator sim(prog);
     EXPECT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_V0), 9u);
+    EXPECT_EQ(sim.machine().readFlat(REG_V0), 9u);
 }
 
 TEST(SimulatorTest, MisalignedWordAccessTraps)
@@ -262,8 +263,8 @@ TEST(SimulatorTest, LenientModelZeroFillsWildReads)
     });
     Simulator sim(prog, MemoryModel::Lenient);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_T0), 0u);
-    EXPECT_EQ(sim.machine().readInt(REG_T3), 0u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T0), 0u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T3), 0u);
 }
 
 TEST(SimulatorTest, StrictModelFaultsWildReads)
@@ -301,11 +302,11 @@ TEST(SimulatorTest, LoadStoreWidths)
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
     const auto &m = sim.machine();
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T1)), -2);
-    EXPECT_EQ(m.readInt(REG_T2), 0xffff8001u);
-    EXPECT_EQ(m.readInt(REG_T3), 0x8001u);
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T4)), -128);
-    EXPECT_EQ(m.readInt(REG_T5), 128u);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T1)), -2);
+    EXPECT_EQ(m.readFlat(REG_T2), 0xffff8001u);
+    EXPECT_EQ(m.readFlat(REG_T3), 0x8001u);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T4)), -128);
+    EXPECT_EQ(m.readFlat(REG_T5), 128u);
 }
 
 TEST(SimulatorTest, DataSegmentLoadedAtReset)
@@ -320,12 +321,12 @@ TEST(SimulatorTest, DataSegmentLoadedAtReset)
     auto prog = b.finish();
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_T0), 222u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T0), 222u);
     // Mutate memory, reset, verify the image is restored.
     sim.memory().hostWrite32(prog.dataAddress("vals") + 4, 999);
     sim.reset();
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_T0), 222u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T0), 222u);
 }
 
 TEST(SimulatorTest, StackIsUsable)
@@ -339,7 +340,7 @@ TEST(SimulatorTest, StackIsUsable)
     });
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_T1), 321u);
+    EXPECT_EQ(sim.machine().readFlat(REG_T1), 321u);
 }
 
 // ---- control flow ------------------------------------------------------------
@@ -382,7 +383,7 @@ TEST_P(BranchTest, TakenOrNot)
     prog.validate();
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_V0), c.taken ? 2u : 1u)
+    EXPECT_EQ(sim.machine().readFlat(REG_V0), c.taken ? 2u : 1u)
         << mnemonic(c.op) << " " << c.a << " " << c.b;
 }
 
@@ -420,7 +421,7 @@ TEST(SimulatorTest, CallAndReturnLinkage)
     auto prog = b.finish();
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_S0), 27u);
+    EXPECT_EQ(sim.machine().readFlat(REG_S0), 27u);
 }
 
 TEST(SimulatorTest, JalrLinksAndJumps)
@@ -439,7 +440,7 @@ TEST(SimulatorTest, JalrLinksAndJumps)
     auto prog = b.finish();
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_S0), 5u);
+    EXPECT_EQ(sim.machine().readFlat(REG_S0), 5u);
 }
 
 // ---- floating point -----------------------------------------------------------
@@ -465,13 +466,13 @@ TEST(SimulatorTest, FpArithmetic)
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
     const auto &m = sim.machine();
-    EXPECT_FLOAT_EQ(m.readFp(3), 6.5f);
-    EXPECT_FLOAT_EQ(m.readFp(4), -1.5f);
-    EXPECT_FLOAT_EQ(m.readFp(5), 10.0f);
-    EXPECT_FLOAT_EQ(m.readFp(6), 1.6f);
-    EXPECT_FLOAT_EQ(m.readFp(7), 1.5f);
-    EXPECT_FLOAT_EQ(m.readFp(8), -2.5f);
-    EXPECT_FLOAT_EQ(m.readFp(9), 2.0f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(3))), 6.5f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(4))), -1.5f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(5))), 10.0f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(6))), 1.6f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(7))), 1.5f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(8))), -2.5f);
+    EXPECT_FLOAT_EQ(std::bit_cast<float>(m.readFlat(fpReg(9))), 2.0f);
 }
 
 TEST(SimulatorTest, FpConversions)
@@ -492,9 +493,9 @@ TEST(SimulatorTest, FpConversions)
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
     const auto &m = sim.machine();
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T1)), -7);
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T2)), 3);
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T3)), -3);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T1)), -7);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T2)), 3);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T3)), -3);
 }
 
 TEST(SimulatorTest, FpConversionEdgeCases)
@@ -513,9 +514,9 @@ TEST(SimulatorTest, FpConversionEdgeCases)
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
     const auto &m = sim.machine();
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T0)), 0);
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T1)), INT32_MAX);
-    EXPECT_EQ(static_cast<int32_t>(m.readInt(REG_T2)), INT32_MIN);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T0)), 0);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T1)), INT32_MAX);
+    EXPECT_EQ(static_cast<int32_t>(m.readFlat(REG_T2)), INT32_MIN);
 }
 
 TEST(SimulatorTest, FpComparesAndBranches)
@@ -540,7 +541,7 @@ TEST(SimulatorTest, FpComparesAndBranches)
     auto prog = b.finish();
     Simulator sim(prog);
     ASSERT_TRUE(sim.run().completed());
-    EXPECT_EQ(sim.machine().readInt(REG_V0), 2u);
+    EXPECT_EQ(sim.machine().readFlat(REG_V0), 2u);
 }
 
 // ---- output stream --------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "fidelity/metrics.hh"
 #include "sim/profiler.hh"
 #include "sim/simulator.hh"
+#include "support/logging.hh"
 #include "workloads/adpcm.hh"
 #include "workloads/art.hh"
 #include "workloads/blowfish.hh"

@@ -65,7 +65,7 @@ main()
              {static_cast<core::ErrorToleranceStudy *>(&adpcmStudy),
               static_cast<core::ErrorToleranceStudy *>(&gsmStudy)}) {
             auto cell =
-                entry->runCell(errors, core::ProtectionMode::Protected);
+                entry->runCell(errors, fault::PROTECTED_POLICY);
             // Mean SNR of completed trials against the golden decode.
             double snrSum = 0.0;
             unsigned counted = 0;

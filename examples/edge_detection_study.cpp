@@ -53,7 +53,7 @@ main()
               << workload.params().fidelityThresholdDb << " dB)\n";
     for (unsigned errors : {50u, 200u, 800u, 3200u}) {
         auto cell =
-            study.runCell(errors, core::ProtectionMode::Protected);
+            study.runCell(errors, fault::PROTECTED_POLICY);
         std::cout << errors << "\t" << cell.meanFidelity() << "\t\t"
                   << static_cast<int>(100 * cell.acceptableRate())
                   << "%\n";
@@ -61,7 +61,7 @@ main()
 
     // Render one corrupted output for inspection: rerun a single trial
     // at a heavy error count and dump its edge map.
-    auto heavy = study.runCell(3200, core::ProtectionMode::Protected, 1);
+    auto heavy = study.runCell(3200, fault::PROTECTED_POLICY, 1);
     if (heavy.completed == 1) {
         // Reconstruct the trial output by rerunning the same seed.
         auto injectable = fault::injectableWithProtection(

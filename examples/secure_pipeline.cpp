@@ -47,18 +47,16 @@ main()
         {
             const char *label;
             core::ErrorToleranceStudy *study;
-            core::ProtectionMode mode;
+            const char *policy;
         };
         const Row rows[] = {
-            {"paper protection", &paperStudy,
-             core::ProtectionMode::Protected},
+            {"paper protection", &paperStudy, fault::PROTECTED_POLICY},
             {"hardened (+addresses)", &hardenedStudy,
-             core::ProtectionMode::Protected},
-            {"no protection", &paperStudy,
-             core::ProtectionMode::Unprotected},
+             fault::PROTECTED_POLICY},
+            {"no protection", &paperStudy, fault::UNPROTECTED_POLICY},
         };
         for (const Row &row : rows) {
-            auto cell = row.study->runCell(errors, row.mode);
+            auto cell = row.study->runCell(errors, row.policy);
             table.addRow({
                 std::to_string(errors),
                 row.label,

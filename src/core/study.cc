@@ -24,14 +24,6 @@ policyOrFatal(const std::string &name)
 
 } // namespace
 
-const char *
-policyNameOf(ProtectionMode mode)
-{
-    return mode == ProtectionMode::Protected
-               ? fault::PROTECTED_POLICY
-               : fault::UNPROTECTED_POLICY;
-}
-
 double
 CellSummary::meanFidelity() const
 {
@@ -101,16 +93,6 @@ makeCellKey(const workloads::Workload &workload,
 {
     return makeCellKey(workload, protection, config, errors,
                        policyOrFatal(policyName), trials);
-}
-
-store::CellKey
-makeCellKey(const workloads::Workload &workload,
-            const analysis::ProtectionResult &protection,
-            const StudyConfig &config, unsigned errors,
-            ProtectionMode mode, unsigned trials)
-{
-    return makeCellKey(workload, protection, config, errors,
-                       std::string(policyNameOf(mode)), trials);
 }
 
 ErrorToleranceStudy::ErrorToleranceStudy(
@@ -218,13 +200,6 @@ ErrorToleranceStudy::cellKey(unsigned errors,
                        policyName, trials);
 }
 
-store::CellKey
-ErrorToleranceStudy::cellKey(unsigned errors, ProtectionMode mode,
-                             unsigned trials) const
-{
-    return cellKey(errors, std::string(policyNameOf(mode)), trials);
-}
-
 std::pair<unsigned, unsigned>
 ErrorToleranceStudy::shardRange(unsigned trials, unsigned index,
                                 unsigned count)
@@ -322,14 +297,6 @@ ErrorToleranceStudy::runCell(unsigned errors,
 }
 
 CellSummary
-ErrorToleranceStudy::runCell(unsigned errors, ProtectionMode mode,
-                             unsigned trialsOverride)
-{
-    return runCell(errors, std::string(policyNameOf(mode)),
-                   trialsOverride);
-}
-
-CellSummary
 ErrorToleranceStudy::runCellShard(unsigned errors,
                                   const std::string &policyName,
                                   unsigned trials, unsigned shardIndex,
@@ -352,15 +319,6 @@ ErrorToleranceStudy::runCellShard(unsigned errors,
     // only gaps are persisted, so no overlapping records are created.
     return assembleRange(key, errors, policy, trials,
                          store_->loadShards(key), lo, hi);
-}
-
-CellSummary
-ErrorToleranceStudy::runCellShard(unsigned errors, ProtectionMode mode,
-                                  unsigned trials, unsigned shardIndex,
-                                  unsigned shardCount)
-{
-    return runCellShard(errors, std::string(policyNameOf(mode)), trials,
-                        shardIndex, shardCount);
 }
 
 } // namespace etc::core

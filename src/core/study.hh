@@ -47,21 +47,6 @@ class ResultStore;
 
 namespace etc::core {
 
-/**
- * Deprecated binary protection switch, kept as a thin alias for the
- * two legacy injection policies. New code names policies directly
- * ("protected", "unprotected", "control-only", ...); every enum
- * overload below forwards to the policy-name API.
- */
-enum class ProtectionMode
-{
-    Protected,   //!< alias for the "protected" policy
-    Unprotected, //!< alias for the "unprotected" policy
-};
-
-/** @return the policy name the deprecated enum value aliases. */
-const char *policyNameOf(ProtectionMode mode);
-
 /** Study-wide configuration. */
 struct StudyConfig
 {
@@ -224,10 +209,6 @@ class ErrorToleranceStudy
     CellSummary runCell(unsigned errors, const std::string &policyName,
                         unsigned trialsOverride = 0);
 
-    /** Deprecated enum alias of runCell(errors, policyName). */
-    CellSummary runCell(unsigned errors, ProtectionMode mode,
-                        unsigned trialsOverride = 0);
-
     /**
      * Run (or load) one shard of a cell: the trial stripe
      * [trials*index/count, trials*(index+1)/count).
@@ -247,11 +228,6 @@ class ErrorToleranceStudy
                              unsigned trials, unsigned shardIndex,
                              unsigned shardCount);
 
-    /** Deprecated enum alias of runCellShard(). */
-    CellSummary runCellShard(unsigned errors, ProtectionMode mode,
-                             unsigned trials, unsigned shardIndex,
-                             unsigned shardCount);
-
     /** The [lo, hi) trial stripe of shard @p index out of @p count. */
     static std::pair<unsigned, unsigned> shardRange(unsigned trials,
                                                     unsigned index,
@@ -260,10 +236,6 @@ class ErrorToleranceStudy
     /** The canonical result-store key of one cell of this study. */
     store::CellKey cellKey(unsigned errors,
                            const std::string &policyName,
-                           unsigned trials) const;
-
-    /** Deprecated enum alias of cellKey(). */
-    store::CellKey cellKey(unsigned errors, ProtectionMode mode,
                            unsigned trials) const;
 
     /** The attached result store, or nullptr when caching is off. */
@@ -326,7 +298,7 @@ analysis::ProtectionResult computeStudyProtection(
  * aliases records across workload, analysis, or policy changes;
  * thread count and checkpoint interval are excluded because results
  * are bit-identical across both. Legacy policy keys are byte-stable
- * with the pre-policy ProtectionMode keys.
+ * with the keys of the pre-policy protected/unprotected switch.
  */
 store::CellKey makeCellKey(const workloads::Workload &workload,
                            const analysis::ProtectionResult &protection,
@@ -340,12 +312,6 @@ store::CellKey makeCellKey(const workloads::Workload &workload,
                            const StudyConfig &config, unsigned errors,
                            const std::string &policyName,
                            unsigned trials);
-
-/** Deprecated enum alias of makeCellKey(). */
-store::CellKey makeCellKey(const workloads::Workload &workload,
-                           const analysis::ProtectionResult &protection,
-                           const StudyConfig &config, unsigned errors,
-                           ProtectionMode mode, unsigned trials);
 
 } // namespace etc::core
 

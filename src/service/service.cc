@@ -125,9 +125,6 @@ encodeCellStatus(const CellStatus &cell)
     writer.field("key", cell.fingerprint)
         .field("canonical", cell.canonical)
         .field("errors", uint64_t{cell.errors})
-        // "mode" kept as a deprecated mirror of "policy" so
-        // pre-policy API consumers keep parsing.
-        .field("mode", cell.policy)
         .field("policy", cell.policy)
         .field("trials", uint64_t{cell.trials})
         .field("state", cellStateName(cell.state))
@@ -170,7 +167,6 @@ encodeKeyJson(const store::CellKey &key)
 {
     store::JsonObjectWriter writer;
     writer.field("workload", key.workload)
-        .field("mode", key.policy)
         .field("policy", key.policy)
         .field("errors", uint64_t{key.errors})
         .field("trials", uint64_t{key.trials})
@@ -374,12 +370,15 @@ CampaignService::submitJob(const HttpRequest &request)
             }
         }
 
+        // The removed pre-policy alias is refused rather than
+        // ignored, which would silently run the default policy.
+        if (body.find("mode"))
+            return errorResponse(
+                400, "'mode' is no longer accepted; name the injection "
+                     "policy with 'policy'");
         const store::JsonValue *errors = body.find("errors");
-        // "policy" names the single cell's injection policy; "mode"
-        // is the deprecated pre-policy alias.
+        // "policy" names the single cell's injection policy.
         const store::JsonValue *policy = body.find("policy");
-        if (!policy)
-            policy = body.find("mode");
         if (policy && !errors)
             return errorResponse(
                 400, "'policy' requires 'errors' (a single-cell "

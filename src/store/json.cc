@@ -71,8 +71,16 @@ class Parser
     {
         skipSpace();
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            // Bounded, so hostile input cannot exhaust the stack.
+            if (++depth_ > JSON_MAX_DEPTH)
+                fail("nesting deeper than " +
+                     std::to_string(JSON_MAX_DEPTH));
+            JsonValue value = peek() == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
+          }
           case '"': return parseString();
           case 't':
           case 'f': return parseBool();
@@ -252,6 +260,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0; //!< arrays/objects open at pos_
 };
 
 } // namespace

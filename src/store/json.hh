@@ -81,10 +81,14 @@ class JsonValue
     uint32_t asU32() const;
 };
 
+/** Deepest array/object nesting parseJson() accepts. */
+inline constexpr size_t JSON_MAX_DEPTH = 256;
+
 /**
  * Parse one complete JSON document from @p text.
  *
- * @throws JsonError on any syntax error or trailing garbage.
+ * @throws JsonError on any syntax error, nesting deeper than
+ *         JSON_MAX_DEPTH, or trailing garbage.
  */
 JsonValue parseJson(const std::string &text);
 

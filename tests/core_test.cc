@@ -41,7 +41,7 @@ TEST(StudyTest, ZeroErrorCellIsPerfect)
 {
     auto workload = createWorkload("adpcm", Scale::Test);
     ErrorToleranceStudy study(*workload, quickConfig());
-    auto cell = study.runCell(0, ProtectionMode::Protected);
+    auto cell = study.runCell(0, fault::PROTECTED_POLICY);
     EXPECT_EQ(cell.completed, cell.trials);
     EXPECT_EQ(cell.failureRate(), 0.0);
     EXPECT_EQ(cell.acceptableRate(), 1.0);
@@ -54,8 +54,8 @@ TEST(StudyTest, Reproducible)
     auto workload = createWorkload("gsm", Scale::Test);
     ErrorToleranceStudy a(*workload, quickConfig());
     ErrorToleranceStudy b(*workload, quickConfig());
-    auto cellA = a.runCell(5, ProtectionMode::Protected);
-    auto cellB = b.runCell(5, ProtectionMode::Protected);
+    auto cellA = a.runCell(5, fault::PROTECTED_POLICY);
+    auto cellB = b.runCell(5, fault::PROTECTED_POLICY);
     EXPECT_EQ(cellA.completed, cellB.completed);
     EXPECT_EQ(cellA.crashed, cellB.crashed);
     EXPECT_EQ(cellA.timedOut, cellB.timedOut);
@@ -69,7 +69,7 @@ TEST(StudyTest, CellBookkeeping)
 {
     auto workload = createWorkload("mcf", Scale::Test);
     ErrorToleranceStudy study(*workload, quickConfig(12));
-    auto cell = study.runCell(3, ProtectionMode::Unprotected, 8);
+    auto cell = study.runCell(3, fault::UNPROTECTED_POLICY, 8);
     EXPECT_EQ(cell.trials, 8u);
     EXPECT_EQ(cell.errors, 3u);
     EXPECT_EQ(cell.policy, "unprotected");
@@ -89,8 +89,8 @@ TEST(StudyTest, ProtectionPreventsCatastrophicFailure)
 {
     auto workload = createWorkload("mcf", Scale::Test);
     ErrorToleranceStudy study(*workload, quickConfig(20));
-    auto prot = study.runCell(8, ProtectionMode::Protected);
-    auto unprot = study.runCell(8, ProtectionMode::Unprotected);
+    auto prot = study.runCell(8, fault::PROTECTED_POLICY);
+    auto unprot = study.runCell(8, fault::UNPROTECTED_POLICY);
     EXPECT_LT(prot.failureRate(), unprot.failureRate());
     EXPECT_GT(unprot.failureRate(), 0.3);
 }
@@ -102,7 +102,7 @@ TEST(StudyTest, ProtectedSusanNeverCrashes)
     // taggable address arithmetic or data-dependent loop bounds.
     auto workload = createWorkload("susan", Scale::Test);
     ErrorToleranceStudy study(*workload, quickConfig(10));
-    auto cell = study.runCell(100, ProtectionMode::Protected);
+    auto cell = study.runCell(100, fault::PROTECTED_POLICY);
     EXPECT_EQ(cell.failureRate(), 0.0);
 }
 
@@ -110,8 +110,8 @@ TEST(StudyTest, FidelityDegradesWithErrorCount)
 {
     auto workload = createWorkload("susan", Scale::Test);
     ErrorToleranceStudy study(*workload, quickConfig(10));
-    auto low = study.runCell(5, ProtectionMode::Protected);
-    auto high = study.runCell(200, ProtectionMode::Protected);
+    auto low = study.runCell(5, fault::PROTECTED_POLICY);
+    auto high = study.runCell(200, fault::PROTECTED_POLICY);
     EXPECT_GT(low.meanFidelity(), high.meanFidelity());
 }
 
@@ -121,7 +121,7 @@ TEST(StudyTest, ArtDegradesWithoutCrashing)
     // errors yet never fails catastrophically.
     auto workload = createWorkload("art", Scale::Test);
     ErrorToleranceStudy study(*workload, quickConfig(15));
-    auto cell = study.runCell(4, ProtectionMode::Protected);
+    auto cell = study.runCell(4, fault::PROTECTED_POLICY);
     EXPECT_EQ(cell.failureRate(), 0.0);
     EXPECT_LT(cell.acceptableRate(), 1.0);
 }
@@ -137,9 +137,9 @@ TEST(StudyTest, MemoryModelAblationChangesFailures)
     ErrorToleranceStudy lenientStudy(*workload, lenient);
     ErrorToleranceStudy strictStudy(*workload, strict);
     auto lenientCell =
-        lenientStudy.runCell(30, ProtectionMode::Protected);
+        lenientStudy.runCell(30, fault::PROTECTED_POLICY);
     auto strictCell =
-        strictStudy.runCell(30, ProtectionMode::Protected);
+        strictStudy.runCell(30, fault::PROTECTED_POLICY);
     EXPECT_LE(lenientCell.failureRate(), strictCell.failureRate());
 }
 

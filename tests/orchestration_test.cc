@@ -26,7 +26,6 @@ namespace {
 using namespace etc;
 using core::CellSummary;
 using core::ErrorToleranceStudy;
-using core::ProtectionMode;
 using core::StudyConfig;
 
 constexpr unsigned ERRORS = 3;
@@ -87,7 +86,7 @@ class OrchestrationTest : public ::testing::Test
     reference()
     {
         ErrorToleranceStudy study(*workload_, config(1, false));
-        return study.runCell(ERRORS, ProtectionMode::Protected, TRIALS);
+        return study.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     }
 
     std::unique_ptr<workloads::Workload> workload_;
@@ -100,14 +99,14 @@ TEST_F(OrchestrationTest, CacheHitIsBitIdenticalAndRunsNothing)
 
     ErrorToleranceStudy first(*workload_, config(4));
     auto computed =
-        first.runCell(ERRORS, ProtectionMode::Protected, TRIALS);
+        first.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     expectSummariesIdentical(expected, computed);
     EXPECT_EQ(first.trialsExecuted(), TRIALS);
 
     // A fresh study over the same cache serves the cell from disk.
     ErrorToleranceStudy second(*workload_, config(2));
     auto cached =
-        second.runCell(ERRORS, ProtectionMode::Protected, TRIALS);
+        second.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     expectSummariesIdentical(expected, cached);
     EXPECT_EQ(second.trialsExecuted(), 0u);
 }
@@ -132,7 +131,7 @@ TEST_F(OrchestrationTest, KillAndResumeIsBitIdentical)
                     ErrorToleranceStudy study(*workload_, config(2));
                     for (unsigned c = 0; c < doneBeforeKill; ++c)
                         study.runCellShard(ERRORS,
-                                           ProtectionMode::Protected,
+                                           fault::PROTECTED_POLICY,
                                            TRIALS, c, split);
                 }
 
@@ -140,7 +139,7 @@ TEST_F(OrchestrationTest, KillAndResumeIsBitIdentical)
                 ErrorToleranceStudy resumed(
                     *workload_, config(resumeThreads));
                 auto summary = resumed.runCell(
-                    ERRORS, ProtectionMode::Protected, TRIALS);
+                    ERRORS, fault::PROTECTED_POLICY, TRIALS);
                 expectSummariesIdentical(expected, summary);
 
                 // Only the missing stripe actually ran.
@@ -156,7 +155,7 @@ TEST_F(OrchestrationTest, KillAndResumeIsBitIdentical)
                 auto *cache = resumed.resultStore();
                 ASSERT_NE(cache, nullptr);
                 auto key = resumed.cellKey(
-                    ERRORS, ProtectionMode::Protected, TRIALS);
+                    ERRORS, fault::PROTECTED_POLICY, TRIALS);
                 EXPECT_TRUE(cache->hasCell(key));
                 EXPECT_TRUE(cache->loadShards(key).empty());
             }
@@ -172,12 +171,12 @@ TEST_F(OrchestrationTest, ShardFanOutAcrossProcessesMerges)
     // different thread counts), a fourth merges via runCell.
     for (unsigned index : {2u, 0u, 1u}) {
         ErrorToleranceStudy worker(*workload_, config(index + 1));
-        worker.runCellShard(ERRORS, ProtectionMode::Protected, TRIALS,
+        worker.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS,
                             index, 3);
     }
     ErrorToleranceStudy merger(*workload_, config(4));
     auto merged =
-        merger.runCell(ERRORS, ProtectionMode::Protected, TRIALS);
+        merger.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     expectSummariesIdentical(expected, merged);
     EXPECT_EQ(merger.trialsExecuted(), 0u);
 }
@@ -185,12 +184,12 @@ TEST_F(OrchestrationTest, ShardFanOutAcrossProcessesMerges)
 TEST_F(OrchestrationTest, DuplicateShardRunsAreSkipped)
 {
     ErrorToleranceStudy study(*workload_, config(2));
-    study.runCellShard(ERRORS, ProtectionMode::Protected, TRIALS, 0, 2);
+    study.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS, 0, 2);
     auto ranOnce = study.trialsExecuted();
     EXPECT_EQ(ranOnce, TRIALS / 2);
 
     // Same stripe again: served from the stored shard record.
-    auto again = study.runCellShard(ERRORS, ProtectionMode::Protected,
+    auto again = study.runCellShard(ERRORS, fault::PROTECTED_POLICY,
                                     TRIALS, 0, 2);
     EXPECT_EQ(study.trialsExecuted(), ranOnce);
     EXPECT_EQ(again.trials, TRIALS / 2);
@@ -206,14 +205,14 @@ TEST_F(OrchestrationTest, MismatchedSplitsStillConverge)
     // the reference regardless.
     {
         ErrorToleranceStudy study(*workload_, config(1));
-        study.runCellShard(ERRORS, ProtectionMode::Protected, TRIALS,
+        study.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS,
                            0, 4);
-        study.runCellShard(ERRORS, ProtectionMode::Protected, TRIALS,
+        study.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS,
                            2, 4);
     }
     ErrorToleranceStudy resumed(*workload_, config(4));
     auto summary =
-        resumed.runCell(ERRORS, ProtectionMode::Protected, TRIALS);
+        resumed.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     expectSummariesIdentical(expected, summary);
 }
 
@@ -222,14 +221,14 @@ TEST_F(OrchestrationTest, ReportPathRebuildsTheSameKeyWithoutSimulation)
     // Compute + persist through a study.
     ErrorToleranceStudy study(*workload_, config(2));
     auto computed =
-        study.runCell(ERRORS, ProtectionMode::Protected, TRIALS);
+        study.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
 
     // The report path: key from static analysis only, summary from
     // disk, zero trials executed.
     auto cfg = config(1);
     auto protection = core::computeStudyProtection(*workload_, cfg);
     auto key = core::makeCellKey(*workload_, protection, cfg, ERRORS,
-                                 ProtectionMode::Protected, TRIALS);
+                                 fault::PROTECTED_POLICY, TRIALS);
     store::ResultStore cache(cfg.cacheDir);
     auto loaded = cache.loadCell(key);
     ASSERT_TRUE(loaded.has_value());
@@ -239,22 +238,22 @@ TEST_F(OrchestrationTest, ReportPathRebuildsTheSameKeyWithoutSimulation)
 TEST_F(OrchestrationTest, KeysSeparateModesSeedsTrialsAndWorkloads)
 {
     ErrorToleranceStudy study(*workload_, config(1));
-    auto base = study.cellKey(ERRORS, ProtectionMode::Protected, TRIALS);
+    auto base = study.cellKey(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     EXPECT_FALSE(
         base ==
-        study.cellKey(ERRORS, ProtectionMode::Unprotected, TRIALS));
+        study.cellKey(ERRORS, fault::UNPROTECTED_POLICY, TRIALS));
     EXPECT_FALSE(
-        base == study.cellKey(ERRORS + 1, ProtectionMode::Protected,
+        base == study.cellKey(ERRORS + 1, fault::PROTECTED_POLICY,
                               TRIALS));
     EXPECT_FALSE(
-        base == study.cellKey(ERRORS, ProtectionMode::Protected,
+        base == study.cellKey(ERRORS, fault::PROTECTED_POLICY,
                               TRIALS + 1));
 
     auto seeded = config(1);
     seeded.seed ^= 0x1234;
     ErrorToleranceStudy other(*workload_, seeded);
     EXPECT_FALSE(
-        base == other.cellKey(ERRORS, ProtectionMode::Protected,
+        base == other.cellKey(ERRORS, fault::PROTECTED_POLICY,
                               TRIALS));
 
     // Same workload name at a different scale -> different program
@@ -263,7 +262,7 @@ TEST_F(OrchestrationTest, KeysSeparateModesSeedsTrialsAndWorkloads)
                                            workloads::Scale::Bench);
     ErrorToleranceStudy benchStudy(*bench, config(1, false));
     EXPECT_FALSE(base == benchStudy.cellKey(
-                             ERRORS, ProtectionMode::Protected, TRIALS));
+                             ERRORS, fault::PROTECTED_POLICY, TRIALS));
 }
 
 TEST_F(OrchestrationTest, RenderingFromStoredRecordsIsByteIdentical)

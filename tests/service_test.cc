@@ -351,7 +351,7 @@ TEST_F(ServiceTest, SingleCellSubmissionAndFigureConflict)
     startWorkers();
     auto submitted = submit(
         std::string("{\"experiment\":\"") + EXPERIMENT +
-        "\",\"errors\":1,\"mode\":\"protected\"}");
+        "\",\"errors\":1,\"policy\":\"protected\"}");
     ASSERT_EQ(submitted.status, 202) << submitted.body;
     auto outcome = store::parseJson(submitted.body);
     EXPECT_EQ(outcome.at("cells").asU64(), 1u);
@@ -397,12 +397,19 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
                            EXPERIMENT + "\",\"trials\":0}"),
                     400);
     expectJsonError(submit(std::string("{\"experiment\":\"") +
-                           EXPERIMENT + "\",\"mode\":\"protected\"}"),
+                           EXPERIMENT + "\",\"policy\":\"protected\"}"),
                     400);
     expectJsonError(submit(std::string("{\"experiment\":\"") +
                            EXPERIMENT +
-                           "\",\"errors\":1,\"mode\":\"sideways\"}"),
+                           "\",\"errors\":1,\"policy\":\"sideways\"}"),
                     400);
+    // The removed "mode" alias is refused, naming its replacement,
+    // never silently run as the default policy.
+    auto aliased = submit(std::string("{\"experiment\":\"") + EXPERIMENT +
+                          "\",\"errors\":1,\"mode\":\"unprotected\"}");
+    expectJsonError(aliased, 400);
+    EXPECT_NE(aliased.body.find("'policy'"), std::string::npos)
+        << aliased.body;
     expectJsonError(client().get("/v1/jobs/j999"), 404);
     expectJsonError(client().get("/v1/cells/not-a-fingerprint"), 400);
     expectJsonError(client().get("/v1/cells/0123456789abcdef"), 404);
@@ -411,6 +418,17 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
     expectJsonError(client().get("/v1/nope"), 404);
     expectJsonError(client().get("/v1/jobs"), 405);
     expectJsonError(client().post("/v1/healthz", "{}"), 405);
+}
+
+// Two million '[' nest deeper than the JSON reader accepts: a 400,
+// and the daemon keeps serving, instead of a stack overflow.
+TEST_F(ServiceTest, DeeplyNestedJsonBodyGetsA400)
+{
+    auto response = submit(std::string(2000000, '['));
+    EXPECT_EQ(response.status, 400) << response.body;
+    EXPECT_NE(response.body.find("nesting"), std::string::npos)
+        << response.body;
+    EXPECT_EQ(client().get("/v1/healthz").status, 200);
 }
 
 // A raw malformed request line (not even HTTP) gets a 400, not a hang

@@ -594,6 +594,29 @@ TEST(JsonTest, RejectsMalformedInput)
             << "accepted: " << text;
 }
 
+TEST(JsonTest, NestingDepthIsCappedAtTheBoundary)
+{
+    auto nested = [](size_t depth, const char *open, const char *close) {
+        std::string text;
+        for (size_t i = 0; i < depth; ++i)
+            text += open;
+        text += "1";
+        for (size_t i = 0; i < depth; ++i)
+            text += close;
+        return text;
+    };
+    EXPECT_NO_THROW(parseJson(nested(JSON_MAX_DEPTH, "[", "]")));
+    EXPECT_NO_THROW(parseJson(nested(JSON_MAX_DEPTH, "{\"a\":", "}")));
+    EXPECT_THROW(parseJson(nested(JSON_MAX_DEPTH + 1, "[", "]")), JsonError);
+    EXPECT_THROW(parseJson(nested(JSON_MAX_DEPTH + 1, "{\"a\":", "}")),
+                 JsonError);
+    // Depth counts open containers, not containers seen: siblings at
+    // the boundary parse.
+    EXPECT_NO_THROW(parseJson("[" + nested(JSON_MAX_DEPTH - 1, "[", "]") +
+                              "," + nested(JSON_MAX_DEPTH - 1, "[", "]") +
+                              "]"));
+}
+
 TEST(JsonTest, QuoteRoundTripsThroughParse)
 {
     std::string nasty = "a\"b\\c\nd\te\rf\x01g";

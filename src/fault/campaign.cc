@@ -62,49 +62,34 @@ engineMetrics()
 /** All flip-mask bits live: the "never prunable" site live mask. */
 constexpr uint32_t LIVE_ALL = 0xffffffffu;
 
-/** Forwards each retire to every hook in order (golden-run observers). */
-class HookChain : public sim::ExecHook
+/**
+ * Chains onto the golden run's profiling hook and additionally
+ * records, per injectable retire, the site's live mask (the bits a
+ * drawn flip must avoid for the trial to stay provably golden).
+ */
+class PruneMaskRecorder : public sim::ExecHook
 {
   public:
-    void add(sim::ExecHook &hook) { hooks_.push_back(&hook); }
+    PruneMaskRecorder(sim::ExecHook &inner,
+                      const std::vector<bool> &injectable,
+                      const std::vector<uint32_t> &staticLiveMasks,
+                      std::vector<uint32_t> &masks)
+        : inner_(inner), injectable_(injectable),
+          staticLiveMasks_(staticLiveMasks), masks_(masks)
+    {
+    }
 
     void
     onRetire(uint32_t staticIdx, const isa::Instruction &ins,
              sim::Machine &machine, sim::Memory &memory) override
     {
-        for (sim::ExecHook *hook : hooks_)
-            hook->onRetire(staticIdx, ins, machine, memory);
-    }
-
-  private:
-    std::vector<sim::ExecHook *> hooks_;
-};
-
-/**
- * Records, per injectable retire of the golden run, the site's live
- * mask (the bits a drawn flip must avoid for the trial to stay
- * provably golden).
- */
-class PruneMaskRecorder : public sim::ExecHook
-{
-  public:
-    PruneMaskRecorder(const std::vector<bool> &injectable,
-                      const std::vector<uint32_t> &staticLiveMasks,
-                      std::vector<uint32_t> &masks)
-        : injectable_(injectable), staticLiveMasks_(staticLiveMasks),
-          masks_(masks)
-    {
-    }
-
-    void
-    onRetire(uint32_t staticIdx, const isa::Instruction &, sim::Machine &,
-             sim::Memory &) override
-    {
+        inner_.onRetire(staticIdx, ins, machine, memory);
         if (staticIdx < injectable_.size() && injectable_[staticIdx])
             masks_.push_back(staticLiveMasks_[staticIdx]);
     }
 
   private:
+    sim::ExecHook &inner_;
     const std::vector<bool> &injectable_;
     const std::vector<uint32_t> &staticLiveMasks_;
     std::vector<uint32_t> &masks_;
@@ -202,27 +187,28 @@ CampaignRunner::CampaignRunner(const assembly::Program &program,
     telemetry::TraceSpan goldenSpan("engine", "golden-run");
     sim::Simulator simulator(program_, model_);
     InjectableCounter counter(injectable_);
-    HookChain hooks;
-    hooks.add(counter);
+    sim::ExecHook *hook = &counter;
     std::optional<sim::CheckpointRecorder> recorder;
     if (checkpointInterval_ > 0) {
         // The post-reset image is the snapshot baseline; only pages
-        // the run itself writes go into the checkpoint deltas.
+        // the run itself writes go into the checkpoint deltas. The
+        // recorder counts injectable retires itself.
         simulator.memory().resetDirtyTracking();
-        hooks.add(recorder.emplace(injectable_, checkpointInterval_,
-                                   simulator, checkpoints_));
+        hook = &recorder.emplace(injectable_, checkpointInterval_,
+                                 simulator, checkpoints_);
     }
     std::optional<PruneMaskRecorder> pruneRecorder;
     if (staticPrune_)
-        hooks.add(pruneRecorder.emplace(injectable_, staticLiveMasks,
-                                        siteLiveMasks_));
-    sim::RunResult result = simulator.run(0, &hooks);
+        hook = &pruneRecorder.emplace(*hook, injectable_, staticLiveMasks,
+                                      siteLiveMasks_);
+    sim::RunResult result = simulator.run(0, hook);
     if (!result.completed())
         fatal("CampaignRunner: golden run did not complete: ",
               result.toString());
     golden_ = simulator.output();
     goldenInstructions_ = result.instructions;
-    injectableDynamic_ = counter.count();
+    injectableDynamic_ =
+        recorder ? recorder->injectableRetired() : counter.count();
     for (uint32_t liveMask : siteLiveMasks_)
         prunableDynamic_ += liveMask != LIVE_ALL ? 1 : 0;
     if (staticPrune_ && siteLiveMasks_.size() != injectableDynamic_)

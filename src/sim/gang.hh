@@ -38,18 +38,20 @@
  * simply keep executing in the gang -- that is the common case and the
  * entire speedup.
  *
- * Drain semantics (bit-identity by construction): an evicted lane's
- * snapshot is exactly the architectural state the scalar interpreter
- * would hold at the same retire boundary, because up to that boundary
- * the lane executed the identical instruction sequence with identical
- * per-lane operands under identical memory semantics. The campaign
- * therefore rehydrates a scalar Simulator from the gang's checkpoint
- * plus the lane's overlay pages/registers/output tail and finishes the
- * trial through the ordinary Simulator::runUntilInjectable() site
- * loop. Gang results are bit-identical to the scalar fast path --
- * same statuses, instruction counts, injected counts, and output
- * bytes -- for every gang width, which tests/gang_determinism_test.cc
- * pins across widths x threads x checkpointing x pruning.
+ * One semantics, one site loop: a lane executes each instruction
+ * through the same semantics lists the scalar interpreter expands
+ * (sim/semantics.hh), under the same checked memory accesses, so an
+ * evicted lane's snapshot is exactly the architectural state the
+ * scalar interpreter would hold at the same retire boundary. The
+ * campaign (fault/campaign.cc) rehydrates a scalar Simulator from the
+ * gang's checkpoint plus the lane's overlay pages, registers, and
+ * output tail, and finishes the trial in the one site loop every
+ * scalar trial runs, from the lane's injection cursor. Gang results
+ * are therefore bit-identical to the scalar fast path -- same
+ * statuses, instruction counts, injected counts, and output bytes --
+ * for every gang width: tests/interp_differential_test.cc compares
+ * every opcode lane by lane, and tests/gang_determinism_test.cc pins
+ * whole campaigns across widths x threads x checkpointing x pruning.
  *
  * Non-divergent exits are terminal inside the gang: per-lane faults
  * (memory fault, div-by-zero, output overflow) and gang-wide ends

@@ -403,7 +403,7 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
         using T = decltype(zero);
         if (uniformAccess(sizeof(T), [&](unsigned s, size_t index,
                                          uint32_t offset) {
-                const uint8_t *page = tables_[s * pageCount_ + index];
+                const uint8_t *page = tables_[size_t{s} * pageCount_ + index];
                 T value{};
                 if (page)
                     std::memcpy(&value, page + offset, sizeof(T));
@@ -481,14 +481,14 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
         break;
 #define ETC_LOAD(name, T, expr)                                            \
       case Opcode::name:                                                   \
-        gatedLoad(T{}, [&](unsigned s, T v) {                              \
+        gatedLoad(T(0), [&](unsigned s, T v) {                             \
             if (ins.rd != REG_ZERO)                                        \
                 rdCol[s] = (expr);                                         \
         });                                                                \
         break;
 #define ETC_STORE(name, T)                                                 \
       case Opcode::name:                                                   \
-        gatedStore(T{});                                                   \
+        gatedStore(T(0));                                                  \
         break;
 
     switch (ins.op) {

@@ -146,7 +146,8 @@ constexpr bool
 everyOpcodeOnce()
 {
     std::array<unsigned, isa::NUM_OPCODES> seen{};
-#define ETC_SEM_SEEN(name, ...) ++seen[static_cast<unsigned>(isa::Opcode::name)];
+#define ETC_SEM_SEEN(name, ...)                                            \
+    ++seen[static_cast<unsigned>(isa::Opcode::name)];
     ETC_SEM_REGISTER_RESULTS(ETC_SEM_SEEN)
     ETC_SEM_FLAG_RESULTS(ETC_SEM_SEEN)
     ETC_SEM_BRANCHES(ETC_SEM_SEEN)

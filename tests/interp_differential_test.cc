@@ -335,8 +335,8 @@ const std::vector<uint32_t> INT_VALUES = {
 const uint32_t QNAN = 0x7fc00001, NEG_QNAN = 0xffc00001,
                SNAN = 0x7f800001, INF = 0x7f800000, NEG_INF = 0xff800000;
 
-/** FP operand pairs with at most one NaN, so which payload wins never
- *  depends on operand order. */
+/** FP operand pairs with at most one distinct NaN payload, so which
+ *  payload a result carries never depends on operand order. */
 const std::vector<std::pair<uint32_t, uint32_t>> FP_PAIRS = {
     {bits(1.5f), bits(2.25f)}, {QNAN, bits(1.0f)}, {bits(-3.0f), SNAN},
     {INF, NEG_INF},            {INF, INF},         {bits(-0.0f), 0},
@@ -587,8 +587,9 @@ controlCases()
         // out inside the gang.
         Case c;
         c.name = "timeout";
-        c.program = makeProgram({make::nop(), make::r2i(Opcode::ADDI, RS, RS, 1),
-                                 make::jmp(Opcode::J, 1)});
+        c.program =
+            makeProgram({make::nop(), make::r2i(Opcode::ADDI, RS, RS, 1),
+                         make::jmp(Opcode::J, 1)});
         c.budget = 40;
         for (uint32_t a : {0u, 100u, u(-5)})
             c.lanes.push_back(regs({{RS, a}}));
@@ -610,7 +611,8 @@ std::vector<Case>
 floatCases()
 {
     std::vector<Case> cases;
-    for (Opcode op : {Opcode::ADDS, Opcode::SUBS, Opcode::MULS, Opcode::DIVS}) {
+    for (Opcode op :
+         {Opcode::ADDS, Opcode::SUBS, Opcode::MULS, Opcode::DIVS}) {
         for (RegId fd : {FD, FS}) {
             Case c;
             c.name = std::string(mnemonic(op)) + " fd=" + regName(fd);

@@ -354,8 +354,8 @@ CampaignRunner::flipNext(const InjectionPlan &plan, SiteCursor &cursor,
                          const isa::Instruction &ins, MachineT &machine,
                          MemoryT &memory) const
 {
-    if (flipResultT(ins, plan.masks[cursor.next], resultKinds_, machine,
-                    memory))
+    if (flipResult(ins, plan.masks[cursor.next], resultKinds_, machine,
+                   memory))
         ++cursor.injected;
     ++cursor.next;
 }

@@ -70,14 +70,6 @@ Injector::Injector(const std::vector<bool> &injectable, InjectionPlan plan,
 {
 }
 
-bool
-flipResult(const isa::Instruction &ins, uint32_t mask,
-           unsigned resultKinds, sim::Machine &machine,
-           sim::Memory &memory)
-{
-    return flipResultT(ins, mask, resultKinds, machine, memory);
-}
-
 void
 Injector::onRetire(uint32_t staticIdx, const isa::Instruction &ins,
                    sim::Machine &machine, sim::Memory &memory)

@@ -131,14 +131,14 @@ flipStored(MemoryT &memory, uint32_t addr, uint32_t mask)
  * MemoryT the checked read/write accessors.
  *
  * @param resultKinds ResultKind bitmask of corruptible result kinds
- * @return true if a flip was actually performed (a store that was
- *         dropped by the lenient memory model has nothing to corrupt,
- *         and an instruction with no allowed result kind is skipped).
+ * @return true if a flip was performed; false when the instruction has
+ *         no allowed result kind (or its stored value cannot be read
+ *         back).
  */
 template <typename MachineT, typename MemoryT>
 bool
-flipResultT(const isa::Instruction &ins, uint32_t mask,
-            unsigned resultKinds, MachineT &machine, MemoryT &memory)
+flipResult(const isa::Instruction &ins, uint32_t mask,
+           unsigned resultKinds, MachineT &machine, MemoryT &memory)
 {
     if (resultKinds & RK_REGISTER) {
         if (auto def = ins.def()) {
@@ -171,11 +171,6 @@ flipResultT(const isa::Instruction &ins, uint32_t mask,
     }
     return false;
 }
-
-/** flipResultT() over the scalar Simulator's Machine + Memory. */
-bool flipResult(const isa::Instruction &ins, uint32_t mask,
-                unsigned resultKinds, sim::Machine &machine,
-                sim::Memory &memory);
 
 /**
  * The retire hook that executes an InjectionPlan.

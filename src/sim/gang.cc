@@ -150,7 +150,7 @@ GangSimulator::laneWrite(unsigned slot, uint32_t addr, T value)
     return status;
 }
 
-// The lane proxies (used from fault/campaign.cc via flipResultT) need
+// The lane proxies (used from fault/campaign.cc via flipResult) need
 // out-of-line copies of the access templates.
 template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint8_t &);
 template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint16_t &);
@@ -533,18 +533,23 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
         finishAll(RunStatus::Completed, 0);
         return true;
       case Opcode::OUTB:
-      case Opcode::OUTW: {
-        const int bytes = ins.op == Opcode::OUTW ? 4 : 1;
         for (unsigned i = 0; i < n; ++i) {
             unsigned s = slots[i];
-            for (int byte = 0; byte < bytes; ++byte)
+            outputs_[s].push_back(static_cast<uint8_t>(rsCol[s]));
+            if (outputPrefix_ + outputs_[s].size() > Simulator::OUTPUT_CAP)
+                faultLane(s, RunStatus::OutputOverflow);
+        }
+        break;
+      case Opcode::OUTW:
+        for (unsigned i = 0; i < n; ++i) {
+            unsigned s = slots[i];
+            for (int byte = 0; byte < 4; ++byte)
                 outputs_[s].push_back(
                     static_cast<uint8_t>(rsCol[s] >> (8 * byte)));
             if (outputPrefix_ + outputs_[s].size() > Simulator::OUTPUT_CAP)
                 faultLane(s, RunStatus::OutputOverflow);
         }
         break;
-      }
     }
 
 #undef ETC_LANE_OPERANDS

@@ -134,7 +134,7 @@ class GangSimulator
 
     /**
      * Machine-shaped proxy for one lane, compatible with
-     * fault::flipResultT. `pc` aliases the lane's own next-PC slot, so
+     * fault::flipResult. `pc` aliases the lane's own next-PC slot, so
      * a control flip marks the lane for divergence reconciliation.
      */
     class LaneMachine
@@ -166,7 +166,7 @@ class GangSimulator
     };
 
     /** Memory-shaped proxy for one lane (checked guest accesses over
-     *  the lane's COW overlay), compatible with fault::flipResultT. */
+     *  the lane's COW overlay), compatible with fault::flipResult. */
     class LaneMemory
     {
       public:
@@ -252,13 +252,13 @@ class GangSimulator
     uint64_t injectableRetired() const { return injectableRetired_; }
 
     /**
-     * Lane proxy for fault::flipResultT. Materializes an aliased lane
+     * Lane proxy for fault::flipResult. Materializes an aliased lane
      * (its first flip is what makes it diverge from golden). Only
      * valid while the gang is paused and the lane is in the gang.
      */
     LaneMachine laneMachine(unsigned lane);
 
-    /** Memory proxy for fault::flipResultT (materializes too). */
+    /** Memory proxy for fault::flipResult (materializes too). */
     LaneMemory laneMemory(unsigned lane);
 
     /** Drain the accumulated exit records (any order of eviction). */

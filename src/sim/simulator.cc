@@ -299,7 +299,7 @@ Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
     const auto codeSize = program_.size();
     const auto *code = program_.code.data();
     Machine &m = machine_;
-    uint32_t *R = m.regs.data();
+    auto &R = m.regs;
 
     const Instruction *ins = nullptr;
     uint32_t thisPc = 0;

@@ -365,7 +365,6 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
     uint32_t *rdCol = &regs_[size_t{ins.rd} * stride_];
     const uint32_t *rsCol = &regs_[size_t{ins.rs} * stride_];
     const uint32_t *rtCol = &regs_[size_t{ins.rt} * stride_];
-    uint32_t *fccCol = &regs_[size_t{FP_FLAG_REG} * stride_];
 
     // Faults are recorded during the slot loops and processed after
     // them (evicting mid-loop would edit execList_ under iteration).
@@ -438,10 +437,11 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
     };
 
 // The operands the semantics lists are written over, for column s.
+// Only branches read fcc, so only they form the flag column: the
+// fewer pointers live across the switch, the cheaper every step.
 #define ETC_LANE_OPERANDS(s)                                               \
     [[maybe_unused]] const uint32_t a = rsCol[s];                          \
-    [[maybe_unused]] const uint32_t b = rtCol[s];                          \
-    [[maybe_unused]] const uint32_t fcc = fccCol[s];
+    [[maybe_unused]] const uint32_t b = rtCol[s];
 
 // Dense register write: every column, with the $zero discard hoisted
 // out of the loop ($zero as rd skips the whole op -- these ops have no
@@ -455,19 +455,24 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
             }                                                              \
         break;
 #define ETC_FLAG_RESULT(name, expr)                                        \
-      case Opcode::name:                                                   \
+      case Opcode::name: {                                                 \
+        uint32_t *fccCol = &regs_[size_t{FP_FLAG_REG} * stride_];          \
         for (unsigned s = 0; s < all; ++s) {                               \
             ETC_LANE_OPERANDS(s)                                           \
             fccCol[s] = (expr) ? 1 : 0;                                    \
         }                                                                  \
-        break;
+        break;                                                             \
+      }
 #define ETC_BRANCH(name, expr)                                             \
-      case Opcode::name:                                                   \
+      case Opcode::name: {                                                 \
+        const uint32_t *fccCol = &regs_[size_t{FP_FLAG_REG} * stride_];    \
         for (unsigned s = 0; s < all; ++s) {                               \
             ETC_LANE_OPERANDS(s)                                           \
+            [[maybe_unused]] const uint32_t fcc = fccCol[s];               \
             pcs[s] = (expr) ? ins.target : fall;                           \
         }                                                                  \
-        break;
+        break;                                                             \
+      }
 #define ETC_DIVIDE(name, expr)                                             \
       case Opcode::name:                                                   \
         for (unsigned i = 0; i < n; ++i) {                                 \

@@ -120,45 +120,6 @@ GangSimulator::pageForWrite(unsigned slot, unsigned index)
     return tables_[at];
 }
 
-template <typename T>
-MemStatus
-GangSimulator::laneRead(unsigned slot, uint32_t addr, T &value)
-{
-    bool touch;
-    MemStatus status = checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)),
-                                   model_, touch);
-    value = 0; // untouched pages read as zeroes too
-    const uint8_t *page =
-        touch ? tables_[size_t{slot} * pageCount_ + pageIndex(addr)] : nullptr;
-    if (page)
-        std::memcpy(&value, page + (addr & (Memory::PAGE_SIZE - 1)),
-                    sizeof(T));
-    return status;
-}
-
-template <typename T>
-MemStatus
-GangSimulator::laneWrite(unsigned slot, uint32_t addr, T value)
-{
-    bool touch;
-    MemStatus status = checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)),
-                                   model_, touch);
-    if (touch)
-        std::memcpy(pageForWrite(slot, pageIndex(addr)) +
-                        (addr & (Memory::PAGE_SIZE - 1)),
-                    &value, sizeof(T));
-    return status;
-}
-
-// The lane proxies (used from fault/campaign.cc via flipResult) need
-// out-of-line copies of the access templates.
-template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint8_t &);
-template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint16_t &);
-template MemStatus GangSimulator::laneRead(unsigned, uint32_t, uint32_t &);
-template MemStatus GangSimulator::laneWrite(unsigned, uint32_t, uint8_t);
-template MemStatus GangSimulator::laneWrite(unsigned, uint32_t, uint16_t);
-template MemStatus GangSimulator::laneWrite(unsigned, uint32_t, uint32_t);
-
 void
 GangSimulator::materialize(unsigned lane)
 {

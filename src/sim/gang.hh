@@ -69,6 +69,7 @@
 #define ETC_SIM_GANG_HH
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -315,10 +316,36 @@ class GangSimulator
                    : stackFirstPage_ + (index - dataPageCount_);
     }
     uint8_t *pageForWrite(unsigned slot, unsigned index);
+
     template <typename T>
-    MemStatus laneRead(unsigned slot, uint32_t addr, T &value);
+    MemStatus
+    laneRead(unsigned slot, uint32_t addr, T &value)
+    {
+        const bool in = inBounds(addr, sizeof(T));
+        MemStatus status = checkAccess(addr, sizeof(T), in, model_);
+        value = 0; // untouched pages read as zeroes too
+        if (status != MemStatus::Ok || !in)
+            return status;
+        if (const uint8_t *page =
+                tables_[size_t{slot} * pageCount_ + pageIndex(addr)])
+            std::memcpy(&value, page + (addr & (Memory::PAGE_SIZE - 1)),
+                        sizeof(T));
+        return status;
+    }
+
     template <typename T>
-    MemStatus laneWrite(unsigned slot, uint32_t addr, T value);
+    MemStatus
+    laneWrite(unsigned slot, uint32_t addr, T value)
+    {
+        const bool in = inBounds(addr, sizeof(T));
+        MemStatus status = checkAccess(addr, sizeof(T), in, model_);
+        if (status == MemStatus::Ok && in)
+            std::memcpy(pageForWrite(slot, pageIndex(addr)) +
+                            (addr & (Memory::PAGE_SIZE - 1)),
+                        &value, sizeof(T));
+        return status;
+    }
+
     uint8_t *allocPage();
     /// @}
 

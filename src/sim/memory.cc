@@ -96,12 +96,11 @@ template <typename T>
 MemStatus
 Memory::read(uint32_t addr, T &value)
 {
-    bool touch;
-    MemStatus status =
-        checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)), model_, touch);
+    const bool in = inBounds(addr, sizeof(T));
+    MemStatus status = checkAccess(addr, sizeof(T), in, model_);
     value = 0;
     // An aligned access never crosses a page boundary.
-    if (touch)
+    if (status == MemStatus::Ok && in)
         std::memcpy(&value, pagePtr(addr), sizeof(T));
     return status;
 }
@@ -110,10 +109,9 @@ template <typename T>
 MemStatus
 Memory::write(uint32_t addr, T value)
 {
-    bool touch;
-    MemStatus status =
-        checkAccess(addr, sizeof(T), inBounds(addr, sizeof(T)), model_, touch);
-    if (touch)
+    const bool in = inBounds(addr, sizeof(T));
+    MemStatus status = checkAccess(addr, sizeof(T), in, model_);
+    if (status == MemStatus::Ok && in)
         std::memcpy(pagePtrForWrite(addr), &value, sizeof(T));
     return status;
 }

@@ -58,20 +58,16 @@ enum class MemoryModel : uint8_t
  * The checks a guest access of @p width bytes at @p addr makes before
  * it touches a page, shared by Memory and the gang's lane overlays:
  * misaligned accesses trap, and out-of-region ones fault under the
- * strict model. A lenient out-of-region access reports Ok but leaves
- * @p touch false: the read yields zero, the write is dropped.
+ * strict model. An Ok access touches its page only when in bounds: a
+ * lenient out-of-region read yields zero and its write is dropped.
  */
 inline MemStatus
-checkAccess(uint32_t addr, uint32_t width, bool inBounds, MemoryModel model,
-            bool &touch)
+checkAccess(uint32_t addr, uint32_t width, bool inBounds, MemoryModel model)
 {
-    touch = false;
     if (addr & (width - 1))
         return MemStatus::Misaligned;
-    if (!inBounds)
-        return model == MemoryModel::Strict ? MemStatus::OutOfBounds
-                                            : MemStatus::Ok;
-    touch = true;
+    if (!inBounds && model == MemoryModel::Strict)
+        return MemStatus::OutOfBounds;
     return MemStatus::Ok;
 }
 

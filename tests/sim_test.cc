@@ -43,9 +43,16 @@ makeProgram(const std::function<void(ProgramBuilder &)> &body)
 
 // ---- integer ALU semantics (table-driven, parameterized) -------------------
 
+// CTest names each case of these suites after gtest's byte dump of its
+// parameter, so the case structs spell out every byte: `tag` (and
+// BranchCase's `tail`) fill what would otherwise be padding, whose
+// indeterminate contents made the names change from build to build.
+// The tag values keep the names the cases were first listed under.
+
 struct AluCase
 {
     Opcode op;
+    uint8_t tag[3];
     int32_t a;
     int32_t b;
     int32_t expected;
@@ -74,41 +81,42 @@ TEST_P(IntAluTest, ComputesExpected)
 INSTANTIATE_TEST_SUITE_P(
     Arithmetic, IntAluTest,
     ::testing::Values(
-        AluCase{Opcode::ADD, 2, 3, 5},
-        AluCase{Opcode::ADD, 0x7fffffff, 1, INT32_MIN}, // wraps
-        AluCase{Opcode::SUB, 2, 3, -1},
-        AluCase{Opcode::SUB, INT32_MIN, 1, 0x7fffffff},
-        AluCase{Opcode::MUL, -4, 3, -12},
-        AluCase{Opcode::MUL, 0x10000, 0x10000, 0}, // low 32 bits
-        AluCase{Opcode::DIV, 7, 2, 3},
-        AluCase{Opcode::DIV, -7, 2, -3},  // truncates toward zero
-        AluCase{Opcode::DIV, INT32_MIN, -1, INT32_MIN},
-        AluCase{Opcode::REM, 7, 2, 1},
-        AluCase{Opcode::REM, -7, 2, -1},
-        AluCase{Opcode::REM, INT32_MIN, -1, 0}));
+        AluCase{Opcode::ADD, {}, 2, 3, 5},
+        AluCase{Opcode::ADD, {}, 0x7fffffff, 1, INT32_MIN}, // wraps
+        AluCase{Opcode::SUB, {0x2d, 0x67, 0x74}, 2, 3, -1},
+        AluCase{Opcode::SUB, {0x73, 0x00, 0x6d}, INT32_MIN, 1, 0x7fffffff},
+        AluCase{Opcode::MUL, {}, -4, 3, -12},
+        AluCase{Opcode::MUL, {}, 0x10000, 0x10000, 0}, // low 32 bits
+        AluCase{Opcode::DIV, {0x00, 0x01, 0x1b}, 7, 2, 3},
+        AluCase{Opcode::DIV, {0xff, 0x48, 0x00}, -7, 2, -3}, // toward zero
+        AluCase{Opcode::DIV, {}, INT32_MIN, -1, INT32_MIN},
+        AluCase{Opcode::REM, {}, 7, 2, 1},
+        AluCase{Opcode::REM, {0x00, 0x01, 0x1b}, -7, 2, -1},
+        AluCase{Opcode::REM, {0xda, 0x48, 0x00}, INT32_MIN, -1, 0}));
 
 INSTANTIATE_TEST_SUITE_P(
     Logic, IntAluTest,
     ::testing::Values(
-        AluCase{Opcode::AND, 0x0ff0, 0x00ff, 0x00f0},
-        AluCase{Opcode::OR, 0x0ff0, 0x00ff, 0x0fff},
-        AluCase{Opcode::XOR, 0x0ff0, 0x00ff, 0x0f0f},
-        AluCase{Opcode::NOR, 0, 0, -1},
-        AluCase{Opcode::NOR, -1, 0, 0},
-        AluCase{Opcode::SLT, -1, 1, 1},
-        AluCase{Opcode::SLT, 1, -1, 0},
-        AluCase{Opcode::SLT, 3, 3, 0},
-        AluCase{Opcode::SLTU, -1, 1, 0}, // 0xffffffff unsigned
-        AluCase{Opcode::SLTU, 1, -1, 1},
-        AluCase{Opcode::SLLV, 1, 5, 32},
-        AluCase{Opcode::SLLV, 1, 33, 2},  // shift amount masked
-        AluCase{Opcode::SRLV, -1, 28, 0xf},
-        AluCase{Opcode::SRAV, -16, 2, -4}));
+        AluCase{Opcode::AND, {0xde, 0x66, 0x16}, 0x0ff0, 0x00ff, 0x00f0},
+        AluCase{Opcode::OR, {0x41, 0x88, 0x1e}, 0x0ff0, 0x00ff, 0x0fff},
+        AluCase{Opcode::XOR, {0xc0, 0x66, 0x16}, 0x0ff0, 0x00ff, 0x0f0f},
+        AluCase{Opcode::NOR, {0xdb, 0x66, 0x16}, 0, 0, -1},
+        AluCase{Opcode::NOR, {}, -1, 0, 0},
+        AluCase{Opcode::SLT, {}, -1, 1, 1},
+        AluCase{Opcode::SLT, {0x6d, 0x66, 0x16}, 1, -1, 0},
+        AluCase{Opcode::SLT, {0xbc, 0x66, 0x16}, 3, 3, 0},
+        AluCase{Opcode::SLTU, {0x6d, 0x66, 0x16}, -1, 1, 0}, // unsigned
+        AluCase{Opcode::SLTU, {}, 1, -1, 1},
+        AluCase{Opcode::SLLV, {}, 1, 5, 32},
+        AluCase{Opcode::SLLV, {}, 1, 33, 2}, // shift amount masked
+        AluCase{Opcode::SRLV, {0x6d, 0x66, 0x16}, -1, 28, 0xf},
+        AluCase{Opcode::SRAV, {0x45, 0x88, 0x1e}, -16, 2, -4}));
 
 // Immediate forms.
 struct ImmCase
 {
     Opcode op;
+    uint8_t tag[3];
     int32_t a;
     int32_t imm;
     int32_t expected;
@@ -135,15 +143,15 @@ TEST_P(ImmAluTest, ComputesExpected)
 INSTANTIATE_TEST_SUITE_P(
     Immediates, ImmAluTest,
     ::testing::Values(
-        ImmCase{Opcode::ADDI, 10, -3, 7},
-        ImmCase{Opcode::ANDI, 0xff, 0x0f, 0x0f},
-        ImmCase{Opcode::ORI, 0xf0, 0x0f, 0xff},
-        ImmCase{Opcode::XORI, 0xff, 0x0f, 0xf0},
-        ImmCase{Opcode::SLTI, -5, 0, 1},
-        ImmCase{Opcode::SLTI, 5, 0, 0},
-        ImmCase{Opcode::SLL, 3, 4, 48},
-        ImmCase{Opcode::SRL, -1, 28, 0xf},
-        ImmCase{Opcode::SRA, -64, 3, -8}));
+        ImmCase{Opcode::ADDI, {}, 10, -3, 7},
+        ImmCase{Opcode::ANDI, {}, 0xff, 0x0f, 0x0f},
+        ImmCase{Opcode::ORI, {0xbc, 0x66, 0x16}, 0xf0, 0x0f, 0xff},
+        ImmCase{Opcode::XORI, {0x6d, 0x66, 0x16}, 0xff, 0x0f, 0xf0},
+        ImmCase{Opcode::SLTI, {}, -5, 0, 1},
+        ImmCase{Opcode::SLTI, {}, 5, 0, 0},
+        ImmCase{Opcode::SLL, {}, 3, 4, 48},
+        ImmCase{Opcode::SRL, {0x6d, 0x66, 0x16}, -1, 28, 0xf},
+        ImmCase{Opcode::SRA, {0x45, 0x88, 0x1e}, -64, 3, -8}));
 
 TEST(SimulatorTest, LuiShifts)
 {
@@ -348,9 +356,11 @@ TEST(SimulatorTest, StackIsUsable)
 struct BranchCase
 {
     Opcode op;
+    uint8_t tag[3];
     int32_t a;
     int32_t b;
     bool taken;
+    uint8_t tail[3];
 };
 
 class BranchTest : public ::testing::TestWithParam<BranchCase>
@@ -390,19 +400,27 @@ TEST_P(BranchTest, TakenOrNot)
 INSTANTIATE_TEST_SUITE_P(
     AllBranches, BranchTest,
     ::testing::Values(
-        BranchCase{Opcode::BEQ, 4, 4, true},
-        BranchCase{Opcode::BEQ, 4, 5, false},
-        BranchCase{Opcode::BNE, 4, 5, true},
-        BranchCase{Opcode::BNE, 4, 4, false},
-        BranchCase{Opcode::BLEZ, 0, 0, true},
-        BranchCase{Opcode::BLEZ, -3, 0, true},
-        BranchCase{Opcode::BLEZ, 1, 0, false},
-        BranchCase{Opcode::BGTZ, 1, 0, true},
-        BranchCase{Opcode::BGTZ, 0, 0, false},
-        BranchCase{Opcode::BLTZ, -1, 0, true},
-        BranchCase{Opcode::BLTZ, 0, 0, false},
-        BranchCase{Opcode::BGEZ, 0, 0, true},
-        BranchCase{Opcode::BGEZ, -1, 0, false}));
+        BranchCase{Opcode::BEQ, {0x41, 0x88, 0x1e}, 4, 4, true,
+                   {0x7f, 0x00, 0x00}},
+        BranchCase{Opcode::BEQ, {0x0c, 0x67, 0x16}, 4, 5, false,
+                   {0x64, 0x59, 0x92}},
+        BranchCase{Opcode::BNE, {0x14, 0x67, 0x16}, 4, 5, true,
+                   {0xff, 0xff, 0xff}},
+        BranchCase{Opcode::BNE, {}, 4, 4, false, {0x55, 0x00, 0x00}},
+        BranchCase{Opcode::BLEZ, {}, 0, 0, true, {0x55, 0x00, 0x00}},
+        BranchCase{Opcode::BLEZ, {0x6f, 0x66, 0x16}, -3, 0, true,
+                   {0x7f, 0x00, 0x00}},
+        BranchCase{Opcode::BLEZ, {0xbc, 0x66, 0x16}, 1, 0, false,
+                   {0x64, 0x59, 0x92}},
+        BranchCase{Opcode::BGTZ, {0x6f, 0x66, 0x16}, 1, 0, true,
+                   {0x64, 0x59, 0x92}},
+        BranchCase{Opcode::BGTZ, {}, 0, 0, false, {0xff, 0xff, 0xff}},
+        BranchCase{Opcode::BLTZ, {}, -1, 0, true, {0x55, 0x00, 0x00}},
+        BranchCase{Opcode::BLTZ, {}, 0, 0, false, {0x55, 0x00, 0x00}},
+        BranchCase{Opcode::BGEZ, {0x6f, 0x66, 0x16}, 0, 0, true,
+                   {0x7f, 0x00, 0x00}},
+        BranchCase{Opcode::BGEZ, {0x45, 0x88, 0x1e}, -1, 0, false,
+                   {0x55, 0x00, 0x00}}));
 
 TEST(SimulatorTest, CallAndReturnLinkage)
 {

@@ -27,8 +27,8 @@ usage(const char *program, int status)
               << " [--threads N] [--trials N] [--policy NAME]...\n"
                  "       [--checkpoint-interval N] [--static-prune]"
                  " [--gang-width N|auto]\n"
-                 "       [--seed S] [--cache-dir DIR] [--no-cache]"
-                 " [--shard i/N]\n"
+                 "       [--seed S] [--cache-dir DIR] [--shard i/N]"
+                 " [--trace-out FILE]\n"
               << "  --threads N  campaign worker threads (0 = all "
                  "cores; default 0)\n"
               << "  --trials N   trials per campaign cell (>= 1; omit "
@@ -61,7 +61,6 @@ usage(const char *program, int status)
               << "  --cache-dir DIR  persist campaign cells to the "
                  "result store at DIR\n"
               << "               and skip already-stored cells\n"
-              << "  --no-cache   ignore --cache-dir and stored records\n"
               << "  --shard i/N  run only trial stripe i (0-based) of N "
                  "per cell,\n"
               << "               persisting shard records (requires "
@@ -152,67 +151,85 @@ parseShardSpec(const std::string &text, unsigned &index,
               "'");
 }
 
+std::optional<std::string>
+flagValue(int argc, char **argv, int &i, const std::string &flag)
+{
+    std::string arg = argv[i];
+    if (arg == flag) {
+        if (i + 1 >= argc)
+            fatal(flag, " expects a value");
+        return std::string(argv[++i]);
+    }
+    if (arg.rfind(flag + "=", 0) == 0)
+        return arg.substr(flag.size() + 1);
+    return std::nullopt;
+}
+
+bool
+parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts)
+{
+    std::string arg = argv[i];
+    auto valueOf = [&](const std::string &flag) {
+        return flagValue(argc, argv, i, flag);
+    };
+    if (auto threads = valueOf("--threads")) {
+        opts.threads = parseCount32("--threads", *threads);
+    } else if (auto trials = valueOf("--trials")) {
+        opts.trials = parseCount32("--trials", *trials);
+        if (opts.trials == 0)
+            fatal("--trials must be >= 1 (omit the flag for the "
+                  "default)");
+    } else if (auto policy = valueOf("--policy")) {
+        opts.policies.push_back(parsePolicyName(*policy).name);
+    } else if (auto seed = valueOf("--seed")) {
+        opts.seed = parseSeedValue("--seed", *seed);
+    } else if (auto interval = valueOf("--checkpoint-interval")) {
+        opts.checkpointInterval =
+            parseCountValue("--checkpoint-interval", *interval,
+                            std::numeric_limits<uint64_t>::max());
+    } else if (arg == "--static-prune") {
+        opts.staticPrune = true;
+    } else if (auto gang = valueOf("--gang-width")) {
+        opts.gangWidth = parseGangWidthValue("--gang-width", *gang);
+    } else if (auto dir = valueOf("--cache-dir")) {
+        if (dir->empty())
+            fatal("--cache-dir expects a directory");
+        opts.cacheDir = *dir;
+    } else if (auto shard = valueOf("--shard")) {
+        parseShardSpec(*shard, opts.shardIndex, opts.shardCount);
+    } else if (auto trace = valueOf("--trace-out")) {
+        if (trace->empty())
+            fatal("--trace-out expects a file path");
+        opts.traceOut = *trace;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+void
+finishCampaignFlags(const BenchOptions &opts)
+{
+    if (opts.sharded() && opts.cacheDir.empty())
+        fatal("--shard requires --cache-dir (the stripe's results "
+              "must be persisted somewhere)");
+    // The singleton flushes on process exit.
+    if (!opts.traceOut.empty())
+        telemetry::Tracer::instance().open(opts.traceOut);
+}
+
 BenchOptions
 parseBenchArgs(int argc, char **argv)
 try {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto valueOf = [&](const std::string &flag)
-            -> std::optional<std::string> {
-            if (arg == flag) {
-                if (i + 1 >= argc)
-                    fatal(flag, " expects a value");
-                return std::string(argv[++i]);
-            }
-            if (arg.rfind(flag + "=", 0) == 0)
-                return arg.substr(flag.size() + 1);
-            return std::nullopt;
-        };
-        if (arg == "--help" || arg == "-h") {
+        if (arg == "--help" || arg == "-h")
             usage(argv[0], 0);
-        } else if (auto threads = valueOf("--threads")) {
-            opts.threads = parseCount32("--threads", *threads);
-        } else if (auto trials = valueOf("--trials")) {
-            opts.trials = parseCount32("--trials", *trials);
-            if (opts.trials == 0)
-                fatal("--trials must be >= 1 (omit the flag for the "
-                      "driver default)");
-        } else if (auto policy = valueOf("--policy")) {
-            opts.policies.push_back(parsePolicyName(*policy).name);
-        } else if (auto interval = valueOf("--checkpoint-interval")) {
-            opts.checkpointInterval =
-                parseCountValue("--checkpoint-interval", *interval,
-                                std::numeric_limits<uint64_t>::max());
-        } else if (auto seed = valueOf("--seed")) {
-            opts.seed = parseSeedValue("--seed", *seed);
-        } else if (auto dir = valueOf("--cache-dir")) {
-            if (dir->empty())
-                fatal("--cache-dir expects a directory");
-            opts.cacheDir = *dir;
-        } else if (arg == "--no-cache") {
-            opts.noCache = true;
-        } else if (arg == "--static-prune") {
-            opts.staticPrune = true;
-        } else if (auto gang = valueOf("--gang-width")) {
-            opts.gangWidth = parseGangWidthValue("--gang-width", *gang);
-        } else if (auto shard = valueOf("--shard")) {
-            parseShardSpec(*shard, opts.shardIndex, opts.shardCount);
-        } else if (auto trace = valueOf("--trace-out")) {
-            if (trace->empty())
-                fatal("--trace-out expects a file path");
-            opts.traceOut = *trace;
-        } else {
+        if (!parseCampaignFlag(argc, argv, i, opts))
             fatal("unknown argument '", arg, "'");
-        }
     }
-    if (opts.sharded() && (opts.cacheDir.empty() || opts.noCache))
-        fatal("--shard requires --cache-dir (the stripe's results "
-              "must be persisted somewhere)");
-    // Enable tracing right here so every bench driver gets it for
-    // free; the singleton flushes on process exit.
-    if (!opts.traceOut.empty())
-        telemetry::Tracer::instance().open(opts.traceOut);
+    finishCampaignFlags(opts);
     return opts;
 } catch (const FatalError &error) {
     std::cerr << argv[0] << ": " << error.what() << '\n';
@@ -253,42 +270,6 @@ emitCellJson(const std::string &workloadName, const std::string &policy,
     // results and must stay byte-identical across thread counts and
     // checkpoint settings, which wall-clock telemetry never is.
     std::cerr << line.str() << std::endl;
-}
-
-std::vector<SweepPoint>
-runSweep(const workloads::Workload &workload,
-         core::ErrorToleranceStudy &study, const SweepConfig &config)
-{
-    std::vector<SweepPoint> points;
-    if (config.shardCount > 0) {
-        // Stripe mode: compute and persist this process's share of
-        // every cell; rendering happens once all stripes are stored.
-        for (unsigned errors : config.errorCounts) {
-            for (const auto &policy : config.policies) {
-                inform(workload.name(), ": errors=", errors, " shard ",
-                       config.shardIndex, "/", config.shardCount, " (",
-                       policy, ")");
-                study.runCellShard(errors, policy, config.trials,
-                                   config.shardIndex,
-                                   config.shardCount);
-            }
-        }
-        return points;
-    }
-    for (unsigned errors : config.errorCounts) {
-        SweepPoint point;
-        point.errors = errors;
-        for (const auto &policy : config.policies) {
-            inform(workload.name(), ": errors=", errors, " (", policy,
-                   ", ", config.trials, " trials)");
-            auto cell = study.runCell(errors, policy, config.trials);
-            emitCellJson(workload.name(), policy, errors, cell,
-                         study.config());
-            point.cells.push_back(std::move(cell));
-        }
-        points.push_back(std::move(point));
-    }
-    return points;
 }
 
 void
@@ -394,17 +375,6 @@ printFigure(std::ostream &os, const std::string &title,
     }
     os << '\n';
     failChart.print(os);
-}
-
-void
-printFigure(const std::string &title, const std::string &yLabel,
-            const std::vector<std::string> &policies,
-            const std::vector<SweepPoint> &points,
-            const std::function<double(const CellSummary &)> &fidelityOf,
-            double threshold)
-{
-    printFigure(std::cout, title, yLabel, policies, points, fidelityOf,
-                threshold);
 }
 
 } // namespace etc::bench

@@ -1,19 +1,22 @@
 /**
  * @file
- * Shared infrastructure for the table/figure reproduction binaries.
+ * Shared infrastructure of the reproduction drivers: the campaign
+ * flags that `etc_lab` and every bench_* binary parse through one
+ * function, the BENCH_JSON perf record, and the figure renderer.
  *
- * Every bench_* executable regenerates one table or figure from the
- * paper: it sweeps error counts through ErrorToleranceStudy campaigns,
- * prints the series as an aligned table (with the paper's reported
- * values alongside where applicable), and renders an ASCII chart of
- * the same series so the reproduction's *shape* is visible at a
- * glance. EXPERIMENTS.md records paper-vs-measured for each.
+ * The paper's figures sweep through `etc_lab run --experiment figN`
+ * (see experiments.hh), which prints each series as an aligned table
+ * and as ASCII charts so the reproduction's *shape* is visible at a
+ * glance; the bench_table* and bench_ablation_* binaries regenerate
+ * the tables and ablations. EXPERIMENTS.md records paper-vs-measured
+ * for each.
  */
 
 #ifndef ETC_BENCH_COMMON_HH
 #define ETC_BENCH_COMMON_HH
 
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -35,23 +38,6 @@ struct SweepPoint
 
     /** The cell of policy index @p i (bounds-checked). */
     const core::CellSummary &cell(size_t i) const { return cells.at(i); }
-};
-
-/** Sweep configuration for a figure. */
-struct SweepConfig
-{
-    std::vector<unsigned> errorCounts;
-    unsigned trials = 25;
-
-    /** Injection policies swept at every error count, in render
-     *  order. The paper figures sweep the legacy pair. */
-    std::vector<std::string> policies = {fault::PROTECTED_POLICY,
-                                         fault::UNPROTECTED_POLICY};
-
-    /** When shardCount > 0, run only stripe shardIndex of every cell
-     *  (persisting shard records via the study's result store). */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 0;
 };
 
 /**
@@ -80,9 +66,6 @@ struct BenchOptions
     /** Result-store root (--cache-dir); empty = no persistence. */
     std::string cacheDir;
 
-    /** --no-cache: ignore --cache-dir and any stored records. */
-    bool noCache = false;
-
     /** --static-prune: skip simulating trials whose every drawn flip
      *  the masked-fault prover proved harmless (bit-identical
      *  results; see core::StudyConfig::staticPrune). */
@@ -100,10 +83,9 @@ struct BenchOptions
     unsigned shardCount = 0;
 
     /** --trace-out FILE: emit Chrome Trace Event JSONL spans there
-     *  (empty = tracing off). parseBenchArgs() opens the tracer
-     *  itself; the field records the path for callers that re-plumb
-     *  options (etc_lab). Observation only -- results are identical
-     *  with tracing on or off. */
+     *  (empty = tracing off). finishCampaignFlags() opens the tracer.
+     *  Observation only -- results are identical with tracing on or
+     *  off. */
     std::string traceOut;
 
     /** @return true when this process runs one stripe of each cell. */
@@ -123,22 +105,25 @@ struct BenchOptions
         config.threads = threads;
         config.checkpointInterval = checkpointInterval;
         config.seed = seed;
-        config.cacheDir = noCache ? std::string() : cacheDir;
+        config.cacheDir = cacheDir;
         config.staticPrune = staticPrune;
         config.gangWidth = gangWidth;
     }
 };
 
 /**
- * Parse the standard bench flags:
+ * Parse argv[i] into @p opts when it is one of the campaign flags
+ * every driver shares, consuming its value:
  *
  *   --threads N              campaign worker threads (0 = all cores;
  *                            default 0)
  *   --trials N               trials per campaign cell (>= 1; omit for
- *                            the driver default)
+ *                            the driver or experiment default)
  *   --policy NAME            sweep this injection policy instead of
  *                            the driver's own list (repeatable, in
  *                            render order; see `etc_lab policies`)
+ *   --seed S                 master study seed (decimal or 0x hex);
+ *                            cells and cache keys derive from it
  *   --checkpoint-interval N  instructions between golden-run checkpoints
  *                            (0 = disable trial fast-forwarding; default
  *                            8192). Never changes reproduced numbers.
@@ -149,11 +134,8 @@ struct BenchOptions
  *                            checkpointed fast path (0 = scalar,
  *                            auto = runner default). Never changes
  *                            reproduced numbers.
- *   --seed S                 master study seed (decimal or 0x hex);
- *                            cells and cache keys derive from it
  *   --cache-dir DIR          persist campaign cells to the result store
  *                            at DIR and skip already-stored cells
- *   --no-cache               ignore --cache-dir and stored records
  *   --shard i/N              run only trial stripe i (0-based) of N per
  *                            cell, persisting shard records to the
  *                            cache instead of rendering results
@@ -162,12 +144,34 @@ struct BenchOptions
  *                            FILE (view via `jq -s . FILE` in
  *                            Perfetto). Never changes reproduced
  *                            numbers.
- *   --help                   print usage and exit
  *
  * `--trials 0` is rejected: 0 previously meant "driver default", which
  * silently masked typos; omit the flag instead.
  *
- * Unknown flags print usage and exit with status 2.
+ * @return false when argv[i] is not a campaign flag
+ * @throws FatalError on a bad or missing value
+ */
+bool parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts);
+
+/**
+ * Check the parsed campaign flags against each other (--shard needs
+ * --cache-dir) and open the tracer when --trace-out was given. Every
+ * parser calls this once, after its last flag.
+ */
+void finishCampaignFlags(const BenchOptions &opts);
+
+/**
+ * The value of @p flag when argv[i] is `flag VALUE` (consuming VALUE)
+ * or `flag=VALUE`; nullopt when argv[i] is some other argument.
+ * @throws FatalError when the value is missing
+ */
+std::optional<std::string> flagValue(int argc, char **argv, int &i,
+                                     const std::string &flag);
+
+/**
+ * Parse a bench binary's command line: the campaign flags
+ * (parseCampaignFlag()) plus --help. Unknown flags and bad values
+ * print usage and exit with status 2.
  */
 BenchOptions parseBenchArgs(int argc, char **argv);
 
@@ -221,17 +225,6 @@ void emitCellJson(const std::string &workloadName,
                   const core::CellSummary &cell,
                   const core::StudyConfig &config);
 
-/**
- * Run the sweep through @p study. Progress is reported on stderr (one
- * line per cell). In sharded mode (config.shardCount > 0) only each
- * cell's stripe is computed and persisted, and the returned vector is
- * empty -- the caller skips rendering; a later unsharded run (or
- * `etc_lab merge` + `report`) assembles the stored shards.
- */
-std::vector<SweepPoint> runSweep(const workloads::Workload &workload,
-                                 core::ErrorToleranceStudy &study,
-                                 const SweepConfig &config);
-
 /** Standard banner printed by every bench binary. */
 void banner(std::ostream &os, const std::string &experiment,
             const std::string &caption);
@@ -243,7 +236,7 @@ void banner(const std::string &experiment, const std::string &caption);
  * Print a fidelity/failure figure: a table of the swept cells (one
  * row per error count and policy) plus ASCII charts with one series
  * per policy, labeled with the policy's chart label. Writing to an
- * in-memory stream produces the same bytes the bench binaries put on
+ * in-memory stream produces the same bytes `etc_lab run` puts on
  * stdout -- the campaign service's GET /v1/figures/<name> relies on
  * this for its byte-identity contract with `etc_lab report`.
  *
@@ -257,14 +250,6 @@ void banner(const std::string &experiment, const std::string &caption);
  */
 void printFigure(std::ostream &os, const std::string &title,
                  const std::string &yLabel,
-                 const std::vector<std::string> &policies,
-                 const std::vector<SweepPoint> &points,
-                 const std::function<double(const core::CellSummary &)>
-                     &fidelityOf,
-                 double threshold);
-
-/** printFigure() to std::cout. */
-void printFigure(const std::string &title, const std::string &yLabel,
                  const std::vector<std::string> &policies,
                  const std::vector<SweepPoint> &points,
                  const std::function<double(const core::CellSummary &)>

@@ -223,17 +223,11 @@ makeStudyConfig(const Experiment &exp, const BenchOptions &opts)
     return config;
 }
 
-SweepConfig
-makeSweepConfig(const Experiment &exp, const BenchOptions &opts)
-{
-    SweepConfig sweep;
-    sweep.errorCounts = exp.errorCounts;
-    sweep.trials = opts.trialsOr(exp.defaultTrials);
-    sweep.policies = sweepPolicies(exp, opts);
-    sweep.shardIndex = opts.shardIndex;
-    sweep.shardCount = opts.shardCount;
-    return sweep;
-}
+ExperimentStudy::ExperimentStudy(const Experiment &exp,
+                                 const BenchOptions &opts)
+    : workload(workloads::createWorkload(exp.workload, exp.scale)),
+      study(*workload, makeStudyConfig(exp, opts))
+{}
 
 std::vector<std::string>
 sweepPolicies(const Experiment &exp, const BenchOptions &opts)
@@ -278,16 +272,13 @@ sweepPointsFrom(const Experiment &exp,
 std::vector<store::CellKey>
 experimentCellKeys(const Experiment &exp, const BenchOptions &opts)
 {
-    auto workload = workloads::createWorkload(exp.workload, exp.scale);
-    auto config = makeStudyConfig(exp, opts);
-    auto protection = core::computeStudyProtection(*workload, config);
+    ExperimentStudy lab(exp, opts);
     unsigned trials = opts.trialsOr(exp.defaultTrials);
 
     std::vector<store::CellKey> keys;
     for (auto [errors, policy] :
          experimentCells(exp, sweepPolicies(exp, opts)))
-        keys.push_back(core::makeCellKey(*workload, protection, config,
-                                         errors, policy, trials));
+        keys.push_back(lab.study.cellKey(errors, policy, trials));
     return keys;
 }
 

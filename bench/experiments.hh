@@ -4,15 +4,17 @@
  *
  * Every figure reproduction is the same shape -- banner, workload,
  * study, error-count sweep, table + ASCII charts -- varying only in
- * the data collected here. The bench_fig* drivers and the etc_lab
- * CLI both execute entries from this registry, so a figure rendered
- * by `bench_fig5_gsm`, by `etc_lab run`, and by `etc_lab report`
- * straight from cached records is byte-identical.
+ * the data collected here. `etc_lab run --experiment figN` is the one
+ * driver that executes these sweeps; the campaign daemon and its
+ * workers run the same entries cell by cell, so a figure rendered by
+ * `etc_lab run`, by `etc_lab report` straight from cached records,
+ * and by the daemon's GET /v1/figures/<name> is byte-identical.
  */
 
 #ifndef ETC_BENCH_EXPERIMENTS_HH
 #define ETC_BENCH_EXPERIMENTS_HH
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,9 +77,20 @@ double fidelityOf(const Experiment &exp, const core::CellSummary &cell);
 core::StudyConfig makeStudyConfig(const Experiment &exp,
                                   const BenchOptions &opts);
 
-/** Sweep configuration for @p exp with the common knobs applied. */
-SweepConfig makeSweepConfig(const Experiment &exp,
-                            const BenchOptions &opts);
+/**
+ * The workload of @p exp and the study of it under @p opts: the one
+ * place a driver (etc_lab, the daemon's scheduler, a fleet worker)
+ * gets the study it keys, runs and promotes cells through. Building
+ * one runs the protection analysis only -- nothing is simulated until
+ * a cell runs.
+ */
+struct ExperimentStudy
+{
+    ExperimentStudy(const Experiment &exp, const BenchOptions &opts);
+
+    std::unique_ptr<workloads::Workload> workload;
+    core::ErrorToleranceStudy study; //!< over *workload
+};
 
 /** The swept policy list: opts.policies when set, else the
  *  experiment's own. */

@@ -97,23 +97,30 @@ makeCellKey(const workloads::Workload &workload,
 
 ErrorToleranceStudy::ErrorToleranceStudy(
     const workloads::Workload &workload, StudyConfig config)
-    : workload_(workload), config_(config)
+    : workload_(workload), config_(std::move(config)),
+      protection_(computeStudyProtection(workload_, config_))
 {
-    protection_ = computeStudyProtection(workload_, config_);
     if (!config_.cacheDir.empty())
         store_ = std::make_unique<store::ResultStore>(config_.cacheDir);
-
-    // Fault-free profile with tag accounting (Table 3).
-    sim::Simulator simulator(workload_.program());
-    sim::Profiler profiler(protection_.tagged);
-    auto result = simulator.run(0, &profiler);
-    if (!result.completed())
-        panic("study: fault-free run of '", workload_.name(),
-              "' did not complete: ", result.toString());
-    profile_ = profiler.profile();
 }
 
 ErrorToleranceStudy::~ErrorToleranceStudy() = default;
+
+const sim::DynamicProfile &
+ErrorToleranceStudy::profile() const
+{
+    if (!profile_) {
+        // Fault-free profile with tag accounting (Table 3).
+        sim::Simulator simulator(workload_.program());
+        sim::Profiler profiler(protection_.tagged);
+        auto result = simulator.run(0, &profiler);
+        if (!result.completed())
+            panic("study: fault-free run of '", workload_.name(),
+                  "' did not complete: ", result.toString());
+        profile_ = profiler.profile();
+    }
+    return *profile_;
+}
 
 fault::CampaignRunner &
 ErrorToleranceStudy::runner(const fault::InjectionPolicy &policy)
@@ -213,13 +220,12 @@ ErrorToleranceStudy::shardRange(unsigned trials, unsigned index,
     return {lo, hi};
 }
 
-CellSummary
-ErrorToleranceStudy::assembleRange(const store::CellKey &key,
-                                   unsigned errors,
-                                   const fault::InjectionPolicy &policy,
-                                   unsigned trials,
-                                   std::vector<store::ShardRecord> stored,
-                                   unsigned lo, unsigned hi)
+std::vector<store::ShardRecord>
+ErrorToleranceStudy::tileRange(const store::CellKey &key, unsigned errors,
+                               const fault::InjectionPolicy &policy,
+                               unsigned trials,
+                               std::vector<store::ShardRecord> stored,
+                               unsigned lo, unsigned hi)
 {
     // Keep every stored shard inside [lo, hi) that extends the
     // covered prefix, and compute (and persist) the gaps between
@@ -244,26 +250,7 @@ ErrorToleranceStudy::assembleRange(const store::CellKey &key,
     }
     if (covered < hi)
         computePiece(covered, hi);
-
-    // Counters sum exactly and fidelities concatenate in trial order
-    // (pieces are built sorted), so the assembled summary is
-    // bit-identical to computing [lo, hi) in one pass.
-    CellSummary merged;
-    merged.errors = errors;
-    merged.policy = policy.name;
-    for (const auto &piece : pieces) {
-        merged.trials += piece.summary.trials;
-        merged.completed += piece.summary.completed;
-        merged.crashed += piece.summary.crashed;
-        merged.timedOut += piece.summary.timedOut;
-        merged.trialsPruned += piece.summary.trialsPruned;
-        merged.totalInstructions += piece.summary.totalInstructions;
-        merged.wallSeconds += piece.summary.wallSeconds;
-        merged.fidelities.insert(merged.fidelities.end(),
-                                 piece.summary.fidelities.begin(),
-                                 piece.summary.fidelities.end());
-    }
-    return merged;
+    return pieces;
 }
 
 CellSummary
@@ -285,15 +272,18 @@ ErrorToleranceStudy::runCell(unsigned errors,
         return *cached;
     }
 
+    // Every stored shard is read once, here. A cell with none runs as
+    // one in-memory piece: it is promoted at once, so writing it as a
+    // shard first would only add a write.
     auto shards = store_->loadShards(key);
-    auto summary =
-        shards.empty()
-            ? computeRange(errors, policy, trials, 0, trials)
-            : assembleRange(key, errors, policy, trials,
-                            std::move(shards), 0, trials);
-    store_->storeCell(key, summary);
-    store_->dropShards(key);
-    return summary;
+    std::vector<store::ShardRecord> pieces;
+    if (shards.empty())
+        pieces.push_back({key, 0, trials,
+                          computeRange(errors, policy, trials, 0, trials)});
+    else
+        pieces = tileRange(key, errors, policy, trials, std::move(shards),
+                           0, trials);
+    return store_->promoteShards(key, std::move(pieces));
 }
 
 CellSummary
@@ -317,8 +307,11 @@ ErrorToleranceStudy::runCellShard(unsigned errors,
     // Reuse any stored sub-shards inside the stripe (e.g. chunks of
     // a killed run under a different split); only gaps simulate, and
     // only gaps are persisted, so no overlapping records are created.
-    return assembleRange(key, errors, policy, trials,
-                         store_->loadShards(key), lo, hi);
+    return store::mergeShardSummaries(
+        key,
+        tileRange(key, errors, policy, trials, store_->loadShards(key),
+                  lo, hi),
+        lo, hi);
 }
 
 } // namespace etc::core

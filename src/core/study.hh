@@ -173,7 +173,9 @@ class ErrorToleranceStudy
 {
   public:
     /**
-     * Run the static analysis and the fault-free profile.
+     * Run the static analysis and open the result store. Nothing is
+     * simulated until a cell runs (or profile() is first read), so a
+     * study is cheap enough to build just to key cells.
      *
      * @param workload the application (not owned; must outlive this)
      * @param config   study configuration
@@ -189,8 +191,9 @@ class ErrorToleranceStudy
         return protection_;
     }
 
-    /** Fault-free dynamic statistics (Table 3 row). */
-    const sim::DynamicProfile &profile() const { return profile_; }
+    /** Fault-free dynamic statistics (Table 3 row), profiled on the
+     *  first call. */
+    const sim::DynamicProfile &profile() const;
 
     /** The fault-free output stream. */
     const std::vector<uint8_t> &goldenOutput() const;
@@ -247,13 +250,6 @@ class ErrorToleranceStudy
     const workloads::Workload &workload() const { return workload_; }
     const StudyConfig &config() const { return config_; }
 
-    /** Change the gang width for subsequent cells. Purely an
-     *  execution strategy (see StudyConfig::gangWidth): results and
-     *  cache keys are unaffected, so it is safe to retune between
-     *  cells -- the campaign daemon uses this to honor per-job
-     *  widths on its shared per-experiment studies. */
-    void setGangWidth(unsigned width) { config_.gangWidth = width; }
-
   private:
     fault::CampaignRunner &runner(const fault::InjectionPolicy &policy);
 
@@ -263,20 +259,20 @@ class ErrorToleranceStudy
                              unsigned trials, unsigned lo, unsigned hi);
 
     /**
-     * Assemble the summary of trials [lo, hi) from the usable stored
-     * shards inside that range, simulating (and persisting) only the
-     * gaps between them. Defined in study.cc (store types).
+     * The pieces that tile trials [lo, hi): the usable @p stored
+     * shards inside that range, plus the gaps between them, simulated
+     * and persisted as shards.
      */
-    CellSummary assembleRange(const store::CellKey &key, unsigned errors,
-                              const fault::InjectionPolicy &policy,
-                              unsigned trials,
-                              std::vector<store::ShardRecord> stored,
-                              unsigned lo, unsigned hi);
+    std::vector<store::ShardRecord> tileRange(
+        const store::CellKey &key, unsigned errors,
+        const fault::InjectionPolicy &policy, unsigned trials,
+        std::vector<store::ShardRecord> stored, unsigned lo,
+        unsigned hi);
 
     const workloads::Workload &workload_;
-    StudyConfig config_;
+    const StudyConfig config_;
     analysis::ProtectionResult protection_;
-    sim::DynamicProfile profile_;
+    mutable std::optional<sim::DynamicProfile> profile_;
     std::map<std::string, std::unique_ptr<fault::CampaignRunner>>
         runners_; //!< one per policy, built on first use
     std::unique_ptr<store::ResultStore> store_;

@@ -9,7 +9,6 @@
 #include "analysis/vulnerability.hh"
 #include "fault/trial_pool.hh"
 #include "support/logging.hh"
-#include "support/stats.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 
@@ -285,9 +284,8 @@ CampaignRunner::runRange(const CampaignConfig &config, uint64_t lo,
         runScalar(live, lo, config.threads, budget, result.outcomes);
     metrics.trialsSimulated.add(live.size());
 
-    // The tally folds the outcomes in trial order, so it -- and the
-    // floating-point instruction statistic, which is partition
-    // sensitive -- is bit-identical at any thread count or gang width.
+    // The tally folds the outcomes in trial order, so it is
+    // bit-identical at any thread count or gang width.
     for (const LiveTrial &trial : live)
         metrics.trialInstructions.add(
             result.outcomes[trial.slot].run.instructions);
@@ -297,8 +295,6 @@ CampaignRunner::runRange(const CampaignConfig &config, uint64_t lo,
           case sim::RunStatus::Timeout: ++result.timedOut; break;
           default: ++result.crashed; break;
         }
-        result.trialInstructions.add(
-            static_cast<double>(outcome.run.instructions));
     }
     return result;
 }
@@ -526,42 +522,6 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
                  exitRecord.injectableRetired, exitRecord.instructions,
                  budget, outcome);
     }
-}
-
-CampaignResult
-CampaignRunner::mergeShards(std::vector<CampaignResult> shards)
-{
-    std::sort(shards.begin(), shards.end(),
-              [](const CampaignResult &a, const CampaignResult &b) {
-                  return a.firstTrial < b.firstTrial;
-              });
-
-    CampaignResult merged;
-    for (auto &shard : shards) {
-        if (shard.firstTrial != merged.trials)
-            panic("CampaignRunner::mergeShards: shard starts at trial ",
-                  shard.firstTrial, ", expected ", merged.trials);
-        if (shard.outcomes.size() != shard.trials)
-            panic("CampaignRunner::mergeShards: shard outcome count ",
-                  shard.outcomes.size(), " != trials ", shard.trials);
-        merged.trials += shard.trials;
-        merged.completed += shard.completed;
-        merged.crashed += shard.crashed;
-        merged.timedOut += shard.timedOut;
-        merged.trialsPruned += shard.trialsPruned;
-        merged.outcomes.insert(
-            merged.outcomes.end(),
-            std::make_move_iterator(shard.outcomes.begin()),
-            std::make_move_iterator(shard.outcomes.end()));
-    }
-    // Re-accumulated over the concatenation, exactly as run() feeds
-    // it, so the statistic is bit-identical to the monolithic cell
-    // (merging per-shard partials would not be: floating-point
-    // accumulation is partition sensitive).
-    for (const auto &outcome : merged.outcomes)
-        merged.trialInstructions.add(
-            static_cast<double>(outcome.run.instructions));
-    return merged;
 }
 
 } // namespace etc::fault

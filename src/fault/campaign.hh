@@ -61,7 +61,6 @@
 #include "sim/gang.hh"
 #include "sim/outcome.hh"
 #include "sim/simulator.hh"
-#include "support/stats.hh"
 
 namespace etc::fault {
 
@@ -126,14 +125,6 @@ struct CampaignResult
     uint64_t trialsPruned = 0;
 
     std::vector<TrialOutcome> outcomes;
-
-    /**
-     * Dynamic-instruction counts across all trials (mean trial length
-     * vs. the golden run shows how faults shorten or stall runs).
-     * Accumulated in trial order, so bit-identical at any thread
-     * count.
-     */
-    RunningStat trialInstructions;
 
     /** Fraction of trials that ended catastrophically. */
     double
@@ -235,27 +226,15 @@ class CampaignRunner
      * from Rng::forStream(config.seed, t)), so shards of the same
      * cell computed in different processes, at different thread
      * counts, or in any order are fragments of the one monolithic
-     * result: mergeShards() over a tiling set of them reproduces
-     * run() bit-for-bit.
+     * result: shard [lo, hi) reproduces trials lo..hi-1 of run()
+     * bit-for-bit, so concatenating a tiling set of them (as the
+     * result store does with their summaries) reproduces the cell.
      *
      * @param lo first trial index (inclusive), <= hi
      * @param hi one past the last trial index, <= config.trials
      */
     CampaignResult runRange(const CampaignConfig &config, uint64_t lo,
                             uint64_t hi);
-
-    /**
-     * Merge shard results into the monolithic cell result.
-     *
-     * The shards must tile [0, N) contiguously (any order in the
-     * vector; they are sorted by firstTrial). Outcome tallies sum
-     * exactly, per-trial records concatenate in trial order, and the
-     * instruction statistic is re-accumulated over the concatenated
-     * trials, so the merged result is bit-identical to a single
-     * run() over the whole cell. Panics on overlapping or gapped
-     * shards (caller bug).
-     */
-    static CampaignResult mergeShards(std::vector<CampaignResult> shards);
 
     /** @return the effective gang width for @p requested (see
      *         CampaignConfig::gangWidth). */

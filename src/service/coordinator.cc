@@ -1,6 +1,7 @@
 #include "service/coordinator.hh"
 
 #include <algorithm>
+#include <charconv>
 
 #include "core/study.hh"
 #include "support/logging.hh"
@@ -88,13 +89,15 @@ Coordinator::parseLeaseId(const std::string &leaseId) const
     if (dot == std::string::npos || of == std::string::npos ||
         of <= dot + 1)
         return std::nullopt;
-    std::string index = leaseId.substr(dot + 1, of - dot - 1);
-    if (index.empty() ||
-        index.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
+    // Digits only, and in range: a client-chosen index too large for
+    // a stripe number names no lease (it must not throw or wrap).
+    const char *first = leaseId.data() + dot + 1;
+    const char *last = leaseId.data() + of;
     ParsedId parsed;
+    auto [end, error] = std::from_chars(first, last, parsed.shardIndex);
+    if (error != std::errc() || end != last)
+        return std::nullopt;
     parsed.fingerprint = leaseId.substr(0, dot);
-    parsed.shardIndex = static_cast<unsigned>(std::stoul(index));
     return parsed;
 }
 

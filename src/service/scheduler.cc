@@ -69,17 +69,6 @@ cellStateName(CellState state)
     return "unknown";
 }
 
-core::ErrorToleranceStudy &
-Scheduler::WorkloadContext::ensureStudy()
-{
-    // Caller holds runMutex; the constructor executes the golden
-    // profiling run, paid once per experiment per daemon lifetime.
-    if (!study)
-        study = std::make_unique<core::ErrorToleranceStudy>(
-            *workload, studyConfig);
-    return *study;
-}
-
 Scheduler::Scheduler(SchedulerConfig config)
     : config_(std::move(config)),
       coordinator_(CoordinatorConfig{config_.leaseTtlMs,
@@ -136,22 +125,16 @@ Scheduler::contextFor(const bench::Experiment &exp)
 {
     auto &slot = contexts_[exp.name];
     if (!slot) {
-        slot = std::make_unique<WorkloadContext>();
-        slot->exp = &exp;
-        slot->workload =
-            workloads::createWorkload(exp.workload, exp.scale);
         bench::BenchOptions opts;
         opts.threads = config_.threads;
         opts.checkpointInterval = config_.checkpointInterval;
         opts.gangWidth = config_.gangWidth;
         opts.seed = config_.seed;
         opts.cacheDir = config_.cacheDir;
-        slot->studyConfig = bench::makeStudyConfig(exp, opts);
         // Static analysis only -- no simulation; cell keys derive
         // from it, so submissions and the figure endpoint agree with
         // `etc_lab run` on the same cache directory.
-        slot->protection = core::computeStudyProtection(
-            *slot->workload, slot->studyConfig);
+        slot = std::make_unique<WorkloadContext>(exp, opts);
     }
     return *slot;
 }
@@ -159,8 +142,7 @@ Scheduler::contextFor(const bench::Experiment &exp)
 Scheduler::SubmitOutcome
 Scheduler::submit(
     const bench::Experiment &exp, unsigned trialsOverride,
-    std::optional<std::pair<unsigned, std::string>> cell,
-    std::optional<unsigned> gangWidth)
+    std::optional<std::pair<unsigned, std::string>> cell)
 {
     unsigned trials =
         trialsOverride ? trialsOverride : exp.defaultTrials;
@@ -181,9 +163,7 @@ Scheduler::submit(
     std::vector<PlannedCell> planned;
     std::string signature;
     for (const auto &[errors, policy] : wanted) {
-        auto key = core::makeCellKey(*ctx.workload, ctx.protection,
-                                     ctx.studyConfig, errors, policy,
-                                     trials);
+        auto key = ctx.lab.study.cellKey(errors, policy, trials);
         auto fingerprint = key.fingerprint();
         signature += fingerprint;
         signature += ';';
@@ -225,7 +205,6 @@ Scheduler::submit(
             task->trials = trials;
             task->key = std::move(plan.key);
             task->fingerprint = plan.fingerprint;
-            task->gangWidth = gangWidth.value_or(config_.gangWidth);
             liveTasks_[plan.fingerprint] = task;
             queue_.push_back(task);
             enqueued = true;
@@ -365,11 +344,12 @@ Scheduler::probeNextTask()
         cell.errors = task->errors;
         cell.policy = task->policy;
         cell.trials = task->trials;
-        cell.seed = task->ctx->studyConfig.seed;
-        cell.checkpointInterval =
-            task->ctx->studyConfig.checkpointInterval;
-        cell.staticPrune = task->ctx->studyConfig.staticPrune;
-        cell.gangWidth = task->gangWidth;
+        const core::StudyConfig &studyConfig =
+            task->ctx->lab.study.config();
+        cell.seed = studyConfig.seed;
+        cell.checkpointInterval = studyConfig.checkpointInterval;
+        cell.staticPrune = studyConfig.staticPrune;
+        cell.gangWidth = studyConfig.gangWidth;
 
         // Registered *before* the coordinator sees the cell, so a
         // remote completion arriving immediately can find the task.
@@ -418,10 +398,7 @@ Scheduler::executeOneLease(const std::string &worker)
         // thread-safe. The stripe's trials still fan out across the
         // study's own campaign thread pool.
         std::lock_guard<std::mutex> ctxLock(task->ctx->runMutex);
-        auto &study = task->ctx->ensureStudy();
-        // Retune the shared study to this job's gang width (execution
-        // strategy only; results are bit-identical for every width).
-        study.setGangWidth(task->gangWidth);
+        auto &study = task->ctx->lab.study;
         uint64_t before = study.trialsExecuted();
         auto started = std::chrono::steady_clock::now();
         {
@@ -481,17 +458,16 @@ Scheduler::promoteCell(const CompletedCell &done)
     auto promoteStarted = std::chrono::steady_clock::now();
     try {
         store::ResultStore store(config_.cacheDir);
-        if (!store.hasCell(task->key)) {
-            // Merge the shard tiling into the cell record: assembled,
+        if (store.hasCell(task->key)) {
+            store.dropShards(task->key);
+        } else {
+            // Promote the shard tiling to the cell record: assembled,
             // persisted, and bit-identical to a monolithic run,
             // whoever executed the stripes. No simulation happens
             // here -- promotion is pure store arithmetic.
-            auto shards =
-                store::selectPrefixTiling(store.loadShards(task->key));
             try {
-                auto summary = store::mergeShardSummaries(
-                    task->key, std::move(shards));
-                store.storeCell(task->key, summary);
+                store.promoteShards(task->key,
+                                    store.loadShards(task->key));
             } catch (const store::StoreFormatError &) {
                 // The tiling has gaps: some "completed" stripes never
                 // reached the store (a worker lied or its push was
@@ -514,7 +490,6 @@ Scheduler::promoteCell(const CompletedCell &done)
                 return;
             }
         }
-        store.dropShards(task->key);
 
         // The cell's store writes just grew the archive; reload the
         // secondary index so its gauges (etc_index_cells & co) track

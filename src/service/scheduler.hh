@@ -21,7 +21,7 @@
  *    and re-issue -- local chunk failures ride the same re-issue path
  *    as remote worker deaths (one recovery mechanism, not two).
  *  - Deterministic: when every lease of a cell is done, the shards
- *    are merged via the store's mergeShardSummaries() path (no
+ *    are promoted through the store's one promoteShards() path (no
  *    simulation), so a fleet-computed cell is bit-identical to a
  *    single-host run whoever executed the stripes.
  *  - Graceful: stop() lets every local worker finish and persist its
@@ -31,7 +31,7 @@
  * probes the cache, registers leases, and promotes completed cells,
  * but all simulation happens on remote agents.
  *
- * Cells of the same experiment share one study (the golden profiling
+ * Cells of the same experiment share one study (each policy's golden
  * run is made once) and are serialized on it -- the study itself is
  * not thread-safe -- but each lease's trials fan out across the
  * study's own campaign thread pool, and distinct experiments run
@@ -72,9 +72,9 @@ struct SchedulerConfig
     uint64_t checkpointInterval =
         core::StudyConfig{}.checkpointInterval;
 
-    /** Daemon-wide gang width (see core::StudyConfig::gangWidth);
-     *  submissions may override it per job. Execution strategy only
-     *  -- results are bit-identical for every width. */
+    /** Daemon-wide gang width (see core::StudyConfig::gangWidth),
+     *  granted to every lease. Execution strategy only -- results
+     *  are bit-identical for every width. */
     unsigned gangWidth = fault::GANG_WIDTH_AUTO;
 
     /** Lease deadline; workers heartbeat at a third of it. */
@@ -187,8 +187,7 @@ class Scheduler
      */
     SubmitOutcome submit(
         const bench::Experiment &exp, unsigned trialsOverride,
-        std::optional<std::pair<unsigned, std::string>> cell,
-        std::optional<unsigned> gangWidth = std::nullopt);
+        std::optional<std::pair<unsigned, std::string>> cell);
 
     /** @return a snapshot of job @p id, or nullopt if unknown. */
     std::optional<JobStatus> jobStatus(const std::string &id) const;
@@ -245,19 +244,21 @@ class Scheduler
     /// @}
 
   private:
-    /** Per-experiment shared state: workload, analysis, lazy study. */
+    /** Per-experiment shared state: the experiment's workload and
+     *  study. Keying a cell only reads the study's immutable analysis
+     *  and config; running one takes runMutex. */
     struct WorkloadContext
     {
-        const bench::Experiment *exp = nullptr;
-        std::unique_ptr<workloads::Workload> workload;
-        core::StudyConfig studyConfig;
-        analysis::ProtectionResult protection;
-        std::unique_ptr<core::ErrorToleranceStudy> study;
+        WorkloadContext(const bench::Experiment &exp,
+                        const bench::BenchOptions &opts)
+            : exp(&exp), lab(exp, opts)
+        {}
 
-        /** Serializes study construction and every lease execution. */
+        const bench::Experiment *exp;
+        bench::ExperimentStudy lab;
+
+        /** Serializes every lease execution on the study. */
         std::mutex runMutex;
-
-        core::ErrorToleranceStudy &ensureStudy();
     };
 
     /** One schedulable cell (shared between attaching jobs). */
@@ -273,7 +274,6 @@ class Scheduler
         bool cached = false;
         uint64_t trialsExecuted = 0;
         double wallSeconds = 0.0;
-        unsigned gangWidth = fault::GANG_WIDTH_AUTO;
         std::string error;
     };
 

@@ -333,7 +333,6 @@ CampaignService::submitJob(const HttpRequest &request)
     const bench::Experiment *exp = nullptr;
     unsigned trials = 0;
     std::optional<std::pair<unsigned, std::string>> cell;
-    std::optional<unsigned> gangWidth;
     try {
         const store::JsonValue *name = body.find("experiment");
         if (!name)
@@ -351,23 +350,6 @@ CampaignService::submitJob(const HttpRequest &request)
                 return errorResponse(
                     400, "trials must be >= 1 (omit the field for "
                          "the experiment default)");
-        }
-
-        // Optional per-job gang width (0 = scalar, "auto" = the
-        // daemon's default); an execution strategy only -- results
-        // are bit-identical for every width.
-        if (const store::JsonValue *value = body.find("gangWidth")) {
-            if (!(value->kind == store::JsonValue::Kind::String &&
-                  value->asString() == "auto")) {
-                unsigned width = value->asU32();
-                if (width > sim::GangSimulator::MAX_LANES)
-                    return errorResponse(
-                        400,
-                        "gangWidth must be \"auto\" or 0.." +
-                            std::to_string(
-                                sim::GangSimulator::MAX_LANES));
-                gangWidth = width;
-            }
         }
 
         // The removed pre-policy alias is refused rather than
@@ -402,7 +384,7 @@ CampaignService::submitJob(const HttpRequest &request)
         return errorResponse(400, e.what());
     }
 
-    auto outcome = scheduler_.submit(*exp, trials, cell, gangWidth);
+    auto outcome = scheduler_.submit(*exp, trials, cell);
     auto status = scheduler_.jobStatus(outcome.jobId);
 
     store::JsonObjectWriter writer;

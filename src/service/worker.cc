@@ -272,12 +272,15 @@ WorkerAgent::contextFor(const LeaseCell &cell)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = contexts_.find(cell.experiment);
-        if (it != contexts_.end() &&
-            it->second->seed == cell.seed &&
-            it->second->checkpointInterval ==
-                cell.checkpointInterval &&
-            it->second->staticPrune == cell.staticPrune)
-            return it->second;
+        if (it != contexts_.end()) {
+            const core::StudyConfig &config =
+                it->second->lab.study.config();
+            if (config.seed == cell.seed &&
+                config.checkpointInterval == cell.checkpointInterval &&
+                config.staticPrune == cell.staticPrune &&
+                config.gangWidth == cell.gangWidth)
+                return it->second;
+        }
     }
 
     const bench::Experiment *exp =
@@ -287,13 +290,6 @@ WorkerAgent::contextFor(const LeaseCell &cell)
             "coordinator granted a lease on unknown experiment '" +
             cell.experiment + "' (version skew?)");
 
-    auto ctx = std::make_shared<Context>();
-    ctx->experiment = cell.experiment;
-    ctx->seed = cell.seed;
-    ctx->checkpointInterval = cell.checkpointInterval;
-    ctx->staticPrune = cell.staticPrune;
-    ctx->workload = workloads::createWorkload(exp->workload,
-                                              exp->scale);
     bench::BenchOptions opts;
     opts.threads = config_.threads;
     opts.checkpointInterval = cell.checkpointInterval;
@@ -301,11 +297,9 @@ WorkerAgent::contextFor(const LeaseCell &cell)
     opts.cacheDir = config_.cacheDir;
     opts.staticPrune = cell.staticPrune;
     opts.gangWidth = cell.gangWidth;
-    ctx->studyConfig = bench::makeStudyConfig(*exp, opts);
     // Static analysis only (no simulation); the golden run waits for
     // the first executed stripe.
-    ctx->protection = core::computeStudyProtection(*ctx->workload,
-                                                   ctx->studyConfig);
+    auto ctx = std::make_shared<Context>(*exp, opts);
 
     std::lock_guard<std::mutex> lock(mutex_);
     // Two executors may have built the context concurrently; last
@@ -339,9 +333,9 @@ WorkerAgent::processLease(const LeaseGrant &grant)
     store::CellKey key;
     try {
         ctx = contextFor(grant.cell);
-        key = core::makeCellKey(*ctx->workload, ctx->protection,
-                                ctx->studyConfig, grant.cell.errors,
-                                grant.cell.policy, grant.cell.trials);
+        key = ctx->lab.study.cellKey(grant.cell.errors,
+                                     grant.cell.policy,
+                                     grant.cell.trials);
     } catch (const std::exception &e) {
         failLease(grant, e.what());
         return;
@@ -368,17 +362,14 @@ WorkerAgent::processLease(const LeaseGrant &grant)
     beatLease(grant.id);
     try {
         std::lock_guard<std::mutex> run(ctx->runMutex);
-        if (!ctx->study)
-            ctx->study = std::make_unique<core::ErrorToleranceStudy>(
-                *ctx->workload, ctx->studyConfig);
-        ctx->study->setGangWidth(grant.cell.gangWidth);
-        uint64_t before = ctx->study->trialsExecuted();
+        core::ErrorToleranceStudy &study = ctx->lab.study;
+        uint64_t before = study.trialsExecuted();
         auto started = std::chrono::steady_clock::now();
         {
             telemetry::TraceSpan span("worker", "lease");
             if (span.active())
                 span.setArgs("{\"lease\":\"" + grant.id + "\"}");
-            summary = ctx->study->runCellShard(
+            summary = study.runCellShard(
                 grant.cell.errors, grant.cell.policy,
                 grant.cell.trials, grant.shardIndex,
                 grant.shardCount);
@@ -386,7 +377,7 @@ WorkerAgent::processLease(const LeaseGrant &grant)
         std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - started;
         wallSeconds = elapsed.count();
-        ran = ctx->study->trialsExecuted() - before;
+        ran = study.trialsExecuted() - before;
     } catch (const std::exception &e) {
         untrackLease(grant.id);
         failLease(grant, e.what());

@@ -116,17 +116,16 @@ class WorkerAgent
   private:
     /** Per-experiment engine state, mirroring the scheduler's
      *  WorkloadContext but parameterized by the grant (a fleet's
-     *  leases may carry differing seeds or checkpoint settings). */
+     *  leases may carry differing seeds, checkpoint settings or gang
+     *  widths). */
     struct Context
     {
-        std::string experiment;
-        uint64_t seed = 0;
-        uint64_t checkpointInterval = 0;
-        bool staticPrune = false;
-        std::unique_ptr<workloads::Workload> workload;
-        core::StudyConfig studyConfig;
-        analysis::ProtectionResult protection;
-        std::unique_ptr<core::ErrorToleranceStudy> study;
+        Context(const bench::Experiment &exp,
+                const bench::BenchOptions &opts)
+            : lab(exp, opts)
+        {}
+
+        bench::ExperimentStudy lab;
         std::mutex runMutex; //!< the study is not thread-safe
     };
 

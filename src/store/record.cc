@@ -335,50 +335,32 @@ decodeShardRecord(const std::string &text, const CellKey *expected)
                        std::move(decoded.summary)};
 }
 
-std::vector<ShardRecord>
-selectPrefixTiling(std::vector<ShardRecord> shards)
-{
-    std::sort(shards.begin(), shards.end(),
-              [](const ShardRecord &a, const ShardRecord &b) {
-                  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-              });
-    std::vector<ShardRecord> kept;
-    unsigned covered = 0;
-    for (auto &shard : shards) {
-        if (shard.lo < covered)
-            continue;
-        covered = shard.hi;
-        kept.push_back(std::move(shard));
-    }
-    return kept;
-}
-
 core::CellSummary
-mergeShardSummaries(const CellKey &key, std::vector<ShardRecord> shards)
+mergeShardSummaries(const CellKey &key, std::vector<ShardRecord> shards,
+                    unsigned lo, unsigned hi)
 {
     std::sort(shards.begin(), shards.end(),
               [](const ShardRecord &a, const ShardRecord &b) {
                   return a.lo < b.lo;
               });
-    unsigned covered = 0;
-    for (const auto &shard : shards) {
-        if (shard.lo != covered)
+    unsigned covered = lo;
+    auto gapBefore = [&](unsigned next) {
+        if (next != covered)
             throw StoreFormatError(
-                "shards do not tile the cell: trials [" +
-                std::to_string(covered) + ", " +
-                std::to_string(shard.lo) + ") are missing");
+                "shards do not tile the range: trials [" +
+                std::to_string(covered) + ", " + std::to_string(next) +
+                ") are missing");
+    };
+    for (const auto &shard : shards) {
+        gapBefore(shard.lo);
         covered = shard.hi;
     }
-    if (covered != key.trials)
-        throw StoreFormatError(
-            "shards do not tile the cell: trials [" +
-            std::to_string(covered) + ", " +
-            std::to_string(key.trials) + ") are missing");
+    gapBefore(hi);
 
     core::CellSummary merged;
     merged.errors = key.errors;
     merged.policy = key.policy;
-    merged.trials = key.trials;
+    merged.trials = hi - lo;
     for (const auto &shard : shards) {
         merged.completed += shard.summary.completed;
         merged.crashed += shard.summary.crashed;
@@ -391,6 +373,12 @@ mergeShardSummaries(const CellKey &key, std::vector<ShardRecord> shards)
                                  shard.summary.fidelities.end());
     }
     return merged;
+}
+
+core::CellSummary
+mergeShardSummaries(const CellKey &key, std::vector<ShardRecord> shards)
+{
+    return mergeShardSummaries(key, std::move(shards), 0, key.trials);
 }
 
 } // namespace etc::store

@@ -122,25 +122,21 @@ ShardRecord decodeShardRecord(const std::string &text,
                               const CellKey *expected);
 
 /**
- * Merge shard summaries into the full cell summary.
+ * Merge shard summaries into the summary of trials [lo, hi).
  *
- * Requires the shards to tile [0, key.trials) exactly (contiguous,
+ * Requires the shards to tile [lo, hi) exactly (contiguous,
  * non-overlapping, complete); throws StoreFormatError otherwise.
  * Counters sum exactly and fidelity vectors concatenate in trial
  * order, so the merged summary is bit-identical to the summary of an
- * uninterrupted monolithic run.
+ * uninterrupted run over the range.
  */
 core::CellSummary mergeShardSummaries(const CellKey &key,
-                                      std::vector<ShardRecord> shards);
+                                      std::vector<ShardRecord> shards,
+                                      unsigned lo, unsigned hi);
 
-/**
- * Reduce shard records to a maximal prefix-tiling subset: sorted by
- * range, dropping shards that overlap the already-covered prefix
- * (leftovers of an incompatible split). The result may still have
- * gaps; callers compute the missing ranges or report them.
- */
-std::vector<ShardRecord> selectPrefixTiling(
-    std::vector<ShardRecord> shards);
+/** mergeShardSummaries() over the whole cell, [0, key.trials). */
+core::CellSummary mergeShardSummaries(const CellKey &key,
+                                      std::vector<ShardRecord> shards);
 
 } // namespace etc::store
 

@@ -73,6 +73,30 @@ slurp(const fs::path &path)
     return result;
 }
 
+/**
+ * Reduce shard records to a maximal prefix-tiling subset: sorted by
+ * range, dropping shards that overlap the already-covered prefix
+ * (leftovers of an incompatible split). The result may still have
+ * gaps.
+ */
+std::vector<ShardRecord>
+selectPrefixTiling(std::vector<ShardRecord> shards)
+{
+    std::sort(shards.begin(), shards.end(),
+              [](const ShardRecord &a, const ShardRecord &b) {
+                  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+              });
+    std::vector<ShardRecord> kept;
+    unsigned covered = 0;
+    for (auto &shard : shards) {
+        if (shard.lo < covered)
+            continue;
+        covered = shard.hi;
+        kept.push_back(std::move(shard));
+    }
+    return kept;
+}
+
 } // namespace
 
 ResultStore::ResultStore(std::string root) : root_(std::move(root))
@@ -348,6 +372,17 @@ ResultStore::dropShards(const CellKey &key)
     std::error_code ec;
     fs::remove_all(shardDir(key), ec);
     StoreIndex::journalDropShards(root_, key);
+}
+
+core::CellSummary
+ResultStore::promoteShards(const CellKey &key,
+                           std::vector<ShardRecord> shards)
+{
+    auto summary =
+        mergeShardSummaries(key, selectPrefixTiling(std::move(shards)));
+    storeCell(key, summary);
+    dropShards(key);
+    return summary;
 }
 
 } // namespace etc::store

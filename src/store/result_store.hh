@@ -103,6 +103,20 @@ class ResultStore
     /** Delete all shards of @p key (after promotion to a cell). */
     void dropShards(const CellKey &key);
 
+    /**
+     * Promote shard records of @p key to its complete cell record:
+     * keep a prefix tiling of @p shards (selectPrefixTiling()), merge
+     * it over [0, key.trials), store the cell, and drop every shard
+     * file of the key. This is the one shard-to-cell path: `etc_lab
+     * run` and `merge`, and the daemon's lease promotion, all end here.
+     *
+     * @return the merged (and now stored) cell summary
+     * @throws StoreFormatError when the tiling leaves gaps; nothing
+     *         is written or dropped then
+     */
+    core::CellSummary promoteShards(const CellKey &key,
+                                    std::vector<ShardRecord> shards);
+
     /** What ingestRecord() accepted. */
     struct IngestOutcome
     {

@@ -1,8 +1,8 @@
 /**
  * @file
  * ASCII line/scatter chart used to render the paper's figures in a
- * terminal. Each bench_figN binary prints both the raw series (CSV-ish)
- * and a chart so the shape of the reproduction is visible at a glance.
+ * terminal. Each figure prints both the raw series (as a table) and a
+ * chart so the shape of the reproduction is visible at a glance.
  */
 
 #ifndef ETC_SUPPORT_CHART_HH

@@ -54,46 +54,4 @@ sampleStdDev(const std::vector<double> &sample)
     return std::sqrt(sum / static_cast<double>(sample.size() - 1));
 }
 
-void
-RunningStat::add(double x)
-{
-    ++n_;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    uint64_t combined = n_ + other.n_;
-    double delta = other.mean_ - mean_;
-    mean_ += delta * static_cast<double>(other.n_) /
-             static_cast<double>(combined);
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) /
-                           static_cast<double>(combined);
-    n_ = combined;
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stdDev() const
-{
-    return std::sqrt(variance());
-}
-
 } // namespace etc

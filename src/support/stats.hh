@@ -37,71 +37,6 @@ double mean(const std::vector<double> &sample);
 /** Unbiased sample standard deviation (0 for fewer than 2 points). */
 double sampleStdDev(const std::vector<double> &sample);
 
-/**
- * Mergeable running mean/variance accumulator (Welford's algorithm;
- * merging uses Chan et al.'s parallel update). Each campaign worker
- * accumulates privately and the partials merge in worker-index order,
- * so parallel statistics are deterministic for a given trial
- * partition.
- */
-class RunningStat
-{
-  public:
-    /** Fold one observation into the accumulator. */
-    void add(double x);
-
-    /** Fold another accumulator's observations into this one. */
-    void merge(const RunningStat &other);
-
-    uint64_t count() const { return n_; }
-
-    /** Mean of the observations (0 for an empty accumulator). */
-    double mean() const { return mean_; }
-
-    /** Unbiased sample variance (0 for fewer than 2 observations). */
-    double variance() const;
-
-    /** Unbiased sample standard deviation. */
-    double stdDev() const;
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0; //!< sum of squared deviations from the mean
-};
-
-/**
- * Mergeable tally of Monte-Carlo trial outcomes. The three buckets
- * mirror the paper's classification: completed, crashed (memory fault /
- * bad jump / arithmetic fault), and timed out ("infinite execution").
- */
-struct OutcomeTally
-{
-    uint64_t completed = 0;
-    uint64_t crashed = 0;
-    uint64_t timedOut = 0;
-
-    uint64_t total() const { return completed + crashed + timedOut; }
-
-    /** Fraction of trials that ended catastrophically. */
-    double
-    failureRate() const
-    {
-        uint64_t n = total();
-        return n ? static_cast<double>(crashed + timedOut) /
-                       static_cast<double>(n)
-                 : 0.0;
-    }
-
-    void
-    merge(const OutcomeTally &other)
-    {
-        completed += other.completed;
-        crashed += other.crashed;
-        timedOut += other.timedOut;
-    }
-};
-
 } // namespace etc
 
 #endif // ETC_SUPPORT_STATS_HH

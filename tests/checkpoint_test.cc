@@ -234,11 +234,6 @@ expectIdentical(const CampaignResult &a, const CampaignResult &b)
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.crashed, b.crashed);
     EXPECT_EQ(a.timedOut, b.timedOut);
-    EXPECT_EQ(a.trialInstructions.count(), b.trialInstructions.count());
-    EXPECT_DOUBLE_EQ(a.trialInstructions.mean(),
-                     b.trialInstructions.mean());
-    EXPECT_DOUBLE_EQ(a.trialInstructions.stdDev(),
-                     b.trialInstructions.stdDev());
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (size_t i = 0; i < a.outcomes.size(); ++i) {
         EXPECT_EQ(a.outcomes[i].run.status, b.outcomes[i].run.status)

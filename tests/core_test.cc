@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "asm/builder.hh"
 #include "core/study.hh"
+#include "store/cell_key.hh"
+#include "support/logging.hh"
 
 namespace {
 
@@ -35,6 +38,52 @@ TEST(StudyTest, ProfilesAtConstruction)
     EXPECT_GT(study.protection().numTagged, 0u);
     EXPECT_GT(study.goldenInstructions(), 0u);
     EXPECT_FALSE(study.goldenOutput().empty());
+}
+
+/** A workload whose fault-free run divides by zero: any simulation
+ *  of it fails loudly. */
+class CrashingWorkload : public workloads::Workload
+{
+  public:
+    CrashingWorkload()
+    {
+        assembly::ProgramBuilder b;
+        b.beginFunction("main");
+        b.li(isa::REG_T0, 1);
+        b.li(isa::REG_T1, 0);
+        b.div(isa::REG_T2, isa::REG_T0, isa::REG_T1);
+        b.halt();
+        b.endFunction();
+        program_ = b.finish();
+    }
+
+    std::string name() const override { return "crashing"; }
+    std::string fidelityMeasure() const override { return "none"; }
+    const assembly::Program &program() const override { return program_; }
+    std::set<std::string> eligibleFunctions() const override
+    {
+        return {"main"};
+    }
+    workloads::FidelityScore
+    scoreFidelity(const std::vector<uint8_t> &,
+                  const std::vector<uint8_t> &) const override
+    {
+        return {};
+    }
+
+  private:
+    assembly::Program program_;
+};
+
+TEST(StudyTest, ConstructionRunsNoSimulation)
+{
+    // Only the analysis runs up front: keying a cell needs no
+    // simulation, and the profile is taken when first read.
+    CrashingWorkload workload;
+    ErrorToleranceStudy study(workload, quickConfig());
+    EXPECT_EQ(study.cellKey(1, fault::PROTECTED_POLICY, 4).workload,
+              "crashing");
+    EXPECT_THROW(study.profile(), PanicError);
 }
 
 TEST(StudyTest, ZeroErrorCellIsPerfect)

@@ -136,6 +136,10 @@ TEST(CoordinatorTest, HeartbeatExtendsOwnersAndAnswersLostToOthers)
               LeaseBeat::Unknown);
     EXPECT_EQ(coordinator.heartbeat("not-a-lease-id", "w1"),
               LeaseBeat::Unknown);
+    // A stripe index past any unsigned names no lease either.
+    EXPECT_EQ(coordinator.heartbeat(
+                  "0123456789abcdef.99999999999999999999999of1", "w1"),
+              LeaseBeat::Unknown);
 }
 
 TEST(CoordinatorTest, ExpiredLeaseReissuesAndLateCompletionIsIdempotent)

@@ -279,8 +279,11 @@ TEST_F(OrchestrationTest, RenderingFromStoredRecordsIsByteIdentical)
         workloads::createWorkload(exp->workload, exp->scale);
     auto cfg = bench::makeStudyConfig(*exp, opts);
     core::ErrorToleranceStudy study(*workload, cfg);
-    auto points =
-        bench::runSweep(*workload, study, makeSweepConfig(*exp, opts));
+    unsigned trials = opts.trialsOr(exp->defaultTrials);
+    std::vector<CellSummary> summaries;
+    for (const auto &[errors, policy] : bench::experimentCells(*exp))
+        summaries.push_back(study.runCell(errors, policy, trials));
+    auto points = bench::sweepPointsFrom(*exp, exp->policies, summaries);
 
     testing::internal::CaptureStdout();
     bench::renderExperiment(*exp, exp->policies, points);
@@ -289,7 +292,6 @@ TEST_F(OrchestrationTest, RenderingFromStoredRecordsIsByteIdentical)
     // Rebuild every point purely from the store.
     auto protection = core::computeStudyProtection(*workload, cfg);
     store::ResultStore cache(cfg.cacheDir);
-    unsigned trials = opts.trialsOr(exp->defaultTrials);
     std::vector<bench::SweepPoint> stored;
     for (unsigned errors : exp->errorCounts) {
         bench::SweepPoint point;

@@ -418,6 +418,14 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
     expectJsonError(client().get("/v1/nope"), 404);
     expectJsonError(client().get("/v1/jobs"), 405);
     expectJsonError(client().post("/v1/healthz", "{}"), 405);
+    // A client-chosen lease id whose stripe index overflows is an
+    // unknown lease, not a server error.
+    expectJsonError(
+        client().post("/v1/leases/"
+                      "0123456789abcdef.99999999999999999999999of1/"
+                      "heartbeat",
+                      "{\"worker\":\"w\"}"),
+        404);
 }
 
 // Two million '[' nest deeper than the JSON reader accepts: a 400,

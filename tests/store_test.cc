@@ -343,6 +343,18 @@ TEST(RecordCodecTest, MergeShardSummariesRequiresExactTiling)
     EXPECT_THROW(mergeShardSummaries(key, {shard(0, 6), shard(4, 10)}),
                  StoreFormatError); // overlap
     EXPECT_THROW(mergeShardSummaries(key, {}), StoreFormatError);
+
+    // A sub-range merges the same way: a stripe from its pieces.
+    auto stripe = mergeShardSummaries(key, {shard(7, 10), shard(4, 7)},
+                                      4, 10);
+    EXPECT_EQ(stripe.trials, 6u);
+    ASSERT_EQ(stripe.fidelities.size(), 6u);
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_EQ(stripe.fidelities[i].value, double(4 + i));
+    EXPECT_THROW(mergeShardSummaries(key, {shard(4, 7)}, 4, 10),
+                 StoreFormatError);
+    EXPECT_THROW(mergeShardSummaries(key, {shard(0, 4)}, 4, 10),
+                 StoreFormatError);
 }
 
 // ---- on-disk store --------------------------------------------------------
@@ -411,6 +423,39 @@ TEST_F(ResultStoreTest, ShardLifecycle)
     EXPECT_EQ(shards[1].lo, 10u);
 
     cache.dropShards(key);
+    EXPECT_TRUE(cache.loadShards(key).empty());
+}
+
+TEST_F(ResultStoreTest, PromoteShardsStoresTheCellAndDropsShards)
+{
+    ResultStore cache(root_.string());
+    CellKey key = sampleKey(20);
+    auto shardOf = [&](unsigned lo, unsigned hi) {
+        auto summary = sampleSummary();
+        summary.trials = hi - lo;
+        summary.completed = hi - lo;
+        summary.crashed = 0;
+        summary.timedOut = 0;
+        summary.fidelities.resize(hi - lo);
+        cache.storeShard(key, lo, hi, summary);
+    };
+
+    // A gap leaves everything in place.
+    shardOf(0, 10);
+    EXPECT_THROW(cache.promoteShards(key, cache.loadShards(key)),
+                 StoreFormatError);
+    EXPECT_FALSE(cache.hasCell(key));
+    EXPECT_TRUE(cache.hasShard(key, 0, 10));
+
+    // A leftover of another split is skipped; the tiling promotes.
+    shardOf(5, 15);
+    shardOf(10, 20);
+    auto promoted = cache.promoteShards(key, cache.loadShards(key));
+    EXPECT_EQ(promoted.trials, 20u);
+    EXPECT_EQ(promoted.completed, 20u);
+    auto stored = cache.loadCell(key);
+    ASSERT_TRUE(stored.has_value());
+    expectSummariesIdentical(promoted, *stored);
     EXPECT_TRUE(cache.loadShards(key).empty());
 }
 

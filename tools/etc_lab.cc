@@ -4,9 +4,10 @@
  * (run / resume / merge / report / list), the campaign service
  * (serve / submit / status / fetch), and the static-analysis
  * front end (analyze / lint -- the masked-fault prover's ACE/AVF
- * report and the assembly lint gate, nonzero exit on findings). All
- * logic lives in bench/lab.cc so the registry and rendering are
- * shared with the bench_fig* drivers.
+ * report and the assembly lint gate, nonzero exit on findings). It is
+ * the one driver of the paper's figure sweeps; all logic lives in
+ * bench/lab.cc, next to the registry and renderer it shares with the
+ * daemon.
  */
 
 #include "bench/lab.hh"

@@ -49,8 +49,8 @@ usage(const char *program, int status)
                  "instead of simulating\n"
                  "               them. Results are identical either "
                  "way.\n"
-              << "  --gang-width N|auto  trial lanes per lockstep gang "
-                 "on the checkpointed\n"
+              << "  --gang-width N|auto  most trial lanes per lockstep "
+                 "gang on the checkpointed\n"
                  "               fast path (0 = scalar; auto = "
               << fault::DEFAULT_GANG_WIDTH
               << "). Results are identical\n"
@@ -257,8 +257,9 @@ emitCellJson(const std::string &workloadName, const std::string &policy,
          << "\"checkpoint_interval\":" << config.checkpointInterval << ","
          << "\"static_prune\":" << (config.staticPrune ? "true" : "false")
          << ","
-         // The width the runner actually used: gangs only engage on
-         // the checkpointed fast path.
+         // The configured per-gang maximum (each stripe deals its
+         // gangs up to it); gangs only engage on the checkpointed
+         // fast path.
          << "\"gang_width\":"
          << (config.checkpointInterval > 0
                  ? fault::CampaignRunner::resolveGangWidth(

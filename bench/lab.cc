@@ -44,7 +44,7 @@ struct LabOptions
                             //!< | status | fetch | stats
     std::string experiment; //!< registry name (--experiment)
     std::string workload;   //!< analyze/lint: registry workload name
-    unsigned chunks = 4;    //!< shard records per cell during run
+    unsigned chunks = 4;    //!< stripes persisted per cell during run
     BenchOptions bench;     //!< the shared campaign knobs (--policy
                             //!< lands in bench.policies)
 
@@ -88,9 +88,10 @@ usage(int status)
            "local subcommands:\n"
            "  run     execute the sweep; persist every cell to the\n"
            "          cache, skip stored cells, resume partial ones,\n"
-           "          then render the figure. SIGINT/SIGTERM finishes\n"
-           "          the in-flight shard chunk, persists it, and\n"
-           "          exits with a summary (status 130)\n"
+           "          then render the figure. SIGINT/SIGTERM stops\n"
+           "          starting new stripes, finishes and persists the\n"
+           "          ones in flight, and exits with a summary\n"
+           "          (status 130)\n"
            "  resume  same as run (requires --cache-dir); continues a\n"
            "          killed campaign from its stored shards\n"
            "  merge   promote complete shard sets into cell records\n"
@@ -174,9 +175,12 @@ usage(int status)
            "                           trials instead of simulating\n"
            "                           them (results are identical\n"
            "                           either way)\n"
-           "  --gang-width N|auto      trial lanes per lockstep gang on\n"
-           "                           the checkpointed fast path (0 =\n"
-           "                           scalar, auto = runner default;\n"
+           "  --gang-width N|auto      most trial lanes per lockstep\n"
+           "                           gang on the checkpointed fast\n"
+           "                           path (0 = scalar, auto = runner\n"
+           "                           default; a stripe's trials are\n"
+           "                           dealt into near-equal gangs, one\n"
+           "                           per thread, up to this width;\n"
            "                           results are identical either\n"
            "                           way). serve: the width every\n"
            "                           job runs at\n"
@@ -185,9 +189,12 @@ usage(int status)
            "                           defaults to all)\n"
            "  --shard i/N              run only trial stripe i of N per\n"
            "                           cell, then exit (no rendering)\n"
-           "  --chunks N               shard records per cell while\n"
-           "                           running (default 4; bounds lost\n"
-           "                           work on a kill)\n"
+           "  --chunks N               stripes persisted as shard\n"
+           "                           records per cell while running\n"
+           "                           (default 4). A cell's stripes\n"
+           "                           run as one pass, each persisted\n"
+           "                           as it ends, so a kill loses at\n"
+           "                           most the stripes in flight\n"
            "  --port N                 daemon TCP port (default 8977;\n"
            "                           serve: 0 picks one). The daemon\n"
            "                           binds 127.0.0.1 only\n"
@@ -441,7 +448,7 @@ labRun(const LabOptions &opts, const Experiment &exp)
     store::ResultStore *cache = study.resultStore();
     auto interruptedExit = [&](size_t cells, size_t cellsCached,
                                size_t cellsComputed) {
-        inform("etc_lab: interrupted; the in-flight shard chunk was ",
+        inform("etc_lab: interrupted; the stripes in flight were ",
                cache ? "finished and persisted -- resume with "
                        "`etc_lab resume`"
                      : "finished (no --cache-dir, progress "
@@ -503,22 +510,17 @@ labRun(const LabOptions &opts, const Experiment &exp)
         if (cached) {
             summary = std::move(*cached);
         } else {
-            if (cache && opts.chunks > 1) {
-                // Chunked execution: persist progress every 1/chunks
-                // of the cell, so a kill loses at most one chunk;
-                // runCell below assembles the shards into the cell
-                // record. A stop request between chunks leaves the
-                // finished ones persisted and exits cleanly.
-                for (unsigned c = 0; c < opts.chunks; ++c) {
-                    if (stopRequested())
-                        return interruptedExit(cells.size(),
-                                               cellsCached,
-                                               cellsComputed);
-                    study.runCellShard(errors, policy, trials, c,
-                                       opts.chunks);
-                }
+            // One engine pass over the cell's stripes: each is
+            // persisted as a shard the moment it ends, so a kill loses
+            // at most the stripes in flight, and a stop request stops
+            // starting new ones (the started ones finish and persist).
+            try {
+                summary = study.runCell(errors, policy, trials,
+                                        opts.chunks);
+            } catch (const core::CellInterrupted &) {
+                return interruptedExit(cells.size(), cellsCached,
+                                       cellsComputed);
             }
-            summary = study.runCell(errors, policy, trials);
         }
         emitCellJson(lab.workload->name(), policy, errors, summary,
                      study.config());

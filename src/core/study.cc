@@ -1,11 +1,14 @@
 #include "core/study.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
 #include "sim/simulator.hh"
 #include "store/result_store.hh"
 #include "support/logging.hh"
+#include "support/shutdown.hh"
+#include "telemetry/trace.hh"
 
 namespace etc::core {
 
@@ -154,48 +157,88 @@ ErrorToleranceStudy::goldenInstructions() const
         .goldenInstructions();
 }
 
-CellSummary
-ErrorToleranceStudy::computeRange(unsigned errors,
-                                  const fault::InjectionPolicy &policy,
-                                  unsigned trials, unsigned lo,
-                                  unsigned hi)
+bool
+ErrorToleranceStudy::simulate(const store::CellKey &key,
+                              const fault::InjectionPolicy &policy,
+                              const std::vector<fault::TrialRange> &ranges,
+                              bool stoppable, const PieceSink &sink)
 {
     auto &campaignRunner = runner(policy);
+    const std::vector<uint8_t> &golden = campaignRunner.goldenOutput();
 
     fault::CampaignConfig campaignConfig;
-    campaignConfig.trials = trials;
-    campaignConfig.errors = errors;
+    campaignConfig.trials = key.trials;
+    campaignConfig.errors = key.errors;
     campaignConfig.budgetFactor = config_.budgetFactor;
     campaignConfig.threads = config_.threads;
     campaignConfig.gangWidth = config_.gangWidth;
     // Derive a per-cell seed so cells are independent but
     // reproducible; the policy salt keeps the legacy streams (0x1 /
     // 0x2) bit-identical and gives every other policy its own stream.
-    campaignConfig.seed = config_.seed ^
-                          (uint64_t{errors} << 32) ^ policy.seedSalt();
+    campaignConfig.seed = config_.seed ^ (uint64_t{key.errors} << 32) ^
+                          policy.seedSalt();
 
-    auto started = std::chrono::steady_clock::now();
-    auto result = campaignRunner.runRange(campaignConfig, lo, hi);
-    std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - started;
-    trialsExecuted_ += result.trials;
+    // Fidelity slots, one per trial of each range: each is written by
+    // the worker that finished its trial, and read in trial order once
+    // the range is done.
+    std::vector<std::vector<workloads::FidelityScore>> scores;
+    for (const auto &range : ranges)
+        scores.emplace_back(range.hi - range.lo);
+    size_t finished = 0;
+    auto last = std::chrono::steady_clock::now();
+    uint64_t lastMicros = telemetry::Tracer::instance().nowMicros();
 
-    CellSummary summary;
-    summary.errors = errors;
-    summary.policy = policy.name;
-    summary.trials = result.trials;
-    summary.completed = result.completed;
-    summary.crashed = result.crashed;
-    summary.timedOut = result.timedOut;
-    summary.trialsPruned = result.trialsPruned;
-    summary.wallSeconds = elapsed.count();
-    for (const auto &outcome : result.outcomes) {
-        summary.totalInstructions += outcome.run.instructions;
+    fault::PassHooks hooks;
+    if (stoppable)
+        hooks.stopStarting = [] { return stopRequested(); };
+    hooks.trialDone = [&](size_t range, uint64_t index,
+                          fault::TrialOutcome &outcome) {
         if (outcome.run.completed())
-            summary.fidelities.push_back(workload_.scoreFidelity(
-                campaignRunner.goldenOutput(), outcome.output));
-    }
-    return summary;
+            scores[range][index] =
+                workload_.scoreFidelity(golden, outcome.output);
+        std::vector<uint8_t>().swap(outcome.output);
+    };
+    hooks.rangeDone = [&](size_t range, fault::CampaignResult &result) {
+        auto now = std::chrono::steady_clock::now();
+        std::chrono::duration<double> wall = now - last;
+        last = now;
+        ++finished;
+        trialsExecuted_ += result.trials;
+
+        store::ShardRecord piece{
+            key, static_cast<unsigned>(ranges[range].lo),
+            static_cast<unsigned>(ranges[range].hi), {}};
+        CellSummary &summary = piece.summary;
+        summary.errors = key.errors;
+        summary.policy = policy.name;
+        summary.trials = result.trials;
+        summary.completed = result.completed;
+        summary.crashed = result.crashed;
+        summary.timedOut = result.timedOut;
+        summary.trialsPruned = result.trialsPruned;
+        summary.wallSeconds = wall.count();
+        for (size_t i = 0; i < result.outcomes.size(); ++i) {
+            summary.totalInstructions += result.outcomes[i].run.instructions;
+            if (result.outcomes[i].run.completed())
+                summary.fidelities.push_back(std::move(scores[range][i]));
+        }
+        scores[range] = {};
+
+        // The stripe's span covers the wall time it is credited with.
+        telemetry::Tracer &tracer = telemetry::Tracer::instance();
+        if (tracer.enabled()) {
+            uint64_t nowMicros = tracer.nowMicros();
+            tracer.emitComplete(
+                "core", "stripe", lastMicros, nowMicros - lastMicros,
+                "{\"cell\":\"" + key.fingerprint() +
+                    "\",\"lo\":" + std::to_string(piece.lo) +
+                    ",\"hi\":" + std::to_string(piece.hi) + "}");
+            lastMicros = nowMicros;
+        }
+        sink(std::move(piece));
+    };
+    campaignRunner.runPass(campaignConfig, ranges, hooks);
+    return finished == ranges.size();
 }
 
 store::CellKey
@@ -221,11 +264,11 @@ ErrorToleranceStudy::shardRange(unsigned trials, unsigned index,
 }
 
 std::vector<store::ShardRecord>
-ErrorToleranceStudy::tileRange(const store::CellKey &key, unsigned errors,
+ErrorToleranceStudy::tileRange(const store::CellKey &key,
                                const fault::InjectionPolicy &policy,
-                               unsigned trials,
                                std::vector<store::ShardRecord> stored,
-                               unsigned lo, unsigned hi)
+                               unsigned lo, unsigned hi, unsigned stripes,
+                               bool stoppable)
 {
     // Keep every stored shard inside [lo, hi) that extends the
     // covered prefix, and compute (and persist) the gaps between
@@ -233,38 +276,61 @@ ErrorToleranceStudy::tileRange(const store::CellKey &key, unsigned errors,
     // prefix or crossing the range bounds) are ignored; their trials
     // recompute to the same bits anyway.
     std::vector<store::ShardRecord> pieces;
-    unsigned covered = lo;
-    auto computePiece = [&](unsigned a, unsigned b) {
-        auto partial = computeRange(errors, policy, trials, a, b);
-        store_->storeShard(key, a, b, partial);
-        pieces.push_back(
-            store::ShardRecord{key, a, b, std::move(partial)});
+    std::vector<fault::TrialRange> gaps;
+    stripes = std::max(stripes, 1u);
+    auto addGap = [&](unsigned a, unsigned b) {
+        // Cut at the stripe boundaries inside the gap.
+        for (unsigned s = 0; s < stripes && a < b; ++s) {
+            unsigned end = shardRange(key.trials, s, stripes).second;
+            if (end > a) {
+                gaps.push_back({a, std::min(end, b)});
+                a = std::min(end, b);
+            }
+        }
     };
+    unsigned covered = lo;
     for (auto &shard : stored) {
         if (shard.lo < covered || shard.hi > hi)
             continue;
         if (shard.lo > covered)
-            computePiece(covered, shard.lo);
+            addGap(covered, shard.lo);
         covered = shard.hi;
         pieces.push_back(std::move(shard));
     }
     if (covered < hi)
-        computePiece(covered, hi);
+        addGap(covered, hi);
+
+    simulate(key, policy, gaps, stoppable,
+             [&](store::ShardRecord piece) {
+                 store_->storeShard(key, piece.lo, piece.hi,
+                                    piece.summary);
+                 pieces.push_back(std::move(piece));
+             });
+    std::sort(pieces.begin(), pieces.end(),
+              [](const store::ShardRecord &a, const store::ShardRecord &b) {
+                  return a.lo < b.lo;
+              });
     return pieces;
 }
 
 CellSummary
 ErrorToleranceStudy::runCell(unsigned errors,
                              const std::string &policyName,
-                             unsigned trialsOverride)
+                             unsigned trialsOverride, unsigned stripes)
 {
     const fault::InjectionPolicy &policy = policyOrFatal(policyName);
     unsigned trials = trialsOverride ? trialsOverride : config_.trials;
-    if (!store_)
-        return computeRange(errors, policy, trials, 0, trials);
-
     auto key = makeCellKey(workload_, protection_, config_, errors,
                            policy, trials);
+    std::vector<store::ShardRecord> pieces;
+    auto collect = [&pieces](store::ShardRecord piece) {
+        pieces.push_back(std::move(piece));
+    };
+    if (!store_) {
+        simulate(key, policy, {{0, trials}}, false, collect);
+        return std::move(pieces.front().summary);
+    }
+
     if (auto cached = store_->loadCell(key)) {
         // Reclaim shards a kill between storeCell and dropShards (or
         // a concurrent stripe worker) may have left behind.
@@ -272,17 +338,24 @@ ErrorToleranceStudy::runCell(unsigned errors,
         return *cached;
     }
 
-    // Every stored shard is read once, here. A cell with none runs as
-    // one in-memory piece: it is promoted at once, so writing it as a
-    // shard first would only add a write.
+    // Every stored shard is read once, here. A one-stripe cell with
+    // none runs as one in-memory piece: it is promoted at once, so
+    // writing it as a shard first would only add a write.
     auto shards = store_->loadShards(key);
-    std::vector<store::ShardRecord> pieces;
-    if (shards.empty())
-        pieces.push_back({key, 0, trials,
-                          computeRange(errors, policy, trials, 0, trials)});
+    bool complete = true;
+    if (shards.empty() && stripes <= 1)
+        complete = simulate(key, policy, {{0, trials}}, true, collect);
     else
-        pieces = tileRange(key, errors, policy, trials, std::move(shards),
-                           0, trials);
+        pieces = tileRange(key, policy, std::move(shards), 0, trials,
+                           stripes, true);
+    unsigned covered = 0;
+    for (const auto &piece : pieces)
+        covered += piece.hi - piece.lo;
+    if (!complete || covered < trials)
+        throw CellInterrupted("interrupted with " +
+                              std::to_string(trials - covered) + " of " +
+                              std::to_string(trials) +
+                              " trials unrun: " + key.canonical());
     return store_->promoteShards(key, std::move(pieces));
 }
 
@@ -294,11 +367,17 @@ ErrorToleranceStudy::runCellShard(unsigned errors,
 {
     const fault::InjectionPolicy &policy = policyOrFatal(policyName);
     auto [lo, hi] = shardRange(trials, shardIndex, shardCount);
-    if (!store_)
-        return computeRange(errors, policy, trials, lo, hi);
-
     auto key = makeCellKey(workload_, protection_, config_, errors,
                            policy, trials);
+    if (!store_) {
+        CellSummary summary;
+        simulate(key, policy, {{lo, hi}}, false,
+                 [&summary](store::ShardRecord piece) {
+                     summary = std::move(piece.summary);
+                 });
+        return summary;
+    }
+
     if (auto cached = store_->loadCell(key))
         return *cached; // cell already complete; nothing to run
     if (auto shard = store_->loadShard(key, lo, hi))
@@ -309,8 +388,7 @@ ErrorToleranceStudy::runCellShard(unsigned errors,
     // only gaps are persisted, so no overlapping records are created.
     return store::mergeShardSummaries(
         key,
-        tileRange(key, errors, policy, trials, store_->loadShards(key),
-                  lo, hi),
+        tileRange(key, policy, store_->loadShards(key), lo, hi, 1, false),
         lo, hi);
 }
 

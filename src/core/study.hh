@@ -26,9 +26,11 @@
 #ifndef ETC_CORE_STUDY_HH
 #define ETC_CORE_STUDY_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,6 +169,18 @@ struct CellSummary
 };
 
 /**
+ * Thrown by ErrorToleranceStudy::runCell() when a stop request (see
+ * support/shutdown.hh) left some of the cell's stripes unstarted. The
+ * started stripes finished and are persisted as shards, so a later
+ * run resumes from them.
+ */
+class CellInterrupted : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
  * One application's full error-tolerance characterization.
  */
 class ErrorToleranceStudy
@@ -204,13 +218,24 @@ class ErrorToleranceStudy
     /**
      * Run one campaign cell.
      *
+     * With a result store attached, a stored cell is returned without
+     * simulating, and otherwise the trials no stored shard covers run
+     * as one engine pass (CampaignRunner::runPass) split into
+     * @p stripes persisted stripes: each stripe is written as a shard
+     * the moment its last trial ends, and the tiling shards are then
+     * promoted into the cell record. A stop request stops starting new
+     * stripes; the started ones finish and persist, and CellInterrupted
+     * is thrown. Stripes change what is persisted, never the results.
+     *
      * @param errors         bit flips per trial
      * @param policyName     registered injection policy
      * @param trialsOverride nonzero to override config.trials
+     * @param stripes        shard stripes per cell (with a store)
      * @throws FatalError on an unregistered policy name
+     * @throws CellInterrupted when a stop request left stripes unrun
      */
     CellSummary runCell(unsigned errors, const std::string &policyName,
-                        unsigned trialsOverride = 0);
+                        unsigned trialsOverride = 0, unsigned stripes = 1);
 
     /**
      * Run (or load) one shard of a cell: the trial stripe
@@ -253,21 +278,38 @@ class ErrorToleranceStudy
   private:
     fault::CampaignRunner &runner(const fault::InjectionPolicy &policy);
 
-    /** Simulate trials [lo, hi) of a cell and score their fidelity. */
-    CellSummary computeRange(unsigned errors,
-                             const fault::InjectionPolicy &policy,
-                             unsigned trials, unsigned lo, unsigned hi);
+    /** Receives one finished range of a pass as a cell piece. */
+    using PieceSink = std::function<void(store::ShardRecord piece)>;
+
+    /**
+     * Simulate @p ranges of the cell @p key in one engine pass. Each
+     * trial's fidelity is scored on its worker as soon as it finishes
+     * (its output is then dropped), and each range reaches @p sink,
+     * serialized, the moment its last trial ends. A range's wall time
+     * runs from the previous range's completion (or the pass start)
+     * to its own, so the pieces' wall times sum to the pass.
+     *
+     * @param stoppable honor stop requests between range starts
+     * @return whether every range ran
+     */
+    bool simulate(const store::CellKey &key,
+                  const fault::InjectionPolicy &policy,
+                  const std::vector<fault::TrialRange> &ranges,
+                  bool stoppable, const PieceSink &sink);
 
     /**
      * The pieces that tile trials [lo, hi): the usable @p stored
-     * shards inside that range, plus the gaps between them, simulated
-     * and persisted as shards.
+     * shards inside that range, plus the gaps between them, cut at
+     * the boundaries of @p stripes equal stripes of the cell and
+     * simulated in one pass, each persisted as a shard as it ends.
+     *
+     * @return the pieces, by trial range; when a stop request (with
+     *         @p stoppable) left gaps unrun, they stay missing
      */
     std::vector<store::ShardRecord> tileRange(
-        const store::CellKey &key, unsigned errors,
-        const fault::InjectionPolicy &policy, unsigned trials,
+        const store::CellKey &key, const fault::InjectionPolicy &policy,
         std::vector<store::ShardRecord> stored, unsigned lo,
-        unsigned hi);
+        unsigned hi, unsigned stripes, bool stoppable);
 
     const workloads::Workload &workload_;
     const StudyConfig config_;

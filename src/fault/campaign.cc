@@ -1,9 +1,11 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <optional>
 
 #include "analysis/vulnerability.hh"
@@ -40,8 +42,9 @@ struct EngineMetrics
         "Lockstep gang launches");
     telemetry::Counter &gangLaneSlots = telemetry::counter(
         "etc_gang_lane_slots_total",
-        "Lane slots offered by gang launches (batches x width); "
-        "occupancy = etc_gang_lanes_total / this");
+        "Lane slots offered by gang launches (each gang's dealt "
+        "width: min(gang width, ceil(live trials / workers)) of its "
+        "range); occupancy = etc_gang_lanes_total / this");
     telemetry::Counter &gangLanes = telemetry::counter(
         "etc_gang_lanes_total",
         "Trials launched as gang lanes");
@@ -226,77 +229,221 @@ CampaignResult
 CampaignRunner::runRange(const CampaignConfig &config, uint64_t lo,
                          uint64_t hi)
 {
-    if (lo > hi || hi > config.trials)
-        panic("CampaignRunner: bad trial range [", lo, ", ", hi,
-              ") over ", config.trials, " trials");
-    uint64_t count = hi - lo;
     CampaignResult result;
-    result.trials = static_cast<unsigned>(count);
-    result.firstTrial = lo;
-    result.outcomes.resize(count);
+    PassHooks hooks;
+    hooks.rangeDone = [&result](size_t, CampaignResult &range) {
+        result = std::move(range);
+    };
+    runPass(config, {TrialRange{lo, hi}}, hooks);
+    return result;
+}
 
+namespace {
+
+/** One gang (or, on the scalar paths, one trial) of a pass's grid. */
+struct PassTask
+{
+    size_t range;  //!< index into the pass's ranges
+    size_t first;  //!< first of its trials in the range's live list
+    unsigned lanes; //!< trials it runs (1 on the scalar paths)
+    unsigned gang;  //!< its gang index within the range
+};
+
+} // namespace
+
+void
+CampaignRunner::runPass(const CampaignConfig &config,
+                        const std::vector<TrialRange> &ranges,
+                        const PassHooks &hooks)
+{
     auto budget = static_cast<uint64_t>(
         static_cast<double>(goldenInstructions_) * config.budgetFactor);
     if (budget < goldenInstructions_ + 1000)
         budget = goldenInstructions_ + 1000;
-
-    // Plans are cheap and a pure function of (seed, trial): the
-    // counter-based stream is keyed on the GLOBAL trial index, never
-    // on scheduling or on which shard runs it. Every plan is drawn
-    // here, so the RNG stream is consumed identically whether or not
-    // the trial is then simulated.
-    std::vector<LiveTrial> live;
-    live.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-        Rng trialRng = Rng::forStream(config.seed, lo + i);
-        InjectionPlan plan = samplePlan(injectableDynamic_, config.errors,
-                                        bitModel_, trialRng);
-        // Static-prune fast path: when every drawn flip lands entirely
-        // in provably dead bits of its site's register result, the
-        // trial retires the exact golden instruction stream with the
-        // exact golden output, and every flip is a (counted) register
-        // write of dead bits -- so the simulator's outcome is known
-        // without running it.
-        bool pruned = staticPrune_;
-        for (size_t k = 0; pruned && k < plan.sites.size(); ++k)
-            pruned = !(plan.masks[k] & siteLiveMasks_[plan.sites[k]]);
-        if (!pruned) {
-            live.push_back(LiveTrial{i, std::move(plan)});
-            continue;
-        }
-        TrialOutcome &outcome = result.outcomes[i];
-        outcome.run.status = sim::RunStatus::Completed;
-        outcome.run.instructions = goldenInstructions_;
-        outcome.injected = plan.size();
-        outcome.output = golden_;
-        ++result.trialsPruned;
-    }
-    EngineMetrics &metrics = engineMetrics();
-    metrics.trialsPruned.add(result.trialsPruned);
-
     // Gangs ride the checkpointed fast path only; the classic
     // interval-0 Injector path stays gang-free so it remains an
     // independent oracle for the batched interpreter.
-    unsigned gangWidth = resolveGangWidth(config.gangWidth);
-    if (gangWidth > 0 && checkpointInterval_ > 0)
-        runGangs(live, gangWidth, config.threads, budget, result.outcomes);
-    else
-        runScalar(live, lo, config.threads, budget, result.outcomes);
-    metrics.trialsSimulated.add(live.size());
+    unsigned gangWidth =
+        checkpointInterval_ > 0 ? resolveGangWidth(config.gangWidth) : 0;
+    EngineMetrics &metrics = engineMetrics();
 
-    // The tally folds the outcomes in trial order, so it is
-    // bit-identical at any thread count or gang width.
-    for (const LiveTrial &trial : live)
-        metrics.trialInstructions.add(
-            result.outcomes[trial.slot].run.instructions);
-    for (const TrialOutcome &outcome : result.outcomes) {
-        switch (outcome.run.status) {
-          case sim::RunStatus::Completed: ++result.completed; break;
-          case sim::RunStatus::Timeout: ++result.timedOut; break;
-          default: ++result.crashed; break;
+    // Per range: its outcome slots, the trials left to simulate, and
+    // the tasks still open.
+    struct RangeRun
+    {
+        CampaignResult result;
+        std::vector<LiveTrial> live;
+        unsigned width = 0; //!< dealt gang width (gang path)
+        std::atomic<uint64_t> pending{0};
+        std::once_flag decided;
+        bool skipped = false;
+    };
+    std::vector<RangeRun> runs(ranges.size());
+    std::mutex doneMutex;
+    auto finish = [&](size_t r) {
+        RangeRun &run = runs[r];
+        // The tally folds the outcomes in trial order, so it is
+        // bit-identical at any thread count, gang width or split.
+        CampaignResult &result = run.result;
+        for (const LiveTrial &trial : run.live)
+            metrics.trialInstructions.add(
+                result.outcomes[trial.slot].run.instructions);
+        metrics.trialsSimulated.add(run.live.size());
+        for (const TrialOutcome &outcome : result.outcomes) {
+            switch (outcome.run.status) {
+              case sim::RunStatus::Completed: ++result.completed; break;
+              case sim::RunStatus::Timeout: ++result.timedOut; break;
+              default: ++result.crashed; break;
+            }
         }
+        if (hooks.rangeDone) {
+            std::lock_guard<std::mutex> lock(doneMutex);
+            hooks.rangeDone(r, result);
+        }
+        run.result = CampaignResult{};
+        run.live = {};
+    };
+
+    std::vector<PassTask> tasks;
+    unsigned maxLanes = 0;
+    for (size_t r = 0; r < ranges.size(); ++r) {
+        auto [lo, hi] = ranges[r];
+        if (lo > hi || hi > config.trials)
+            panic("CampaignRunner: bad trial range [", lo, ", ", hi,
+                  ") over ", config.trials, " trials");
+        RangeRun &run = runs[r];
+        uint64_t count = hi - lo;
+        CampaignResult &result = run.result;
+        result.trials = static_cast<unsigned>(count);
+        result.firstTrial = lo;
+        result.outcomes.resize(count);
+
+        // Plans are cheap and a pure function of (seed, trial): the
+        // counter-based stream is keyed on the GLOBAL trial index,
+        // never on scheduling or on which range runs it. Every plan is
+        // drawn here, so the RNG stream is consumed identically
+        // whether or not the trial is then simulated.
+        for (uint64_t i = 0; i < count; ++i) {
+            Rng trialRng = Rng::forStream(config.seed, lo + i);
+            InjectionPlan plan = samplePlan(
+                injectableDynamic_, config.errors, bitModel_, trialRng);
+            // Static-prune fast path: when every drawn flip lands
+            // entirely in provably dead bits of its site's register
+            // result, the trial retires the exact golden instruction
+            // stream with the exact golden output, and every flip is a
+            // (counted) register write of dead bits -- so the
+            // simulator's outcome is known without running it.
+            bool pruned = staticPrune_;
+            for (size_t k = 0; pruned && k < plan.sites.size(); ++k)
+                pruned = !(plan.masks[k] & siteLiveMasks_[plan.sites[k]]);
+            if (!pruned) {
+                run.live.push_back(LiveTrial{i, std::move(plan)});
+                continue;
+            }
+            TrialOutcome &outcome = result.outcomes[i];
+            outcome.run.status = sim::RunStatus::Completed;
+            outcome.run.instructions = goldenInstructions_;
+            outcome.injected = plan.size();
+            outcome.output = golden_;
+            ++result.trialsPruned;
+            if (hooks.trialDone)
+                hooks.trialDone(r, i, outcome);
+        }
+        metrics.trialsPruned.add(result.trialsPruned);
+
+        std::vector<LiveTrial> &live = run.live;
+        size_t tasksBefore = tasks.size();
+        if (gangWidth > 0 && !live.empty()) {
+            // Group by first injection site (stable on trial order). A
+            // gang restores the checkpoint of its EARLIEST first site
+            // -- instruction accounting includes the restored prefix,
+            // so an earlier restore changes nothing but replay length
+            // -- and sorting keeps that shared replay short. The
+            // sorted trials are dealt into near-equal contiguous
+            // gangs, one per worker unless that would exceed the
+            // configured width.
+            std::stable_sort(live.begin(), live.end(),
+                             [](const LiveTrial &a, const LiveTrial &b) {
+                                 return firstSite(a.plan) <
+                                        firstSite(b.plan);
+                             });
+            uint64_t workers =
+                TrialPool::resolveWorkers(config.threads, live.size());
+            auto width = static_cast<unsigned>(std::min<uint64_t>(
+                gangWidth, (live.size() + workers - 1) / workers));
+            uint64_t gangs = (live.size() + width - 1) / width;
+            for (uint64_t g = 0; g < gangs; ++g) {
+                size_t first = live.size() * g / gangs;
+                size_t next = live.size() * (g + 1) / gangs;
+                tasks.push_back(PassTask{r, first,
+                                         static_cast<unsigned>(next - first),
+                                         static_cast<unsigned>(g)});
+            }
+            run.width = width;
+            maxLanes = std::max(maxLanes, width);
+        } else {
+            for (size_t i = 0; i < live.size(); ++i)
+                tasks.push_back(PassTask{r, i, 1, 0});
+        }
+        run.pending.store(tasks.size() - tasksBefore,
+                          std::memory_order_relaxed);
+        if (tasks.size() == tasksBefore)
+            finish(r); // nothing to simulate
     }
-    return result;
+
+    // Worker-local executors: simulators are self-contained (no
+    // global state), so worker-local instances make tasks re-entrant.
+    unsigned workers = TrialPool::resolveWorkers(config.threads,
+                                                 tasks.size());
+    std::deque<sim::Simulator> simulators;
+    std::deque<GangWorker> gangWorkers;
+    for (unsigned w = 0; w < workers && !tasks.empty(); ++w) {
+        if (gangWidth > 0)
+            gangWorkers.emplace_back(program_, model_, maxLanes);
+        else
+            simulators.emplace_back(program_, model_);
+    }
+
+    TrialPool::run(workers, tasks.size(), [&](uint64_t t, unsigned w) {
+        const PassTask &task = tasks[t];
+        RangeRun &run = runs[task.range];
+        std::call_once(run.decided, [&] {
+            run.skipped = hooks.stopStarting && hooks.stopStarting();
+        });
+        if (run.skipped)
+            return;
+        SlotDone done = [&](uint64_t slot) {
+            if (hooks.trialDone)
+                hooks.trialDone(task.range, slot, run.result.outcomes[slot]);
+        };
+        if (gangWidth > 0) {
+            metrics.gangBatches.add();
+            metrics.gangLaneSlots.add(run.width);
+            metrics.gangLanes.add(task.lanes);
+            telemetry::TraceSpan gangSpan("engine", "gang");
+            if (gangSpan.active())
+                gangSpan.setArgs("{\"gang\":" + std::to_string(task.gang) +
+                                 ",\"lanes\":" +
+                                 std::to_string(task.lanes) + "}");
+            GangWorker &worker = gangWorkers[w];
+            runGang(run.live.data() + task.first, task.lanes, worker.base,
+                    worker.drain, worker.gang, budget, run.result.outcomes,
+                    done);
+        } else {
+            const LiveTrial &trial = run.live[task.first];
+            telemetry::TraceSpan trialSpan("engine", "trial");
+            if (trialSpan.active())
+                trialSpan.setArgs(
+                    "{\"trial\":" +
+                    std::to_string(run.result.firstTrial + trial.slot) +
+                    "}");
+            runTrial(simulators[w], trial, budget,
+                     run.result.outcomes[trial.slot]);
+            done(trial.slot);
+        }
+        if (run.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            finish(task.range);
+    });
 }
 
 const sim::Checkpoint &
@@ -357,90 +504,35 @@ CampaignRunner::flipNext(const InjectionPlan &plan, SiteCursor &cursor,
 }
 
 void
-CampaignRunner::runScalar(const std::vector<LiveTrial> &live,
-                          uint64_t firstTrial, unsigned threads,
-                          uint64_t budget,
-                          std::vector<TrialOutcome> &outcomes) const
+CampaignRunner::runTrial(sim::Simulator &simulator, const LiveTrial &trial,
+                         uint64_t budget, TrialOutcome &outcome) const
 {
-    // One Simulator per worker: the simulator is self-contained (no
-    // global state), so worker-local instances make trials re-entrant.
-    unsigned workers = TrialPool::resolveWorkers(threads, live.size());
-    std::deque<sim::Simulator> simulators;
-    for (unsigned w = 0; w < workers; ++w)
-        simulators.emplace_back(program_, model_);
-
-    TrialPool::run(workers, live.size(), [&](uint64_t i, unsigned w) {
-        const LiveTrial &trial = live[i];
-        telemetry::TraceSpan trialSpan("engine", "trial");
-        if (trialSpan.active())
-            trialSpan.setArgs("{\"trial\":" +
-                              std::to_string(firstTrial + trial.slot) + "}");
-        sim::Simulator &simulator = simulators[w];
-        TrialOutcome &outcome = outcomes[trial.slot];
-        if (checkpointInterval_ == 0) {
-            Injector injector(injectable_, trial.plan, resultKinds_);
-            simulator.reset();
-            outcome.run = simulator.run(budget, &injector);
-            outcome.injected = injector.injectedCount();
-            if (outcome.run.completed())
-                outcome.output = simulator.output();
-            return;
-        }
-        // Start from the latest checkpoint the first injection site
-        // has not yet passed: everything before it is a bit-identical
-        // replay of the golden run. A trial with no sites at all
-        // (errors == 0) is the golden run, so it may jump to the last
-        // checkpoint and execute only the final stretch.
-        const sim::Checkpoint &at = rewind(
-            simulator, checkpoints_.findForInjectable(firstSite(trial.plan)));
-        runSites(simulator, trial.plan, SiteCursor{}, at.injectableRetired,
-                 at.instructions, budget, outcome);
-    });
-}
-
-void
-CampaignRunner::runGangs(std::vector<LiveTrial> &live, unsigned width,
-                         unsigned threads, uint64_t budget,
-                         std::vector<TrialOutcome> &outcomes) const
-{
-    // Group by first injection site (stable on trial order). A gang
-    // restores the checkpoint of its EARLIEST first site --
-    // instruction accounting includes the restored prefix, so an
-    // earlier restore changes nothing but replay length -- and
-    // sorting keeps that shared replay short.
-    std::stable_sort(live.begin(), live.end(),
-                     [](const LiveTrial &a, const LiveTrial &b) {
-                         return firstSite(a.plan) < firstSite(b.plan);
-                     });
-    uint64_t numGangs = (live.size() + width - 1) / width;
-    unsigned workers = TrialPool::resolveWorkers(threads, numGangs);
-    std::deque<GangWorker> perWorker;
-    for (unsigned w = 0; w < workers; ++w)
-        perWorker.emplace_back(program_, model_, width);
-
-    TrialPool::run(workers, numGangs, [&](uint64_t g, unsigned w) {
-        size_t first = static_cast<size_t>(g) * width;
-        unsigned lanes = static_cast<unsigned>(
-            std::min<size_t>(width, live.size() - first));
-        EngineMetrics &metrics = engineMetrics();
-        metrics.gangBatches.add();
-        metrics.gangLaneSlots.add(width);
-        metrics.gangLanes.add(lanes);
-        telemetry::TraceSpan gangSpan("engine", "gang");
-        if (gangSpan.active())
-            gangSpan.setArgs("{\"gang\":" + std::to_string(g) +
-                             ",\"lanes\":" + std::to_string(lanes) + "}");
-        GangWorker &worker = perWorker[w];
-        runGang(live.data() + first, lanes, worker.base, worker.drain,
-                worker.gang, budget, outcomes);
-    });
+    if (checkpointInterval_ == 0) {
+        Injector injector(injectable_, trial.plan, resultKinds_);
+        simulator.reset();
+        outcome.run = simulator.run(budget, &injector);
+        outcome.injected = injector.injectedCount();
+        if (outcome.run.completed())
+            outcome.output = simulator.output();
+        return;
+    }
+    // Start from the latest checkpoint the first injection site has
+    // not yet passed: everything before it is a bit-identical replay
+    // of the golden run. A trial with no sites at all (errors == 0) is
+    // the golden run, so it may jump to the last checkpoint and
+    // execute only the final stretch.
+    const sim::Checkpoint &at = rewind(
+        simulator, checkpoints_.findForInjectable(firstSite(trial.plan)));
+    runSites(simulator, trial.plan, SiteCursor{}, at.injectableRetired,
+             at.instructions, budget, outcome);
 }
 
 void
 CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
                         sim::Simulator &base, sim::Simulator &drain,
                         sim::GangSimulator &gang, uint64_t budget,
-                        std::vector<TrialOutcome> &outcomes) const
+                        std::vector<TrialOutcome> &outcomes,
+                        const SlotDone &done) const
 {
     // Shared restore: the checkpoint of the gang's earliest first site
     // (trials arrive sorted, so that is lane 0's).
@@ -500,6 +592,7 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
                                       exitRecord.outputTail.begin(),
                                       exitRecord.outputTail.end());
             }
+            done(trial.slot);
             continue;
         }
         // A control-diverged lane: rehydrate the drain simulator with
@@ -521,6 +614,7 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
         runSites(drain, trial.plan, cursors[exitRecord.lane],
                  exitRecord.injectableRetired, exitRecord.instructions,
                  budget, outcome);
+        done(trial.slot);
     }
 }
 

@@ -9,12 +9,15 @@
  * trials keep their output stream so the caller can score fidelity
  * against the fault-free (golden) output.
  *
- * One path per range: runRange() draws every trial's plan from
- * Rng::forStream(seed, t), synthesizes the trials static pruning
- * proves harmless, hands the rest to an executor that writes each
- * trial's own outcome slot, and folds the tallies from the outcomes in
- * trial order. A cell's results are therefore bit-identical for every
- * thread count, gang width, checkpoint interval, and pruning mode.
+ * One path per pass: runPass() takes any number of a cell's trial
+ * ranges, draws every trial's plan from Rng::forStream(seed, t),
+ * synthesizes the trials static pruning proves harmless, runs the rest
+ * of every range as one TrialPool grid in range order (each task
+ * writes only its own trials' outcome slots), and folds each range's
+ * tallies from its outcomes in trial order the moment its last task
+ * ends. A cell's results are therefore bit-identical for every thread
+ * count, gang width, checkpoint interval, pruning mode, and range
+ * split; runRange() is the one-range pass.
  *
  * Trial fast-forwarding: every trial replays the golden run bit-for-bit
  * until its first injection site, so the golden profiling run records
@@ -26,13 +29,15 @@
  * executor instead replays each trial in full through the Injector
  * retire hook, an independent oracle for the fast path.
  *
- * Gang execution: on the checkpointed path, trials are grouped by
- * their first injection site into gangs of CampaignConfig::gangWidth
- * lanes that share one checkpoint restore and one fetch/decode stream
- * (sim/gang.hh). A lane whose fault diverges control flow leaves the
- * gang with a state snapshot and finishes in the same site loop on a
- * scalar simulator, so results match gangWidth = 0 (pure scalar) bit
- * for bit.
+ * Gang execution: on the checkpointed path, each range's trials are
+ * sorted by their first injection site and dealt into near-equal
+ * gangs, one per worker, of at most CampaignConfig::gangWidth lanes;
+ * a gang's lanes share one checkpoint restore and one fetch/decode
+ * stream (sim/gang.hh). A lane whose fault diverges control flow
+ * leaves the gang with a state snapshot and finishes in the same site
+ * loop on a scalar simulator, so results match gangWidth = 0 (pure
+ * scalar) bit for bit. The scalar and interval-0 paths run one trial
+ * per task.
  *
  * "Infinite execution" is detected by an instruction budget of
  * budgetFactor x the golden run's dynamic instruction count.
@@ -54,6 +59,7 @@
 #define ETC_FAULT_CAMPAIGN_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "fault/injection.hh"
@@ -85,12 +91,14 @@ struct CampaignConfig
     unsigned threads = 1;       //!< worker threads (0 = all cores)
 
     /**
-     * Trial lanes per gang on the checkpointed fast path: 0 forces
-     * pure scalar execution, GANG_WIDTH_AUTO (default) picks
+     * Most trial lanes per gang on the checkpointed fast path: 0
+     * forces pure scalar execution, GANG_WIDTH_AUTO (default) picks
      * DEFAULT_GANG_WIDTH, anything else is clamped to
-     * sim::GangSimulator::MAX_LANES. Purely an execution strategy --
-     * results are bit-identical for every value -- so it is NOT part
-     * of a cell's identity.
+     * sim::GangSimulator::MAX_LANES. A range of L live trials over W
+     * workers deals gangs of at most min(gangWidth, ceil(L / W))
+     * lanes. Purely an execution strategy -- results are
+     * bit-identical for every value -- so it is NOT part of a cell's
+     * identity.
      */
     unsigned gangWidth = GANG_WIDTH_AUTO;
 };
@@ -105,8 +113,8 @@ struct TrialOutcome
 
 /**
  * Aggregated campaign cell results -- either a whole cell or, when
- * produced by runRange(), the shard covering trials
- * [firstTrial, firstTrial + trials).
+ * produced by runRange() or one range of runPass(), the shard covering
+ * trials [firstTrial, firstTrial + trials).
  */
 struct CampaignResult
 {
@@ -133,6 +141,47 @@ struct CampaignResult
         return trials ? static_cast<double>(crashed + timedOut) / trials
                       : 0.0;
     }
+};
+
+/** The trials [lo, hi) of a cell. */
+struct TrialRange
+{
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+};
+
+/**
+ * What CampaignRunner::runPass() reports while it runs. Every hook may
+ * be empty.
+ */
+struct PassHooks
+{
+    /**
+     * Consulted once per range, right before its first trial starts;
+     * true leaves that range unstarted, so it never reaches rangeDone.
+     * Ranges with no trial to simulate complete without asking.
+     */
+    std::function<bool()> stopStarting;
+
+    /**
+     * Trial @p index (its offset in range @p range) has its final
+     * outcome. Runs on the worker that finished the trial,
+     * concurrently with other trials' calls; it may consume
+     * outcome.output (a simulated trial's output is never read
+     * again).
+     */
+    std::function<void(size_t range, uint64_t index,
+                       TrialOutcome &outcome)>
+        trialDone;
+
+    /**
+     * Every trial of range @p range is done; @p result holds its
+     * tallies and its outcomes in trial order, as trialDone left
+     * them. Calls are serialized, in completion order, on the worker
+     * that finished the range's last task (or on the calling thread
+     * for a range with nothing to simulate).
+     */
+    std::function<void(size_t range, CampaignResult &result)> rangeDone;
 };
 
 /**
@@ -236,6 +285,21 @@ class CampaignRunner
     CampaignResult runRange(const CampaignConfig &config, uint64_t lo,
                             uint64_t hi);
 
+    /**
+     * Run several ranges of one cell as one pass: every range's trials
+     * share one worker pool, so a range of a few gangs no longer
+     * leaves workers idle until it drains. Tasks start in range order
+     * and each range completes (rangeDone) as soon as its last task
+     * ends, whatever the other ranges are doing. Each range's result
+     * is exactly runRange() over it.
+     *
+     * @param ranges trial ranges of the cell config.trials defines
+     *               (each lo <= hi <= config.trials)
+     */
+    void runPass(const CampaignConfig &config,
+                 const std::vector<TrialRange> &ranges,
+                 const PassHooks &hooks);
+
     /** @return the effective gang width for @p requested (see
      *         CampaignConfig::gangWidth). */
     static unsigned
@@ -263,22 +327,21 @@ class CampaignRunner
         uint64_t injected = 0; //!< flips actually performed
     };
 
-    /** Scalar executor: one trial at a time per worker. */
-    void runScalar(const std::vector<LiveTrial> &live, uint64_t firstTrial,
-                   unsigned threads, uint64_t budget,
-                   std::vector<TrialOutcome> &outcomes) const;
+    /** Called with a trial's slot once its outcome is final. */
+    using SlotDone = std::function<void(uint64_t slot)>;
 
-    /** Gang executor: lockstep gangs of @p width lanes per worker. */
-    void runGangs(std::vector<LiveTrial> &live, unsigned width,
-                  unsigned threads, uint64_t budget,
-                  std::vector<TrialOutcome> &outcomes) const;
+    /** Execute one trial on a scalar simulator. */
+    void runTrial(sim::Simulator &simulator, const LiveTrial &trial,
+                  uint64_t budget, TrialOutcome &outcome) const;
 
     /** Execute one gang of @p lanes trials end to end (restore, run,
-     *  flip at pauses, finish divergent lanes, record outcomes). */
+     *  flip at pauses, finish divergent lanes, record outcomes),
+     *  calling @p done as each lane's outcome becomes final. */
     void runGang(const LiveTrial *trials, unsigned lanes,
                  sim::Simulator &base, sim::Simulator &drain,
                  sim::GangSimulator &gang, uint64_t budget,
-                 std::vector<TrialOutcome> &outcomes) const;
+                 std::vector<TrialOutcome> &outcomes,
+                 const SlotDone &done) const;
 
     /**
      * Put @p simulator in the golden state of @p checkpoint, or at the

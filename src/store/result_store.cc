@@ -13,6 +13,7 @@
 #include "store/json.hh"
 #include "support/logging.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace etc::store {
 
@@ -271,6 +272,11 @@ void
 ResultStore::storeShard(const CellKey &key, unsigned lo, unsigned hi,
                         const core::CellSummary &summary)
 {
+    telemetry::TraceSpan span("store", "shard-write");
+    if (span.active())
+        span.setArgs("{\"cell\":\"" + key.fingerprint() +
+                     "\",\"lo\":" + std::to_string(lo) +
+                     ",\"hi\":" + std::to_string(hi) + "}");
     fs::path path = fs::path(shardDir(key)) /
                     (std::to_string(lo) + "-" + std::to_string(hi) +
                      ".jsonl");
@@ -378,6 +384,9 @@ core::CellSummary
 ResultStore::promoteShards(const CellKey &key,
                            std::vector<ShardRecord> shards)
 {
+    telemetry::TraceSpan span("store", "promote");
+    if (span.active())
+        span.setArgs("{\"cell\":\"" + key.fingerprint() + "\"}");
     auto summary =
         mergeShardSummaries(key, selectPrefixTiling(std::move(shards)));
     storeCell(key, summary);

@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "asm/builder.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "fault/injection.hh"
+#include "fault/policy.hh"
 #include "fault/trial_pool.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -197,6 +200,178 @@ TEST(CampaignDeterminismTest, EmptyAndFullRangesAreWellFormed)
     EXPECT_THROW(runner.runRange(config, 8, 4), PanicError);
     EXPECT_THROW(runner.runRange(config, 0, config.trials + 1),
                  PanicError);
+}
+
+// ---- one pass over several ranges -----------------------------------------
+
+/** Uneven ranges of a 48-trial cell, with an empty one among them. */
+const std::vector<TrialRange> PASS_RANGES = {
+    {0, 7}, {7, 20}, {20, 20}, {20, 33}, {33, 48}};
+
+/** Everything runPass() reported for each range. */
+struct PassRecord
+{
+    std::vector<CampaignResult> results;
+    std::vector<unsigned> rangeCalls;          //!< rangeDone per range
+    std::vector<std::atomic<unsigned>> trialCalls; //!< per global trial
+
+    PassRecord(size_t ranges, size_t trials)
+        : results(ranges), rangeCalls(ranges), trialCalls(trials)
+    {
+    }
+
+    PassHooks
+    hooks(const std::vector<TrialRange> &ranges)
+    {
+        PassHooks hooks;
+        hooks.trialDone = [this, &ranges](size_t range, uint64_t index,
+                                          TrialOutcome &) {
+            trialCalls[ranges[range].lo + index].fetch_add(1);
+        };
+        hooks.rangeDone = [this](size_t range, CampaignResult &result) {
+            ++rangeCalls[range];
+            results[range] = std::move(result);
+        };
+        return hooks;
+    }
+};
+
+TEST(CampaignDeterminismTest, PassEqualsSeparateRangeRuns)
+{
+    // The pass deals gangs per range and shares one pool across the
+    // ranges; each range must still be exactly runRange() over it,
+    // on every executor path.
+    auto adpcm = workloads::createWorkload("adpcm",
+                                           workloads::Scale::Test);
+    const Program &prog = adpcm->program();
+    for (uint64_t interval :
+         {uint64_t{0}, CampaignRunner::DEFAULT_CHECKPOINT_INTERVAL}) {
+        for (bool prune : {false, true}) {
+            CampaignRunner runner(prog, injectableWithoutProtection(prog),
+                                  sim::MemoryModel::Lenient, interval,
+                                  RK_ALL, {}, prune);
+            for (unsigned width : {0u, 1u, 8u, GANG_WIDTH_AUTO}) {
+                for (unsigned threads : {1u, 4u}) {
+                    SCOPED_TRACE("interval " + std::to_string(interval) +
+                                 " prune " + std::to_string(prune) +
+                                 " width " + std::to_string(width) +
+                                 " threads " + std::to_string(threads));
+                    auto config = cellConfig(threads);
+                    config.errors = 1;
+                    config.gangWidth = width;
+                    PassRecord pass(PASS_RANGES.size(), config.trials);
+                    runner.runPass(config, PASS_RANGES,
+                                   pass.hooks(PASS_RANGES));
+
+                    uint64_t pruned = 0;
+                    for (size_t r = 0; r < PASS_RANGES.size(); ++r) {
+                        auto [lo, hi] = PASS_RANGES[r];
+                        auto separate = runner.runRange(config, lo, hi);
+                        EXPECT_EQ(pass.rangeCalls[r], 1u) << "range " << r;
+                        EXPECT_EQ(pass.results[r].firstTrial, lo);
+                        EXPECT_EQ(pass.results[r].trialsPruned,
+                                  separate.trialsPruned);
+                        expectIdentical(separate, pass.results[r]);
+                        pruned += separate.trialsPruned;
+                    }
+                    EXPECT_EQ(pruned > 0, prune);
+                    for (uint64_t t = 0; t < config.trials; ++t)
+                        EXPECT_EQ(pass.trialCalls[t].load(), 1u)
+                            << "trial " << t;
+                }
+            }
+        }
+    }
+}
+
+TEST(CampaignDeterminismTest, StoppedPassFinishesOnlyStartedRanges)
+{
+    auto gsm = workloads::createWorkload("gsm", workloads::Scale::Test);
+    CampaignRunner runner(gsm->program(),
+                          injectableWithoutProtection(gsm->program()));
+    const std::vector<TrialRange> ranges = {
+        {0, 12}, {12, 24}, {24, 36}, {36, 48}};
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto config = cellConfig(threads);
+        PassRecord pass(ranges.size(), config.trials);
+        PassHooks hooks = pass.hooks(ranges);
+        // A stop arrives after two ranges were allowed to start.
+        std::atomic<unsigned> asked{0};
+        hooks.stopStarting = [&asked] { return asked.fetch_add(1) >= 2; };
+        runner.runPass(config, ranges, hooks);
+
+        // Each range is asked once; the two started ranges finish
+        // (whichever two won the race to start) and the rest never
+        // run a trial.
+        EXPECT_EQ(asked.load(), ranges.size());
+        unsigned finished = 0;
+        for (size_t r = 0; r < ranges.size(); ++r) {
+            unsigned calls = 0;
+            for (uint64_t t = ranges[r].lo; t < ranges[r].hi; ++t)
+                calls += pass.trialCalls[t].load();
+            if (!pass.rangeCalls[r]) {
+                EXPECT_EQ(calls, 0u) << "range " << r;
+                continue;
+            }
+            ++finished;
+            EXPECT_EQ(calls, ranges[r].hi - ranges[r].lo);
+            expectIdentical(runner.runRange(config, ranges[r].lo,
+                                            ranges[r].hi),
+                            pass.results[r]);
+        }
+        EXPECT_EQ(finished, 2u);
+        if (threads == 1) { // one worker starts ranges in order
+            EXPECT_EQ(pass.rangeCalls,
+                      (std::vector<unsigned>{1, 1, 0, 0}));
+        }
+    }
+}
+
+TEST(CampaignDeterminismTest, WorkerScoredFidelitiesMatchScoringAfterwards)
+{
+    // runCell scores each trial on the worker that ran it and drops
+    // its output; scoring the kept outputs of the same cell afterwards
+    // must give the same fidelity vector, bit for bit. mpeg's large
+    // per-trial output makes it the workload that needs the drop.
+    auto mpeg = workloads::createWorkload("mpeg", workloads::Scale::Test);
+    constexpr unsigned ERRORS = 2, TRIALS = 24;
+    core::StudyConfig config;
+    config.threads = 4;
+    core::ErrorToleranceStudy study(*mpeg, config);
+    auto cell = study.runCell(ERRORS, fault::UNPROTECTED_POLICY, TRIALS);
+
+    const auto &policy =
+        fault::resolveInjectionPolicy(fault::UNPROTECTED_POLICY);
+    CampaignRunner runner(
+        mpeg->program(),
+        policy.injectableBitmap(mpeg->program(),
+                                study.protection().tagged),
+        config.memoryModel, config.checkpointInterval,
+        policy.resultKinds, policy.bitModel);
+    CampaignConfig campaign;
+    campaign.trials = TRIALS;
+    campaign.errors = ERRORS;
+    campaign.budgetFactor = config.budgetFactor;
+    campaign.seed =
+        config.seed ^ (uint64_t{ERRORS} << 32) ^ policy.seedSalt();
+    auto result = runner.run(campaign);
+    std::vector<workloads::FidelityScore> after;
+    for (const auto &outcome : result.outcomes)
+        if (outcome.run.completed())
+            after.push_back(mpeg->scoreFidelity(runner.goldenOutput(),
+                                                outcome.output));
+
+    EXPECT_EQ(cell.completed, result.completed);
+    ASSERT_EQ(cell.fidelities.size(), after.size());
+    ASSERT_FALSE(after.empty());
+    for (size_t i = 0; i < after.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(cell.fidelities[i].value),
+                  std::bit_cast<uint64_t>(after[i].value))
+            << "fidelity " << i;
+        EXPECT_EQ(cell.fidelities[i].acceptable, after[i].acceptable);
+        EXPECT_EQ(cell.fidelities[i].unit, after[i].unit);
+    }
 }
 
 // ---- the primitives the engine's contract rests on -----------------------

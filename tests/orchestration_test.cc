@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "store/cell_key.hh"
 #include "store/result_store.hh"
 #include "support/logging.hh"
+#include "support/shutdown.hh"
 
 namespace {
 
@@ -161,6 +163,99 @@ TEST_F(OrchestrationTest, KillAndResumeIsBitIdentical)
             }
         }
     }
+}
+
+TEST_F(OrchestrationTest, StripedRunCellSimulatesOnlyMissingStripes)
+{
+    auto expected = reference();
+    for (unsigned threads : {1u, 4u}) {
+        std::filesystem::remove_all(root_);
+        // A killed 4-stripe run left stripes 0 and 2 behind.
+        {
+            ErrorToleranceStudy killed(*workload_, config(2));
+            for (unsigned stripe : {0u, 2u})
+                killed.runCellShard(ERRORS, fault::PROTECTED_POLICY,
+                                    TRIALS, stripe, 4);
+        }
+        ErrorToleranceStudy resumed(*workload_, config(threads));
+        auto summary =
+            resumed.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS, 4);
+        expectSummariesIdentical(expected, summary);
+        // Exactly stripes 1 and 3 ran, in one pass.
+        EXPECT_EQ(resumed.trialsExecuted(), TRIALS / 2)
+            << "threads " << threads;
+
+        auto *cache = resumed.resultStore();
+        auto key =
+            resumed.cellKey(ERRORS, fault::PROTECTED_POLICY, TRIALS);
+        auto stored = cache->loadCell(key);
+        ASSERT_TRUE(stored.has_value());
+        expectSummariesIdentical(expected, *stored);
+        EXPECT_TRUE(cache->loadShards(key).empty());
+    }
+}
+
+TEST_F(OrchestrationTest, StripedRunCellMatchesEveryStripeCount)
+{
+    auto expected = reference();
+    for (unsigned stripes : {1u, 2u, 4u, 7u, 40u}) {
+        std::filesystem::remove_all(root_);
+        ErrorToleranceStudy study(*workload_, config(4));
+        auto summary = study.runCell(ERRORS, fault::PROTECTED_POLICY,
+                                     TRIALS, stripes);
+        expectSummariesIdentical(expected, summary);
+        EXPECT_EQ(study.trialsExecuted(), TRIALS) << stripes;
+    }
+}
+
+TEST_F(OrchestrationTest, CellWallTimeNeverExceedsTheRunCellWall)
+{
+    // Stripes of one pass overlap in time; each is credited with the
+    // wall time since the previous stripe's completion, so the merged
+    // cell's wall time is the pass's, never a sum of overlaps.
+    for (bool cached : {false, true}) {
+        std::filesystem::remove_all(root_);
+        ErrorToleranceStudy study(*workload_, config(4, cached));
+        auto started = std::chrono::steady_clock::now();
+        auto summary = study.runCell(ERRORS, fault::PROTECTED_POLICY,
+                                     TRIALS, 4);
+        std::chrono::duration<double> measured =
+            std::chrono::steady_clock::now() - started;
+        EXPECT_GT(summary.wallSeconds, 0.0);
+        EXPECT_LE(summary.wallSeconds, measured.count())
+            << "cached " << cached;
+    }
+}
+
+TEST_F(OrchestrationTest, StopRequestLeavesUnstartedStripesUnrun)
+{
+    auto expected = reference();
+    // A stop requested before the cell starts: no stripe starts, none
+    // is persisted, and runCell reports the interruption.
+    requestStop();
+    {
+        ErrorToleranceStudy study(*workload_, config(4));
+        EXPECT_THROW(study.runCell(ERRORS, fault::PROTECTED_POLICY,
+                                   TRIALS, 4),
+                     core::CellInterrupted);
+        EXPECT_EQ(study.trialsExecuted(), 0u);
+        auto key = study.cellKey(ERRORS, fault::PROTECTED_POLICY, TRIALS);
+        EXPECT_FALSE(study.resultStore()->hasCell(key));
+        EXPECT_TRUE(study.resultStore()->loadShards(key).empty());
+
+        // Without a store there is nothing to persist between
+        // stripes, so the cell runs to the end.
+        ErrorToleranceStudy uncached(*workload_, config(4, false));
+        expectSummariesIdentical(
+            expected, uncached.runCell(ERRORS, fault::PROTECTED_POLICY,
+                                       TRIALS, 4));
+    }
+    clearStopRequest();
+
+    ErrorToleranceStudy resumed(*workload_, config(4));
+    expectSummariesIdentical(
+        expected,
+        resumed.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS, 4));
 }
 
 TEST_F(OrchestrationTest, ShardFanOutAcrossProcessesMerges)

@@ -10,10 +10,17 @@
  * daemon.
  */
 
+#include <malloc.h>
+
 #include "bench/lab.hh"
 
 int
 main(int argc, char **argv)
 {
+    // One malloc arena for every thread. Campaign workers free each
+    // trial's output as soon as it is scored; per-thread arenas would
+    // each keep their share of those freed pages, so peak RSS would
+    // grow with the thread count for no gain in speed.
+    mallopt(M_ARENA_MAX, 1);
     return etc::bench::labMain(argc, argv);
 }

@@ -157,7 +157,7 @@ ErrorToleranceStudy::goldenInstructions() const
         .goldenInstructions();
 }
 
-bool
+void
 ErrorToleranceStudy::simulate(const store::CellKey &key,
                               const fault::InjectionPolicy &policy,
                               const std::vector<fault::TrialRange> &ranges,
@@ -184,9 +184,7 @@ ErrorToleranceStudy::simulate(const store::CellKey &key,
     std::vector<std::vector<workloads::FidelityScore>> scores;
     for (const auto &range : ranges)
         scores.emplace_back(range.hi - range.lo);
-    size_t finished = 0;
     auto last = std::chrono::steady_clock::now();
-    uint64_t lastMicros = telemetry::Tracer::instance().nowMicros();
 
     fault::PassHooks hooks;
     if (stoppable)
@@ -202,7 +200,6 @@ ErrorToleranceStudy::simulate(const store::CellKey &key,
         auto now = std::chrono::steady_clock::now();
         std::chrono::duration<double> wall = now - last;
         last = now;
-        ++finished;
         trialsExecuted_ += result.trials;
 
         store::ShardRecord piece{
@@ -227,18 +224,18 @@ ErrorToleranceStudy::simulate(const store::CellKey &key,
         // The stripe's span covers the wall time it is credited with.
         telemetry::Tracer &tracer = telemetry::Tracer::instance();
         if (tracer.enabled()) {
-            uint64_t nowMicros = tracer.nowMicros();
+            uint64_t end = tracer.nowMicros();
+            uint64_t micros = std::min(
+                end, static_cast<uint64_t>(wall.count() * 1e6));
             tracer.emitComplete(
-                "core", "stripe", lastMicros, nowMicros - lastMicros,
+                "core", "stripe", end - micros, micros,
                 "{\"cell\":\"" + key.fingerprint() +
                     "\",\"lo\":" + std::to_string(piece.lo) +
                     ",\"hi\":" + std::to_string(piece.hi) + "}");
-            lastMicros = nowMicros;
         }
         sink(std::move(piece));
     };
     campaignRunner.runPass(campaignConfig, ranges, hooks);
-    return finished == ranges.size();
 }
 
 store::CellKey
@@ -306,10 +303,6 @@ ErrorToleranceStudy::tileRange(const store::CellKey &key,
                                     piece.summary);
                  pieces.push_back(std::move(piece));
              });
-    std::sort(pieces.begin(), pieces.end(),
-              [](const store::ShardRecord &a, const store::ShardRecord &b) {
-                  return a.lo < b.lo;
-              });
     return pieces;
 }
 
@@ -342,16 +335,17 @@ ErrorToleranceStudy::runCell(unsigned errors,
     // none runs as one in-memory piece: it is promoted at once, so
     // writing it as a shard first would only add a write.
     auto shards = store_->loadShards(key);
-    bool complete = true;
     if (shards.empty() && stripes <= 1)
-        complete = simulate(key, policy, {{0, trials}}, true, collect);
+        simulate(key, policy, {{0, trials}}, true, collect);
     else
         pieces = tileRange(key, policy, std::move(shards), 0, trials,
                            stripes, true);
+    // The pieces are disjoint, so they tile the cell iff their sizes
+    // sum to it; a stop request leaves the unstarted ones missing.
     unsigned covered = 0;
     for (const auto &piece : pieces)
         covered += piece.hi - piece.lo;
-    if (!complete || covered < trials)
+    if (covered < trials)
         throw CellInterrupted("interrupted with " +
                               std::to_string(trials - covered) + " of " +
                               std::to_string(trials) +

@@ -289,10 +289,11 @@ class ErrorToleranceStudy
      * runs from the previous range's completion (or the pass start)
      * to its own, so the pieces' wall times sum to the pass.
      *
-     * @param stoppable honor stop requests between range starts
-     * @return whether every range ran
+     * @param stoppable honor stop requests (support/shutdown.hh):
+     *                  ranges not yet started when one arrives never
+     *                  reach @p sink
      */
-    bool simulate(const store::CellKey &key,
+    void simulate(const store::CellKey &key,
                   const fault::InjectionPolicy &policy,
                   const std::vector<fault::TrialRange> &ranges,
                   bool stoppable, const PieceSink &sink);
@@ -303,8 +304,8 @@ class ErrorToleranceStudy
      * the boundaries of @p stripes equal stripes of the cell and
      * simulated in one pass, each persisted as a shard as it ends.
      *
-     * @return the pieces, by trial range; when a stop request (with
-     *         @p stoppable) left gaps unrun, they stay missing
+     * @return the pieces, in no particular order; when a stop request
+     *         (with @p stoppable) left gaps unrun, they stay missing
      */
     std::vector<store::ShardRecord> tileRange(
         const store::CellKey &key, const fault::InjectionPolicy &policy,

@@ -297,6 +297,7 @@ CampaignRunner::runPass(const CampaignConfig &config,
             }
         }
         if (hooks.rangeDone) {
+            // Held across the call: rangeDone calls are serialized.
             std::lock_guard<std::mutex> lock(doneMutex);
             hooks.rangeDone(r, result);
         }
@@ -385,8 +386,7 @@ CampaignRunner::runPass(const CampaignConfig &config,
             for (size_t i = 0; i < live.size(); ++i)
                 tasks.push_back(PassTask{r, i, 1, 0});
         }
-        run.pending.store(tasks.size() - tasksBefore,
-                          std::memory_order_relaxed);
+        run.pending = tasks.size() - tasksBefore;
         if (tasks.size() == tasksBefore)
             finish(r); // nothing to simulate
     }
@@ -441,7 +441,7 @@ CampaignRunner::runPass(const CampaignConfig &config,
                      run.result.outcomes[trial.slot]);
             done(trial.slot);
         }
-        if (run.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (run.pending.fetch_sub(1) == 1)
             finish(task.range);
     });
 }

@@ -286,12 +286,12 @@ class CampaignRunner
                             uint64_t hi);
 
     /**
-     * Run several ranges of one cell as one pass: every range's trials
-     * share one worker pool, so a range of a few gangs no longer
-     * leaves workers idle until it drains. Tasks start in range order
-     * and each range completes (rangeDone) as soon as its last task
-     * ends, whatever the other ranges are doing. Each range's result
-     * is exactly runRange() over it.
+     * Run several ranges of one cell as one pass: the ranges' tasks
+     * form one TrialPool grid, so workers move on to the next range
+     * while the previous one's slowest task drains. Tasks start in
+     * range order and each range completes (rangeDone) as soon as its
+     * last task ends. Each range's result is exactly runRange() over
+     * it.
      *
      * @param ranges trial ranges of the cell config.trials defines
      *               (each lo <= hi <= config.trials)

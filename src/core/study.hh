@@ -223,9 +223,10 @@ class ErrorToleranceStudy
      * as one engine pass (CampaignRunner::runPass) split into
      * @p stripes persisted stripes: each stripe is written as a shard
      * the moment its last trial ends, and the tiling shards are then
-     * promoted into the cell record. A stop request stops starting new
-     * stripes; the started ones finish and persist, and CellInterrupted
-     * is thrown. Stripes change what is persisted, never the results.
+     * promoted into the cell record. There, a stop request stops
+     * starting new stripes; the started ones finish and persist, and
+     * CellInterrupted is thrown. Without a store the cell always runs
+     * to the end. Stripes change what is persisted, never the results.
      *
      * @param errors         bit flips per trial
      * @param policyName     registered injection policy

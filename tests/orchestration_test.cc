@@ -71,7 +71,12 @@ class OrchestrationTest : public ::testing::Test
         std::filesystem::remove_all(root_);
     }
 
-    void TearDown() override { std::filesystem::remove_all(root_); }
+    void
+    TearDown() override
+    {
+        clearStopRequest(); // never leak a test's stop into the next
+        std::filesystem::remove_all(root_);
+    }
 
     StudyConfig
     config(unsigned threads, bool cached = true) const

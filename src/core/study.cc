@@ -182,6 +182,7 @@ ErrorToleranceStudy::simulate(const store::CellKey &key,
     // the worker that finished its trial, and read in trial order once
     // the range is done.
     std::vector<std::vector<workloads::FidelityScore>> scores;
+    scores.reserve(ranges.size());
     for (const auto &range : ranges)
         scores.emplace_back(range.hi - range.lo);
     auto last = std::chrono::steady_clock::now();

@@ -4,9 +4,10 @@
  * handlers that set it.
  *
  * Long-running drivers (`etc_lab run`, `etc_lab serve`) poll
- * stopRequested() at persistence boundaries -- between shard chunks
- * and between cells -- so a signal finishes and persists the in-flight
- * chunk, then exits cleanly with a summary instead of dying mid-write.
+ * stopRequested() at persistence boundaries -- before starting a
+ * stripe of a cell (a pass asks once per stripe) and between cells --
+ * so a signal finishes and persists the stripes in flight, then exits
+ * cleanly with a summary instead of dying mid-write.
  * A second signal while the first is still draining force-exits
  * immediately (the escape hatch for a wedged run).
  */

@@ -163,6 +163,8 @@ ErrorToleranceStudy::simulate(const store::CellKey &key,
                               const std::vector<fault::TrialRange> &ranges,
                               bool stoppable, const PieceSink &sink)
 {
+    if (ranges.empty())
+        return; // stored shards cover the cell: no golden run needed
     auto &campaignRunner = runner(policy);
     const std::vector<uint8_t> &golden = campaignRunner.goldenOutput();
 

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "asm/builder.hh"
 #include "core/study.hh"
 #include "store/cell_key.hh"
+#include "store/result_store.hh"
 #include "support/logging.hh"
 
 namespace {
@@ -84,6 +88,41 @@ TEST(StudyTest, ConstructionRunsNoSimulation)
     EXPECT_EQ(study.cellKey(1, fault::PROTECTED_POLICY, 4).workload,
               "crashing");
     EXPECT_THROW(study.profile(), PanicError);
+}
+
+TEST(StudyTest, PromotingStoredShardsRunsNoSimulation)
+{
+    // Shards that already tile a cell (e.g. pushed by fleet workers)
+    // are merged and promoted without a golden run, which for this
+    // workload would fail.
+    CrashingWorkload workload;
+    auto root = std::filesystem::temp_directory_path() /
+                ("etc_core_test_promote_" +
+                 std::to_string(
+                     ::testing::UnitTest::GetInstance()->random_seed()));
+    std::filesystem::remove_all(root);
+    auto config = quickConfig();
+    config.cacheDir = root.string();
+    ErrorToleranceStudy study(workload, config);
+    auto key = study.cellKey(1, fault::PROTECTED_POLICY, 4);
+    CellSummary half;
+    half.errors = 1;
+    half.policy = fault::PROTECTED_POLICY;
+    half.trials = 2;
+    half.completed = 2;
+    half.fidelities = {{1.0, true, "none"}, {1.0, true, "none"}};
+    study.resultStore()->storeShard(key, 0, 2, half);
+    study.resultStore()->storeShard(key, 2, 4, half);
+
+    auto stripe =
+        study.runCellShard(1, fault::PROTECTED_POLICY, 4, 0, 1);
+    EXPECT_EQ(stripe.trials, 4u);
+    auto cell = study.runCell(1, fault::PROTECTED_POLICY, 4, 4);
+    EXPECT_EQ(cell.trials, 4u);
+    EXPECT_EQ(cell.completed, 4u);
+    EXPECT_EQ(study.trialsExecuted(), 0u);
+    EXPECT_TRUE(study.resultStore()->hasCell(key));
+    std::filesystem::remove_all(root);
 }
 
 TEST(StudyTest, ZeroErrorCellIsPerfect)

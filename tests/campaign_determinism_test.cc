@@ -244,6 +244,13 @@ TEST(CampaignDeterminismTest, PassEqualsSeparateRangeRuns)
     auto adpcm = workloads::createWorkload("adpcm",
                                            workloads::Scale::Test);
     const Program &prog = adpcm->program();
+    // The independent oracle: the whole cell, serial, replaying every
+    // trial through the Injector hook.
+    auto oracleConfig = cellConfig(1);
+    oracleConfig.errors = 1;
+    auto oracle = CampaignRunner(prog, injectableWithoutProtection(prog),
+                                 sim::MemoryModel::Lenient, 0)
+                      .run(oracleConfig);
     for (uint64_t interval :
          {uint64_t{0}, CampaignRunner::DEFAULT_CHECKPOINT_INTERVAL}) {
         for (bool prune : {false, true}) {
@@ -272,6 +279,7 @@ TEST(CampaignDeterminismTest, PassEqualsSeparateRangeRuns)
                         EXPECT_EQ(pass.results[r].trialsPruned,
                                   separate.trialsPruned);
                         expectIdentical(separate, pass.results[r]);
+                        expectShardIsSliceOf(oracle, pass.results[r]);
                         pruned += separate.trialsPruned;
                     }
                     EXPECT_EQ(pruned > 0, prune);

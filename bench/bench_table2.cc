@@ -60,23 +60,6 @@ main(int argc, char **argv)
         opts.applyTo(config);
         config.trials = opts.trialsOr(TRIALS);
         core::ErrorToleranceStudy study(*workload, config);
-        if (opts.sharded()) {
-            // Stripe mode: persist this process's share of every cell
-            // and skip rendering; a later unsharded run assembles the
-            // shards from the cache into the full table.
-            for (unsigned errors : row.errorCounts) {
-                inform("table2: ", row.app, " @ ", errors,
-                       " errors, shard ", opts.shardIndex, "/",
-                       opts.shardCount);
-                study.runCellShard(errors, PROTECTED_POLICY,
-                                   config.trials, opts.shardIndex,
-                                   opts.shardCount);
-                study.runCellShard(errors, UNPROTECTED_POLICY,
-                                   config.trials, opts.shardIndex,
-                                   opts.shardCount);
-            }
-            continue;
-        }
         for (size_t i = 0; i < row.errorCounts.size(); ++i) {
             unsigned errors = row.errorCounts[i];
             inform("table2: ", row.app, " @ ", errors, " errors");
@@ -97,13 +80,6 @@ main(int argc, char **argv)
                 row.paper[i].second,
             });
         }
-    }
-    if (opts.sharded()) {
-        inform("table2: shard ", opts.shardIndex, "/", opts.shardCount,
-               " stored in ", opts.cacheDir,
-               "; run the remaining shards, then rerun unsharded to "
-               "render the table");
-        return 0;
     }
     bench::banner("Table 2",
                   "Catastrophic failures with and without protecting "

@@ -27,8 +27,7 @@ usage(const char *program, int status)
               << " [--threads N] [--trials N] [--policy NAME]...\n"
                  "       [--checkpoint-interval N] [--static-prune]"
                  " [--gang-width N|auto]\n"
-                 "       [--seed S] [--cache-dir DIR] [--shard i/N]"
-                 " [--trace-out FILE]\n"
+                 "       [--seed S] [--cache-dir DIR] [--trace-out FILE]\n"
               << "  --threads N  campaign worker threads (0 = all "
                  "cores; default 0)\n"
               << "  --trials N   trials per campaign cell (>= 1; omit "
@@ -61,10 +60,6 @@ usage(const char *program, int status)
               << "  --cache-dir DIR  persist campaign cells to the "
                  "result store at DIR\n"
               << "               and skip already-stored cells\n"
-              << "  --shard i/N  run only trial stripe i (0-based) of N "
-                 "per cell,\n"
-              << "               persisting shard records (requires "
-                 "--cache-dir)\n"
               << "  --trace-out FILE  write Chrome Trace Event JSONL "
                  "spans (golden run,\n"
               << "               trials, gangs, chunks) to FILE. "
@@ -136,21 +131,6 @@ parseGangWidthValue(const std::string &flag, const std::string &text)
     return width;
 }
 
-void
-parseShardSpec(const std::string &text, unsigned &index,
-               unsigned &count)
-{
-    size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
-        fatal("--shard expects i/N, got '", text, "'");
-    index = parseCount32("--shard", text.substr(0, slash));
-    count = parseCount32("--shard", text.substr(slash + 1));
-    if (count == 0 || index >= count)
-        fatal("--shard index must satisfy 0 <= i < N, got '", text,
-              "'");
-}
-
 std::optional<std::string>
 flagValue(int argc, char **argv, int &i, const std::string &flag)
 {
@@ -195,8 +175,6 @@ parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts)
         if (dir->empty())
             fatal("--cache-dir expects a directory");
         opts.cacheDir = *dir;
-    } else if (auto shard = valueOf("--shard")) {
-        parseShardSpec(*shard, opts.shardIndex, opts.shardCount);
     } else if (auto trace = valueOf("--trace-out")) {
         if (trace->empty())
             fatal("--trace-out expects a file path");
@@ -210,9 +188,6 @@ parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts)
 void
 finishCampaignFlags(const BenchOptions &opts)
 {
-    if (opts.sharded() && opts.cacheDir.empty())
-        fatal("--shard requires --cache-dir (the stripe's results "
-              "must be persisted somewhere)");
     // The singleton flushes on process exit.
     if (!opts.traceOut.empty())
         telemetry::Tracer::instance().open(opts.traceOut);

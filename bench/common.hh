@@ -76,20 +76,11 @@ struct BenchOptions
      *  results; see core::StudyConfig::gangWidth). */
     unsigned gangWidth = fault::GANG_WIDTH_AUTO;
 
-    /** --shard i/N: run only trial stripe i of N per cell (persisting
-     *  shard records) instead of rendering the figure. shardCount == 0
-     *  means not sharded. */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 0;
-
     /** --trace-out FILE: emit Chrome Trace Event JSONL spans there
      *  (empty = tracing off). finishCampaignFlags() opens the tracer.
      *  Observation only -- results are identical with tracing on or
      *  off. */
     std::string traceOut;
-
-    /** @return true when this process runs one stripe of each cell. */
-    bool sharded() const { return shardCount > 0; }
 
     /** @return the trial count: this option, or @p dflt when unset. */
     unsigned
@@ -136,10 +127,6 @@ struct BenchOptions
  *                            reproduced numbers.
  *   --cache-dir DIR          persist campaign cells to the result store
  *                            at DIR and skip already-stored cells
- *   --shard i/N              run only trial stripe i (0-based) of N per
- *                            cell, persisting shard records to the
- *                            cache instead of rendering results
- *                            (requires --cache-dir)
  *   --trace-out FILE         write Chrome Trace Event JSONL spans to
  *                            FILE (view via `jq -s . FILE` in
  *                            Perfetto). Never changes reproduced
@@ -154,9 +141,8 @@ struct BenchOptions
 bool parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts);
 
 /**
- * Check the parsed campaign flags against each other (--shard needs
- * --cache-dir) and open the tracer when --trace-out was given. Every
- * parser calls this once, after its last flag.
+ * Open the tracer when --trace-out was given. Every parser calls this
+ * once, after its last flag.
  */
 void finishCampaignFlags(const BenchOptions &opts);
 
@@ -195,10 +181,6 @@ uint64_t parseSeedValue(const std::string &flag,
 /** Parse a gang-width value: "auto" or 0..GangSimulator::MAX_LANES. */
 unsigned parseGangWidthValue(const std::string &flag,
                              const std::string &text);
-
-/** Parse a "--shard i/N" spec (0 <= i < N, N >= 1). */
-void parseShardSpec(const std::string &text, unsigned &index,
-                    unsigned &count);
 
 /**
  * The one policy-name validator every CLI flag and request field

@@ -225,7 +225,8 @@ makeStudyConfig(const Experiment &exp, const BenchOptions &opts)
 
 ExperimentStudy::ExperimentStudy(const Experiment &exp,
                                  const BenchOptions &opts)
-    : workload(workloads::createWorkload(exp.workload, exp.scale)),
+    : exp(exp),
+      workload(workloads::createWorkload(exp.workload, exp.scale)),
       study(*workload, makeStudyConfig(exp, opts))
 {}
 

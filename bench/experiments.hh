@@ -15,6 +15,7 @@
 #define ETC_BENCH_EXPERIMENTS_HH
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,8 +89,14 @@ struct ExperimentStudy
 {
     ExperimentStudy(const Experiment &exp, const BenchOptions &opts);
 
+    const Experiment &exp;
     std::unique_ptr<workloads::Workload> workload;
     core::ErrorToleranceStudy study; //!< over *workload
+
+    /** Serializes runs on the study, which is not thread-safe, where
+     *  threads share it (the daemon's and an agent's executors).
+     *  Keying a cell only reads its immutable analysis and config. */
+    std::mutex runMutex;
 };
 
 /** The swept policy list: opts.policies when set, else the

@@ -38,7 +38,7 @@ namespace {
 
 struct LabOptions
 {
-    std::string command;    //!< run | resume | merge | report | list
+    std::string command;    //!< run | resume | report | list
                             //!< | query | reindex | policies
                             //!< | analyze | lint | serve | submit
                             //!< | status | fetch | stats
@@ -94,8 +94,6 @@ usage(int status)
            "          (status 130)\n"
            "  resume  same as run (requires --cache-dir); continues a\n"
            "          killed campaign from its stored shards\n"
-           "  merge   promote complete shard sets into cell records\n"
-           "          (no simulation)\n"
            "  report  render the figure purely from stored records\n"
            "          (no simulation; fails on missing cells)\n"
            "  list    print the experiment registry (with --cache-dir,\n"
@@ -135,13 +133,14 @@ usage(int status)
            "          all simulation happens on workers); lapsed\n"
            "          leases re-issue automatically and fleet results\n"
            "          are bit-identical to single-host runs;\n"
-           "          SIGINT/SIGTERM drains in-flight chunks and\n"
-           "          exits cleanly\n"
-           "  work    run a worker agent: pull shard-range leases\n"
-           "          from a coordinator daemon (--coordinator\n"
-           "          http://HOST:PORT), execute them through the\n"
-           "          same cache-aware engine, push the canonical\n"
-           "          shard records back, heartbeat while executing\n"
+           "          SIGINT/SIGTERM finishes and persists the\n"
+           "          stripes in flight and exits cleanly\n"
+           "  work    run a worker agent: pull one cell's pending\n"
+           "          shard-range leases at a time from a coordinator\n"
+           "          daemon (--coordinator http://HOST:PORT), run\n"
+           "          them as one pass through the same cache-aware\n"
+           "          engine, push each canonical shard record back\n"
+           "          as it lands, heartbeat every held lease\n"
            "  submit  POST a job to a daemon (--experiment, optional\n"
            "          --errors/--policy for one cell, --wait to poll\n"
            "          until it drains)\n"
@@ -156,11 +155,11 @@ usage(int status)
         << experimentNames()
         << "\n"
            "  --cache-dir DIR          result-store root (required for\n"
-           "                           resume/merge/report/serve; run\n"
+           "                           resume/report/serve; run\n"
            "                           without it persists nothing)\n"
            "  --trials N               trials per cell (>= 1; default:\n"
            "                           the experiment's)\n"
-           "  --policy NAME            run/resume/merge/report: sweep\n"
+           "  --policy NAME            run/resume/report: sweep\n"
            "                           this injection policy instead\n"
            "                           of the experiment's own list\n"
            "                           (repeatable). submit: the\n"
@@ -187,8 +186,6 @@ usage(int status)
            "  --workload NAME          analyze/lint: the registry\n"
            "                           workload to analyze (lint\n"
            "                           defaults to all)\n"
-           "  --shard i/N              run only trial stripe i of N per\n"
-           "                           cell, then exit (no rendering)\n"
            "  --chunks N               stripes persisted as shard\n"
            "                           records per cell while running\n"
            "                           (default 4). A cell's stripes\n"
@@ -251,9 +248,9 @@ usage(int status)
            "  --help                   this message\n"
            "\n"
            "Results are bit-identical for every --threads value, every\n"
-           "--shard split, every --chunks value, across kill/resume,\n"
-           "and whether cells were computed by `run` or by a daemon --\n"
-           "only wall-clock time changes.\n";
+           "--chunks value, across kill/resume, and whether cells were\n"
+           "computed by `run`, by a daemon or by its agents -- only\n"
+           "wall-clock time changes.\n";
     std::exit(status);
 }
 
@@ -267,7 +264,7 @@ parseLabArgs(int argc, char **argv)
     if (opts.command == "--help" || opts.command == "-h")
         usage(0);
     const std::vector<std::string> commands = {
-        "run",     "resume", "merge",  "report",  "list",   "query",
+        "run",     "resume", "report",  "list",   "query",
         "reindex", "policies", "analyze", "lint", "serve",  "work",
         "submit",  "status", "fetch",  "stats"};
     if (std::find(commands.begin(), commands.end(), opts.command) ==
@@ -353,7 +350,7 @@ parseLabArgs(int argc, char **argv)
     }
 
     bool local = opts.command == "run" || opts.command == "resume" ||
-                 opts.command == "merge" || opts.command == "report";
+                 opts.command == "report";
     bool cached = !opts.bench.cacheDir.empty();
     if (local && opts.experiment.empty())
         fatal("--experiment is required (one of: ", experimentNames(),
@@ -387,9 +384,6 @@ parseLabArgs(int argc, char **argv)
     if (opts.command == "serve" && !cached)
         fatal("serve requires --cache-dir (jobs persist to and resume "
               "from the result store)");
-    if (opts.command == "serve" && opts.bench.sharded())
-        fatal("serve does not take --shard (the daemon schedules its "
-              "own stripes)");
     if (opts.command == "work" && opts.coordinator.empty())
         fatal("work requires --coordinator http://HOST:PORT");
     if (opts.command != "work" && !opts.coordinator.empty())
@@ -458,39 +452,6 @@ labRun(const LabOptions &opts, const Experiment &exp)
         return EXIT_INTERRUPTED;
     };
 
-    if (opts.bench.sharded()) {
-        // Stripe mode: classify by actual loads (a corrupt record
-        // must recompute, not silently skip).
-        size_t stripesCached = 0, stripesComputed = 0;
-        auto [lo, hi] = core::ErrorToleranceStudy::shardRange(
-            trials, opts.bench.shardIndex, opts.bench.shardCount);
-        for (const auto &[errors, policy] : cells) {
-            if (stopRequested())
-                return interruptedExit(cells.size(), stripesCached,
-                                       stripesComputed);
-            inform(exp.name, ": errors=", errors, " shard ",
-                   opts.bench.shardIndex, "/", opts.bench.shardCount,
-                   " (", policy, ")");
-            auto key = study.cellKey(errors, policy, trials);
-            if (cache->loadCell(key) || cache->loadShard(key, lo, hi)) {
-                ++stripesCached;
-                continue;
-            }
-            ++stripesComputed;
-            study.runCellShard(errors, policy, trials,
-                               opts.bench.shardIndex,
-                               opts.bench.shardCount);
-        }
-        inform("etc_lab: shard ", opts.bench.shardIndex, "/",
-               opts.bench.shardCount, " of '", exp.name,
-               "' stored in ", opts.bench.cacheDir,
-               "; run the remaining shards, then `etc_lab merge` and "
-               "`etc_lab report`");
-        emitLabJson(opts, cells.size(), stripesCached, stripesComputed,
-                    study.trialsExecuted());
-        return 0;
-    }
-
     size_t cellsCached = 0, cellsComputed = 0;
     std::vector<core::CellSummary> summaries;
     for (const auto &[errors, policy] : cells) {
@@ -535,42 +496,6 @@ labRun(const LabOptions &opts, const Experiment &exp)
 }
 
 int
-labMerge(const LabOptions &opts, const Experiment &exp)
-{
-    ExperimentStudy lab(exp, opts.bench);
-    store::ResultStore &cache = *lab.study.resultStore();
-    unsigned trials = opts.bench.trialsOr(exp.defaultTrials);
-
-    size_t complete = 0, merged = 0, incomplete = 0;
-    for (const auto &[errors, policy] :
-         experimentCells(exp, sweepPolicies(exp, opts.bench))) {
-        auto key = lab.study.cellKey(errors, policy, trials);
-        if (cache.loadCell(key)) {
-            cache.dropShards(key); // reclaim leftovers
-            ++complete;
-            continue;
-        }
-        // Tolerate shards from mixed splits (e.g. chunks of a killed
-        // run plus --shard stripes): promotion keeps a prefix-tiling
-        // subset and merges if it covers the cell.
-        try {
-            cache.promoteShards(key, cache.loadShards(key));
-            ++merged;
-            inform("etc_lab: merged ", key.canonical());
-        } catch (const store::StoreFormatError &error) {
-            ++incomplete;
-            inform("etc_lab: cannot merge ", key.canonical(), ": ",
-                   error.what());
-        }
-    }
-    inform("etc_lab: ", complete, " cells already complete, ", merged,
-           " merged from shards, ", incomplete, " still incomplete");
-    emitLabJson(opts, complete + merged + incomplete,
-                complete + merged, 0, 0);
-    return incomplete ? 1 : 0;
-}
-
-int
 labReport(const LabOptions &opts, const Experiment &exp)
 {
     store::ResultStore cache(opts.bench.cacheDir);
@@ -579,8 +504,7 @@ labReport(const LabOptions &opts, const Experiment &exp)
         fatal("no stored record for cell ",
               sweep.missing.front().canonical(), " in ",
               opts.bench.cacheDir,
-              " -- run `etc_lab run` (or `merge` after sharded "
-              "runs) first");
+              " -- run `etc_lab run` first");
 
     renderExperiment(std::cout, exp, sweepPolicies(exp, opts.bench),
                      sweep.points);
@@ -794,13 +718,13 @@ labServe(const LabOptions &opts)
     server.run();
 
     inform("etc_lab: stop requested; finishing and persisting the "
-           "in-flight shard chunks");
+           "stripes in flight");
     scheduler.stop();
     auto stats = scheduler.stats();
     inform("etc_lab: serve summary: ", stats.jobs, " jobs, ",
            stats.cellsDone, " cells done, ",
            stats.cellsQueued + stats.cellsRunning,
-           " cells unfinished (their chunks are persisted), ",
+           " cells unfinished (their finished stripes are persisted), ",
            stats.trialsExecuted, " trials executed");
     std::cerr << "ETC_SERVE_JSON {"
               << "\"port\":" << server.port() << ","
@@ -1058,8 +982,6 @@ labMain(int argc, char **argv)
         if (!exp)
             fatal("unknown experiment '", opts.experiment,
                   "' (available: ", experimentNames(), ")");
-        if (opts.command == "merge")
-            return labMerge(opts, *exp);
         if (opts.command == "report")
             return labReport(opts, *exp);
         return labRun(opts, *exp);

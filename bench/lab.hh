@@ -6,13 +6,12 @@
  *
  *   run     execute the sweep, persisting every cell to --cache-dir;
  *           stored cells are skipped outright, partially-stored cells
- *           resume from their shards, and each cell executes as
- *           --chunks shard records so a killed run loses at most one
- *           chunk of progress. Renders the figure when done.
+ *           resume from their shards, and each cell's --chunks stripes
+ *           run as one pass, each persisted as a shard record as it
+ *           ends, so a killed run loses at most the stripes in flight.
+ *           Renders the figure when done.
  *   resume  alias of run that requires --cache-dir (documents intent
  *           after a kill; run already resumes from whatever exists).
- *   merge   promote complete shard sets into cell records without
- *           running anything (after `--shard i/N` fan-out).
  *   report  render the figure purely from stored records -- no
  *           simulation at all; fails if any cell is missing.
  *   list    print the experiment registry (name, figure, workload,
@@ -22,8 +21,8 @@
  *
  *   serve   long-running HTTP daemon: submitted experiments/cells
  *           execute on an async worker pool over the result store;
- *           SIGINT/SIGTERM finishes and persists in-flight shard
- *           chunks, then exits with a summary.
+ *           SIGINT/SIGTERM finishes and persists the stripes in
+ *           flight, then exits with a summary.
  *   submit  POST a job to a daemon (optionally --wait until drained).
  *   status  GET a job's status and per-cell progress.
  *   fetch   GET a figure (byte-identical to `report` on the daemon's

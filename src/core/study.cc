@@ -236,7 +236,7 @@ ErrorToleranceStudy::simulate(const store::CellKey &key,
                     "\",\"lo\":" + std::to_string(piece.lo) +
                     ",\"hi\":" + std::to_string(piece.hi) + "}");
         }
-        sink(std::move(piece));
+        sink(range, std::move(piece));
     };
     campaignRunner.runPass(campaignConfig, ranges, hooks);
 }
@@ -263,50 +263,63 @@ ErrorToleranceStudy::shardRange(unsigned trials, unsigned index,
     return {lo, hi};
 }
 
-std::vector<store::ShardRecord>
-ErrorToleranceStudy::tileRange(const store::CellKey &key,
-                               const fault::InjectionPolicy &policy,
-                               std::vector<store::ShardRecord> stored,
-                               unsigned lo, unsigned hi, unsigned stripes,
-                               bool stoppable)
+void
+ErrorToleranceStudy::tileRanges(const store::CellKey &key,
+                                const fault::InjectionPolicy &policy,
+                                std::vector<store::ShardRecord> stored,
+                                const std::vector<fault::TrialRange> &ranges,
+                                unsigned stripes, bool stoppable,
+                                const TileSink &done)
 {
-    // Keep every stored shard inside [lo, hi) that extends the
+    // Keep every stored shard inside a range that extends the range's
     // covered prefix, and compute (and persist) the gaps between
     // them. Shards from an incompatible split (overlapping the
     // prefix or crossing the range bounds) are ignored; their trials
     // recompute to the same bits anyway.
-    std::vector<store::ShardRecord> pieces;
+    std::vector<std::vector<store::ShardRecord>> pieces(ranges.size());
+    std::vector<size_t> reused(ranges.size()), unrun(ranges.size());
     std::vector<fault::TrialRange> gaps;
+    std::vector<size_t> owner; //!< the range of each gap
     stripes = std::max(stripes, 1u);
-    auto addGap = [&](unsigned a, unsigned b) {
-        // Cut at the stripe boundaries inside the gap.
-        for (unsigned s = 0; s < stripes && a < b; ++s) {
-            unsigned end = shardRange(key.trials, s, stripes).second;
-            if (end > a) {
-                gaps.push_back({a, std::min(end, b)});
-                a = std::min(end, b);
+    for (size_t r = 0; r < ranges.size(); ++r) {
+        auto addGap = [&](uint64_t a, uint64_t b) {
+            // Cut at the stripe boundaries inside the gap.
+            for (unsigned s = 0; s < stripes && a < b; ++s) {
+                uint64_t end = shardRange(key.trials, s, stripes).second;
+                if (end > a) {
+                    gaps.push_back({a, std::min(end, b)});
+                    owner.push_back(r);
+                    ++unrun[r];
+                    a = std::min(end, b);
+                }
             }
+        };
+        uint64_t covered = ranges[r].lo;
+        for (auto &shard : stored) {
+            if (shard.lo < covered || shard.hi > ranges[r].hi)
+                continue;
+            if (shard.lo > covered)
+                addGap(covered, shard.lo);
+            covered = shard.hi;
+            pieces[r].push_back(std::move(shard));
         }
-    };
-    unsigned covered = lo;
-    for (auto &shard : stored) {
-        if (shard.lo < covered || shard.hi > hi)
-            continue;
-        if (shard.lo > covered)
-            addGap(covered, shard.lo);
-        covered = shard.hi;
-        pieces.push_back(std::move(shard));
+        if (covered < ranges[r].hi)
+            addGap(covered, ranges[r].hi);
+        reused[r] = pieces[r].size();
+        if (unrun[r] == 0)
+            done(r, std::move(pieces[r]), reused[r]);
     }
-    if (covered < hi)
-        addGap(covered, hi);
 
     simulate(key, policy, gaps, stoppable,
-             [&](store::ShardRecord piece) {
-                 store_->storeShard(key, piece.lo, piece.hi,
-                                    piece.summary);
-                 pieces.push_back(std::move(piece));
+             [&](size_t gap, store::ShardRecord piece) {
+                 if (store_)
+                     store_->storeShard(key, piece.lo, piece.hi,
+                                        piece.summary);
+                 size_t r = owner[gap];
+                 pieces[r].push_back(std::move(piece));
+                 if (--unrun[r] == 0)
+                     done(r, std::move(pieces[r]), reused[r]);
              });
-    return pieces;
 }
 
 CellSummary
@@ -319,8 +332,10 @@ ErrorToleranceStudy::runCell(unsigned errors,
     auto key = makeCellKey(workload_, protection_, config_, errors,
                            policy, trials);
     std::vector<store::ShardRecord> pieces;
-    auto collect = [&pieces](store::ShardRecord piece) {
+    bool tiled = false;
+    auto collect = [&](size_t, store::ShardRecord piece) {
         pieces.push_back(std::move(piece));
+        tiled = true;
     };
     if (!store_) {
         simulate(key, policy, {{0, trials}}, false, collect);
@@ -341,52 +356,61 @@ ErrorToleranceStudy::runCell(unsigned errors,
     if (shards.empty() && stripes <= 1)
         simulate(key, policy, {{0, trials}}, true, collect);
     else
-        pieces = tileRange(key, policy, std::move(shards), 0, trials,
-                           stripes, true);
-    // The pieces are disjoint, so they tile the cell iff their sizes
-    // sum to it; a stop request leaves the unstarted ones missing.
-    unsigned covered = 0;
-    for (const auto &piece : pieces)
-        covered += piece.hi - piece.lo;
-    if (covered < trials)
-        throw CellInterrupted("interrupted with " +
-                              std::to_string(trials - covered) + " of " +
-                              std::to_string(trials) +
-                              " trials unrun: " + key.canonical());
+        tileRanges(key, policy, std::move(shards), {{0, trials}},
+                   stripes, true,
+                   [&](size_t, std::vector<store::ShardRecord> all,
+                       size_t) {
+                       pieces = std::move(all);
+                       tiled = true;
+                   });
+    // A stop request leaves the cell's unstarted stripes unrun.
+    if (!tiled)
+        throw CellInterrupted("interrupted with stripes unrun: " +
+                              key.canonical());
     return store_->promoteShards(key, std::move(pieces));
 }
 
-CellSummary
-ErrorToleranceStudy::runCellShard(unsigned errors,
-                                  const std::string &policyName,
-                                  unsigned trials, unsigned shardIndex,
-                                  unsigned shardCount)
+void
+ErrorToleranceStudy::runStripes(unsigned errors,
+                                const std::string &policyName,
+                                unsigned trials, unsigned count,
+                                const std::vector<unsigned> &stripes,
+                                const StripeSink &done)
 {
     const fault::InjectionPolicy &policy = policyOrFatal(policyName);
-    auto [lo, hi] = shardRange(trials, shardIndex, shardCount);
     auto key = makeCellKey(workload_, protection_, config_, errors,
                            policy, trials);
-    if (!store_) {
-        CellSummary summary;
-        simulate(key, policy, {{lo, hi}}, false,
-                 [&summary](store::ShardRecord piece) {
-                     summary = std::move(piece.summary);
-                 });
-        return summary;
+    std::vector<fault::TrialRange> ranges;
+    for (unsigned stripe : stripes) {
+        auto [lo, hi] = shardRange(trials, stripe, count);
+        ranges.push_back({lo, hi});
     }
 
-    if (auto cached = store_->loadCell(key))
-        return *cached; // cell already complete; nothing to run
-    if (auto shard = store_->loadShard(key, lo, hi))
-        return std::move(shard->summary);
-
-    // Reuse any stored sub-shards inside the stripe (e.g. chunks of
-    // a killed run under a different split); only gaps simulate, and
-    // only gaps are persisted, so no overlapping records are created.
-    return store::mergeShardSummaries(
-        key,
-        tileRange(key, policy, store_->loadShards(key), lo, hi, 1, false),
-        lo, hi);
+    std::vector<store::ShardRecord> stored;
+    if (store_) {
+        if (auto cached = store_->loadCell(key)) {
+            for (unsigned stripe : stripes)
+                done({stripe, 0, trials, *cached, 0, 0.0});
+            return;
+        }
+        stored = store_->loadShards(key);
+    }
+    tileRanges(
+        key, policy, std::move(stored), ranges, 1, store_ != nullptr,
+        [&](size_t r, std::vector<store::ShardRecord> pieces,
+            size_t reused) {
+            StripeResult stripe;
+            stripe.index = stripes[r];
+            stripe.lo = static_cast<unsigned>(ranges[r].lo);
+            stripe.hi = static_cast<unsigned>(ranges[r].hi);
+            for (size_t i = reused; i < pieces.size(); ++i) {
+                stripe.trialsSimulated += pieces[i].hi - pieces[i].lo;
+                stripe.wallSeconds += pieces[i].summary.wallSeconds;
+            }
+            stripe.summary = store::mergeShardSummaries(
+                key, std::move(pieces), stripe.lo, stripe.hi);
+            done(stripe);
+        });
 }
 
 } // namespace etc::core

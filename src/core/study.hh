@@ -168,6 +168,24 @@ struct CellSummary
     double acceptableRate() const;
 };
 
+/** One stripe run by ErrorToleranceStudy::runStripes(), persisted. */
+struct StripeResult
+{
+    unsigned index = 0; //!< which of the cell's stripes
+
+    /** The trials [lo, hi) summary covers: the stripe's, or the whole
+     *  cell's when the store already held the cell complete. */
+    unsigned lo = 0;
+    unsigned hi = 0;
+    CellSummary summary;
+
+    /** Trials simulated for the stripe (0 when the store held it). */
+    uint64_t trialsSimulated = 0;
+
+    /** The pass's wall time credited to the stripe's simulation. */
+    double wallSeconds = 0.0;
+};
+
 /**
  * Thrown by ErrorToleranceStudy::runCell() when a stop request (see
  * support/shutdown.hh) left some of the cell's stripes unstarted. The
@@ -238,24 +256,30 @@ class ErrorToleranceStudy
     CellSummary runCell(unsigned errors, const std::string &policyName,
                         unsigned trialsOverride = 0, unsigned stripes = 1);
 
+    /** Receives each stripe of runStripes() once it is persisted. */
+    using StripeSink = std::function<void(const StripeResult &stripe)>;
+
     /**
-     * Run (or load) one shard of a cell: the trial stripe
-     * [trials*index/count, trials*(index+1)/count).
+     * Run the chosen @p stripes (indices among the cell's @p count
+     * shardRange() stripes) in one engine pass, and hand each to
+     * @p done the moment it is persisted. The lease executors run
+     * a cell's granted stripes through this.
      *
-     * With a result store attached, the stripe is skipped when the
-     * complete cell or this exact shard is already persisted, and is
-     * written as a shard record otherwise -- `--shard i/N` across N
-     * processes computes a cell cooperatively, and runCell() (or
-     * `etc_lab merge`) later promotes the tiling shards into the
-     * complete record, bit-identical to an uninterrupted run.
+     * With a result store attached, a stored cell hands every stripe
+     * over as the whole cell, and a stripe is otherwise tiled like
+     * runCell() tiles a cell: stored shards inside it are reused and
+     * only the gaps simulate (each persisted as a shard as it ends),
+     * so a stripe already stored reaches @p done without simulating.
+     * A stop request stops starting new stripes there; the ones left
+     * unstarted never reach @p done. Stripes are never promoted here.
      *
-     * @return the shard's partial summary (or the complete cell
-     *         summary when the cell was already fully cached)
+     * @throws FatalError on an unregistered policy name or a stripe
+     *         index out of range
      */
-    CellSummary runCellShard(unsigned errors,
-                             const std::string &policyName,
-                             unsigned trials, unsigned shardIndex,
-                             unsigned shardCount);
+    void runStripes(unsigned errors, const std::string &policyName,
+                    unsigned trials, unsigned count,
+                    const std::vector<unsigned> &stripes,
+                    const StripeSink &done);
 
     /** The [lo, hi) trial stripe of shard @p index out of @p count. */
     static std::pair<unsigned, unsigned> shardRange(unsigned trials,
@@ -279,8 +303,17 @@ class ErrorToleranceStudy
   private:
     fault::CampaignRunner &runner(const fault::InjectionPolicy &policy);
 
-    /** Receives one finished range of a pass as a cell piece. */
-    using PieceSink = std::function<void(store::ShardRecord piece)>;
+    /** Receives finished range @p range of a pass as a cell piece. */
+    using PieceSink =
+        std::function<void(size_t range, store::ShardRecord piece)>;
+
+    /** Receives range @p range of tileRanges() once it is tiled: its
+     *  pieces, of which the first @p reused are stored shards and the
+     *  rest were simulated. */
+    using TileSink =
+        std::function<void(size_t range,
+                           std::vector<store::ShardRecord> pieces,
+                           size_t reused)>;
 
     /**
      * Simulate @p ranges of the cell @p key in one engine pass. Each
@@ -300,18 +333,21 @@ class ErrorToleranceStudy
                   bool stoppable, const PieceSink &sink);
 
     /**
-     * The pieces that tile trials [lo, hi): the usable @p stored
-     * shards inside that range, plus the gaps between them, cut at
-     * the boundaries of @p stripes equal stripes of the cell and
-     * simulated in one pass, each persisted as a shard as it ends.
-     *
-     * @return the pieces, in no particular order; when a stop request
-     *         (with @p stoppable) left gaps unrun, they stay missing
+     * Tile each of the disjoint @p ranges of the cell with the usable
+     * @p stored shards inside it plus the gaps between them. All gaps
+     * are cut at the boundaries of @p stripes equal stripes of the
+     * cell and simulated in one pass, each persisted as a shard as it
+     * ends (with a store). A range reaches @p done once its last
+     * piece is in, so a range the store already tiles reaches it
+     * before the pass; when a stop request (with @p stoppable) left
+     * gaps unrun, their range never does.
      */
-    std::vector<store::ShardRecord> tileRange(
-        const store::CellKey &key, const fault::InjectionPolicy &policy,
-        std::vector<store::ShardRecord> stored, unsigned lo,
-        unsigned hi, unsigned stripes, bool stoppable);
+    void tileRanges(const store::CellKey &key,
+                    const fault::InjectionPolicy &policy,
+                    std::vector<store::ShardRecord> stored,
+                    const std::vector<fault::TrialRange> &ranges,
+                    unsigned stripes, bool stoppable,
+                    const TileSink &done);
 
     const workloads::Workload &workload_;
     const StudyConfig config_;

@@ -6,6 +6,7 @@
 #include "core/study.hh"
 #include "support/logging.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace etc::service {
 
@@ -160,8 +161,8 @@ Coordinator::acquire(const std::string &worker, unsigned max)
     auto deadline = Clock::now() +
                     std::chrono::milliseconds(config_.leaseTtlMs);
     for (auto &[fingerprint, entry] : cells_) {
-        if (grants.size() >= max)
-            break;
+        if (!grants.empty())
+            break; // one cell per grant: its stripes run as one pass
         if (entry.failed || entry.promoting)
             continue;
         for (auto &lease : entry.leases) {
@@ -533,6 +534,105 @@ Coordinator::notifyActivity()
     // must not nest under the coordinator lock.
     if (activity_)
         activity_();
+}
+
+LeaseKeeper::LeaseKeeper(Beat beat)
+    : beat_(std::move(beat)), thread_([this] { loop(); })
+{}
+
+LeaseKeeper::~LeaseKeeper()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
+    }
+    wake_.notify_all();
+    thread_.join();
+}
+
+void
+LeaseKeeper::hold(const LeaseGrant &grant, const std::string &worker)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        held_[grant.id] = worker;
+        periodMs_ = std::max<uint64_t>(1, grant.ttlMs / 3);
+    }
+    wake_.notify_all();
+}
+
+void
+LeaseKeeper::release(const std::string &leaseId)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    held_.erase(leaseId);
+}
+
+void
+LeaseKeeper::loop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+        // Sleep until a lease is held, then renew every period.
+        wake_.wait(lock, [this] { return stopping_ || !held_.empty(); });
+        wake_.wait_for(lock, std::chrono::milliseconds(periodMs_),
+                       [this] { return stopping_; });
+        if (stopping_)
+            return;
+        auto held = held_;
+        lock.unlock();
+        for (const auto &[id, worker] : held)
+            beat_(id, worker);
+        lock.lock();
+    }
+}
+
+void
+runLeasePass(
+    core::ErrorToleranceStudy &study, std::mutex &runMutex,
+    const std::vector<LeaseGrant> &grants, const std::string &worker,
+    LeaseKeeper &keeper,
+    const std::function<void(const LeaseGrant &grant,
+                             const core::StripeResult &stripe)> &landed,
+    const std::function<void(const LeaseGrant &grant,
+                             const std::string &error)> &failed)
+{
+    std::vector<unsigned> stripes;
+    stripes.reserve(grants.size());
+    for (const auto &grant : grants) {
+        keeper.hold(grant, worker);
+        stripes.push_back(grant.shardIndex);
+    }
+    std::vector<bool> done(grants.size(), false);
+    try {
+        const LeaseCell &cell = grants.front().cell;
+        std::lock_guard<std::mutex> lock(runMutex);
+        telemetry::TraceSpan span("lease", "pass");
+        if (span.active())
+            span.setArgs("{\"cell\":\"" + cell.fingerprint +
+                         "\",\"stripes\":" +
+                         std::to_string(stripes.size()) +
+                         ",\"worker\":\"" + worker + "\"}");
+        study.runStripes(
+            cell.errors, cell.policy, cell.trials,
+            grants.front().shardCount, stripes,
+            [&](const core::StripeResult &stripe) {
+                auto i = static_cast<size_t>(
+                    std::find(stripes.begin(), stripes.end(),
+                              stripe.index) -
+                    stripes.begin());
+                done[i] = true;
+                landed(grants[i], stripe);
+                keeper.release(grants[i].id);
+            });
+    } catch (const std::exception &e) {
+        for (size_t i = 0; i < grants.size(); ++i)
+            if (!done[i])
+                failed(grants[i], e.what());
+    }
+    // Stripes a stop request left unstarted lapse and re-issue.
+    for (const auto &grant : grants)
+        keeper.release(grant.id);
 }
 
 } // namespace etc::service

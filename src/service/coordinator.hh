@@ -6,9 +6,12 @@
  * Each registered cell becomes `shardCount` leases, one per
  * ErrorToleranceStudy::shardRange() stripe. Workers (remote agents
  * via POST /v1/leases/acquire, or the daemon's own local pool)
- * acquire leases, execute them through the cache-aware engine, and
- * complete them; a lease whose deadline lapses without a heartbeat is
- * re-issued to the next acquirer. Because shard records are
+ * acquire leases -- one acquire grants up to `max` pending stripes,
+ * all of one cell -- run them as one engine pass, and complete them
+ * one by one as each stripe lands. A holder keeps a lease only by
+ * renewing it (LeaseKeeper; local executors heartbeat like agents);
+ * a lease whose deadline lapses without a heartbeat is re-issued to
+ * the next acquirer. Because shard records are
  * content-addressed and a cell is a pure function of its key, a late
  * completion of a re-issued lease is harmless -- both workers wrote
  * identical bytes, so completion is accepted idempotently from any
@@ -19,7 +22,8 @@
  * call from the single-threaded HTTP event loop and from scheduler
  * workers concurrently. Store verification (has the shard actually
  * landed?) and shard-merge promotion stay in the Scheduler, which
- * owns the store.
+ * owns the store. The executor side both kinds of worker share --
+ * LeaseKeeper and runLeasePass() -- lives here too.
  *
  * Failure model: worker-reported failures and deadline expiries both
  * re-pend the lease; a lease that reaches maxIssues grants fails its
@@ -32,13 +36,20 @@
 #define ETC_SERVICE_COORDINATOR_HH
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
+
+namespace etc::core {
+class ErrorToleranceStudy;
+struct StripeResult;
+} // namespace etc::core
 
 namespace etc::service {
 
@@ -145,9 +156,10 @@ class Coordinator
                       const std::vector<bool> &alreadyDone);
 
     /**
-     * Grant up to @p max leases to @p worker: pending leases first
+     * Grant @p worker up to @p max pending leases, all of one cell
      * (expired actives were re-pended by sweepExpired(), which this
-     * calls). Re-grants count toward the lease's issue cap.
+     * calls), so the worker runs them as one pass. Re-grants count
+     * toward the lease's issue cap.
      */
     std::vector<LeaseGrant> acquire(const std::string &worker,
                                     unsigned max);
@@ -268,6 +280,66 @@ class Coordinator
     uint64_t completed_ = 0;
     uint64_t failed_ = 0;
 };
+
+/**
+ * Keeps held leases alive: a thread renews every lease between hold()
+ * and release() at a third of its TTL. A holder keeps a lease only by
+ * renewing it, so the daemon's local executors and remote agents both
+ * hold theirs through one of these, from acquire until completion.
+ */
+class LeaseKeeper
+{
+  public:
+    /** Renews one lease (a coordinator call or an HTTP heartbeat);
+     *  the answer is ignored, since finishing a lost lease is
+     *  harmless. */
+    using Beat = std::function<void(const std::string &leaseId,
+                                    const std::string &worker)>;
+
+    explicit LeaseKeeper(Beat beat);
+
+    /** Stops renewing and joins the thread. */
+    ~LeaseKeeper();
+
+    LeaseKeeper(const LeaseKeeper &) = delete;
+    LeaseKeeper &operator=(const LeaseKeeper &) = delete;
+
+    /** Renew @p grant on behalf of @p worker until release(). */
+    void hold(const LeaseGrant &grant, const std::string &worker);
+
+    /** Stop renewing @p leaseId (a no-op when it is not held). */
+    void release(const std::string &leaseId);
+
+  private:
+    void loop();
+
+    Beat beat_;
+    std::mutex mutex_; //!< guards everything below
+    std::condition_variable wake_;
+    std::map<std::string, std::string> held_; //!< lease id -> worker
+    uint64_t periodMs_ = 1000; //!< ttl/3 of the latest grant
+    bool stopping_ = false;
+    std::thread thread_;
+};
+
+/**
+ * The one way a lease executor -- the daemon's local pool or an
+ * `etc_lab work` agent -- runs what it acquired: @p grants, pending
+ * stripes of one cell, as one pass through @p study (under
+ * @p runMutex, since the study is not thread-safe). @p keeper renews
+ * each grant for @p worker until its stripe, persisted, reaches
+ * @p landed. When the pass fails, every grant that never landed
+ * reaches @p failed; the grants a stop request left unstarted reach
+ * neither, and lapse and re-issue.
+ */
+void runLeasePass(
+    core::ErrorToleranceStudy &study, std::mutex &runMutex,
+    const std::vector<LeaseGrant> &grants, const std::string &worker,
+    LeaseKeeper &keeper,
+    const std::function<void(const LeaseGrant &grant,
+                             const core::StripeResult &stripe)> &landed,
+    const std::function<void(const LeaseGrant &grant,
+                             const std::string &error)> &failed);
 
 } // namespace etc::service
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <set>
 
 #include "store/index.hh"
@@ -9,7 +10,6 @@
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/trace.hh"
 
 namespace etc::service {
 
@@ -39,7 +39,8 @@ struct SchedulerMetrics
         "Cell tasks that raised an error");
     telemetry::Histogram &chunkSeconds = telemetry::histogram(
         "etc_scheduler_chunk_seconds",
-        "Wall time per job chunk (one shard-range lease of a cell)",
+        "Pass wall time credited to each stripe (one shard-range lease "
+        "of a cell)",
         {0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60});
 };
 
@@ -72,7 +73,11 @@ cellStateName(CellState state)
 Scheduler::Scheduler(SchedulerConfig config)
     : config_(std::move(config)),
       coordinator_(CoordinatorConfig{config_.leaseTtlMs,
-                                     config_.maxLeaseIssues})
+                                     config_.maxLeaseIssues}),
+      keeper_([this](const std::string &leaseId,
+                     const std::string &worker) {
+          coordinator_.heartbeat(leaseId, worker);
+      })
 {
     if (config_.cacheDir.empty())
         fatal("scheduler: a cache directory is required (jobs resume "
@@ -120,7 +125,7 @@ Scheduler::stop()
     workers_.clear();
 }
 
-Scheduler::WorkloadContext &
+bench::ExperimentStudy &
 Scheduler::contextFor(const bench::Experiment &exp)
 {
     auto &slot = contexts_[exp.name];
@@ -134,7 +139,7 @@ Scheduler::contextFor(const bench::Experiment &exp)
         // Static analysis only -- no simulation; cell keys derive
         // from it, so submissions and the figure endpoint agree with
         // `etc_lab run` on the same cache directory.
-        slot = std::make_unique<WorkloadContext>(exp, opts);
+        slot = std::make_unique<bench::ExperimentStudy>(exp, opts);
     }
     return *slot;
 }
@@ -151,7 +156,7 @@ Scheduler::submit(
              : bench::experimentCells(exp);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    WorkloadContext &ctx = contextFor(exp);
+    bench::ExperimentStudy &lab = contextFor(exp);
 
     struct PlannedCell
     {
@@ -163,7 +168,7 @@ Scheduler::submit(
     std::vector<PlannedCell> planned;
     std::string signature;
     for (const auto &[errors, policy] : wanted) {
-        auto key = ctx.lab.study.cellKey(errors, policy, trials);
+        auto key = lab.study.cellKey(errors, policy, trials);
         auto fingerprint = key.fingerprint();
         signature += fingerprint;
         signature += ';';
@@ -199,7 +204,7 @@ Scheduler::submit(
             task = live->second;
         } else {
             task = std::make_shared<CellTask>();
-            task->ctx = &ctx;
+            task->lab = &lab;
             task->errors = plan.errors;
             task->policy = plan.policy;
             task->trials = trials;
@@ -256,10 +261,8 @@ void
 Scheduler::workerLoop(unsigned workerIndex)
 {
     // Local executors are lease workers like any remote agent, just
-    // with a function call instead of an HTTP round trip. Their
-    // "heartbeat" is implicit: a local lease either completes (the
-    // daemon is alive) or the daemon died with it -- and then the
-    // whole coordinator died too, so nothing is left to expire it.
+    // with a function call instead of an HTTP round trip, and they
+    // heartbeat the leases they hold like one (keeper_).
     const bool executor = config_.workers > 0;
     const std::string workerName =
         "local#" + std::to_string(workerIndex);
@@ -283,7 +286,7 @@ Scheduler::workerLoop(unsigned workerIndex)
         didWork |= promoteCompletedCells();
         didWork |= probeNextTask();
         if (executor)
-            didWork |= executeOneLease(workerName);
+            didWork |= executeLeases(workerName);
         idle = !didWork;
     }
 }
@@ -340,12 +343,12 @@ Scheduler::probeNextTask()
 
         LeaseCell cell;
         cell.fingerprint = task->fingerprint;
-        cell.experiment = task->ctx->exp->name;
+        cell.experiment = task->lab->exp.name;
         cell.errors = task->errors;
         cell.policy = task->policy;
         cell.trials = task->trials;
         const core::StudyConfig &studyConfig =
-            task->ctx->lab.study.config();
+            task->lab->study.config();
         cell.seed = studyConfig.seed;
         cell.checkpointInterval = studyConfig.checkpointInterval;
         cell.staticPrune = studyConfig.staticPrune;
@@ -365,7 +368,7 @@ Scheduler::probeNextTask()
 }
 
 bool
-Scheduler::executeOneLease(const std::string &worker)
+Scheduler::executeLeases(const std::string &worker)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -378,59 +381,44 @@ Scheduler::executeOneLease(const std::string &worker)
     if (stopRequested())
         return false;
 
-    auto grants = coordinator_.acquire(worker, 1);
+    // Every pending stripe of one cell: they run as one pass.
+    auto grants = coordinator_.acquire(
+        worker, std::numeric_limits<unsigned>::max());
     if (grants.empty())
         return false;
-    const LeaseGrant &grant = grants.front();
-    auto task = leasedTask(grant.cell.fingerprint);
+    // A local failure rides the same re-issue path as a dead remote
+    // worker: re-pend the lease (another grant may succeed on a
+    // transient error) until the issue cap fails the cell.
+    auto fail = [&](const LeaseGrant &grant, const std::string &error) {
+        warn("scheduler: lease ", grant.id, " failed on ", worker, ": ",
+             error);
+        coordinator_.fail(grant.id, worker, error);
+    };
+    auto task = leasedTask(grants.front().cell.fingerprint);
     if (!task) {
         // Cannot happen in-process (tasks register before their
         // leases), but keep the lease machine consistent anyway.
-        coordinator_.fail(grant.id, worker,
-                          "no local task for lease " + grant.id);
+        for (const auto &grant : grants)
+            fail(grant, "no local task for lease " + grant.id);
         return true;
     }
 
     schedulerMetrics().workersBusy.add(1);
-    try {
-        // One lease of an experiment at a time: the study (and its
-        // golden run, runners, and store bookkeeping) is not
-        // thread-safe. The stripe's trials still fan out across the
-        // study's own campaign thread pool.
-        std::lock_guard<std::mutex> ctxLock(task->ctx->runMutex);
-        auto &study = task->ctx->lab.study;
-        uint64_t before = study.trialsExecuted();
-        auto started = std::chrono::steady_clock::now();
-        {
-            telemetry::TraceSpan chunkSpan("scheduler", "chunk");
-            if (chunkSpan.active())
-                chunkSpan.setArgs("{\"cell\":\"" + task->fingerprint +
-                                  "\",\"chunk\":" +
-                                  std::to_string(grant.shardIndex) +
-                                  "}");
-            // Persists the stripe as a shard record; an already
-            // stored stripe (e.g. pushed by a remote worker while
-            // this lease was granted) is skipped from the cache.
-            study.runCellShard(task->errors, task->policy,
-                               task->trials, grant.shardIndex,
-                               grant.shardCount);
-        }
-        std::chrono::duration<double> span =
-            std::chrono::steady_clock::now() - started;
-        schedulerMetrics().chunkSeconds.observe(span.count());
-        uint64_t ran = study.trialsExecuted() - before;
-        // Task/global tallies accrue at promotion (from the
-        // coordinator's sums), not here -- one accounting path for
-        // local and remote workers alike.
-        coordinator_.complete(grant.id, worker, ran, span.count());
-    } catch (const std::exception &e) {
-        // A local chunk failure rides the same re-issue path as a
-        // dead remote worker: re-pend (another grant may succeed on
-        // a transient error) until the issue cap fails the cell.
-        warn("scheduler: lease ", grant.id, " failed on ", worker,
-             ": ", e.what());
-        coordinator_.fail(grant.id, worker, e.what());
-    }
+    // Each stripe is persisted as a shard record before it lands; an
+    // already stored one (e.g. pushed by a remote worker while its
+    // lease lapsed) lands without simulating.
+    runLeasePass(
+        task->lab->study, task->lab->runMutex, grants, worker, keeper_,
+        [&](const LeaseGrant &grant, const core::StripeResult &stripe) {
+            schedulerMetrics().chunkSeconds.observe(stripe.wallSeconds);
+            // Task/global tallies accrue at promotion (from the
+            // coordinator's sums), not here -- one accounting path for
+            // local and remote workers alike.
+            coordinator_.complete(grant.id, worker,
+                                  stripe.trialsSimulated,
+                                  stripe.wallSeconds);
+        },
+        fail);
     schedulerMetrics().workersBusy.add(-1);
     return true;
 }

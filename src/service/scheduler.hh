@@ -5,7 +5,11 @@
  * Submitted experiments (or single cells) become jobs whose cells are
  * decomposed into shard-range leases (see coordinator.hh) and
  * executed by whoever holds the lease -- the daemon's own bounded
- * pool of local workers, remote `etc_lab work` agents, or a mix:
+ * pool of local workers, remote `etc_lab work` agents, or a mix. A
+ * local executor acquires all of one cell's pending stripes at once,
+ * runs them as one pass (ErrorToleranceStudy::runStripes), completes
+ * each lease as its stripe lands, and heartbeats every lease it holds
+ * meanwhile, exactly like an agent:
  *
  *  - Idempotent on CellKey: a cell already queued or leased is never
  *    enqueued twice -- a duplicate submission attaches to the live
@@ -16,16 +20,19 @@
  *    trialsExecuted == 0); stripes whose shard records are already
  *    stored register as done leases, so a resubmission resumes.
  *  - Kill-tolerant twice over: every lease persists as a shard
- *    record, so losing the daemon mid-cell loses at most one lease's
- *    work, and losing a *worker* mid-lease just lets the lease expire
- *    and re-issue -- local chunk failures ride the same re-issue path
- *    as remote worker deaths (one recovery mechanism, not two).
+ *    record as its stripe lands, so losing the daemon mid-cell loses
+ *    at most the stripes in flight, and losing a *worker* mid-pass
+ *    just lets its leases expire and re-issue -- local pass failures
+ *    ride the same re-issue path as remote worker deaths (one
+ *    recovery mechanism, not two).
  *  - Deterministic: when every lease of a cell is done, the shards
  *    are promoted through the store's one promoteShards() path (no
  *    simulation), so a fleet-computed cell is bit-identical to a
  *    single-host run whoever executed the stripes.
  *  - Graceful: stop() lets every local worker finish and persist its
- *    in-flight lease, then joins the pool.
+ *    pass, then joins the pool; a stop request (SIGINT/SIGTERM) stops
+ *    passes from starting new stripes, and their unstarted leases
+ *    lapse and re-issue.
  *
  * `workers = 0` runs a pure coordinator: one steward thread still
  * probes the cache, registers leases, and promotes completed cells,
@@ -33,7 +40,7 @@
  *
  * Cells of the same experiment share one study (each policy's golden
  * run is made once) and are serialized on it -- the study itself is
- * not thread-safe -- but each lease's trials fan out across the
+ * not thread-safe -- but each pass's trials fan out across the
  * study's own campaign thread pool, and distinct experiments run
  * concurrently on distinct workers.
  */
@@ -244,27 +251,10 @@ class Scheduler
     /// @}
 
   private:
-    /** Per-experiment shared state: the experiment's workload and
-     *  study. Keying a cell only reads the study's immutable analysis
-     *  and config; running one takes runMutex. */
-    struct WorkloadContext
-    {
-        WorkloadContext(const bench::Experiment &exp,
-                        const bench::BenchOptions &opts)
-            : exp(&exp), lab(exp, opts)
-        {}
-
-        const bench::Experiment *exp;
-        bench::ExperimentStudy lab;
-
-        /** Serializes every lease execution on the study. */
-        std::mutex runMutex;
-    };
-
     /** One schedulable cell (shared between attaching jobs). */
     struct CellTask
     {
-        WorkloadContext *ctx = nullptr;
+        bench::ExperimentStudy *lab = nullptr; //!< shared per experiment
         unsigned errors = 0;
         std::string policy = fault::PROTECTED_POLICY;
         unsigned trials = 0;
@@ -289,10 +279,10 @@ class Scheduler
      *  evicted (the daemon must not grow per submission forever). */
     static constexpr size_t MAX_RETAINED_JOBS = 512;
 
-    WorkloadContext &contextFor(const bench::Experiment &exp);
+    bench::ExperimentStudy &contextFor(const bench::Experiment &exp);
     void workerLoop(unsigned workerIndex);
     bool probeNextTask();
-    bool executeOneLease(const std::string &worker);
+    bool executeLeases(const std::string &worker);
     bool promoteCompletedCells();
     void promoteCell(const CompletedCell &done);
     bool collectFailedCells();
@@ -307,6 +297,7 @@ class Scheduler
 
     SchedulerConfig config_;
     Coordinator coordinator_;
+    LeaseKeeper keeper_; //!< renews the local executors' leases
 
     mutable std::mutex mutex_; //!< guards everything below
     std::condition_variable workAvailable_;
@@ -317,7 +308,8 @@ class Scheduler
     std::map<std::string, std::shared_ptr<CellTask>> leasedTasks_;
     std::map<std::string, Job> jobs_;
     std::map<std::string, std::string> activeJobsBySignature_;
-    std::map<std::string, std::unique_ptr<WorkloadContext>> contexts_;
+    std::map<std::string, std::unique_ptr<bench::ExperimentStudy>>
+        contexts_;
     uint64_t nextJobId_ = 1;
     uint64_t trialsExecuted_ = 0;
     bool stopping_ = false;

@@ -6,7 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
+#include <limits>
 #include <stdexcept>
 
 #include "bench/common.hh"
@@ -16,7 +16,6 @@
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/trace.hh"
 
 namespace etc::service {
 
@@ -82,7 +81,10 @@ parseGrant(const store::JsonValue &value)
 } // namespace
 
 WorkerAgent::WorkerAgent(WorkerConfig config)
-    : config_(std::move(config))
+    : config_(std::move(config)),
+      keeper_([this](const std::string &id, const std::string &worker) {
+          beatLease(id, worker);
+      })
 {
     if (config_.port == 0)
         fatal("worker: a coordinator port is required");
@@ -117,7 +119,6 @@ WorkerAgent::start()
             return;
         started_ = true;
     }
-    heartbeater_ = std::thread([this] { heartbeatLoop(); });
     for (unsigned i = 0; i < config_.executors; ++i)
         executors_.emplace_back([this] { executorLoop(); });
 }
@@ -139,14 +140,6 @@ WorkerAgent::join()
     for (auto &executor : executors_)
         if (executor.joinable())
             executor.join();
-    // Every executor is done; nothing is left to heartbeat.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    stopCv_.notify_all();
-    if (heartbeater_.joinable())
-        heartbeater_.join();
 }
 
 WorkerAgent::Summary
@@ -174,15 +167,19 @@ WorkerAgent::executorLoop()
 
     unsigned failures = 0;
     while (!stopNow()) {
+        // All of one cell's pending stripes, within --max-leases.
+        uint64_t max = std::numeric_limits<uint32_t>::max();
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (config_.maxLeases &&
-                leasesTaken_ >= config_.maxLeases)
-                return;
+            if (config_.maxLeases) {
+                if (leasesTaken_ >= config_.maxLeases)
+                    return;
+                max = std::min(max, config_.maxLeases - leasesTaken_);
+            }
         }
-        std::optional<LeaseGrant> grant;
+        std::vector<LeaseGrant> grants;
         try {
-            grant = acquireOne();
+            grants = acquire(max);
             failures = 0;
         } catch (const std::exception &e) {
             // Transport or protocol trouble: back off exponentially
@@ -196,40 +193,20 @@ WorkerAgent::executorLoop()
             sleepFor(delay);
             continue;
         }
-        if (!grant) {
+        if (grants.empty()) {
             sleepFor(config_.pollMs);
             continue;
         }
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            ++leasesTaken_;
+            leasesTaken_ += grants.size();
         }
-        processLease(*grant);
+        processLeases(grants);
     }
 }
 
 void
-WorkerAgent::heartbeatLoop()
-{
-    while (true) {
-        uint64_t period;
-        std::vector<std::string> ids;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            period = heartbeatMs_ ? heartbeatMs_ : 1000;
-            stopCv_.wait_for(lock, std::chrono::milliseconds(period),
-                             [this] { return stopping_; });
-            if (stopping_)
-                return;
-            ids = activeLeases_;
-        }
-        for (const auto &id : ids)
-            beatLease(id);
-    }
-}
-
-void
-WorkerAgent::beatLease(const std::string &id)
+WorkerAgent::beatLease(const std::string &id, const std::string &worker)
 {
     try {
         // Tight deadlines: a heartbeat that cannot land within a
@@ -237,7 +214,7 @@ WorkerAgent::beatLease(const std::string &id)
         Client client(config_.host, config_.port,
                       Client::Timeouts{2000, 5000});
         store::JsonObjectWriter body;
-        body.field("worker", config_.name);
+        body.field("worker", worker);
         client.post("/v1/leases/" + id + "/heartbeat", body.str());
         // "lost" answers need no action: the stripe's bytes will
         // match the replacement worker's, and the coordinator
@@ -248,11 +225,11 @@ WorkerAgent::beatLease(const std::string &id)
     }
 }
 
-std::optional<LeaseGrant>
-WorkerAgent::acquireOne()
+std::vector<LeaseGrant>
+WorkerAgent::acquire(uint64_t max)
 {
     store::JsonObjectWriter body;
-    body.field("worker", config_.name).field("max", uint64_t{1});
+    body.field("worker", config_.name).field("max", max);
     Client client(config_.host, config_.port);
     auto response = client.post("/v1/leases/acquire", body.str());
     if (!response.ok())
@@ -260,13 +237,15 @@ WorkerAgent::acquireOne()
                                  std::to_string(response.status) +
                                  " " + response.body);
     auto json = store::parseJson(response.body);
-    const auto &leases = json.at("leases");
-    if (leases.elements.empty())
-        return std::nullopt;
-    return parseGrant(leases.elements.front());
+    const auto &leases = json.at("leases").elements;
+    std::vector<LeaseGrant> grants;
+    grants.reserve(leases.size());
+    for (const auto &lease : leases)
+        grants.push_back(parseGrant(lease));
+    return grants;
 }
 
-std::shared_ptr<WorkerAgent::Context>
+std::shared_ptr<bench::ExperimentStudy>
 WorkerAgent::contextFor(const LeaseCell &cell)
 {
     {
@@ -274,7 +253,7 @@ WorkerAgent::contextFor(const LeaseCell &cell)
         auto it = contexts_.find(cell.experiment);
         if (it != contexts_.end()) {
             const core::StudyConfig &config =
-                it->second->lab.study.config();
+                it->second->study.config();
             if (config.seed == cell.seed &&
                 config.checkpointInterval == cell.checkpointInterval &&
                 config.staticPrune == cell.staticPrune &&
@@ -299,7 +278,7 @@ WorkerAgent::contextFor(const LeaseCell &cell)
     opts.gangWidth = cell.gangWidth;
     // Static analysis only (no simulation); the golden run waits for
     // the first executed stripe.
-    auto ctx = std::make_shared<Context>(*exp, opts);
+    auto ctx = std::make_shared<bench::ExperimentStudy>(*exp, opts);
 
     std::lock_guard<std::mutex> lock(mutex_);
     // Two executors may have built the context concurrently; last
@@ -310,94 +289,60 @@ WorkerAgent::contextFor(const LeaseCell &cell)
 }
 
 void
-WorkerAgent::trackLease(const std::string &id, uint64_t ttlMs)
+WorkerAgent::processLeases(const std::vector<LeaseGrant> &grants)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    activeLeases_.push_back(id);
-    heartbeatMs_ = std::max<uint64_t>(1, ttlMs / 3);
-}
-
-void
-WorkerAgent::untrackLease(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    activeLeases_.erase(std::remove(activeLeases_.begin(),
-                                    activeLeases_.end(), id),
-                        activeLeases_.end());
-}
-
-void
-WorkerAgent::processLease(const LeaseGrant &grant)
-{
-    std::shared_ptr<Context> ctx;
+    const LeaseCell &cell = grants.front().cell;
+    std::shared_ptr<bench::ExperimentStudy> lab;
     store::CellKey key;
+    std::string error;
     try {
-        ctx = contextFor(grant.cell);
-        key = ctx->lab.study.cellKey(grant.cell.errors,
-                                     grant.cell.policy,
-                                     grant.cell.trials);
-    } catch (const std::exception &e) {
-        failLease(grant, e.what());
-        return;
-    }
-    if (key.fingerprint() != grant.cell.fingerprint) {
+        lab = contextFor(cell);
+        key = lab->study.cellKey(cell.errors, cell.policy, cell.trials);
         // Never execute (let alone push) under a disputed key: the
         // coordinator would file our bytes under a different cell
         // than we computed.
-        failLease(grant,
-                  "cell key mismatch: worker derived " +
-                      key.fingerprint() + ", lease names " +
-                      grant.cell.fingerprint +
-                      " (worker/coordinator version skew?)");
-        return;
-    }
-
-    core::CellSummary summary;
-    uint64_t ran = 0;
-    double wallSeconds = 0.0;
-    trackLease(grant.id, grant.ttlMs);
-    // One beat up front: leases that finish faster than the
-    // heartbeat period still register liveness with the coordinator
-    // (and the deadline extends from now, not from the grant).
-    beatLease(grant.id);
-    try {
-        std::lock_guard<std::mutex> run(ctx->runMutex);
-        core::ErrorToleranceStudy &study = ctx->lab.study;
-        uint64_t before = study.trialsExecuted();
-        auto started = std::chrono::steady_clock::now();
-        {
-            telemetry::TraceSpan span("worker", "lease");
-            if (span.active())
-                span.setArgs("{\"lease\":\"" + grant.id + "\"}");
-            summary = study.runCellShard(
-                grant.cell.errors, grant.cell.policy,
-                grant.cell.trials, grant.shardIndex,
-                grant.shardCount);
-        }
-        std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - started;
-        wallSeconds = elapsed.count();
-        ran = study.trialsExecuted() - before;
+        if (key.fingerprint() != cell.fingerprint)
+            error = "cell key mismatch: worker derived " +
+                    key.fingerprint() + ", lease names " +
+                    cell.fingerprint +
+                    " (worker/coordinator version skew?)";
     } catch (const std::exception &e) {
-        untrackLease(grant.id);
-        failLease(grant, e.what());
+        error = e.what();
+    }
+    if (!error.empty()) {
+        for (const auto &grant : grants)
+            failLease(grant, error);
         return;
     }
-    untrackLease(grant.id);
 
-    // The engine answers with the *complete cell* summary when the
-    // whole cell was already in this worker's local store; push the
-    // cell record then, so the coordinator can promote without any
-    // shard arithmetic. Either way these are the canonical codec
-    // bytes -- identical to what a local run on the coordinator
-    // would have written.
-    bool fullCell = summary.trials == grant.cell.trials &&
+    // As each stripe lands, push its record and complete its lease.
+    runLeasePass(
+        lab->study, lab->runMutex, grants, config_.name, keeper_,
+        [&](const LeaseGrant &grant, const core::StripeResult &stripe) {
+            finishLease(grant, key, stripe);
+        },
+        [this](const LeaseGrant &grant, const std::string &error) {
+            failLease(grant, error);
+        });
+}
+
+void
+WorkerAgent::finishLease(const LeaseGrant &grant,
+                         const store::CellKey &key,
+                         const core::StripeResult &stripe)
+{
+    // The engine answers with the *complete cell* when the whole cell
+    // was already in this worker's local store; push the cell record
+    // then, so the coordinator can promote without any shard
+    // arithmetic. Either way these are the canonical codec bytes --
+    // identical to what a local run on the coordinator would have
+    // written.
+    bool fullCell = stripe.hi - stripe.lo == grant.cell.trials &&
                     grant.hi - grant.lo != grant.cell.trials;
     std::string record =
-        fullCell
-            ? store::encodeCellRecord(key, summary)
-            : store::encodeShardRecord(key, grant.lo, grant.hi,
-                                       summary);
+        fullCell ? store::encodeCellRecord(key, stripe.summary)
+                 : store::encodeShardRecord(key, stripe.lo, stripe.hi,
+                                            stripe.summary);
     try {
         Client client(config_.host, config_.port);
         auto pushed = client.post("/v1/shards", record);
@@ -412,11 +357,11 @@ WorkerAgent::processLease(const LeaseGrant &grant)
             ++summary_.recordsPushed;
         }
         workerMetrics().recordsPushed.add();
-        completeLease(grant, ran, wallSeconds);
+        completeLease(grant, stripe.trialsSimulated, stripe.wallSeconds);
         std::lock_guard<std::mutex> lock(mutex_);
         ++summary_.leasesCompleted;
-        summary_.trialsExecuted += ran;
-        summary_.wallSeconds += wallSeconds;
+        summary_.trialsExecuted += stripe.trialsSimulated;
+        summary_.wallSeconds += stripe.wallSeconds;
     } catch (const std::exception &e) {
         // Transport died between execution and completion. Do not
         // fail the lease (we cannot reach the coordinator anyway);

@@ -4,14 +4,16 @@
  * (`etc_lab work --coordinator URL`).
  *
  * The agent pulls shard-range leases from a coordinator daemon
- * (POST /v1/leases/acquire), rebuilds each cell's exact study context
+ * (POST /v1/leases/acquire) -- one acquire grants up to `max` pending
+ * stripes, all of one cell -- rebuilds the cell's exact study context
  * from the grant (experiment, seed, checkpoint interval, static
- * prune, gang width -- everything that derives the CellKey), executes
- * the stripe through the same cache-aware engine `etc_lab run` uses,
- * pushes the resulting shard record back (POST /v1/shards), and
- * completes the lease. A background thread heartbeats every active
- * lease at a third of its TTL, so a live worker never loses a lease
- * and a SIGKILLed one loses it within one TTL.
+ * prune, gang width -- everything that derives the CellKey), and runs
+ * the stripes as one pass through the same cache-aware engine
+ * `etc_lab run` uses. As each stripe lands, the agent pushes its shard
+ * record back (POST /v1/shards) and completes its lease. A LeaseKeeper
+ * thread heartbeats every held lease at a third of its TTL, as the
+ * daemon's local executors do, so a live worker never loses a lease
+ * and a SIGKILLed one loses them within one TTL.
  *
  * Correctness invariants:
  *
@@ -28,9 +30,9 @@
  *    and the coordinator accepts late completions idempotently.
  *
  * The agent keeps its own result store (scratch by default), so a
- * re-granted stripe it already executed is a local cache hit, and a
- * stripe of a cell it has fully cached is answered without
- * simulation.
+ * re-granted stripe it already executed is a local cache hit, and the
+ * stripes of a cell it has fully cached are answered with the cell
+ * record, without simulation.
  */
 
 #ifndef ETC_SERVICE_WORKER_HH
@@ -48,6 +50,7 @@
 #include "bench/experiments.hh"
 #include "core/study.hh"
 #include "service/coordinator.hh"
+#include "store/cell_key.hh"
 
 namespace etc::service {
 
@@ -68,9 +71,10 @@ struct WorkerConfig
     std::string cacheDir;
 
     unsigned executors = 1; //!< concurrent lease executors
-    unsigned threads = 0;   //!< campaign threads per stripe (0 = all)
+    unsigned threads = 0;   //!< campaign threads per pass (0 = all)
 
-    /** Stop after completing (or failing) this many leases;
+    /** Stop after completing (or failing) this many leases (an
+     *  acquire asks for no more than the remaining allowance);
      *  0 = run until stop()/SIGTERM. */
     uint64_t maxLeases = 0;
 
@@ -94,7 +98,7 @@ class WorkerAgent
     /** Spawn executor threads and the heartbeat thread (call once). */
     void start();
 
-    /** Finish in-flight leases, then join all threads. */
+    /** Finish in-flight passes, then join the executors. */
     void stop();
 
     /** Block until every executor exits (maxLeases reached, or
@@ -108,39 +112,24 @@ class WorkerAgent
         uint64_t leasesFailed = 0; //!< reported failed to coordinator
         uint64_t recordsPushed = 0;
         uint64_t trialsExecuted = 0;
-        double wallSeconds = 0.0; //!< summed stripe execution time
+        double wallSeconds = 0.0; //!< summed pass time of its stripes
     };
 
     Summary summary() const;
 
   private:
-    /** Per-experiment engine state, mirroring the scheduler's
-     *  WorkloadContext but parameterized by the grant (a fleet's
-     *  leases may carry differing seeds, checkpoint settings or gang
-     *  widths). */
-    struct Context
-    {
-        Context(const bench::Experiment &exp,
-                const bench::BenchOptions &opts)
-            : lab(exp, opts)
-        {}
-
-        bench::ExperimentStudy lab;
-        std::mutex runMutex; //!< the study is not thread-safe
-    };
-
     void executorLoop();
-    void heartbeatLoop();
-    void beatLease(const std::string &id);
+    void beatLease(const std::string &id, const std::string &worker);
     bool stopNow() const;
-    std::optional<LeaseGrant> acquireOne();
-    void processLease(const LeaseGrant &grant);
+    std::vector<LeaseGrant> acquire(uint64_t max);
+    void processLeases(const std::vector<LeaseGrant> &grants);
+    void finishLease(const LeaseGrant &grant, const store::CellKey &key,
+                     const core::StripeResult &stripe);
     void completeLease(const LeaseGrant &grant, uint64_t trials,
                        double wallSeconds);
     void failLease(const LeaseGrant &grant, const std::string &error);
-    std::shared_ptr<Context> contextFor(const LeaseCell &cell);
-    void trackLease(const std::string &id, uint64_t ttlMs);
-    void untrackLease(const std::string &id);
+    std::shared_ptr<bench::ExperimentStudy> contextFor(
+        const LeaseCell &cell);
 
     WorkerConfig config_;
 
@@ -148,14 +137,16 @@ class WorkerAgent
     std::condition_variable stopCv_;
     bool stopping_ = false;
     bool started_ = false;
-    std::map<std::string, std::shared_ptr<Context>> contexts_;
-    std::vector<std::string> activeLeases_; //!< heartbeat targets
-    uint64_t heartbeatMs_ = 0; //!< ttl/3 of the latest grant
+    /** Per-experiment engine state, parameterized by the grant (a
+     *  fleet's leases may carry differing seeds, checkpoint settings
+     *  or gang widths). */
+    std::map<std::string, std::shared_ptr<bench::ExperimentStudy>>
+        contexts_;
     uint64_t leasesTaken_ = 0; //!< toward config_.maxLeases
     Summary summary_;
 
     std::vector<std::thread> executors_;
-    std::thread heartbeater_;
+    LeaseKeeper keeper_; //!< heartbeats every held lease
 };
 
 } // namespace etc::service

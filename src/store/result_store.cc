@@ -241,33 +241,6 @@ ResultStore::hasShard(const CellKey &key, unsigned lo, unsigned hi) const
     return fs::exists(path, ec);
 }
 
-std::optional<ShardRecord>
-ResultStore::loadShard(const CellKey &key, unsigned lo, unsigned hi)
-{
-    fs::path path = fs::path(shardDir(key)) /
-                    (std::to_string(lo) + "-" + std::to_string(hi) +
-                     ".jsonl");
-    auto contents = slurp(path);
-    if (!contents)
-        return std::nullopt;
-    try {
-        auto shard = decodeShardRecord(*contents, &key);
-        if (shard.lo != lo || shard.hi != hi)
-            throw StoreFormatError(
-                "shard file name does not match its record range [" +
-                std::to_string(shard.lo) + ", " +
-                std::to_string(shard.hi) + ")");
-        ++stats_.shardsLoaded;
-        storeMetrics().shardsLoaded.add();
-        return shard;
-    } catch (const StoreFormatError &error) {
-        warn("result store: ignoring unreadable shard ",
-             path.string(), ": ", error.what());
-        storeMetrics().corruptRecords.add();
-        return std::nullopt;
-    }
-}
-
 void
 ResultStore::storeShard(const CellKey &key, unsigned lo, unsigned hi,
                         const core::CellSummary &summary)

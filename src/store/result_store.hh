@@ -81,14 +81,6 @@ class ResultStore
     /** @return true if the shard [lo, hi) of @p key is stored. */
     bool hasShard(const CellKey &key, unsigned lo, unsigned hi) const;
 
-    /**
-     * Load exactly the shard [lo, hi) of @p key (a single file read,
-     * unlike loadShards()). Absent or unreadable records return
-     * nullopt (unreadable ones warn).
-     */
-    std::optional<ShardRecord> loadShard(const CellKey &key,
-                                         unsigned lo, unsigned hi);
-
     /** Persist one shard record (atomic rename into place; same
      *  concurrent-writer guarantee as storeCell()). */
     void storeShard(const CellKey &key, unsigned lo, unsigned hi,
@@ -108,7 +100,7 @@ class ResultStore
      * keep a prefix tiling of @p shards (selectPrefixTiling()), merge
      * it over [0, key.trials), store the cell, and drop every shard
      * file of the key. This is the one shard-to-cell path: `etc_lab
-     * run` and `merge`, and the daemon's lease promotion, all end here.
+     * run` and the daemon's lease promotion both end here.
      *
      * @return the merged (and now stored) cell summary
      * @throws StoreFormatError when the tiling leaves gaps; nothing

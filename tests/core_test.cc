@@ -114,8 +114,11 @@ TEST(StudyTest, PromotingStoredShardsRunsNoSimulation)
     study.resultStore()->storeShard(key, 0, 2, half);
     study.resultStore()->storeShard(key, 2, 4, half);
 
-    auto stripe =
-        study.runCellShard(1, fault::PROTECTED_POLICY, 4, 0, 1);
+    CellSummary stripe;
+    study.runStripes(1, fault::PROTECTED_POLICY, 4, 1, {0},
+                     [&stripe](const core::StripeResult &done) {
+                         stripe = done.summary;
+                     });
     EXPECT_EQ(stripe.trials, 4u);
     auto cell = study.runCell(1, fault::PROTECTED_POLICY, 4, 4);
     EXPECT_EQ(cell.trials, 4u);

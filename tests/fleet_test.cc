@@ -119,6 +119,27 @@ TEST(CoordinatorTest, ResumeStripesStartDoneAndCompletionPromotes)
     EXPECT_EQ(coordinator.stats().cells, 0u);
 }
 
+TEST(CoordinatorTest, AcquireGrantsOneCellsPendingLeases)
+{
+    Coordinator coordinator(CoordinatorConfig{});
+    LeaseCell other = testCell(8);
+    other.fingerprint = "00000000feedface";
+    ASSERT_TRUE(coordinator.registerCell(testCell(16), 4, {}));
+    ASSERT_TRUE(coordinator.registerCell(other, 2, {}));
+
+    // Room for both cells' six leases, but a grant is one cell's:
+    // its stripes run as one pass.
+    auto grants = coordinator.acquire("w1", 8);
+    ASSERT_EQ(grants.size(), 4u);
+    for (const auto &grant : grants)
+        EXPECT_EQ(grant.cell.fingerprint, FINGERPRINT);
+    auto next = coordinator.acquire("w2", 8);
+    ASSERT_EQ(next.size(), 2u);
+    for (const auto &grant : next)
+        EXPECT_EQ(grant.cell.fingerprint, other.fingerprint);
+    EXPECT_TRUE(coordinator.acquire("w3", 8).empty());
+}
+
 TEST(CoordinatorTest, HeartbeatExtendsOwnersAndAnswersLostToOthers)
 {
     CoordinatorConfig config;
@@ -421,9 +442,13 @@ TEST_F(FleetTest, VanishedWorkerLeaseReissuesAndGhostPushIsIdempotent)
                                  errors, policy, trials);
     ASSERT_EQ(key.fingerprint(), grant.at("cell").asString());
     core::ErrorToleranceStudy ghostStudy(*workload, ghostConfig);
-    auto ghostSummary = ghostStudy.runCellShard(
-        errors, policy, trials, grant.at("shardIndex").asU32(),
-        grant.at("shardCount").asU32());
+    core::CellSummary ghostSummary;
+    ghostStudy.runStripes(errors, policy, trials,
+                          grant.at("shardCount").asU32(),
+                          {grant.at("shardIndex").asU32()},
+                          [&](const core::StripeResult &stripe) {
+                              ghostSummary = stripe.summary;
+                          });
     std::string ghostRecord =
         store::encodeShardRecord(key, lo, hi, ghostSummary);
 

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "store/result_store.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
+#include "shard_slice.hh"
 
 namespace {
 
@@ -88,6 +90,16 @@ class OrchestrationTest : public ::testing::Test
         return config;
     }
 
+    /** Persist @p stripes of @p count of the test cell through
+     *  @p study, discarding the handed-over results. */
+    static void
+    runStripes(ErrorToleranceStudy &study, unsigned count,
+               const std::vector<unsigned> &stripes)
+    {
+        study.runStripes(ERRORS, fault::PROTECTED_POLICY, TRIALS, count,
+                         stripes, [](const core::StripeResult &) {});
+    }
+
     /** The uninterrupted, uncached reference run (serial). */
     CellSummary
     reference()
@@ -136,10 +148,10 @@ TEST_F(OrchestrationTest, KillAndResumeIsBitIdentical)
                 // exercised by the CI smoke test).
                 {
                     ErrorToleranceStudy study(*workload_, config(2));
+                    std::vector<unsigned> done;
                     for (unsigned c = 0; c < doneBeforeKill; ++c)
-                        study.runCellShard(ERRORS,
-                                           fault::PROTECTED_POLICY,
-                                           TRIALS, c, split);
+                        done.push_back(c);
+                    runStripes(study, split, done);
                 }
 
                 // "Resume": a fresh process completes the cell.
@@ -178,9 +190,7 @@ TEST_F(OrchestrationTest, StripedRunCellSimulatesOnlyMissingStripes)
         // A killed 4-stripe run left stripes 0 and 2 behind.
         {
             ErrorToleranceStudy killed(*workload_, config(2));
-            for (unsigned stripe : {0u, 2u})
-                killed.runCellShard(ERRORS, fault::PROTECTED_POLICY,
-                                    TRIALS, stripe, 4);
+            runStripes(killed, 4, {0, 2});
         }
         ErrorToleranceStudy resumed(*workload_, config(threads));
         auto summary =
@@ -271,8 +281,7 @@ TEST_F(OrchestrationTest, ShardFanOutAcrossProcessesMerges)
     // different thread counts), a fourth merges via runCell.
     for (unsigned index : {2u, 0u, 1u}) {
         ErrorToleranceStudy worker(*workload_, config(index + 1));
-        worker.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS,
-                            index, 3);
+        runStripes(worker, 3, {index});
     }
     ErrorToleranceStudy merger(*workload_, config(4));
     auto merged =
@@ -284,13 +293,16 @@ TEST_F(OrchestrationTest, ShardFanOutAcrossProcessesMerges)
 TEST_F(OrchestrationTest, DuplicateShardRunsAreSkipped)
 {
     ErrorToleranceStudy study(*workload_, config(2));
-    study.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS, 0, 2);
+    runStripes(study, 2, {0});
     auto ranOnce = study.trialsExecuted();
     EXPECT_EQ(ranOnce, TRIALS / 2);
 
     // Same stripe again: served from the stored shard record.
-    auto again = study.runCellShard(ERRORS, fault::PROTECTED_POLICY,
-                                    TRIALS, 0, 2);
+    CellSummary again;
+    study.runStripes(ERRORS, fault::PROTECTED_POLICY, TRIALS, 2, {0},
+                     [&again](const core::StripeResult &stripe) {
+                         again = stripe.summary;
+                     });
     EXPECT_EQ(study.trialsExecuted(), ranOnce);
     EXPECT_EQ(again.trials, TRIALS / 2);
 }
@@ -305,15 +317,62 @@ TEST_F(OrchestrationTest, MismatchedSplitsStillConverge)
     // the reference regardless.
     {
         ErrorToleranceStudy study(*workload_, config(1));
-        study.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS,
-                           0, 4);
-        study.runCellShard(ERRORS, fault::PROTECTED_POLICY, TRIALS,
-                           2, 4);
+        runStripes(study, 4, {0, 2});
     }
     ErrorToleranceStudy resumed(*workload_, config(4));
     auto summary =
         resumed.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
     expectSummariesIdentical(expected, summary);
+}
+
+TEST_F(OrchestrationTest, GrantedStripesRunAsOnePassPastStoredOnes)
+{
+    auto expected = reference();
+    std::map<unsigned, CellSummary> stripes;
+    {
+        // Stripe 2 of 4 is already stored; stripe 0 runs elsewhere.
+        ErrorToleranceStudy earlier(*workload_, config(2));
+        runStripes(earlier, 4, {2});
+        ErrorToleranceStudy elsewhere(*workload_, config(1, false));
+        elsewhere.runStripes(ERRORS, fault::PROTECTED_POLICY, TRIALS, 4,
+                             {0}, [&](const core::StripeResult &stripe) {
+                                 stripes[0] = stripe.summary;
+                             });
+    }
+
+    ErrorToleranceStudy study(*workload_, config(4));
+    std::map<unsigned, unsigned> landed;
+    study.runStripes(
+        ERRORS, fault::PROTECTED_POLICY, TRIALS, 4, {1, 2, 3},
+        [&](const core::StripeResult &stripe) {
+            ++landed[stripe.index];
+            auto [lo, hi] =
+                ErrorToleranceStudy::shardRange(TRIALS, stripe.index, 4);
+            EXPECT_EQ(stripe.lo, lo);
+            EXPECT_EQ(stripe.hi, hi);
+            if (stripe.index == 2) {
+                // Handed over from the store, before the pass starts.
+                EXPECT_EQ(stripe.trialsSimulated, 0u);
+                EXPECT_EQ(study.trialsExecuted(), 0u);
+            } else {
+                EXPECT_EQ(stripe.trialsSimulated, hi - lo);
+            }
+            stripes[stripe.index] = stripe.summary;
+        });
+    // Stripes 1 and 3 ran, in one pass; each stripe landed once.
+    EXPECT_EQ(study.trialsExecuted(), TRIALS / 2);
+    EXPECT_EQ(landed,
+              (std::map<unsigned, unsigned>{{1, 1}, {2, 1}, {3, 1}}));
+    expectStripesTileCell(
+        expected, {stripes[0], stripes[1], stripes[2], stripes[3]});
+
+    // Stripes persist as shards; only runCell promotes.
+    auto key = study.cellKey(ERRORS, fault::PROTECTED_POLICY, TRIALS);
+    EXPECT_FALSE(study.resultStore()->hasCell(key));
+    for (unsigned stripe : {1u, 2u, 3u}) {
+        auto [lo, hi] = ErrorToleranceStudy::shardRange(TRIALS, stripe, 4);
+        EXPECT_TRUE(study.resultStore()->hasShard(key, lo, hi));
+    }
 }
 
 TEST_F(OrchestrationTest, ReportPathRebuildsTheSameKeyWithoutSimulation)

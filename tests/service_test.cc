@@ -18,8 +18,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,6 +39,7 @@
 #include "store/result_store.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
+#include "telemetry/metrics.hh"
 
 namespace {
 
@@ -50,6 +53,18 @@ using service::SchedulerConfig;
 // The smallest registry experiment: GSM at test scale, 2 protected
 // cells of 8 trials each.
 constexpr const char *EXPERIMENT = "smoke-gsm";
+
+/** The process-wide value of counter @p name, from the scrape. */
+uint64_t
+counterValue(const std::string &name)
+{
+    std::istringstream scrape(telemetry::renderPrometheus());
+    std::string line;
+    while (std::getline(scrape, line))
+        if (line.rfind(name + " ", 0) == 0)
+            return std::stoull(line.substr(name.size() + 1));
+    return 0;
+}
 
 class ServiceTest : public ::testing::Test
 {
@@ -614,6 +629,53 @@ TEST_F(ServiceTest, IndexEndpointAndHealthReflectTheArchive)
         EXPECT_EQ(entry.at("cellsCached").asU64(), expected)
             << entry.at("name").asString();
     }
+}
+
+TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
+{
+    // A lease TTL shorter than one of these cells' stripes, let alone
+    // their passes: an executor keeps its leases through its pass, and
+    // the other through its wait for the experiment's run mutex, only
+    // by renewing them.
+    SchedulerConfig config;
+    config.cacheDir = (root_ / "short-ttl").string();
+    config.workers = 2;
+    config.threads = 1;
+    config.chunks = 2;
+    config.leaseTtlMs = 150;
+    uint64_t expired = counterValue("etc_lease_expired_total");
+    uint64_t reissued = counterValue("etc_lease_reissued_total");
+    Scheduler scheduler(config);
+    scheduler.start();
+    const bench::Experiment *exp = bench::findExperiment("fig5");
+    ASSERT_NE(exp, nullptr);
+    constexpr unsigned TRIALS = 320;
+    std::vector<std::string> jobs;
+    for (unsigned errors : {5u, 10u})
+        jobs.push_back(
+            scheduler
+                .submit(*exp, TRIALS,
+                        std::make_pair(errors, std::string("unprotected")))
+                .jobId);
+    for (const auto &id : jobs) {
+        std::optional<service::JobStatus> status;
+        for (int i = 0; i < 6000; ++i) {
+            status = scheduler.jobStatus(id);
+            ASSERT_TRUE(status.has_value());
+            if (status->state == "done" || status->state == "failed")
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        EXPECT_EQ(status->state, "done");
+        EXPECT_EQ(status->trialsExecuted, TRIALS);
+    }
+    scheduler.stop();
+
+    auto fleet = scheduler.fleetStats();
+    EXPECT_EQ(fleet.expired, 0u);
+    EXPECT_EQ(fleet.reissued, 0u);
+    EXPECT_EQ(counterValue("etc_lease_expired_total"), expired);
+    EXPECT_EQ(counterValue("etc_lease_reissued_total"), reissued);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * etc_lab executable: persistent-result-store campaign orchestration
- * (run / resume / merge / report / list), the campaign service
+ * (run / resume / report / list), the campaign service
  * (serve / submit / status / fetch), and the static-analysis
  * front end (analyze / lint -- the masked-fault prover's ACE/AVF
  * report and the assembly lint gate, nonzero exit on findings). It is

@@ -135,12 +135,13 @@ usage(int status)
            "          are bit-identical to single-host runs;\n"
            "          SIGINT/SIGTERM finishes and persists the\n"
            "          stripes in flight and exits cleanly\n"
-           "  work    run a worker agent: pull one cell's pending\n"
-           "          shard-range leases at a time from a coordinator\n"
-           "          daemon (--coordinator http://HOST:PORT), run\n"
-           "          them as one pass through the same cache-aware\n"
-           "          engine, push each canonical shard record back\n"
-           "          as it lands, heartbeat every held lease\n"
+           "  work    run a worker agent: pull its share of one\n"
+           "          cell's pending shard-range leases at a time from\n"
+           "          a coordinator daemon (--coordinator\n"
+           "          http://HOST:PORT), run them as one pass through\n"
+           "          the same cache-aware engine, push each canonical\n"
+           "          shard record back as it lands, heartbeat every\n"
+           "          held lease\n"
            "  submit  POST a job to a daemon (--experiment, optional\n"
            "          --errors/--policy for one cell, --wait to poll\n"
            "          until it drains)\n"

@@ -409,7 +409,7 @@ ErrorToleranceStudy::runStripes(unsigned errors,
             }
             stripe.summary = store::mergeShardSummaries(
                 key, std::move(pieces), stripe.lo, stripe.hi);
-            done(stripe);
+            done(std::move(stripe));
         });
 }
 

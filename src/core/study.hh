@@ -256,8 +256,10 @@ class ErrorToleranceStudy
     CellSummary runCell(unsigned errors, const std::string &policyName,
                         unsigned trialsOverride = 0, unsigned stripes = 1);
 
-    /** Receives each stripe of runStripes() once it is persisted. */
-    using StripeSink = std::function<void(const StripeResult &stripe)>;
+    /** Receives each stripe of runStripes() once it is persisted. It
+     *  runs inside the engine's serialized range hook, where every
+     *  other finishing stripe waits for it, so it must not block. */
+    using StripeSink = std::function<void(StripeResult stripe)>;
 
     /**
      * Run the chosen @p stripes (indices among the cell's @p count

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <future>
+#include <set>
 
 #include "core/study.hh"
 #include "support/logging.hh"
@@ -152,21 +154,41 @@ Coordinator::registerCell(const LeaseCell &cell, unsigned shardCount,
 }
 
 std::vector<LeaseGrant>
-Coordinator::acquire(const std::string &worker, unsigned max)
+Coordinator::acquire(const std::string &worker, unsigned max,
+                     const std::string &experiment)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     sweepExpiredLocked();
     touchWorker(worker);
+    // The idle workers: the asker, and every other worker seen within
+    // the activity window that holds no active lease.
+    std::set<std::string> busy;
+    for (const auto &[fingerprint, entry] : cells_)
+        for (const auto &lease : entry.leases)
+            if (lease.state == State::Active)
+                busy.insert(lease.owner);
+    size_t idle = 1;
+    for (const auto &[seen, when] : workersSeen_)
+        if (seen != worker && !busy.count(seen))
+            ++idle;
+
     std::vector<LeaseGrant> grants;
     auto deadline = Clock::now() +
                     std::chrono::milliseconds(config_.leaseTtlMs);
     for (auto &[fingerprint, entry] : cells_) {
         if (!grants.empty())
             break; // one cell per grant: its stripes run as one pass
-        if (entry.failed || entry.promoting)
+        if (entry.failed || entry.promoting ||
+            (!experiment.empty() && entry.cell.experiment != experiment))
             continue;
+        // This worker's share of the cell's pending stripes: a busy
+        // fleet takes whole cells, a lone cell fans out over the idle.
+        auto pending = static_cast<size_t>(std::count_if(
+            entry.leases.begin(), entry.leases.end(),
+            [](const Lease &l) { return l.state == State::Pending; }));
+        size_t share = std::min<size_t>(max, (pending + idle - 1) / idle);
         for (auto &lease : entry.leases) {
-            if (grants.size() >= max)
+            if (grants.size() >= share)
                 break;
             if (lease.state != State::Pending)
                 continue;
@@ -589,7 +611,7 @@ LeaseKeeper::loop()
 
 void
 runLeasePass(
-    core::ErrorToleranceStudy &study, std::mutex &runMutex,
+    core::ErrorToleranceStudy &study,
     const std::vector<LeaseGrant> &grants, const std::string &worker,
     LeaseKeeper &keeper,
     const std::function<void(const LeaseGrant &grant,
@@ -603,10 +625,15 @@ runLeasePass(
         keeper.hold(grant, worker);
         stripes.push_back(grant.shardIndex);
     }
+
+    // The engine hands each stripe over inside its serialized range
+    // hook, so the sink only starts the stripe's completion -- for an
+    // agent, two HTTP round trips -- on a thread that first waits for
+    // the previous stripe's: a slow coordinator never holds up the pass.
+    std::future<void> completing;
     std::vector<bool> done(grants.size(), false);
     try {
         const LeaseCell &cell = grants.front().cell;
-        std::lock_guard<std::mutex> lock(runMutex);
         telemetry::TraceSpan span("lease", "pass");
         if (span.active())
             span.setArgs("{\"cell\":\"" + cell.fingerprint +
@@ -616,20 +643,33 @@ runLeasePass(
         study.runStripes(
             cell.errors, cell.policy, cell.trials,
             grants.front().shardCount, stripes,
-            [&](const core::StripeResult &stripe) {
+            [&](core::StripeResult stripe) {
                 auto i = static_cast<size_t>(
                     std::find(stripes.begin(), stripes.end(),
                               stripe.index) -
                     stripes.begin());
+                completing = std::async(
+                    std::launch::async,
+                    [&, i, stripe = std::move(stripe),
+                     previous = std::move(completing)] {
+                        if (previous.valid())
+                            previous.wait();
+                        try {
+                            landed(grants[i], stripe);
+                        } catch (const std::exception &e) {
+                            failed(grants[i], e.what());
+                        }
+                        keeper.release(grants[i].id);
+                    });
                 done[i] = true;
-                landed(grants[i], stripe);
-                keeper.release(grants[i].id);
             });
     } catch (const std::exception &e) {
         for (size_t i = 0; i < grants.size(); ++i)
             if (!done[i])
                 failed(grants[i], e.what());
     }
+    if (completing.valid())
+        completing.wait();
     // Stripes a stop request left unstarted lapse and re-issue.
     for (const auto &grant : grants)
         keeper.release(grant.id);

@@ -7,8 +7,9 @@
  * ErrorToleranceStudy::shardRange() stripe. Workers (remote agents
  * via POST /v1/leases/acquire, or the daemon's own local pool)
  * acquire leases -- one acquire grants up to `max` pending stripes,
- * all of one cell -- run them as one engine pass, and complete them
- * one by one as each stripe lands. A holder keeps a lease only by
+ * all of one cell and no more than the asker's share among the idle
+ * workers -- run them as one engine pass, and complete them one by
+ * one as each stripe lands. A holder keeps a lease only by
  * renewing it (LeaseKeeper; local executors heartbeat like agents);
  * a lease whose deadline lapses without a heartbeat is re-issued to
  * the next acquirer. Because shard records are
@@ -158,11 +159,19 @@ class Coordinator
     /**
      * Grant @p worker up to @p max pending leases, all of one cell
      * (expired actives were re-pended by sweepExpired(), which this
-     * calls), so the worker runs them as one pass. Re-grants count
+     * calls), so the worker runs them as one pass. The grant is also
+     * capped at the worker's share of the cell's pending leases,
+     * split evenly (rounding up) among the idle workers: the asker
+     * and every other worker seen within the activity window that
+     * holds no active lease. A busy fleet thus takes whole cells,
+     * while a lone cell fans out over every idle worker. A non-empty
+     * @p experiment grants only that experiment's cells (a local
+     * executor asks only for a study it has locked). Re-grants count
      * toward the lease's issue cap.
      */
     std::vector<LeaseGrant> acquire(const std::string &worker,
-                                    unsigned max);
+                                    unsigned max,
+                                    const std::string &experiment = {});
 
     /** Extend the deadline of @p leaseId if @p worker still owns it. */
     LeaseBeat heartbeat(const std::string &leaseId,
@@ -325,15 +334,19 @@ class LeaseKeeper
 /**
  * The one way a lease executor -- the daemon's local pool or an
  * `etc_lab work` agent -- runs what it acquired: @p grants, pending
- * stripes of one cell, as one pass through @p study (under
- * @p runMutex, since the study is not thread-safe). @p keeper renews
- * each grant for @p worker until its stripe, persisted, reaches
- * @p landed. When the pass fails, every grant that never landed
+ * stripes of one cell, as one pass through @p study, whose run mutex
+ * the caller holds (the study is not thread-safe). @p keeper renews
+ * each grant for @p worker until its stripe, persisted, has been
+ * through @p landed. The @p landed calls run in landing order on
+ * threads of the call's own, off the engine's path, so a slow
+ * completion (an agent's push to a stalled coordinator) never holds
+ * up the pass; the call returns once every landed stripe has been
+ * through it. When the pass fails, every grant that never landed
  * reaches @p failed; the grants a stop request left unstarted reach
  * neither, and lapse and re-issue.
  */
 void runLeasePass(
-    core::ErrorToleranceStudy &study, std::mutex &runMutex,
+    core::ErrorToleranceStudy &study,
     const std::vector<LeaseGrant> &grants, const std::string &worker,
     LeaseKeeper &keeper,
     const std::function<void(const LeaseGrant &grant,

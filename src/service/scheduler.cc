@@ -56,6 +56,11 @@ schedulerMetrics()
  *  only the latency of *expiry* detection, not of normal progress. */
 constexpr std::chrono::milliseconds IDLE_POLL{100};
 
+/** The worker name of every local executor: they share one study per
+ *  experiment, as an agent's executors do, so the coordinator counts
+ *  them as one worker when it shares a cell out. */
+constexpr const char *LOCAL_WORKER = "local";
+
 } // namespace
 
 const char *
@@ -109,7 +114,7 @@ Scheduler::start()
     unsigned threads = std::max(1u, config_.workers);
     schedulerMetrics().workers.set(threads);
     for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 void
@@ -258,14 +263,12 @@ Scheduler::evictCompletedJobs()
 }
 
 void
-Scheduler::workerLoop(unsigned workerIndex)
+Scheduler::workerLoop()
 {
     // Local executors are lease workers like any remote agent, just
     // with a function call instead of an HTTP round trip, and they
     // heartbeat the leases they hold like one (keeper_).
     const bool executor = config_.workers > 0;
-    const std::string workerName =
-        "local#" + std::to_string(workerIndex);
     bool idle = false;
     while (true) {
         {
@@ -286,7 +289,7 @@ Scheduler::workerLoop(unsigned workerIndex)
         didWork |= promoteCompletedCells();
         didWork |= probeNextTask();
         if (executor)
-            didWork |= executeLeases(workerName);
+            didWork |= executeLeases();
         idle = !didWork;
     }
 }
@@ -368,12 +371,15 @@ Scheduler::probeNextTask()
 }
 
 bool
-Scheduler::executeLeases(const std::string &worker)
+Scheduler::executeLeases()
 {
+    std::vector<bench::ExperimentStudy *> labs;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_)
             return false;
+        for (auto &[name, lab] : contexts_)
+            labs.push_back(lab.get());
     }
     // A stop signal (graceful shutdown) parks local execution; the
     // leases re-pend via expiry and any progress is already persisted
@@ -381,46 +387,48 @@ Scheduler::executeLeases(const std::string &worker)
     if (stopRequested())
         return false;
 
-    // Every pending stripe of one cell: they run as one pass.
-    auto grants = coordinator_.acquire(
-        worker, std::numeric_limits<unsigned>::max());
-    if (grants.empty())
-        return false;
     // A local failure rides the same re-issue path as a dead remote
     // worker: re-pend the lease (another grant may succeed on a
     // transient error) until the issue cap fails the cell.
-    auto fail = [&](const LeaseGrant &grant, const std::string &error) {
-        warn("scheduler: lease ", grant.id, " failed on ", worker, ": ",
-             error);
-        coordinator_.fail(grant.id, worker, error);
+    auto fail = [this](const LeaseGrant &grant, const std::string &error) {
+        warn("scheduler: lease ", grant.id, " failed: ", error);
+        coordinator_.fail(grant.id, LOCAL_WORKER, error);
     };
-    auto task = leasedTask(grants.front().cell.fingerprint);
-    if (!task) {
-        // Cannot happen in-process (tasks register before their
-        // leases), but keep the lease machine consistent anyway.
-        for (const auto &grant : grants)
-            fail(grant, "no local task for lease " + grant.id);
+    for (bench::ExperimentStudy *lab : labs) {
+        // Lock a study no other local executor is running before
+        // asking for its leases, so no executor holds leases it
+        // cannot start: they stay free for idle agents.
+        std::unique_lock<std::mutex> run(lab->runMutex, std::try_to_lock);
+        if (!run.owns_lock())
+            continue;
+        // Its share of one cell's pending stripes: they run as one pass.
+        auto grants = coordinator_.acquire(
+            LOCAL_WORKER, std::numeric_limits<unsigned>::max(),
+            lab->exp.name);
+        if (grants.empty())
+            continue;
+        schedulerMetrics().workersBusy.add(1);
+        // Each stripe is persisted as a shard record before it lands;
+        // an already stored one (e.g. pushed by a remote worker while
+        // its lease lapsed) lands without simulating.
+        runLeasePass(
+            lab->study, grants, LOCAL_WORKER, keeper_,
+            [this](const LeaseGrant &grant,
+                   const core::StripeResult &stripe) {
+                schedulerMetrics().chunkSeconds.observe(
+                    stripe.wallSeconds);
+                // Task/global tallies accrue at promotion (from the
+                // coordinator's sums), not here -- one accounting path
+                // for local and remote workers alike.
+                coordinator_.complete(grant.id, LOCAL_WORKER,
+                                      stripe.trialsSimulated,
+                                      stripe.wallSeconds);
+            },
+            fail);
+        schedulerMetrics().workersBusy.add(-1);
         return true;
     }
-
-    schedulerMetrics().workersBusy.add(1);
-    // Each stripe is persisted as a shard record before it lands; an
-    // already stored one (e.g. pushed by a remote worker while its
-    // lease lapsed) lands without simulating.
-    runLeasePass(
-        task->lab->study, task->lab->runMutex, grants, worker, keeper_,
-        [&](const LeaseGrant &grant, const core::StripeResult &stripe) {
-            schedulerMetrics().chunkSeconds.observe(stripe.wallSeconds);
-            // Task/global tallies accrue at promotion (from the
-            // coordinator's sums), not here -- one accounting path for
-            // local and remote workers alike.
-            coordinator_.complete(grant.id, worker,
-                                  stripe.trialsSimulated,
-                                  stripe.wallSeconds);
-        },
-        fail);
-    schedulerMetrics().workersBusy.add(-1);
-    return true;
+    return false;
 }
 
 bool

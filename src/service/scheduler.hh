@@ -6,7 +6,10 @@
  * decomposed into shard-range leases (see coordinator.hh) and
  * executed by whoever holds the lease -- the daemon's own bounded
  * pool of local workers, remote `etc_lab work` agents, or a mix. A
- * local executor acquires all of one cell's pending stripes at once,
+ * local executor first locks an experiment's study that no other
+ * local executor is running, so it never holds leases it cannot
+ * start; it then acquires its share of one of that experiment's
+ * cells' pending stripes (all of them when no other worker is idle),
  * runs them as one pass (ErrorToleranceStudy::runStripes), completes
  * each lease as its stripe lands, and heartbeats every lease it holds
  * meanwhile, exactly like an agent:
@@ -280,9 +283,9 @@ class Scheduler
     static constexpr size_t MAX_RETAINED_JOBS = 512;
 
     bench::ExperimentStudy &contextFor(const bench::Experiment &exp);
-    void workerLoop(unsigned workerIndex);
+    void workerLoop();
     bool probeNextTask();
-    bool executeLeases(const std::string &worker);
+    bool executeLeases();
     bool promoteCompletedCells();
     void promoteCell(const CompletedCell &done);
     bool collectFailedCells();

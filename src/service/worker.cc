@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "bench/common.hh"
@@ -167,21 +168,39 @@ WorkerAgent::executorLoop()
 
     unsigned failures = 0;
     while (!stopNow()) {
-        // All of one cell's pending stripes, within --max-leases.
+        // Its share of one cell's pending stripes, within
+        // --max-leases: the allowance an acquire asks for is reserved
+        // first, so the executors together never take more than it.
         uint64_t max = std::numeric_limits<uint32_t>::max();
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (config_.maxLeases) {
                 if (leasesTaken_ >= config_.maxLeases)
                     return;
-                max = std::min(max, config_.maxLeases - leasesTaken_);
+                max = std::min(max, config_.maxLeases - leasesTaken_ -
+                                        leasesAsked_);
+                leasesAsked_ += max;
             }
         }
+        if (max == 0) {
+            // Other executors' acquires hold the rest of it.
+            sleepFor(config_.pollMs);
+            continue;
+        }
         std::vector<LeaseGrant> grants;
+        std::optional<std::string> acquireError;
         try {
             grants = acquire(max);
-            failures = 0;
         } catch (const std::exception &e) {
+            acquireError = e.what();
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (config_.maxLeases)
+                leasesAsked_ -= max;
+            leasesTaken_ += grants.size();
+        }
+        if (acquireError) {
             // Transport or protocol trouble: back off exponentially
             // (capped) so a downed coordinator is not hammered, and
             // keep trying -- it may just be restarting.
@@ -189,17 +208,14 @@ WorkerAgent::executorLoop()
             uint64_t delay = std::min<uint64_t>(
                 config_.pollMs << std::min(failures, 6u), 10000);
             warn("worker ", config_.name, ": acquire failed (",
-                 e.what(), "); retrying in ", delay, " ms");
+                 *acquireError, "); retrying in ", delay, " ms");
             sleepFor(delay);
             continue;
         }
+        failures = 0;
         if (grants.empty()) {
             sleepFor(config_.pollMs);
             continue;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            leasesTaken_ += grants.size();
         }
         processLeases(grants);
     }
@@ -316,8 +332,9 @@ WorkerAgent::processLeases(const std::vector<LeaseGrant> &grants)
     }
 
     // As each stripe lands, push its record and complete its lease.
+    std::lock_guard<std::mutex> lock(lab->runMutex);
     runLeasePass(
-        lab->study, lab->runMutex, grants, config_.name, keeper_,
+        lab->study, grants, config_.name, keeper_,
         [&](const LeaseGrant &grant, const core::StripeResult &stripe) {
             finishLease(grant, key, stripe);
         },

@@ -5,15 +5,17 @@
  *
  * The agent pulls shard-range leases from a coordinator daemon
  * (POST /v1/leases/acquire) -- one acquire grants up to `max` pending
- * stripes, all of one cell -- rebuilds the cell's exact study context
- * from the grant (experiment, seed, checkpoint interval, static
- * prune, gang width -- everything that derives the CellKey), and runs
- * the stripes as one pass through the same cache-aware engine
- * `etc_lab run` uses. As each stripe lands, the agent pushes its shard
- * record back (POST /v1/shards) and completes its lease. A LeaseKeeper
- * thread heartbeats every held lease at a third of its TTL, as the
- * daemon's local executors do, so a live worker never loses a lease
- * and a SIGKILLed one loses them within one TTL.
+ * stripes, all of one cell, within the agent's share among the idle
+ * workers -- rebuilds the cell's exact study context from the grant
+ * (experiment, seed, checkpoint interval, static prune, gang width --
+ * everything that derives the CellKey), and runs the stripes as one
+ * pass through the same cache-aware engine `etc_lab run` uses. As
+ * each stripe lands, the agent pushes its shard record back
+ * (POST /v1/shards) and completes its lease, off the engine's path
+ * (see runLeasePass), so a stalled coordinator never stalls the
+ * pass. A LeaseKeeper thread heartbeats every held lease at a third
+ * of its TTL, as the daemon's local executors do, so a live worker
+ * never loses a lease and a SIGKILLed one loses them within one TTL.
  *
  * Correctness invariants:
  *
@@ -74,8 +76,9 @@ struct WorkerConfig
     unsigned threads = 0;   //!< campaign threads per pass (0 = all)
 
     /** Stop after completing (or failing) this many leases (an
-     *  acquire asks for no more than the remaining allowance);
-     *  0 = run until stop()/SIGTERM. */
+     *  acquire asks for no more than the allowance no other
+     *  executor's acquire has reserved); 0 = run until
+     *  stop()/SIGTERM. */
     uint64_t maxLeases = 0;
 
     /** Idle poll interval when the coordinator has no work. */
@@ -143,6 +146,7 @@ class WorkerAgent
     std::map<std::string, std::shared_ptr<bench::ExperimentStudy>>
         contexts_;
     uint64_t leasesTaken_ = 0; //!< toward config_.maxLeases
+    uint64_t leasesAsked_ = 0; //!< allowance in-flight acquires hold
     Summary summary_;
 
     std::vector<std::thread> executors_;

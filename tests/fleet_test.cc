@@ -11,15 +11,20 @@
  * single store write, job tally unchanged). The vanished worker
  * mirrors the orchestration suite's kill idiom: it simply stops
  * calling, which is indistinguishable from SIGKILL to the
- * coordinator.
+ * coordinator. A coordinator stalled on a shard push does not stall
+ * the agent's pass, and an agent's executors together take no more
+ * leases than --max-leases allows.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -138,6 +143,36 @@ TEST(CoordinatorTest, AcquireGrantsOneCellsPendingLeases)
     for (const auto &grant : next)
         EXPECT_EQ(grant.cell.fingerprint, other.fingerprint);
     EXPECT_TRUE(coordinator.acquire("w3", 8).empty());
+}
+
+TEST(CoordinatorTest, LoneCellFansOutOverIdleWorkers)
+{
+    Coordinator coordinator(CoordinatorConfig{});
+    // w2 has asked before (and found nothing): it is an idle worker.
+    EXPECT_TRUE(coordinator.acquire("w2", 8).empty());
+    ASSERT_TRUE(coordinator.registerCell(testCell(16), 4, {}));
+
+    // Two idle workers split the lone cell's four stripes.
+    auto first = coordinator.acquire("w1", 8);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[0].shardIndex, 0u);
+    EXPECT_EQ(first[1].shardIndex, 1u);
+    // w1 now holds leases, so w2 is the only idle worker left.
+    auto second = coordinator.acquire("w2", 8);
+    ASSERT_EQ(second.size(), 2u);
+    EXPECT_EQ(second[0].shardIndex, 2u);
+    EXPECT_EQ(second[1].shardIndex, 3u);
+
+    // With w2 busy, w1 takes the next cell whole once it is done.
+    LeaseCell other = testCell(8);
+    other.fingerprint = "00000000feedface";
+    ASSERT_TRUE(coordinator.registerCell(other, 4, {}));
+    for (const auto &grant : first)
+        EXPECT_TRUE(coordinator.complete(grant.id, "w1", 4, 0.25));
+    auto whole = coordinator.acquire("w1", 8);
+    ASSERT_EQ(whole.size(), 4u);
+    for (const auto &grant : whole)
+        EXPECT_EQ(grant.cell.fingerprint, other.fingerprint);
 }
 
 TEST(CoordinatorTest, HeartbeatExtendsOwnersAndAnswersLostToOthers)
@@ -272,6 +307,13 @@ class FleetTest : public ::testing::Test
             std::make_unique<service::CampaignService>(*scheduler_);
         server_ = std::make_unique<service::HttpServer>(
             0, [this](const service::HttpRequest &request) {
+                std::function<void(const service::HttpRequest &)> stall;
+                {
+                    std::lock_guard<std::mutex> lock(stallMutex_);
+                    stall = stall_;
+                }
+                if (stall)
+                    stall(request);
                 return serviceFacade_->handle(request);
             });
         serverThread_ = std::thread([this] { server_->run(50); });
@@ -335,7 +377,32 @@ class FleetTest : public ::testing::Test
         return "";
     }
 
+    /** Run @p stall on the server thread before each request is
+     *  handled: blocking in it stalls the whole coordinator. */
+    void
+    stallWith(std::function<void(const service::HttpRequest &)> stall)
+    {
+        std::lock_guard<std::mutex> lock(stallMutex_);
+        stall_ = std::move(stall);
+    }
+
+    /** Wait (up to 2 s) for the coordinator to decompose a cell into
+     *  leases. */
+    void
+    awaitPendingLeases()
+    {
+        service::Client poller = client();
+        for (int i = 0; i < 200; ++i) {
+            auto fleet = store::parseJson(poller.get("/v1/fleet").body);
+            if (fleet.at("leasesPending").asU64() > 0)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    }
+
     std::filesystem::path root_;
+    std::mutex stallMutex_;
+    std::function<void(const service::HttpRequest &)> stall_;
     std::unique_ptr<service::Scheduler> scheduler_;
     std::unique_ptr<service::CampaignService> serviceFacade_;
     std::unique_ptr<service::HttpServer> server_;
@@ -395,13 +462,8 @@ TEST_F(FleetTest, VanishedWorkerLeaseReissuesAndGhostPushIsIdempotent)
         "\",\"errors\":1,\"policy\":\"protected\"}");
 
     // Wait for the scheduler to decompose the cell into leases.
+    awaitPendingLeases();
     service::Client poller = client();
-    for (int i = 0; i < 200; ++i) {
-        auto fleet = store::parseJson(poller.get("/v1/fleet").body);
-        if (fleet.at("leasesPending").asU64() > 0)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
 
     // The "ghost" acquires a lease over HTTP and then vanishes: it
     // never heartbeats, which is exactly what SIGKILL looks like from
@@ -552,6 +614,88 @@ TEST_F(FleetTest, WarmFleetCacheServesSecondSubmissionWithoutWork)
     auto fleetAfter =
         store::parseJson(client().get("/v1/fleet").body);
     EXPECT_EQ(fleetAfter.at("leasesIssued").asU64(), issuedBefore);
+}
+
+TEST_F(FleetTest, StalledCoordinatorDoesNotStallThePass)
+{
+    std::string jobId = submit(
+        std::string("{\"experiment\":\"") + EXPERIMENT +
+        "\",\"errors\":1,\"policy\":\"protected\"}");
+    awaitPendingLeases();
+
+    // The agent's first shard push stalls the whole coordinator until
+    // the agent's own store holds both of the cell's stripes. A pass
+    // that pushed from inside the engine could not persist the other
+    // stripe meanwhile, and would wait out the stall.
+    std::filesystem::path agentShards = root_ / "stalled" / "shards";
+    auto persisted = [&] {
+        size_t stripes = 0;
+        std::error_code ec;
+        for (std::filesystem::recursive_directory_iterator it(agentShards,
+                                                               ec),
+             end;
+             !ec && it != end; it.increment(ec))
+            if (it->path().extension() == ".jsonl")
+                ++stripes;
+        return stripes;
+    };
+    std::atomic<bool> stalled{false};
+    std::atomic<size_t> persistedDuringStall{0};
+    stallWith([&](const service::HttpRequest &request) {
+        if (request.path() != "/v1/shards" || stalled.exchange(true))
+            return;
+        for (int i = 0; i < 1500 && persisted() < 2; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        persistedDuringStall = persisted();
+    });
+
+    service::WorkerAgent agent(workerConfig("stalled"));
+    agent.start();
+    auto final = store::parseJson(awaitJob(jobId));
+    agent.stop();
+    EXPECT_TRUE(stalled.load());
+    EXPECT_EQ(persistedDuringStall.load(), 2u);
+    EXPECT_EQ(final.at("state").asString(), "done");
+    EXPECT_EQ(final.at("trialsExecuted").asU64(), 8u);
+    EXPECT_EQ(agent.summary().leasesCompleted, 2u);
+}
+
+TEST_F(FleetTest, ExecutorsTogetherTakeNoMoreThanMaxLeases)
+{
+    // Two cells of two stripes each: four pending leases.
+    std::string jobId = submit(
+        std::string("{\"experiment\":\"") + EXPERIMENT + "\"}");
+    for (int i = 0; i < 200 && scheduler_->fleetStats().leasesPending < 4;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(scheduler_->fleetStats().leasesPending, 4u);
+
+    // Both executors start at once, and the first acquire stalls long
+    // enough for the other executor to ask too: each may ask only for
+    // the allowance the other has not reserved.
+    std::atomic<bool> stalled{false};
+    stallWith([&](const service::HttpRequest &request) {
+        if (request.path() == "/v1/leases/acquire" &&
+            !stalled.exchange(true))
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    });
+    service::WorkerConfig config = workerConfig("capped");
+    config.executors = 2;
+    config.maxLeases = 3;
+    service::WorkerAgent agent(config);
+    agent.start();
+    agent.join();
+    EXPECT_EQ(agent.summary().leasesCompleted, 3u);
+    EXPECT_EQ(agent.summary().leasesFailed, 0u);
+    EXPECT_EQ(scheduler_->fleetStats().issued, 3u);
+
+    // A second agent finishes the job.
+    service::WorkerAgent rest(workerConfig("rest"));
+    rest.start();
+    auto final = store::parseJson(awaitJob(jobId));
+    rest.stop();
+    EXPECT_EQ(final.at("state").asString(), "done");
+    EXPECT_EQ(rest.summary().leasesCompleted, 1u);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -633,23 +634,26 @@ TEST_F(ServiceTest, IndexEndpointAndHealthReflectTheArchive)
 
 TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
 {
-    // A lease TTL shorter than one of these cells' stripes, let alone
-    // their passes: an executor keeps its leases through its pass, and
-    // the other through its wait for the experiment's run mutex, only
-    // by renewing them.
+    // A lease TTL shorter than one of these cells' stripes, and a few
+    // times shorter than their passes: an executor keeps its leases
+    // through its pass only by renewing them (every 133 ms, so a
+    // renewal may run 250 ms late without losing a lease). The two
+    // executors share the experiment's study, so the second must not
+    // take the other cell's leases while it waits for the first's
+    // pass: at most one cell's two leases are ever active.
     SchedulerConfig config;
     config.cacheDir = (root_ / "short-ttl").string();
     config.workers = 2;
     config.threads = 1;
     config.chunks = 2;
-    config.leaseTtlMs = 150;
+    config.leaseTtlMs = 400;
     uint64_t expired = counterValue("etc_lease_expired_total");
     uint64_t reissued = counterValue("etc_lease_reissued_total");
     Scheduler scheduler(config);
     scheduler.start();
     const bench::Experiment *exp = bench::findExperiment("fig5");
     ASSERT_NE(exp, nullptr);
-    constexpr unsigned TRIALS = 320;
+    constexpr unsigned TRIALS = 1000;
     std::vector<std::string> jobs;
     for (unsigned errors : {5u, 10u})
         jobs.push_back(
@@ -657,11 +661,14 @@ TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
                 .submit(*exp, TRIALS,
                         std::make_pair(errors, std::string("unprotected")))
                 .jobId);
+    size_t mostActive = 0;
     for (const auto &id : jobs) {
         std::optional<service::JobStatus> status;
         for (int i = 0; i < 6000; ++i) {
             status = scheduler.jobStatus(id);
             ASSERT_TRUE(status.has_value());
+            mostActive =
+                std::max(mostActive, scheduler.fleetStats().leasesActive);
             if (status->state == "done" || status->state == "failed")
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -670,6 +677,7 @@ TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
         EXPECT_EQ(status->trialsExecuted, TRIALS);
     }
     scheduler.stop();
+    EXPECT_EQ(mostActive, 2u);
 
     auto fleet = scheduler.fleetStats();
     EXPECT_EQ(fleet.expired, 0u);

@@ -1,7 +1,6 @@
 #include "bench/common.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -17,58 +16,6 @@
 namespace etc::bench {
 
 using core::CellSummary;
-
-namespace {
-
-[[noreturn]] void
-usage(const char *program, int status)
-{
-    std::cerr << "usage: " << program
-              << " [--threads N] [--trials N] [--policy NAME]...\n"
-                 "       [--checkpoint-interval N] [--static-prune]"
-                 " [--gang-width N|auto]\n"
-                 "       [--seed S] [--cache-dir DIR] [--trace-out FILE]\n"
-              << "  --threads N  campaign worker threads (0 = all "
-                 "cores; default 0)\n"
-              << "  --trials N   trials per campaign cell (>= 1; omit "
-                 "for the driver default)\n"
-              << "  --policy NAME  sweep this injection policy instead "
-                 "of the driver's\n"
-                 "               own list (repeatable, in render "
-                 "order). Known policies:\n"
-                 "               "
-              << fault::injectionPolicyNames() << "\n"
-              << "  --checkpoint-interval N  instructions between "
-                 "golden-run checkpoints\n"
-              << "               (0 disables trial fast-forwarding; "
-                 "default "
-              << fault::CampaignRunner::DEFAULT_CHECKPOINT_INTERVAL
-              << "). Results are identical either way.\n"
-              << "  --static-prune  synthesize provably-masked trials "
-                 "instead of simulating\n"
-                 "               them. Results are identical either "
-                 "way.\n"
-              << "  --gang-width N|auto  most trial lanes per lockstep "
-                 "gang on the checkpointed\n"
-                 "               fast path (0 = scalar; auto = "
-              << fault::DEFAULT_GANG_WIDTH
-              << "). Results are identical\n"
-                 "               for every width.\n"
-              << "  --seed S     master study seed (decimal or 0x hex; "
-                 "default "
-              << core::StudyConfig{}.seed << ")\n"
-              << "  --cache-dir DIR  persist campaign cells to the "
-                 "result store at DIR\n"
-              << "               and skip already-stored cells\n"
-              << "  --trace-out FILE  write Chrome Trace Event JSONL "
-                 "spans (golden run,\n"
-              << "               trials, gangs, chunks) to FILE. "
-                 "Observation only: results\n"
-              << "               are identical with tracing on or off.\n";
-    std::exit(status);
-}
-
-} // namespace
 
 uint64_t
 parseCountValue(const std::string &flag, const std::string &text,
@@ -193,24 +140,6 @@ finishCampaignFlags(const BenchOptions &opts)
         telemetry::Tracer::instance().open(opts.traceOut);
 }
 
-BenchOptions
-parseBenchArgs(int argc, char **argv)
-try {
-    BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            usage(argv[0], 0);
-        if (!parseCampaignFlag(argc, argv, i, opts))
-            fatal("unknown argument '", arg, "'");
-    }
-    finishCampaignFlags(opts);
-    return opts;
-} catch (const FatalError &error) {
-    std::cerr << argv[0] << ": " << error.what() << '\n';
-    usage(argv[0], 2);
-}
-
 void
 emitCellJson(const std::string &workloadName, const std::string &policy,
              unsigned errors, const CellSummary &cell,
@@ -257,12 +186,6 @@ banner(std::ostream &os, const std::string &experiment,
        << experiment << '\n'
        << caption << '\n'
        << "==========================================================\n";
-}
-
-void
-banner(const std::string &experiment, const std::string &caption)
-{
-    banner(std::cout, experiment, caption);
 }
 
 namespace {

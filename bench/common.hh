@@ -1,15 +1,14 @@
 /**
  * @file
- * Shared infrastructure of the reproduction drivers: the campaign
- * flags that `etc_lab` and every bench_* binary parse through one
- * function, the BENCH_JSON perf record, and the figure renderer.
+ * Shared infrastructure of `etc_lab` and the campaign service: the
+ * campaign flags parsed through one function, the BENCH_JSON perf
+ * record, and the figure renderer.
  *
- * The paper's figures sweep through `etc_lab run --experiment figN`
- * (see experiments.hh), which prints each series as an aligned table
- * and as ASCII charts so the reproduction's *shape* is visible at a
- * glance; the bench_table* and bench_ablation_* binaries regenerate
- * the tables and ablations. EXPERIMENTS.md records paper-vs-measured
- * for each.
+ * Every paper artifact runs through `etc_lab run --experiment <name>`
+ * (see experiments.hh): a figure prints each series as an aligned
+ * table and as ASCII charts, so the reproduction's *shape* is visible
+ * at a glance, and a paper table prints its rows next to the paper's
+ * values. EXPERIMENTS.md records paper-vs-measured for each.
  */
 
 #ifndef ETC_BENCH_COMMON_HH
@@ -41,18 +40,19 @@ struct SweepPoint
 };
 
 /**
- * Command-line options shared by every bench driver. Campaign results
- * are bit-identical for every thread count, so --threads only changes
- * wall-clock time, never the reproduced numbers.
+ * The campaign options `etc_lab`, the daemon and its workers share.
+ * Campaign results are bit-identical for every thread count, so
+ * --threads only changes wall-clock time, never the reproduced
+ * numbers.
  */
 struct BenchOptions
 {
     unsigned threads = 0; //!< campaign worker threads (0 = all cores)
-    unsigned trials = 0;  //!< 0 = use the driver's default
+    unsigned trials = 0;  //!< 0 = use the experiment's default
 
     /** --policy NAME (repeatable): override the swept injection
-     *  policies; empty = the driver's/experiment's own list. Names
-     *  are validated against the policy registry at parse time. */
+     *  policies; empty = the experiment's own list. Names are
+     *  validated against the policy registry at parse time. */
     std::vector<std::string> policies;
 
     /** Golden-run checkpoint spacing for trial fast-forwarding
@@ -103,47 +103,20 @@ struct BenchOptions
 };
 
 /**
- * Parse argv[i] into @p opts when it is one of the campaign flags
- * every driver shares, consuming its value:
- *
- *   --threads N              campaign worker threads (0 = all cores;
- *                            default 0)
- *   --trials N               trials per campaign cell (>= 1; omit for
- *                            the driver or experiment default)
- *   --policy NAME            sweep this injection policy instead of
- *                            the driver's own list (repeatable, in
- *                            render order; see `etc_lab policies`)
- *   --seed S                 master study seed (decimal or 0x hex);
- *                            cells and cache keys derive from it
- *   --checkpoint-interval N  instructions between golden-run checkpoints
- *                            (0 = disable trial fast-forwarding; default
- *                            8192). Never changes reproduced numbers.
- *   --static-prune           synthesize provably-masked trials instead
- *                            of simulating them. Never changes
- *                            reproduced numbers.
- *   --gang-width N|auto      trial lanes per lockstep gang on the
- *                            checkpointed fast path (0 = scalar,
- *                            auto = runner default). Never changes
- *                            reproduced numbers.
- *   --cache-dir DIR          persist campaign cells to the result store
- *                            at DIR and skip already-stored cells
- *   --trace-out FILE         write Chrome Trace Event JSONL spans to
- *                            FILE (view via `jq -s . FILE` in
- *                            Perfetto). Never changes reproduced
- *                            numbers.
- *
- * `--trials 0` is rejected: 0 previously meant "driver default", which
- * silently masked typos; omit the flag instead.
+ * Parse argv[i] into @p opts when it is one of the campaign flags --
+ * --threads, --trials, --policy, --seed, --checkpoint-interval,
+ * --static-prune, --gang-width, --cache-dir, --trace-out (see the
+ * BenchOptions fields and `etc_lab --help`) -- consuming its value.
+ * `--trials 0` is rejected: 0 previously meant "experiment default",
+ * which silently masked typos; omit the flag instead.
  *
  * @return false when argv[i] is not a campaign flag
  * @throws FatalError on a bad or missing value
  */
 bool parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts);
 
-/**
- * Open the tracer when --trace-out was given. Every parser calls this
- * once, after its last flag.
- */
+/** Open the tracer when --trace-out was given (once, after the last
+ *  flag). */
 void finishCampaignFlags(const BenchOptions &opts);
 
 /**
@@ -155,16 +128,9 @@ std::optional<std::string> flagValue(int argc, char **argv, int &i,
                                      const std::string &flag);
 
 /**
- * Parse a bench binary's command line: the campaign flags
- * (parseCampaignFlag()) plus --help. Unknown flags and bad values
- * print usage and exit with status 2.
- */
-BenchOptions parseBenchArgs(int argc, char **argv);
-
-/**
- * Shared flag-value parsers (etc_lab reuses them). All throw
- * FatalError on bad input; callers attach their own usage/exit
- * policy.
+ * Shared flag-value parsers (etc_lab and the campaign service use
+ * them). All throw FatalError on bad input; callers attach their own
+ * usage/exit policy.
  */
 
 /** Overflow-checked decimal parse into [0, max]. */
@@ -207,12 +173,9 @@ void emitCellJson(const std::string &workloadName,
                   const core::CellSummary &cell,
                   const core::StudyConfig &config);
 
-/** Standard banner printed by every bench binary. */
+/** The banner every figure and paper table opens with. */
 void banner(std::ostream &os, const std::string &experiment,
             const std::string &caption);
-
-/** banner() to std::cout (the bench binaries' stdout contract). */
-void banner(const std::string &experiment, const std::string &caption);
 
 /**
  * Print a fidelity/failure figure: a table of the swept cells (one

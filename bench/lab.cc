@@ -52,9 +52,7 @@ struct LabOptions
     uint16_t port = 8977;            //!< --port (serve binds, others dial)
     std::string host = "127.0.0.1";  //!< --host for remote subcommands
     unsigned workers = 2;            //!< serve: local cell workers
-                                     //!< (0 = coordinator-only);
-                                     //!< work: lease executors
-    bool workersSet = false;         //!< --workers given explicitly
+                                     //!< (0 = coordinator-only)
 
     // Fleet knobs (serve + work).
     std::string coordinator;         //!< work: http://HOST:PORT
@@ -86,19 +84,20 @@ usage(int status)
         << "usage: etc_lab <subcommand> [options]\n"
            "\n"
            "local subcommands:\n"
-           "  run     execute the sweep; persist every cell to the\n"
+           "  run     execute the sweeps; persist every cell to the\n"
            "          cache, skip stored cells, resume partial ones,\n"
-           "          then render the figure. SIGINT/SIGTERM stops\n"
-           "          starting new stripes, finishes and persists the\n"
-           "          ones in flight, and exits with a summary\n"
+           "          then render the figure or table. SIGINT/SIGTERM\n"
+           "          stops starting new stripes, finishes and persists\n"
+           "          the ones in flight, and exits with a summary\n"
            "          (status 130)\n"
            "  resume  same as run (requires --cache-dir); continues a\n"
            "          killed campaign from its stored shards\n"
-           "  report  render the figure purely from stored records\n"
-           "          (no simulation; fails on missing cells)\n"
-           "  list    print the experiment registry (with --cache-dir,\n"
-           "          a 'cached' column reports archive coverage per\n"
-           "          experiment from the secondary index)\n"
+           "  report  render the figure or table purely from stored\n"
+           "          records (no trials; fails on missing cells)\n"
+           "  list    print the registry: every paper figure and\n"
+           "          table, and the smoke sweeps (with --cache-dir, a\n"
+           "          'cached' column reports archive coverage per\n"
+           "          entry from the secondary index)\n"
            "  query   roll up the archived cells of a cache directory\n"
            "          (--cache-dir) without simulating anything:\n"
            "          filter by --workload/--policy/--errors/--seed/\n"
@@ -159,11 +158,12 @@ usage(int status)
            "                           resume/report/serve; run\n"
            "                           without it persists nothing)\n"
            "  --trials N               trials per cell (>= 1; default:\n"
-           "                           the experiment's)\n"
+           "                           each sweep's)\n"
            "  --policy NAME            run/resume/report: sweep\n"
            "                           this injection policy instead\n"
-           "                           of the experiment's own list\n"
-           "                           (repeatable). submit: the\n"
+           "                           of the sweep's own list\n"
+           "                           (repeatable; refused on a\n"
+           "                           paper table). submit: the\n"
            "                           single cell's policy (needs\n"
            "                           --errors). See `etc_lab\n"
            "                           policies` for the registry\n"
@@ -204,8 +204,7 @@ usage(int status)
            "  --workers K              serve: local cell workers\n"
            "                           (default 2; 0 = coordinator-\n"
            "                           only, remote agents do all the\n"
-           "                           simulating). work: concurrent\n"
-           "                           lease executors (default 1)\n"
+           "                           simulating)\n"
            "  --coordinator URL        work: the coordinator daemon,\n"
            "                           http://HOST:PORT (required)\n"
            "  --name NAME              work: worker name on lease\n"
@@ -300,11 +299,10 @@ parseLabArgs(int argc, char **argv)
         } else if (auto host = valueOf("--host")) {
             opts.host = *host;
         } else if (auto workers = valueOf("--workers")) {
+            // An agent runs one pass at a time, spread over --threads.
+            if (opts.command != "serve")
+                fatal("--workers only applies to `serve`");
             opts.workers = parseCount32("--workers", *workers);
-            opts.workersSet = true;
-            if (opts.workers == 0 && opts.command != "serve")
-                fatal("--workers must be >= 1 (only `serve` accepts "
-                      "0 for a coordinator-only daemon)");
         } else if (auto coordinator = valueOf("--coordinator")) {
             opts.coordinator = *coordinator;
         } else if (auto name = valueOf("--name")) {
@@ -430,87 +428,40 @@ emitLabJson(const LabOptions &opts, size_t cells, size_t cellsCached,
 constexpr int EXIT_INTERRUPTED = 130;
 
 int
-labRun(const LabOptions &opts, const Experiment &exp)
+labRun(const LabOptions &opts, const Artifact &artifact)
 {
     installStopSignalHandlers();
-    ExperimentStudy lab(exp, opts.bench);
-    core::ErrorToleranceStudy &study = lab.study;
-    unsigned trials = opts.bench.trialsOr(exp.defaultTrials);
-    auto policies = sweepPolicies(exp, opts.bench);
-    auto cells = experimentCells(exp, policies);
-    // Cell keys derive from static analysis alone, so a fully warm
-    // run serves everything from the store without simulating at all.
-    store::ResultStore *cache = study.resultStore();
-    auto interruptedExit = [&](size_t cells, size_t cellsCached,
-                               size_t cellsComputed) {
+    SweepStudies studies(opts.bench);
+    ArtifactRun run = runArtifact(std::cout, artifact, studies, opts.chunks);
+    uint64_t trials = 0;
+    for (const ExperimentStudy *lab : studies.built())
+        trials += lab->study.trialsExecuted();
+    if (run.interrupted)
         inform("etc_lab: interrupted; the stripes in flight were ",
-               cache ? "finished and persisted -- resume with "
-                       "`etc_lab resume`"
-                     : "finished (no --cache-dir, progress "
-                       "discarded)");
-        emitLabJson(opts, cells, cellsCached, cellsComputed,
-                    study.trialsExecuted(), true);
-        return EXIT_INTERRUPTED;
-    };
-
-    size_t cellsCached = 0, cellsComputed = 0;
-    std::vector<core::CellSummary> summaries;
-    for (const auto &[errors, policy] : cells) {
-        if (stopRequested())
-            return interruptedExit(cells.size(), cellsCached,
-                                   cellsComputed);
-        // Classify by an actual load, not existence: a corrupt record
-        // must take the computed path (with chunked kill protection),
-        // not silently degrade it.
-        std::optional<core::CellSummary> cached =
-            cache ? cache->loadCell(study.cellKey(errors, policy, trials))
-                  : std::nullopt;
-        (cached ? cellsCached : cellsComputed) += 1;
-        inform(exp.name, ": errors=", errors, " (", policy, ", ",
-               trials, " trials", cached ? ", cached)" : ")");
-        core::CellSummary summary;
-        if (cached) {
-            summary = std::move(*cached);
-        } else {
-            // One engine pass over the cell's stripes: each is
-            // persisted as a shard the moment it ends, so a kill loses
-            // at most the stripes in flight, and a stop request stops
-            // starting new ones (the started ones finish and persist).
-            try {
-                summary = study.runCell(errors, policy, trials,
-                                        opts.chunks);
-            } catch (const core::CellInterrupted &) {
-                return interruptedExit(cells.size(), cellsCached,
-                                       cellsComputed);
-            }
-        }
-        emitCellJson(lab.workload->name(), policy, errors, summary,
-                     study.config());
-        summaries.push_back(std::move(summary));
-    }
-
-    renderExperiment(exp, policies,
-                     sweepPointsFrom(exp, policies, summaries));
-    emitLabJson(opts, summaries.size(), cellsCached, cellsComputed,
-                study.trialsExecuted());
-    return 0;
+               opts.bench.cacheDir.empty()
+                   ? "finished (no --cache-dir, progress discarded)"
+                   : "finished and persisted -- resume with `etc_lab "
+                     "resume`");
+    emitLabJson(opts, run.cells, run.cellsCached, run.cellsComputed, trials,
+                run.interrupted);
+    return run.interrupted ? EXIT_INTERRUPTED : 0;
 }
 
 int
-labReport(const LabOptions &opts, const Experiment &exp)
+labReport(const LabOptions &opts, const Artifact &artifact)
 {
     store::ResultStore cache(opts.bench.cacheDir);
-    auto sweep = loadExperimentFromStore(exp, opts.bench, cache);
-    if (!sweep.complete())
-        fatal("no stored record for cell ",
-              sweep.missing.front().canonical(), " in ",
-              opts.bench.cacheDir,
-              " -- run `etc_lab run` first");
-
-    renderExperiment(std::cout, exp, sweepPolicies(exp, opts.bench),
-                     sweep.points);
-    size_t cells =
-        experimentCells(exp, sweepPolicies(exp, opts.bench)).size();
+    std::vector<std::vector<store::CellKey>> keys;
+    size_t cells = 0;
+    for (const Experiment *sweep : artifact.sweeps) {
+        keys.push_back(experimentCellKeys(*sweep, opts.bench));
+        cells += keys.back().size();
+    }
+    SweepStudies studies(opts.bench);
+    auto missing = renderFromStore(std::cout, artifact, keys, cache, studies);
+    if (!missing.empty())
+        fatal("no stored record for cell ", missing.front().canonical(),
+              " in ", opts.bench.cacheDir, " -- run `etc_lab run` first");
     emitLabJson(opts, cells, cells, 0, 0);
     return 0;
 }
@@ -551,31 +502,38 @@ labList(const LabOptions &opts)
 
     Table table({"name", "figure", "workload", "cells", "cached",
                  "trials", "error counts"});
-    for (const auto &exp : experiments()) {
-        std::string errorCounts;
-        for (unsigned errors : exp.errorCounts) {
-            if (!errorCounts.empty())
-                errorCounts += ',';
-            errorCounts += std::to_string(errors);
-        }
-        size_t cells = experimentCells(exp).size();
+    for (const auto &artifact : artifacts()) {
         std::string coverage = "-";
         if (index) {
-            size_t hits = 0;
-            size_t total =
-                experimentCells(exp, sweepPolicies(exp, opts.bench))
-                    .size();
-            if (indexedWorkloads.count(exp.workload))
-                for (const auto &key :
-                     experimentCellKeys(exp, opts.bench))
-                    if (index->hasCell(key.fingerprint()))
-                        ++hits;
-            coverage = std::to_string(hits) + "/" +
-                       std::to_string(total);
+            size_t hits = 0, total = 0;
+            for (const Experiment *sweep : artifact.sweeps) {
+                total += experimentCells(*sweep,
+                                         sweepPolicies(*sweep, opts.bench))
+                             .size();
+                if (indexedWorkloads.count(sweep->workload))
+                    for (const auto &key :
+                         experimentCellKeys(*sweep, opts.bench))
+                        if (index->hasCell(key.fingerprint()))
+                            ++hits;
+            }
+            coverage = std::to_string(hits) + "/" + std::to_string(total);
         }
-        table.addRow({exp.name, exp.experiment, exp.workload,
-                      std::to_string(cells), coverage,
-                      std::to_string(exp.defaultTrials), errorCounts});
+        // A paper table's sweeps each have their own workload, trials
+        // and error counts (GET /v1/experiments names them).
+        std::string trials = "-", errorCounts = "-";
+        if (artifact.figure) {
+            trials = std::to_string(artifact.figure->defaultTrials);
+            errorCounts.clear();
+            for (unsigned errors : artifact.figure->errorCounts) {
+                if (!errorCounts.empty())
+                    errorCounts += ',';
+                errorCounts += std::to_string(errors);
+            }
+        }
+        table.addRow({artifact.name, artifact.headline(),
+                      artifact.figure ? artifact.figure->workload : "-",
+                      std::to_string(artifact.cells()), coverage, trials,
+                      errorCounts});
     }
     table.print(std::cout);
     return 0;
@@ -761,7 +719,6 @@ labWork(const LabOptions &opts)
         "--coordinator port", rest.substr(colon + 1), 65535));
     config.name = opts.workerName;
     config.cacheDir = opts.bench.cacheDir;
-    config.executors = opts.workersSet ? opts.workers : 1;
     config.threads = opts.bench.threads;
     config.maxLeases = opts.maxLeases;
     config.pollMs = opts.pollMs;
@@ -770,8 +727,7 @@ labWork(const LabOptions &opts)
     installStopSignalHandlers();
     agent.start();
     inform("etc_lab: worker '", agent.config().name, "' pulling from ",
-           config.host, ":", config.port, " (",
-           agent.config().executors, " executors, cache ",
+           config.host, ":", config.port, " (cache ",
            agent.config().cacheDir, ")");
     agent.join();
 
@@ -979,13 +935,13 @@ labMain(int argc, char **argv)
             return labFetch(opts);
         if (opts.command == "stats")
             return labStats(opts);
-        const Experiment *exp = findExperiment(opts.experiment);
-        if (!exp)
+        auto artifact = findArtifact(opts.experiment);
+        if (!artifact)
             fatal("unknown experiment '", opts.experiment,
                   "' (available: ", experimentNames(), ")");
         if (opts.command == "report")
-            return labReport(opts, *exp);
-        return labRun(opts, *exp);
+            return labReport(opts, *artifact);
+        return labRun(opts, *artifact);
     } catch (const FatalError &error) {
         std::cerr << "etc_lab: " << error.what() << '\n';
         return 1;

@@ -455,20 +455,6 @@ Coordinator::lookupLease(const std::string &leaseId) const
     return grant;
 }
 
-bool
-Coordinator::hasPendingLeases() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[fingerprint, entry] : cells_) {
-        if (entry.failed || entry.promoting)
-            continue;
-        for (const auto &lease : entry.leases)
-            if (lease.state == State::Pending)
-                return true;
-    }
-    return false;
-}
-
 CoordinatorStats
 Coordinator::stats() const
 {

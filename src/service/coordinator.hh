@@ -69,7 +69,8 @@ struct CoordinatorConfig
 struct LeaseCell
 {
     std::string fingerprint; //!< expected CellKey fingerprint
-    std::string experiment;  //!< registry experiment name
+    std::string experiment;  //!< the sweep's registry name (a
+                             //!< worker rebuilds its study from it)
     unsigned errors = 0;
     std::string policy;
     unsigned trials = 0;
@@ -215,10 +216,6 @@ class Coordinator
     void reopenStripes(const std::string &fingerprint,
                        const std::vector<unsigned> &stripes);
 
-    /** @return whether any lease of any registered cell is pending
-     *  (work a local executor could pick up right now). */
-    bool hasPendingLeases() const;
-
     /** @return the grant-shaped view of @p leaseId whatever its
      *  state (completion handlers verify the store against it), or
      *  nullopt if no such lease is registered. */
@@ -334,8 +331,9 @@ class LeaseKeeper
 /**
  * The one way a lease executor -- the daemon's local pool or an
  * `etc_lab work` agent -- runs what it acquired: @p grants, pending
- * stripes of one cell, as one pass through @p study, whose run mutex
- * the caller holds (the study is not thread-safe). @p keeper renews
+ * stripes of one cell, as one pass through @p study, which nothing
+ * else runs meanwhile (the study is not thread-safe: the daemon's
+ * executors hold its run mutex). @p keeper renews
  * each grant for @p worker until its stripe, persisted, has been
  * through @p landed. The @p landed calls run in landing order on
  * threads of the call's own, off the engine's path, so a slow

@@ -82,7 +82,8 @@ Scheduler::Scheduler(SchedulerConfig config)
       keeper_([this](const std::string &leaseId,
                      const std::string &worker) {
           coordinator_.heartbeat(leaseId, worker);
-      })
+      }),
+      studies_(studyOptions())
 {
     if (config_.cacheDir.empty())
         fatal("scheduler: a cache directory is required (jobs resume "
@@ -99,6 +100,18 @@ Scheduler::Scheduler(SchedulerConfig config)
 Scheduler::~Scheduler()
 {
     stop();
+}
+
+bench::BenchOptions
+Scheduler::studyOptions() const
+{
+    bench::BenchOptions opts;
+    opts.threads = config_.threads;
+    opts.checkpointInterval = config_.checkpointInterval;
+    opts.gangWidth = config_.gangWidth;
+    opts.seed = config_.seed;
+    opts.cacheDir = config_.cacheDir;
+    return opts;
 }
 
 void
@@ -130,55 +143,43 @@ Scheduler::stop()
     workers_.clear();
 }
 
-bench::ExperimentStudy &
-Scheduler::contextFor(const bench::Experiment &exp)
-{
-    auto &slot = contexts_[exp.name];
-    if (!slot) {
-        bench::BenchOptions opts;
-        opts.threads = config_.threads;
-        opts.checkpointInterval = config_.checkpointInterval;
-        opts.gangWidth = config_.gangWidth;
-        opts.seed = config_.seed;
-        opts.cacheDir = config_.cacheDir;
-        // Static analysis only -- no simulation; cell keys derive
-        // from it, so submissions and the figure endpoint agree with
-        // `etc_lab run` on the same cache directory.
-        slot = std::make_unique<bench::ExperimentStudy>(exp, opts);
-    }
-    return *slot;
-}
-
 Scheduler::SubmitOutcome
 Scheduler::submit(
-    const bench::Experiment &exp, unsigned trialsOverride,
+    const bench::Artifact &artifact, unsigned trialsOverride,
     std::optional<std::pair<unsigned, std::string>> cell)
 {
-    unsigned trials =
-        trialsOverride ? trialsOverride : exp.defaultTrials;
-    std::vector<std::pair<unsigned, std::string>> wanted =
-        cell ? std::vector<std::pair<unsigned, std::string>>{*cell}
-             : bench::experimentCells(exp);
-
     std::lock_guard<std::mutex> lock(mutex_);
-    bench::ExperimentStudy &lab = contextFor(exp);
-
     struct PlannedCell
     {
+        bench::ExperimentStudy *lab;
         unsigned errors;
         std::string policy;
+        unsigned trials;
         store::CellKey key;
         std::string fingerprint;
     };
     std::vector<PlannedCell> planned;
     std::string signature;
-    for (const auto &[errors, policy] : wanted) {
-        auto key = lab.study.cellKey(errors, policy, trials);
-        auto fingerprint = key.fingerprint();
-        signature += fingerprint;
-        signature += ';';
-        planned.push_back({errors, policy, std::move(key),
-                           std::move(fingerprint)});
+    for (const bench::Experiment *exp : artifact.sweeps) {
+        auto wanted =
+            cell ? std::vector<std::pair<unsigned, std::string>>{*cell}
+                 : bench::experimentCells(*exp);
+        if (wanted.empty())
+            continue; // a study a paper table only profiles
+        // Static analysis only -- no simulation; cell keys derive
+        // from it, so submissions and the figure endpoint agree with
+        // `etc_lab run` on the same cache directory.
+        bench::ExperimentStudy &lab = studies_.of(*exp);
+        unsigned trials =
+            trialsOverride ? trialsOverride : exp->defaultTrials;
+        for (const auto &[errors, policy] : wanted) {
+            auto key = lab.study.cellKey(errors, policy, trials);
+            auto fingerprint = key.fingerprint();
+            signature += fingerprint;
+            signature += ';';
+            planned.push_back({&lab, errors, policy, trials,
+                               std::move(key), std::move(fingerprint)});
+        }
     }
 
     // Job-level idempotency: an identical submission that is still
@@ -195,7 +196,7 @@ Scheduler::submit(
     Job job;
     job.id = "j";
     job.id += std::to_string(nextJobId_++);
-    job.experiment = exp.name;
+    job.experiment = artifact.name;
     job.signature = signature;
     bool enqueued = false;
     for (auto &plan : planned) {
@@ -209,10 +210,10 @@ Scheduler::submit(
             task = live->second;
         } else {
             task = std::make_shared<CellTask>();
-            task->lab = &lab;
+            task->lab = plan.lab;
             task->errors = plan.errors;
             task->policy = plan.policy;
-            task->trials = trials;
+            task->trials = plan.trials;
             task->key = std::move(plan.key);
             task->fingerprint = plan.fingerprint;
             liveTasks_[plan.fingerprint] = task;
@@ -378,8 +379,7 @@ Scheduler::executeLeases()
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_)
             return false;
-        for (auto &[name, lab] : contexts_)
-            labs.push_back(lab.get());
+        labs = studies_.built();
     }
     // A stop signal (graceful shutdown) parks local execution; the
     // leases re-pend via expiry and any progress is already persisted

@@ -2,15 +2,16 @@
  * @file
  * Async campaign job scheduler: the engine room of `etc_lab serve`.
  *
- * Submitted experiments (or single cells) become jobs whose cells are
- * decomposed into shard-range leases (see coordinator.hh) and
- * executed by whoever holds the lease -- the daemon's own bounded
- * pool of local workers, remote `etc_lab work` agents, or a mix. A
- * local executor first locks an experiment's study that no other
- * local executor is running, so it never holds leases it cannot
- * start; it then acquires its share of one of that experiment's
- * cells' pending stripes (all of them when no other worker is idle),
- * runs them as one pass (ErrorToleranceStudy::runStripes), completes
+ * Submitted figures and paper tables (or single cells) become jobs
+ * whose cells, across all their sweeps, are decomposed into
+ * shard-range leases (see coordinator.hh) and executed by whoever
+ * holds the lease -- the daemon's own bounded pool of local workers,
+ * remote `etc_lab work` agents, or a mix. A local executor first
+ * locks a sweep's study that no other local executor is running, so
+ * it never holds leases it cannot start; it then acquires its share
+ * of one of that sweep's cells' pending stripes (all of them when no
+ * other worker is idle), runs them as one pass
+ * (ErrorToleranceStudy::runStripes), completes
  * each lease as its stripe lands, and heartbeats every lease it holds
  * meanwhile, exactly like an agent:
  *
@@ -41,10 +42,10 @@
  * probes the cache, registers leases, and promotes completed cells,
  * but all simulation happens on remote agents.
  *
- * Cells of the same experiment share one study (each policy's golden
+ * Cells of the same sweep share one study (each policy's golden
  * run is made once) and are serialized on it -- the study itself is
  * not thread-safe -- but each pass's trials fan out across the
- * study's own campaign thread pool, and distinct experiments run
+ * study's own campaign thread pool, and distinct sweeps run
  * concurrently on distinct workers.
  */
 
@@ -164,6 +165,10 @@ class Scheduler
 
     const SchedulerConfig &config() const { return config_; }
 
+    /** The campaign knobs every study of the daemon's sweeps is built
+     *  with, so its cell keys match `etc_lab run`'s. */
+    bench::BenchOptions studyOptions() const;
+
     /** Spawn the worker pool (call once). A workers = 0 config still
      *  spawns one steward thread for probe/register/promote duty. */
     void start();
@@ -184,19 +189,19 @@ class Scheduler
     };
 
     /**
-     * Submit one experiment sweep, or -- when @p cell is set -- the
-     * single (errors, policy-name) cell of it. @p trialsOverride
-     * nonzero overrides the experiment's default trial count.
-     * Idempotent: an identical active submission is returned with
-     * attached = true, and individual cells already queued/running
-     * are shared, never duplicated.
+     * Submit every cell of @p artifact's sweeps, or -- when @p cell
+     * is set -- the single (errors, policy-name) cell of a one-sweep
+     * artifact. @p trialsOverride nonzero overrides each sweep's
+     * default trial count. Idempotent: an identical active submission
+     * is returned with attached = true, and individual cells already
+     * queued/running are shared, never duplicated.
      *
-     * Callers validate experiment and policy names themselves (the
-     * service router resolves both against their registries before
-     * submitting).
+     * Callers validate names themselves (the service router resolves
+     * the artifact and the policy against their registries, and
+     * refuses a single cell of a paper table, before submitting).
      */
     SubmitOutcome submit(
-        const bench::Experiment &exp, unsigned trialsOverride,
+        const bench::Artifact &artifact, unsigned trialsOverride,
         std::optional<std::pair<unsigned, std::string>> cell);
 
     /** @return a snapshot of job @p id, or nullopt if unknown. */
@@ -257,7 +262,7 @@ class Scheduler
     /** One schedulable cell (shared between attaching jobs). */
     struct CellTask
     {
-        bench::ExperimentStudy *lab = nullptr; //!< shared per experiment
+        bench::ExperimentStudy *lab = nullptr; //!< shared per sweep
         unsigned errors = 0;
         std::string policy = fault::PROTECTED_POLICY;
         unsigned trials = 0;
@@ -282,7 +287,6 @@ class Scheduler
      *  evicted (the daemon must not grow per submission forever). */
     static constexpr size_t MAX_RETAINED_JOBS = 512;
 
-    bench::ExperimentStudy &contextFor(const bench::Experiment &exp);
     void workerLoop();
     bool probeNextTask();
     bool executeLeases();
@@ -311,8 +315,7 @@ class Scheduler
     std::map<std::string, std::shared_ptr<CellTask>> leasedTasks_;
     std::map<std::string, Job> jobs_;
     std::map<std::string, std::string> activeJobsBySignature_;
-    std::map<std::string, std::unique_ptr<bench::ExperimentStudy>>
-        contexts_;
+    bench::SweepStudies studies_; //!< one per submitted sweep
     uint64_t nextJobId_ = 1;
     uint64_t trialsExecuted_ = 0;
     bool stopping_ = false;

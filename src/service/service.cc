@@ -28,22 +28,6 @@ readableDouble(double value)
     return buf;
 }
 
-/** Strict decimal u32 (the queryNumber grammar, narrowed). */
-std::optional<unsigned>
-parseDecimalU32(const std::string &text)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
-    uint64_t value = 0;
-    for (char c : text) {
-        value = value * 10 + static_cast<uint64_t>(c - '0');
-        if (value > 0xffffffffull)
-            return std::nullopt;
-    }
-    return static_cast<unsigned>(value);
-}
-
 std::string
 encodeIndexHealth(const store::IndexHealth &health)
 {
@@ -118,6 +102,19 @@ isFingerprint(const std::string &text)
            std::string::npos;
 }
 
+/** A JSON array of pre-encoded @p values. */
+std::string
+jsonArray(const std::vector<std::string> &values)
+{
+    std::string array = "[";
+    for (const auto &value : values) {
+        if (array.size() > 1)
+            array += ',';
+        array += value;
+    }
+    return array + "]";
+}
+
 std::string
 encodeCellStatus(const CellStatus &cell)
 {
@@ -143,13 +140,10 @@ encodeCellStatus(const CellStatus &cell)
 std::string
 encodeJobStatus(const JobStatus &status)
 {
-    std::string cells = "[";
-    for (size_t i = 0; i < status.cells.size(); ++i) {
-        if (i)
-            cells += ',';
-        cells += encodeCellStatus(status.cells[i]);
-    }
-    cells += ']';
+    std::vector<std::string> cells;
+    cells.reserve(status.cells.size());
+    for (const auto &cell : status.cells)
+        cells.push_back(encodeCellStatus(cell));
 
     store::JsonObjectWriter writer;
     writer.field("job", status.id)
@@ -158,7 +152,7 @@ encodeJobStatus(const JobStatus &status)
         .field("cellsTotal", uint64_t{status.cellsTotal})
         .field("cellsDone", uint64_t{status.cellsDone})
         .field("trialsExecuted", status.trialsExecuted)
-        .rawField("cells", cells);
+        .rawField("cells", jsonArray(cells));
     return writer.str();
 }
 
@@ -185,20 +179,17 @@ encodeKeyJson(const store::CellKey &key)
 std::string
 encodeSummaryJson(const core::CellSummary &summary)
 {
-    std::string fidelities = "[";
-    for (size_t i = 0; i < summary.fidelities.size(); ++i) {
-        const auto &score = summary.fidelities[i];
-        if (i)
-            fidelities += ',';
+    std::vector<std::string> fidelities;
+    fidelities.reserve(summary.fidelities.size());
+    for (const auto &score : summary.fidelities) {
         store::JsonObjectWriter line;
         line.field("bits",
                    store::hexU64(store::doubleBits(score.value)))
             .field("value", readableDouble(score.value))
             .field("acceptable", score.acceptable)
             .field("unit", score.unit);
-        fidelities += line.str();
+        fidelities.push_back(line.str());
     }
-    fidelities += ']';
 
     store::JsonObjectWriter writer;
     writer.field("trials", uint64_t{summary.trials})
@@ -211,7 +202,7 @@ encodeSummaryJson(const core::CellSummary &summary)
         .field("meanFidelity", readableDouble(summary.meanFidelity()))
         .field("acceptableRate",
                readableDouble(summary.acceptableRate()))
-        .rawField("fidelities", fidelities);
+        .rawField("fidelities", jsonArray(fidelities));
     return writer.str();
 }
 
@@ -226,7 +217,7 @@ errorResponse(int status, const std::string &message)
 }
 
 CampaignService::CampaignService(Scheduler &scheduler)
-    : scheduler_(scheduler)
+    : scheduler_(scheduler), studies_(scheduler_.studyOptions())
 {}
 
 HttpResponse
@@ -330,7 +321,7 @@ CampaignService::submitJob(const HttpRequest &request)
     if (!body.isObject())
         return errorResponse(400, "request body must be a JSON object");
 
-    const bench::Experiment *exp = nullptr;
+    std::optional<bench::Artifact> artifact;
     unsigned trials = 0;
     std::optional<std::pair<unsigned, std::string>> cell;
     try {
@@ -338,8 +329,8 @@ CampaignService::submitJob(const HttpRequest &request)
         if (!name)
             return errorResponse(400,
                                  "missing required field 'experiment'");
-        exp = bench::findExperiment(name->asString());
-        if (!exp)
+        artifact = bench::findArtifact(name->asString());
+        if (!artifact)
             return errorResponse(
                 404, "unknown experiment '" + name->asString() +
                          "' (try GET /v1/experiments)");
@@ -365,6 +356,10 @@ CampaignService::submitJob(const HttpRequest &request)
             return errorResponse(
                 400, "'policy' requires 'errors' (a single-cell "
                      "submission names both)");
+        if (errors && artifact->table)
+            return errorResponse(
+                400, "'errors' names one cell of one sweep, and '" +
+                         artifact->name + "' is a paper table");
         if (errors) {
             // Validated against the process-wide policy registry --
             // the same resolver every CLI flag routes through.
@@ -384,7 +379,7 @@ CampaignService::submitJob(const HttpRequest &request)
         return errorResponse(400, e.what());
     }
 
-    auto outcome = scheduler_.submit(*exp, trials, cell);
+    auto outcome = scheduler_.submit(*artifact, trials, cell);
     auto status = scheduler_.jobStatus(outcome.jobId);
 
     store::JsonObjectWriter writer;
@@ -437,55 +432,51 @@ CampaignService::experimentList()
         if (entry.complete)
             indexedWorkloads.insert(entry.key.workload);
     }
-    bench::BenchOptions opts;
-    opts.threads = scheduler_.config().threads;
-    opts.checkpointInterval = scheduler_.config().checkpointInterval;
-    opts.seed = scheduler_.config().seed;
-    opts.cacheDir = scheduler_.config().cacheDir;
-
-    std::string list = "[";
-    bool first = true;
-    for (const auto &exp : bench::experiments()) {
-        if (!first)
-            list += ',';
-        first = false;
-        std::string errorCounts = "[";
-        for (size_t i = 0; i < exp.errorCounts.size(); ++i) {
-            if (i)
-                errorCounts += ',';
-            errorCounts += std::to_string(exp.errorCounts[i]);
+    bench::BenchOptions opts = scheduler_.studyOptions();
+    std::vector<std::string> list;
+    for (const auto &artifact : bench::artifacts()) {
+        // A figure lists its own policies and error counts; a paper
+        // table's sweeps have theirs, under the names in "sweeps".
+        std::vector<std::string> policies, errorCounts, sweeps;
+        if (artifact.figure) {
+            const bench::Experiment &figure = *artifact.figure;
+            policies.reserve(figure.policies.size());
+            for (const auto &policy : figure.policies)
+                policies.push_back(store::jsonQuote(policy));
+            errorCounts.reserve(figure.errorCounts.size());
+            for (unsigned errors : figure.errorCounts)
+                errorCounts.push_back(std::to_string(errors));
         }
-        errorCounts += ']';
-        std::string policies = "[";
-        for (size_t i = 0; i < exp.policies.size(); ++i) {
-            if (i)
-                policies += ',';
-            policies += store::jsonQuote(exp.policies[i]);
-        }
-        policies += ']';
-        uint64_t cellsCached = 0;
-        if (indexedWorkloads.count(exp.workload)) {
-            for (const auto &key : figureKeys(exp, opts))
-                if (index.hasCell(key.fingerprint()))
-                    ++cellsCached;
+        uint64_t cellsCached = 0, defaultTrials = 0;
+        for (const bench::Experiment *sweep : artifact.sweeps) {
+            if (sweep->errorCounts.empty())
+                continue; // a study the table only profiles
+            sweeps.push_back(store::jsonQuote(sweep->name));
+            defaultTrials =
+                std::max<uint64_t>(defaultTrials, sweep->defaultTrials);
+            if (indexedWorkloads.count(sweep->workload))
+                for (const auto &key : figureKeys(*sweep, opts))
+                    if (index.hasCell(key.fingerprint()))
+                        ++cellsCached;
         }
         store::JsonObjectWriter writer;
-        writer.field("name", exp.name)
-            .field("figure", exp.experiment)
-            .field("title", exp.title)
-            .field("workload", exp.workload)
-            .field("cells",
-                   uint64_t{bench::experimentCells(exp).size()})
+        writer.field("name", artifact.name)
+            .field("figure", artifact.headline())
+            .field("title", artifact.figure ? artifact.figure->title
+                                            : artifact.table->caption)
+            .field("workload",
+                   artifact.figure ? artifact.figure->workload : "")
+            .field("cells", uint64_t{artifact.cells()})
             .field("cellsCached", cellsCached)
-            .field("defaultTrials", uint64_t{exp.defaultTrials})
-            .rawField("policies", policies)
-            .rawField("errorCounts", errorCounts);
-        list += writer.str();
+            .field("defaultTrials", defaultTrials)
+            .rawField("policies", jsonArray(policies))
+            .rawField("errorCounts", jsonArray(errorCounts))
+            .rawField("sweeps", jsonArray(sweeps));
+        list.push_back(writer.str());
     }
-    list += ']';
 
     store::JsonObjectWriter writer;
-    writer.rawField("experiments", list);
+    writer.rawField("experiments", jsonArray(list));
     return HttpResponse::json(200, writer.str());
 }
 
@@ -494,12 +485,8 @@ CampaignService::policyList()
 {
     // The same describeInjectionPolicies() rows `etc_lab policies`
     // prints -- one code path, two renderings.
-    std::string list = "[";
-    bool first = true;
+    std::vector<std::string> list;
     for (const auto &row : fault::describeInjectionPolicies()) {
-        if (!first)
-            list += ',';
-        first = false;
         store::JsonObjectWriter writer;
         writer.field("name", row.name)
             .field("description", row.description)
@@ -508,12 +495,11 @@ CampaignService::policyList()
             .field("resultKinds", row.resultKinds)
             .field("bitModel", row.bitModel)
             .field("hash", row.hash);
-        list += writer.str();
+        list.push_back(writer.str());
     }
-    list += ']';
 
     store::JsonObjectWriter writer;
-    writer.rawField("policies", list);
+    writer.rawField("policies", jsonArray(list));
     return HttpResponse::json(200, writer.str());
 }
 
@@ -521,50 +507,48 @@ HttpResponse
 CampaignService::figure(const std::string &name,
                         const HttpRequest &request)
 {
-    const bench::Experiment *exp = bench::findExperiment(name);
-    if (!exp)
+    auto artifact = bench::findArtifact(name);
+    if (!artifact)
         return errorResponse(404, "unknown experiment '" + name +
                                       "' (try GET /v1/experiments)");
 
-    bench::BenchOptions opts;
-    opts.threads = scheduler_.config().threads;
-    opts.checkpointInterval = scheduler_.config().checkpointInterval;
-    opts.seed = scheduler_.config().seed;
-    opts.cacheDir = scheduler_.config().cacheDir;
+    bench::BenchOptions opts = scheduler_.studyOptions();
     if (auto trials = request.queryNumber("trials")) {
         if (*trials == 0 || *trials > 0xffffffffull)
             return errorResponse(400, "bad ?trials= value");
         opts.trials = static_cast<unsigned>(*trials);
     }
 
+    std::vector<std::vector<store::CellKey>> keys;
+    keys.reserve(artifact->sweeps.size());
+    for (const bench::Experiment *sweep : artifact->sweeps)
+        keys.push_back(figureKeys(*sweep, opts));
     store::ResultStore cache(opts.cacheDir);
-    auto sweep = bench::loadExperimentFromStore(
-        *exp, bench::sweepPolicies(*exp, opts), figureKeys(*exp, opts),
-        cache);
-    if (!sweep.complete()) {
-        std::string missing = "[";
-        for (size_t i = 0; i < sweep.missing.size(); ++i) {
-            if (i)
-                missing += ',';
-            missing += store::jsonQuote(sweep.missing[i].canonical());
-        }
-        missing += ']';
+    // Byte-identity contract: this is the exact render path of
+    // `etc_lab report` pointed at the same cache directory.
+    std::ostringstream out;
+    std::vector<store::CellKey> missing;
+    {
+        std::lock_guard<std::mutex> lock(studiesMutex_);
+        missing = bench::renderFromStore(out, *artifact, keys, cache,
+                                         studies_);
+    }
+    if (!missing.empty()) {
+        std::vector<std::string> names;
+        names.reserve(missing.size());
+        for (const auto &key : missing)
+            names.push_back(store::jsonQuote(key.canonical()));
         store::JsonObjectWriter writer;
         writer
             .field("error",
                    "figure '" + name + "' is missing " +
-                       std::to_string(sweep.missing.size()) +
+                       std::to_string(missing.size()) +
                        " stored cells -- submit the experiment and "
                        "wait for the job to drain")
             .field("status", uint64_t{409})
-            .rawField("missingCells", missing);
+            .rawField("missingCells", jsonArray(names));
         return HttpResponse::json(409, writer.str());
     }
-
-    // Byte-identity contract: this is the exact render path of
-    // `etc_lab report` pointed at the same cache directory.
-    std::ostringstream out;
-    bench::renderExperiment(out, *exp, sweep.points);
     return HttpResponse::text(200, out.str());
 }
 
@@ -624,29 +608,23 @@ CampaignService::query(const HttpRequest &request)
         if (auto workload = request.queryParam("workload"))
             options.filter.workload = *workload;
         options.filter.policies = request.queryParams("policy");
-        for (const std::string &text : request.queryParams("errors")) {
-            auto value = parseDecimalU32(text);
-            if (!value)
-                return errorResponse(400, "bad ?errors= value '" +
-                                              text + "'");
-            options.filter.errors.push_back(*value);
-        }
-        if (auto seed = request.queryParam("seed")) {
-            try {
-                options.filter.seed =
-                    seed->rfind("0x", 0) == 0
-                        ? store::parseHexU64(*seed)
-                        : std::stoull(*seed);
-            } catch (const std::exception &) {
-                return errorResponse(
-                    400, "bad ?seed= value (decimal or 0x hex)");
+        // The rules of `etc_lab query`'s flags: digits only and
+        // overflow-checked (or 0x hex for a seed), so a sign or a
+        // trailing character is a 400, not a silently different value.
+        try {
+            for (const std::string &text : request.queryParams("errors"))
+                options.filter.errors.push_back(
+                    bench::parseCount32("?errors=", text));
+            if (auto seed = request.queryParam("seed"))
+                options.filter.seed = bench::parseSeedValue("?seed=", *seed);
+            if (auto trials = request.queryParam("trials")) {
+                options.filter.trials =
+                    bench::parseCount32("?trials=", *trials);
+                if (*options.filter.trials == 0)
+                    return errorResponse(400, "bad ?trials= value");
             }
-        }
-        if (auto trials = request.queryParam("trials")) {
-            auto value = parseDecimalU32(*trials);
-            if (!value || *value == 0)
-                return errorResponse(400, "bad ?trials= value");
-            options.filter.trials = *value;
+        } catch (const FatalError &error) {
+            return errorResponse(400, error.what());
         }
         if (auto base = request.queryParam("base"))
             options.basePolicy = *base;
@@ -668,12 +646,8 @@ CampaignService::indexStatus()
     index.load();
     auto health = index.health();
 
-    std::string entries = "[";
-    bool first = true;
+    std::vector<std::string> entries;
     for (const auto &[fingerprint, entry] : index.entries()) {
-        if (!first)
-            entries += ',';
-        first = false;
         store::JsonObjectWriter writer;
         writer.field("fingerprint", fingerprint)
             .field("complete", entry.complete)
@@ -683,26 +657,19 @@ CampaignService::indexStatus()
             .field("trials", uint64_t{entry.key.trials})
             .field("seed", store::hexU64(entry.key.seed));
         if (!entry.complete) {
-            std::string ranges = "[";
-            for (const auto &[lo, hi] : entry.shardRanges) {
-                if (ranges.size() > 1)
-                    ranges += ',';
-                ranges += '[';
-                ranges += std::to_string(lo);
-                ranges += ',';
-                ranges += std::to_string(hi);
-                ranges += ']';
-            }
-            ranges += ']';
-            writer.rawField("shardRanges", ranges);
+            std::vector<std::string> ranges;
+            ranges.reserve(entry.shardRanges.size());
+            for (const auto &[lo, hi] : entry.shardRanges)
+                ranges.push_back(jsonArray(
+                    {std::to_string(lo), std::to_string(hi)}));
+            writer.rawField("shardRanges", jsonArray(ranges));
         }
-        entries += writer.str();
+        entries.push_back(writer.str());
     }
-    entries += ']';
 
     store::JsonObjectWriter writer;
     writer.rawField("health", encodeIndexHealth(health))
-        .rawField("entries", entries);
+        .rawField("entries", jsonArray(entries));
     return HttpResponse::json(200, writer.str());
 }
 
@@ -739,15 +706,12 @@ CampaignService::acquireLeases(const HttpRequest &request)
     }
 
     auto grants = scheduler_.acquireLeases(worker, max);
-    std::string leases = "[";
-    for (size_t i = 0; i < grants.size(); ++i) {
-        if (i)
-            leases += ',';
-        leases += encodeLeaseGrant(grants[i]);
-    }
-    leases += ']';
+    std::vector<std::string> leases;
+    leases.reserve(grants.size());
+    for (const auto &grant : grants)
+        leases.push_back(encodeLeaseGrant(grant));
     store::JsonObjectWriter writer;
-    writer.rawField("leases", leases);
+    writer.rawField("leases", jsonArray(leases));
     return HttpResponse::json(200, writer.str());
 }
 
@@ -896,12 +860,8 @@ HttpResponse
 CampaignService::fleet()
 {
     auto stats = scheduler_.fleetStats();
-    std::string leases = "[";
-    bool first = true;
+    std::vector<std::string> leases;
     for (const auto &row : scheduler_.fleetLeases()) {
-        if (!first)
-            leases += ',';
-        first = false;
         store::JsonObjectWriter writer;
         writer.field("id", row.id)
             .field("cell", row.fingerprint)
@@ -912,9 +872,8 @@ CampaignService::fleet()
             .field("issue", uint64_t{row.issue})
             .field("remainingMs",
                    readableDouble(double(row.remainingMs)));
-        leases += writer.str();
+        leases.push_back(writer.str());
     }
-    leases += ']';
 
     store::JsonObjectWriter writer;
     writer.field("cells", uint64_t{stats.cells})
@@ -928,7 +887,7 @@ CampaignService::fleet()
         .field("leasesCompleted", stats.completed)
         .field("leasesFailed", stats.failed)
         .field("leaseTtlMs", scheduler_.config().leaseTtlMs)
-        .rawField("leases", leases);
+        .rawField("leases", jsonArray(leases));
     return HttpResponse::json(200, writer.str());
 }
 

@@ -3,19 +3,23 @@
  * CampaignService: the JSON request router of the `etc_lab serve`
  * daemon, mapping the HTTP API onto the scheduler and result store.
  *
- *   POST /v1/jobs                submit an experiment or single cell
- *                                (idempotent on CellKey; a duplicate
- *                                submission attaches to the live job)
+ *   POST /v1/jobs                submit a figure, a paper table or
+ *                                one cell of a sweep (idempotent on
+ *                                CellKey; a duplicate submission
+ *                                attaches to the live job)
  *   GET  /v1/jobs/<id>           job status + per-cell progress
  *   GET  /v1/cells/<key>         stored cell record as JSON (<key> is
  *                                the 16-hex CellKey fingerprint)
- *   GET  /v1/experiments         the experiment registry
+ *   GET  /v1/experiments         the registry: every paper figure
+ *                                and table (a table names its
+ *                                sweeps), plus the smoke sweeps
  *   GET  /v1/policies            the injection-policy registry (the
  *                                same rows `etc_lab policies` prints)
- *   GET  /v1/figures/<name>      figure rendered from the store,
- *                                byte-identical to `etc_lab report`
- *                                (optional ?trials=N override); 409
- *                                while cells are missing
+ *   GET  /v1/figures/<name>      figure or paper table rendered
+ *                                from the store, byte-identical to
+ *                                `etc_lab report` (optional
+ *                                ?trials=N override); 409 while
+ *                                cells are missing
  *   GET  /v1/analysis/<workload> static ACE/AVF vulnerability report,
  *                                byte-identical to `etc_lab analyze`
  *   GET  /v1/query               archive rollup from the secondary
@@ -102,12 +106,12 @@ class CampaignService
     HttpResponse metricz();
 
     /**
-     * The sweep's cell keys for (experiment, trials override),
-     * memoized: keys need the workload assembled and the protection
-     * analysis run, which must not repeat on the event loop for every
-     * figure poll. All other key inputs are fixed per daemon. The
-     * memo is bounded (distinct ?trials= values are client-chosen)
-     * and simply resets when full.
+     * The sweep's cell keys for (sweep, trials override), memoized:
+     * keys need the workload assembled and the protection analysis
+     * run, which must not repeat on the event loop for every figure
+     * poll. All other key inputs are fixed per daemon. The memo is
+     * bounded (distinct ?trials= values are client-chosen) and simply
+     * resets when full.
      */
     std::vector<store::CellKey> figureKeys(
         const bench::Experiment &exp, const bench::BenchOptions &opts);
@@ -115,6 +119,12 @@ class CampaignService
     Scheduler &scheduler_;
     std::mutex figureKeysMutex_;
     std::map<std::string, std::vector<store::CellKey>> figureKeys_;
+
+    /** The studies paper tables read their analysis and profile
+     *  columns from: a profile costs one golden simulation, so each is
+     *  made once (the registry bounds the memo). */
+    std::mutex studiesMutex_;
+    bench::SweepStudies studies_;
 
     /**
      * Rendered analysis reports by workload name. A report needs one

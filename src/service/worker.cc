@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "bench/common.hh"
@@ -90,10 +89,12 @@ WorkerAgent::WorkerAgent(WorkerConfig config)
     if (config_.port == 0)
         fatal("worker: a coordinator port is required");
     if (config_.name.empty()) {
-        // Two statements: GCC 12's -Wrestrict misfires on
-        // assigning "literal" + std::to_string(...).
-        config_.name = "w";
-        config_.name += std::to_string(::getpid());
+        // snprintf: GCC 12's -Wrestrict misfires on appending
+        // std::to_string(...) to a short literal.
+        char name[32];
+        std::snprintf(name, sizeof(name), "w%ld",
+                      static_cast<long>(::getpid()));
+        config_.name = name;
     }
     if (config_.cacheDir.empty()) {
         std::string scratch = "etc_work.";
@@ -102,7 +103,6 @@ WorkerAgent::WorkerAgent(WorkerConfig config)
             (std::filesystem::temp_directory_path() / scratch)
                 .string();
     }
-    config_.executors = std::max(1u, config_.executors);
     config_.pollMs = std::max<uint64_t>(10, config_.pollMs);
 }
 
@@ -120,8 +120,7 @@ WorkerAgent::start()
             return;
         started_ = true;
     }
-    for (unsigned i = 0; i < config_.executors; ++i)
-        executors_.emplace_back([this] { executorLoop(); });
+    executor_ = std::thread([this] { executorLoop(); });
 }
 
 void
@@ -138,9 +137,8 @@ WorkerAgent::stop()
 void
 WorkerAgent::join()
 {
-    for (auto &executor : executors_)
-        if (executor.joinable())
-            executor.join();
+    if (executor_.joinable())
+        executor_.join();
 }
 
 WorkerAgent::Summary
@@ -169,38 +167,17 @@ WorkerAgent::executorLoop()
     unsigned failures = 0;
     while (!stopNow()) {
         // Its share of one cell's pending stripes, within
-        // --max-leases: the allowance an acquire asks for is reserved
-        // first, so the executors together never take more than it.
+        // --max-leases.
         uint64_t max = std::numeric_limits<uint32_t>::max();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (config_.maxLeases) {
-                if (leasesTaken_ >= config_.maxLeases)
-                    return;
-                max = std::min(max, config_.maxLeases - leasesTaken_ -
-                                        leasesAsked_);
-                leasesAsked_ += max;
-            }
-        }
-        if (max == 0) {
-            // Other executors' acquires hold the rest of it.
-            sleepFor(config_.pollMs);
-            continue;
+        if (config_.maxLeases) {
+            if (leasesTaken_ >= config_.maxLeases)
+                return;
+            max = std::min(max, config_.maxLeases - leasesTaken_);
         }
         std::vector<LeaseGrant> grants;
-        std::optional<std::string> acquireError;
         try {
             grants = acquire(max);
         } catch (const std::exception &e) {
-            acquireError = e.what();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (config_.maxLeases)
-                leasesAsked_ -= max;
-            leasesTaken_ += grants.size();
-        }
-        if (acquireError) {
             // Transport or protocol trouble: back off exponentially
             // (capped) so a downed coordinator is not hammered, and
             // keep trying -- it may just be restarting.
@@ -208,10 +185,11 @@ WorkerAgent::executorLoop()
             uint64_t delay = std::min<uint64_t>(
                 config_.pollMs << std::min(failures, 6u), 10000);
             warn("worker ", config_.name, ": acquire failed (",
-                 *acquireError, "); retrying in ", delay, " ms");
+                 e.what(), "); retrying in ", delay, " ms");
             sleepFor(delay);
             continue;
         }
+        leasesTaken_ += grants.size();
         failures = 0;
         if (grants.empty()) {
             sleepFor(config_.pollMs);
@@ -261,25 +239,20 @@ WorkerAgent::acquire(uint64_t max)
     return grants;
 }
 
-std::shared_ptr<bench::ExperimentStudy>
+bench::ExperimentStudy &
 WorkerAgent::contextFor(const LeaseCell &cell)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = contexts_.find(cell.experiment);
-        if (it != contexts_.end()) {
-            const core::StudyConfig &config =
-                it->second->study.config();
-            if (config.seed == cell.seed &&
-                config.checkpointInterval == cell.checkpointInterval &&
-                config.staticPrune == cell.staticPrune &&
-                config.gangWidth == cell.gangWidth)
-                return it->second;
-        }
+    auto &slot = contexts_[cell.experiment];
+    if (slot) {
+        const core::StudyConfig &config = slot->study.config();
+        if (config.seed == cell.seed &&
+            config.checkpointInterval == cell.checkpointInterval &&
+            config.staticPrune == cell.staticPrune &&
+            config.gangWidth == cell.gangWidth)
+            return *slot;
     }
 
-    const bench::Experiment *exp =
-        bench::findExperiment(cell.experiment);
+    const bench::Experiment *exp = bench::findExperiment(cell.experiment);
     if (!exp)
         throw std::runtime_error(
             "coordinator granted a lease on unknown experiment '" +
@@ -294,25 +267,19 @@ WorkerAgent::contextFor(const LeaseCell &cell)
     opts.gangWidth = cell.gangWidth;
     // Static analysis only (no simulation); the golden run waits for
     // the first executed stripe.
-    auto ctx = std::make_shared<bench::ExperimentStudy>(*exp, opts);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Two executors may have built the context concurrently; last
-    // one wins and both are equally valid (pure function of the
-    // lease parameters).
-    contexts_[cell.experiment] = ctx;
-    return ctx;
+    slot = std::make_unique<bench::ExperimentStudy>(*exp, opts);
+    return *slot;
 }
 
 void
 WorkerAgent::processLeases(const std::vector<LeaseGrant> &grants)
 {
     const LeaseCell &cell = grants.front().cell;
-    std::shared_ptr<bench::ExperimentStudy> lab;
+    bench::ExperimentStudy *lab = nullptr;
     store::CellKey key;
     std::string error;
     try {
-        lab = contextFor(cell);
+        lab = &contextFor(cell);
         key = lab->study.cellKey(cell.errors, cell.policy, cell.trials);
         // Never execute (let alone push) under a disputed key: the
         // coordinator would file our bytes under a different cell
@@ -332,7 +299,6 @@ WorkerAgent::processLeases(const std::vector<LeaseGrant> &grants)
     }
 
     // As each stripe lands, push its record and complete its lease.
-    std::lock_guard<std::mutex> lock(lab->runMutex);
     runLeasePass(
         lab->study, grants, config_.name, keeper_,
         [&](const LeaseGrant &grant, const core::StripeResult &stripe) {

@@ -7,9 +7,10 @@
  * (POST /v1/leases/acquire) -- one acquire grants up to `max` pending
  * stripes, all of one cell, within the agent's share among the idle
  * workers -- rebuilds the cell's exact study context from the grant
- * (experiment, seed, checkpoint interval, static prune, gang width --
- * everything that derives the CellKey), and runs the stripes as one
- * pass through the same cache-aware engine `etc_lab run` uses. As
+ * (the sweep's registry name, seed, checkpoint interval, static
+ * prune, gang width -- everything that derives the CellKey), and runs
+ * the stripes as one pass through the same cache-aware engine
+ * `etc_lab run` uses; one pass at a time, spread over its threads. As
  * each stripe lands, the agent pushes its shard record back
  * (POST /v1/shards) and completes its lease, off the engine's path
  * (see runLeasePass), so a stalled coordinator never stalls the
@@ -72,12 +73,10 @@ struct WorkerConfig
      *  works -- pushes then dedup to no-ops. */
     std::string cacheDir;
 
-    unsigned executors = 1; //!< concurrent lease executors
-    unsigned threads = 0;   //!< campaign threads per pass (0 = all)
+    unsigned threads = 0; //!< campaign threads per pass (0 = all)
 
     /** Stop after completing (or failing) this many leases (an
-     *  acquire asks for no more than the allowance no other
-     *  executor's acquire has reserved); 0 = run until
+     *  acquire asks for no more than the rest of them); 0 = run until
      *  stop()/SIGTERM. */
     uint64_t maxLeases = 0;
 
@@ -98,13 +97,13 @@ class WorkerAgent
 
     const WorkerConfig &config() const { return config_; }
 
-    /** Spawn executor threads and the heartbeat thread (call once). */
+    /** Spawn the executor thread (call once). */
     void start();
 
-    /** Finish in-flight passes, then join the executors. */
+    /** Finish the pass in flight, then join the executor. */
     void stop();
 
-    /** Block until every executor exits (maxLeases reached, or
+    /** Block until the executor exits (maxLeases reached, or
      *  stop()/shutdown requested). */
     void join();
 
@@ -131,25 +130,24 @@ class WorkerAgent
     void completeLease(const LeaseGrant &grant, uint64_t trials,
                        double wallSeconds);
     void failLease(const LeaseGrant &grant, const std::string &error);
-    std::shared_ptr<bench::ExperimentStudy> contextFor(
-        const LeaseCell &cell);
+    bench::ExperimentStudy &contextFor(const LeaseCell &cell);
 
     WorkerConfig config_;
+
+    /** Per-sweep engine state, parameterized by the grant (a fleet's
+     *  leases may carry differing seeds, checkpoint settings or gang
+     *  widths). Only the executor touches it. */
+    std::map<std::string, std::unique_ptr<bench::ExperimentStudy>>
+        contexts_;
+    uint64_t leasesTaken_ = 0; //!< toward config_.maxLeases (executor)
 
     mutable std::mutex mutex_; //!< guards everything below
     std::condition_variable stopCv_;
     bool stopping_ = false;
     bool started_ = false;
-    /** Per-experiment engine state, parameterized by the grant (a
-     *  fleet's leases may carry differing seeds, checkpoint settings
-     *  or gang widths). */
-    std::map<std::string, std::shared_ptr<bench::ExperimentStudy>>
-        contexts_;
-    uint64_t leasesTaken_ = 0; //!< toward config_.maxLeases
-    uint64_t leasesAsked_ = 0; //!< allowance in-flight acquires hold
     Summary summary_;
 
-    std::vector<std::thread> executors_;
+    std::thread executor_;
     LeaseKeeper keeper_; //!< heartbeats every held lease
 };
 

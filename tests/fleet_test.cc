@@ -12,8 +12,9 @@
  * mirrors the orchestration suite's kill idiom: it simply stops
  * calling, which is indistinguishable from SIGKILL to the
  * coordinator. A coordinator stalled on a shard push does not stall
- * the agent's pass, and an agent's executors together take no more
- * leases than --max-leases allows.
+ * the agent's pass, an agent takes no more leases than --max-leases
+ * allows, and an agent rebuilds each of a paper table's ablation
+ * variants from the sweep name its leases carry.
  */
 
 #include <gtest/gtest.h>
@@ -77,7 +78,6 @@ TEST(CoordinatorTest, DecomposesCellsIntoStripeLeases)
     auto stats = coordinator.stats();
     EXPECT_EQ(stats.cells, 1u);
     EXPECT_EQ(stats.leasesPending, 4u);
-    EXPECT_TRUE(coordinator.hasPendingLeases());
 
     auto grants = coordinator.acquire("w1", 2);
     ASSERT_EQ(grants.size(), 2u);
@@ -268,7 +268,7 @@ TEST(CoordinatorTest, ReopenStripesRePendsAClaimedCell)
     // The promoting worker found stripe 1's shard missing from the
     // store: that stripe re-pends and is re-issued.
     coordinator.reopenStripes(FINGERPRINT, {1});
-    EXPECT_TRUE(coordinator.hasPendingLeases());
+    EXPECT_EQ(coordinator.stats().leasesPending, 1u);
     auto regrants = coordinator.acquire("w2", 8);
     ASSERT_EQ(regrants.size(), 1u);
     EXPECT_EQ(regrants[0].shardIndex, 1u);
@@ -446,7 +446,7 @@ TEST_F(FleetTest, TwoWorkerFleetMatchesOfflineRenderByteForByte)
     auto sweep = bench::loadExperimentFromStore(*exp, opts, cache);
     ASSERT_TRUE(sweep.complete());
     std::ostringstream offline;
-    bench::renderExperiment(offline, *exp, sweep.points);
+    bench::renderExperiment(offline, *exp, exp->policies, sweep.points);
     EXPECT_EQ(figure.body, offline.str());
 
     // The fleet surface saw the whole campaign: 2 cells x 2 chunks.
@@ -660,7 +660,7 @@ TEST_F(FleetTest, StalledCoordinatorDoesNotStallThePass)
     EXPECT_EQ(agent.summary().leasesCompleted, 2u);
 }
 
-TEST_F(FleetTest, ExecutorsTogetherTakeNoMoreThanMaxLeases)
+TEST_F(FleetTest, AgentTakesNoMoreThanMaxLeases)
 {
     // Two cells of two stripes each: four pending leases.
     std::string jobId = submit(
@@ -670,17 +670,7 @@ TEST_F(FleetTest, ExecutorsTogetherTakeNoMoreThanMaxLeases)
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ASSERT_EQ(scheduler_->fleetStats().leasesPending, 4u);
 
-    // Both executors start at once, and the first acquire stalls long
-    // enough for the other executor to ask too: each may ask only for
-    // the allowance the other has not reserved.
-    std::atomic<bool> stalled{false};
-    stallWith([&](const service::HttpRequest &request) {
-        if (request.path() == "/v1/leases/acquire" &&
-            !stalled.exchange(true))
-            std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    });
     service::WorkerConfig config = workerConfig("capped");
-    config.executors = 2;
     config.maxLeases = 3;
     service::WorkerAgent agent(config);
     agent.start();
@@ -696,6 +686,64 @@ TEST_F(FleetTest, ExecutorsTogetherTakeNoMoreThanMaxLeases)
     rest.stop();
     EXPECT_EQ(final.at("state").asString(), "done");
     EXPECT_EQ(rest.summary().leasesCompleted, 1u);
+}
+
+TEST_F(FleetTest, AgentRebuildsEachAblationVariantFromItsSweepName)
+{
+    constexpr unsigned TRIALS = 2;
+    std::string jobId = submit("{\"experiment\":\"ablation_addresses\","
+                               "\"trials\":2}");
+    service::WorkerAgent agent(workerConfig("ablations"));
+    agent.start();
+    auto final = store::parseJson(awaitJob(jobId));
+    agent.stop();
+    ASSERT_EQ(final.at("state").asString(), "done");
+
+    // `etc_lab run` of the same table into a store of its own.
+    auto artifact = bench::findArtifact("ablation_addresses");
+    ASSERT_TRUE(artifact.has_value());
+    bench::BenchOptions opts;
+    opts.threads = 2;
+    opts.trials = TRIALS;
+    opts.cacheDir = (root_ / "run").string();
+    bench::SweepStudies studies(opts);
+    std::ostringstream run;
+    bench::runArtifact(run, *artifact, studies, 2);
+
+    // The fleet's records are the run's, cell for cell (wall time
+    // aside): the agent rebuilt each variant's study from the sweep
+    // name its leases carried.
+    store::ResultStore fleetStore((root_ / "coordinator").string());
+    store::ResultStore runStore(opts.cacheDir);
+    std::vector<std::string> adpcm;
+    for (const bench::Experiment *sweep : artifact->sweeps) {
+        for (const auto &key : bench::experimentCellKeys(*sweep, opts)) {
+            if (sweep->workload == "adpcm")
+                adpcm.push_back(key.fingerprint());
+            auto fleet = fleetStore.loadCell(key);
+            auto local = runStore.loadCell(key);
+            ASSERT_TRUE(fleet && local) << key.canonical();
+            EXPECT_EQ(fleet->trials, local->trials);
+            EXPECT_EQ(fleet->completed, local->completed);
+            EXPECT_EQ(fleet->crashed, local->crashed);
+            EXPECT_EQ(fleet->timedOut, local->timedOut);
+            EXPECT_EQ(fleet->totalInstructions, local->totalInstructions);
+            ASSERT_EQ(fleet->fidelities.size(), local->fidelities.size());
+            for (size_t i = 0; i < fleet->fidelities.size(); ++i) {
+                EXPECT_EQ(store::doubleBits(fleet->fidelities[i].value),
+                          store::doubleBits(local->fidelities[i].value));
+                EXPECT_EQ(fleet->fidelities[i].acceptable,
+                          local->fidelities[i].acceptable);
+            }
+        }
+    }
+    // The paper analysis and address protection tag different sets.
+    ASSERT_EQ(adpcm.size(), 2u);
+    EXPECT_NE(adpcm[0], adpcm[1]);
+
+    auto served = client().get("/v1/figures/ablation_addresses?trials=2");
+    ASSERT_EQ(served.status, 200) << served.body;
+    EXPECT_EQ(served.body, run.str());
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * process, at a different thread count, with a different shard split
  * -- produces cell summaries bit-identical to an uninterrupted
  * single-process run, and a report rendered purely from the stored
- * records is bit-identical to the live run's rendering.
+ * records is bit-identical to the live run's rendering, paper tables
+ * included; every table's sweeps resolve by their registry names.
  */
 
 #include <gtest/gtest.h>
@@ -444,9 +445,8 @@ TEST_F(OrchestrationTest, RenderingFromStoredRecordsIsByteIdentical)
         summaries.push_back(study.runCell(errors, policy, trials));
     auto points = bench::sweepPointsFrom(*exp, exp->policies, summaries);
 
-    testing::internal::CaptureStdout();
-    bench::renderExperiment(*exp, exp->policies, points);
-    std::string live = testing::internal::GetCapturedStdout();
+    std::ostringstream live;
+    bench::renderExperiment(live, *exp, exp->policies, points);
 
     // Rebuild every point purely from the store.
     auto protection = core::computeStudyProtection(*workload, cfg);
@@ -468,10 +468,96 @@ TEST_F(OrchestrationTest, RenderingFromStoredRecordsIsByteIdentical)
         stored.push_back(std::move(point));
     }
 
-    testing::internal::CaptureStdout();
-    bench::renderExperiment(*exp, exp->policies, stored);
-    std::string reported = testing::internal::GetCapturedStdout();
-    EXPECT_EQ(live, reported);
+    std::ostringstream reported;
+    bench::renderExperiment(reported, *exp, exp->policies, stored);
+    EXPECT_EQ(live.str(), reported.str());
+}
+
+/** What `etc_lab run --experiment <name> --trials 2 --cache-dir
+ *  <root>` prints, then what `etc_lab report` prints from the same
+ *  store. */
+std::pair<std::string, std::string>
+runThenReport(const std::string &name, const std::string &root)
+{
+    auto artifact = bench::findArtifact(name);
+    EXPECT_TRUE(artifact.has_value()) << name;
+    if (!artifact)
+        return {};
+    bench::BenchOptions opts;
+    opts.threads = 2;
+    opts.trials = 2;
+    opts.cacheDir = root;
+
+    std::ostringstream run;
+    bench::SweepStudies studies(opts);
+    auto tally = bench::runArtifact(run, *artifact, studies, 2);
+    EXPECT_FALSE(tally.interrupted);
+    EXPECT_EQ(tally.cells, artifact->cells());
+
+    std::vector<std::vector<store::CellKey>> keys;
+    for (const bench::Experiment *sweep : artifact->sweeps)
+        keys.push_back(bench::experimentCellKeys(*sweep, opts));
+    store::ResultStore cache(root);
+    bench::SweepStudies fresh(opts);
+    std::ostringstream report;
+    EXPECT_TRUE(
+        bench::renderFromStore(report, *artifact, keys, cache, fresh)
+            .empty());
+    return {run.str(), report.str()};
+}
+
+TEST_F(OrchestrationTest, PaperTablesReportTheBytesTheyRun)
+{
+    // Table 2 reads each sweep's golden instruction count next to its
+    // cells; Ablation B varies the memory model and the analysis.
+    for (const char *name : {"table2", "ablation_memory"}) {
+        auto [run, report] = runThenReport(name, root_.string());
+        EXPECT_NE(run.find("% fail (protected)"), std::string::npos)
+            << run;
+        EXPECT_EQ(run, report) << name;
+    }
+}
+
+TEST_F(OrchestrationTest, RegistryNamesEveryPaperArtifact)
+{
+    for (const char *name :
+         {"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1",
+          "table2", "table3", "potential", "ablation_addresses",
+          "ablation_interproc", "ablation_memory"})
+        EXPECT_TRUE(bench::findArtifact(name).has_value()) << name;
+
+    // Every sweep of a table resolves by its own name (all a lease
+    // grant carries) to itself.
+    for (const auto &artifact : bench::artifacts()) {
+        if (!artifact.table)
+            continue;
+        for (const bench::Experiment *sweep : artifact.sweeps) {
+            if (sweep->errorCounts.empty())
+                continue; // a study the table only profiles
+            EXPECT_EQ(bench::findExperiment(sweep->name), sweep);
+        }
+    }
+    EXPECT_EQ(bench::findExperiment(""), nullptr);
+
+    // --policy names one sweep's policies: a table refuses it on run
+    // and on report, before simulating anything.
+    bench::BenchOptions opts;
+    opts.policies = {fault::PROTECTED_POLICY};
+    opts.cacheDir = root_.string();
+    auto table2 = bench::findArtifact("table2");
+    ASSERT_TRUE(table2.has_value());
+    bench::SweepStudies studies(opts);
+    std::ostringstream out;
+    EXPECT_THROW(bench::runArtifact(out, *table2, studies, 1), FatalError);
+    store::ResultStore cache(root_.string());
+    EXPECT_THROW(bench::renderFromStore(
+                     out, *table2,
+                     std::vector<std::vector<store::CellKey>>(
+                         table2->sweeps.size()),
+                     cache, studies),
+                 FatalError);
+    EXPECT_TRUE(studies.built().empty());
+    EXPECT_TRUE(out.str().empty());
 }
 
 } // namespace

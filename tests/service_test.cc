@@ -224,8 +224,42 @@ TEST_F(ServiceTest, SubmitPollFetchAndFigureByteIdentity)
     auto sweep = bench::loadExperimentFromStore(*exp, opts, cache);
     ASSERT_TRUE(sweep.complete());
     std::ostringstream offline;
-    bench::renderExperiment(offline, *exp, sweep.points);
+    bench::renderExperiment(offline, *exp, exp->policies, sweep.points);
     EXPECT_EQ(figure.body, offline.str());
+}
+
+TEST_F(ServiceTest, PaperTableDrainsAndServesTheOfflineReport)
+{
+    startWorkers();
+    auto submitted =
+        submit("{\"experiment\":\"table2\",\"trials\":2}");
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    auto outcome = store::parseJson(submitted.body);
+    auto table2 = bench::findArtifact("table2");
+    ASSERT_TRUE(table2.has_value());
+    EXPECT_EQ(outcome.at("cells").asU64(), table2->cells());
+    auto final = store::parseJson(awaitJob(outcome.at("job").asString()));
+    EXPECT_EQ(final.at("state").asString(), "done");
+    EXPECT_EQ(final.at("experiment").asString(), "table2");
+
+    auto served = client().get("/v1/figures/table2?trials=2");
+    ASSERT_EQ(served.status, 200) << served.body;
+
+    // The offline `etc_lab report` of the same cache directory.
+    bench::BenchOptions opts;
+    opts.trials = 2;
+    opts.cacheDir = root_.string();
+    std::vector<std::vector<store::CellKey>> keys;
+    for (const bench::Experiment *sweep : table2->sweeps)
+        keys.push_back(bench::experimentCellKeys(*sweep, opts));
+    store::ResultStore cache(opts.cacheDir);
+    bench::SweepStudies studies(opts);
+    std::ostringstream offline;
+    ASSERT_TRUE(
+        bench::renderFromStore(offline, *table2, keys, cache, studies)
+            .empty());
+    EXPECT_EQ(served.body, offline.str());
+    EXPECT_NE(served.body.find("Table 2"), std::string::npos);
 }
 
 TEST_F(ServiceTest, AnalysisEndpointMatchesTheCliRender)
@@ -431,6 +465,13 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
     expectJsonError(client().get("/v1/cells/0123456789abcdef"), 404);
     expectJsonError(client().get("/v1/cells/../../etc/passwd"), 400);
     expectJsonError(client().get("/v1/figures/no-such-sweep"), 404);
+    // A single cell names one sweep, and a paper table has several.
+    expectJsonError(submit("{\"experiment\":\"table2\",\"errors\":20}"),
+                    400);
+    // The seed filter takes what `etc_lab query --seed` takes: digits
+    // or 0x hex, no sign and nothing trailing.
+    expectJsonError(client().get("/v1/query?agg=cells&seed=-1"), 400);
+    expectJsonError(client().get("/v1/query?agg=cells&seed=7abc"), 400);
     expectJsonError(client().get("/v1/nope"), 404);
     expectJsonError(client().get("/v1/jobs"), 405);
     expectJsonError(client().post("/v1/healthz", "{}"), 405);
@@ -651,14 +692,14 @@ TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
     uint64_t reissued = counterValue("etc_lease_reissued_total");
     Scheduler scheduler(config);
     scheduler.start();
-    const bench::Experiment *exp = bench::findExperiment("fig5");
-    ASSERT_NE(exp, nullptr);
+    auto fig5 = bench::findArtifact("fig5");
+    ASSERT_TRUE(fig5.has_value());
     constexpr unsigned TRIALS = 1000;
     std::vector<std::string> jobs;
     for (unsigned errors : {5u, 10u})
         jobs.push_back(
             scheduler
-                .submit(*exp, TRIALS,
+                .submit(*fig5, TRIALS,
                         std::make_pair(errors, std::string("unprotected")))
                 .jobId);
     size_t mostActive = 0;

@@ -52,6 +52,11 @@ struct EngineMetrics
         "etc_gang_lane_evictions_total",
         "Lanes evicted from lockstep (diverged) and drained through "
         "the scalar simulator");
+    telemetry::Counter &gangFallbackTrials = telemetry::counter(
+        "etc_gang_scalar_fallback_trials_total",
+        "Trials dealt to a gang that ran one by one on the scalar "
+        "simulator because the pass's gangs evicted most of their "
+        "lanes");
 };
 
 EngineMetrics &
@@ -240,13 +245,35 @@ CampaignRunner::runRange(const CampaignConfig &config, uint64_t lo,
 
 namespace {
 
-/** One gang (or, on the scalar paths, one trial) of a pass's grid. */
+/**
+ * One gang of a pass (one trial per gang on the scalar paths). The
+ * pass's grid deals one task per trial; the first of a gang's tasks
+ * to start fixes how the whole gang runs: in lockstep (that task runs
+ * the gang, and its other tasks find nothing left to do) or scalar
+ * (every task runs its own trial, so idle workers share the gang's
+ * trials).
+ */
+struct PassGang
+{
+    enum Mode : uint8_t { Undecided, Lockstep, Scalar };
+
+    PassGang(size_t range, size_t first, unsigned lanes, unsigned index)
+        : range(range), first(first), lanes(lanes), index(index)
+    {
+    }
+
+    size_t range;   //!< index into the pass's ranges
+    size_t first;   //!< first of its trials in the range's live list
+    unsigned lanes; //!< its trials
+    unsigned index; //!< its gang index within the range
+    std::atomic<uint8_t> mode{Undecided};
+};
+
+/** One task of a pass's grid: trial @p lane of gang @p gang. */
 struct PassTask
 {
-    size_t range;  //!< index into the pass's ranges
-    size_t first;  //!< first of its trials in the range's live list
-    unsigned lanes; //!< trials it runs (1 on the scalar paths)
-    unsigned gang;  //!< its gang index within the range
+    size_t gang;
+    unsigned lane;
 };
 
 } // namespace
@@ -305,7 +332,14 @@ CampaignRunner::runPass(const CampaignConfig &config,
         run.live = {};
     };
 
+    std::deque<PassGang> gangs;
     std::vector<PassTask> tasks;
+    auto deal = [&](size_t range, size_t first, unsigned lanes,
+                    unsigned index) {
+        gangs.emplace_back(range, first, lanes, index);
+        for (unsigned lane = 0; lane < lanes; ++lane)
+            tasks.push_back(PassTask{gangs.size() - 1, lane});
+    };
     unsigned maxLanes = 0;
     for (size_t r = 0; r < ranges.size(); ++r) {
         auto [lo, hi] = ranges[r];
@@ -372,19 +406,18 @@ CampaignRunner::runPass(const CampaignConfig &config,
                 TrialPool::resolveWorkers(config.threads, live.size());
             auto width = static_cast<unsigned>(std::min<uint64_t>(
                 gangWidth, (live.size() + workers - 1) / workers));
-            uint64_t gangs = (live.size() + width - 1) / width;
-            for (uint64_t g = 0; g < gangs; ++g) {
-                size_t first = live.size() * g / gangs;
-                size_t next = live.size() * (g + 1) / gangs;
-                tasks.push_back(PassTask{r, first,
-                                         static_cast<unsigned>(next - first),
-                                         static_cast<unsigned>(g)});
+            uint64_t count = (live.size() + width - 1) / width;
+            for (uint64_t g = 0; g < count; ++g) {
+                size_t first = live.size() * g / count;
+                size_t next = live.size() * (g + 1) / count;
+                deal(r, first, static_cast<unsigned>(next - first),
+                     static_cast<unsigned>(g));
             }
             run.width = width;
             maxLanes = std::max(maxLanes, width);
         } else {
             for (size_t i = 0; i < live.size(); ++i)
-                tasks.push_back(PassTask{r, i, 1, 0});
+                deal(r, i, 1, 0);
         }
         run.pending = tasks.size() - tasksBefore;
         if (tasks.size() == tasksBefore)
@@ -404,9 +437,24 @@ CampaignRunner::runPass(const CampaignConfig &config,
             simulators.emplace_back(program_, model_);
     }
 
+    // Lanes of the pass's finished gangs and how many of them were
+    // evicted. Once most lanes diverge, a gang costs more than it
+    // shares, so gangs that start later run their trials scalar
+    // instead. Either way each trial is a pure function of its plan,
+    // so the choice moves only wall time.
+    std::atomic<uint64_t> gangLanesDone{0};
+    std::atomic<uint64_t> gangLanesEvicted{0};
+    auto gangsDiverge = [&] {
+        uint64_t lanes = gangLanesDone.load();
+        return lanes >= GANG_FALLBACK_MIN_LANES &&
+               static_cast<double>(gangLanesEvicted.load()) >
+                   GANG_FALLBACK_EVICTION_RATIO *
+                       static_cast<double>(lanes);
+    };
+
     TrialPool::run(workers, tasks.size(), [&](uint64_t t, unsigned w) {
-        const PassTask &task = tasks[t];
-        RangeRun &run = runs[task.range];
+        PassGang &gang = gangs[tasks[t].gang];
+        RangeRun &run = runs[gang.range];
         std::call_once(run.decided, [&] {
             run.skipped = hooks.stopStarting && hooks.stopStarting();
         });
@@ -414,35 +462,50 @@ CampaignRunner::runPass(const CampaignConfig &config,
             return;
         SlotDone done = [&](uint64_t slot) {
             if (hooks.trialDone)
-                hooks.trialDone(task.range, slot, run.result.outcomes[slot]);
+                hooks.trialDone(gang.range, slot, run.result.outcomes[slot]);
         };
-        if (gangWidth > 0) {
-            metrics.gangBatches.add();
-            metrics.gangLaneSlots.add(run.width);
-            metrics.gangLanes.add(task.lanes);
-            telemetry::TraceSpan gangSpan("engine", "gang");
-            if (gangSpan.active())
-                gangSpan.setArgs("{\"gang\":" + std::to_string(task.gang) +
-                                 ",\"lanes\":" +
-                                 std::to_string(task.lanes) + "}");
-            GangWorker &worker = gangWorkers[w];
-            runGang(run.live.data() + task.first, task.lanes, worker.base,
-                    worker.drain, worker.gang, budget, run.result.outcomes,
-                    done);
-        } else {
-            const LiveTrial &trial = run.live[task.first];
+        uint8_t mode = gang.mode.load();
+        bool decider = false;
+        if (mode == PassGang::Undecided) {
+            uint8_t choice = gangWidth > 0 && !gangsDiverge()
+                                 ? PassGang::Lockstep
+                                 : PassGang::Scalar;
+            decider = gang.mode.compare_exchange_strong(mode, choice);
+            if (decider)
+                mode = choice;
+        }
+        if (mode == PassGang::Scalar) {
+            if (gangWidth > 0)
+                metrics.gangFallbackTrials.add();
+            const LiveTrial &trial = run.live[gang.first + tasks[t].lane];
             telemetry::TraceSpan trialSpan("engine", "trial");
             if (trialSpan.active())
                 trialSpan.setArgs(
                     "{\"trial\":" +
                     std::to_string(run.result.firstTrial + trial.slot) +
                     "}");
-            runTrial(simulators[w], trial, budget,
-                     run.result.outcomes[trial.slot]);
+            runTrial(gangWidth > 0 ? gangWorkers[w].drain : simulators[w],
+                     trial, budget, run.result.outcomes[trial.slot]);
             done(trial.slot);
+        } else if (decider) {
+            metrics.gangBatches.add();
+            metrics.gangLaneSlots.add(run.width);
+            metrics.gangLanes.add(gang.lanes);
+            telemetry::TraceSpan gangSpan("engine", "gang");
+            if (gangSpan.active())
+                gangSpan.setArgs("{\"gang\":" + std::to_string(gang.index) +
+                                 ",\"lanes\":" +
+                                 std::to_string(gang.lanes) + "}");
+            GangWorker &worker = gangWorkers[w];
+            unsigned evicted = runGang(
+                run.live.data() + gang.first, gang.lanes,
+                run.result.firstTrial, worker.base, worker.drain,
+                worker.gang, budget, run.result.outcomes, done);
+            gangLanesEvicted += evicted;
+            gangLanesDone += gang.lanes;
         }
         if (run.pending.fetch_sub(1) == 1)
-            finish(task.range);
+            finish(gang.range);
     });
 }
 
@@ -527,10 +590,11 @@ CampaignRunner::runTrial(sim::Simulator &simulator, const LiveTrial &trial,
              at.instructions, budget, outcome);
 }
 
-void
+unsigned
 CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
-                        sim::Simulator &base, sim::Simulator &drain,
-                        sim::GangSimulator &gang, uint64_t budget,
+                        uint64_t firstTrial, sim::Simulator &base,
+                        sim::Simulator &drain, sim::GangSimulator &gang,
+                        uint64_t budget,
                         std::vector<TrialOutcome> &outcomes,
                         const SlotDone &done) const
 {
@@ -577,6 +641,7 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
         }
     }
 
+    unsigned evicted = 0;
     for (const auto &exitRecord : gang.takeExits()) {
         const LiveTrial &trial = trials[exitRecord.lane];
         TrialOutcome &outcome = outcomes[trial.slot];
@@ -601,10 +666,12 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
         // divergent PC, and its output so far -- and finish the trial
         // through the site loop, so the result is bit-identical to
         // never having ganged at all.
+        ++evicted;
         engineMetrics().gangEvictions.add();
         telemetry::TraceSpan drainSpan("engine", "drain-lane");
         if (drainSpan.active())
-            drainSpan.setArgs("{\"trial\":" + std::to_string(trial.slot) +
+            drainSpan.setArgs("{\"trial\":" +
+                              std::to_string(firstTrial + trial.slot) +
                               "}");
         rewind(drain, checkpoint);
         for (const auto &[pageNumber, bytes] : exitRecord.pages)
@@ -616,6 +683,7 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
                  budget, outcome);
         done(trial.slot);
     }
+    return evicted;
 }
 
 } // namespace etc::fault

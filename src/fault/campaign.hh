@@ -33,11 +33,19 @@
  * sorted by their first injection site and dealt into near-equal
  * gangs, one per worker, of at most CampaignConfig::gangWidth lanes;
  * a gang's lanes share one checkpoint restore and one fetch/decode
- * stream (sim/gang.hh). A lane whose fault diverges control flow
- * leaves the gang with a state snapshot and finishes in the same site
- * loop on a scalar simulator, so results match gangWidth = 0 (pure
- * scalar) bit for bit. The scalar and interval-0 paths run one trial
- * per task.
+ * stream (sim/gang.hh). A lane whose fault diverges control flow is
+ * evicted: it leaves the gang with a state snapshot and finishes in
+ * the same site loop on a scalar simulator, so results match
+ * gangWidth = 0 (pure scalar) bit for bit. A gang pays only while its
+ * lanes stay in lockstep, so a pass stops ganging once its finished
+ * gangs hold at least GANG_FALLBACK_MIN_LANES lanes and more than
+ * GANG_FALLBACK_EVICTION_RATIO of them were evicted: every gang that
+ * starts later runs its trials one by one on the scalar simulator.
+ * The choice reads how often the cell's faults diverge, never the
+ * width or the cell, and moves only wall time. On every path the
+ * pass's grid deals one task per trial; the first of a gang's tasks
+ * to start runs the gang (its other tasks then have nothing to do),
+ * so a fallen-back gang's trials spread over idle workers.
  *
  * "Infinite execution" is detected by an instruction budget of
  * budgetFactor x the golden run's dynamic instruction count.
@@ -81,6 +89,17 @@ inline constexpr unsigned GANG_WIDTH_AUTO = 0xffffffffu;
  */
 inline constexpr unsigned DEFAULT_GANG_WIDTH = 32;
 
+/**
+ * When a pass stops ganging (see the file comment): its finished
+ * gangs hold at least GANG_FALLBACK_MIN_LANES lanes, and more than
+ * GANG_FALLBACK_EVICTION_RATIO of them were evicted. Constants, not
+ * knobs: results are bit-identical either way, and the ratio was
+ * chosen from a sweep of 1/4, 1/2 and 3/4 on the paper's figures
+ * (BENCH_gang_fallback.json).
+ */
+inline constexpr unsigned GANG_FALLBACK_MIN_LANES = 8;
+inline constexpr double GANG_FALLBACK_EVICTION_RATIO = 0.5;
+
 /** Knobs of one campaign cell. */
 struct CampaignConfig
 {
@@ -96,9 +115,10 @@ struct CampaignConfig
      * DEFAULT_GANG_WIDTH, anything else is clamped to
      * sim::GangSimulator::MAX_LANES. A range of L live trials over W
      * workers deals gangs of at most min(gangWidth, ceil(L / W))
-     * lanes. Purely an execution strategy -- results are
-     * bit-identical for every value -- so it is NOT part of a cell's
-     * identity.
+     * lanes, which run scalar anyway once the pass's gangs diverge
+     * (see the file comment). Purely an execution strategy --
+     * results are bit-identical for every value -- so it is NOT part
+     * of a cell's identity.
      */
     unsigned gangWidth = GANG_WIDTH_AUTO;
 };
@@ -334,14 +354,19 @@ class CampaignRunner
     void runTrial(sim::Simulator &simulator, const LiveTrial &trial,
                   uint64_t budget, TrialOutcome &outcome) const;
 
-    /** Execute one gang of @p lanes trials end to end (restore, run,
-     *  flip at pauses, finish divergent lanes, record outcomes),
-     *  calling @p done as each lane's outcome becomes final. */
-    void runGang(const LiveTrial *trials, unsigned lanes,
-                 sim::Simulator &base, sim::Simulator &drain,
-                 sim::GangSimulator &gang, uint64_t budget,
-                 std::vector<TrialOutcome> &outcomes,
-                 const SlotDone &done) const;
+    /**
+     * Execute one gang of @p lanes trials end to end (restore, run,
+     * flip at pauses, finish divergent lanes, record outcomes),
+     * calling @p done as each lane's outcome becomes final.
+     *
+     * @param firstTrial global index of outcome slot 0 (for spans)
+     * @return the lanes evicted to the drain
+     */
+    unsigned runGang(const LiveTrial *trials, unsigned lanes,
+                     uint64_t firstTrial, sim::Simulator &base,
+                     sim::Simulator &drain, sim::GangSimulator &gang,
+                     uint64_t budget, std::vector<TrialOutcome> &outcomes,
+                     const SlotDone &done) const;
 
     /**
      * Put @p simulator in the golden state of @p checkpoint, or at the

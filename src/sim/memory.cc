@@ -50,78 +50,14 @@ Memory::clear()
     hasBaseline_ = false;
 }
 
-bool
-Memory::inBounds(uint32_t addr, uint32_t len) const
-{
-    uint64_t end = uint64_t{addr} + len;
-    if (addr >= dataBase_ && end <= dataLimit_)
-        return true;
-    if (addr >= stackBase_ && end <= stackLimit_)
-        return true;
-    return false;
-}
-
 uint8_t *
-Memory::slotPtr(Segment &seg, uint32_t slot)
+Memory::allocatePage(Segment &seg, uint32_t slot)
 {
     auto &page = seg.pages[slot];
-    if (!page) {
-        page = std::make_unique<uint8_t[]>(PAGE_SIZE);
-        std::memset(page.get(), 0, PAGE_SIZE);
-    }
+    page = std::make_unique<uint8_t[]>(PAGE_SIZE);
+    std::memset(page.get(), 0, PAGE_SIZE);
     return page.get();
 }
-
-uint8_t *
-Memory::pagePtr(uint32_t addr)
-{
-    Segment &seg = segmentFor(addr);
-    uint32_t slot = (addr >> PAGE_BITS) - seg.firstPage;
-    return slotPtr(seg, slot) + (addr & (PAGE_SIZE - 1));
-}
-
-uint8_t *
-Memory::pagePtrForWrite(uint32_t addr)
-{
-    Segment &seg = segmentFor(addr);
-    uint32_t slot = (addr >> PAGE_BITS) - seg.firstPage;
-    if (!seg.dirty[slot]) {
-        seg.dirty[slot] = 1;
-        dirtyList_.push_back(addr >> PAGE_BITS);
-    }
-    return slotPtr(seg, slot) + (addr & (PAGE_SIZE - 1));
-}
-
-template <typename T>
-MemStatus
-Memory::read(uint32_t addr, T &value)
-{
-    const bool in = inBounds(addr, sizeof(T));
-    MemStatus status = checkAccess(addr, sizeof(T), in, model_);
-    value = 0;
-    // An aligned access never crosses a page boundary.
-    if (status == MemStatus::Ok && in)
-        std::memcpy(&value, pagePtr(addr), sizeof(T));
-    return status;
-}
-
-template <typename T>
-MemStatus
-Memory::write(uint32_t addr, T value)
-{
-    const bool in = inBounds(addr, sizeof(T));
-    MemStatus status = checkAccess(addr, sizeof(T), in, model_);
-    if (status == MemStatus::Ok && in)
-        std::memcpy(pagePtrForWrite(addr), &value, sizeof(T));
-    return status;
-}
-
-template MemStatus Memory::read(uint32_t, uint8_t &);
-template MemStatus Memory::read(uint32_t, uint16_t &);
-template MemStatus Memory::read(uint32_t, uint32_t &);
-template MemStatus Memory::write(uint32_t, uint8_t);
-template MemStatus Memory::write(uint32_t, uint16_t);
-template MemStatus Memory::write(uint32_t, uint32_t);
 
 uint32_t
 Memory::hostRead32(uint32_t addr)

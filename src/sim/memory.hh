@@ -23,6 +23,11 @@
  * zeroes and *reuses* allocated pages instead of freeing them, so the
  * per-trial reset of a Monte-Carlo campaign does no allocator work.
  *
+ * The guest accessors read()/write() and the bounds check and
+ * page-slot lookup under them are defined here, in the header, so the
+ * scalar interpreter's loads and stores compile to inline code; only
+ * a page's first touch (which allocates it) leaves the fast path.
+ *
  * For checkpointing, the table tracks which pages have been written
  * since the last drainDirtyPages() call; CheckpointStore turns those
  * into page-granular deltas between checkpoints.
@@ -32,6 +37,7 @@
 #define ETC_SIM_MEMORY_HH
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -106,9 +112,28 @@ class Memory
     /// (alignment- and bounds-checked; see checkAccess())
     /// @{
     template <typename T>
-    MemStatus read(uint32_t addr, T &value);
+    MemStatus
+    read(uint32_t addr, T &value)
+    {
+        const bool in = inBounds(addr, sizeof(T));
+        MemStatus status = checkAccess(addr, sizeof(T), in, model_);
+        value = 0;
+        // An aligned access never crosses a page boundary.
+        if (status == MemStatus::Ok && in)
+            std::memcpy(&value, pagePtr(addr), sizeof(T));
+        return status;
+    }
+
     template <typename T>
-    MemStatus write(uint32_t addr, T value);
+    MemStatus
+    write(uint32_t addr, T value)
+    {
+        const bool in = inBounds(addr, sizeof(T));
+        MemStatus status = checkAccess(addr, sizeof(T), in, model_);
+        if (status == MemStatus::Ok && in)
+            std::memcpy(pagePtrForWrite(addr), &value, sizeof(T));
+        return status;
+    }
     /// @}
 
     /// @name Host accesses (for harness setup/extraction; panic on OOB)
@@ -174,7 +199,13 @@ class Memory
     /// @}
 
     /** @return true if [addr, addr+len) lies entirely in a valid segment. */
-    bool inBounds(uint32_t addr, uint32_t len) const;
+    bool
+    inBounds(uint32_t addr, uint32_t len) const
+    {
+        uint64_t end = uint64_t{addr} + len;
+        return (addr >= dataBase_ && end <= dataLimit_) ||
+               (addr >= stackBase_ && end <= stackLimit_);
+    }
 
     /// @name Segment geometry (gang lanes mirror the bounds checks)
     /// @{
@@ -206,9 +237,38 @@ class Memory
     Segment *segmentForPage(uint32_t pageNumber);
     const Segment *segmentForPage(uint32_t pageNumber) const;
 
-    uint8_t *slotPtr(Segment &seg, uint32_t slot);
-    uint8_t *pagePtr(uint32_t addr);
-    uint8_t *pagePtrForWrite(uint32_t addr);
+    /** Allocate (zeroed) the never-touched page of @p slot. */
+    uint8_t *allocatePage(Segment &seg, uint32_t slot);
+
+    /** @return the page of @p slot, allocated on first touch. */
+    uint8_t *
+    slotPtr(Segment &seg, uint32_t slot)
+    {
+        uint8_t *page = seg.pages[slot].get();
+        return page ? page : allocatePage(seg, slot);
+    }
+
+    /** @return the byte of in-bounds address @p addr. */
+    uint8_t *
+    pagePtr(uint32_t addr)
+    {
+        Segment &seg = segmentFor(addr);
+        uint32_t slot = (addr >> PAGE_BITS) - seg.firstPage;
+        return slotPtr(seg, slot) + (addr & (PAGE_SIZE - 1));
+    }
+
+    /** pagePtr() that also marks the page dirty. */
+    uint8_t *
+    pagePtrForWrite(uint32_t addr)
+    {
+        Segment &seg = segmentFor(addr);
+        uint32_t slot = (addr >> PAGE_BITS) - seg.firstPage;
+        if (!seg.dirty[slot]) {
+            seg.dirty[slot] = 1;
+            dirtyList_.push_back(addr >> PAGE_BITS);
+        }
+        return slotPtr(seg, slot) + (addr & (PAGE_SIZE - 1));
+    }
 
     MemoryModel model_;
     uint32_t dataBase_;

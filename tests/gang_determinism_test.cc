@@ -6,13 +6,18 @@
  * static-prune setting -- the gang, like checkpointing and pruning,
  * is a pure acceleration, never a result change. Diverged lanes drain
  * through the scalar Simulator, so even the worst case (every lane
- * diverges at its first fault) must reproduce scalar bits exactly.
+ * diverges at its first fault) must reproduce scalar bits exactly, and
+ * so must a pass whose gangs diverge so often that its later gangs
+ * fall back to scalar.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +27,7 @@
 #include "fault/policy.hh"
 #include "sim/gang.hh"
 #include "store/cell_key.hh"
+#include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 #include "workloads/workload.hh"
 
@@ -33,6 +39,9 @@ using namespace etc;
 using namespace etc::fault;
 
 constexpr unsigned TRIALS = 40;
+
+/** Control-only flips per trial that evict most mpeg lanes. */
+constexpr unsigned DIVERGENT_ERRORS = 32;
 
 CampaignConfig
 cellConfig(unsigned gangWidth, unsigned threads, unsigned errors = 1)
@@ -67,6 +76,24 @@ expectIdentical(const CampaignResult &a, const CampaignResult &b)
         EXPECT_EQ(a.outcomes[i].output, b.outcomes[i].output)
             << "trial " << i;
     }
+}
+
+/** The process-wide value of engine counter @p name. */
+uint64_t
+counterValue(const std::string &name)
+{
+    return telemetry::counter(name, "").value();
+}
+
+/** A temp path unique to this test run. */
+std::filesystem::path
+tempTracePath(const std::string &stem)
+{
+    return std::filesystem::temp_directory_path() /
+           (stem + "_" +
+            std::to_string(
+                ::testing::UnitTest::GetInstance()->random_seed()) +
+            ".jsonl");
 }
 
 /** One workload's runner grid: {checkpoint on, off} x {prune off, on}. */
@@ -163,10 +190,106 @@ TEST(GangDeterminismTest, EveryLaneDivergesDrainsToScalarBits)
     RunnerGrid grid("mpeg", "control-only");
     auto scalar = grid.runner(true, false).run(cellConfig(0, 1));
     for (unsigned width : {4u, 8u}) {
+        uint64_t evictions =
+            counterValue("etc_gang_lane_evictions_total");
         auto ganged =
             grid.runner(true, false).run(cellConfig(width, 1));
         expectIdentical(scalar, ganged);
+        // The pass's first gangs run (and drain) before the fallback
+        // can fire, so the drain path stays covered.
+        EXPECT_GT(counterValue("etc_gang_lane_evictions_total"),
+                  evictions)
+            << "width " << width;
     }
+}
+
+TEST(GangDeterminismTest, DivergentPassFallsBackToScalarBits)
+{
+    // Many control-transfer flips knock most mpeg lanes off the
+    // pack, so once GANG_FALLBACK_MIN_LANES lanes have finished, the
+    // pass's later gang tasks run their trials scalar. One thread
+    // fixes which tasks those are; the results are fixed at any count.
+    RunnerGrid grid("mpeg", "control-only");
+    auto &runner = grid.runner(true, false);
+    auto scalar = runner.run(cellConfig(0, 1, DIVERGENT_ERRORS));
+    uint64_t fallback =
+        counterValue("etc_gang_scalar_fallback_trials_total");
+    uint64_t batches = counterValue("etc_gang_batches_total");
+    auto ganged = runner.run(cellConfig(4, 1, DIVERGENT_ERRORS));
+    expectIdentical(scalar, ganged);
+    uint64_t fellBack =
+        counterValue("etc_gang_scalar_fallback_trials_total") - fallback;
+    uint64_t gangsRun = counterValue("etc_gang_batches_total") - batches;
+    // Width 4 deals ten gangs: the first two reach the minimum, the
+    // other eight fall back.
+    EXPECT_EQ(gangsRun, GANG_FALLBACK_MIN_LANES / 4);
+    EXPECT_EQ(fellBack, TRIALS - GANG_FALLBACK_MIN_LANES);
+    // At 4 threads the gangs that fall back depend on which finish
+    // first; the results do not.
+    expectIdentical(scalar,
+                    runner.run(cellConfig(4, 4, DIVERGENT_ERRORS)));
+}
+
+TEST(GangDeterminismTest, LockstepPassNeverFallsBack)
+{
+    // Protected susan: no fault leaves the pack, so every gang runs
+    // and the fallback never fires.
+    auto workload =
+        workloads::createWorkload("susan", workloads::Scale::Test);
+    core::StudyConfig config;
+    config.trials = TRIALS;
+    config.gangWidth = 4;
+    core::ErrorToleranceStudy study(*workload, config);
+    uint64_t fallback =
+        counterValue("etc_gang_scalar_fallback_trials_total");
+    uint64_t evictions = counterValue("etc_gang_lane_evictions_total");
+    uint64_t batches = counterValue("etc_gang_batches_total");
+    uint64_t lanes = counterValue("etc_gang_lanes_total");
+    auto cell = study.runCell(1, fault::PROTECTED_POLICY);
+    EXPECT_EQ(cell.trials, TRIALS);
+    EXPECT_EQ(counterValue("etc_gang_lane_evictions_total"), evictions);
+    EXPECT_EQ(counterValue("etc_gang_scalar_fallback_trials_total"),
+              fallback);
+    EXPECT_EQ(counterValue("etc_gang_batches_total") - batches,
+              TRIALS / 4);
+    EXPECT_EQ(counterValue("etc_gang_lanes_total") - lanes, TRIALS);
+}
+
+TEST(GangDeterminismTest, DrainSpansNameGlobalTrials)
+{
+    // Two ranges of one pass, each below the fallback minimum, so
+    // both gang and drain: each drain-lane span must name its trial's
+    // global index, not its slot within the range.
+    RunnerGrid grid("mpeg", "control-only");
+    auto &runner = grid.runner(true, false);
+    CampaignConfig config = cellConfig(4, 1, DIVERGENT_ERRORS);
+    config.trials = 6;
+    auto tracePath = tempTracePath("etc_drain_span_trace");
+    telemetry::Tracer::instance().open(tracePath.string());
+    runner.runPass(config, {TrialRange{0, 3}, TrialRange{3, 6}},
+                   PassHooks{});
+    telemetry::Tracer::instance().close();
+
+    std::ifstream trace(tracePath);
+    std::string line;
+    std::vector<uint64_t> drained;
+    const std::string trialArg = "\"trial\":";
+    while (std::getline(trace, line)) {
+        size_t at = line.find(trialArg);
+        if (line.find("\"name\":\"drain-lane\"") != std::string::npos &&
+            at != std::string::npos)
+            drained.push_back(
+                std::stoull(line.substr(at + trialArg.size())));
+    }
+    std::filesystem::remove(tracePath);
+
+    EXPECT_GE(drained.size(), 2u);
+    std::set<uint64_t> unique(drained.begin(), drained.end());
+    EXPECT_EQ(unique.size(), drained.size());
+    for (uint64_t trial : drained)
+        EXPECT_LT(trial, 6u);
+    EXPECT_TRUE(std::any_of(drained.begin(), drained.end(),
+                            [](uint64_t trial) { return trial >= 3; }));
 }
 
 TEST(GangDeterminismTest, TracingIsObservationOnly)
@@ -179,12 +302,7 @@ TEST(GangDeterminismTest, TracingIsObservationOnly)
     auto &runner = grid.runner(true, false);
     auto untraced = runner.run(cellConfig(0, 1));
 
-    auto tracePath =
-        std::filesystem::temp_directory_path() /
-        ("etc_gang_trace_" +
-         std::to_string(
-             ::testing::UnitTest::GetInstance()->random_seed()) +
-         ".jsonl");
+    auto tracePath = tempTracePath("etc_gang_trace");
     telemetry::Tracer::instance().open(tracePath.string());
     std::vector<CampaignResult> traced;
     for (unsigned threads : {1u, 4u})

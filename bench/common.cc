@@ -95,7 +95,6 @@ flagValue(int argc, char **argv, int &i, const std::string &flag)
 bool
 parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts)
 {
-    std::string arg = argv[i];
     auto valueOf = [&](const std::string &flag) {
         return flagValue(argc, argv, i, flag);
     };
@@ -110,14 +109,6 @@ parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts)
         opts.policies.push_back(parsePolicyName(*policy).name);
     } else if (auto seed = valueOf("--seed")) {
         opts.seed = parseSeedValue("--seed", *seed);
-    } else if (auto interval = valueOf("--checkpoint-interval")) {
-        opts.checkpointInterval =
-            parseCountValue("--checkpoint-interval", *interval,
-                            std::numeric_limits<uint64_t>::max());
-    } else if (arg == "--static-prune") {
-        opts.staticPrune = true;
-    } else if (auto gang = valueOf("--gang-width")) {
-        opts.gangWidth = parseGangWidthValue("--gang-width", *gang);
     } else if (auto dir = valueOf("--cache-dir")) {
         if (dir->empty())
             fatal("--cache-dir expects a directory");
@@ -158,22 +149,10 @@ emitCellJson(const std::string &workloadName, const std::string &policy,
          << "\"trials_per_sec\":" << cell.trialsPerSecond() << ","
          << "\"total_instructions\":" << cell.totalInstructions << ","
          << "\"trials_pruned\":" << cell.trialsPruned << ","
-         << "\"checkpoint_interval\":" << config.checkpointInterval << ","
-         << "\"static_prune\":" << (config.staticPrune ? "true" : "false")
-         << ","
-         // The configured per-gang maximum (each stripe deals its
-         // gangs up to it); gangs only engage on the checkpointed
-         // fast path.
-         << "\"gang_width\":"
-         << (config.checkpointInterval > 0
-                 ? fault::CampaignRunner::resolveGangWidth(
-                       config.gangWidth)
-                 : 0)
-         << ","
          << "\"threads\":" << config.threads << "}";
     // stderr, with the progress lines: stdout holds only reproduced
-    // results and must stay byte-identical across thread counts and
-    // checkpoint settings, which wall-clock telemetry never is.
+    // results and must stay byte-identical across thread counts,
+    // which wall-clock telemetry never is.
     std::cerr << line.str() << std::endl;
 }
 

@@ -55,8 +55,9 @@ struct BenchOptions
      *  validated against the policy registry at parse time. */
     std::vector<std::string> policies;
 
-    /** Golden-run checkpoint spacing for trial fast-forwarding
-     *  (instructions; 0 = disable checkpointing). */
+    /** Golden-run checkpoint spacing (instructions; 0 = none). No
+     *  flag sets it: only the benchmark's probe and the tests do, and
+     *  deleting it waits for ROADMAP item 3. */
     uint64_t checkpointInterval =
         fault::CampaignRunner::DEFAULT_CHECKPOINT_INTERVAL;
 
@@ -66,14 +67,8 @@ struct BenchOptions
     /** Result-store root (--cache-dir); empty = no persistence. */
     std::string cacheDir;
 
-    /** --static-prune: skip simulating trials whose every drawn flip
-     *  the masked-fault prover proved harmless (bit-identical
-     *  results; see core::StudyConfig::staticPrune). */
-    bool staticPrune = false;
-
-    /** --gang-width N|auto: trial lanes per gang on the checkpointed
-     *  fast path (0 = scalar, "auto" = runner default; bit-identical
-     *  results; see core::StudyConfig::gangWidth). */
+    /** Most trial lanes per gang (0 = scalar; see
+     *  core::StudyConfig::gangWidth). Set like checkpointInterval. */
     unsigned gangWidth = fault::GANG_WIDTH_AUTO;
 
     /** --trace-out FILE: emit Chrome Trace Event JSONL spans there
@@ -97,16 +92,15 @@ struct BenchOptions
         config.checkpointInterval = checkpointInterval;
         config.seed = seed;
         config.cacheDir = cacheDir;
-        config.staticPrune = staticPrune;
         config.gangWidth = gangWidth;
     }
 };
 
 /**
  * Parse argv[i] into @p opts when it is one of the campaign flags --
- * --threads, --trials, --policy, --seed, --checkpoint-interval,
- * --static-prune, --gang-width, --cache-dir, --trace-out (see the
- * BenchOptions fields and `etc_lab --help`) -- consuming its value.
+ * --threads, --trials, --policy, --seed, --cache-dir, --trace-out
+ * (see the BenchOptions fields and `etc_lab --help`) -- consuming its
+ * value.
  * `--trials 0` is rejected: 0 previously meant "experiment default",
  * which silently masked typos; omit the flag instead.
  *
@@ -144,7 +138,8 @@ unsigned parseCount32(const std::string &flag, const std::string &text);
 uint64_t parseSeedValue(const std::string &flag,
                         const std::string &text);
 
-/** Parse a gang-width value: "auto" or 0..GangSimulator::MAX_LANES. */
+/** Parse a gang-width value: "auto" or 0..GangSimulator::MAX_LANES
+ *  (the benchmark's probe's --gang-width; etc_lab has no such flag). */
 unsigned parseGangWidthValue(const std::string &flag,
                              const std::string &text);
 
@@ -158,15 +153,14 @@ const fault::InjectionPolicy &parsePolicyName(const std::string &name);
 
 /**
  * Emit one machine-readable perf record for a campaign cell to stderr
- * (stdout stays byte-identical across thread counts and checkpoint
- * settings), prefixed with "BENCH_JSON " so harnesses can grep it
- * into a BENCH_*.json perf trajectory:
+ * (stdout stays byte-identical across thread counts), prefixed with
+ * "BENCH_JSON " so harnesses can grep it into a BENCH_*.json perf
+ * trajectory:
  *
  *   BENCH_JSON {"workload":...,"policy":...,"errors":...,"trials":...,
- *               "wall_s":...,"trials_per_sec":...,
+ *               "completed":...,"wall_s":...,"trials_per_sec":...,
  *               "total_instructions":...,"trials_pruned":...,
- *               "checkpoint_interval":...,"static_prune":...,
- *               "gang_width":...,"threads":...}
+ *               "threads":...}
  */
 void emitCellJson(const std::string &workloadName,
                   const std::string &policy, unsigned errors,

@@ -170,20 +170,6 @@ usage(int status)
            "  --threads N              worker threads (0 = all cores)\n"
            "  --seed S                 master study seed (decimal or 0x"
            " hex)\n"
-           "  --checkpoint-interval N  golden-run checkpoint spacing\n"
-           "  --static-prune           synthesize provably-masked\n"
-           "                           trials instead of simulating\n"
-           "                           them (results are identical\n"
-           "                           either way)\n"
-           "  --gang-width N|auto      most trial lanes per lockstep\n"
-           "                           gang on the checkpointed fast\n"
-           "                           path (0 = scalar, auto = runner\n"
-           "                           default; a stripe's trials are\n"
-           "                           dealt into near-equal gangs, one\n"
-           "                           per thread, up to this width;\n"
-           "                           results are identical either\n"
-           "                           way). serve: the width every\n"
-           "                           job runs at\n"
            "  --workload NAME          analyze/lint: the registry\n"
            "                           workload to analyze (lint\n"
            "                           defaults to all)\n"
@@ -274,8 +260,10 @@ parseLabArgs(int argc, char **argv)
         usage(2);
     }
 
+    std::vector<std::string> given; // every flag, by name
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
+        given.push_back(arg.substr(0, arg.find('=')));
         auto valueOf = [&](const std::string &flag) {
             return flagValue(argc, argv, i, flag);
         };
@@ -347,6 +335,22 @@ parseLabArgs(int argc, char **argv)
             usage(2);
         }
     }
+
+    // The daemon's own flags and each lease grant decide everything
+    // else a serve or work process runs, so a flag it would ignore is
+    // refused rather than silently dropped.
+    static const std::map<std::string, std::set<std::string>> READS = {
+        {"serve",
+         {"--cache-dir", "--port", "--workers", "--threads", "--chunks",
+          "--seed", "--lease-ttl-ms", "--verbose", "--trace-out"}},
+        {"work",
+         {"--coordinator", "--name", "--cache-dir", "--threads",
+          "--max-leases", "--poll-ms", "--trace-out"}},
+    };
+    if (auto reads = READS.find(opts.command); reads != READS.end())
+        for (const std::string &flag : given)
+            if (!reads->second.count(flag))
+                fatal(flag, " does not apply to `", opts.command, "`");
 
     bool local = opts.command == "run" || opts.command == "resume" ||
                  opts.command == "report";
@@ -652,8 +656,6 @@ labServe(const LabOptions &opts)
     config.threads = opts.bench.threads;
     config.chunks = opts.chunks;
     config.seed = opts.bench.seed;
-    config.checkpointInterval = opts.bench.checkpointInterval;
-    config.gangWidth = opts.bench.gangWidth;
     config.leaseTtlMs = opts.leaseTtlMs;
 
     service::Scheduler scheduler(config);

@@ -192,18 +192,28 @@ runQuery(const std::string &cacheRoot, const QueryOptions &options)
                        "Archive queries served, by aggregation")
         .add();
 
-    // An invalid request must fail before any archive work.
-    if (options.agg == QueryAgg::Avf) {
-        if (options.filter.workload.empty())
-            throw QueryError(
-                "agg=avf requires a workload filter (the static "
-                "analysis is per program)");
+    // An invalid request must fail before any archive work, on the
+    // names `etc_lab query` refuses as flags: a typo is an error, not
+    // an empty rollup.
+    if (options.agg == QueryAgg::Avf && options.filter.workload.empty())
+        throw QueryError("agg=avf requires a workload filter (the static "
+                         "analysis is per program)");
+    if (!options.filter.workload.empty()) {
         const auto &names = workloads::workloadNames();
         if (std::find(names.begin(), names.end(),
                       options.filter.workload) == names.end())
             throw QueryError("unknown workload \"" +
                              options.filter.workload + "\"");
     }
+    auto checkPolicy = [](const std::string &policy) {
+        if (!fault::findInjectionPolicy(policy))
+            throw QueryError("unknown injection policy \"" + policy +
+                             "\" (known: " +
+                             fault::injectionPolicyNames() + ")");
+    };
+    for (const std::string &policy : options.filter.policies)
+        checkPolicy(policy);
+    checkPolicy(options.basePolicy);
 
     store::StoreIndex index(cacheRoot);
     index.load();

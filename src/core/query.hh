@@ -62,8 +62,8 @@ QueryAgg parseQueryAgg(const std::string &name);
 std::string queryAggNames();
 
 /** Rejected queries (unknown aggregation, filter the aggregation
- *  cannot run with, unknown workload). The service maps this to
- *  HTTP 400; the CLI prints it and exits nonzero. */
+ *  cannot run with, unknown workload or policy name). The service
+ *  maps this to HTTP 400; the CLI prints it and exits nonzero. */
 class QueryError : public std::runtime_error
 {
   public:

@@ -81,6 +81,8 @@ struct StudyConfig
      * fast-forward past their fault-free prefix by restoring the
      * nearest one (see sim/checkpoint.hh). 0 disables checkpointing
      * (full-replay trials). Either way, cell results are bit-identical.
+     * Only the benchmark's probe and the tests set it (`etc_lab` runs
+     * the default); deleting it waits for ROADMAP item 3.
      */
     uint64_t checkpointInterval =
         fault::CampaignRunner::DEFAULT_CHECKPOINT_INTERVAL;
@@ -103,7 +105,7 @@ struct StudyConfig
      * GANG_WIDTH_AUTO (default) lets the runner pick. Purely an
      * execution strategy -- cell results are bit-identical for every
      * width -- so it is, like the thread count, not part of the cache
-     * key.
+     * key. Only the benchmark's probe and the tests set it.
      */
     unsigned gangWidth = fault::GANG_WIDTH_AUTO;
 
@@ -115,6 +117,7 @@ struct StudyConfig
      * bit-identical on or off (and therefore, like the thread count
      * and checkpoint interval, it is not part of the cache key); the
      * skipped-trial count is reported as CellSummary::trialsPruned.
+     * Only the tests turn it on; deleting it waits for ROADMAP item 3.
      */
     bool staticPrune = false;
 };

@@ -78,7 +78,8 @@
 
 namespace etc::fault {
 
-/** CampaignConfig::gangWidth sentinel: let the runner pick a width. */
+/** CampaignConfig::gangWidth sentinel: let the runner pick a width
+ *  (only the benchmark's probe and the tests pick their own). */
 inline constexpr unsigned GANG_WIDTH_AUTO = 0xffffffffu;
 
 /**
@@ -226,6 +227,7 @@ class CampaignRunner
      * @param checkpointInterval retired instructions between golden-run
      *                           checkpoints; 0 disables checkpointing
      *                           and trial fast-forwarding entirely
+     *                           (the tests' and benchmark's oracle)
      * @param resultKinds        corruptible result kinds (ResultKind
      *                           bitmask; default: all, the legacy
      *                           unrestricted behavior)
@@ -235,7 +237,8 @@ class CampaignRunner
      *                           trials whose every drawn flip the
      *                           masked-fault prover proved harmless;
      *                           results stay bit-identical (see file
-     *                           header)
+     *                           header). Only bench_micro and the
+     *                           tests turn it on (ROADMAP item 3)
      */
     CampaignRunner(const assembly::Program &program,
                    std::vector<bool> injectable,

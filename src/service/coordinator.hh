@@ -75,9 +75,6 @@ struct LeaseCell
     std::string policy;
     unsigned trials = 0;
     uint64_t seed = 0;
-    uint64_t checkpointInterval = 0;
-    bool staticPrune = false;
-    unsigned gangWidth = 0;
 };
 
 /** One granted lease: the cell description plus the stripe. */

@@ -244,38 +244,6 @@ HttpRequest::path() const
     return target.substr(0, target.find('?'));
 }
 
-std::optional<uint64_t>
-HttpRequest::queryNumber(const std::string &key) const
-{
-    size_t question = target.find('?');
-    if (question == std::string::npos)
-        return std::nullopt;
-    size_t cursor = question + 1;
-    while (cursor < target.size()) {
-        size_t end = target.find('&', cursor);
-        if (end == std::string::npos)
-            end = target.size();
-        std::string pair = target.substr(cursor, end - cursor);
-        cursor = end + 1;
-        size_t eq = pair.find('=');
-        if (eq == std::string::npos || pair.substr(0, eq) != key)
-            continue;
-        std::string text = pair.substr(eq + 1);
-        if (text.empty() ||
-            text.find_first_not_of("0123456789") != std::string::npos)
-            return std::nullopt;
-        uint64_t value = 0;
-        for (char c : text) {
-            uint64_t digit = static_cast<uint64_t>(c - '0');
-            if (value > (UINT64_MAX - digit) / 10)
-                return std::nullopt;
-            value = value * 10 + digit;
-        }
-        return value;
-    }
-    return std::nullopt;
-}
-
 std::optional<std::string>
 HttpRequest::queryParam(const std::string &key) const
 {

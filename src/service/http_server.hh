@@ -49,9 +49,6 @@ struct HttpRequest
     /** @return the target's path (the part before any '?'). */
     std::string path() const;
 
-    /** @return the decimal value of query parameter @p key, if any. */
-    std::optional<uint64_t> queryNumber(const std::string &key) const;
-
     /** @return the first value of query parameter @p key, if any
      *  (raw, no percent-decoding -- values here are plain names). */
     std::optional<std::string> queryParam(const std::string &key) const;

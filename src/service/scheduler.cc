@@ -107,8 +107,6 @@ Scheduler::studyOptions() const
 {
     bench::BenchOptions opts;
     opts.threads = config_.threads;
-    opts.checkpointInterval = config_.checkpointInterval;
-    opts.gangWidth = config_.gangWidth;
     opts.seed = config_.seed;
     opts.cacheDir = config_.cacheDir;
     return opts;
@@ -351,12 +349,7 @@ Scheduler::probeNextTask()
         cell.errors = task->errors;
         cell.policy = task->policy;
         cell.trials = task->trials;
-        const core::StudyConfig &studyConfig =
-            task->lab->study.config();
-        cell.seed = studyConfig.seed;
-        cell.checkpointInterval = studyConfig.checkpointInterval;
-        cell.staticPrune = studyConfig.staticPrune;
-        cell.gangWidth = studyConfig.gangWidth;
+        cell.seed = task->lab->study.config().seed;
 
         // Registered *before* the coordinator sees the cell, so a
         // remote completion arriving immediately can find the task.

@@ -80,13 +80,6 @@ struct SchedulerConfig
     unsigned threads = 0;     //!< campaign threads per cell (0 = all)
     unsigned chunks = 4;      //!< shard-range leases per cell
     uint64_t seed = core::StudyConfig{}.seed;
-    uint64_t checkpointInterval =
-        core::StudyConfig{}.checkpointInterval;
-
-    /** Daemon-wide gang width (see core::StudyConfig::gangWidth),
-     *  granted to every lease. Execution strategy only -- results
-     *  are bit-identical for every width. */
-    unsigned gangWidth = fault::GANG_WIDTH_AUTO;
 
     /** Lease deadline; workers heartbeat at a third of it. */
     uint64_t leaseTtlMs = 10000;

@@ -79,9 +79,6 @@ encodeLeaseGrant(const LeaseGrant &grant)
         .field("policy", grant.cell.policy)
         .field("trials", uint64_t{grant.cell.trials})
         .field("seed", store::hexU64(grant.cell.seed))
-        .field("checkpointInterval", grant.cell.checkpointInterval)
-        .field("staticPrune", grant.cell.staticPrune)
-        .field("gangWidth", uint64_t{grant.cell.gangWidth})
         .field("shardIndex", uint64_t{grant.shardIndex})
         .field("shardCount", uint64_t{grant.shardCount})
         .field("lo", uint64_t{grant.lo})
@@ -513,10 +510,17 @@ CampaignService::figure(const std::string &name,
                                       "' (try GET /v1/experiments)");
 
     bench::BenchOptions opts = scheduler_.studyOptions();
-    if (auto trials = request.queryNumber("trials")) {
-        if (*trials == 0 || *trials > 0xffffffffull)
+    // The rules of `etc_lab fetch --trials`: digits only, >= 1 and
+    // overflow-checked, so a malformed value is a 400, never the
+    // default trial count.
+    if (auto trials = request.queryParam("trials")) {
+        try {
+            opts.trials = bench::parseCount32("?trials=", *trials);
+        } catch (const FatalError &error) {
+            return errorResponse(400, error.what());
+        }
+        if (opts.trials == 0)
             return errorResponse(400, "bad ?trials= value");
-        opts.trials = static_cast<unsigned>(*trials);
     }
 
     std::vector<std::vector<store::CellKey>> keys;

@@ -65,10 +65,6 @@ parseGrant(const store::JsonValue &value)
     grant.cell.policy = value.at("policy").asString();
     grant.cell.trials = value.at("trials").asU32();
     grant.cell.seed = store::parseHexU64(value.at("seed").asString());
-    grant.cell.checkpointInterval =
-        value.at("checkpointInterval").asU64();
-    grant.cell.staticPrune = value.at("staticPrune").asBool();
-    grant.cell.gangWidth = value.at("gangWidth").asU32();
     grant.shardIndex = value.at("shardIndex").asU32();
     grant.shardCount = value.at("shardCount").asU32();
     grant.lo = value.at("lo").asU32();
@@ -243,14 +239,8 @@ bench::ExperimentStudy &
 WorkerAgent::contextFor(const LeaseCell &cell)
 {
     auto &slot = contexts_[cell.experiment];
-    if (slot) {
-        const core::StudyConfig &config = slot->study.config();
-        if (config.seed == cell.seed &&
-            config.checkpointInterval == cell.checkpointInterval &&
-            config.staticPrune == cell.staticPrune &&
-            config.gangWidth == cell.gangWidth)
-            return *slot;
-    }
+    if (slot && slot->study.config().seed == cell.seed)
+        return *slot;
 
     const bench::Experiment *exp = bench::findExperiment(cell.experiment);
     if (!exp)
@@ -260,11 +250,8 @@ WorkerAgent::contextFor(const LeaseCell &cell)
 
     bench::BenchOptions opts;
     opts.threads = config_.threads;
-    opts.checkpointInterval = cell.checkpointInterval;
     opts.seed = cell.seed;
     opts.cacheDir = config_.cacheDir;
-    opts.staticPrune = cell.staticPrune;
-    opts.gangWidth = cell.gangWidth;
     // Static analysis only (no simulation); the golden run waits for
     // the first executed stripe.
     slot = std::make_unique<bench::ExperimentStudy>(*exp, opts);

@@ -7,10 +7,9 @@
  * (POST /v1/leases/acquire) -- one acquire grants up to `max` pending
  * stripes, all of one cell, within the agent's share among the idle
  * workers -- rebuilds the cell's exact study context from the grant
- * (the sweep's registry name, seed, checkpoint interval, static
- * prune, gang width -- everything that derives the CellKey), and runs
- * the stripes as one pass through the same cache-aware engine
- * `etc_lab run` uses; one pass at a time, spread over its threads. As
+ * (the sweep's registry name and seed), and runs the stripes as one
+ * pass through the same cache-aware engine `etc_lab run` uses; one
+ * pass at a time, spread over its threads. As
  * each stripe lands, the agent pushes its shard record back
  * (POST /v1/shards) and completes its lease, off the engine's path
  * (see runLeasePass), so a stalled coordinator never stalls the
@@ -134,9 +133,8 @@ class WorkerAgent
 
     WorkerConfig config_;
 
-    /** Per-sweep engine state, parameterized by the grant (a fleet's
-     *  leases may carry differing seeds, checkpoint settings or gang
-     *  widths). Only the executor touches it. */
+    /** Per-sweep engine state, rebuilt when a grant names another
+     *  seed. Only the executor touches it. */
     std::map<std::string, std::unique_ptr<bench::ExperimentStudy>>
         contexts_;
     uint64_t leasesTaken_ = 0; //!< toward config_.maxLeases (executor)

@@ -24,6 +24,7 @@
 #include "store/result_store.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
+#include "telemetry/metrics.hh"
 #include "shard_slice.hh"
 
 namespace {
@@ -516,6 +517,71 @@ TEST_F(OrchestrationTest, PaperTablesReportTheBytesTheyRun)
             << run;
         EXPECT_EQ(run, report) << name;
     }
+}
+
+/** What `etc_lab run --experiment <name> --trials <trials> --threads
+ *  2` prints, at the engine settings and store @p opts carries. */
+std::string
+runAt(const std::string &name, unsigned trials, bench::BenchOptions opts)
+{
+    auto artifact = bench::findArtifact(name);
+    EXPECT_TRUE(artifact.has_value()) << name;
+    if (!artifact)
+        return {};
+    opts.threads = 2;
+    opts.trials = trials;
+    std::ostringstream out;
+    bench::SweepStudies studies(opts);
+    EXPECT_FALSE(bench::runArtifact(out, *artifact, studies, 4).interrupted);
+    return out.str();
+}
+
+// The checkpoint interval and the gang width move only wall time:
+// fig5 prints the same bytes with checkpoints at 4096 or 8192
+// instructions, with none (the full-replay Injector path), and with
+// gangs of at most 32 or 4 lanes or none (scalar).
+TEST_F(OrchestrationTest, Fig5BytesIgnoreCheckpointIntervalAndGangWidth)
+{
+    const std::string fig5 = runAt("fig5", 50, {});
+    EXPECT_NE(fig5.find("errors"), std::string::npos) << fig5;
+    for (uint64_t interval : {uint64_t{4096}, uint64_t{0}}) {
+        bench::BenchOptions opts;
+        opts.checkpointInterval = interval;
+        EXPECT_EQ(runAt("fig5", 50, opts), fig5)
+            << "checkpoint interval " << interval;
+    }
+    for (unsigned width : {0u, 4u}) {
+        bench::BenchOptions opts;
+        opts.gangWidth = width;
+        EXPECT_EQ(runAt("fig5", 50, opts), fig5)
+            << "gang width " << width;
+    }
+}
+
+// fig3 (mcf) is the divergent side: most lanes are evicted, so its
+// passes fall back to scalar after their first gangs, and it must
+// still print the bytes of the scalar path. Each run gets its own
+// store, as `etc_lab run --cache-dir` does: a cell's 4 stripes then
+// deal 8 gangs over the 2 threads, so gangs start after others
+// finish. Without a store a cell is one range whose 2 gangs start
+// together, and the fallback never fires.
+TEST_F(OrchestrationTest, Fig3BytesMatchScalarWhenGangsFallBack)
+{
+    auto fallbackTrials = [] {
+        return telemetry::counter("etc_gang_scalar_fallback_trials_total",
+                                  "")
+            .value();
+    };
+    bench::BenchOptions ganged;
+    ganged.cacheDir = (root_ / "ganged").string();
+    uint64_t before = fallbackTrials();
+    const std::string fig3 = runAt("fig3", 40, ganged);
+    EXPECT_GT(fallbackTrials(), before);
+    bench::BenchOptions scalar;
+    scalar.cacheDir = (root_ / "scalar").string();
+    scalar.gangWidth = 0;
+    EXPECT_EQ(runAt("fig3", 40, scalar), fig3);
+    EXPECT_EQ(runAt("fig3", 40, {}), fig3);
 }
 
 TEST_F(OrchestrationTest, RegistryNamesEveryPaperArtifact)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Bit-identity contract of the static-prune fast path: campaign
- * results with --static-prune on are byte-identical to results with
- * it off, at every thread count and checkpoint setting, while a
+ * results with pruning on are byte-identical to results with it off,
+ * at every thread count and checkpoint setting, while a
  * nonzero fraction of trials is synthesized instead of simulated.
  * This is the same contract checkpointing keeps -- pruning is a pure
  * acceleration, never a result change.
@@ -14,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/experiments.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "fault/injection.hh"
 #include "fault/policy.hh"
+#include "store/cell_key.hh"
 #include "workloads/workload.hh"
 
 #include "shard_slice.hh"
@@ -193,6 +195,46 @@ TEST(PruneDeterminismTest, StudyCellIdenticalWithPruneOn)
     ASSERT_EQ(a.fidelities.size(), b.fidelities.size());
     for (size_t i = 0; i < a.fidelities.size(); ++i)
         EXPECT_DOUBLE_EQ(a.fidelities[i].value, b.fidelities[i].value);
+}
+
+TEST(PruneDeterminismTest, Fig5CellsIdenticalWithPruneOn)
+{
+    // Every cell of fig5 at 50 trials, through the study layer: each
+    // summary matches with pruning off, fidelity bits included, and
+    // the sweep prunes some trials.
+    const bench::Experiment *exp = bench::findExperiment("fig5");
+    ASSERT_NE(exp, nullptr);
+    bench::BenchOptions opts;
+    opts.threads = 2;
+    core::StudyConfig offConfig = bench::makeStudyConfig(*exp, opts);
+    core::StudyConfig onConfig = offConfig;
+    onConfig.staticPrune = true;
+    auto workload = workloads::createWorkload(exp->workload, exp->scale);
+    core::ErrorToleranceStudy off(*workload, offConfig);
+    core::ErrorToleranceStudy on(*workload, onConfig);
+
+    uint64_t pruned = 0;
+    for (const auto &[errors, policy] : bench::experimentCells(*exp)) {
+        SCOPED_TRACE(policy + " errors=" + std::to_string(errors));
+        auto a = off.runCell(errors, policy, 50);
+        auto b = on.runCell(errors, policy, 50);
+        EXPECT_EQ(a.trials, b.trials);
+        EXPECT_EQ(a.completed, b.completed);
+        EXPECT_EQ(a.crashed, b.crashed);
+        EXPECT_EQ(a.timedOut, b.timedOut);
+        EXPECT_EQ(a.totalInstructions, b.totalInstructions);
+        EXPECT_EQ(a.trialsPruned, 0u);
+        ASSERT_EQ(a.fidelities.size(), b.fidelities.size());
+        for (size_t i = 0; i < a.fidelities.size(); ++i) {
+            EXPECT_EQ(store::doubleBits(a.fidelities[i].value),
+                      store::doubleBits(b.fidelities[i].value))
+                << "fidelity " << i;
+            EXPECT_EQ(a.fidelities[i].acceptable,
+                      b.fidelities[i].acceptable);
+        }
+        pruned += b.trialsPruned;
+    }
+    EXPECT_GT(pruned, 0u);
 }
 
 } // namespace

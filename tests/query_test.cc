@@ -198,6 +198,26 @@ TEST_F(QueryTest, InvalidRequestsThrowQueryError)
     EXPECT_THROW(runQuery(root_.string(), options), QueryError);
     options.filter.workload = "no-such-workload";
     EXPECT_THROW(runQuery(root_.string(), options), QueryError);
+
+    // Every aggregation refuses the names `etc_lab query` refuses as
+    // --workload, --policy and --base, instead of an empty rollup.
+    for (QueryAgg agg : {QueryAgg::Cells, QueryAgg::Coverage,
+                         QueryAgg::Curve, QueryAgg::Delta, QueryAgg::Cdf,
+                         QueryAgg::Avf}) {
+        QueryOptions named;
+        named.agg = agg;
+        named.filter.workload = "bogus";
+        EXPECT_THROW(runQuery(root_.string(), named), QueryError)
+            << queryAggName(agg);
+        named.filter.workload = "adpcm";
+        named.filter.policies = {"protected", "bogus"};
+        EXPECT_THROW(runQuery(root_.string(), named), QueryError)
+            << queryAggName(agg);
+        named.filter.policies.clear();
+        named.basePolicy = "bogus";
+        EXPECT_THROW(runQuery(root_.string(), named), QueryError)
+            << queryAggName(agg);
+    }
 }
 
 TEST_F(QueryTest, EmptyArchiveYieldsEmptyRollups)

@@ -472,6 +472,16 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
     // or 0x hex, no sign and nothing trailing.
     expectJsonError(client().get("/v1/query?agg=cells&seed=-1"), 400);
     expectJsonError(client().get("/v1/query?agg=cells&seed=7abc"), 400);
+    // A figure's ?trials= takes what `etc_lab fetch --trials` takes:
+    // a malformed value is refused, not read as the default trials.
+    for (const char *trials : {"abc", "-4", "99999999999999999999999"})
+        expectJsonError(
+            client().get(std::string("/v1/figures/smoke?trials=") + trials),
+            400);
+    // The query names `etc_lab query` refuses are refused here too.
+    for (const char *name : {"policy=bogus", "base=bogus", "workload=bogus"})
+        expectJsonError(client().get(std::string("/v1/query?") + name),
+                        400);
     expectJsonError(client().get("/v1/nope"), 404);
     expectJsonError(client().get("/v1/jobs"), 405);
     expectJsonError(client().post("/v1/healthz", "{}"), 405);

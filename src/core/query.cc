@@ -184,6 +184,15 @@ QueryFilter::matches(const store::CellKey &key) const
 QueryReport
 runQuery(const std::string &cacheRoot, const QueryOptions &options)
 {
+    store::StoreIndex index(cacheRoot);
+    store::ResultStore store(cacheRoot);
+    return runQuery(index, store, options);
+}
+
+QueryReport
+runQuery(store::StoreIndex &index, store::ResultStore &store,
+         const QueryOptions &options)
+{
     const char *aggName = queryAggName(options.agg);
     telemetry::TraceSpan span("query", aggName);
     auto start = std::chrono::steady_clock::now();
@@ -215,7 +224,6 @@ runQuery(const std::string &cacheRoot, const QueryOptions &options)
         checkPolicy(policy);
     checkPolicy(options.basePolicy);
 
-    store::StoreIndex index(cacheRoot);
     index.load();
 
     QueryReport report;
@@ -294,14 +302,14 @@ runQuery(const std::string &cacheRoot, const QueryOptions &options)
         std::map<std::tuple<std::string, std::string, unsigned>,
                  GroupStats>
             groups;
-        store::ResultStore cache(cacheRoot);
         for (const auto &[fingerprint, key] : matched) {
-            auto summary = cache.loadCell(*key);
-            if (!summary)
+            const store::CellRecord *record =
+                store.readCell(fingerprint, key);
+            if (!record)
                 continue;
             ++report.recordsLoaded;
             groups[{key->workload, key->policy, key->errors}].fold(
-                *summary);
+                record->summary);
         }
         for (const auto &[group, stats] : groups) {
             const auto &[workload, policy, errors] = group;
@@ -345,14 +353,14 @@ runQuery(const std::string &cacheRoot, const QueryOptions &options)
         std::map<std::pair<std::string, unsigned>,
                  std::map<std::string, GroupStats>>
             groups;
-        store::ResultStore cache(cacheRoot);
         for (const auto &[fingerprint, key] : matched) {
-            auto summary = cache.loadCell(*key);
-            if (!summary)
+            const store::CellRecord *record =
+                store.readCell(fingerprint, key);
+            if (!record)
                 continue;
             ++report.recordsLoaded;
             groups[{key->workload, key->errors}][key->policy].fold(
-                *summary);
+                record->summary);
         }
         for (const auto &[group, byPolicy] : groups) {
             auto baseIt = byPolicy.find(options.basePolicy);
@@ -405,13 +413,13 @@ runQuery(const std::string &cacheRoot, const QueryOptions &options)
                   "max"};
         std::map<std::pair<std::string, std::string>, GroupStats>
             groups;
-        store::ResultStore cache(cacheRoot);
         for (const auto &[fingerprint, key] : matched) {
-            auto summary = cache.loadCell(*key);
-            if (!summary)
+            const store::CellRecord *record =
+                store.readCell(fingerprint, key);
+            if (!record)
                 continue;
             ++report.recordsLoaded;
-            groups[{key->workload, key->policy}].fold(*summary);
+            groups[{key->workload, key->policy}].fold(record->summary);
         }
         for (auto &[group, stats] : groups) {
             if (stats.fidelities.empty())
@@ -460,27 +468,27 @@ runQuery(const std::string &cacheRoot, const QueryOptions &options)
                   "measured acceptable"};
         std::set<std::string> policyNames;
         std::map<std::pair<std::string, unsigned>, GroupStats> groups;
-        store::ResultStore cache(cacheRoot);
         for (const auto &[fingerprint, key] : matched) {
             if (!fault::findInjectionPolicy(key->policy))
                 continue; // archived under a policy this build lacks
-            auto summary = cache.loadCell(*key);
-            if (!summary)
+            const store::CellRecord *record =
+                store.readCell(fingerprint, key);
+            if (!record)
                 continue;
             ++report.recordsLoaded;
             policyNames.insert(key->policy);
-            groups[{key->policy, key->errors}].fold(*summary);
+            groups[{key->policy, key->errors}].fold(record->summary);
         }
         if (!policyNames.empty()) {
             // The one simulation here is the fault-free golden run
-            // weighting the static sites; it executes zero injection
-            // trials (etc_trials_simulated_total is untouched).
-            auto workload =
-                workloads::createWorkload(options.filter.workload);
-            VulnerabilityReport analysis = buildVulnerabilityReport(
-                *workload, std::vector<std::string>(
-                               policyNames.begin(), policyNames.end()));
-            for (const auto &policy : analysis.policies) {
+            // weighting the static sites, once per process for each
+            // (workload, policies); it executes zero injection trials
+            // (etc_trials_simulated_total is untouched).
+            auto analysis = vulnerabilityReportOf(
+                options.filter.workload,
+                std::vector<std::string>(policyNames.begin(),
+                                         policyNames.end()));
+            for (const auto &policy : analysis->policies) {
                 for (const auto &[group, stats] : groups) {
                     if (group.first != policy.policy)
                         continue;

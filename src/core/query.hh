@@ -37,7 +37,9 @@
 
 namespace etc::store {
 struct CellKey;
-}
+class ResultStore;
+class StoreIndex;
+} // namespace etc::store
 
 namespace etc::core {
 
@@ -111,15 +113,24 @@ struct QueryReport
 };
 
 /**
- * Run one query over the archive at @p cacheRoot.
+ * Run one query over the archive @p index and @p store front.
  *
- * Loads the secondary index, folds the matching stored records, and
- * renders the rollup. Never simulates: the store is only ever read
- * (an indexed-but-unreadable record warns and is skipped, exactly
- * like every other store read path).
+ * Refreshes the secondary index (load(): a no-op while its files are
+ * unchanged), folds the matching stored records through the store's
+ * record memo, and renders the rollup. Never simulates trials: the
+ * store is only ever read (an indexed-but-unreadable record warns and
+ * is skipped, exactly like every other store read path), and agg=avf
+ * reads the process-wide vulnerabilityReportOf(). A long-lived caller
+ * (the daemon) keeps both across queries; recordsLoaded counts every
+ * record folded, memoized or read.
  *
  * @throws QueryError on an invalid request (never on archive state)
  */
+QueryReport runQuery(store::StoreIndex &index, store::ResultStore &store,
+                     const QueryOptions &options);
+
+/** runQuery() over a fresh index and store at @p cacheRoot (the CLI's
+ *  one-shot path). */
 QueryReport runQuery(const std::string &cacheRoot,
                      const QueryOptions &options);
 

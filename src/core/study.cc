@@ -337,9 +337,18 @@ ErrorToleranceStudy::runCell(unsigned errors,
         pieces.push_back(std::move(piece));
         tiled = true;
     };
+    auto tiledAll = [&](size_t, std::vector<store::ShardRecord> all,
+                        size_t) {
+        pieces = std::move(all);
+        tiled = true;
+    };
     if (!store_) {
-        simulate(key, policy, {{0, trials}}, false, collect);
-        return std::move(pieces.front().summary);
+        // The same stripes as with a store (tileRanges persists
+        // nothing without one), so the pass deals the same gangs and
+        // a divergent cell falls back to scalar the same way.
+        tileRanges(key, policy, {}, {{0, trials}}, stripes, false,
+                   tiledAll);
+        return store::mergeShardSummaries(key, std::move(pieces));
     }
 
     if (auto cached = store_->loadCell(key)) {
@@ -357,12 +366,7 @@ ErrorToleranceStudy::runCell(unsigned errors,
         simulate(key, policy, {{0, trials}}, true, collect);
     else
         tileRanges(key, policy, std::move(shards), {{0, trials}},
-                   stripes, true,
-                   [&](size_t, std::vector<store::ShardRecord> all,
-                       size_t) {
-                       pieces = std::move(all);
-                       tiled = true;
-                   });
+                   stripes, true, tiledAll);
     // A stop request leaves the cell's unstarted stripes unrun.
     if (!tiled)
         throw CellInterrupted("interrupted with stripes unrun: " +

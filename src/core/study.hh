@@ -239,20 +239,22 @@ class ErrorToleranceStudy
     /**
      * Run one campaign cell.
      *
-     * With a result store attached, a stored cell is returned without
-     * simulating, and otherwise the trials no stored shard covers run
-     * as one engine pass (CampaignRunner::runPass) split into
-     * @p stripes persisted stripes: each stripe is written as a shard
-     * the moment its last trial ends, and the tiling shards are then
-     * promoted into the cell record. There, a stop request stops
-     * starting new stripes; the started ones finish and persist, and
-     * CellInterrupted is thrown. Without a store the cell always runs
-     * to the end. Stripes change what is persisted, never the results.
+     * The trials run as one engine pass (CampaignRunner::runPass)
+     * split into @p stripes stripes, with or without a store, so the
+     * pass deals the same gangs either way. With a result store
+     * attached, a stored cell is returned without simulating, and
+     * otherwise only the trials no stored shard covers run: each
+     * stripe is written as a shard the moment its last trial ends, and
+     * the tiling shards are then promoted into the cell record. There,
+     * a stop request stops starting new stripes; the started ones
+     * finish and persist, and CellInterrupted is thrown. Without a
+     * store nothing is persisted and the cell always runs to the end.
+     * Stripes change what is persisted, never the results.
      *
      * @param errors         bit flips per trial
      * @param policyName     registered injection policy
      * @param trialsOverride nonzero to override config.trials
-     * @param stripes        shard stripes per cell (with a store)
+     * @param stripes        stripes per cell
      * @throws FatalError on an unregistered policy name
      * @throws CellInterrupted when a stop request left stripes unrun
      */

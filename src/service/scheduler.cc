@@ -5,7 +5,6 @@
 #include <limits>
 #include <set>
 
-#include "store/index.hh"
 #include "store/record.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
@@ -268,6 +267,9 @@ Scheduler::workerLoop()
     // with a function call instead of an HTTP round trip, and they
     // heartbeat the leases they hold like one (keeper_).
     const bool executor = config_.workers > 0;
+    // This thread's own store handle for promotions (see the store's
+    // one-instance-per-thread contract).
+    store::ResultStore store(config_.cacheDir);
     bool idle = false;
     while (true) {
         {
@@ -285,7 +287,7 @@ Scheduler::workerLoop()
         }
         coordinator_.sweepExpired();
         bool didWork = collectFailedCells();
-        didWork |= promoteCompletedCells();
+        didWork |= promoteCompletedCells(store);
         didWork |= probeNextTask();
         if (executor)
             didWork |= executeLeases();
@@ -425,16 +427,17 @@ Scheduler::executeLeases()
 }
 
 bool
-Scheduler::promoteCompletedCells()
+Scheduler::promoteCompletedCells(store::ResultStore &store)
 {
     auto completed = coordinator_.takeCompleted();
     for (const auto &done : completed)
-        promoteCell(done);
+        promoteCell(done, store);
     return !completed.empty();
 }
 
 void
-Scheduler::promoteCell(const CompletedCell &done)
+Scheduler::promoteCell(const CompletedCell &done,
+                       store::ResultStore &store)
 {
     const std::string &fingerprint = done.cell.fingerprint;
     auto task = leasedTask(fingerprint);
@@ -446,7 +449,6 @@ Scheduler::promoteCell(const CompletedCell &done)
     }
     auto promoteStarted = std::chrono::steady_clock::now();
     try {
-        store::ResultStore store(config_.cacheDir);
         if (store.hasCell(task->key)) {
             store.dropShards(task->key);
         } else {
@@ -478,17 +480,6 @@ Scheduler::promoteCell(const CompletedCell &done)
                 coordinator_.reopenStripes(fingerprint, missing);
                 return;
             }
-        }
-
-        // The cell's store writes just grew the archive; reload the
-        // secondary index so its gauges (etc_index_cells & co) track
-        // growth without waiting for a query. Observation only --
-        // an unreadable index must never fail the cell.
-        try {
-            store::StoreIndex index(config_.cacheDir);
-            index.load();
-        } catch (const std::exception &e) {
-            warn("scheduler: index refresh failed: ", e.what());
         }
 
         std::chrono::duration<double> promoteSpan =

@@ -283,8 +283,8 @@ class Scheduler
     void workerLoop();
     bool probeNextTask();
     bool executeLeases();
-    bool promoteCompletedCells();
-    void promoteCell(const CompletedCell &done);
+    bool promoteCompletedCells(store::ResultStore &store);
+    void promoteCell(const CompletedCell &done, store::ResultStore &store);
     bool collectFailedCells();
     std::shared_ptr<CellTask> leasedTask(
         const std::string &fingerprint) const;

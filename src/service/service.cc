@@ -214,7 +214,9 @@ errorResponse(int status, const std::string &message)
 }
 
 CampaignService::CampaignService(Scheduler &scheduler)
-    : scheduler_(scheduler), studies_(scheduler_.studyOptions())
+    : scheduler_(scheduler), index_(scheduler_.config().cacheDir),
+      store_(scheduler_.config().cacheDir),
+      studies_(scheduler_.studyOptions())
 {}
 
 HttpResponse
@@ -403,8 +405,11 @@ CampaignService::cellRecord(const std::string &fingerprint)
         return errorResponse(
             400, "cell keys are 16 lowercase hex digits (the CellKey "
                  "fingerprint)");
-    store::ResultStore cache(scheduler_.config().cacheDir);
-    auto record = cache.loadCellByFingerprint(fingerprint);
+    std::optional<store::CellRecord> record;
+    {
+        std::lock_guard<std::mutex> lock(readMutex_);
+        record = store_.loadCellByFingerprint(fingerprint);
+    }
     if (!record)
         return errorResponse(404, "no stored record for cell '" +
                                       fingerprint + "'");
@@ -421,10 +426,10 @@ CampaignService::experimentList()
     // keys need the workload assembled and analyzed (memoized in
     // figureKeys), so only experiments whose workload has at least
     // one indexed cell pay that; everything else is 0 for free.
-    store::StoreIndex index(scheduler_.config().cacheDir);
-    index.load();
+    std::lock_guard<std::mutex> lock(readMutex_);
+    index_.load();
     std::set<std::string> indexedWorkloads;
-    for (const auto &[fingerprint, entry] : index.entries()) {
+    for (const auto &[fingerprint, entry] : index_.entries()) {
         (void)fingerprint;
         if (entry.complete)
             indexedWorkloads.insert(entry.key.workload);
@@ -453,7 +458,7 @@ CampaignService::experimentList()
                 std::max<uint64_t>(defaultTrials, sweep->defaultTrials);
             if (indexedWorkloads.count(sweep->workload))
                 for (const auto &key : figureKeys(*sweep, opts))
-                    if (index.hasCell(key.fingerprint()))
+                    if (index_.hasCell(key.fingerprint()))
                         ++cellsCached;
         }
         store::JsonObjectWriter writer;
@@ -523,18 +528,17 @@ CampaignService::figure(const std::string &name,
             return errorResponse(400, "bad ?trials= value");
     }
 
-    std::vector<std::vector<store::CellKey>> keys;
-    keys.reserve(artifact->sweeps.size());
-    for (const bench::Experiment *sweep : artifact->sweeps)
-        keys.push_back(figureKeys(*sweep, opts));
-    store::ResultStore cache(opts.cacheDir);
     // Byte-identity contract: this is the exact render path of
     // `etc_lab report` pointed at the same cache directory.
     std::ostringstream out;
     std::vector<store::CellKey> missing;
     {
-        std::lock_guard<std::mutex> lock(studiesMutex_);
-        missing = bench::renderFromStore(out, *artifact, keys, cache,
+        std::lock_guard<std::mutex> lock(readMutex_);
+        std::vector<std::vector<store::CellKey>> keys;
+        keys.reserve(artifact->sweeps.size());
+        for (const bench::Experiment *sweep : artifact->sweeps)
+            keys.push_back(figureKeys(*sweep, opts));
+        missing = bench::renderFromStore(out, *artifact, keys, store_,
                                          studies_);
     }
     if (!missing.empty()) {
@@ -566,22 +570,13 @@ CampaignService::analysis(const std::string &name)
 
     // Byte-identity contract: this is the exact render path of
     // `etc_lab analyze --workload <name>`. The report needs one
-    // golden simulation, so it is memoized for the daemon's lifetime
-    // (it is a pure function of the workload).
-    std::lock_guard<std::mutex> lock(analysisMutex_);
-    auto it = analysisReports_.find(name);
-    if (it == analysisReports_.end()) {
-        auto workload = workloads::createWorkload(name);
-        it = analysisReports_
-                 .emplace(name, core::renderVulnerabilityReport(
-                                    core::buildVulnerabilityReport(
-                                        *workload)))
-                 .first;
-    }
-    return HttpResponse::text(200, it->second);
+    // golden simulation, so it comes from the process-wide memo (it
+    // is a pure function of the workload).
+    return HttpResponse::text(200, core::renderVulnerabilityReport(
+                                       *core::vulnerabilityReportOf(name)));
 }
 
-std::vector<store::CellKey>
+const std::vector<store::CellKey> &
 CampaignService::figureKeys(const bench::Experiment &exp,
                             const bench::BenchOptions &opts)
 {
@@ -589,7 +584,6 @@ CampaignService::figureKeys(const bench::Experiment &exp,
     // keys vary only with the experiment and the ?trials= override.
     std::string memoKey =
         exp.name + ":" + std::to_string(opts.trials);
-    std::lock_guard<std::mutex> lock(figureKeysMutex_);
     auto it = figureKeys_.find(memoKey);
     if (it == figureKeys_.end()) {
         if (figureKeys_.size() >= 64)
@@ -635,9 +629,9 @@ CampaignService::query(const HttpRequest &request)
 
         // Byte-identity contract: the envelope is the exact output
         // of `etc_lab query --json` over the same cache directory.
-        auto report =
-            core::runQuery(scheduler_.config().cacheDir, options);
-        return HttpResponse::json(200, report.json);
+        std::lock_guard<std::mutex> lock(readMutex_);
+        return HttpResponse::json(
+            200, core::runQuery(index_, store_, options).json);
     } catch (const core::QueryError &error) {
         return errorResponse(400, error.what());
     }
@@ -646,12 +640,12 @@ CampaignService::query(const HttpRequest &request)
 HttpResponse
 CampaignService::indexStatus()
 {
-    store::StoreIndex index(scheduler_.config().cacheDir);
-    index.load();
-    auto health = index.health();
+    std::lock_guard<std::mutex> lock(readMutex_);
+    index_.load();
+    auto health = index_.health();
 
     std::vector<std::string> entries;
-    for (const auto &[fingerprint, entry] : index.entries()) {
+    for (const auto &[fingerprint, entry] : index_.entries()) {
         store::JsonObjectWriter writer;
         writer.field("fingerprint", fingerprint)
             .field("complete", entry.complete)
@@ -926,9 +920,12 @@ CampaignService::healthz()
     // Archive-index health rides along so one probe covers both the
     // daemon and the store it fronts (stale journal growth or
     // orphaned shards show up here before anyone queries).
-    store::StoreIndex index(scheduler_.config().cacheDir);
-    index.load();
-    auto health = index.health();
+    store::IndexHealth health;
+    {
+        std::lock_guard<std::mutex> lock(readMutex_);
+        index_.load();
+        health = index_.health();
+    }
     writer.field("indexCells", health.cells)
         .field("indexShardSets", health.shardSets)
         .field("indexJournalEntries", health.journalEntries)
@@ -940,6 +937,12 @@ CampaignService::healthz()
 HttpResponse
 CampaignService::metricz()
 {
+    // Refresh the daemon's index first, so the etc_index_* gauges a
+    // scrape sees describe the archive as it is now.
+    {
+        std::lock_guard<std::mutex> lock(readMutex_);
+        index_.load();
+    }
     // The exposition bytes come straight from the registry; the
     // content type is the one Prometheus scrapers negotiate for the
     // 0.0.4 text format.

@@ -61,6 +61,15 @@
  * else is application/json. Handlers only touch the scheduler's
  * queues and the store -- all simulation runs on scheduler workers --
  * so they are safe to call from the single-threaded HTTP event loop.
+ *
+ * Read side: the service keeps one StoreIndex and one ResultStore for
+ * its cache root, loaded lazily by the first request that reads the
+ * archive. Each request refreshes them, and a refresh re-reads the
+ * index only when its manifest or journal changed on disk and a cell
+ * record only when its file changed (file_stamp.hh), so an unchanged
+ * archive is served from memory while a cell any process writes shows
+ * up in the next answer. Response bytes are never cached: every
+ * request folds the current index and records.
  */
 
 #ifndef ETC_SERVICE_SERVICE_HH
@@ -74,6 +83,8 @@
 #include "service/http_server.hh"
 #include "service/scheduler.hh"
 #include "store/cell_key.hh"
+#include "store/index.hh"
+#include "store/result_store.hh"
 
 namespace etc::service {
 
@@ -111,28 +122,24 @@ class CampaignService
      * run, which must not repeat on the event loop for every figure
      * poll. All other key inputs are fixed per daemon. The memo is
      * bounded (distinct ?trials= values are client-chosen) and simply
-     * resets when full.
+     * resets when full. Call with readMutex_ held.
      */
-    std::vector<store::CellKey> figureKeys(
+    const std::vector<store::CellKey> &figureKeys(
         const bench::Experiment &exp, const bench::BenchOptions &opts);
 
     Scheduler &scheduler_;
-    std::mutex figureKeysMutex_;
+
+    /** Guards the read side below: the archive's index and record
+     *  memo, the figure-key memo and the table studies. */
+    std::mutex readMutex_;
+    store::StoreIndex index_;
+    store::ResultStore store_;
     std::map<std::string, std::vector<store::CellKey>> figureKeys_;
 
     /** The studies paper tables read their analysis and profile
      *  columns from: a profile costs one golden simulation, so each is
      *  made once (the registry bounds the memo). */
-    std::mutex studiesMutex_;
     bench::SweepStudies studies_;
-
-    /**
-     * Rendered analysis reports by workload name. A report needs one
-     * golden simulation, so it is computed once per workload (the
-     * registry is fixed, so the memo is naturally bounded).
-     */
-    std::mutex analysisMutex_;
-    std::map<std::string, std::string> analysisReports_;
 };
 
 /** @return {"error":<message>,"status":<status>} with that status. */

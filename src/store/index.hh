@@ -30,7 +30,7 @@
  * maintained index and a from-scratch rebuild() produce byte-identical
  * manifests (pinned by index_test.cc). compact() and rebuild() must
  * not race concurrent writers (appends between snapshot and journal
- * truncation would be lost); the scheduler and query paths only ever
+ * truncation would be lost); the daemon and query paths only ever
  * load().
  *
  * Like every record surface, corruption is reported and tolerated,
@@ -45,11 +45,13 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "store/file_stamp.hh"
 #include "store/record.hh"
 
 namespace etc::store {
@@ -90,9 +92,12 @@ struct RebuildReport
 
 /**
  * The secondary index over one store root. Instances are snapshots:
- * load() reads manifest + journal once; call it again to refresh.
- * Not internally synchronized -- use one instance per thread, like
- * ResultStore.
+ * load() reads manifest + journal; call it again to refresh. A
+ * refresh re-reads both files only when either one's FileStamp
+ * changed since the last read (file_stamp.hh), so a long-lived
+ * instance (the daemon's) costs two stat() calls per request over an
+ * unchanged archive. Not internally synchronized -- use one instance
+ * per thread, like ResultStore.
  */
 class StoreIndex
 {
@@ -113,7 +118,11 @@ class StoreIndex
                                   const CellKey &key);
     /// @}
 
-    /** Read manifest + journal into memory (fold rules above). */
+    /**
+     * Read manifest + journal into memory (fold rules above). On an
+     * instance that has loaded before, returns at once when neither
+     * file's stamp changed since that read.
+     */
     void load();
 
     /** Indexed fingerprints in sorted order (after load()). */
@@ -156,6 +165,11 @@ class StoreIndex
     uint64_t journalEntries_ = 0;
     uint64_t journalCorrupt_ = 0;
     bool manifestPresent_ = false;
+
+    /** The files' stamps taken before the last load()'s read. */
+    bool loaded_ = false;
+    std::optional<FileStamp> manifestStamp_;
+    std::optional<FileStamp> journalStamp_;
 };
 
 } // namespace etc::store

@@ -107,9 +107,9 @@ ResultStore::ResultStore(std::string root) : root_(std::move(root))
 }
 
 std::string
-ResultStore::cellPath(const CellKey &key) const
+ResultStore::cellPath(const std::string &fingerprint) const
 {
-    return (fs::path(root_) / "cells" / (key.fingerprint() + ".jsonl"))
+    return (fs::path(root_) / "cells" / (fingerprint + ".jsonl"))
         .string();
 }
 
@@ -155,39 +155,80 @@ ResultStore::writeAtomically(const std::string &path,
 bool
 ResultStore::hasCell(const CellKey &key) const
 {
-    std::error_code ec;
-    return fs::exists(cellPath(key), ec);
+    return hasCellByFingerprint(key.fingerprint());
+}
+
+const CellRecord *
+ResultStore::readCell(const std::string &fingerprint,
+                      const CellKey *expected)
+{
+    std::string path = cellPath(fingerprint);
+    auto miss = [&](const char *unreadable) -> const CellRecord * {
+        if (unreadable) {
+            warn("result store: ignoring unreadable cell record ", path,
+                 ": ", unreadable);
+            storeMetrics().corruptRecords.add();
+        }
+        ++stats_.cellMisses;
+        storeMetrics().cellMisses.add();
+        return nullptr;
+    };
+
+    // Stamp before reading: a record renamed into place while the
+    // read below runs has a new stamp, so the next call reads again.
+    auto stamp = stampFile(path);
+    auto it = memo_.find(fingerprint);
+    if (it != memo_.end() && (!stamp || it->second.stamp != *stamp)) {
+        memo_.erase(it);
+        it = memo_.end();
+    }
+    if (!stamp)
+        return miss(nullptr);
+    if (it == memo_.end()) {
+        auto contents = slurp(path);
+        if (!contents)
+            return miss(nullptr);
+        CellRecord record;
+        try {
+            record = decodeCellRecordWithKey(*contents, nullptr);
+            if (record.key.fingerprint() != fingerprint)
+                throw StoreFormatError(
+                    "record fingerprint does not match its file name");
+        } catch (const StoreFormatError &error) {
+            return miss(error.what());
+        }
+        if (memo_.size() >= CELL_MEMO_CAP)
+            memo_.clear();
+        it = memo_.emplace(fingerprint,
+                           MemoEntry{*stamp, std::move(record)})
+                 .first;
+    }
+    const CellRecord &record = it->second.record;
+    if (expected && !(record.key == *expected))
+        return miss(StoreFormatError("record key mismatch: stored " +
+                                     record.key.canonical() +
+                                     ", requested " +
+                                     expected->canonical())
+                        .what());
+    ++stats_.cellHits;
+    storeMetrics().cellHits.add();
+    return &record;
 }
 
 std::optional<core::CellSummary>
 ResultStore::loadCell(const CellKey &key)
 {
-    auto contents = slurp(cellPath(key));
-    if (!contents) {
-        ++stats_.cellMisses;
-        storeMetrics().cellMisses.add();
-        return std::nullopt;
-    }
-    try {
-        auto summary = decodeCellRecord(*contents, &key);
-        ++stats_.cellHits;
-        storeMetrics().cellHits.add();
-        return summary;
-    } catch (const StoreFormatError &error) {
-        warn("result store: ignoring unreadable cell record ",
-             cellPath(key), ": ", error.what());
-        ++stats_.cellMisses;
-        storeMetrics().cellMisses.add();
-        storeMetrics().corruptRecords.add();
-        return std::nullopt;
-    }
+    if (const CellRecord *record = readCell(key.fingerprint(), &key))
+        return record->summary;
+    return std::nullopt;
 }
 
 void
 ResultStore::storeCell(const CellKey &key,
                        const core::CellSummary &summary)
 {
-    writeAtomically(cellPath(key), encodeCellRecord(key, summary));
+    writeAtomically(cellPath(key.fingerprint()),
+                    encodeCellRecord(key, summary));
     ++stats_.cellsStored;
     storeMetrics().cellsStored.add();
     StoreIndex::journalCell(root_, key);
@@ -196,30 +237,9 @@ ResultStore::storeCell(const CellKey &key,
 std::optional<CellRecord>
 ResultStore::loadCellByFingerprint(const std::string &fingerprint)
 {
-    fs::path path =
-        fs::path(root_) / "cells" / (fingerprint + ".jsonl");
-    auto contents = slurp(path);
-    if (!contents) {
-        ++stats_.cellMisses;
-        storeMetrics().cellMisses.add();
-        return std::nullopt;
-    }
-    try {
-        auto record = decodeCellRecordWithKey(*contents, nullptr);
-        if (record.key.fingerprint() != fingerprint)
-            throw StoreFormatError(
-                "record fingerprint does not match its file name");
-        ++stats_.cellHits;
-        storeMetrics().cellHits.add();
-        return record;
-    } catch (const StoreFormatError &error) {
-        warn("result store: ignoring unreadable cell record ",
-             path.string(), ": ", error.what());
-        ++stats_.cellMisses;
-        storeMetrics().cellMisses.add();
-        storeMetrics().corruptRecords.add();
-        return std::nullopt;
-    }
+    if (const CellRecord *record = readCell(fingerprint, nullptr))
+        return *record;
+    return std::nullopt;
 }
 
 bool
@@ -227,8 +247,7 @@ ResultStore::hasCellByFingerprint(
     const std::string &fingerprint) const
 {
     std::error_code ec;
-    return fs::exists(
-        fs::path(root_) / "cells" / (fingerprint + ".jsonl"), ec);
+    return fs::exists(cellPath(fingerprint), ec);
 }
 
 bool
@@ -334,7 +353,7 @@ ResultStore::ingestRecord(const std::string &text)
         outcome.key = record.key;
         if (hasCell(record.key))
             return outcome; // identical bytes are already in place
-        writeAtomically(cellPath(record.key), text);
+        writeAtomically(cellPath(record.key.fingerprint()), text);
         ++stats_.cellsStored;
         storeMetrics().cellsStored.add();
         StoreIndex::journalCell(root_, record.key);

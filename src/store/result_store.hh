@@ -33,21 +33,37 @@
  * key -- every racing writer produces identical bytes: whichever
  * rename lands last simply replaces the record with itself. A single
  * ResultStore *instance* is not internally synchronized (its traffic
- * counters are plain fields); give each thread its own instance over
- * the shared root, exactly as separate processes would.
+ * counters and record memo are plain fields); give each thread its own
+ * instance over the shared root, exactly as separate processes would.
+ *
+ * Record memo: an instance keeps the cell records it decoded, by
+ * fingerprint, with the record file's FileStamp taken before the read
+ * (file_stamp.hh). A later load of the same cell stats the file and
+ * decodes it again only when the stamp changed, so a long-lived reader
+ * (the daemon) serves an unchanged archive from memory and still sees
+ * every record any process writes. A missing or unreadable file is
+ * never memoized: it misses, and warns, on every call. The memo holds
+ * at most CELL_MEMO_CAP records and is cleared when full.
  */
 
 #ifndef ETC_STORE_RESULT_STORE_HH
 #define ETC_STORE_RESULT_STORE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "store/file_stamp.hh"
 #include "store/record.hh"
 
 namespace etc::store {
+
+/** Most decoded cell records one ResultStore keeps (see the file
+ *  comment); the memo is cleared when it is full. */
+constexpr size_t CELL_MEMO_CAP = 1024;
 
 class ResultStore
 {
@@ -61,7 +77,8 @@ class ResultStore
     bool hasCell(const CellKey &key) const;
 
     /**
-     * Load the complete cell record for @p key.
+     * Load the complete cell record for @p key (through the record
+     * memo: the file is decoded again only when its stamp changed).
      *
      * @return the stored summary, or nullopt if absent or unreadable
      *         (unreadable entries warn and count as misses).
@@ -147,6 +164,20 @@ class ResultStore
     std::optional<CellRecord> loadCellByFingerprint(
         const std::string &fingerprint);
 
+    /**
+     * The one cell-record read behind loadCell() and
+     * loadCellByFingerprint(), without their copy: the record at
+     * @p fingerprint from the memo while its file's stamp is
+     * unchanged, else read, decoded and memoized. When @p expected is
+     * non-null the record's key must equal it. Counts the hit or miss
+     * like loadCell(); an absent or unreadable record returns null
+     * (unreadable ones warn).
+     *
+     * @return the record, valid until the next call on this store
+     */
+    const CellRecord *readCell(const std::string &fingerprint,
+                               const CellKey *expected);
+
     /** @return true if a complete record exists at @p fingerprint
      *  (existence only -- no decode; callers validate the hex). */
     bool hasCellByFingerprint(const std::string &fingerprint) const;
@@ -155,6 +186,7 @@ class ResultStore
     struct Stats
     {
         uint64_t cellHits = 0;     //!< loadCell found a valid record
+                                   //!< (memoized or read)
         uint64_t cellMisses = 0;   //!< loadCell found nothing usable
         uint64_t cellsStored = 0;  //!< storeCell writes
         uint64_t shardsLoaded = 0; //!< valid shard records read
@@ -164,13 +196,20 @@ class ResultStore
     const Stats &stats() const { return stats_; }
 
   private:
-    std::string cellPath(const CellKey &key) const;
+    std::string cellPath(const std::string &fingerprint) const;
     std::string shardDir(const CellKey &key) const;
     void writeAtomically(const std::string &path,
                          const std::string &contents);
 
+    struct MemoEntry
+    {
+        FileStamp stamp;
+        CellRecord record;
+    };
+
     std::string root_;
     Stats stats_;
+    std::unordered_map<std::string, MemoEntry> memo_;
 };
 
 } // namespace etc::store

@@ -16,10 +16,12 @@
 #include <fstream>
 #include <limits>
 #include <thread>
+#include <tuple>
 
 #include "store/cell_key.hh"
 #include "store/index.hh"
 #include "store/result_store.hh"
+#include "telemetry/metrics.hh"
 
 namespace {
 
@@ -245,6 +247,81 @@ TEST_F(StoreIndexTest, RebuildReportsOrphanedShards)
               std::string::npos);
     EXPECT_TRUE(fs::exists(root_ / "shards" / key.fingerprint() /
                            "0-10.jsonl"));
+}
+
+std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, bool,
+           uint64_t>
+healthFields(const IndexHealth &health)
+{
+    return {health.cells,          health.shardSets,
+            health.shardRanges,    health.journalEntries,
+            health.journalCorrupt, health.manifestPresent,
+            health.orphanedShards};
+}
+
+// A long-lived index (the daemon's) refreshed after every kind of
+// archive change agrees with a fresh instance's read, and a refresh
+// over unchanged files reads nothing.
+TEST_F(StoreIndexTest, LongLivedIndexSeesEveryChange)
+{
+    ResultStore cache(root_.string());
+    StoreIndex live(root_.string());
+    live.load(); // registers the index metrics with their buckets
+    telemetry::Histogram &reads =
+        telemetry::histogram("etc_index_lookup_seconds", "", {});
+    telemetry::Counter &corrupt =
+        telemetry::counter("etc_index_journal_corrupt_total", "");
+    auto expectFresh = [&](const std::string &step) {
+        live.load();
+        StoreIndex fresh(root_.string());
+        fresh.load();
+        EXPECT_EQ(live.encodeManifest(), fresh.encodeManifest()) << step;
+        EXPECT_EQ(healthFields(live.health()),
+                  healthFields(fresh.health()))
+            << step;
+
+        uint64_t readsBefore = reads.count();
+        uint64_t corruptBefore = corrupt.value();
+        live.load();
+        EXPECT_EQ(reads.count(), readsBefore) << step;
+        EXPECT_EQ(corrupt.value(), corruptBefore) << step;
+        EXPECT_EQ(live.encodeManifest(), fresh.encodeManifest()) << step;
+    };
+    auto appendJournal = [&](const std::string &text) {
+        std::ofstream(root_ / "index" / "journal.jsonl", std::ios::app)
+            << text;
+    };
+
+    expectFresh("empty store");
+    CellKey a = sampleKey("gsm", "protected", 5, 20);
+    cache.storeCell(a, sampleSummary(20));
+    expectFresh("storeCell");
+    CellKey b = sampleKey("adpcm", "protected", 3, 20);
+    cache.storeShard(b, 0, 10, sampleSummary(10));
+    expectFresh("storeShard");
+    cache.dropShards(b);
+    expectFresh("dropShards");
+    appendJournal("{\"schema\":1,\"kind\":\"cell\",\"fing");
+    expectFresh("torn line");
+    appendJournal("\n{\"schema\":1,\"kind\":\"cell\",\"tampered\":true,"
+                  "\"fnv\":\"0x0\"}\n");
+    expectFresh("garbled sealed line");
+    EXPECT_EQ(live.health().journalCorrupt, 2u);
+    {
+        StoreIndex compactor(root_.string());
+        compactor.load();
+        compactor.compact();
+    }
+    expectFresh("compact");
+    EXPECT_EQ(live.health().journalEntries, 0u);
+    cache.storeShard(b, 0, 10, sampleSummary(10));
+    StoreIndex(root_.string()).rebuild();
+    expectFresh("rebuild");
+    EXPECT_EQ(live.entries().size(), 2u);
+    fs::remove_all(root_ / "index");
+    expectFresh("index deleted");
+    EXPECT_TRUE(live.entries().empty());
+    EXPECT_FALSE(live.health().manifestPresent);
 }
 
 // Many threads appending through their own ResultStore instances must

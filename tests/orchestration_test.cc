@@ -560,11 +560,10 @@ TEST_F(OrchestrationTest, Fig5BytesIgnoreCheckpointIntervalAndGangWidth)
 
 // fig3 (mcf) is the divergent side: most lanes are evicted, so its
 // passes fall back to scalar after their first gangs, and it must
-// still print the bytes of the scalar path. Each run gets its own
-// store, as `etc_lab run --cache-dir` does: a cell's 4 stripes then
-// deal 8 gangs over the 2 threads, so gangs start after others
-// finish. Without a store a cell is one range whose 2 gangs start
-// together, and the fallback never fires.
+// still print the bytes of the scalar path. A cell's 4 stripes deal
+// 8 gangs over the 2 threads, so gangs start after others finish and
+// the fallback fires, with a store (as `etc_lab run --cache-dir`
+// runs) and without one alike.
 TEST_F(OrchestrationTest, Fig3BytesMatchScalarWhenGangsFallBack)
 {
     auto fallbackTrials = [] {
@@ -581,7 +580,9 @@ TEST_F(OrchestrationTest, Fig3BytesMatchScalarWhenGangsFallBack)
     scalar.cacheDir = (root_ / "scalar").string();
     scalar.gangWidth = 0;
     EXPECT_EQ(runAt("fig3", 40, scalar), fig3);
+    before = fallbackTrials();
     EXPECT_EQ(runAt("fig3", 40, {}), fig3);
+    EXPECT_GT(fallbackTrials(), before);
 }
 
 TEST_F(OrchestrationTest, RegistryNamesEveryPaperArtifact)

@@ -649,6 +649,61 @@ TEST_F(ServiceTest, QueryEndpointMatchesRunQueryBytes)
     }
 }
 
+// The daemon serves its archive from memory, yet a cell another
+// process writes behind its back shows up in the very next answer,
+// byte-identical to the offline render paths; a repeated query over
+// the unchanged archive reads no record bytes.
+TEST_F(ServiceTest, AnswersFollowCellsWrittenBehindTheDaemon)
+{
+    // smoke's cells, computed offline in a store of their own.
+    auto smoke = bench::findArtifact("smoke");
+    ASSERT_TRUE(smoke.has_value() && smoke->figure);
+    bench::BenchOptions opts = scheduler_->studyOptions();
+    opts.cacheDir = (root_ / "offline").string();
+    std::ostringstream rendered;
+    {
+        bench::SweepStudies studies(opts);
+        ASSERT_FALSE(
+            bench::runArtifact(rendered, *smoke, studies, 1).interrupted);
+    }
+    auto keys = bench::experimentCellKeys(*smoke->figure, opts);
+    ASSERT_GE(keys.size(), 2u);
+    store::ResultStore offline(opts.cacheDir);
+    store::ResultStore writer(root_.string()); // "another process"
+    auto write = [&](const store::CellKey &key) {
+        auto summary = offline.loadCell(key);
+        ASSERT_TRUE(summary.has_value()) << key.canonical();
+        writer.storeCell(key, *summary);
+    };
+
+    core::QueryOptions curve;
+    curve.agg = core::QueryAgg::Curve;
+    auto expectQueryMatchesCli = [&](const std::string &step) {
+        auto served = client().get("/v1/query?agg=curve");
+        ASSERT_EQ(served.status, 200) << step;
+        EXPECT_EQ(served.body, core::runQuery(root_.string(), curve).json)
+            << step;
+    };
+    for (size_t i = 0; i + 1 < keys.size(); ++i)
+        write(keys[i]);
+    expectQueryMatchesCli("all cells but one");
+    EXPECT_EQ(client().get("/v1/figures/smoke").status, 409);
+
+    write(keys.back());
+    expectQueryMatchesCli("every cell");
+    auto figure = client().get("/v1/figures/smoke");
+    ASSERT_EQ(figure.status, 200) << figure.body;
+    EXPECT_EQ(figure.body, rendered.str());
+
+    uint64_t bytes = counterValue("etc_store_bytes_read_total");
+    auto again = client().get("/v1/query?agg=curve");
+    ASSERT_EQ(again.status, 200);
+    EXPECT_EQ(store::parseJson(again.body).at("recordsLoaded").asU64(),
+              keys.size());
+    EXPECT_EQ(client().get("/v1/figures/smoke").body, rendered.str());
+    EXPECT_EQ(counterValue("etc_store_bytes_read_total"), bytes);
+}
+
 TEST_F(ServiceTest, IndexEndpointAndHealthReflectTheArchive)
 {
     startWorkers();

@@ -23,6 +23,7 @@
 #include "store/record.hh"
 #include "store/result_store.hh"
 #include "support/rng.hh"
+#include "telemetry/metrics.hh"
 
 namespace {
 
@@ -532,6 +533,108 @@ TEST_F(ResultStoreTest, LoadCellByFingerprintReturnsKeyAndSummary)
 
     EXPECT_FALSE(
         cache.loadCellByFingerprint("0000000000000000").has_value());
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return telemetry::counter(name, "").value();
+}
+
+// The record memo: a repeated load of an unchanged record reads no
+// bytes but still counts a hit, and a record another writer replaces
+// or deletes behind the memo is seen on the next load.
+TEST_F(ResultStoreTest, RecordMemoFollowsTheFileOnDisk)
+{
+    ResultStore cache(root_.string());
+    CellKey key = sampleKey();
+    auto first = sampleSummary();
+    cache.storeCell(key, first);
+    ASSERT_TRUE(cache.loadCell(key).has_value());
+
+    uint64_t bytes = counterValue("etc_store_bytes_read_total");
+    uint64_t hits = counterValue("etc_store_cache_hits_total");
+    auto again = cache.loadCell(key);
+    ASSERT_TRUE(again.has_value());
+    expectSummariesIdentical(first, *again);
+    EXPECT_EQ(counterValue("etc_store_bytes_read_total"), bytes);
+    EXPECT_EQ(counterValue("etc_store_cache_hits_total"), hits + 1);
+    auto byFingerprint = cache.loadCellByFingerprint(key.fingerprint());
+    ASSERT_TRUE(byFingerprint.has_value());
+    EXPECT_EQ(byFingerprint->key.canonical(), key.canonical());
+    EXPECT_EQ(counterValue("etc_store_bytes_read_total"), bytes);
+
+    // Another writer stores a different summary under the same key.
+    auto second = sampleSummary();
+    second.completed -= 1;
+    second.crashed += 1;
+    second.fidelities.pop_back();
+    ResultStore(root_.string()).storeCell(key, second);
+    auto reread = cache.loadCell(key);
+    ASSERT_TRUE(reread.has_value());
+    expectSummariesIdentical(second, *reread);
+    EXPECT_GT(counterValue("etc_store_bytes_read_total"), bytes);
+
+    // A deleted record misses, through either lookup.
+    std::filesystem::remove(root_ / "cells" /
+                            (key.fingerprint() + ".jsonl"));
+    EXPECT_FALSE(cache.loadCell(key).has_value());
+    EXPECT_FALSE(cache.loadCellByFingerprint(key.fingerprint()).has_value());
+    EXPECT_EQ(cache.stats().cellMisses, 2u);
+}
+
+// A corrupt record is never memoized: it warns and misses on every
+// load, and the valid record that replaces it is served again.
+TEST_F(ResultStoreTest, CorruptRecordIsNeverMemoized)
+{
+    ResultStore cache(root_.string());
+    CellKey key = sampleKey();
+    auto summary = sampleSummary();
+    cache.storeCell(key, summary);
+    ASSERT_TRUE(cache.loadCell(key).has_value());
+
+    auto path = root_ / "cells" / (key.fingerprint() + ".jsonl");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << "junk\n";
+    uint64_t corrupt = counterValue("etc_store_corrupt_records_total");
+    for (int i = 0; i < 3; ++i) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(cache.loadCell(key).has_value());
+        EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                      "ignoring unreadable cell record"),
+                  std::string::npos)
+            << "load " << i;
+    }
+    EXPECT_EQ(counterValue("etc_store_corrupt_records_total"),
+              corrupt + 3);
+
+    cache.storeCell(key, summary);
+    auto restored = cache.loadCell(key);
+    ASSERT_TRUE(restored.has_value());
+    expectSummariesIdentical(summary, *restored);
+}
+
+// More distinct records than the memo holds: it is cleared when full,
+// and every load still returns its own record.
+TEST_F(ResultStoreTest, RecordMemoPastItsCapKeepsEveryAnswer)
+{
+    ResultStore cache(root_.string());
+    std::vector<CellKey> keys;
+    for (unsigned i = 0; i < CELL_MEMO_CAP + 8; ++i) {
+        CellKey key = sampleKey(4);
+        key.errors = i;
+        auto summary = sampleSummary(4);
+        summary.totalInstructions = i;
+        cache.storeCell(key, summary);
+        keys.push_back(key);
+    }
+    for (int pass = 0; pass < 2; ++pass)
+        for (unsigned i = 0; i < keys.size(); ++i) {
+            auto loaded = cache.loadCell(keys[i]);
+            ASSERT_TRUE(loaded.has_value()) << i;
+            EXPECT_EQ(loaded->totalInstructions, i);
+        }
+    EXPECT_EQ(cache.stats().cellHits, 2 * keys.size());
+    EXPECT_EQ(cache.stats().cellMisses, 0u);
 }
 
 // The store's concurrent-writer contract: two writers racing on the

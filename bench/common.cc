@@ -152,8 +152,10 @@ emitCellJson(const std::string &workloadName, const std::string &policy,
          << "\"threads\":" << config.threads << "}";
     // stderr, with the progress lines: stdout holds only reproduced
     // results and must stay byte-identical across thread counts,
-    // which wall-clock telemetry never is.
-    std::cerr << line.str() << std::endl;
+    // which wall-clock telemetry never is. One write, so concurrent
+    // lines never interleave.
+    line << '\n';
+    std::cerr << line.str() << std::flush;
 }
 
 void

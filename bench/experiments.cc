@@ -717,49 +717,43 @@ runArtifact(std::ostream &os, const Artifact &artifact,
 
     std::vector<SweepPoints> points;
     for (size_t s = 0; s < artifact.sweeps.size(); ++s) {
+        if (stopRequested()) {
+            run.interrupted = true;
+            return run;
+        }
         const Experiment &sweep = *artifact.sweeps[s];
+        core::ErrorToleranceStudy &study = studies.of(sweep).study;
         unsigned trials = opts.trialsOr(sweep.defaultTrials);
-        std::vector<core::CellSummary> summaries;
+        std::vector<core::CellRequest> cells;
         for (const auto &[errors, policy] :
-             experimentCells(sweep, policies[s])) {
-            if (stopRequested()) {
+             experimentCells(sweep, policies[s]))
+            cells.push_back({errors, policy, trials});
+        // Stored cells land first, in order; the rest run as one engine
+        // pass whose stripes each persist as a shard the moment they
+        // end, so a kill loses at most the stripes in flight, and a
+        // stop request stops starting new ones. Each cell is reported
+        // as it lands, so computed cells report in completion order.
+        std::vector<std::optional<core::CellSummary>> landed(cells.size());
+        study.runCells(cells, stripes,
+                       [&](size_t i, core::CellSummary summary,
+                           bool cached) {
+                           (cached ? run.cellsCached : run.cellsComputed) +=
+                               1;
+                           inform(sweep.name, ": errors=", cells[i].errors,
+                                  " (", cells[i].policy, ", ", trials,
+                                  cached ? " trials, cached)" : " trials)");
+                           emitCellJson(sweep.workload, cells[i].policy,
+                                        cells[i].errors, summary,
+                                        study.config());
+                           landed[i] = std::move(summary);
+                       });
+        std::vector<core::CellSummary> summaries;
+        for (auto &summary : landed) {
+            if (!summary) {
                 run.interrupted = true;
                 return run;
             }
-            // Cell keys derive from static analysis alone, so a fully
-            // warm run serves everything from the store without
-            // simulating at all.
-            core::ErrorToleranceStudy &study = studies.of(sweep).study;
-            store::ResultStore *cache = study.resultStore();
-            // Classify by an actual load, not existence: a corrupt
-            // record must take the computed path (with striped kill
-            // protection), not silently degrade it.
-            std::optional<core::CellSummary> cached =
-                cache ? cache->loadCell(study.cellKey(errors, policy, trials))
-                      : std::nullopt;
-            (cached ? run.cellsCached : run.cellsComputed) += 1;
-            inform(sweep.name, ": errors=", errors, " (", policy, ", ",
-                   trials, " trials", cached ? ", cached)" : ")");
-            core::CellSummary summary;
-            if (cached) {
-                summary = std::move(*cached);
-            } else {
-                // One engine pass over the cell's stripes: each is
-                // persisted as a shard the moment it ends, so a kill
-                // loses at most the stripes in flight, and a stop
-                // request stops starting new ones (the started ones
-                // finish and persist).
-                try {
-                    summary =
-                        study.runCell(errors, policy, trials, stripes);
-                } catch (const core::CellInterrupted &) {
-                    run.interrupted = true;
-                    return run;
-                }
-            }
-            emitCellJson(sweep.workload, policy, errors, summary,
-                         study.config());
-            summaries.push_back(std::move(summary));
+            summaries.push_back(std::move(*summary));
         }
         points.push_back(sweepPointsFrom(sweep, policies[s], summaries));
     }

@@ -272,10 +272,12 @@ struct ArtifactRun
 
 /**
  * Run every cell of @p artifact through @p studies and render it to
- * @p os -- what `etc_lab run` prints. A stored cell loads without
- * simulating; any other runs its @p stripes stripes as one pass, each
- * persisted as it ends. A stop request stops starting new stripes,
- * and the run returns interrupted without rendering.
+ * @p os -- what `etc_lab run` prints. Per sweep, the stored cells load
+ * without simulating, and the others run as one engine pass of
+ * @p stripes stripes per cell, each persisted as it ends
+ * (ErrorToleranceStudy::runCells). Each cell's progress and BENCH_JSON
+ * lines go to stderr as it lands. A stop request stops starting new
+ * stripes, and the run returns interrupted without rendering.
  *
  * @throws FatalError on a table given a --policy override (it names
  *         one sweep's policies)

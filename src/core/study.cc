@@ -157,90 +157,6 @@ ErrorToleranceStudy::goldenInstructions() const
         .goldenInstructions();
 }
 
-void
-ErrorToleranceStudy::simulate(const store::CellKey &key,
-                              const fault::InjectionPolicy &policy,
-                              const std::vector<fault::TrialRange> &ranges,
-                              bool stoppable, const PieceSink &sink)
-{
-    if (ranges.empty())
-        return; // stored shards cover the cell: no golden run needed
-    auto &campaignRunner = runner(policy);
-    const std::vector<uint8_t> &golden = campaignRunner.goldenOutput();
-
-    fault::CampaignConfig campaignConfig;
-    campaignConfig.trials = key.trials;
-    campaignConfig.errors = key.errors;
-    campaignConfig.budgetFactor = config_.budgetFactor;
-    campaignConfig.threads = config_.threads;
-    campaignConfig.gangWidth = config_.gangWidth;
-    // Derive a per-cell seed so cells are independent but
-    // reproducible; the policy salt keeps the legacy streams (0x1 /
-    // 0x2) bit-identical and gives every other policy its own stream.
-    campaignConfig.seed = config_.seed ^ (uint64_t{key.errors} << 32) ^
-                          policy.seedSalt();
-
-    // Fidelity slots, one per trial of each range: each is written by
-    // the worker that finished its trial, and read in trial order once
-    // the range is done.
-    std::vector<std::vector<workloads::FidelityScore>> scores;
-    scores.reserve(ranges.size());
-    for (const auto &range : ranges)
-        scores.emplace_back(range.hi - range.lo);
-    auto last = std::chrono::steady_clock::now();
-
-    fault::PassHooks hooks;
-    if (stoppable)
-        hooks.stopStarting = [] { return stopRequested(); };
-    hooks.trialDone = [&](size_t range, uint64_t index,
-                          fault::TrialOutcome &outcome) {
-        if (outcome.run.completed())
-            scores[range][index] =
-                workload_.scoreFidelity(golden, outcome.output);
-        std::vector<uint8_t>().swap(outcome.output);
-    };
-    hooks.rangeDone = [&](size_t range, fault::CampaignResult &result) {
-        auto now = std::chrono::steady_clock::now();
-        std::chrono::duration<double> wall = now - last;
-        last = now;
-        trialsExecuted_ += result.trials;
-
-        store::ShardRecord piece{
-            key, static_cast<unsigned>(ranges[range].lo),
-            static_cast<unsigned>(ranges[range].hi), {}};
-        CellSummary &summary = piece.summary;
-        summary.errors = key.errors;
-        summary.policy = policy.name;
-        summary.trials = result.trials;
-        summary.completed = result.completed;
-        summary.crashed = result.crashed;
-        summary.timedOut = result.timedOut;
-        summary.trialsPruned = result.trialsPruned;
-        summary.wallSeconds = wall.count();
-        for (size_t i = 0; i < result.outcomes.size(); ++i) {
-            summary.totalInstructions += result.outcomes[i].run.instructions;
-            if (result.outcomes[i].run.completed())
-                summary.fidelities.push_back(std::move(scores[range][i]));
-        }
-        scores[range] = {};
-
-        // The stripe's span covers the wall time it is credited with.
-        telemetry::Tracer &tracer = telemetry::Tracer::instance();
-        if (tracer.enabled()) {
-            uint64_t end = tracer.nowMicros();
-            uint64_t micros = std::min(
-                end, static_cast<uint64_t>(wall.count() * 1e6));
-            tracer.emitComplete(
-                "core", "stripe", end - micros, micros,
-                "{\"cell\":\"" + key.fingerprint() +
-                    "\",\"lo\":" + std::to_string(piece.lo) +
-                    ",\"hi\":" + std::to_string(piece.hi) + "}");
-        }
-        sink(range, std::move(piece));
-    };
-    campaignRunner.runPass(campaignConfig, ranges, hooks);
-}
-
 store::CellKey
 ErrorToleranceStudy::cellKey(unsigned errors,
                              const std::string &policyName,
@@ -264,62 +180,160 @@ ErrorToleranceStudy::shardRange(unsigned trials, unsigned index,
 }
 
 void
-ErrorToleranceStudy::tileRanges(const store::CellKey &key,
-                                const fault::InjectionPolicy &policy,
-                                std::vector<store::ShardRecord> stored,
-                                const std::vector<fault::TrialRange> &ranges,
-                                unsigned stripes, bool stoppable,
-                                const TileSink &done)
+ErrorToleranceStudy::tileCells(std::vector<TileJob> jobs, bool stoppable)
 {
-    // Keep every stored shard inside a range that extends the range's
-    // covered prefix, and compute (and persist) the gaps between
-    // them. Shards from an incompatible split (overlapping the
-    // prefix or crossing the range bounds) are ignored; their trials
-    // recompute to the same bits anyway.
-    std::vector<std::vector<store::ShardRecord>> pieces(ranges.size());
-    std::vector<size_t> reused(ranges.size()), unrun(ranges.size());
-    std::vector<fault::TrialRange> gaps;
-    std::vector<size_t> owner; //!< the range of each gap
-    stripes = std::max(stripes, 1u);
-    for (size_t r = 0; r < ranges.size(); ++r) {
-        auto addGap = [&](uint64_t a, uint64_t b) {
-            // Cut at the stripe boundaries inside the gap.
-            for (unsigned s = 0; s < stripes && a < b; ++s) {
-                uint64_t end = shardRange(key.trials, s, stripes).second;
-                if (end > a) {
-                    gaps.push_back({a, std::min(end, b)});
-                    owner.push_back(r);
-                    ++unrun[r];
-                    a = std::min(end, b);
+    // Per job: each range's pieces (its stored shards first), the gaps
+    // between them, the range each gap belongs to, and the fidelity
+    // slots of each gap's trials (each written by the worker that
+    // finished its trial, read in trial order once the gap is done).
+    struct Tiling
+    {
+        std::vector<std::vector<store::ShardRecord>> pieces;
+        std::vector<size_t> reused, unrun;
+        std::vector<fault::TrialRange> gaps;
+        std::vector<size_t> owner;
+        std::vector<std::vector<workloads::FidelityScore>> scores;
+    };
+    std::vector<Tiling> tilings(jobs.size());
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        TileJob &job = jobs[j];
+        Tiling &tiling = tilings[j];
+        const std::vector<fault::TrialRange> &ranges = job.ranges;
+        tiling.pieces.resize(ranges.size());
+        tiling.reused.resize(ranges.size());
+        tiling.unrun.resize(ranges.size());
+        unsigned stripes = std::max(job.stripes, 1u);
+        // Keep every stored shard inside a range that extends the
+        // range's covered prefix, and compute (and persist) the gaps
+        // between them. Shards from an incompatible split (overlapping
+        // the prefix or crossing the range bounds) are ignored; their
+        // trials recompute to the same bits anyway.
+        for (size_t r = 0; r < ranges.size(); ++r) {
+            auto addGap = [&](uint64_t a, uint64_t b) {
+                // Cut at the stripe boundaries inside the gap.
+                for (unsigned s = 0; s < stripes && a < b; ++s) {
+                    uint64_t end =
+                        shardRange(job.key->trials, s, stripes).second;
+                    if (end > a) {
+                        tiling.gaps.push_back({a, std::min(end, b)});
+                        tiling.owner.push_back(r);
+                        ++tiling.unrun[r];
+                        a = std::min(end, b);
+                    }
                 }
+            };
+            uint64_t covered = ranges[r].lo;
+            for (auto &shard : job.stored) {
+                if (shard.lo < covered || shard.hi > ranges[r].hi)
+                    continue;
+                if (shard.lo > covered)
+                    addGap(covered, shard.lo);
+                covered = shard.hi;
+                tiling.pieces[r].push_back(std::move(shard));
             }
-        };
-        uint64_t covered = ranges[r].lo;
-        for (auto &shard : stored) {
-            if (shard.lo < covered || shard.hi > ranges[r].hi)
-                continue;
-            if (shard.lo > covered)
-                addGap(covered, shard.lo);
-            covered = shard.hi;
-            pieces[r].push_back(std::move(shard));
+            if (covered < ranges[r].hi)
+                addGap(covered, ranges[r].hi);
+            tiling.reused[r] = tiling.pieces[r].size();
+            if (tiling.unrun[r] == 0)
+                job.done(r, std::move(tiling.pieces[r]), tiling.reused[r]);
         }
-        if (covered < ranges[r].hi)
-            addGap(covered, ranges[r].hi);
-        reused[r] = pieces[r].size();
-        if (unrun[r] == 0)
-            done(r, std::move(pieces[r]), reused[r]);
     }
 
-    simulate(key, policy, gaps, stoppable,
-             [&](size_t gap, store::ShardRecord piece) {
-                 if (store_)
-                     store_->storeShard(key, piece.lo, piece.hi,
-                                        piece.summary);
-                 size_t r = owner[gap];
-                 pieces[r].push_back(std::move(piece));
-                 if (--unrun[r] == 0)
-                     done(r, std::move(pieces[r]), reused[r]);
-             });
+    // One engine pass over every job's gaps. Runners are built here,
+    // so jobs the store tiles need no golden run.
+    std::vector<fault::PassCell> cells;
+    cells.reserve(jobs.size());
+    std::chrono::steady_clock::time_point last; // the previous landing
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        const TileJob &job = jobs[j];
+        Tiling &tiling = tilings[j];
+        if (tiling.gaps.empty())
+            continue;
+        const store::CellKey &key = *job.key;
+        fault::PassCell &cell = cells.emplace_back();
+        cell.runner = &runner(*job.policy);
+        cell.ranges = tiling.gaps;
+        fault::CampaignConfig &campaignConfig = cell.config;
+        campaignConfig.trials = key.trials;
+        campaignConfig.errors = key.errors;
+        campaignConfig.budgetFactor = config_.budgetFactor;
+        campaignConfig.threads = config_.threads;
+        campaignConfig.gangWidth = config_.gangWidth;
+        // Derive a per-cell seed so cells are independent but
+        // reproducible; the policy salt keeps the legacy streams (0x1
+        // / 0x2) bit-identical and gives every other policy its own
+        // stream.
+        campaignConfig.seed = config_.seed ^
+                              (uint64_t{key.errors} << 32) ^
+                              job.policy->seedSalt();
+        for (const auto &gap : tiling.gaps)
+            tiling.scores.emplace_back(gap.hi - gap.lo);
+
+        if (stoppable)
+            cell.hooks.stopStarting = [] { return stopRequested(); };
+        const std::vector<uint8_t> &golden = cell.runner->goldenOutput();
+        cell.hooks.trialDone = [this, &tiling, &golden](
+                                   size_t gap, uint64_t index,
+                                   fault::TrialOutcome &outcome) {
+            if (outcome.run.completed())
+                tiling.scores[gap][index] =
+                    workload_.scoreFidelity(golden, outcome.output);
+            std::vector<uint8_t>().swap(outcome.output);
+        };
+        cell.hooks.rangeDone = [this, &job, &tiling, &key, &last](
+                                   size_t gap,
+                                   fault::CampaignResult &result) {
+            auto now = std::chrono::steady_clock::now();
+            std::chrono::duration<double> wall = now - last;
+            last = now;
+            trialsExecuted_ += result.trials;
+
+            store::ShardRecord piece{
+                key, static_cast<unsigned>(tiling.gaps[gap].lo),
+                static_cast<unsigned>(tiling.gaps[gap].hi), {}};
+            CellSummary &summary = piece.summary;
+            summary.errors = key.errors;
+            summary.policy = job.policy->name;
+            summary.trials = result.trials;
+            summary.completed = result.completed;
+            summary.crashed = result.crashed;
+            summary.timedOut = result.timedOut;
+            summary.trialsPruned = result.trialsPruned;
+            summary.wallSeconds = wall.count();
+            for (size_t i = 0; i < result.outcomes.size(); ++i) {
+                summary.totalInstructions +=
+                    result.outcomes[i].run.instructions;
+                if (result.outcomes[i].run.completed())
+                    summary.fidelities.push_back(
+                        std::move(tiling.scores[gap][i]));
+            }
+            tiling.scores[gap] = {};
+
+            // The stripe's span covers the wall time it is credited
+            // with.
+            telemetry::Tracer &tracer = telemetry::Tracer::instance();
+            if (tracer.enabled()) {
+                uint64_t end = tracer.nowMicros();
+                uint64_t micros = std::min(
+                    end, static_cast<uint64_t>(wall.count() * 1e6));
+                tracer.emitComplete(
+                    "core", "stripe", end - micros, micros,
+                    "{\"cell\":\"" + key.fingerprint() +
+                        "\",\"lo\":" + std::to_string(piece.lo) +
+                        ",\"hi\":" + std::to_string(piece.hi) + "}");
+            }
+            if (store_ && job.persist)
+                store_->storeShard(key, piece.lo, piece.hi, piece.summary);
+            size_t r = tiling.owner[gap];
+            tiling.pieces[r].push_back(std::move(piece));
+            if (--tiling.unrun[r] == 0)
+                job.done(r, std::move(tiling.pieces[r]), tiling.reused[r]);
+        };
+    }
+    if (cells.empty())
+        return;
+    last = std::chrono::steady_clock::now();
+    fault::CampaignRunner::runPass(cells);
 }
 
 CellSummary
@@ -327,51 +341,85 @@ ErrorToleranceStudy::runCell(unsigned errors,
                              const std::string &policyName,
                              unsigned trialsOverride, unsigned stripes)
 {
-    const fault::InjectionPolicy &policy = policyOrFatal(policyName);
     unsigned trials = trialsOverride ? trialsOverride : config_.trials;
+    std::optional<CellSummary> cell;
+    bool cached = false;
+    auto keep = [&](size_t, CellSummary summary, bool stored) {
+        cell = std::move(summary);
+        cached = stored;
+    };
+    if (store_) {
+        runCells({{errors, policyName, trials}}, stripes, keep);
+        // A stop request leaves the cell's unstarted stripes unrun.
+        if (!cell)
+            throw CellInterrupted("interrupted with stripes unrun: " +
+                                  cellKey(errors, policyName, trials)
+                                      .canonical());
+        // Reclaim shards a kill between storeCell and dropShards (or a
+        // concurrent stripe worker) may have left behind.
+        if (cached)
+            store_->dropShards(cellKey(errors, policyName, trials));
+        return std::move(*cell);
+    }
+    // The same stripes as with a store (tileCells persists nothing
+    // without one), so the pass deals the same gangs and a divergent
+    // cell falls back to scalar the same way.
+    const fault::InjectionPolicy &policy = policyOrFatal(policyName);
     auto key = makeCellKey(workload_, protection_, config_, errors,
                            policy, trials);
-    std::vector<store::ShardRecord> pieces;
-    bool tiled = false;
-    auto collect = [&](size_t, store::ShardRecord piece) {
-        pieces.push_back(std::move(piece));
-        tiled = true;
-    };
-    auto tiledAll = [&](size_t, std::vector<store::ShardRecord> all,
-                        size_t) {
-        pieces = std::move(all);
-        tiled = true;
-    };
-    if (!store_) {
-        // The same stripes as with a store (tileRanges persists
-        // nothing without one), so the pass deals the same gangs and
-        // a divergent cell falls back to scalar the same way.
-        tileRanges(key, policy, {}, {{0, trials}}, stripes, false,
-                   tiledAll);
-        return store::mergeShardSummaries(key, std::move(pieces));
-    }
+    std::vector<TileJob> jobs(1);
+    jobs[0] = {&key, &policy, {}, {{0, trials}}, stripes, false,
+               [&](size_t, std::vector<store::ShardRecord> pieces,
+                   size_t) {
+                   cell = store::mergeShardSummaries(key, std::move(pieces));
+               }};
+    tileCells(std::move(jobs), false);
+    return std::move(*cell);
+}
 
-    if (auto cached = store_->loadCell(key)) {
-        // Reclaim shards a kill between storeCell and dropShards (or
-        // a concurrent stripe worker) may have left behind.
-        store_->dropShards(key);
-        return *cached;
+void
+ErrorToleranceStudy::runCells(const std::vector<CellRequest> &cells,
+                              unsigned stripes, const CellSink &done)
+{
+    std::vector<store::CellKey> keys;
+    std::vector<TileJob> jobs;
+    keys.reserve(cells.size()); // the jobs point into it
+    jobs.reserve(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const CellRequest &cell = cells[i];
+        const fault::InjectionPolicy &policy = policyOrFatal(cell.policy);
+        const store::CellKey &key = keys.emplace_back(
+            makeCellKey(workload_, protection_, config_, cell.errors,
+                        policy, cell.trials));
+        std::vector<store::ShardRecord> shards;
+        if (store_) {
+            // Classify by an actual load, not existence: a corrupt
+            // record must take the computed path.
+            if (auto cached = store_->loadCell(key)) {
+                done(i, std::move(*cached), true);
+                continue;
+            }
+            // Every stored shard is read once, here.
+            shards = store_->loadShards(key);
+        }
+        // A one-stripe cell with no shard runs as one in-memory piece:
+        // it is promoted at once, so writing it as a shard first would
+        // only add a write.
+        bool persist = !shards.empty() || stripes > 1;
+        jobs.push_back(
+            {&key, &policy, std::move(shards), {{0, cell.trials}}, stripes,
+             persist,
+             [this, &key, &done, i](size_t,
+                                    std::vector<store::ShardRecord> pieces,
+                                    size_t) {
+                 done(i,
+                      store_ ? store_->promoteShards(key, std::move(pieces))
+                             : store::mergeShardSummaries(
+                                   key, std::move(pieces)),
+                      false);
+             }});
     }
-
-    // Every stored shard is read once, here. A one-stripe cell with
-    // none runs as one in-memory piece: it is promoted at once, so
-    // writing it as a shard first would only add a write.
-    auto shards = store_->loadShards(key);
-    if (shards.empty() && stripes <= 1)
-        simulate(key, policy, {{0, trials}}, true, collect);
-    else
-        tileRanges(key, policy, std::move(shards), {{0, trials}},
-                   stripes, true, tiledAll);
-    // A stop request leaves the cell's unstarted stripes unrun.
-    if (!tiled)
-        throw CellInterrupted("interrupted with stripes unrun: " +
-                              key.canonical());
-    return store_->promoteShards(key, std::move(pieces));
+    tileCells(std::move(jobs), true);
 }
 
 void
@@ -399,8 +447,9 @@ ErrorToleranceStudy::runStripes(unsigned errors,
         }
         stored = store_->loadShards(key);
     }
-    tileRanges(
-        key, policy, std::move(stored), ranges, 1, store_ != nullptr,
+    std::vector<TileJob> jobs(1);
+    jobs[0] = {
+        &key, &policy, std::move(stored), ranges, 1, true,
         [&](size_t r, std::vector<store::ShardRecord> pieces,
             size_t reused) {
             StripeResult stripe;
@@ -414,7 +463,8 @@ ErrorToleranceStudy::runStripes(unsigned errors,
             stripe.summary = store::mergeShardSummaries(
                 key, std::move(pieces), stripe.lo, stripe.hi);
             done(std::move(stripe));
-        });
+        }};
+    tileCells(std::move(jobs), store_ != nullptr);
 }
 
 } // namespace etc::core

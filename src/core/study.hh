@@ -189,6 +189,14 @@ struct StripeResult
     double wallSeconds = 0.0;
 };
 
+/** One cell of ErrorToleranceStudy::runCells(). */
+struct CellRequest
+{
+    unsigned errors = 0;
+    std::string policy; //!< registered injection policy
+    unsigned trials = 0;
+};
+
 /**
  * Thrown by ErrorToleranceStudy::runCell() when a stop request (see
  * support/shutdown.hh) left some of the cell's stripes unstarted. The
@@ -237,19 +245,10 @@ class ErrorToleranceStudy
     uint64_t goldenInstructions() const;
 
     /**
-     * Run one campaign cell.
-     *
-     * The trials run as one engine pass (CampaignRunner::runPass)
-     * split into @p stripes stripes, with or without a store, so the
-     * pass deals the same gangs either way. With a result store
-     * attached, a stored cell is returned without simulating, and
-     * otherwise only the trials no stored shard covers run: each
-     * stripe is written as a shard the moment its last trial ends, and
-     * the tiling shards are then promoted into the cell record. There,
-     * a stop request stops starting new stripes; the started ones
-     * finish and persist, and CellInterrupted is thrown. Without a
-     * store nothing is persisted and the cell always runs to the end.
-     * Stripes change what is persisted, never the results.
+     * Run one campaign cell: runCells() over the one cell, except that
+     * without a store a stop request is ignored (there is nothing to
+     * persist between stripes, so the cell runs to the end), and that
+     * a cell the store holds has any leftover shards of it dropped.
      *
      * @param errors         bit flips per trial
      * @param policyName     registered injection policy
@@ -260,6 +259,38 @@ class ErrorToleranceStudy
      */
     CellSummary runCell(unsigned errors, const std::string &policyName,
                         unsigned trialsOverride = 0, unsigned stripes = 1);
+
+    /** Receives cell @p index of runCells() once it lands; @p cached
+     *  tells whether the store held it whole. */
+    using CellSink =
+        std::function<void(size_t index, CellSummary summary, bool cached)>;
+
+    /**
+     * Run several cells of this study as one engine pass
+     * (CampaignRunner::runPass), each split into @p stripes stripes,
+     * with or without a store, so the pass deals the same gangs either
+     * way.
+     *
+     * With a result store attached, each stored cell reaches @p done
+     * first, in order, without simulating; a sweep the store holds
+     * whole builds no runner and starts no thread. Of the other cells
+     * only the trials no stored shard covers run: each stripe is
+     * written as a shard the moment its last trial ends (a one-stripe
+     * cell with no stored shard skips that write), and a cell's tiling
+     * pieces are promoted into its record, and the cell handed to
+     * @p done, the moment its last stripe lands. Landing cells reach
+     * @p done in completion order, inside the engine's serialized
+     * range hook, where every other finishing stripe waits for it.
+     *
+     * A stop request stops starting new stripes; the started ones
+     * finish (and persist, with a store), and a cell left with unrun
+     * stripes never reaches @p done. Stripes change what is persisted,
+     * never the results.
+     *
+     * @throws FatalError on an unregistered policy name
+     */
+    void runCells(const std::vector<CellRequest> &cells, unsigned stripes,
+                  const CellSink &done);
 
     /** Receives each stripe of runStripes() once it is persisted. It
      *  runs inside the engine's serialized range hook, where every
@@ -274,7 +305,7 @@ class ErrorToleranceStudy
      *
      * With a result store attached, a stored cell hands every stripe
      * over as the whole cell, and a stripe is otherwise tiled like
-     * runCell() tiles a cell: stored shards inside it are reused and
+     * runCells() tiles a cell: stored shards inside it are reused and
      * only the gaps simulate (each persisted as a shard as it ends),
      * so a stripe already stored reaches @p done without simulating.
      * A stop request stops starting new stripes there; the ones left
@@ -310,11 +341,7 @@ class ErrorToleranceStudy
   private:
     fault::CampaignRunner &runner(const fault::InjectionPolicy &policy);
 
-    /** Receives finished range @p range of a pass as a cell piece. */
-    using PieceSink =
-        std::function<void(size_t range, store::ShardRecord piece)>;
-
-    /** Receives range @p range of tileRanges() once it is tiled: its
+    /** Receives range @p range of a TileJob once it is tiled: its
      *  pieces, of which the first @p reused are stored shards and the
      *  rest were simulated. */
     using TileSink =
@@ -322,39 +349,37 @@ class ErrorToleranceStudy
                            std::vector<store::ShardRecord> pieces,
                            size_t reused)>;
 
-    /**
-     * Simulate @p ranges of the cell @p key in one engine pass. Each
-     * trial's fidelity is scored on its worker as soon as it finishes
-     * (its output is then dropped), and each range reaches @p sink,
-     * serialized, the moment its last trial ends. A range's wall time
-     * runs from the previous range's completion (or the pass start)
-     * to its own, so the pieces' wall times sum to the pass.
-     *
-     * @param stoppable honor stop requests (support/shutdown.hh):
-     *                  ranges not yet started when one arrives never
-     *                  reach @p sink
-     */
-    void simulate(const store::CellKey &key,
-                  const fault::InjectionPolicy &policy,
-                  const std::vector<fault::TrialRange> &ranges,
-                  bool stoppable, const PieceSink &sink);
+    /** One cell's part of a tileCells() pass. */
+    struct TileJob
+    {
+        const store::CellKey *key = nullptr;
+        const fault::InjectionPolicy *policy = nullptr;
+        std::vector<store::ShardRecord> stored; //!< the cell's shards
+        std::vector<fault::TrialRange> ranges;  //!< disjoint, to tile
+        unsigned stripes = 1; //!< gaps are cut at these boundaries
+        bool persist = true;  //!< store simulated pieces as shards
+        TileSink done;
+    };
 
     /**
-     * Tile each of the disjoint @p ranges of the cell with the usable
-     * @p stored shards inside it plus the gaps between them. All gaps
-     * are cut at the boundaries of @p stripes equal stripes of the
-     * cell and simulated in one pass, each persisted as a shard as it
-     * ends (with a store). A range reaches @p done once its last
-     * piece is in, so a range the store already tiles reaches it
-     * before the pass; when a stop request (with @p stoppable) left
-     * gaps unrun, their range never does.
+     * Tile each of the disjoint ranges of every job's cell with the
+     * usable stored shards inside it plus the gaps between them, and
+     * simulate every job's gaps in one engine pass. Gaps are cut at
+     * the boundaries of the job's equal stripes of the cell, and each
+     * is persisted as a shard as it ends (with a store and
+     * job.persist). Each trial's fidelity is scored on its worker as
+     * soon as it finishes (its output is then dropped). A range
+     * reaches its job's sink, serialized, once its last piece is in,
+     * so a range the store already tiles reaches it before the pass.
+     * A gap's wall time runs from the previous gap's landing (or the
+     * pass start) to its own, so the pieces' wall times sum to the
+     * pass.
+     *
+     * @param stoppable honor stop requests (support/shutdown.hh):
+     *                  gaps not yet started when one arrives never
+     *                  run, and their range never reaches its sink
      */
-    void tileRanges(const store::CellKey &key,
-                    const fault::InjectionPolicy &policy,
-                    std::vector<store::ShardRecord> stored,
-                    const std::vector<fault::TrialRange> &ranges,
-                    unsigned stripes, bool stoppable,
-                    const TileSink &done);
+    void tileCells(std::vector<TileJob> jobs, bool stoppable);
 
     const workloads::Workload &workload_;
     const StudyConfig config_;

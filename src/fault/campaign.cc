@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <iterator>
 #include <limits>
@@ -55,7 +56,7 @@ struct EngineMetrics
     telemetry::Counter &gangFallbackTrials = telemetry::counter(
         "etc_gang_scalar_fallback_trials_total",
         "Trials dealt to a gang that ran one by one on the scalar "
-        "simulator because the pass's gangs evicted most of their "
+        "simulator because the cell's gangs evicted most of their "
         "lanes");
 };
 
@@ -243,79 +244,246 @@ CampaignRunner::runRange(const CampaignConfig &config, uint64_t lo,
     return result;
 }
 
-namespace {
-
-/**
- * One gang of a pass (one trial per gang on the scalar paths). The
- * pass's grid deals one task per trial; the first of a gang's tasks
- * to start fixes how the whole gang runs: in lockstep (that task runs
- * the gang, and its other tasks find nothing left to do) or scalar
- * (every task runs its own trial, so idle workers share the gang's
- * trials).
- */
-struct PassGang
-{
-    enum Mode : uint8_t { Undecided, Lockstep, Scalar };
-
-    PassGang(size_t range, size_t first, unsigned lanes, unsigned index)
-        : range(range), first(first), lanes(lanes), index(index)
-    {
-    }
-
-    size_t range;   //!< index into the pass's ranges
-    size_t first;   //!< first of its trials in the range's live list
-    unsigned lanes; //!< its trials
-    unsigned index; //!< its gang index within the range
-    std::atomic<uint8_t> mode{Undecided};
-};
-
-/** One task of a pass's grid: trial @p lane of gang @p gang. */
-struct PassTask
-{
-    size_t gang;
-    unsigned lane;
-};
-
-} // namespace
-
 void
 CampaignRunner::runPass(const CampaignConfig &config,
                         const std::vector<TrialRange> &ranges,
                         const PassHooks &hooks)
 {
-    auto budget = static_cast<uint64_t>(
-        static_cast<double>(goldenInstructions_) * config.budgetFactor);
-    if (budget < goldenInstructions_ + 1000)
-        budget = goldenInstructions_ + 1000;
-    // Gangs ride the checkpointed fast path only; the classic
-    // interval-0 Injector path stays gang-free so it remains an
-    // independent oracle for the batched interpreter.
-    unsigned gangWidth =
-        checkpointInterval_ > 0 ? resolveGangWidth(config.gangWidth) : 0;
-    EngineMetrics &metrics = engineMetrics();
+    runPass({PassCell{this, config, ranges, hooks}});
+}
 
-    // Per range: its outcome slots, the trials left to simulate, and
-    // the tasks still open.
-    struct RangeRun
+struct CampaignRunner::CellRun
+{
+    explicit CellRun(const PassCell &cell)
+        : cell(cell), runner(*cell.runner),
+          gangWidth(runner.checkpointInterval_ > 0
+                        ? resolveGangWidth(cell.config.gangWidth)
+                        : 0)
     {
-        CampaignResult result;
-        std::vector<LiveTrial> live;
-        unsigned width = 0; //!< dealt gang width (gang path)
-        std::atomic<uint64_t> pending{0};
-        std::once_flag decided;
-        bool skipped = false;
+        const CampaignConfig &config = cell.config;
+        uint64_t golden = runner.goldenInstructions_;
+        budget = static_cast<uint64_t>(static_cast<double>(golden) *
+                                       config.budgetFactor);
+        budget = std::max(budget, golden + 1000);
+        // The widest gang any range can deal: dealGangs() with every
+        // trial live.
+        for (auto [lo, hi] : cell.ranges) {
+            if (gangWidth == 0 || hi <= lo)
+                continue;
+            uint64_t workers = TrialPool::resolveWorkers(config.threads,
+                                                         hi - lo);
+            maxLanes = std::max(
+                maxLanes, static_cast<unsigned>(std::min<uint64_t>(
+                              gangWidth, (hi - lo + workers - 1) / workers)));
+        }
+    }
+
+    /**
+     * Whether most lanes of the cell's finished gangs diverged. A gang
+     * then costs more than it shares, so the cell's gangs that start
+     * later run their trials scalar instead. Either way each trial is
+     * a pure function of its plan, so the choice moves only wall time.
+     */
+    bool
+    gangsDiverge() const
+    {
+        uint64_t lanes = lanesDone.load();
+        return lanes >= GANG_FALLBACK_MIN_LANES &&
+               static_cast<double>(lanesEvicted.load()) >
+                   GANG_FALLBACK_EVICTION_RATIO *
+                       static_cast<double>(lanes);
+    }
+
+    const PassCell &cell;
+    const CampaignRunner &runner;
+
+    /**
+     * Resolved; 0 runs every trial scalar. Gangs ride the checkpointed
+     * fast path only: the classic interval-0 Injector path stays
+     * gang-free so it remains an independent oracle for the batched
+     * interpreter.
+     */
+    unsigned gangWidth;
+    uint64_t budget = 0;
+    unsigned maxLanes = 0;
+    std::atomic<uint64_t> lanesDone{0};
+    std::atomic<uint64_t> lanesEvicted{0};
+};
+
+struct CampaignRunner::RangeRun
+{
+    /**
+     * One gang of the range (one trial per gang on the scalar paths).
+     * The first of a gang's tasks to start fixes how the whole gang
+     * runs: in lockstep (that task runs the gang, and its other tasks
+     * find nothing left to do) or scalar (every task runs its own
+     * trial, so idle workers share the gang's trials).
+     */
+    struct Gang
+    {
+        enum Mode : uint8_t { Undecided, Lockstep, Scalar };
+
+        Gang(size_t first, unsigned lanes, unsigned index)
+            : first(first), lanes(lanes), index(index)
+        {
+        }
+
+        size_t first;   //!< first of its trials in the live list
+        unsigned lanes; //!< its trials
+        unsigned index; //!< its gang index within the range
+        std::atomic<uint8_t> mode{Undecided};
     };
-    std::vector<RangeRun> runs(ranges.size());
-    std::mutex doneMutex;
-    auto finish = [&](size_t r) {
-        RangeRun &run = runs[r];
+
+    /** A task of the range: trial @p lane of gang @p gang. */
+    struct Task
+    {
+        size_t gang;
+        unsigned lane;
+    };
+
+    /** Plan drawing: done once the last plan is drawn and dealt. */
+    enum State : uint8_t { Drawing, Dealt, Broken };
+
+    RangeRun(CellRun &cell, size_t index, uint64_t lo, uint64_t count)
+        : cell(cell), index(index), count(count)
+    {
+        result.trials = static_cast<unsigned>(count);
+        result.firstTrial = lo;
+    }
+
+    CellRun &cell;
+    size_t index;   //!< among the cell's ranges
+    uint64_t count; //!< its trials, and its tasks
+    CampaignResult result;
+
+    /** Every drawn trial; once dealt, the live ones sorted by first
+     *  site. */
+    std::vector<LiveTrial> live;
+    std::deque<Gang> gangs;
+    std::vector<Task> tasks; //!< one per live trial, in deal order
+    unsigned width = 0;      //!< dealt gang width (gang path)
+
+    std::once_flag started;
+    bool skipped = false; //!< a stop request left it unstarted
+    std::atomic<uint64_t> nextDraw{0};
+    std::atomic<uint64_t> drawn{0};
+    std::atomic<uint8_t> state{Drawing};
+    std::atomic<uint64_t> pending{0}; //!< tasks not yet ended
+};
+
+void
+CampaignRunner::drawTrial(const CellRun &cell, RangeRun &range,
+                          uint64_t index) const
+{
+    // Plans are a pure function of (seed, trial): the counter-based
+    // stream is keyed on the GLOBAL trial index, never on scheduling,
+    // on the worker that draws it or on which range runs it. Every
+    // plan is drawn, so the RNG stream is consumed identically whether
+    // or not the trial is then simulated.
+    const CampaignConfig &config = cell.cell.config;
+    Rng trialRng =
+        Rng::forStream(config.seed, range.result.firstTrial + index);
+    LiveTrial &trial = range.live[index];
+    trial.plan = samplePlan(injectableDynamic_, config.errors, bitModel_,
+                            trialRng);
+    // Static-prune fast path: when every drawn flip lands entirely in
+    // provably dead bits of its site's register result, the trial
+    // retires the exact golden instruction stream with the exact
+    // golden output, and every flip is a (counted) register write of
+    // dead bits -- so the simulator's outcome is known without
+    // running it.
+    bool pruned = staticPrune_;
+    const InjectionPlan &plan = trial.plan;
+    for (size_t k = 0; pruned && k < plan.sites.size(); ++k)
+        pruned = !(plan.masks[k] & siteLiveMasks_[plan.sites[k]]);
+    if (!pruned) {
+        trial.slot = index;
+        return;
+    }
+    trial.slot = LiveTrial::PRUNED;
+    TrialOutcome &outcome = range.result.outcomes[index];
+    outcome.run.status = sim::RunStatus::Completed;
+    outcome.run.instructions = goldenInstructions_;
+    outcome.injected = plan.size();
+    outcome.output = golden_;
+    if (cell.cell.hooks.trialDone)
+        cell.cell.hooks.trialDone(range.index, index, outcome);
+}
+
+void
+CampaignRunner::dealGangs(const CellRun &cell, RangeRun &range) const
+{
+    std::vector<LiveTrial> &live = range.live;
+    std::erase_if(live, [](const LiveTrial &trial) {
+        return trial.slot == LiveTrial::PRUNED;
+    });
+    range.result.trialsPruned = range.count - live.size();
+    engineMetrics().trialsPruned.add(range.result.trialsPruned);
+
+    auto deal = [&range](size_t first, unsigned lanes, unsigned index) {
+        range.gangs.emplace_back(first, lanes, index);
+        for (unsigned lane = 0; lane < lanes; ++lane)
+            range.tasks.push_back({range.gangs.size() - 1, lane});
+    };
+    if (cell.gangWidth == 0 || live.empty()) {
+        for (size_t i = 0; i < live.size(); ++i)
+            deal(i, 1, 0);
+        return;
+    }
+    // Group by first injection site (stable on trial order). A gang
+    // restores the checkpoint of its EARLIEST first site -- instruction
+    // accounting includes the restored prefix, so an earlier restore
+    // changes nothing but replay length -- and sorting keeps that
+    // shared replay short. The sorted trials are dealt into near-equal
+    // contiguous gangs, one per worker unless that would exceed the
+    // configured width.
+    std::stable_sort(live.begin(), live.end(),
+                     [](const LiveTrial &a, const LiveTrial &b) {
+                         return firstSite(a.plan) < firstSite(b.plan);
+                     });
+    uint64_t workers =
+        TrialPool::resolveWorkers(cell.cell.config.threads, live.size());
+    auto width = static_cast<unsigned>(std::min<uint64_t>(
+        cell.gangWidth, (live.size() + workers - 1) / workers));
+    uint64_t count = (live.size() + width - 1) / width;
+    for (uint64_t g = 0; g < count; ++g) {
+        size_t first = live.size() * g / count;
+        size_t next = live.size() * (g + 1) / count;
+        deal(first, static_cast<unsigned>(next - first),
+             static_cast<unsigned>(g));
+    }
+    range.width = width;
+}
+
+namespace {
+
+/** A worker's simulators. They serve one cell at a time and are
+ *  built on first use. */
+struct WorkerSimulators
+{
+    const PassCell *cell = nullptr; //!< the cell they serve
+    std::optional<GangWorker> gang;
+    std::optional<sim::Simulator> scalar; //!< on the scalar paths
+};
+
+} // namespace
+
+void
+CampaignRunner::runPass(const std::vector<PassCell> &cells)
+{
+    EngineMetrics &metrics = engineMetrics();
+    // Deques: the runs hold atomics and are referenced by address.
+    std::deque<CellRun> cellRuns;
+    std::deque<RangeRun> rangeRuns;
+    std::mutex doneMutex; // serializes rangeDone across the pass
+    auto finish = [&](RangeRun &range) {
         // The tally folds the outcomes in trial order, so it is
         // bit-identical at any thread count, gang width or split.
-        CampaignResult &result = run.result;
-        for (const LiveTrial &trial : run.live)
+        CampaignResult &result = range.result;
+        for (const LiveTrial &trial : range.live)
             metrics.trialInstructions.add(
                 result.outcomes[trial.slot].run.instructions);
-        metrics.trialsSimulated.add(run.live.size());
+        metrics.trialsSimulated.add(range.live.size());
         for (const TrialOutcome &outcome : result.outcomes) {
             switch (outcome.run.status) {
               case sim::RunStatus::Completed: ++result.completed; break;
@@ -323,189 +491,193 @@ CampaignRunner::runPass(const CampaignConfig &config,
               default: ++result.crashed; break;
             }
         }
-        if (hooks.rangeDone) {
+        if (const auto &rangeDone = range.cell.cell.hooks.rangeDone) {
             // Held across the call: rangeDone calls are serialized.
             std::lock_guard<std::mutex> lock(doneMutex);
-            hooks.rangeDone(r, result);
+            rangeDone(range.index, result);
         }
-        run.result = CampaignResult{};
-        run.live = {};
+        range.result = CampaignResult{};
+        range.live = {};
+        range.gangs.clear();
+        range.tasks = {};
     };
 
-    std::deque<PassGang> gangs;
-    std::vector<PassTask> tasks;
-    auto deal = [&](size_t range, size_t first, unsigned lanes,
-                    unsigned index) {
-        gangs.emplace_back(range, first, lanes, index);
-        for (unsigned lane = 0; lane < lanes; ++lane)
-            tasks.push_back(PassTask{gangs.size() - 1, lane});
-    };
-    unsigned maxLanes = 0;
-    for (size_t r = 0; r < ranges.size(); ++r) {
-        auto [lo, hi] = ranges[r];
-        if (lo > hi || hi > config.trials)
-            panic("CampaignRunner: bad trial range [", lo, ", ", hi,
-                  ") over ", config.trials, " trials");
-        RangeRun &run = runs[r];
-        uint64_t count = hi - lo;
-        CampaignResult &result = run.result;
-        result.trials = static_cast<unsigned>(count);
-        result.firstTrial = lo;
-        result.outcomes.resize(count);
-
-        // Plans are cheap and a pure function of (seed, trial): the
-        // counter-based stream is keyed on the GLOBAL trial index,
-        // never on scheduling or on which range runs it. Every plan is
-        // drawn here, so the RNG stream is consumed identically
-        // whether or not the trial is then simulated.
-        for (uint64_t i = 0; i < count; ++i) {
-            Rng trialRng = Rng::forStream(config.seed, lo + i);
-            InjectionPlan plan = samplePlan(
-                injectableDynamic_, config.errors, bitModel_, trialRng);
-            // Static-prune fast path: when every drawn flip lands
-            // entirely in provably dead bits of its site's register
-            // result, the trial retires the exact golden instruction
-            // stream with the exact golden output, and every flip is a
-            // (counted) register write of dead bits -- so the
-            // simulator's outcome is known without running it.
-            bool pruned = staticPrune_;
-            for (size_t k = 0; pruned && k < plan.sites.size(); ++k)
-                pruned = !(plan.masks[k] & siteLiveMasks_[plan.sites[k]]);
-            if (!pruned) {
-                run.live.push_back(LiveTrial{i, std::move(plan)});
+    // The grid: each nonempty range's tasks, one per trial, in cell
+    // and range order, keyed by the grid index of the range's first.
+    std::vector<std::pair<uint64_t, RangeRun *>> grid;
+    uint64_t taskCount = 0;
+    unsigned threads = 1;
+    for (const PassCell &cell : cells) {
+        CellRun &cellRun = cellRuns.emplace_back(cell);
+        threads = std::max(threads,
+                           TrialPool::resolveWorkers(
+                               cell.config.threads,
+                               std::numeric_limits<uint64_t>::max()));
+        for (size_t r = 0; r < cell.ranges.size(); ++r) {
+            auto [lo, hi] = cell.ranges[r];
+            if (lo > hi || hi > cell.config.trials)
+                panic("CampaignRunner: bad trial range [", lo, ", ", hi,
+                      ") over ", cell.config.trials, " trials");
+            RangeRun &range = rangeRuns.emplace_back(cellRun, r, lo, hi - lo);
+            if (range.count == 0) {
+                finish(range);
                 continue;
             }
-            TrialOutcome &outcome = result.outcomes[i];
-            outcome.run.status = sim::RunStatus::Completed;
-            outcome.run.instructions = goldenInstructions_;
-            outcome.injected = plan.size();
-            outcome.output = golden_;
-            ++result.trialsPruned;
-            if (hooks.trialDone)
-                hooks.trialDone(r, i, outcome);
+            range.pending = range.count;
+            grid.emplace_back(taskCount, &range);
+            taskCount += range.count;
         }
-        metrics.trialsPruned.add(result.trialsPruned);
+    }
 
-        std::vector<LiveTrial> &live = run.live;
-        size_t tasksBefore = tasks.size();
-        if (gangWidth > 0 && !live.empty()) {
-            // Group by first injection site (stable on trial order). A
-            // gang restores the checkpoint of its EARLIEST first site
-            // -- instruction accounting includes the restored prefix,
-            // so an earlier restore changes nothing but replay length
-            // -- and sorting keeps that shared replay short. The
-            // sorted trials are dealt into near-equal contiguous
-            // gangs, one per worker unless that would exceed the
-            // configured width.
-            std::stable_sort(live.begin(), live.end(),
-                             [](const LiveTrial &a, const LiveTrial &b) {
-                                 return firstSite(a.plan) <
-                                        firstSite(b.plan);
-                             });
-            uint64_t workers =
-                TrialPool::resolveWorkers(config.threads, live.size());
-            auto width = static_cast<unsigned>(std::min<uint64_t>(
-                gangWidth, (live.size() + workers - 1) / workers));
-            uint64_t count = (live.size() + width - 1) / width;
-            for (uint64_t g = 0; g < count; ++g) {
-                size_t first = live.size() * g / count;
-                size_t next = live.size() * (g + 1) / count;
-                deal(r, first, static_cast<unsigned>(next - first),
-                     static_cast<unsigned>(g));
+    // Plan drawing: the workers that reach a range's tasks draw its
+    // plans together, and the one that draws the last deals its gangs.
+    // Its other workers wait for the deal, which is at most one
+    // plan's draw away.
+    std::mutex dealMutex;
+    std::condition_variable dealCv;
+    auto settle = [&](RangeRun &range, RangeRun::State state) {
+        {
+            std::lock_guard<std::mutex> lock(dealMutex);
+            range.state = state;
+        }
+        dealCv.notify_all();
+    };
+    auto drawPlans = [&](RangeRun &range) {
+        if (range.state.load() == RangeRun::Drawing) {
+            const CellRun &cell = range.cell;
+            std::optional<telemetry::TraceSpan> span;
+            uint64_t drew = 0;
+            try {
+                for (uint64_t i; (i = range.nextDraw.fetch_add(1)) <
+                                 range.count;) {
+                    if (!span)
+                        span.emplace("engine", "plans");
+                    cell.runner.drawTrial(cell, range, i);
+                    ++drew;
+                    if (range.drawn.fetch_add(1) + 1 == range.count) {
+                        cell.runner.dealGangs(cell, range);
+                        settle(range, RangeRun::Dealt);
+                    }
+                }
+            } catch (...) {
+                settle(range, RangeRun::Broken);
+                throw;
             }
-            run.width = width;
-            maxLanes = std::max(maxLanes, width);
-        } else {
-            for (size_t i = 0; i < live.size(); ++i)
-                deal(r, i, 1, 0);
+            if (span && span->active())
+                span->setArgs("{\"trials\":" + std::to_string(drew) +
+                              ",\"errors\":" +
+                              std::to_string(cell.cell.config.errors) +
+                              "}");
+            span.reset();
+            std::unique_lock<std::mutex> lock(dealMutex);
+            dealCv.wait(lock, [&range] {
+                return range.state.load() != RangeRun::Drawing;
+            });
         }
-        run.pending = tasks.size() - tasksBefore;
-        if (tasks.size() == tasksBefore)
-            finish(r); // nothing to simulate
-    }
-
-    // Worker-local executors: simulators are self-contained (no
-    // global state), so worker-local instances make tasks re-entrant.
-    unsigned workers = TrialPool::resolveWorkers(config.threads,
-                                                 tasks.size());
-    std::deque<sim::Simulator> simulators;
-    std::deque<GangWorker> gangWorkers;
-    for (unsigned w = 0; w < workers && !tasks.empty(); ++w) {
-        if (gangWidth > 0)
-            gangWorkers.emplace_back(program_, model_, maxLanes);
-        else
-            simulators.emplace_back(program_, model_);
-    }
-
-    // Lanes of the pass's finished gangs and how many of them were
-    // evicted. Once most lanes diverge, a gang costs more than it
-    // shares, so gangs that start later run their trials scalar
-    // instead. Either way each trial is a pure function of its plan,
-    // so the choice moves only wall time.
-    std::atomic<uint64_t> gangLanesDone{0};
-    std::atomic<uint64_t> gangLanesEvicted{0};
-    auto gangsDiverge = [&] {
-        uint64_t lanes = gangLanesDone.load();
-        return lanes >= GANG_FALLBACK_MIN_LANES &&
-               static_cast<double>(gangLanesEvicted.load()) >
-                   GANG_FALLBACK_EVICTION_RATIO *
-                       static_cast<double>(lanes);
+        return range.state.load() == RangeRun::Dealt;
     };
 
-    TrialPool::run(workers, tasks.size(), [&](uint64_t t, unsigned w) {
-        PassGang &gang = gangs[tasks[t].gang];
-        RangeRun &run = runs[gang.range];
-        std::call_once(run.decided, [&] {
-            run.skipped = hooks.stopStarting && hooks.stopStarting();
-        });
-        if (run.skipped)
-            return;
-        SlotDone done = [&](uint64_t slot) {
-            if (hooks.trialDone)
-                hooks.trialDone(gang.range, slot, run.result.outcomes[slot]);
+    // Task @p task of @p range, on the worker that owns @p mine.
+    auto runTask = [&](RangeRun &range, const RangeRun::Task &task,
+                       WorkerSimulators &mine) {
+        CellRun &cell = range.cell;
+        const CampaignRunner &runner = cell.runner;
+        // A worker moving on to another cell drops the previous cell's
+        // simulators: a Memory keeps every page its trials touched.
+        if (mine.cell != &cell.cell) {
+            mine.gang.reset();
+            mine.scalar.reset();
+            mine.cell = &cell.cell;
+        }
+        auto gangWorker = [&]() -> GangWorker & {
+            if (!mine.gang)
+                mine.gang.emplace(runner.program_, runner.model_,
+                                  cell.maxLanes);
+            return *mine.gang;
         };
+        SlotDone done = [&](uint64_t slot) {
+            if (cell.cell.hooks.trialDone)
+                cell.cell.hooks.trialDone(range.index, slot,
+                                          range.result.outcomes[slot]);
+        };
+        RangeRun::Gang &gang = range.gangs[task.gang];
         uint8_t mode = gang.mode.load();
         bool decider = false;
-        if (mode == PassGang::Undecided) {
-            uint8_t choice = gangWidth > 0 && !gangsDiverge()
-                                 ? PassGang::Lockstep
-                                 : PassGang::Scalar;
+        if (mode == RangeRun::Gang::Undecided) {
+            uint8_t choice = cell.gangWidth > 0 && !cell.gangsDiverge()
+                                 ? RangeRun::Gang::Lockstep
+                                 : RangeRun::Gang::Scalar;
             decider = gang.mode.compare_exchange_strong(mode, choice);
             if (decider)
                 mode = choice;
         }
-        if (mode == PassGang::Scalar) {
-            if (gangWidth > 0)
-                metrics.gangFallbackTrials.add();
-            const LiveTrial &trial = run.live[gang.first + tasks[t].lane];
+        if (mode == RangeRun::Gang::Scalar) {
+            const LiveTrial &trial = range.live[gang.first + task.lane];
             telemetry::TraceSpan trialSpan("engine", "trial");
             if (trialSpan.active())
                 trialSpan.setArgs(
                     "{\"trial\":" +
-                    std::to_string(run.result.firstTrial + trial.slot) +
+                    std::to_string(range.result.firstTrial + trial.slot) +
                     "}");
-            runTrial(gangWidth > 0 ? gangWorkers[w].drain : simulators[w],
-                     trial, budget, run.result.outcomes[trial.slot]);
+            sim::Simulator *simulator;
+            if (cell.gangWidth > 0) {
+                metrics.gangFallbackTrials.add();
+                simulator = &gangWorker().drain;
+            } else {
+                if (!mine.scalar)
+                    mine.scalar.emplace(runner.program_, runner.model_);
+                simulator = &*mine.scalar;
+            }
+            runner.runTrial(*simulator, trial, cell.budget,
+                            range.result.outcomes[trial.slot]);
             done(trial.slot);
         } else if (decider) {
             metrics.gangBatches.add();
-            metrics.gangLaneSlots.add(run.width);
+            metrics.gangLaneSlots.add(range.width);
             metrics.gangLanes.add(gang.lanes);
             telemetry::TraceSpan gangSpan("engine", "gang");
             if (gangSpan.active())
                 gangSpan.setArgs("{\"gang\":" + std::to_string(gang.index) +
                                  ",\"lanes\":" +
                                  std::to_string(gang.lanes) + "}");
-            GangWorker &worker = gangWorkers[w];
-            unsigned evicted = runGang(
-                run.live.data() + gang.first, gang.lanes,
-                run.result.firstTrial, worker.base, worker.drain,
-                worker.gang, budget, run.result.outcomes, done);
-            gangLanesEvicted += evicted;
-            gangLanesDone += gang.lanes;
+            GangWorker &worker = gangWorker();
+            unsigned evicted = runner.runGang(
+                range.live.data() + gang.first, gang.lanes,
+                range.result.firstTrial, worker.base, worker.drain,
+                worker.gang, cell.budget, range.result.outcomes, done);
+            cell.lanesEvicted += evicted;
+            cell.lanesDone += gang.lanes;
         }
-        if (run.pending.fetch_sub(1) == 1)
-            finish(gang.range);
+    };
+
+    // Worker-local executors: simulators are self-contained (no
+    // global state), so worker-local instances make tasks re-entrant.
+    unsigned workers = TrialPool::resolveWorkers(threads, taskCount);
+    std::vector<WorkerSimulators> simulators(workers);
+    TrialPool::run(workers, taskCount, [&](uint64_t t, unsigned w) {
+        auto at = std::prev(std::upper_bound(
+            grid.begin(), grid.end(), t,
+            [](uint64_t task, const auto &entry) {
+                return task < entry.first;
+            }));
+        RangeRun &range = *at->second;
+        const PassHooks &hooks = range.cell.cell.hooks;
+        std::call_once(range.started, [&] {
+            range.skipped = hooks.stopStarting && hooks.stopStarting();
+            if (!range.skipped) {
+                range.result.outcomes.resize(range.count);
+                range.live.resize(range.count);
+            }
+        });
+        if (range.skipped || !drawPlans(range))
+            return;
+
+        // The tasks past its live trials stand for pruned ones.
+        uint64_t k = t - at->first;
+        if (k < range.tasks.size())
+            runTask(range, range.tasks[k], simulators[w]);
+        if (range.pending.fetch_sub(1) == 1)
+            finish(range);
     });
 }
 

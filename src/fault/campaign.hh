@@ -9,15 +9,21 @@
  * trials keep their output stream so the caller can score fidelity
  * against the fault-free (golden) output.
  *
- * One path per pass: runPass() takes any number of a cell's trial
- * ranges, draws every trial's plan from Rng::forStream(seed, t),
- * synthesizes the trials static pruning proves harmless, runs the rest
- * of every range as one TrialPool grid in range order (each task
- * writes only its own trials' outcome slots), and folds each range's
- * tallies from its outcomes in trial order the moment its last task
- * ends. A cell's results are therefore bit-identical for every thread
- * count, gang width, checkpoint interval, pruning mode, and range
- * split; runRange() is the one-range pass.
+ * One path per pass: runPass() takes trial ranges of any number of
+ * cells (each cell with its own runner, config and hooks) and runs
+ * them all as one TrialPool grid, in cell and range order, so a
+ * worker that finishes one cell's gangs moves straight on to the
+ * next cell's. Trial t of a cell draws its plan from
+ * Rng::forStream(seed, t) on the worker that reaches it: the workers
+ * that reach a range's tasks draw its plans together, the last of
+ * them deals the range's gangs, and the plans are freed when the
+ * range completes. Trials that static pruning proves harmless are
+ * synthesized as they are drawn. Each task writes only its own
+ * trials' outcome slots, and each range folds its tallies from its
+ * outcomes in trial order the moment its last task ends. A cell's
+ * results are therefore bit-identical for every thread count, gang
+ * width, checkpoint interval, pruning mode, range split, and set of
+ * cells sharing its pass; runRange() is the one-range pass.
  *
  * Trial fast-forwarding: every trial replays the golden run bit-for-bit
  * until its first injection site, so the golden profiling run records
@@ -37,15 +43,19 @@
  * evicted: it leaves the gang with a state snapshot and finishes in
  * the same site loop on a scalar simulator, so results match
  * gangWidth = 0 (pure scalar) bit for bit. A gang pays only while its
- * lanes stay in lockstep, so a pass stops ganging once its finished
+ * lanes stay in lockstep, so a cell stops ganging once its finished
  * gangs hold at least GANG_FALLBACK_MIN_LANES lanes and more than
- * GANG_FALLBACK_EVICTION_RATIO of them were evicted: every gang that
- * starts later runs its trials one by one on the scalar simulator.
- * The choice reads how often the cell's faults diverge, never the
- * width or the cell, and moves only wall time. On every path the
- * pass's grid deals one task per trial; the first of a gang's tasks
- * to start runs the gang (its other tasks then have nothing to do),
- * so a fallen-back gang's trials spread over idle workers.
+ * GANG_FALLBACK_EVICTION_RATIO of them were evicted: every gang of
+ * that cell that starts later runs its trials one by one on the
+ * scalar simulator. The choice is per cell, so a diverging cell never
+ * pushes the lockstep cells of its pass to scalar; it reads how often
+ * the cell's faults diverge, never the width, and moves only wall
+ * time. On every path the pass's grid deals one task per trial; the
+ * first of a gang's tasks to start runs the gang (its other tasks
+ * then have nothing to do), so a fallen-back gang's trials spread
+ * over idle workers. A worker's simulators serve one cell: it builds
+ * new ones when it moves on to another cell's tasks, so they hold no
+ * more pages than one cell's trials touched.
  *
  * "Infinite execution" is detected by an instruction budget of
  * budgetFactor x the golden run's dynamic instruction count.
@@ -91,7 +101,7 @@ inline constexpr unsigned GANG_WIDTH_AUTO = 0xffffffffu;
 inline constexpr unsigned DEFAULT_GANG_WIDTH = 32;
 
 /**
- * When a pass stops ganging (see the file comment): its finished
+ * When a cell stops ganging (see the file comment): its finished
  * gangs hold at least GANG_FALLBACK_MIN_LANES lanes, and more than
  * GANG_FALLBACK_EVICTION_RATIO of them were evicted. Constants, not
  * knobs: results are bit-identical either way, and the ratio was
@@ -116,7 +126,7 @@ struct CampaignConfig
      * DEFAULT_GANG_WIDTH, anything else is clamped to
      * sim::GangSimulator::MAX_LANES. A range of L live trials over W
      * workers deals gangs of at most min(gangWidth, ceil(L / W))
-     * lanes, which run scalar anyway once the pass's gangs diverge
+     * lanes, which run scalar anyway once the cell's gangs diverge
      * (see the file comment). Purely an execution strategy --
      * results are bit-identical for every value -- so it is NOT part
      * of a cell's identity.
@@ -172,15 +182,15 @@ struct TrialRange
 };
 
 /**
- * What CampaignRunner::runPass() reports while it runs. Every hook may
- * be empty.
+ * What CampaignRunner::runPass() reports about one cell while it runs.
+ * Every hook may be empty.
  */
 struct PassHooks
 {
     /**
-     * Consulted once per range, right before its first trial starts;
+     * Consulted once per range, right before its first plan is drawn;
      * true leaves that range unstarted, so it never reaches rangeDone.
-     * Ranges with no trial to simulate complete without asking.
+     * Empty ranges complete without asking.
      */
     std::function<bool()> stopStarting;
 
@@ -198,11 +208,25 @@ struct PassHooks
     /**
      * Every trial of range @p range is done; @p result holds its
      * tallies and its outcomes in trial order, as trialDone left
-     * them. Calls are serialized, in completion order, on the worker
-     * that finished the range's last task (or on the calling thread
-     * for a range with nothing to simulate).
+     * them. Calls are serialized across the whole pass, every cell's
+     * included, in completion order, on the worker that finished the
+     * range's last task (or on the calling thread for an empty range).
      */
     std::function<void(size_t range, CampaignResult &result)> rangeDone;
+};
+
+class CampaignRunner;
+
+/** One cell of a CampaignRunner::runPass(): which of its trials run,
+ *  and where they are reported. */
+struct PassCell
+{
+    const CampaignRunner *runner = nullptr; //!< policy, golden run
+    CampaignConfig config;            //!< the cell config.trials defines
+
+    /** Trial ranges of the cell (each lo <= hi <= config.trials). */
+    std::vector<TrialRange> ranges;
+    PassHooks hooks;
 };
 
 /**
@@ -309,19 +333,23 @@ class CampaignRunner
                             uint64_t hi);
 
     /**
-     * Run several ranges of one cell as one pass: the ranges' tasks
-     * form one TrialPool grid, so workers move on to the next range
-     * while the previous one's slowest task drains. Tasks start in
-     * range order and each range completes (rangeDone) as soon as its
-     * last task ends. Each range's result is exactly runRange() over
-     * it.
-     *
-     * @param ranges trial ranges of the cell config.trials defines
-     *               (each lo <= hi <= config.trials)
+     * Run several ranges of one cell as one pass: runPass() over the
+     * one cell (config, ranges, hooks) of this runner.
      */
     void runPass(const CampaignConfig &config,
                  const std::vector<TrialRange> &ranges,
                  const PassHooks &hooks);
+
+    /**
+     * Run the ranges of several cells as one pass: their tasks form
+     * one TrialPool grid, so workers move on to the next range, or
+     * the next cell, while the previous one's slowest task drains.
+     * Tasks start in cell and range order and each range completes
+     * (rangeDone) as soon as its last task ends. Each range's result
+     * is exactly runRange() over it. The pass runs on as many workers
+     * as its most threaded cell asks for.
+     */
+    static void runPass(const std::vector<PassCell> &cells);
 
     /** @return the effective gang width for @p requested (see
      *         CampaignConfig::gangWidth). */
@@ -339,9 +367,25 @@ class CampaignRunner
     /** A trial that must be simulated: its outcome slot and plan. */
     struct LiveTrial
     {
-        uint64_t slot; //!< index into CampaignResult::outcomes
+        /** The slot of a drawn trial that static pruning synthesized. */
+        static constexpr uint64_t PRUNED = ~uint64_t{0};
+
+        uint64_t slot = 0; //!< index into CampaignResult::outcomes
         InjectionPlan plan;
     };
+
+    /** The pass's state of one cell and of one of its ranges. */
+    struct CellRun;
+    struct RangeRun;
+
+    /** Draw the plan of trial @p index of @p range, and synthesize its
+     *  outcome when static pruning proves the plan harmless. */
+    void drawTrial(const CellRun &cell, RangeRun &range,
+                   uint64_t index) const;
+
+    /** Sort @p range's drawn live trials by first site and deal them
+     *  into gangs (one per trial on the scalar paths). */
+    void dealGangs(const CellRun &cell, RangeRun &range) const;
 
     /** Injection progress of one trial. */
     struct SiteCursor

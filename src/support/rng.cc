@@ -1,7 +1,8 @@
 #include "support/rng.hh"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <limits>
 
 #include "support/logging.hh"
 
@@ -59,11 +60,13 @@ Rng::below(uint64_t bound)
 {
     if (bound == 0)
         panic("Rng::below: bound must be positive");
-    // Rejection sampling to avoid modulo bias.
-    uint64_t threshold = (~bound + 1) % bound; // == 2^64 mod bound
+    // Rejection sampling to avoid modulo bias: reject r below
+    // 2^64 mod bound. That threshold is itself below bound, so a draw
+    // r >= bound is accepted without computing it (and a power-of-two
+    // bound has threshold 0).
     for (;;) {
         uint64_t r = next64();
-        if (r >= threshold)
+        if (r >= bound || r >= (~bound + 1) % bound)
             return r % bound;
     }
 }
@@ -98,15 +101,32 @@ Rng::sampleDistinct(uint64_t n, uint64_t k)
             out[i] = i;
         return out;
     }
-    // Floyd's algorithm: k iterations, O(k) memory, unbiased.
-    std::unordered_set<uint64_t> chosen;
-    chosen.reserve(static_cast<size_t>(k) * 2);
+    // Floyd's algorithm: k iterations, O(k) memory, unbiased. The
+    // chosen set is an open-addressing table (linear probing, load at
+    // most 1/2) in a buffer each thread reuses, so a draw allocates
+    // only its result.
+    constexpr uint64_t EMPTY = std::numeric_limits<uint64_t>::max();
+    size_t capacity = 2;
+    while (capacity < 2 * k)
+        capacity *= 2;
+    thread_local std::vector<uint64_t> table;
+    table.assign(capacity, EMPTY);
+    int shift = std::countl_zero(static_cast<uint64_t>(capacity - 1));
+    auto insert = [&](uint64_t value) {
+        size_t slot = (value * 0x9e3779b97f4a7c15ull) >> shift;
+        for (; table[slot] != EMPTY; slot = (slot + 1) & (capacity - 1))
+            if (table[slot] == value)
+                return false;
+        table[slot] = value;
+        out.push_back(value);
+        return true;
+    };
+    out.reserve(k);
     for (uint64_t j = n - k; j < n; ++j) {
-        uint64_t t = below(j + 1);
-        if (!chosen.insert(t).second)
-            chosen.insert(j);
+        // Values drawn so far are below j, so j itself is always new.
+        if (!insert(below(j + 1)))
+            insert(j);
     }
-    out.assign(chosen.begin(), chosen.end());
     std::sort(out.begin(), out.end());
     return out;
 }

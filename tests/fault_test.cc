@@ -119,6 +119,26 @@ TEST(PlanTest, DeterministicBySeed)
 
 // ---- injector ------------------------------------------------------------------
 
+TEST(PlanTest, BurstPlanIsPinned)
+{
+    // Literal sites and masks of a burst-model plan (3 adjacent bits
+    // in [4, 20), wrapping inside the range), so a sampler change that
+    // moves a draw fails here.
+    BitErrorModel burst;
+    burst.kind = BitErrorModel::Kind::Burst;
+    burst.lo = 4;
+    burst.hi = 20;
+    burst.burst = 3;
+    Rng rng = Rng::forStream(0x6a76, 7);
+    auto plan = samplePlan(1000, 6, burst, rng);
+    EXPECT_EQ(plan.sites,
+              (std::vector<uint64_t>{421, 460, 495, 683, 948, 955}));
+    EXPECT_EQ(plan.masks,
+              (std::vector<uint32_t>{0x1c0, 0x38000, 0x1c00, 0x1c000,
+                                     0x38000, 0x80030}));
+    EXPECT_EQ(rng.next64(), 0x9b00ee2826301a39ull);
+}
+
 TEST(InjectorTest, FlipsExactlyPlannedSites)
 {
     auto prog = sumProgram();

@@ -130,6 +130,55 @@ struct RunnerGrid
     }
 };
 
+/** Stripes per cell of the multi-cell passes below. */
+constexpr unsigned STRIPES = 4;
+
+/** What a multi-cell runPass() reported for each stripe of each cell. */
+struct SweepRecord
+{
+    /** [cell][stripe] */
+    std::vector<std::vector<CampaignResult>> results;
+    std::vector<std::vector<unsigned>> calls;
+
+    SweepRecord(size_t cells, unsigned stripes)
+        : results(cells, std::vector<CampaignResult>(stripes)),
+          calls(cells, std::vector<unsigned>(stripes))
+    {
+    }
+
+    /** Cell @p c of a pass: @p config.trials in STRIPES equal stripes,
+     *  recording into this. */
+    PassCell
+    cell(size_t c, CampaignRunner &runner, const CampaignConfig &config)
+    {
+        PassCell cell;
+        cell.runner = &runner;
+        cell.config = config;
+        for (unsigned s = 0; s < STRIPES; ++s)
+            cell.ranges.push_back({uint64_t{config.trials} * s / STRIPES,
+                                   uint64_t{config.trials} * (s + 1) /
+                                       STRIPES});
+        cell.hooks.rangeDone = [this, c](size_t range,
+                                         CampaignResult &result) {
+            ++calls[c][range];
+            results[c][range] = std::move(result);
+        };
+        return cell;
+    }
+
+    /** Each stripe of cell @p c landed once, as its slice of @p whole. */
+    void
+    expectSlicesOf(size_t c, const CampaignResult &whole) const
+    {
+        for (size_t r = 0; r < results[c].size(); ++r) {
+            SCOPED_TRACE("cell " + std::to_string(c) + " stripe " +
+                         std::to_string(r));
+            EXPECT_EQ(calls[c][r], 1u);
+            expectShardIsSliceOf(whole, results[c][r]);
+        }
+    }
+};
+
 TEST(GangDeterminismTest, BitIdenticalAcrossWidthsThreadsCheckpointPrune)
 {
     // The ISSUE's acceptance sweep: gang widths {0,1,4,8} x threads
@@ -315,7 +364,148 @@ TEST(GangDeterminismTest, TracingIsObservationOnly)
 
     // The trace itself materialized as nonempty JSONL.
     EXPECT_GT(std::filesystem::file_size(tracePath), 0u);
+
+    // A traced pass over two cells (drawing spans included) must also
+    // give each range the bits of its cell run alone.
+    RunnerGrid control("mpeg", "control-only");
+    std::vector<CampaignRunner *> cellRunners = {
+        &runner, &control.runner(true, false)};
+    std::vector<CampaignConfig> configs = {
+        cellConfig(0, 1), cellConfig(0, 1, DIVERGENT_ERRORS)};
+    std::vector<CampaignResult> alone;
+    for (size_t c = 0; c < configs.size(); ++c)
+        alone.push_back(cellRunners[c]->run(configs[c]));
+    telemetry::Tracer::instance().open(tracePath.string());
+    unsigned passes = 0;
+    for (unsigned threads : {1u, 4u}) {
+        for (unsigned width : {0u, 8u}) {
+            SweepRecord sweep(configs.size(), STRIPES);
+            std::vector<PassCell> cells;
+            for (size_t c = 0; c < configs.size(); ++c) {
+                CampaignConfig config = configs[c];
+                config.threads = threads;
+                config.gangWidth = width;
+                cells.push_back(sweep.cell(c, *cellRunners[c], config));
+            }
+            CampaignRunner::runPass(cells);
+            ++passes;
+            for (size_t c = 0; c < configs.size(); ++c)
+                sweep.expectSlicesOf(c, alone[c]);
+        }
+    }
+    telemetry::Tracer::instance().close();
+
+    // Every range's plans were drawn under an engine/plans span that
+    // names the cell's error count.
+    std::ifstream trace(tracePath);
+    std::string line;
+    unsigned plans = 0;
+    while (std::getline(trace, line))
+        if (line.find("\"name\":\"plans\"") != std::string::npos) {
+            ++plans;
+            EXPECT_NE(line.find("\"errors\":"), std::string::npos) << line;
+        }
     std::filesystem::remove(tracePath);
+    EXPECT_GE(plans, passes * configs.size() * STRIPES);
+}
+
+/** mcf's runners under the paper's two policies. */
+struct PolicyRunners
+{
+    std::unique_ptr<workloads::Workload> workload =
+        workloads::createWorkload("mcf", workloads::Scale::Test);
+    std::vector<bool> tagged =
+        core::computeStudyProtection(*workload, core::StudyConfig{})
+            .tagged;
+    CampaignRunner protectedRunner{
+        workload->program(),
+        resolveInjectionPolicy(PROTECTED_POLICY)
+            .injectableBitmap(workload->program(), tagged)};
+    CampaignRunner unprotectedRunner{
+        workload->program(),
+        injectableWithoutProtection(workload->program())};
+};
+
+TEST(GangDeterminismTest, SweepPassEqualsCellsRunAlone)
+{
+    // One pass over a whole sweep (mcf at 0, 1 and 50 errors under
+    // both policies, each cell in four stripes) gives every stripe
+    // exactly what runRange() over its cell alone gives, for every
+    // thread count and gang width.
+    PolicyRunners mcf;
+    struct Cell
+    {
+        CampaignRunner *runner;
+        unsigned errors;
+    };
+    std::vector<Cell> sweep;
+    for (unsigned errors : {0u, 1u, 50u})
+        for (CampaignRunner *runner :
+             {&mcf.protectedRunner, &mcf.unprotectedRunner})
+            sweep.push_back({runner, errors});
+    for (unsigned threads : {1u, 4u}) {
+        for (unsigned width : {0u, 8u, GANG_WIDTH_AUTO}) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + " width " +
+                         std::to_string(width));
+            SweepRecord record(sweep.size(), STRIPES);
+            std::vector<PassCell> cells;
+            for (size_t c = 0; c < sweep.size(); ++c) {
+                CampaignConfig config =
+                    cellConfig(width, threads, sweep[c].errors);
+                config.seed ^= uint64_t{sweep[c].errors} << 32;
+                cells.push_back(record.cell(c, *sweep[c].runner, config));
+            }
+            CampaignRunner::runPass(cells);
+            for (size_t c = 0; c < sweep.size(); ++c) {
+                const PassCell &cell = cells[c];
+                for (size_t r = 0; r < STRIPES; ++r) {
+                    SCOPED_TRACE("cell " + std::to_string(c) + " stripe " +
+                                 std::to_string(r));
+                    EXPECT_EQ(record.calls[c][r], 1u);
+                    expectIdentical(
+                        sweep[c].runner->runRange(cell.config,
+                                                  cell.ranges[r].lo,
+                                                  cell.ranges[r].hi),
+                        record.results[c][r]);
+                }
+            }
+        }
+    }
+}
+
+TEST(GangDeterminismTest, FallbackStaysPerCell)
+{
+    // Unprotected mcf at 50 errors evicts most gang lanes, so its later
+    // gangs fall back to scalar; a 0-error cell dealt after it in the
+    // same pass stays in lockstep. One thread fixes which gangs fall
+    // back, so the pass must count exactly the diverging cell's
+    // fallback trials. A pass-wide ratio would send the 0-error cell's
+    // gangs to scalar too.
+    PolicyRunners mcf;
+    CampaignConfig diverging = cellConfig(8, 1, 50);
+    CampaignConfig golden = cellConfig(8, 1, 0);
+    const std::string fallback = "etc_gang_scalar_fallback_trials_total";
+
+    SweepRecord alone(1, STRIPES);
+    uint64_t before = counterValue(fallback);
+    CampaignRunner::runPass(
+        {alone.cell(0, mcf.unprotectedRunner, diverging)});
+    uint64_t aloneFellBack = counterValue(fallback) - before;
+    ASSERT_GT(aloneFellBack, 0u) << "the cell no longer diverges";
+
+    SweepRecord pass(2, STRIPES);
+    before = counterValue(fallback);
+    CampaignRunner::runPass(
+        {pass.cell(0, mcf.unprotectedRunner, diverging),
+         pass.cell(1, mcf.protectedRunner, golden)});
+    EXPECT_EQ(counterValue(fallback) - before, aloneFellBack);
+
+    auto scalar = diverging;
+    scalar.gangWidth = 0;
+    pass.expectSlicesOf(0, mcf.unprotectedRunner.run(scalar));
+    scalar = golden;
+    scalar.gangWidth = 0;
+    pass.expectSlicesOf(1, mcf.protectedRunner.run(scalar));
 }
 
 TEST(GangDeterminismTest, WidthResolution)

@@ -8,6 +8,8 @@
 
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "support/bits.hh"
 #include "support/chart.hh"
@@ -115,6 +117,57 @@ TEST(RngTest, SampleDistinctEmptyUniverse)
 {
     Rng rng(19);
     EXPECT_TRUE(rng.sampleDistinct(0, 10).empty());
+}
+
+TEST(RngTest, DrawsArePinned)
+{
+    // Literal draws, so a change to the sampler that moves any accept/
+    // reject decision or returned value fails here rather than only as
+    // changed figure bytes. One generator runs through every bound, so
+    // the value after them also pins how many draws were rejected.
+    Rng rng(0x5eed);
+    const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> below = {
+        {1, {0, 0, 0, 0, 0, 0}},
+        {2, {0, 0, 0, 0, 0, 0}},
+        {3, {2, 1, 2, 2, 0, 1}},
+        {32, {0x1c, 0x12, 0x5, 0xb, 0x1c, 0x1b}},
+        {(1ull << 32) + 1,
+         {0xbacc0132, 0xc759e58, 0x48588022, 0x44be6c5c, 0x9506d6ae,
+          0xbb084776}},
+        {(1ull << 63) + 1,
+         {0x2b06e963a3dd337dull, 0x1c5ed8bd8b8bed73ull,
+          0x4cf37341a67dbdfeull, 0x737375b6b47f4d36ull,
+          0x41d88cd25222d651ull, 0x514e69f965d0a6b9ull}},
+        {~0ull,
+         {0xf9ea203f78175869ull, 0xe987b805da556782ull,
+          0x5b825cc04a2e7cdeull, 0x915fb63a060e49a8ull,
+          0x48864d37345bd09dull, 0x31f382d79549a268ull}},
+    };
+    for (const auto &[bound, values] : below)
+        for (uint64_t value : values)
+            EXPECT_EQ(rng.below(bound), value) << "bound " << bound;
+    EXPECT_EQ(rng.next64(), 0xc0152d3746ebfad3ull);
+
+    // sampleDistinct: the small cases literally, a fig1-sized draw
+    // (2,300 of 609,840 sites) by size and FNV-1a hash.
+    auto fnv = [](const std::vector<uint64_t> &values) {
+        uint64_t hash = 0xcbf29ce484222325ull;
+        for (uint64_t value : values) {
+            hash ^= value;
+            hash *= 0x100000001b3ull;
+        }
+        return hash;
+    };
+    Rng sampler(0xd15c);
+    EXPECT_EQ(sampler.sampleDistinct(1, 1), (std::vector<uint64_t>{0}));
+    EXPECT_EQ(sampler.sampleDistinct(10, 9),
+              (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 7, 8, 9}));
+    EXPECT_EQ(sampler.sampleDistinct(10, 10),
+              (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    auto large = sampler.sampleDistinct(609840, 2300);
+    EXPECT_EQ(large.size(), 2300u);
+    EXPECT_EQ(fnv(large), 0x72a21b8fc66f5440ull);
+    EXPECT_EQ(sampler.next64(), 0x6545fb7146a5f755ull);
 }
 
 TEST(RngTest, SplitProducesIndependentStream)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <tuple>
@@ -20,15 +19,6 @@
 namespace etc::core {
 
 namespace {
-
-/** Exact readable mirror (same idiom as the record codec). */
-std::string
-readableDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
-}
 
 constexpr struct
 {
@@ -324,11 +314,11 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
                 .field("timedOut", stats.timedOut)
                 .field("trialsPruned", stats.pruned)
                 .field("failureRate",
-                       readableDouble(stats.failureRate()))
+                       store::readableDouble(stats.failureRate()))
                 .field("acceptableRate",
-                       readableDouble(stats.acceptableRate()))
+                       store::readableDouble(stats.acceptableRate()))
                 .field("meanFidelity",
-                       readableDouble(stats.meanFidelity()));
+                       store::readableDouble(stats.meanFidelity()));
             rows.add(row,
                      {workload, policy, std::to_string(errors),
                       std::to_string(stats.cells),
@@ -379,21 +369,21 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
                     .field("errors", uint64_t{group.second})
                     .field("policy", policy)
                     .field("failureRate",
-                           readableDouble(stats.failureRate()))
+                           store::readableDouble(stats.failureRate()))
                     .field("baseFailureRate",
-                           readableDouble(base.failureRate()))
+                           store::readableDouble(base.failureRate()))
                     .field("deltaFailureRate",
-                           readableDouble(dFailure))
+                           store::readableDouble(dFailure))
                     .field("acceptableRate",
-                           readableDouble(stats.acceptableRate()))
+                           store::readableDouble(stats.acceptableRate()))
                     .field("baseAcceptableRate",
-                           readableDouble(base.acceptableRate()))
+                           store::readableDouble(base.acceptableRate()))
                     .field("deltaAcceptableRate",
-                           readableDouble(dAcceptable))
+                           store::readableDouble(dAcceptable))
                     .field("meanFidelity",
-                           readableDouble(stats.meanFidelity()))
+                           store::readableDouble(stats.meanFidelity()))
                     .field("baseMeanFidelity",
-                           readableDouble(base.meanFidelity()));
+                           store::readableDouble(base.meanFidelity()));
                 rows.add(row,
                          {group.first, std::to_string(group.second),
                           policy, formatPercent(stats.failureRate()),
@@ -439,14 +429,14 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
             row.field("workload", group.first)
                 .field("policy", group.second)
                 .field("count", uint64_t{sorted.size()})
-                .field("mean", readableDouble(stats.meanFidelity()))
-                .field("min", readableDouble(quantile(sorted, 0.0)))
-                .field("p10", readableDouble(quantile(sorted, 0.10)))
-                .field("p25", readableDouble(quantile(sorted, 0.25)))
-                .field("p50", readableDouble(quantile(sorted, 0.50)))
-                .field("p75", readableDouble(quantile(sorted, 0.75)))
-                .field("p90", readableDouble(quantile(sorted, 0.90)))
-                .field("max", readableDouble(quantile(sorted, 1.0)));
+                .field("mean", store::readableDouble(stats.meanFidelity()))
+                .field("min", store::readableDouble(quantile(sorted, 0.0)))
+                .field("p10", store::readableDouble(quantile(sorted, 0.10)))
+                .field("p25", store::readableDouble(quantile(sorted, 0.25)))
+                .field("p50", store::readableDouble(quantile(sorted, 0.50)))
+                .field("p75", store::readableDouble(quantile(sorted, 0.75)))
+                .field("p90", store::readableDouble(quantile(sorted, 0.90)))
+                .field("max", store::readableDouble(quantile(sorted, 1.0)));
             rows.add(row,
                      {group.first, group.second,
                       std::to_string(sorted.size()),
@@ -497,18 +487,18 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
                         .field("policy", policy.policy)
                         .field("errors", uint64_t{group.second})
                         .field("avfLower",
-                               readableDouble(policy.avfLower()))
+                               store::readableDouble(policy.avfLower()))
                         .field("avfUpper",
-                               readableDouble(policy.avfUpper()))
+                               store::readableDouble(policy.avfUpper()))
                         .field("staticSites",
                                uint64_t{policy.staticSites})
                         .field("maskedSites",
                                uint64_t{policy.maskedSites})
                         .field("aceSites", uint64_t{policy.aceSites})
                         .field("failureRate",
-                               readableDouble(stats.failureRate()))
+                               store::readableDouble(stats.failureRate()))
                         .field("acceptableRate",
-                               readableDouble(stats.acceptableRate()));
+                               store::readableDouble(stats.acceptableRate()));
                     rows.add(row,
                              {options.filter.workload, policy.policy,
                               std::to_string(group.second),

@@ -571,15 +571,9 @@ Scheduler::completeLease(const std::string &leaseId,
         // stops retrying. Anything else is genuinely unknown.
         std::string fingerprint =
             leaseId.substr(0, leaseId.find('.'));
-        bool hex16 =
-            fingerprint.size() == 16 &&
-            std::all_of(fingerprint.begin(), fingerprint.end(),
-                        [](char c) {
-                            return (c >= '0' && c <= '9') ||
-                                   (c >= 'a' && c <= 'f');
-                        });
-        if (hex16 && store::ResultStore(config_.cacheDir)
-                         .hasCellByFingerprint(fingerprint))
+        if (store::isFingerprint(fingerprint) &&
+            store::ResultStore(config_.cacheDir)
+                .hasCellByFingerprint(fingerprint))
             return LeaseCompletion::LateDone;
         return LeaseCompletion::Unknown;
     }

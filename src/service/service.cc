@@ -1,7 +1,6 @@
 #include "service/service.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -18,15 +17,6 @@
 namespace etc::service {
 
 namespace {
-
-/** Human-readable double mirror (exactness lives in the bit field). */
-std::string
-readableDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
 
 std::string
 encodeIndexHealth(const store::IndexHealth &health)
@@ -88,17 +78,6 @@ encodeLeaseGrant(const LeaseGrant &grant)
     return writer.str();
 }
 
-bool
-isFingerprint(const std::string &text)
-{
-    // 16 lowercase hex digits -- also keeps request paths from ever
-    // naming a file outside <root>/cells/.
-    if (text.size() != 16)
-        return false;
-    return text.find_first_not_of("0123456789abcdef") ==
-           std::string::npos;
-}
-
 /** A JSON array of pre-encoded @p values. */
 std::string
 jsonArray(const std::vector<std::string> &values)
@@ -127,8 +106,8 @@ encodeCellStatus(const CellStatus &cell)
         // Throughput of the simulation this daemon actually ran for
         // the cell (0 for cached or still-queued cells), so daemon
         // users see trials/sec without grepping BENCH_JSON lines.
-        .field("wallSeconds", readableDouble(cell.wallSeconds))
-        .field("trialsPerSec", readableDouble(cell.trialsPerSec()));
+        .field("wallSeconds", store::readableDouble(cell.wallSeconds))
+        .field("trialsPerSec", store::readableDouble(cell.trialsPerSec()));
     if (!cell.error.empty())
         writer.field("error", cell.error);
     return writer.str();
@@ -182,7 +161,7 @@ encodeSummaryJson(const core::CellSummary &summary)
         store::JsonObjectWriter line;
         line.field("bits",
                    store::hexU64(store::doubleBits(score.value)))
-            .field("value", readableDouble(score.value))
+            .field("value", store::readableDouble(score.value))
             .field("acceptable", score.acceptable)
             .field("unit", score.unit);
         fidelities.push_back(line.str());
@@ -195,10 +174,10 @@ encodeSummaryJson(const core::CellSummary &summary)
         .field("timedOut", uint64_t{summary.timedOut})
         .field("trialsPruned", summary.trialsPruned)
         .field("totalInstructions", summary.totalInstructions)
-        .field("failureRate", readableDouble(summary.failureRate()))
-        .field("meanFidelity", readableDouble(summary.meanFidelity()))
+        .field("failureRate", store::readableDouble(summary.failureRate()))
+        .field("meanFidelity", store::readableDouble(summary.meanFidelity()))
         .field("acceptableRate",
-               readableDouble(summary.acceptableRate()))
+               store::readableDouble(summary.acceptableRate()))
         .rawField("fidelities", jsonArray(fidelities));
     return writer.str();
 }
@@ -401,15 +380,12 @@ CampaignService::jobStatus(const std::string &id)
 HttpResponse
 CampaignService::cellRecord(const std::string &fingerprint)
 {
-    if (!isFingerprint(fingerprint))
+    if (!store::isFingerprint(fingerprint))
         return errorResponse(
             400, "cell keys are 16 lowercase hex digits (the CellKey "
                  "fingerprint)");
-    std::optional<store::CellRecord> record;
-    {
-        std::lock_guard<std::mutex> lock(readMutex_);
-        record = store_.loadCellByFingerprint(fingerprint);
-    }
+    std::lock_guard<std::mutex> lock(readMutex_);
+    const store::CellRecord *record = store_.readCell(fingerprint, nullptr);
     if (!record)
         return errorResponse(404, "no stored record for cell '" +
                                       fingerprint + "'");
@@ -869,7 +845,7 @@ CampaignService::fleet()
             .field("owner", row.owner)
             .field("issue", uint64_t{row.issue})
             .field("remainingMs",
-                   readableDouble(double(row.remainingMs)));
+                   store::readableDouble(double(row.remainingMs)));
         leases.push_back(writer.str());
     }
 
@@ -898,7 +874,7 @@ CampaignService::healthz()
         .field("version", telemetry::versionString())
         .field("buildFlags", telemetry::buildFlags())
         .field("uptimeSeconds",
-               readableDouble(telemetry::uptimeSeconds()))
+               store::readableDouble(telemetry::uptimeSeconds()))
         .field("workers", uint64_t{scheduler_.config().workers})
         .field("jobs", uint64_t{stats.jobs})
         // Cells waiting for a worker -- the queue depth a load

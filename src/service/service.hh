@@ -66,7 +66,7 @@
  * its cache root, loaded lazily by the first request that reads the
  * archive. Each request refreshes them, and a refresh re-reads the
  * index only when its manifest or journal changed on disk and a cell
- * record only when its file changed (file_stamp.hh), so an unchanged
+ * record only when its file changed (file_io.hh), so an unchanged
  * archive is served from memory while a cell any process writes shows
  * up in the next answer. Response bytes are never cached: every
  * request folds the current index and records.

@@ -44,14 +44,6 @@ workerMetrics()
     return metrics;
 }
 
-std::string
-formatSeconds(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
 /** Decode one /v1/leases/acquire grant. Throws JsonError on any
  *  missing or ill-typed field (version skew fails loudly). */
 LeaseGrant
@@ -352,7 +344,7 @@ WorkerAgent::completeLease(const LeaseGrant &grant, uint64_t trials,
     store::JsonObjectWriter body;
     body.field("worker", config_.name)
         .field("trialsExecuted", trials)
-        .field("wallSeconds", formatSeconds(wallSeconds));
+        .field("wallSeconds", store::readableDouble(wallSeconds));
     auto response = client.post("/v1/leases/" + grant.id + "/complete",
                                 body.str());
     if (!response.ok())

@@ -7,6 +7,13 @@
 
 namespace etc::store {
 
+bool
+isFingerprint(const std::string &text)
+{
+    return text.size() == 16 &&
+           text.find_first_not_of("0123456789abcdef") == std::string::npos;
+}
+
 uint64_t
 fnv1a(const void *data, size_t size, uint64_t hash)
 {

@@ -68,6 +68,10 @@ struct CellKey
     }
 };
 
+/** @return true if @p text has a fingerprint's form: 16 lowercase hex
+ *  digits (so it can never name a file outside its directory). */
+bool isFingerprint(const std::string &text);
+
 /** FNV-1a 64-bit over @p data, continuing from @p hash. */
 uint64_t fnv1a(const void *data, size_t size,
                uint64_t hash = 0xcbf29ce484222325ull);

@@ -1,16 +1,11 @@
 #include "store/index.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <system_error>
 
+#include "store/file_io.hh"
 #include "store/json.hh"
 #include "support/logging.hh"
 #include "telemetry/metrics.hh"
@@ -85,26 +80,18 @@ manifestPath(const std::string &root)
 void
 appendJournalLine(const std::string &root, std::string body)
 {
+    // No args: a record's append nests in the store/cell-write or
+    // store/shard-write span that names its cell.
+    telemetry::TraceSpan span("index", "journal-append");
     uint64_t checksum = fnv1a(body.data(), body.size());
     body.resize(body.size() - 1); // strip the closing brace
     body += ",\"fnv\":" + jsonQuote(hexU64(checksum)) + "}\n";
 
-    std::error_code ec;
-    fs::create_directories(indexDir(root), ec);
-    int fd = ::open(journalPath(root).c_str(),
-                    O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd < 0) {
+    if (appendLine(journalPath(root).string(), body))
+        indexMetrics().journalAppends.add();
+    else
         warn("store index: cannot append to ",
              journalPath(root).string());
-        return;
-    }
-    ssize_t written = ::write(fd, body.data(), body.size());
-    ::close(fd);
-    if (written != static_cast<ssize_t>(body.size()))
-        warn("store index: short journal append to ",
-             journalPath(root).string());
-    else
-        indexMetrics().journalAppends.add();
 }
 
 /**
@@ -133,63 +120,6 @@ unsealLine(const std::string &line, JsonValue &out)
     }
 }
 
-std::optional<std::string>
-slurp(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    if (in.bad())
-        return std::nullopt;
-    return contents.str();
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    size_t start = 0;
-    while (start < text.size()) {
-        size_t end = text.find('\n', start);
-        if (end == std::string::npos) {
-            lines.push_back(text.substr(start));
-            break;
-        }
-        lines.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-    return lines;
-}
-
-/** Same staging idiom as ResultStore::writeAtomically. */
-void
-writeAtomically(const std::string &root, const fs::path &target,
-                const std::string &contents)
-{
-    std::error_code ec;
-    fs::create_directories(target.parent_path(), ec);
-    fs::path tmpDir = fs::path(root) / "tmp";
-    fs::create_directories(tmpDir, ec);
-    static std::atomic<uint64_t> counter{0};
-    fs::path tmp = tmpDir / (target.filename().string() + "." +
-                             std::to_string(::getpid()) + "." +
-                             std::to_string(counter.fetch_add(1)) +
-                             ".tmp");
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << contents;
-        out.flush();
-        if (!out)
-            fatal("store index: cannot write ", tmp.string());
-    }
-    fs::rename(tmp, target, ec);
-    if (ec)
-        fatal("store index: cannot move ", tmp.string(), " to ",
-              target.string(), ": ", ec.message());
-}
-
 } // namespace
 
 StoreIndex::StoreIndex(std::string root) : root_(std::move(root))
@@ -199,27 +129,16 @@ StoreIndex::StoreIndex(std::string root) : root_(std::move(root))
 }
 
 void
-StoreIndex::journalCell(const std::string &root, const CellKey &key)
+StoreIndex::journalRecord(const std::string &root, const CellKey &key,
+                          unsigned lo, unsigned hi)
 {
     JsonObjectWriter writer;
     writer.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", "cell")
-        .field("fingerprint", key.fingerprint())
-        .rawField("key", encodeCellKeyObject(key));
-    appendJournalLine(root, writer.str());
-}
-
-void
-StoreIndex::journalShard(const std::string &root, const CellKey &key,
-                         unsigned lo, unsigned hi)
-{
-    JsonObjectWriter writer;
-    writer.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", "shard")
-        .field("fingerprint", key.fingerprint())
-        .field("lo", uint64_t{lo})
-        .field("hi", uint64_t{hi})
-        .rawField("key", encodeCellKeyObject(key));
+        .field("kind", hi ? "shard" : "cell")
+        .field("fingerprint", key.fingerprint());
+    if (hi)
+        writer.field("lo", uint64_t{lo}).field("hi", uint64_t{hi});
+    writer.rawField("key", encodeCellKeyObject(key));
     appendJournalLine(root, writer.str());
 }
 
@@ -260,7 +179,7 @@ StoreIndex::load()
     // dropped wholesale (a partial base could never match a rebuild);
     // the journal alone may still recover recent writes, and
     // rebuild() restores the rest.
-    if (auto contents = slurp(manifestPath(root_))) {
+    if (auto contents = readFile(manifestPath(root_))) {
         try {
             std::vector<std::string> lines = splitLines(*contents);
             if (lines.empty())
@@ -312,7 +231,7 @@ StoreIndex::load()
     //   cell        -> complete entry; any shard ranges are gone
     //   shard       -> range added unless the cell is complete
     //   drop-shards -> a shard-only entry disappears entirely
-    if (auto contents = slurp(journalPath(root_))) {
+    if (auto contents = readFile(journalPath(root_))) {
         for (const std::string &line : splitLines(*contents)) {
             if (line.empty())
                 continue;
@@ -455,11 +374,8 @@ void
 StoreIndex::compact()
 {
     telemetry::TraceSpan span("index", "compact");
-    writeAtomically(root_, manifestPath(root_), encodeManifest());
-    std::error_code ec;
-    fs::create_directories(indexDir(root_), ec);
-    std::ofstream truncate(journalPath(root_),
-                           std::ios::binary | std::ios::trunc);
+    writeFileAtomically(root_, manifestPath(root_), encodeManifest());
+    truncateFile(journalPath(root_));
     journalEntries_ = 0;
     journalCorrupt_ = 0;
     manifestPresent_ = true;
@@ -477,50 +393,51 @@ StoreIndex::rebuild(bool quarantine)
     journalEntries_ = 0;
     journalCorrupt_ = 0;
 
-    auto quarantineFile = [&](const fs::path &path,
-                              const fs::path &relative) {
-        report.corruptRecords.push_back(path.string());
-        if (!quarantine)
-            return;
-        fs::path target = indexDir(root_) / "quarantine" / relative;
+    // Decode every regular file in the store directory @p relative; an
+    // undecodable one is reported and, with @p quarantine, moved to the
+    // same relative path under index/quarantine/.
+    auto scan = [&](const fs::path &relative, const auto &decode) {
         std::error_code ec;
-        fs::create_directories(target.parent_path(), ec);
-        fs::rename(path, target, ec);
+        fs::directory_iterator it(fs::path(root_) / relative, ec);
         if (ec)
-            warn("store index: cannot quarantine ", path.string(),
-                 ": ", ec.message());
-        else
-            ++report.quarantined;
-    };
-
-    std::error_code ec;
-    fs::directory_iterator cellIt(fs::path(root_) / "cells", ec);
-    if (!ec) {
-        for (const auto &file : cellIt) {
+            return;
+        for (const auto &file : it) {
             if (!file.is_regular_file(ec))
                 continue;
-            auto contents = slurp(file.path());
+            auto contents = readFile(file.path());
             if (!contents)
                 continue;
             try {
-                CellRecord record =
-                    decodeCellRecordWithKey(*contents, nullptr);
-                std::string fingerprint = record.key.fingerprint();
-                if (fingerprint + ".jsonl" !=
-                    file.path().filename().string())
-                    throw StoreFormatError("record fingerprint does "
-                                           "not match its file name");
-                IndexEntry &entry = entries_[fingerprint];
-                entry.key = std::move(record.key);
-                entry.complete = true;
+                decode(file.path(), *contents);
             } catch (const StoreFormatError &) {
-                quarantineFile(file.path(),
-                               fs::path("cells") /
-                                   file.path().filename());
+                report.corruptRecords.push_back(file.path().string());
+                if (!quarantine)
+                    continue;
+                fs::path target = indexDir(root_) / "quarantine" /
+                                  relative / file.path().filename();
+                fs::create_directories(target.parent_path(), ec);
+                fs::rename(file.path(), target, ec);
+                if (ec)
+                    warn("store index: cannot quarantine ",
+                         file.path().string(), ": ", ec.message());
+                else
+                    ++report.quarantined;
             }
         }
-    }
+    };
 
+    scan("cells", [&](const fs::path &path, const std::string &contents) {
+        CellRecord record = decodeCellRecordWithKey(contents, nullptr);
+        std::string fingerprint = record.key.fingerprint();
+        if (fingerprint + ".jsonl" != path.filename().string())
+            throw StoreFormatError(
+                "record fingerprint does not match its file name");
+        IndexEntry &entry = entries_[fingerprint];
+        entry.key = std::move(record.key);
+        entry.complete = true;
+    });
+
+    std::error_code ec;
     fs::directory_iterator shardIt(fs::path(root_) / "shards", ec);
     if (!ec) {
         for (const auto &dir : shardIt) {
@@ -528,37 +445,22 @@ StoreIndex::rebuild(bool quarantine)
                 continue;
             std::string fingerprint = dir.path().filename().string();
             bool shadowed = hasCell(fingerprint);
-            fs::directory_iterator fileIt(dir.path(), ec);
-            if (ec)
-                continue;
-            for (const auto &file : fileIt) {
-                if (!file.is_regular_file(ec))
-                    continue;
-                auto contents = slurp(file.path());
-                if (!contents)
-                    continue;
-                try {
-                    ShardRecord shard =
-                        decodeShardRecord(*contents, nullptr);
-                    if (shard.key.fingerprint() != fingerprint)
-                        throw StoreFormatError(
-                            "shard key does not match its directory");
-                    if (shadowed) {
-                        // Valid but already superseded by a complete
-                        // cell: an interrupted promotion's leftovers.
-                        report.orphanedShards.push_back(
-                            file.path().string());
-                        continue;
-                    }
-                    IndexEntry &entry = entries_[fingerprint];
-                    entry.key = std::move(shard.key);
-                    entry.shardRanges.emplace(shard.lo, shard.hi);
-                } catch (const StoreFormatError &) {
-                    quarantineFile(file.path(),
-                                   fs::path("shards") / fingerprint /
-                                       file.path().filename());
-                }
-            }
+            scan(fs::path("shards") / fingerprint,
+                 [&](const fs::path &path, const std::string &contents) {
+                     ShardRecord shard = decodeShardRecord(contents, nullptr);
+                     if (shard.key.fingerprint() != fingerprint)
+                         throw StoreFormatError(
+                             "shard key does not match its directory");
+                     if (shadowed) {
+                         // Valid but already superseded by a complete
+                         // cell: an interrupted promotion's leftovers.
+                         report.orphanedShards.push_back(path.string());
+                         return;
+                     }
+                     IndexEntry &entry = entries_[fingerprint];
+                     entry.key = std::move(shard.key);
+                     entry.shardRanges.emplace(shard.lo, shard.hi);
+                 });
         }
     }
 

@@ -17,12 +17,14 @@
  *   <root>/index/manifest.jsonl   compacted snapshot (sorted, sealed)
  *   <root>/index/quarantine/      corrupt records moved by rebuild
  *
- * Writers (ResultStore::storeCell/storeShard/dropShards) append one
+ * Writers (ResultStore's record writes and shard drops) append one
  * self-checksummed line to the journal per mutation -- a single
  * O_APPEND write(), so any number of processes or threads may race on
  * the same journal and readers at worst skip a torn final line.
  * Readers fold the journal over the manifest; compact() folds
- * everything into a fresh manifest and truncates the journal.
+ * everything into a fresh manifest and truncates the journal. Every
+ * read, append, staged write and truncation goes through file_io.hh;
+ * this file only seals, parses and folds lines.
  *
  * Determinism contract: the manifest encoding carries no timestamps,
  * entries sort by fingerprint, and the fold rules mirror what a full
@@ -51,7 +53,7 @@
 #include <utility>
 #include <vector>
 
-#include "store/file_stamp.hh"
+#include "store/file_io.hh"
 #include "store/record.hh"
 
 namespace etc::store {
@@ -94,7 +96,7 @@ struct RebuildReport
  * The secondary index over one store root. Instances are snapshots:
  * load() reads manifest + journal; call it again to refresh. A
  * refresh re-reads both files only when either one's FileStamp
- * changed since the last read (file_stamp.hh), so a long-lived
+ * changed since the last read (file_io.hh), so a long-lived
  * instance (the daemon's) costs two stat() calls per request over an
  * unchanged archive. Not internally synchronized -- use one instance
  * per thread, like ResultStore.
@@ -111,9 +113,10 @@ class StoreIndex
     /// an unwritable journal warns and the index goes stale until the
     /// next rebuild (the store itself stays correct regardless).
     /// @{
-    static void journalCell(const std::string &root, const CellKey &key);
-    static void journalShard(const std::string &root, const CellKey &key,
-                             unsigned lo, unsigned hi);
+    /** A record write: the shard [lo, hi) of @p key, or its cell
+     *  record when @p hi is 0. */
+    static void journalRecord(const std::string &root, const CellKey &key,
+                              unsigned lo, unsigned hi);
     static void journalDropShards(const std::string &root,
                                   const CellKey &key);
     /// @}

@@ -1,6 +1,7 @@
 #include "store/json.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <limits>
 
 namespace etc::store {
@@ -357,6 +358,14 @@ jsonQuote(const std::string &text)
     }
     out += '"';
     return out;
+}
+
+std::string
+readableDouble(double value)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
 }
 
 JsonObjectWriter &

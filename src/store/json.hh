@@ -119,6 +119,10 @@ class JsonObjectWriter
 /** Escape @p text as a JSON string literal (with quotes). */
 std::string jsonQuote(const std::string &text);
 
+/** @return @p value as "%.17g" text: readable, and exact enough to
+ *  round-trip (exact codecs store the bit pattern beside it). */
+std::string readableDouble(double value);
+
 } // namespace etc::store
 
 #endif // ETC_STORE_JSON_HH

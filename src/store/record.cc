@@ -1,22 +1,13 @@
 #include "store/record.hh"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "store/file_io.hh"
 #include "store/json.hh"
 
 namespace etc::store {
 
 namespace {
-
-/** Human-readable double mirror (ignored on decode; bits win). */
-std::string
-readableDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
 
 std::string
 encodeBody(const std::string &headerLine,
@@ -47,6 +38,7 @@ encodeBody(const std::string &headerLine,
         line.field("schema", uint64_t{SCHEMA_VERSION})
             .field("kind", "fidelity")
             .field("bits", hexU64(doubleBits(score.value)))
+            // A readable mirror, ignored on decode: the bits win.
             .field("value", readableDouble(score.value))
             .field("acceptable", score.acceptable)
             .field("unit", score.unit);
@@ -64,25 +56,6 @@ encodeBody(const std::string &headerLine,
         .field("fnv", hexU64(fnv1a(out.data(), out.size())));
     out += end.str() + "\n";
     return out;
-}
-
-/** Split @p text into lines, requiring a trailing newline. */
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    if (text.empty())
-        throw StoreFormatError("empty record");
-    if (text.back() != '\n')
-        throw StoreFormatError(
-            "truncated record (missing final newline)");
-    std::vector<std::string> lines;
-    size_t start = 0;
-    while (start < text.size()) {
-        size_t end = text.find('\n', start);
-        lines.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-    return lines;
 }
 
 /** Parse one record line, enforcing the schema version first. */
@@ -130,6 +103,11 @@ DecodedRecord
 decodeRecord(const std::string &text, const char *expectedKind,
              const CellKey *expected)
 {
+    if (text.empty())
+        throw StoreFormatError("empty record");
+    if (text.back() != '\n')
+        throw StoreFormatError(
+            "truncated record (missing final newline)");
     auto lines = splitLines(text);
     try {
         if (lines.size() < 3)

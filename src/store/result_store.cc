@@ -1,12 +1,7 @@
 #include "store/result_store.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "store/index.hh"
@@ -21,8 +16,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Process-wide store metrics; per-instance Stats stay authoritative
- *  for orchestration decisions, these feed /v1/metricz. */
+/** Process-wide store metrics (/v1/metricz, the benchmark's probe).
+ *  The byte counters count record files only, never index files. */
 struct StoreMetrics
 {
     telemetry::Counter &cellHits = telemetry::counter(
@@ -56,22 +51,6 @@ storeMetrics()
 {
     static StoreMetrics metrics;
     return metrics;
-}
-
-/** Read a whole file; nullopt if it does not exist or is unreadable. */
-std::optional<std::string>
-slurp(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    if (in.bad())
-        return std::nullopt;
-    std::string result = contents.str();
-    storeMetrics().bytesRead.add(result.size());
-    return result;
 }
 
 /**
@@ -119,37 +98,33 @@ ResultStore::shardDir(const CellKey &key) const
     return (fs::path(root_) / "shards" / key.fingerprint()).string();
 }
 
-void
-ResultStore::writeAtomically(const std::string &path,
-                             const std::string &contents)
+std::string
+ResultStore::shardPath(const CellKey &key, unsigned lo, unsigned hi) const
 {
-    fs::path target(path);
-    std::error_code ec;
-    fs::create_directories(target.parent_path(), ec);
-    fs::path tmpDir = fs::path(root_) / "tmp";
-    fs::create_directories(tmpDir, ec);
+    return (fs::path(shardDir(key)) /
+            (std::to_string(lo) + "-" + std::to_string(hi) + ".jsonl"))
+        .string();
+}
 
-    // Unique staging name (pid + per-process counter): concurrent
-    // processes sharing a cache must never stage into the same file,
-    // and rename() makes whichever finishes last win -- both write
-    // identical bytes for the same key anyway.
-    static std::atomic<uint64_t> counter{0};
-    fs::path tmp = tmpDir / (target.filename().string() + "." +
-                             std::to_string(::getpid()) + "." +
-                             std::to_string(counter.fetch_add(1)) +
-                             ".tmp");
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << contents;
-        out.flush();
-        if (!out)
-            fatal("result store: cannot write ", tmp.string());
-    }
-    fs::rename(tmp, target, ec);
-    if (ec)
-        fatal("result store: cannot move ", tmp.string(), " to ", path,
-              ": ", ec.message());
-    storeMetrics().bytesWritten.add(contents.size());
+void
+ResultStore::writeRecord(const CellKey &key, unsigned lo, unsigned hi,
+                         const std::string &text)
+{
+    bool shard = hi != 0;
+    telemetry::TraceSpan span("store", shard ? "shard-write" : "cell-write");
+    if (span.active())
+        span.setArgs("{\"cell\":\"" + key.fingerprint() + "\"" +
+                     (shard ? ",\"lo\":" + std::to_string(lo) +
+                                  ",\"hi\":" + std::to_string(hi)
+                            : "") +
+                     "}");
+    writeFileAtomically(root_,
+                        shard ? shardPath(key, lo, hi)
+                              : cellPath(key.fingerprint()),
+                        text);
+    storeMetrics().bytesWritten.add(text.size());
+    (shard ? storeMetrics().shardsStored : storeMetrics().cellsStored).add();
+    StoreIndex::journalRecord(root_, key, lo, hi);
 }
 
 bool
@@ -169,7 +144,6 @@ ResultStore::readCell(const std::string &fingerprint,
                  ": ", unreadable);
             storeMetrics().corruptRecords.add();
         }
-        ++stats_.cellMisses;
         storeMetrics().cellMisses.add();
         return nullptr;
     };
@@ -185,9 +159,10 @@ ResultStore::readCell(const std::string &fingerprint,
     if (!stamp)
         return miss(nullptr);
     if (it == memo_.end()) {
-        auto contents = slurp(path);
+        auto contents = readFile(path);
         if (!contents)
             return miss(nullptr);
+        storeMetrics().bytesRead.add(contents->size());
         CellRecord record;
         try {
             record = decodeCellRecordWithKey(*contents, nullptr);
@@ -210,7 +185,6 @@ ResultStore::readCell(const std::string &fingerprint,
                                      ", requested " +
                                      expected->canonical())
                         .what());
-    ++stats_.cellHits;
     storeMetrics().cellHits.add();
     return &record;
 }
@@ -227,19 +201,7 @@ void
 ResultStore::storeCell(const CellKey &key,
                        const core::CellSummary &summary)
 {
-    writeAtomically(cellPath(key.fingerprint()),
-                    encodeCellRecord(key, summary));
-    ++stats_.cellsStored;
-    storeMetrics().cellsStored.add();
-    StoreIndex::journalCell(root_, key);
-}
-
-std::optional<CellRecord>
-ResultStore::loadCellByFingerprint(const std::string &fingerprint)
-{
-    if (const CellRecord *record = readCell(fingerprint, nullptr))
-        return *record;
-    return std::nullopt;
+    writeRecord(key, 0, 0, encodeCellRecord(key, summary));
 }
 
 bool
@@ -254,29 +216,14 @@ bool
 ResultStore::hasShard(const CellKey &key, unsigned lo, unsigned hi) const
 {
     std::error_code ec;
-    fs::path path = fs::path(shardDir(key)) /
-                    (std::to_string(lo) + "-" + std::to_string(hi) +
-                     ".jsonl");
-    return fs::exists(path, ec);
+    return fs::exists(shardPath(key, lo, hi), ec);
 }
 
 void
 ResultStore::storeShard(const CellKey &key, unsigned lo, unsigned hi,
                         const core::CellSummary &summary)
 {
-    telemetry::TraceSpan span("store", "shard-write");
-    if (span.active())
-        span.setArgs("{\"cell\":\"" + key.fingerprint() +
-                     "\",\"lo\":" + std::to_string(lo) +
-                     ",\"hi\":" + std::to_string(hi) + "}");
-    fs::path path = fs::path(shardDir(key)) /
-                    (std::to_string(lo) + "-" + std::to_string(hi) +
-                     ".jsonl");
-    writeAtomically(path.string(), encodeShardRecord(key, lo, hi,
-                                                     summary));
-    ++stats_.shardsStored;
-    storeMetrics().shardsStored.add();
-    StoreIndex::journalShard(root_, key, lo, hi);
+    writeRecord(key, lo, hi, encodeShardRecord(key, lo, hi, summary));
 }
 
 std::vector<ShardRecord>
@@ -290,12 +237,12 @@ ResultStore::loadShards(const CellKey &key)
     for (const auto &entry : it) {
         if (!entry.is_regular_file(ec))
             continue;
-        auto contents = slurp(entry.path());
+        auto contents = readFile(entry.path());
         if (!contents)
             continue;
+        storeMetrics().bytesRead.add(contents->size());
         try {
             shards.push_back(decodeShardRecord(*contents, &key));
-            ++stats_.shardsLoaded;
             storeMetrics().shardsLoaded.add();
         } catch (const StoreFormatError &error) {
             warn("result store: ignoring unreadable shard ",
@@ -331,45 +278,34 @@ ResultStore::ingestRecord(const std::string &text)
     IngestOutcome outcome;
     if (kind == "shard") {
         ShardRecord record = decodeShardRecord(text, nullptr);
-        outcome.key = record.key;
+        outcome.key = std::move(record.key);
         outcome.lo = record.lo;
         outcome.hi = record.hi;
-        if (hasCell(record.key))
-            return outcome; // promoted already; skip the orphan
-        fs::path path = fs::path(shardDir(record.key)) /
-                        (std::to_string(record.lo) + "-" +
-                         std::to_string(record.hi) + ".jsonl");
-        writeAtomically(path.string(), text);
-        ++stats_.shardsStored;
-        storeMetrics().shardsStored.add();
-        StoreIndex::journalShard(root_, record.key, record.lo,
-                                 record.hi);
-        outcome.stored = true;
-        return outcome;
-    }
-    if (kind == "cell") {
-        CellRecord record = decodeCellRecordWithKey(text, nullptr);
+    } else if (kind == "cell") {
         outcome.cellRecord = true;
-        outcome.key = record.key;
-        if (hasCell(record.key))
-            return outcome; // identical bytes are already in place
-        writeAtomically(cellPath(record.key.fingerprint()), text);
-        ++stats_.cellsStored;
-        storeMetrics().cellsStored.add();
-        StoreIndex::journalCell(root_, record.key);
-        outcome.stored = true;
-        return outcome;
+        outcome.key = decodeCellRecordWithKey(text, nullptr).key;
+    } else {
+        throw StoreFormatError("cannot ingest record kind '" + kind +
+                               "' (expected shard or cell)");
     }
-    throw StoreFormatError("cannot ingest record kind '" + kind +
-                           "' (expected shard or cell)");
+    // A stored cell holds these very bytes already, or supersedes
+    // this shard, which would only orphan a file next to it.
+    if (!hasCell(outcome.key)) {
+        writeRecord(outcome.key, outcome.lo, outcome.hi, text);
+        outcome.stored = true;
+    }
+    return outcome;
 }
 
 void
 ResultStore::dropShards(const CellKey &key)
 {
+    // remove_all() counts the files it removed: nothing to journal
+    // when the cell never had shards (an error, -1, may have removed
+    // some).
     std::error_code ec;
-    fs::remove_all(shardDir(key), ec);
-    StoreIndex::journalDropShards(root_, key);
+    if (fs::remove_all(shardDir(key), ec) != 0)
+        StoreIndex::journalDropShards(root_, key);
 }
 
 core::CellSummary

@@ -9,9 +9,13 @@
  *   <root>/tmp/                                staging for atomic writes
  *   <root>/index/                              secondary index (index.hh)
  *
- * Every cell/shard write (and shard drop) also appends one line to
- * the secondary index journal, so query and coverage surfaces can
- * enumerate the archive without scanning record bodies.
+ * Every cell/shard write (and every shard drop that removes a file)
+ * also appends one line to the secondary index journal, so query and
+ * coverage surfaces can enumerate the archive without scanning record
+ * bodies. Every record write -- storeCell(), storeShard(),
+ * ingestRecord() and so promoteShards() -- goes through one private
+ * path that stages, counts and journals it, and all file access goes
+ * through file_io.hh.
  *
  * Records are addressed by the CellKey fingerprint, so equal work is
  * deduplicated across runs, drivers, and machines sharing a cache
@@ -32,13 +36,14 @@
  * complete record, and -- because a cell is a pure function of its
  * key -- every racing writer produces identical bytes: whichever
  * rename lands last simply replaces the record with itself. A single
- * ResultStore *instance* is not internally synchronized (its traffic
- * counters and record memo are plain fields); give each thread its own
- * instance over the shared root, exactly as separate processes would.
+ * ResultStore *instance* is not internally synchronized (its record
+ * memo is a plain field); give each thread its own instance over the
+ * shared root, exactly as separate processes would. Traffic is counted
+ * process-wide, in the etc_store_* metrics.
  *
  * Record memo: an instance keeps the cell records it decoded, by
  * fingerprint, with the record file's FileStamp taken before the read
- * (file_stamp.hh). A later load of the same cell stats the file and
+ * (file_io.hh). A later load of the same cell stats the file and
  * decodes it again only when the stamp changed, so a long-lived reader
  * (the daemon) serves an unchanged archive from memory and still sees
  * every record any process writes. A missing or unreadable file is
@@ -50,13 +55,12 @@
 #define ETC_STORE_RESULT_STORE_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "store/file_stamp.hh"
+#include "store/file_io.hh"
 #include "store/record.hh"
 
 namespace etc::store {
@@ -85,13 +89,8 @@ class ResultStore
      */
     std::optional<core::CellSummary> loadCell(const CellKey &key);
 
-    /**
-     * Persist a complete cell record (atomic rename into place).
-     * Safe against concurrent writers of the same key: each stages
-     * into a unique tmp file, and all of them write identical bytes,
-     * so the losing rename is a no-op overwrite (see the file
-     * comment).
-     */
+    /** Persist a complete cell record (atomic rename into place; safe
+     *  against concurrent writers of the key, see the file comment). */
     void storeCell(const CellKey &key,
                    const core::CellSummary &summary);
 
@@ -109,7 +108,8 @@ class ResultStore
      */
     std::vector<ShardRecord> loadShards(const CellKey &key);
 
-    /** Delete all shards of @p key (after promotion to a cell). */
+    /** Delete all shards of @p key (after promotion to a cell); the
+     *  index journal hears of it only when a file was removed. */
     void dropShards(const CellKey &key);
 
     /**
@@ -154,24 +154,14 @@ class ResultStore
     IngestOutcome ingestRecord(const std::string &text);
 
     /**
-     * Load a complete cell record by its on-disk fingerprint (the
-     * 16-hex-digit CellKey::fingerprint() address), returning the
-     * stored key alongside the summary. Used by readers that never
-     * built the key themselves, e.g. the campaign service's
-     * GET /v1/cells/<key>. Absent or unreadable records return
-     * nullopt (unreadable ones warn), exactly like loadCell().
-     */
-    std::optional<CellRecord> loadCellByFingerprint(
-        const std::string &fingerprint);
-
-    /**
-     * The one cell-record read behind loadCell() and
-     * loadCellByFingerprint(), without their copy: the record at
+     * The one cell-record read, behind loadCell() and every reader that
+     * knows only the on-disk fingerprint (the query engine, the
+     * campaign service's GET /v1/cells/<key>): the record at
      * @p fingerprint from the memo while its file's stamp is
      * unchanged, else read, decoded and memoized. When @p expected is
-     * non-null the record's key must equal it. Counts the hit or miss
-     * like loadCell(); an absent or unreadable record returns null
-     * (unreadable ones warn).
+     * non-null the record's key must equal it. Counts a cache hit or
+     * miss; an absent or unreadable record returns null (unreadable
+     * ones warn).
      *
      * @return the record, valid until the next call on this store
      */
@@ -182,24 +172,20 @@ class ResultStore
      *  (existence only -- no decode; callers validate the hex). */
     bool hasCellByFingerprint(const std::string &fingerprint) const;
 
-    /** Cache-traffic counters (reset never; read for reporting). */
-    struct Stats
-    {
-        uint64_t cellHits = 0;     //!< loadCell found a valid record
-                                   //!< (memoized or read)
-        uint64_t cellMisses = 0;   //!< loadCell found nothing usable
-        uint64_t cellsStored = 0;  //!< storeCell writes
-        uint64_t shardsLoaded = 0; //!< valid shard records read
-        uint64_t shardsStored = 0; //!< storeShard writes
-    };
-
-    const Stats &stats() const { return stats_; }
-
   private:
     std::string cellPath(const std::string &fingerprint) const;
     std::string shardDir(const CellKey &key) const;
-    void writeAtomically(const std::string &path,
-                         const std::string &contents);
+    std::string shardPath(const CellKey &key, unsigned lo,
+                          unsigned hi) const;
+
+    /**
+     * The one record write: stage @p text and rename it into place as
+     * the shard [lo, hi) of @p key, or as its cell record when @p hi
+     * is 0 (a shard range is never empty), then count it and journal
+     * it.
+     */
+    void writeRecord(const CellKey &key, unsigned lo, unsigned hi,
+                     const std::string &text);
 
     struct MemoEntry
     {
@@ -208,7 +194,6 @@ class ResultStore
     };
 
     std::string root_;
-    Stats stats_;
     std::unordered_map<std::string, MemoEntry> memo_;
 };
 

@@ -132,6 +132,21 @@ TEST_F(OrchestrationTest, CacheHitIsBitIdenticalAndRunsNothing)
     EXPECT_EQ(second.trialsExecuted(), 0u);
 }
 
+// A cell served from the store has no shards to drop, so repeated
+// warm runCell calls leave the index journal as it was.
+TEST_F(OrchestrationTest, WarmRunCellLeavesTheJournalUnchanged)
+{
+    ErrorToleranceStudy study(*workload_, config(2));
+    study.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
+    auto journal = root_ / "index" / "journal.jsonl";
+    ASSERT_TRUE(std::filesystem::exists(journal));
+    auto size = std::filesystem::file_size(journal);
+    for (int i = 0; i < 5; ++i)
+        study.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
+    EXPECT_EQ(std::filesystem::file_size(journal), size);
+    EXPECT_EQ(study.trialsExecuted(), TRIALS);
+}
+
 TEST_F(OrchestrationTest, KillAndResumeIsBitIdentical)
 {
     auto expected = reference();

@@ -19,11 +19,13 @@
 #include <thread>
 
 #include "store/cell_key.hh"
+#include "store/index.hh"
 #include "store/json.hh"
 #include "store/record.hh"
 #include "store/result_store.hh"
 #include "support/rng.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace {
 
@@ -360,6 +362,23 @@ TEST(RecordCodecTest, MergeShardSummariesRequiresExactTiling)
 
 // ---- on-disk store --------------------------------------------------------
 
+uint64_t
+counterValue(const char *name)
+{
+    return telemetry::counter(name, "").value();
+}
+
+/** The lines of @p path (none when it does not exist). */
+std::vector<std::string>
+fileLines(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
 class ResultStoreTest : public ::testing::Test
 {
   protected:
@@ -397,8 +416,9 @@ TEST_F(ResultStoreTest, CellLifecycle)
 
     // A second store instance sees the same record (persistence).
     ResultStore other(root_.string());
+    uint64_t hits = counterValue("etc_store_cache_hits_total");
     ASSERT_TRUE(other.loadCell(key).has_value());
-    EXPECT_EQ(other.stats().cellHits, 1u);
+    EXPECT_EQ(counterValue("etc_store_cache_hits_total"), hits + 1);
 }
 
 TEST_F(ResultStoreTest, ShardLifecycle)
@@ -471,8 +491,9 @@ TEST_F(ResultStoreTest, CorruptCellIsAMissNotACrash)
     auto size = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, size / 2);
 
+    uint64_t misses = counterValue("etc_store_cache_misses_total");
     EXPECT_FALSE(cache.loadCell(key).has_value());
-    EXPECT_EQ(cache.stats().cellMisses, 1u);
+    EXPECT_EQ(counterValue("etc_store_cache_misses_total"), misses + 1);
 }
 
 TEST_F(ResultStoreTest, ForeignKeyInCellFileIsRejected)
@@ -526,19 +547,12 @@ TEST_F(ResultStoreTest, LoadCellByFingerprintReturnsKeyAndSummary)
     auto summary = sampleSummary();
     cache.storeCell(key, summary);
 
-    auto record = cache.loadCellByFingerprint(key.fingerprint());
-    ASSERT_TRUE(record.has_value());
+    const CellRecord *record = cache.readCell(key.fingerprint(), nullptr);
+    ASSERT_NE(record, nullptr);
     EXPECT_EQ(record->key.canonical(), key.canonical());
     expectSummariesIdentical(record->summary, summary);
 
-    EXPECT_FALSE(
-        cache.loadCellByFingerprint("0000000000000000").has_value());
-}
-
-uint64_t
-counterValue(const char *name)
-{
-    return telemetry::counter(name, "").value();
+    EXPECT_EQ(cache.readCell("0000000000000000", nullptr), nullptr);
 }
 
 // The record memo: a repeated load of an unchanged record reads no
@@ -546,6 +560,7 @@ counterValue(const char *name)
 // or deletes behind the memo is seen on the next load.
 TEST_F(ResultStoreTest, RecordMemoFollowsTheFileOnDisk)
 {
+    uint64_t misses = counterValue("etc_store_cache_misses_total");
     ResultStore cache(root_.string());
     CellKey key = sampleKey();
     auto first = sampleSummary();
@@ -559,8 +574,9 @@ TEST_F(ResultStoreTest, RecordMemoFollowsTheFileOnDisk)
     expectSummariesIdentical(first, *again);
     EXPECT_EQ(counterValue("etc_store_bytes_read_total"), bytes);
     EXPECT_EQ(counterValue("etc_store_cache_hits_total"), hits + 1);
-    auto byFingerprint = cache.loadCellByFingerprint(key.fingerprint());
-    ASSERT_TRUE(byFingerprint.has_value());
+    const CellRecord *byFingerprint =
+        cache.readCell(key.fingerprint(), nullptr);
+    ASSERT_NE(byFingerprint, nullptr);
     EXPECT_EQ(byFingerprint->key.canonical(), key.canonical());
     EXPECT_EQ(counterValue("etc_store_bytes_read_total"), bytes);
 
@@ -579,8 +595,8 @@ TEST_F(ResultStoreTest, RecordMemoFollowsTheFileOnDisk)
     std::filesystem::remove(root_ / "cells" /
                             (key.fingerprint() + ".jsonl"));
     EXPECT_FALSE(cache.loadCell(key).has_value());
-    EXPECT_FALSE(cache.loadCellByFingerprint(key.fingerprint()).has_value());
-    EXPECT_EQ(cache.stats().cellMisses, 2u);
+    EXPECT_EQ(cache.readCell(key.fingerprint(), nullptr), nullptr);
+    EXPECT_EQ(counterValue("etc_store_cache_misses_total"), misses + 2);
 }
 
 // A corrupt record is never memoized: it warns and misses on every
@@ -617,6 +633,8 @@ TEST_F(ResultStoreTest, CorruptRecordIsNeverMemoized)
 // and every load still returns its own record.
 TEST_F(ResultStoreTest, RecordMemoPastItsCapKeepsEveryAnswer)
 {
+    uint64_t hits = counterValue("etc_store_cache_hits_total");
+    uint64_t misses = counterValue("etc_store_cache_misses_total");
     ResultStore cache(root_.string());
     std::vector<CellKey> keys;
     for (unsigned i = 0; i < CELL_MEMO_CAP + 8; ++i) {
@@ -633,8 +651,124 @@ TEST_F(ResultStoreTest, RecordMemoPastItsCapKeepsEveryAnswer)
             ASSERT_TRUE(loaded.has_value()) << i;
             EXPECT_EQ(loaded->totalInstructions, i);
         }
-    EXPECT_EQ(cache.stats().cellHits, 2 * keys.size());
-    EXPECT_EQ(cache.stats().cellMisses, 0u);
+    EXPECT_EQ(counterValue("etc_store_cache_hits_total"),
+              hits + 2 * keys.size());
+    EXPECT_EQ(counterValue("etc_store_cache_misses_total"), misses);
+}
+
+// A shard drop is journaled only when it removes a file: promoting a
+// one-stripe cell that was never written as a shard journals its cell
+// line alone, and so does dropping it again, while a promotion over
+// stored shards journals their drop.
+TEST_F(ResultStoreTest, ShardDropsJournalOnlyWhatTheyRemove)
+{
+    ResultStore cache(root_.string());
+    auto journal = root_ / "index" / "journal.jsonl";
+    CellKey key = sampleKey(8);
+    cache.promoteShards(key, {ShardRecord{key, 0, 8, sampleSummary(8)}});
+    auto lines = fileLines(journal);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"kind\":\"cell\""), std::string::npos);
+    cache.dropShards(key);
+    EXPECT_EQ(fileLines(journal).size(), 1u);
+
+    CellKey sharded = sampleKey(16);
+    cache.storeShard(sharded, 0, 8, sampleSummary(8));
+    cache.storeShard(sharded, 8, 16, sampleSummary(8));
+    cache.promoteShards(sharded, cache.loadShards(sharded));
+    lines = fileLines(journal);
+    ASSERT_EQ(lines.size(), 5u);
+    EXPECT_NE(lines[4].find("\"kind\":\"drop-shards\""),
+              std::string::npos);
+}
+
+// A traced storeCell emits one store/cell-write span naming its cell
+// and one index/journal-append span; an untraced one emits none.
+TEST_F(ResultStoreTest, CellWriteAndJournalAppendAreTraced)
+{
+    auto tracePath = root_.string() + ".trace.jsonl";
+    ResultStore cache(root_.string());
+    CellKey traced = sampleKey();
+    telemetry::Tracer::instance().open(tracePath);
+    cache.storeCell(traced, sampleSummary());
+    telemetry::Tracer::instance().close();
+    CellKey untraced = sampleKey();
+    untraced.errors += 1;
+    cache.storeCell(untraced, sampleSummary());
+
+    unsigned cellWrites = 0, appends = 0;
+    for (const std::string &line : fileLines(tracePath)) {
+        if (line.find("\"cat\":\"store\",\"name\":\"cell-write\"") !=
+            std::string::npos) {
+            ++cellWrites;
+            EXPECT_NE(line.find(traced.fingerprint()), std::string::npos);
+        }
+        if (line.find("\"cat\":\"index\",\"name\":\"journal-append\"") !=
+            std::string::npos)
+            ++appends;
+    }
+    EXPECT_EQ(cellWrites, 1u);
+    EXPECT_EQ(appends, 1u);
+    std::filesystem::remove(tracePath);
+}
+
+// Every write kind takes the one staged write path and keeps its byte
+// accounting: tmp/ is left empty, etc_store_bytes_written_total rises
+// by exactly the bytes of the record files written, and the index's
+// own reads and writes (load, compact, rebuild) move neither byte
+// counter.
+TEST_F(ResultStoreTest, EveryWriteKindStagesAndCountsRecordBytesOnly)
+{
+    ResultStore cache(root_.string());
+    uint64_t read = counterValue("etc_store_bytes_read_total");
+    uint64_t written = counterValue("etc_store_bytes_written_total");
+    uint64_t recordBytes = 0;
+
+    CellKey stored = sampleKey(8);
+    auto summary = sampleSummary(8);
+    cache.storeCell(stored, summary);
+    recordBytes += encodeCellRecord(stored, summary).size();
+
+    CellKey sharded = sampleKey(16);
+    std::string firstShard = encodeShardRecord(sharded, 0, 8, summary);
+    cache.storeShard(sharded, 0, 8, summary);
+    std::string pushedShard = encodeShardRecord(sharded, 8, 16, summary);
+    EXPECT_TRUE(cache.ingestRecord(pushedShard).stored);
+    recordBytes += firstShard.size() + pushedShard.size();
+
+    CellKey pushed = sampleKey(8);
+    pushed.errors += 1;
+    std::string pushedCell = encodeCellRecord(pushed, summary);
+    EXPECT_TRUE(cache.ingestRecord(pushedCell).stored);
+    EXPECT_FALSE(cache.ingestRecord(pushedCell).stored); // in place
+    recordBytes += pushedCell.size();
+
+    auto shards = cache.loadShards(sharded);
+    ASSERT_EQ(shards.size(), 2u);
+    EXPECT_EQ(counterValue("etc_store_bytes_read_total"),
+              read + firstShard.size() + pushedShard.size());
+    auto promoted = cache.promoteShards(sharded, std::move(shards));
+    recordBytes += encodeCellRecord(sharded, promoted).size();
+    EXPECT_EQ(counterValue("etc_store_bytes_written_total"),
+              written + recordBytes);
+
+    read = counterValue("etc_store_bytes_read_total");
+    {
+        StoreIndex index(root_.string());
+        index.load();
+        EXPECT_EQ(index.entries().size(), 3u);
+        index.compact();
+        StoreIndex rebuilt(root_.string());
+        auto report = rebuilt.rebuild();
+        EXPECT_EQ(report.cells, 3u);
+        EXPECT_EQ(report.shardSets, 0u);
+        rebuilt.load();
+        EXPECT_EQ(rebuilt.encodeManifest(), index.encodeManifest());
+    }
+    EXPECT_EQ(counterValue("etc_store_bytes_read_total"), read);
+    EXPECT_EQ(counterValue("etc_store_bytes_written_total"),
+              written + recordBytes);
+    EXPECT_TRUE(std::filesystem::is_empty(root_ / "tmp"));
 }
 
 // The store's concurrent-writer contract: two writers racing on the

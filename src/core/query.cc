@@ -314,11 +314,11 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
                 .field("timedOut", stats.timedOut)
                 .field("trialsPruned", stats.pruned)
                 .field("failureRate",
-                       store::readableDouble(stats.failureRate()))
+                       readableDouble(stats.failureRate()))
                 .field("acceptableRate",
-                       store::readableDouble(stats.acceptableRate()))
+                       readableDouble(stats.acceptableRate()))
                 .field("meanFidelity",
-                       store::readableDouble(stats.meanFidelity()));
+                       readableDouble(stats.meanFidelity()));
             rows.add(row,
                      {workload, policy, std::to_string(errors),
                       std::to_string(stats.cells),
@@ -369,21 +369,21 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
                     .field("errors", uint64_t{group.second})
                     .field("policy", policy)
                     .field("failureRate",
-                           store::readableDouble(stats.failureRate()))
+                           readableDouble(stats.failureRate()))
                     .field("baseFailureRate",
-                           store::readableDouble(base.failureRate()))
+                           readableDouble(base.failureRate()))
                     .field("deltaFailureRate",
-                           store::readableDouble(dFailure))
+                           readableDouble(dFailure))
                     .field("acceptableRate",
-                           store::readableDouble(stats.acceptableRate()))
+                           readableDouble(stats.acceptableRate()))
                     .field("baseAcceptableRate",
-                           store::readableDouble(base.acceptableRate()))
+                           readableDouble(base.acceptableRate()))
                     .field("deltaAcceptableRate",
-                           store::readableDouble(dAcceptable))
+                           readableDouble(dAcceptable))
                     .field("meanFidelity",
-                           store::readableDouble(stats.meanFidelity()))
+                           readableDouble(stats.meanFidelity()))
                     .field("baseMeanFidelity",
-                           store::readableDouble(base.meanFidelity()));
+                           readableDouble(base.meanFidelity()));
                 rows.add(row,
                          {group.first, std::to_string(group.second),
                           policy, formatPercent(stats.failureRate()),
@@ -429,14 +429,14 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
             row.field("workload", group.first)
                 .field("policy", group.second)
                 .field("count", uint64_t{sorted.size()})
-                .field("mean", store::readableDouble(stats.meanFidelity()))
-                .field("min", store::readableDouble(quantile(sorted, 0.0)))
-                .field("p10", store::readableDouble(quantile(sorted, 0.10)))
-                .field("p25", store::readableDouble(quantile(sorted, 0.25)))
-                .field("p50", store::readableDouble(quantile(sorted, 0.50)))
-                .field("p75", store::readableDouble(quantile(sorted, 0.75)))
-                .field("p90", store::readableDouble(quantile(sorted, 0.90)))
-                .field("max", store::readableDouble(quantile(sorted, 1.0)));
+                .field("mean", readableDouble(stats.meanFidelity()))
+                .field("min", readableDouble(quantile(sorted, 0.0)))
+                .field("p10", readableDouble(quantile(sorted, 0.10)))
+                .field("p25", readableDouble(quantile(sorted, 0.25)))
+                .field("p50", readableDouble(quantile(sorted, 0.50)))
+                .field("p75", readableDouble(quantile(sorted, 0.75)))
+                .field("p90", readableDouble(quantile(sorted, 0.90)))
+                .field("max", readableDouble(quantile(sorted, 1.0)));
             rows.add(row,
                      {group.first, group.second,
                       std::to_string(sorted.size()),
@@ -487,18 +487,18 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
                         .field("policy", policy.policy)
                         .field("errors", uint64_t{group.second})
                         .field("avfLower",
-                               store::readableDouble(policy.avfLower()))
+                               readableDouble(policy.avfLower()))
                         .field("avfUpper",
-                               store::readableDouble(policy.avfUpper()))
+                               readableDouble(policy.avfUpper()))
                         .field("staticSites",
                                uint64_t{policy.staticSites})
                         .field("maskedSites",
                                uint64_t{policy.maskedSites})
                         .field("aceSites", uint64_t{policy.aceSites})
                         .field("failureRate",
-                               store::readableDouble(stats.failureRate()))
+                               readableDouble(stats.failureRate()))
                         .field("acceptableRate",
-                               store::readableDouble(stats.acceptableRate()));
+                               readableDouble(stats.acceptableRate()));
                     rows.add(row,
                              {options.filter.workload, policy.policy,
                               std::to_string(group.second),

@@ -14,10 +14,23 @@ namespace etc::service {
 
 namespace {
 
-/** Fleet metrics: lease lifecycle counters plus worker presence.
- *  Ticked at bookkeeping frequency, never inside simulation loops. */
+/** Cell and fleet metrics: cell lifecycle, lease lifecycle and worker
+ *  presence. Ticked at bookkeeping frequency, never inside simulation
+ *  loops. */
 struct FleetMetrics
 {
+    telemetry::Gauge &queueDepth = telemetry::gauge(
+        "etc_scheduler_queue_depth",
+        "Cell tasks waiting for a worker");
+    telemetry::Counter &cellsDone = telemetry::counter(
+        "etc_scheduler_cells_done_total",
+        "Cell tasks completed successfully (simulated or cached)");
+    telemetry::Counter &cellsCached = telemetry::counter(
+        "etc_scheduler_cells_cached_total",
+        "Cell tasks satisfied entirely from the result store");
+    telemetry::Counter &cellsFailed = telemetry::counter(
+        "etc_scheduler_cells_failed_total",
+        "Cell tasks that raised an error");
     telemetry::Gauge &pending = telemetry::gauge(
         "etc_lease_pending", "Leases waiting for a worker");
     telemetry::Gauge &active = telemetry::gauge(
@@ -62,13 +75,21 @@ stateName(int state)
 
 } // namespace
 
-Coordinator::Coordinator(CoordinatorConfig config) : config_(config)
+const char *
+cellStateName(CellState state)
 {
-    if (config_.leaseTtlMs == 0)
-        config_.leaseTtlMs = 1;
-    if (config_.maxIssues == 0)
-        config_.maxIssues = 1;
+    switch (state) {
+      case CellState::Queued: return "queued";
+      case CellState::Running: return "running";
+      case CellState::Done: return "done";
+      case CellState::Failed: return "failed";
+    }
+    return "unknown";
 }
+
+Coordinator::Coordinator(uint64_t leaseTtlMs)
+    : leaseTtlMs_(std::max<uint64_t>(1, leaseTtlMs))
+{}
 
 void
 Coordinator::setActivityCallback(std::function<void()> callback)
@@ -77,80 +98,89 @@ Coordinator::setActivityCallback(std::function<void()> callback)
 }
 
 std::string
-Coordinator::leaseId(const std::string &fingerprint,
-                     unsigned shardIndex, unsigned shardCount)
+Coordinator::leaseId(const Cell &cell, unsigned shardIndex)
 {
-    return fingerprint + "." + std::to_string(shardIndex) + "of" +
-           std::to_string(shardCount);
+    return cell.spec.fingerprint + "." + std::to_string(shardIndex) +
+           "of" + std::to_string(cell.leases.size());
 }
 
-std::optional<Coordinator::ParsedId>
-Coordinator::parseLeaseId(const std::string &leaseId) const
+std::shared_ptr<Cell>
+Coordinator::findLease(const std::string &leaseId,
+                       Cell::Lease **lease) const
 {
+    // Caller holds mutex_.
     size_t dot = leaseId.find('.');
     size_t of = leaseId.find("of", dot == std::string::npos ? 0 : dot);
     if (dot == std::string::npos || of == std::string::npos ||
         of <= dot + 1)
-        return std::nullopt;
+        return nullptr;
     // Digits only, and in range: a client-chosen index too large for
     // a stripe number names no lease (it must not throw or wrap).
     const char *first = leaseId.data() + dot + 1;
     const char *last = leaseId.data() + of;
-    ParsedId parsed;
-    auto [end, error] = std::from_chars(first, last, parsed.shardIndex);
+    unsigned shardIndex = 0;
+    auto [end, error] = std::from_chars(first, last, shardIndex);
     if (error != std::errc() || end != last)
-        return std::nullopt;
-    parsed.fingerprint = leaseId.substr(0, dot);
-    return parsed;
+        return nullptr;
+    auto it = cells_.find(leaseId.substr(0, dot));
+    if (it == cells_.end() || shardIndex >= it->second->leases.size())
+        return nullptr;
+    *lease = &it->second->leases[shardIndex];
+    return it->second;
 }
 
-Coordinator::Lease *
-Coordinator::findLease(const std::string &leaseId, CellEntry **entry)
+std::shared_ptr<Cell>
+Coordinator::admit(LeaseCell spec, store::CellKey key)
 {
-    // Caller holds mutex_.
-    auto parsed = parseLeaseId(leaseId);
-    if (!parsed)
-        return nullptr;
-    auto it = cells_.find(parsed->fingerprint);
-    if (it == cells_.end() ||
-        parsed->shardIndex >= it->second.leases.size())
-        return nullptr;
-    if (entry)
-        *entry = &it->second;
-    return &it->second.leases[parsed->shardIndex];
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto &cell = cells_[spec.fingerprint];
+    if (!cell) {
+        cell = std::make_shared<Cell>(std::move(spec), std::move(key));
+        cell->admitted = admitted_++;
+        updateGauges();
+    }
+    return cell;
 }
 
-bool
-Coordinator::registerCell(const LeaseCell &cell, unsigned shardCount,
-                          const std::vector<bool> &alreadyDone)
+std::shared_ptr<Cell>
+Coordinator::takeQueued()
 {
-    bool registered = false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_ptr<Cell> oldest;
+    for (const auto &[fingerprint, cell] : cells_)
+        if (cell->state == CellState::Queued &&
+            (!oldest || cell->admitted < oldest->admitted))
+            oldest = cell;
+    if (oldest) {
+        oldest->state = CellState::Running;
+        updateGauges();
+    }
+    return oldest;
+}
+
+void
+Coordinator::openLeases(Cell &cell, unsigned shardCount,
+                        const std::vector<bool> &alreadyDone)
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (cells_.count(cell.fingerprint))
-            return false;
-        CellEntry entry;
-        entry.cell = cell;
-        entry.shardCount = std::max(1u, shardCount);
-        for (unsigned i = 0; i < entry.shardCount; ++i) {
-            Lease lease;
+        shardCount = std::max(1u, shardCount);
+        for (unsigned i = 0; i < shardCount; ++i) {
+            Cell::Lease lease;
             lease.shardIndex = i;
             auto [lo, hi] = core::ErrorToleranceStudy::shardRange(
-                cell.trials, i, entry.shardCount);
+                cell.spec.trials, i, shardCount);
             lease.lo = lo;
             lease.hi = hi;
             if (i < alreadyDone.size() && alreadyDone[i])
-                lease.state = State::Done;
-            entry.leases.push_back(lease);
+                lease.state = Cell::LeaseState::Done;
+            cell.leases.push_back(lease);
         }
-        cells_.emplace(cell.fingerprint, std::move(entry));
         updateGauges();
-        registered = true;
     }
-    // A fully-stored cell registers with every lease done; wake the
-    // pool so a harvester promotes it without waiting for a tick.
+    // A fully-stored cell opens with every lease done; wake the pool
+    // so a harvester promotes it without waiting for a tick.
     notifyActivity();
-    return registered;
 }
 
 std::vector<LeaseGrant>
@@ -163,9 +193,9 @@ Coordinator::acquire(const std::string &worker, unsigned max,
     // The idle workers: the asker, and every other worker seen within
     // the activity window that holds no active lease.
     std::set<std::string> busy;
-    for (const auto &[fingerprint, entry] : cells_)
-        for (const auto &lease : entry.leases)
-            if (lease.state == State::Active)
+    for (const auto &[fingerprint, cell] : cells_)
+        for (const auto &lease : cell->leases)
+            if (lease.state == Cell::LeaseState::Active)
                 busy.insert(lease.owner);
     size_t idle = 1;
     for (const auto &[seen, when] : workersSeen_)
@@ -173,26 +203,27 @@ Coordinator::acquire(const std::string &worker, unsigned max,
             ++idle;
 
     std::vector<LeaseGrant> grants;
-    auto deadline = Clock::now() +
-                    std::chrono::milliseconds(config_.leaseTtlMs);
-    for (auto &[fingerprint, entry] : cells_) {
+    auto deadline = Clock::now() + std::chrono::milliseconds(leaseTtlMs_);
+    for (auto &[fingerprint, cell] : cells_) {
         if (!grants.empty())
             break; // one cell per grant: its stripes run as one pass
-        if (entry.failed || entry.promoting ||
-            (!experiment.empty() && entry.cell.experiment != experiment))
+        if (cell->promoting ||
+            (!experiment.empty() && cell->spec.experiment != experiment))
             continue;
         // This worker's share of the cell's pending stripes: a busy
         // fleet takes whole cells, a lone cell fans out over the idle.
         auto pending = static_cast<size_t>(std::count_if(
-            entry.leases.begin(), entry.leases.end(),
-            [](const Lease &l) { return l.state == State::Pending; }));
+            cell->leases.begin(), cell->leases.end(),
+            [](const Cell::Lease &l) {
+                return l.state == Cell::LeaseState::Pending;
+            }));
         size_t share = std::min<size_t>(max, (pending + idle - 1) / idle);
-        for (auto &lease : entry.leases) {
+        for (auto &lease : cell->leases) {
             if (grants.size() >= share)
                 break;
-            if (lease.state != State::Pending)
+            if (lease.state != Cell::LeaseState::Pending)
                 continue;
-            lease.state = State::Active;
+            lease.state = Cell::LeaseState::Active;
             lease.owner = worker;
             lease.deadline = deadline;
             ++lease.issue;
@@ -203,15 +234,14 @@ Coordinator::acquire(const std::string &worker, unsigned max,
                 fleetMetrics().reissued.add();
             }
             LeaseGrant grant;
-            grant.id = leaseId(fingerprint, lease.shardIndex,
-                               entry.shardCount);
-            grant.cell = entry.cell;
+            grant.id = leaseId(*cell, lease.shardIndex);
+            grant.cell = cell->spec;
             grant.shardIndex = lease.shardIndex;
-            grant.shardCount = entry.shardCount;
+            grant.shardCount = static_cast<unsigned>(cell->leases.size());
             grant.lo = lease.lo;
             grant.hi = lease.hi;
             grant.issue = lease.issue;
-            grant.ttlMs = config_.leaseTtlMs;
+            grant.ttlMs = leaseTtlMs_;
             grants.push_back(std::move(grant));
         }
     }
@@ -226,14 +256,12 @@ Coordinator::heartbeat(const std::string &leaseId,
     std::lock_guard<std::mutex> lock(mutex_);
     touchWorker(worker);
     fleetMetrics().heartbeats.add();
-    CellEntry *entry = nullptr;
-    Lease *lease = findLease(leaseId, &entry);
-    if (!lease)
+    Cell::Lease *lease = nullptr;
+    if (!findLease(leaseId, &lease))
         return LeaseBeat::Unknown;
-    if (lease->state != State::Active || lease->owner != worker)
+    if (lease->state != Cell::LeaseState::Active || lease->owner != worker)
         return LeaseBeat::Lost;
-    lease->deadline = Clock::now() +
-                      std::chrono::milliseconds(config_.leaseTtlMs);
+    lease->deadline = Clock::now() + std::chrono::milliseconds(leaseTtlMs_);
     return LeaseBeat::Active;
 }
 
@@ -242,64 +270,58 @@ Coordinator::complete(const std::string &leaseId,
                       const std::string &worker,
                       uint64_t trialsExecuted, double wallSeconds)
 {
-    bool known = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         touchWorker(worker);
-        CellEntry *entry = nullptr;
-        Lease *lease = findLease(leaseId, &entry);
-        if (lease) {
-            known = true;
-            if (lease->state != State::Done) {
-                lease->state = State::Done;
-                lease->owner = worker;
-                entry->trialsExecuted += trialsExecuted;
-                entry->wallSeconds += wallSeconds;
-                ++completed_;
-                fleetMetrics().completed.add();
-            }
-            // else: the stale owner of a re-issued lease finished the
-            // same content-addressed range -- idempotently done.
-            updateGauges();
+        Cell::Lease *lease = nullptr;
+        auto cell = findLease(leaseId, &lease);
+        if (!cell)
+            return false;
+        if (lease->state != Cell::LeaseState::Done) {
+            lease->state = Cell::LeaseState::Done;
+            lease->owner = worker;
+            cell->trialsExecuted += trialsExecuted;
+            cell->wallSeconds += wallSeconds;
+            ++completed_;
+            fleetMetrics().completed.add();
         }
+        // else: the stale owner of a re-issued lease finished the
+        // same content-addressed range -- idempotently done.
+        updateGauges();
     }
-    if (known)
-        notifyActivity();
-    return known;
+    notifyActivity();
+    return true;
 }
 
 bool
 Coordinator::fail(const std::string &leaseId,
                   const std::string &worker, const std::string &error)
 {
-    bool known = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         touchWorker(worker);
-        CellEntry *entry = nullptr;
-        Lease *lease = findLease(leaseId, &entry);
-        if (lease && lease->state != State::Done) {
-            known = true;
-            ++failed_;
-            fleetMetrics().failed.add();
-            if (lease->issue >= config_.maxIssues) {
-                entry->failed = true;
-                entry->error = "lease " + leaseId + " failed after " +
-                               std::to_string(lease->issue) +
-                               " grants: " + error;
-            } else {
-                lease->state = State::Pending;
-                lease->owner.clear();
-                warn("coordinator: lease ", leaseId, " failed on '",
-                     worker, "' (grant ", lease->issue, "): ", error,
-                     " -- re-issuing");
-            }
+        Cell::Lease *lease = nullptr;
+        auto cell = findLease(leaseId, &lease);
+        if (!cell || lease->state == Cell::LeaseState::Done)
+            return false;
+        ++failed_;
+        fleetMetrics().failed.add();
+        if (lease->issue >= MAX_LEASE_ISSUES) {
+            settleLocked(cell, CellState::Failed, 0.0,
+                         "lease " + leaseId + " failed after " +
+                             std::to_string(lease->issue) +
+                             " grants: " + error);
+        } else {
+            lease->state = Cell::LeaseState::Pending;
+            lease->owner.clear();
+            warn("coordinator: lease ", leaseId, " failed on '", worker,
+                 "' (grant ", lease->issue, "): ", error,
+                 " -- re-issuing");
             updateGauges();
         }
     }
-    if (known)
-        notifyActivity();
-    return known;
+    notifyActivity();
+    return true;
 }
 
 void
@@ -314,37 +336,36 @@ Coordinator::sweepExpiredLocked()
 {
     // Caller holds mutex_.
     auto now = Clock::now();
-    for (auto &[fingerprint, entry] : cells_) {
-        if (entry.failed)
-            continue;
-        for (auto &lease : entry.leases) {
-            if (lease.state != State::Active || lease.deadline > now)
+    std::vector<std::pair<std::shared_ptr<Cell>, std::string>> capped;
+    for (const auto &[fingerprint, cell] : cells_) {
+        std::string error;
+        for (auto &lease : cell->leases) {
+            if (lease.state != Cell::LeaseState::Active ||
+                lease.deadline > now)
                 continue;
             ++expired_;
             fleetMetrics().expired.add();
-            if (lease.issue >= config_.maxIssues) {
-                entry.failed = true;
-                entry.error =
-                    "lease " +
-                    leaseId(fingerprint, lease.shardIndex,
-                            entry.shardCount) +
-                    " expired after " + std::to_string(lease.issue) +
-                    " grants (last worker '" + lease.owner + "')";
+            if (lease.issue >= MAX_LEASE_ISSUES) {
+                error = "lease " + leaseId(*cell, lease.shardIndex) +
+                        " expired after " + std::to_string(lease.issue) +
+                        " grants (last worker '" + lease.owner + "')";
             } else {
                 warn("coordinator: lease ",
-                     leaseId(fingerprint, lease.shardIndex,
-                             entry.shardCount),
-                     " expired on '", lease.owner,
-                     "' -- re-issuing");
-                lease.state = State::Pending;
+                     leaseId(*cell, lease.shardIndex), " expired on '",
+                     lease.owner, "' -- re-issuing");
+                lease.state = Cell::LeaseState::Pending;
                 lease.owner.clear();
             }
         }
+        if (!error.empty())
+            capped.emplace_back(cell, std::move(error));
     }
+    for (const auto &[cell, error] : capped)
+        settleLocked(cell, CellState::Failed, 0.0, error);
     // Age out workers idle past the activity window (3 deadlines,
     // floored so tests with millisecond ttls don't flicker).
     auto window = std::chrono::milliseconds(
-        std::max<uint64_t>(3 * config_.leaseTtlMs, 1000));
+        std::max<uint64_t>(3 * leaseTtlMs_, 1000));
     for (auto it = workersSeen_.begin(); it != workersSeen_.end();) {
         if (it->second + window < now)
             it = workersSeen_.erase(it);
@@ -354,75 +375,52 @@ Coordinator::sweepExpiredLocked()
     updateGauges();
 }
 
-std::vector<CompletedCell>
-Coordinator::takeCompleted()
+std::optional<LeaseRange>
+Coordinator::lookupLease(const std::string &leaseId) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<CompletedCell> ready;
-    for (auto &[fingerprint, entry] : cells_) {
-        if (entry.failed || entry.promoting)
+    Cell::Lease *lease = nullptr;
+    auto cell = findLease(leaseId, &lease);
+    if (!cell)
+        return std::nullopt;
+    return LeaseRange{cell->key, lease->lo, lease->hi};
+}
+
+std::vector<std::shared_ptr<Cell>>
+Coordinator::claimCompleted()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::shared_ptr<Cell>> ready;
+    for (const auto &[fingerprint, cell] : cells_) {
+        // A cell still waiting for its probe has no leases yet, which
+        // does not make it done.
+        if (cell->promoting || cell->leases.empty() ||
+            !std::all_of(cell->leases.begin(), cell->leases.end(),
+                         [](const Cell::Lease &l) {
+                             return l.state == Cell::LeaseState::Done;
+                         }))
             continue;
-        bool allDone = std::all_of(
-            entry.leases.begin(), entry.leases.end(),
-            [](const Lease &l) { return l.state == State::Done; });
-        if (!allDone)
-            continue;
-        entry.promoting = true;
-        CompletedCell done;
-        done.cell = entry.cell;
-        done.shardCount = entry.shardCount;
-        done.trialsExecuted = entry.trialsExecuted;
-        done.wallSeconds = entry.wallSeconds;
-        ready.push_back(std::move(done));
+        cell->promoting = true;
+        ready.push_back(cell);
     }
     return ready;
 }
 
-std::vector<std::pair<std::string, std::string>>
-Coordinator::takeFailed()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, std::string>> failed;
-    for (auto it = cells_.begin(); it != cells_.end();) {
-        if (it->second.failed) {
-            failed.emplace_back(it->first, it->second.error);
-            it = cells_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    if (!failed.empty())
-        updateGauges();
-    return failed;
-}
-
 void
-Coordinator::finishCell(const std::string &fingerprint)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    cells_.erase(fingerprint);
-    updateGauges();
-}
-
-void
-Coordinator::reopenStripes(const std::string &fingerprint,
+Coordinator::reopenStripes(Cell &cell,
                            const std::vector<unsigned> &stripes)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cells_.find(fingerprint);
-        if (it == cells_.end())
-            return;
-        CellEntry &entry = it->second;
-        entry.promoting = false;
+        cell.promoting = false;
         for (unsigned stripe : stripes) {
-            if (stripe >= entry.leases.size())
+            if (stripe >= cell.leases.size())
                 continue;
-            Lease &lease = entry.leases[stripe];
-            lease.state = State::Pending;
+            Cell::Lease &lease = cell.leases[stripe];
+            lease.state = Cell::LeaseState::Pending;
             lease.owner.clear();
             warn("coordinator: shard ", lease.lo, "-", lease.hi,
-                 " of cell ", fingerprint,
+                 " of cell ", cell.spec.fingerprint,
                  " vanished before promotion -- re-issuing its lease");
         }
         updateGauges();
@@ -430,29 +428,72 @@ Coordinator::reopenStripes(const std::string &fingerprint,
     notifyActivity();
 }
 
-std::optional<LeaseGrant>
-Coordinator::lookupLease(const std::string &leaseId) const
+void
+Coordinator::settleDone(const std::shared_ptr<Cell> &cell, double seconds)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto parsed = parseLeaseId(leaseId);
-    if (!parsed)
-        return std::nullopt;
-    auto it = cells_.find(parsed->fingerprint);
-    if (it == cells_.end() ||
-        parsed->shardIndex >= it->second.leases.size())
-        return std::nullopt;
-    const CellEntry &entry = it->second;
-    const Lease &lease = entry.leases[parsed->shardIndex];
-    LeaseGrant grant;
-    grant.id = leaseId;
-    grant.cell = entry.cell;
-    grant.shardIndex = lease.shardIndex;
-    grant.shardCount = entry.shardCount;
-    grant.lo = lease.lo;
-    grant.hi = lease.hi;
-    grant.issue = lease.issue;
-    grant.ttlMs = config_.leaseTtlMs;
-    return grant;
+    settleLocked(cell, CellState::Done, seconds, {});
+}
+
+void
+Coordinator::settleFailed(const std::shared_ptr<Cell> &cell,
+                          const std::string &error)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    settleLocked(cell, CellState::Failed, 0.0, error);
+}
+
+void
+Coordinator::settleLocked(const std::shared_ptr<Cell> &cell,
+                          CellState state, double seconds,
+                          const std::string &error)
+{
+    // Caller holds mutex_. The entry leaves the table, but every job
+    // holding it keeps reading its final state.
+    cell->state = state;
+    if (state == CellState::Done) {
+        cell->wallSeconds += seconds;
+        // Every stripe came from stored shards: the cell was stored,
+        // resumed or pushed without this daemon simulating a trial.
+        cell->cached = cell->trialsExecuted == 0;
+        trialsSettled_ += cell->trialsExecuted;
+        fleetMetrics().cellsDone.add();
+        if (cell->cached)
+            fleetMetrics().cellsCached.add();
+    } else {
+        cell->error = error;
+        fleetMetrics().cellsFailed.add();
+        warn("coordinator: cell ", cell->key.canonical(), " failed: ",
+             error);
+    }
+    cells_.erase(cell->spec.fingerprint);
+    updateGauges();
+}
+
+std::vector<CellStatus>
+Coordinator::status(const std::vector<std::shared_ptr<Cell>> &cells) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<CellStatus> statuses;
+    statuses.reserve(cells.size());
+    for (const auto &cell : cells) {
+        CellStatus status;
+        status.fingerprint = cell->spec.fingerprint;
+        status.canonical = cell->key.canonical();
+        status.errors = cell->spec.errors;
+        status.policy = cell->spec.policy;
+        status.trials = cell->spec.trials;
+        status.state = cell->state;
+        status.cached = cell->cached;
+        status.error = cell->error;
+        // Stripe tallies are final only once the cell promotes.
+        if (cell->state == CellState::Done) {
+            status.trialsExecuted = cell->trialsExecuted;
+            status.wallSeconds = cell->wallSeconds;
+        }
+        statuses.push_back(std::move(status));
+    }
+    return statuses;
 }
 
 CoordinatorStats
@@ -460,13 +501,14 @@ Coordinator::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     CoordinatorStats stats;
-    stats.cells = cells_.size();
-    for (const auto &[fingerprint, entry] : cells_) {
-        for (const auto &lease : entry.leases) {
+    for (const auto &[fingerprint, cell] : cells_) {
+        if (!cell->leases.empty())
+            ++stats.cells;
+        for (const auto &lease : cell->leases) {
             switch (lease.state) {
-              case State::Pending: ++stats.leasesPending; break;
-              case State::Active: ++stats.leasesActive; break;
-              case State::Done: ++stats.leasesDone; break;
+              case Cell::LeaseState::Pending: ++stats.leasesPending; break;
+              case Cell::LeaseState::Active: ++stats.leasesActive; break;
+              case Cell::LeaseState::Done: ++stats.leasesDone; break;
             }
         }
     }
@@ -476,6 +518,7 @@ Coordinator::stats() const
     stats.expired = expired_;
     stats.completed = completed_;
     stats.failed = failed_;
+    stats.trialsExecuted = trialsSettled_;
     return stats;
 }
 
@@ -485,18 +528,17 @@ Coordinator::leases() const
     std::lock_guard<std::mutex> lock(mutex_);
     auto now = Clock::now();
     std::vector<LeaseInfo> rows;
-    for (const auto &[fingerprint, entry] : cells_) {
-        for (const auto &lease : entry.leases) {
+    for (const auto &[fingerprint, cell] : cells_) {
+        for (const auto &lease : cell->leases) {
             LeaseInfo info;
-            info.id = leaseId(fingerprint, lease.shardIndex,
-                              entry.shardCount);
+            info.id = leaseId(*cell, lease.shardIndex);
             info.fingerprint = fingerprint;
             info.shardIndex = lease.shardIndex;
-            info.shardCount = entry.shardCount;
+            info.shardCount = static_cast<unsigned>(cell->leases.size());
             info.state = stateName(static_cast<int>(lease.state));
             info.owner = lease.owner;
             info.issue = lease.issue;
-            if (lease.state == State::Active)
+            if (lease.state == Cell::LeaseState::Active)
                 info.remainingMs =
                     std::chrono::duration_cast<
                         std::chrono::milliseconds>(lease.deadline - now)
@@ -520,15 +562,18 @@ void
 Coordinator::updateGauges() const
 {
     // Caller holds mutex_.
-    size_t pending = 0, active = 0;
-    for (const auto &[fingerprint, entry] : cells_) {
-        for (const auto &lease : entry.leases) {
-            if (lease.state == State::Pending)
+    size_t queued = 0, pending = 0, active = 0;
+    for (const auto &[fingerprint, cell] : cells_) {
+        if (cell->state == CellState::Queued)
+            ++queued;
+        for (const auto &lease : cell->leases) {
+            if (lease.state == Cell::LeaseState::Pending)
                 ++pending;
-            else if (lease.state == State::Active)
+            else if (lease.state == Cell::LeaseState::Active)
                 ++active;
         }
     }
+    fleetMetrics().queueDepth.set(static_cast<int64_t>(queued));
     fleetMetrics().pending.set(static_cast<int64_t>(pending));
     fleetMetrics().active.set(static_cast<int64_t>(active));
     fleetMetrics().workers.set(

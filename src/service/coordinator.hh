@@ -1,9 +1,14 @@
 /**
  * @file
- * Lease coordinator: decomposes submitted cells into shard-range
- * leases and tracks their lifecycle across a worker fleet.
+ * Lease coordinator: the daemon's one table of submitted cells, from
+ * admission to settlement, and the shard-range leases a worker fleet
+ * runs them through.
  *
- * Each registered cell becomes `shardCount` leases, one per
+ * A submitted cell is admitted once per fingerprint: while it is live
+ * (queued, probing, leased or being promoted) a duplicate submission
+ * shares it. The scheduler's probe takes queued cells in admission
+ * order; a cell whose record is stored settles done at once, and any
+ * other opens `shardCount` leases, one per
  * ErrorToleranceStudy::shardRange() stripe. Workers (remote agents
  * via POST /v1/leases/acquire, or the daemon's own local pool)
  * acquire leases -- one acquire grants up to `max` pending stripes,
@@ -16,21 +21,26 @@
  * content-addressed and a cell is a pure function of its key, a late
  * completion of a re-issued lease is harmless -- both workers wrote
  * identical bytes, so completion is accepted idempotently from any
- * owner, past or present.
+ * owner, past or present. A cell whose every lease is done is claimed
+ * by one promoter, which settles it done (or reopens the stripes the
+ * store lacks).
  *
- * The coordinator never touches the result store or the simulator:
- * it is pure bookkeeping behind one mutex, so every method is safe to
- * call from the single-threaded HTTP event loop and from scheduler
- * workers concurrently. Store verification (has the shard actually
- * landed?) and shard-merge promotion stay in the Scheduler, which
- * owns the store. The executor side both kinds of worker share --
- * LeaseKeeper and runLeasePass() -- lives here too.
+ * Settling a cell, done or failed, records its outcome in place and
+ * drops it from the table: jobs hold their cells by shared pointer,
+ * so they read the final state from the same entry, and the next
+ * admission of its fingerprint starts a fresh cell that re-reads the
+ * store. The coordinator never touches the result store or the
+ * simulator: it is pure bookkeeping behind one mutex, so every method
+ * is safe to call from the single-threaded HTTP event loop and from
+ * scheduler workers concurrently. The probe, store verification and
+ * shard-merge promotion stay in the Scheduler, which owns the store.
+ * The executor side both kinds of worker share -- LeaseKeeper and
+ * runLeasePass() -- lives here too.
  *
  * Failure model: worker-reported failures and deadline expiries both
- * re-pend the lease; a lease that reaches maxIssues grants fails its
- * whole cell (a deterministic simulation bug would otherwise
- * re-issue forever). takeFailed()/takeCompleted() hand terminal cells
- * to exactly one harvesting worker.
+ * re-pend the lease; a lease that reaches MAX_LEASE_ISSUES grants
+ * settles its whole cell failed at once (a deterministic simulation
+ * bug would otherwise re-issue forever).
  */
 
 #ifndef ETC_SERVICE_COORDINATOR_HH
@@ -41,11 +51,14 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "store/cell_key.hh"
 
 namespace etc::core {
 class ErrorToleranceStudy;
@@ -54,18 +67,8 @@ struct StripeResult;
 
 namespace etc::service {
 
-/** Coordinator knobs (from `etc_lab serve` flags). */
-struct CoordinatorConfig
-{
-    /** Lease deadline; a worker heartbeats at ttl/3 to keep it. */
-    uint64_t leaseTtlMs = 10000;
-
-    /** Grants per lease before its cell fails permanently. */
-    unsigned maxIssues = 5;
-};
-
-/** Static description of one cell registered for decomposition --
- *  everything a remote worker needs to rebuild the exact CellKey. */
+/** Static description of one submitted cell -- everything a remote
+ *  worker needs to rebuild the exact CellKey. */
 struct LeaseCell
 {
     std::string fingerprint; //!< expected CellKey fingerprint
@@ -95,16 +98,41 @@ enum class LeaseBeat
 {
     Active,  //!< deadline extended
     Lost,    //!< re-issued to another worker (finishing is harmless)
-    Unknown, //!< no such lease (cell promoted, failed, or never seen)
+    Unknown, //!< no such lease (cell settled, or never seen)
 };
 
-/** A cell whose every lease is done, claimed for promotion. */
-struct CompletedCell
+/** Lifecycle of one submitted cell. */
+enum class CellState
 {
-    LeaseCell cell;
-    unsigned shardCount = 0;
-    uint64_t trialsExecuted = 0; //!< summed from complete() reports
-    double wallSeconds = 0.0;    //!< summed from complete() reports
+    Queued,  //!< admitted, waiting for the probe
+    Running, //!< probing, leased or being promoted
+    Done,
+    Failed,
+};
+
+/** @return the canonical lowercase name of @p state. */
+const char *cellStateName(CellState state);
+
+/** Point-in-time snapshot of one cell of a job. */
+struct CellStatus
+{
+    std::string fingerprint; //!< on-disk record address
+    std::string canonical;   //!< human-readable cell key
+    unsigned errors = 0;
+    std::string policy;      //!< injection policy name
+    unsigned trials = 0;
+    CellState state = CellState::Queued;
+    bool cached = false;          //!< served without simulating
+    uint64_t trialsExecuted = 0;  //!< trials simulated (once done)
+    double wallSeconds = 0.0;     //!< simulation wall time (once done)
+    std::string error;            //!< failure message (state Failed)
+
+    /** Simulation throughput (0 for cached/unstarted cells). */
+    double
+    trialsPerSec() const
+    {
+        return wallSeconds > 0.0 ? trialsExecuted / wallSeconds : 0.0;
+    }
 };
 
 /** Point-in-time lease row (GET /v1/fleet and tests). */
@@ -123,7 +151,7 @@ struct LeaseInfo
 /** Aggregate counters (healthz, /v1/fleet, shutdown summaries). */
 struct CoordinatorStats
 {
-    size_t cells = 0;         //!< cells currently registered
+    size_t cells = 0;         //!< cells whose leases are open
     size_t leasesPending = 0;
     size_t leasesActive = 0;
     size_t leasesDone = 0;
@@ -133,26 +161,100 @@ struct CoordinatorStats
     uint64_t expired = 0;
     uint64_t completed = 0;
     uint64_t failed = 0;      //!< worker-reported lease failures
+    uint64_t trialsExecuted = 0; //!< over every cell settled done
+};
+
+/**
+ * One submitted cell, from admission to settlement. What admission
+ * fixes -- the worker-facing description and the store key -- is
+ * const, so any thread may read it; the cell's progress belongs to
+ * the Coordinator, which reads it out under its mutex (status()).
+ */
+class Cell
+{
+  public:
+    Cell(LeaseCell spec, store::CellKey key)
+        : spec(std::move(spec)), key(std::move(key))
+    {}
+
+    const LeaseCell spec;
+    const store::CellKey key;
+
+  private:
+    friend class Coordinator;
+
+    enum class LeaseState { Pending, Active, Done };
+
+    struct Lease
+    {
+        unsigned shardIndex = 0;
+        unsigned lo = 0;
+        unsigned hi = 0;
+        LeaseState state = LeaseState::Pending;
+        std::string owner;
+        unsigned issue = 0;
+        std::chrono::steady_clock::time_point deadline{};
+    };
+
+    uint64_t admitted = 0; //!< admission order (the probe's FIFO)
+    CellState state = CellState::Queued;
+    std::vector<Lease> leases; //!< empty until the probe opens them
+    bool promoting = false;    //!< claimed by claimCompleted()
+    bool cached = false;
+    uint64_t trialsExecuted = 0; //!< summed from complete() reports
+    double wallSeconds = 0.0;    //!< likewise, plus probe or promotion
+    std::string error;
+};
+
+/** The store range a lease covers (a completion must have landed it). */
+struct LeaseRange
+{
+    store::CellKey key;
+    unsigned lo = 0;
+    unsigned hi = 0;
 };
 
 class Coordinator
 {
   public:
-    explicit Coordinator(CoordinatorConfig config);
+    /** Grants per lease before its cell fails permanently. */
+    static constexpr unsigned MAX_LEASE_ISSUES = 5;
+
+    /** @p leaseTtlMs is the lease deadline; a holder renews at a
+     *  third of it. */
+    explicit Coordinator(uint64_t leaseTtlMs);
 
     /** @p callback runs (outside the coordinator mutex) whenever a
-     *  lease completes or fails -- the scheduler pokes its condvar so
-     *  promotion does not wait for the next poll tick. */
+     *  lease completes or fails or a cell's leases open -- the
+     *  scheduler pokes its condvar so promotion does not wait for the
+     *  next poll tick. */
     void setActivityCallback(std::function<void()> callback);
 
+    /// @name Admission and the probe
+    /// @{
+
     /**
-     * Register @p cell as @p shardCount leases. @p alreadyDone marks
-     * stripes whose shard record is already stored (the resume path);
-     * those leases start done. Idempotent: re-registering a live
-     * fingerprint is a no-op. @return true if newly registered.
+     * @return the live cell of @p spec's fingerprint -- queued,
+     * running or claimed for promotion -- or a new queued one. A
+     * duplicate submission thus shares the live cell and never runs
+     * it twice; a settled cell is never reused, so a fresh one
+     * re-reads the store.
      */
-    bool registerCell(const LeaseCell &cell, unsigned shardCount,
-                      const std::vector<bool> &alreadyDone);
+    std::shared_ptr<Cell> admit(LeaseCell spec, store::CellKey key);
+
+    /** Hand the oldest queued cell to the probe; it is then running,
+     *  with no leases until openLeases(). @return nullptr if none. */
+    std::shared_ptr<Cell> takeQueued();
+
+    /** The probe missed: decompose @p cell into @p shardCount stripe
+     *  leases. @p alreadyDone marks stripes whose shard record is
+     *  already stored (the resume path); those leases start done. */
+    void openLeases(Cell &cell, unsigned shardCount,
+                    const std::vector<bool> &alreadyDone);
+    /// @}
+
+    /// @name Leases
+    /// @{
 
     /**
      * Grant @p worker up to @p max pending leases, all of one cell
@@ -187,101 +289,85 @@ class Coordinator
 
     /**
      * Worker-reported failure: re-pend the lease for the next
-     * acquirer, or -- at the issue cap -- fail the whole cell.
-     * @return false if unknown (or already done).
+     * acquirer, or -- at the issue cap -- settle the whole cell
+     * failed. @return false if unknown (or already done).
      */
     bool fail(const std::string &leaseId, const std::string &worker,
               const std::string &error);
 
-    /** Re-pend lapsed active leases (cells at the issue cap fail)
-     *  and age out idle workers. Cheap; called at poll frequency. */
+    /** Re-pend lapsed active leases (a cell at the issue cap settles
+     *  failed) and age out idle workers. Cheap; called at poll
+     *  frequency. */
     void sweepExpired();
 
-    /** Claim cells whose every lease is done (each exactly once).
-     *  The claimer promotes and then calls finishCell() -- or
-     *  reopenStripes() if the store disagrees. */
-    std::vector<CompletedCell> takeCompleted();
+    /** @return the store range of open lease @p leaseId, or nullopt
+     *  if no open cell has it. */
+    std::optional<LeaseRange> lookupLease(const std::string &leaseId) const;
+    /// @}
 
-    /** Claim permanently failed cells: (fingerprint, error). */
-    std::vector<std::pair<std::string, std::string>> takeFailed();
+    /// @name Promotion and settlement
+    /// @{
 
-    /** Forget a promoted cell (its record is in the store). */
-    void finishCell(const std::string &fingerprint);
+    /** Claim cells whose every lease is done, each exactly once. The
+     *  claimer promotes it and settles it, or calls reopenStripes()
+     *  if the store disagrees. */
+    std::vector<std::shared_ptr<Cell>> claimCompleted();
 
     /** Put the given stripes of a claimed cell back to pending (the
      *  promoting worker found their shards missing from the store). */
-    void reopenStripes(const std::string &fingerprint,
-                       const std::vector<unsigned> &stripes);
+    void reopenStripes(Cell &cell, const std::vector<unsigned> &stripes);
 
-    /** @return the grant-shaped view of @p leaseId whatever its
-     *  state (completion handlers verify the store against it), or
-     *  nullopt if no such lease is registered. */
-    std::optional<LeaseGrant> lookupLease(
-        const std::string &leaseId) const;
+    /** Settle @p cell done -- promoted, or probed as already stored
+     *  -- adding @p seconds to its wall time. It is `cached` when it
+     *  simulated no trial. */
+    void settleDone(const std::shared_ptr<Cell> &cell, double seconds);
+
+    /** Settle @p cell failed with @p error. */
+    void settleFailed(const std::shared_ptr<Cell> &cell,
+                      const std::string &error);
+    /// @}
+
+    /** @return a snapshot of each of @p cells, in order (a job's
+     *  status); trials and wall time show once a cell settles done. */
+    std::vector<CellStatus> status(
+        const std::vector<std::shared_ptr<Cell>> &cells) const;
 
     CoordinatorStats stats() const;
 
-    /** Every lease of every registered cell (fleet debugging). */
+    /** Every lease of every open cell (fleet debugging). */
     std::vector<LeaseInfo> leases() const;
-
-    uint64_t leaseTtlMs() const { return config_.leaseTtlMs; }
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    enum class State { Pending, Active, Done };
-
-    struct Lease
-    {
-        unsigned shardIndex = 0;
-        unsigned lo = 0;
-        unsigned hi = 0;
-        State state = State::Pending;
-        std::string owner;
-        unsigned issue = 0;
-        Clock::time_point deadline{};
-    };
-
-    struct CellEntry
-    {
-        LeaseCell cell;
-        unsigned shardCount = 0;
-        std::vector<Lease> leases;
-        uint64_t trialsExecuted = 0;
-        double wallSeconds = 0.0;
-        bool promoting = false; //!< claimed by takeCompleted()
-        bool failed = false;
-        std::string error;
-    };
-
-    struct ParsedId
-    {
-        std::string fingerprint;
-        unsigned shardIndex = 0;
-    };
-
-    static std::string leaseId(const std::string &fingerprint,
-                               unsigned shardIndex,
-                               unsigned shardCount);
-    std::optional<ParsedId> parseLeaseId(
-        const std::string &leaseId) const;
-    Lease *findLease(const std::string &leaseId, CellEntry **entry);
+    static std::string leaseId(const Cell &cell, unsigned shardIndex);
+    /** @return the open cell of @p leaseId, with @p lease set to the
+     *  lease, or nullptr if no open cell has it. */
+    std::shared_ptr<Cell> findLease(const std::string &leaseId,
+                                    Cell::Lease **lease) const;
+    /** @p cell is a pointer of the caller's own, not the table's
+     *  entry, which this erases. */
+    void settleLocked(const std::shared_ptr<Cell> &cell, CellState state,
+                      double seconds, const std::string &error);
     void sweepExpiredLocked();
     void touchWorker(const std::string &worker);
     void updateGauges() const;
     void notifyActivity();
 
-    CoordinatorConfig config_;
+    const uint64_t leaseTtlMs_;
     std::function<void()> activity_;
 
     mutable std::mutex mutex_; //!< guards everything below
-    std::map<std::string, CellEntry> cells_; //!< by fingerprint
+    /** Every live cell, by fingerprint: one per fingerprint. */
+    std::map<std::string, std::shared_ptr<Cell>> cells_;
     std::map<std::string, Clock::time_point> workersSeen_;
+    uint64_t admitted_ = 0;
     uint64_t issued_ = 0;
     uint64_t reissued_ = 0;
     uint64_t expired_ = 0;
     uint64_t completed_ = 0;
     uint64_t failed_ = 0;
+    uint64_t trialsSettled_ = 0;
 };
 
 /**

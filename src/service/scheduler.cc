@@ -14,28 +14,17 @@ namespace etc::service {
 
 namespace {
 
-/** Scheduler-level metrics: queue/worker gauges tick at bookkeeping
- *  frequency (task transitions), never inside simulation loops. */
+/** Scheduler-level metrics: worker gauges tick at bookkeeping
+ *  frequency (pass boundaries), never inside simulation loops; the
+ *  cell counters tick where cells settle, in the coordinator. */
 struct SchedulerMetrics
 {
-    telemetry::Gauge &queueDepth = telemetry::gauge(
-        "etc_scheduler_queue_depth",
-        "Cell tasks waiting for a worker");
     telemetry::Gauge &workers = telemetry::gauge(
         "etc_scheduler_workers",
         "Worker threads in the scheduler pool");
     telemetry::Gauge &workersBusy = telemetry::gauge(
         "etc_scheduler_workers_busy",
         "Worker threads currently executing a cell task");
-    telemetry::Counter &cellsDone = telemetry::counter(
-        "etc_scheduler_cells_done_total",
-        "Cell tasks completed successfully (simulated or cached)");
-    telemetry::Counter &cellsCached = telemetry::counter(
-        "etc_scheduler_cells_cached_total",
-        "Cell tasks satisfied entirely from the result store");
-    telemetry::Counter &cellsFailed = telemetry::counter(
-        "etc_scheduler_cells_failed_total",
-        "Cell tasks that raised an error");
     telemetry::Histogram &chunkSeconds = telemetry::histogram(
         "etc_scheduler_chunk_seconds",
         "Pass wall time credited to each stripe (one shard-range lease "
@@ -60,24 +49,18 @@ constexpr std::chrono::milliseconds IDLE_POLL{100};
  *  them as one worker when it shares a cell out. */
 constexpr const char *LOCAL_WORKER = "local";
 
-} // namespace
-
-const char *
-cellStateName(CellState state)
+/** The shard-range leases of a cell of @p trials: @p chunks, but
+ *  never more than one stripe per trial. */
+unsigned
+shardCountOf(unsigned chunks, unsigned trials)
 {
-    switch (state) {
-      case CellState::Queued: return "queued";
-      case CellState::Running: return "running";
-      case CellState::Done: return "done";
-      case CellState::Failed: return "failed";
-    }
-    return "unknown";
+    return std::max(1u, std::min(chunks, trials));
 }
 
+} // namespace
+
 Scheduler::Scheduler(SchedulerConfig config)
-    : config_(std::move(config)),
-      coordinator_(CoordinatorConfig{config_.leaseTtlMs,
-                                     config_.maxLeaseIssues}),
+    : config_(std::move(config)), coordinator_(config_.leaseTtlMs),
       keeper_([this](const std::string &leaseId,
                      const std::string &worker) {
           coordinator_.heartbeat(leaseId, worker);
@@ -146,16 +129,7 @@ Scheduler::submit(
     std::optional<std::pair<unsigned, std::string>> cell)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    struct PlannedCell
-    {
-        bench::ExperimentStudy *lab;
-        unsigned errors;
-        std::string policy;
-        unsigned trials;
-        store::CellKey key;
-        std::string fingerprint;
-    };
-    std::vector<PlannedCell> planned;
+    std::vector<std::pair<LeaseCell, store::CellKey>> planned;
     std::string signature;
     for (const bench::Experiment *exp : artifact.sweeps) {
         auto wanted =
@@ -171,11 +145,16 @@ Scheduler::submit(
             trialsOverride ? trialsOverride : exp->defaultTrials;
         for (const auto &[errors, policy] : wanted) {
             auto key = lab.study.cellKey(errors, policy, trials);
-            auto fingerprint = key.fingerprint();
-            signature += fingerprint;
+            LeaseCell spec;
+            spec.fingerprint = key.fingerprint();
+            spec.experiment = exp->name;
+            spec.errors = errors;
+            spec.policy = policy;
+            spec.trials = trials;
+            spec.seed = lab.study.config().seed;
+            signature += spec.fingerprint;
             signature += ';';
-            planned.push_back({&lab, errors, policy, trials,
-                               std::move(key), std::move(fingerprint)});
+            planned.emplace_back(std::move(spec), std::move(key));
         }
     }
 
@@ -184,7 +163,7 @@ Scheduler::submit(
     if (auto active = activeJobsBySignature_.find(signature);
         active != activeJobsBySignature_.end()) {
         const Job &job = jobs_.at(active->second);
-        std::string state = jobStateOf(job);
+        std::string state = jobStateOf(coordinator_.status(job.cells));
         if (state == "queued" || state == "running")
             return {job.id, true, job.cells.size()};
         activeJobsBySignature_.erase(active);
@@ -195,40 +174,18 @@ Scheduler::submit(
     job.id += std::to_string(nextJobId_++);
     job.experiment = artifact.name;
     job.signature = signature;
-    bool enqueued = false;
-    for (auto &plan : planned) {
-        // Cell-level idempotency: reuse a live (queued/running) task
-        // for the same CellKey instead of running it twice. Completed
-        // tasks are not reused -- a fresh task re-reads the store and
-        // completes as a cache hit with zero trials.
-        std::shared_ptr<CellTask> task;
-        if (auto live = liveTasks_.find(plan.fingerprint);
-            live != liveTasks_.end()) {
-            task = live->second;
-        } else {
-            task = std::make_shared<CellTask>();
-            task->lab = plan.lab;
-            task->errors = plan.errors;
-            task->policy = plan.policy;
-            task->trials = plan.trials;
-            task->key = std::move(plan.key);
-            task->fingerprint = plan.fingerprint;
-            liveTasks_[plan.fingerprint] = task;
-            queue_.push_back(task);
-            enqueued = true;
-        }
-        job.cells.push_back(std::move(task));
-    }
+    // Cell-level idempotency: the coordinator shares a live cell of
+    // the same CellKey instead of running it twice.
+    for (auto &[spec, key] : planned)
+        job.cells.push_back(
+            coordinator_.admit(std::move(spec), std::move(key)));
 
     std::string id = job.id;
     size_t cellCount = job.cells.size();
     jobs_[id] = std::move(job);
     activeJobsBySignature_[signature] = id;
-    schedulerMetrics().queueDepth.set(
-        static_cast<int64_t>(queue_.size()));
     evictCompletedJobs();
-    if (enqueued)
-        workAvailable_.notify_all();
+    workAvailable_.notify_all();
     return {id, false, cellCount};
 }
 
@@ -244,7 +201,7 @@ Scheduler::evictCompletedJobs()
         return;
     std::vector<std::pair<uint64_t, std::string>> completed;
     for (const auto &[id, job] : jobs_) {
-        std::string state = jobStateOf(job);
+        std::string state = jobStateOf(coordinator_.status(job.cells));
         if (state == "done" || state == "failed")
             completed.emplace_back(std::stoull(id.substr(1)), id);
     }
@@ -286,9 +243,8 @@ Scheduler::workerLoop()
                 return;
         }
         coordinator_.sweepExpired();
-        bool didWork = collectFailedCells();
-        didWork |= promoteCompletedCells(store);
-        didWork |= probeNextTask();
+        bool didWork = promoteCompletedCells(store);
+        didWork |= probeNextCell();
         if (executor)
             didWork |= executeLeases();
         idle = !didWork;
@@ -296,72 +252,43 @@ Scheduler::workerLoop()
 }
 
 bool
-Scheduler::probeNextTask()
+Scheduler::probeNextCell()
 {
-    std::shared_ptr<CellTask> task;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (queue_.empty())
-            return false;
-        task = queue_.front();
-        queue_.pop_front();
-        task->state = CellState::Running;
-        schedulerMetrics().queueDepth.set(
-            static_cast<int64_t>(queue_.size()));
-    }
+    auto cell = coordinator_.takeQueued();
+    if (!cell)
+        return false;
     try {
-        // Cache first: a warm-cache cell completes with zero
-        // simulation and never touches the coordinator. (Each worker
-        // probes through its own ResultStore instance; see the
-        // store's concurrent-writer contract.)
+        // Cache first: a warm-cache cell settles with zero simulation
+        // and never opens a lease. (Each worker probes through its own
+        // ResultStore instance; see the store's concurrent-writer
+        // contract.)
         auto probeStarted = std::chrono::steady_clock::now();
         store::ResultStore probe(config_.cacheDir);
-        if (probe.loadCell(task->key)) {
+        if (probe.loadCell(cell->key)) {
             // A cache hit still costs a store load; report that wall
             // time (instead of 0) so dashboards get a finite number,
             // with cached=true marking that trialsPerSec is
             // meaningless for this cell.
             std::chrono::duration<double> probeSpan =
                 std::chrono::steady_clock::now() - probeStarted;
-            std::lock_guard<std::mutex> lock(mutex_);
-            task->state = CellState::Done;
-            task->cached = true;
-            task->wallSeconds += probeSpan.count();
-            liveTasks_.erase(task->fingerprint);
-            schedulerMetrics().cellsDone.add();
-            schedulerMetrics().cellsCached.add();
+            coordinator_.settleDone(cell, probeSpan.count());
             return true;
         }
 
         // Miss: decompose into shard-range leases. Stripes whose
         // shard record is already stored (a killed predecessor's
-        // progress) register as done, so the cell resumes.
+        // progress) open as done, so the cell resumes.
         unsigned shardCount =
-            std::max(1u, std::min(config_.chunks, task->trials));
+            shardCountOf(config_.chunks, cell->spec.trials);
         std::vector<bool> alreadyDone(shardCount, false);
         for (unsigned i = 0; i < shardCount; ++i) {
             auto [lo, hi] = core::ErrorToleranceStudy::shardRange(
-                task->trials, i, shardCount);
-            alreadyDone[i] = probe.hasShard(task->key, lo, hi);
+                cell->spec.trials, i, shardCount);
+            alreadyDone[i] = probe.hasShard(cell->key, lo, hi);
         }
-
-        LeaseCell cell;
-        cell.fingerprint = task->fingerprint;
-        cell.experiment = task->lab->exp.name;
-        cell.errors = task->errors;
-        cell.policy = task->policy;
-        cell.trials = task->trials;
-        cell.seed = task->lab->study.config().seed;
-
-        // Registered *before* the coordinator sees the cell, so a
-        // remote completion arriving immediately can find the task.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            leasedTasks_[task->fingerprint] = task;
-        }
-        coordinator_.registerCell(cell, shardCount, alreadyDone);
+        coordinator_.openLeases(*cell, shardCount, alreadyDone);
     } catch (const std::exception &e) {
-        failTask(task, e.what());
+        coordinator_.settleFailed(cell, e.what());
     }
     return true;
 }
@@ -412,9 +339,9 @@ Scheduler::executeLeases()
                    const core::StripeResult &stripe) {
                 schedulerMetrics().chunkSeconds.observe(
                     stripe.wallSeconds);
-                // Task/global tallies accrue at promotion (from the
-                // coordinator's sums), not here -- one accounting path
-                // for local and remote workers alike.
+                // The cell's tallies sum in the coordinator and show
+                // at promotion -- one accounting path for local and
+                // remote workers alike.
                 coordinator_.complete(grant.id, LOCAL_WORKER,
                                       stripe.trialsSimulated,
                                       stripe.wallSeconds);
@@ -429,133 +356,59 @@ Scheduler::executeLeases()
 bool
 Scheduler::promoteCompletedCells(store::ResultStore &store)
 {
-    auto completed = coordinator_.takeCompleted();
-    for (const auto &done : completed)
-        promoteCell(done, store);
+    auto completed = coordinator_.claimCompleted();
+    for (const auto &cell : completed)
+        promoteCell(cell, store);
     return !completed.empty();
 }
 
 void
-Scheduler::promoteCell(const CompletedCell &done,
+Scheduler::promoteCell(const std::shared_ptr<Cell> &cell,
                        store::ResultStore &store)
 {
-    const std::string &fingerprint = done.cell.fingerprint;
-    auto task = leasedTask(fingerprint);
-    if (!task) {
-        // The task vanished (collected as failed by a racing worker);
-        // nothing to promote into.
-        coordinator_.finishCell(fingerprint);
-        return;
-    }
     auto promoteStarted = std::chrono::steady_clock::now();
     try {
-        if (store.hasCell(task->key)) {
-            store.dropShards(task->key);
+        if (store.hasCell(cell->key)) {
+            store.dropShards(cell->key);
         } else {
             // Promote the shard tiling to the cell record: assembled,
             // persisted, and bit-identical to a monolithic run,
             // whoever executed the stripes. No simulation happens
             // here -- promotion is pure store arithmetic.
             try {
-                store.promoteShards(task->key,
-                                    store.loadShards(task->key));
+                store.promoteShards(cell->key,
+                                    store.loadShards(cell->key));
             } catch (const store::StoreFormatError &) {
                 // The tiling has gaps: some "completed" stripes never
                 // reached the store (a worker lied or its push was
                 // lost). Re-pend exactly those stripes.
+                unsigned shardCount =
+                    shardCountOf(config_.chunks, cell->spec.trials);
                 std::vector<unsigned> missing;
-                for (unsigned i = 0; i < done.shardCount; ++i) {
+                for (unsigned i = 0; i < shardCount; ++i) {
                     auto [lo, hi] =
                         core::ErrorToleranceStudy::shardRange(
-                            task->trials, i, done.shardCount);
-                    if (!store.hasShard(task->key, lo, hi))
+                            cell->spec.trials, i, shardCount);
+                    if (!store.hasShard(cell->key, lo, hi))
                         missing.push_back(i);
                 }
                 if (missing.empty())
                     throw; // genuinely unmergeable: fail the cell
-                warn("scheduler: cell ", fingerprint, " missing ",
-                     missing.size(),
+                warn("scheduler: cell ", cell->spec.fingerprint,
+                     " missing ", missing.size(),
                      " completed stripe(s) from the store; "
                      "re-issuing their leases");
-                coordinator_.reopenStripes(fingerprint, missing);
+                coordinator_.reopenStripes(*cell, missing);
                 return;
             }
         }
 
         std::chrono::duration<double> promoteSpan =
             std::chrono::steady_clock::now() - promoteStarted;
-        finishTask(task, done.trialsExecuted,
-                   done.wallSeconds + promoteSpan.count());
-        coordinator_.finishCell(fingerprint);
+        coordinator_.settleDone(cell, promoteSpan.count());
     } catch (const std::exception &e) {
-        failTask(task, e.what());
-        coordinator_.finishCell(fingerprint);
+        coordinator_.settleFailed(cell, e.what());
     }
-}
-
-bool
-Scheduler::collectFailedCells()
-{
-    auto failed = coordinator_.takeFailed();
-    for (const auto &[fingerprint, error] : failed) {
-        if (auto task = leasedTask(fingerprint))
-            failTask(task, error);
-    }
-    return !failed.empty();
-}
-
-std::shared_ptr<Scheduler::CellTask>
-Scheduler::leasedTask(const std::string &fingerprint) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = leasedTasks_.find(fingerprint);
-    return it == leasedTasks_.end() ? nullptr : it->second;
-}
-
-void
-Scheduler::finishTask(const std::shared_ptr<CellTask> &task,
-                      uint64_t trialsExecuted, double wallSeconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    task->trialsExecuted += trialsExecuted;
-    task->wallSeconds += wallSeconds;
-    trialsExecuted_ += trialsExecuted;
-    // Every stripe came from stored shards: the cell resumed (or was
-    // pushed) without this daemon simulating a single trial.
-    task->cached = task->trialsExecuted == 0;
-    task->state = CellState::Done;
-    liveTasks_.erase(task->fingerprint);
-    leasedTasks_.erase(task->fingerprint);
-    schedulerMetrics().cellsDone.add();
-    if (task->cached)
-        schedulerMetrics().cellsCached.add();
-}
-
-void
-Scheduler::failTask(const std::shared_ptr<CellTask> &task,
-                    const std::string &error)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    task->state = CellState::Failed;
-    task->error = error;
-    liveTasks_.erase(task->fingerprint);
-    leasedTasks_.erase(task->fingerprint);
-    schedulerMetrics().cellsFailed.add();
-    warn("scheduler: cell ", task->key.canonical(), " failed: ",
-         error);
-}
-
-std::vector<LeaseGrant>
-Scheduler::acquireLeases(const std::string &worker, unsigned max)
-{
-    return coordinator_.acquire(worker, max);
-}
-
-LeaseBeat
-Scheduler::heartbeatLease(const std::string &leaseId,
-                          const std::string &worker)
-{
-    return coordinator_.heartbeat(leaseId, worker);
 }
 
 Scheduler::LeaseCompletion
@@ -582,23 +435,13 @@ Scheduler::completeLease(const std::string &leaseId,
     // actually in the store (pushed via /v1/shards, written by a
     // local worker sharing the cache, or subsumed by the promoted
     // cell record). A completion without bytes would merge a hole.
-    if (auto task = leasedTask(lease->cell.fingerprint)) {
-        store::ResultStore store(config_.cacheDir);
-        if (!store.hasShard(task->key, lease->lo, lease->hi) &&
-            !store.hasCell(task->key))
-            return LeaseCompletion::MissingShard;
-    }
+    store::ResultStore store(config_.cacheDir);
+    if (!store.hasShard(lease->key, lease->lo, lease->hi) &&
+        !store.hasCell(lease->key))
+        return LeaseCompletion::MissingShard;
     coordinator_.complete(leaseId, worker, trialsExecuted,
                           wallSeconds);
     return LeaseCompletion::Done;
-}
-
-bool
-Scheduler::failLease(const std::string &leaseId,
-                     const std::string &worker,
-                     const std::string &error)
-{
-    return coordinator_.fail(leaseId, worker, error);
 }
 
 store::ResultStore::IngestOutcome
@@ -608,24 +451,12 @@ Scheduler::ingestRecord(const std::string &text)
     return store.ingestRecord(text);
 }
 
-CoordinatorStats
-Scheduler::fleetStats() const
-{
-    return coordinator_.stats();
-}
-
-std::vector<LeaseInfo>
-Scheduler::fleetLeases() const
-{
-    return coordinator_.leases();
-}
-
 std::string
-Scheduler::jobStateOf(const Job &job)
+Scheduler::jobStateOf(const std::vector<CellStatus> &cells)
 {
     bool anyFailed = false, anyActive = false, anyStarted = false;
-    for (const auto &task : job.cells) {
-        switch (task->state) {
+    for (const auto &cell : cells) {
+        switch (cell.state) {
           case CellState::Failed: anyFailed = true; break;
           case CellState::Running:
             anyActive = true;
@@ -654,24 +485,13 @@ Scheduler::jobStatus(const std::string &id) const
     JobStatus status;
     status.id = job.id;
     status.experiment = job.experiment;
-    status.state = jobStateOf(job);
-    status.cellsTotal = job.cells.size();
-    for (const auto &task : job.cells) {
-        CellStatus cell;
-        cell.fingerprint = task->fingerprint;
-        cell.canonical = task->key.canonical();
-        cell.errors = task->errors;
-        cell.policy = task->policy;
-        cell.trials = task->trials;
-        cell.state = task->state;
-        cell.cached = task->cached;
-        cell.trialsExecuted = task->trialsExecuted;
-        cell.wallSeconds = task->wallSeconds;
-        cell.error = task->error;
-        if (task->state == CellState::Done)
+    status.cells = coordinator_.status(job.cells);
+    status.state = jobStateOf(status.cells);
+    status.cellsTotal = status.cells.size();
+    for (const auto &cell : status.cells) {
+        if (cell.state == CellState::Done)
             ++status.cellsDone;
-        status.trialsExecuted += task->trialsExecuted;
-        status.cells.push_back(std::move(cell));
+        status.trialsExecuted += cell.trialsExecuted;
     }
     return status;
 }
@@ -682,20 +502,22 @@ Scheduler::stats() const
     std::lock_guard<std::mutex> lock(mutex_);
     SchedulerStats stats;
     stats.jobs = jobs_.size();
-    stats.trialsExecuted = trialsExecuted_;
-    std::set<const CellTask *> seen;
-    for (const auto &[id, job] : jobs_) {
-        for (const auto &task : job.cells) {
-            if (!seen.insert(task.get()).second)
-                continue; // shared with an attached job
-            switch (task->state) {
-              case CellState::Queued: ++stats.cellsQueued; break;
-              case CellState::Running: ++stats.cellsRunning; break;
-              case CellState::Done: ++stats.cellsDone; break;
-              case CellState::Failed: ++stats.cellsFailed; break;
-            }
+    // Each cell once, however many attached jobs share it.
+    std::vector<std::shared_ptr<Cell>> cells;
+    std::set<const Cell *> seen;
+    for (const auto &[id, job] : jobs_)
+        for (const auto &cell : job.cells)
+            if (seen.insert(cell.get()).second)
+                cells.push_back(cell);
+    for (const auto &cell : coordinator_.status(cells)) {
+        switch (cell.state) {
+          case CellState::Queued: ++stats.cellsQueued; break;
+          case CellState::Running: ++stats.cellsRunning; break;
+          case CellState::Done: ++stats.cellsDone; break;
+          case CellState::Failed: ++stats.cellsFailed; break;
         }
     }
+    stats.trialsExecuted = coordinator_.stats().trialsExecuted;
     return stats;
 }
 

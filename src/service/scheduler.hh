@@ -3,26 +3,28 @@
  * Async campaign job scheduler: the engine room of `etc_lab serve`.
  *
  * Submitted figures and paper tables (or single cells) become jobs
- * whose cells, across all their sweeps, are decomposed into
- * shard-range leases (see coordinator.hh) and executed by whoever
- * holds the lease -- the daemon's own bounded pool of local workers,
- * remote `etc_lab work` agents, or a mix. A local executor first
- * locks a sweep's study that no other local executor is running, so
- * it never holds leases it cannot start; it then acquires its share
- * of one of that sweep's cells' pending stripes (all of them when no
- * other worker is idle), runs them as one pass
- * (ErrorToleranceStudy::runStripes), completes
- * each lease as its stripe lands, and heartbeats every lease it holds
- * meanwhile, exactly like an agent:
+ * over the coordinator's cells (see coordinator.hh), which own each
+ * cell's state from admission to settlement. The scheduler keeps the
+ * jobs, the studies their sweeps share and the pool of threads that
+ * do every store read and write: the probe, promotion, the completion
+ * check and ingest. Cells run on whoever holds their shard-range
+ * leases -- the daemon's own bounded pool of local workers, remote
+ * `etc_lab work` agents, or a mix. A local executor first locks a
+ * sweep's study that no other local executor is running, so it never
+ * holds leases it cannot start; it then acquires its share of one of
+ * that sweep's cells' pending stripes (all of them when no other
+ * worker is idle), runs them as one pass
+ * (ErrorToleranceStudy::runStripes), completes each lease as its
+ * stripe lands, and heartbeats every lease it holds meanwhile,
+ * exactly like an agent:
  *
- *  - Idempotent on CellKey: a cell already queued or leased is never
- *    enqueued twice -- a duplicate submission attaches to the live
- *    tasks (and an identical active job is returned outright instead
- *    of creating a twin).
- *  - Cache-first: a cell whose record is already in the ResultStore
- *    is served with zero simulation (the task completes `cached` with
- *    trialsExecuted == 0); stripes whose shard records are already
- *    stored register as done leases, so a resubmission resumes.
+ *  - Idempotent on CellKey: a duplicate submission shares the
+ *    coordinator's live cell (and an identical active job is returned
+ *    outright instead of creating a twin).
+ *  - Cache-first: the probe settles a cell whose record is already in
+ *    the ResultStore with zero simulation (`cached`, trialsExecuted
+ *    == 0); stripes whose shard records are already stored open as
+ *    done leases, so a resubmission resumes.
  *  - Kill-tolerant twice over: every lease persists as a shard
  *    record as its stripe lands, so losing the daemon mid-cell loses
  *    at most the stripes in flight, and losing a *worker* mid-pass
@@ -39,8 +41,8 @@
  *    lapse and re-issue.
  *
  * `workers = 0` runs a pure coordinator: one steward thread still
- * probes the cache, registers leases, and promotes completed cells,
- * but all simulation happens on remote agents.
+ * probes the cache and promotes completed cells, but all simulation
+ * happens on remote agents.
  *
  * Cells of the same sweep share one study (each policy's golden
  * run is made once) and are serialized on it -- the study itself is
@@ -54,7 +56,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,7 +67,6 @@
 #include "bench/experiments.hh"
 #include "core/study.hh"
 #include "service/coordinator.hh"
-#include "store/cell_key.hh"
 #include "store/result_store.hh"
 
 namespace etc::service {
@@ -83,43 +83,6 @@ struct SchedulerConfig
 
     /** Lease deadline; workers heartbeat at a third of it. */
     uint64_t leaseTtlMs = 10000;
-
-    /** Grants per lease before its cell fails permanently. */
-    unsigned maxLeaseIssues = 5;
-};
-
-/** Lifecycle of one cell task. */
-enum class CellState
-{
-    Queued,
-    Running,
-    Done,
-    Failed,
-};
-
-/** @return the canonical lowercase name of @p state. */
-const char *cellStateName(CellState state);
-
-/** Point-in-time snapshot of one cell of a job. */
-struct CellStatus
-{
-    std::string fingerprint; //!< on-disk record address
-    std::string canonical;   //!< human-readable cell key
-    unsigned errors = 0;
-    std::string policy;      //!< injection policy name
-    unsigned trials = 0;
-    CellState state = CellState::Queued;
-    bool cached = false;          //!< served without simulating
-    uint64_t trialsExecuted = 0;  //!< trials actually simulated
-    double wallSeconds = 0.0;     //!< simulation wall time so far
-    std::string error;            //!< failure message (state Failed)
-
-    /** Simulation throughput (0 for cached/unstarted cells). */
-    double
-    trialsPerSec() const
-    {
-        return wallSeconds > 0.0 ? trialsExecuted / wallSeconds : 0.0;
-    }
 };
 
 /** Point-in-time snapshot of one job. */
@@ -163,13 +126,13 @@ class Scheduler
     bench::BenchOptions studyOptions() const;
 
     /** Spawn the worker pool (call once). A workers = 0 config still
-     *  spawns one steward thread for probe/register/promote duty. */
+     *  spawns one steward thread for probe and promotion duty. */
     void start();
 
     /**
      * Finish and persist every in-flight local lease, then join the
-     * workers. Queued cells and unexecuted leases stay registered
-     * (their progress, if any, is already in the store).
+     * workers. Queued cells and unexecuted leases stay in the
+     * coordinator (their progress, if any, is already in the store).
      */
     void stop();
 
@@ -186,8 +149,8 @@ class Scheduler
      * is set -- the single (errors, policy-name) cell of a one-sweep
      * artifact. @p trialsOverride nonzero overrides each sweep's
      * default trial count. Idempotent: an identical active submission
-     * is returned with attached = true, and individual cells already
-     * queued/running are shared, never duplicated.
+     * is returned with attached = true, and a cell the coordinator
+     * holds live is shared, never duplicated.
      *
      * Callers validate names themselves (the service router resolves
      * the artifact and the policy against their registries, and
@@ -200,19 +163,15 @@ class Scheduler
     /** @return a snapshot of job @p id, or nullopt if unknown. */
     std::optional<JobStatus> jobStatus(const std::string &id) const;
 
-    /** @return aggregate counters over every job and task. */
+    /** @return aggregate counters over every job and cell. */
     SchedulerStats stats() const;
 
-    /// @name Fleet surface (the lease/shard HTTP endpoints)
+    /** The daemon's cell and lease table: the lease calls that touch
+     *  no store go to it directly. */
+    Coordinator &coordinator() { return coordinator_; }
+
+    /// @name Fleet calls that touch the store
     /// @{
-
-    /** POST /v1/leases/acquire: grant up to @p max pending leases. */
-    std::vector<LeaseGrant> acquireLeases(const std::string &worker,
-                                          unsigned max);
-
-    /** POST /v1/leases/<id>/heartbeat. */
-    LeaseBeat heartbeatLease(const std::string &leaseId,
-                             const std::string &worker);
 
     /** Outcome of completeLease(). */
     enum class LeaseCompletion
@@ -237,43 +196,21 @@ class Scheduler
                                   uint64_t trialsExecuted,
                                   double wallSeconds);
 
-    /** POST /v1/leases/<id>/complete with failed=true: re-pend the
-     *  lease (or fail its cell at the issue cap). */
-    bool failLease(const std::string &leaseId,
-                   const std::string &worker, const std::string &error);
-
     /** POST /v1/shards: validate and store a pushed record. Throws
      *  store::StoreFormatError on malformed input. */
     store::ResultStore::IngestOutcome ingestRecord(
         const std::string &text);
-
-    CoordinatorStats fleetStats() const;
-    std::vector<LeaseInfo> fleetLeases() const;
     /// @}
 
   private:
-    /** One schedulable cell (shared between attaching jobs). */
-    struct CellTask
-    {
-        bench::ExperimentStudy *lab = nullptr; //!< shared per sweep
-        unsigned errors = 0;
-        std::string policy = fault::PROTECTED_POLICY;
-        unsigned trials = 0;
-        store::CellKey key;
-        std::string fingerprint;
-        CellState state = CellState::Queued;
-        bool cached = false;
-        uint64_t trialsExecuted = 0;
-        double wallSeconds = 0.0;
-        std::string error;
-    };
-
     struct Job
     {
         std::string id;
         std::string experiment;
         std::string signature; //!< sorted cell fingerprints
-        std::vector<std::shared_ptr<CellTask>> cells;
+        /** The coordinator's entries; a live cell is shared with
+         *  every job that attached to it. */
+        std::vector<std::shared_ptr<Cell>> cells;
     };
 
     /** Completed jobs retained for status queries; older ones are
@@ -281,19 +218,13 @@ class Scheduler
     static constexpr size_t MAX_RETAINED_JOBS = 512;
 
     void workerLoop();
-    bool probeNextTask();
+    bool probeNextCell();
     bool executeLeases();
     bool promoteCompletedCells(store::ResultStore &store);
-    void promoteCell(const CompletedCell &done, store::ResultStore &store);
-    bool collectFailedCells();
-    std::shared_ptr<CellTask> leasedTask(
-        const std::string &fingerprint) const;
-    void finishTask(const std::shared_ptr<CellTask> &task,
-                    uint64_t trialsExecuted, double wallSeconds);
-    void failTask(const std::shared_ptr<CellTask> &task,
-                  const std::string &error);
+    void promoteCell(const std::shared_ptr<Cell> &cell,
+                     store::ResultStore &store);
     void evictCompletedJobs();
-    static std::string jobStateOf(const Job &job);
+    static std::string jobStateOf(const std::vector<CellStatus> &cells);
 
     SchedulerConfig config_;
     Coordinator coordinator_;
@@ -301,16 +232,10 @@ class Scheduler
 
     mutable std::mutex mutex_; //!< guards everything below
     std::condition_variable workAvailable_;
-    std::deque<std::shared_ptr<CellTask>> queue_; //!< awaiting probe
-    std::map<std::string, std::shared_ptr<CellTask>> liveTasks_;
-    /** Tasks whose leases are registered, by fingerprint (Running
-     *  until their shards merge into the cell record). */
-    std::map<std::string, std::shared_ptr<CellTask>> leasedTasks_;
     std::map<std::string, Job> jobs_;
     std::map<std::string, std::string> activeJobsBySignature_;
     bench::SweepStudies studies_; //!< one per submitted sweep
     uint64_t nextJobId_ = 1;
-    uint64_t trialsExecuted_ = 0;
     bool stopping_ = false;
     bool started_ = false;
 

@@ -12,6 +12,7 @@
 #include "store/record.hh"
 #include "store/result_store.hh"
 #include "support/logging.hh"
+#include "support/table.hh"
 #include "telemetry/metrics.hh"
 
 namespace etc::service {
@@ -54,6 +55,22 @@ parseSeconds(const store::JsonValue *value)
     } catch (const std::exception &) {
         return std::nullopt;
     }
+}
+
+/** Parse @p request's body into @p body. @return the 400 that
+ *  refuses it unless it is a JSON object. */
+std::optional<HttpResponse>
+readObjectBody(const HttpRequest &request, store::JsonValue &body)
+{
+    try {
+        body = store::parseJson(request.body);
+    } catch (const store::JsonError &e) {
+        return errorResponse(400, std::string("malformed JSON body: ") +
+                                      e.what());
+    }
+    if (!body.isObject())
+        return errorResponse(400, "request body must be a JSON object");
+    return std::nullopt;
 }
 
 /** Everything `etc_lab work` needs to execute the stripe and verify
@@ -106,8 +123,8 @@ encodeCellStatus(const CellStatus &cell)
         // Throughput of the simulation this daemon actually ran for
         // the cell (0 for cached or still-queued cells), so daemon
         // users see trials/sec without grepping BENCH_JSON lines.
-        .field("wallSeconds", store::readableDouble(cell.wallSeconds))
-        .field("trialsPerSec", store::readableDouble(cell.trialsPerSec()));
+        .field("wallSeconds", readableDouble(cell.wallSeconds))
+        .field("trialsPerSec", readableDouble(cell.trialsPerSec()));
     if (!cell.error.empty())
         writer.field("error", cell.error);
     return writer.str();
@@ -161,7 +178,7 @@ encodeSummaryJson(const core::CellSummary &summary)
         store::JsonObjectWriter line;
         line.field("bits",
                    store::hexU64(store::doubleBits(score.value)))
-            .field("value", store::readableDouble(score.value))
+            .field("value", readableDouble(score.value))
             .field("acceptable", score.acceptable)
             .field("unit", score.unit);
         fidelities.push_back(line.str());
@@ -174,10 +191,10 @@ encodeSummaryJson(const core::CellSummary &summary)
         .field("timedOut", uint64_t{summary.timedOut})
         .field("trialsPruned", summary.trialsPruned)
         .field("totalInstructions", summary.totalInstructions)
-        .field("failureRate", store::readableDouble(summary.failureRate()))
-        .field("meanFidelity", store::readableDouble(summary.meanFidelity()))
+        .field("failureRate", readableDouble(summary.failureRate()))
+        .field("meanFidelity", readableDouble(summary.meanFidelity()))
         .field("acceptableRate",
-               store::readableDouble(summary.acceptableRate()))
+               readableDouble(summary.acceptableRate()))
         .rawField("fidelities", jsonArray(fidelities));
     return writer.str();
 }
@@ -193,7 +210,8 @@ errorResponse(int status, const std::string &message)
 }
 
 CampaignService::CampaignService(Scheduler &scheduler)
-    : scheduler_(scheduler), index_(scheduler_.config().cacheDir),
+    : scheduler_(scheduler), coordinator_(scheduler.coordinator()),
+      index_(scheduler_.config().cacheDir),
       store_(scheduler_.config().cacheDir),
       studies_(scheduler_.studyOptions())
 {}
@@ -289,15 +307,8 @@ HttpResponse
 CampaignService::submitJob(const HttpRequest &request)
 {
     store::JsonValue body;
-    try {
-        body = store::parseJson(request.body);
-    } catch (const store::JsonError &e) {
-        return errorResponse(400,
-                             std::string("malformed JSON body: ") +
-                                 e.what());
-    }
-    if (!body.isObject())
-        return errorResponse(400, "request body must be a JSON object");
+    if (auto refused = readObjectBody(request, body))
+        return *refused;
 
     std::optional<bench::Artifact> artifact;
     unsigned trials = 0;
@@ -651,16 +662,8 @@ HttpResponse
 CampaignService::acquireLeases(const HttpRequest &request)
 {
     store::JsonValue body;
-    try {
-        body = store::parseJson(request.body);
-    } catch (const store::JsonError &e) {
-        return errorResponse(400,
-                             std::string("malformed JSON body: ") +
-                                 e.what());
-    }
-    if (!body.isObject())
-        return errorResponse(400,
-                             "request body must be a JSON object");
+    if (auto refused = readObjectBody(request, body))
+        return *refused;
     std::string worker;
     unsigned max = 1;
     try {
@@ -679,7 +682,7 @@ CampaignService::acquireLeases(const HttpRequest &request)
                                  e.what());
     }
 
-    auto grants = scheduler_.acquireLeases(worker, max);
+    auto grants = coordinator_.acquire(worker, max);
     std::vector<std::string> leases;
     leases.reserve(grants.size());
     for (const auto &grant : grants)
@@ -702,16 +705,8 @@ CampaignService::leaseAction(const std::string &suffix,
     std::string action = suffix.substr(slash + 1);
 
     store::JsonValue body;
-    try {
-        body = store::parseJson(request.body);
-    } catch (const store::JsonError &e) {
-        return errorResponse(400,
-                             std::string("malformed JSON body: ") +
-                                 e.what());
-    }
-    if (!body.isObject())
-        return errorResponse(400,
-                             "request body must be a JSON object");
+    if (auto refused = readObjectBody(request, body))
+        return *refused;
     std::string worker;
     try {
         const store::JsonValue *name = body.find("worker");
@@ -726,7 +721,7 @@ CampaignService::leaseAction(const std::string &suffix,
     }
 
     if (action == "heartbeat") {
-        switch (scheduler_.heartbeatLease(id, worker)) {
+        switch (coordinator_.heartbeat(id, worker)) {
           case LeaseBeat::Active: {
             store::JsonObjectWriter writer;
             writer.field("state", "active")
@@ -766,10 +761,9 @@ CampaignService::leaseAction(const std::string &suffix,
             return errorResponse(400, "bad 'wallSeconds' value");
 
         if (failed) {
-            if (!scheduler_.failLease(
-                    id, worker,
-                    error.empty() ? "worker-reported failure"
-                                  : error))
+            if (!coordinator_.fail(id, worker,
+                                   error.empty() ? "worker-reported failure"
+                                                 : error))
                 return errorResponse(404,
                                      "unknown lease '" + id + "'");
             store::JsonObjectWriter writer;
@@ -833,9 +827,9 @@ CampaignService::ingestShard(const HttpRequest &request)
 HttpResponse
 CampaignService::fleet()
 {
-    auto stats = scheduler_.fleetStats();
+    auto stats = coordinator_.stats();
     std::vector<std::string> leases;
-    for (const auto &row : scheduler_.fleetLeases()) {
+    for (const auto &row : coordinator_.leases()) {
         store::JsonObjectWriter writer;
         writer.field("id", row.id)
             .field("cell", row.fingerprint)
@@ -845,7 +839,7 @@ CampaignService::fleet()
             .field("owner", row.owner)
             .field("issue", uint64_t{row.issue})
             .field("remainingMs",
-                   store::readableDouble(double(row.remainingMs)));
+                   readableDouble(double(row.remainingMs)));
         leases.push_back(writer.str());
     }
 
@@ -874,7 +868,7 @@ CampaignService::healthz()
         .field("version", telemetry::versionString())
         .field("buildFlags", telemetry::buildFlags())
         .field("uptimeSeconds",
-               store::readableDouble(telemetry::uptimeSeconds()))
+               readableDouble(telemetry::uptimeSeconds()))
         .field("workers", uint64_t{scheduler_.config().workers})
         .field("jobs", uint64_t{stats.jobs})
         // Cells waiting for a worker -- the queue depth a load
@@ -888,7 +882,7 @@ CampaignService::healthz()
     // Fleet counters ride along so one probe also covers the lease
     // fabric (a wedged fleet shows up as pending leases with no
     // workers seen).
-    auto fleetStats = scheduler_.fleetStats();
+    auto fleetStats = coordinator_.stats();
     writer.field("leasesPending", uint64_t{fleetStats.leasesPending})
         .field("leasesActive", uint64_t{fleetStats.leasesActive})
         .field("leasesCompleted", fleetStats.completed)

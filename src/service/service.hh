@@ -58,9 +58,13 @@
  *
  * Every error is a 4xx/5xx JSON object {"error":...,"status":...};
  * figures are text/plain (their bytes are the contract), everything
- * else is application/json. Handlers only touch the scheduler's
- * queues and the store -- all simulation runs on scheduler workers --
- * so they are safe to call from the single-threaded HTTP event loop.
+ * else is application/json. Handlers only touch the scheduler's jobs,
+ * the coordinator's cell table and the store -- all simulation runs
+ * on scheduler workers or agents -- so they are safe to call from the
+ * single-threaded HTTP event loop. The lease calls that touch no
+ * store (acquire, heartbeat, failure, fleet status) go to the
+ * coordinator directly; completion checks the store first, through
+ * the scheduler.
  *
  * Read side: the service keeps one StoreIndex and one ResultStore for
  * its cache root, loaded lazily by the first request that reads the
@@ -128,6 +132,7 @@ class CampaignService
         const bench::Experiment &exp, const bench::BenchOptions &opts);
 
     Scheduler &scheduler_;
+    Coordinator &coordinator_; //!< the scheduler's cell table
 
     /** Guards the read side below: the archive's index and record
      *  memo, the figure-key memo and the table studies. */

@@ -15,6 +15,7 @@
 #include "store/record.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
+#include "support/table.hh"
 #include "telemetry/metrics.hh"
 
 namespace etc::service {
@@ -344,7 +345,7 @@ WorkerAgent::completeLease(const LeaseGrant &grant, uint64_t trials,
     store::JsonObjectWriter body;
     body.field("worker", config_.name)
         .field("trialsExecuted", trials)
-        .field("wallSeconds", store::readableDouble(wallSeconds));
+        .field("wallSeconds", readableDouble(wallSeconds));
     auto response = client.post("/v1/leases/" + grant.id + "/complete",
                                 body.str());
     if (!response.ok())

@@ -4,6 +4,7 @@
 
 #include "store/file_io.hh"
 #include "store/json.hh"
+#include "support/table.hh"
 
 namespace etc::store {
 

@@ -1,6 +1,7 @@
 #include "support/table.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -93,6 +94,14 @@ std::string
 formatPercent(double fraction, int digits)
 {
     return formatDouble(fraction * 100.0, digits) + "%";
+}
+
+std::string
+readableDouble(double value)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
 }
 
 } // namespace etc

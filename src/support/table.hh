@@ -1,7 +1,8 @@
 /**
  * @file
  * Fixed-width text tables and CSV emission for reproducing the paper's
- * tables on stdout and persisting raw results.
+ * tables on stdout and persisting raw results, and the number
+ * formatters every text, JSON and metrics output shares.
  */
 
 #ifndef ETC_SUPPORT_TABLE_HH
@@ -54,6 +55,10 @@ std::string formatDouble(double value, int digits = 2);
 
 /** Format a fraction as a percentage string, e.g. 0.125 -> "12.5%". */
 std::string formatPercent(double fraction, int digits = 1);
+
+/** @return @p value as "%.17g" text: readable, and exact enough to
+ *  round-trip (exact codecs store the bit pattern beside it). */
+std::string readableDouble(double value);
 
 } // namespace etc
 

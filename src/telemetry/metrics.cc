@@ -9,19 +9,11 @@
 #include <utility>
 
 #include "support/logging.hh"
+#include "support/table.hh"
 
 namespace etc::telemetry {
 
 namespace {
-
-/** %.17g: shortest round-trippable rendering for sums and bounds. */
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
 
 /** Bucket bounds render compactly (they are human-chosen constants). */
 std::string
@@ -188,7 +180,7 @@ class Registry
         out += series.family + "_bucket{le=\"+Inf\"} " +
                std::to_string(cumulative) + "\n";
         out += series.family + "_sum " +
-               formatDouble(histogram.sum()) + "\n";
+               readableDouble(histogram.sum()) + "\n";
         out += series.family + "_count " +
                std::to_string(cumulative) + "\n";
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Distributed campaign fabric tests: the lease coordinator's
- * lifecycle bookkeeping (decompose, acquire, heartbeat, expiry,
- * re-issue, idempotent completion, issue-cap failure), and full
- * coordinator + worker-agent fleets over loopback HTTP -- a
+ * Distributed campaign fabric tests: the coordinator's cell and lease
+ * bookkeeping (admission, decompose, acquire, heartbeat, expiry,
+ * re-issue, idempotent completion, issue-cap failure, settlement), and
+ * full coordinator + worker-agent fleets over loopback HTTP -- a
  * coordinator-only daemon drained by two in-process WorkerAgents
  * produces figure bytes identical to the offline render, and a
  * vanished worker's lease re-issues, with the ghost's late shard push
@@ -48,13 +48,15 @@
 namespace {
 
 using namespace etc;
+using service::Cell;
+using service::CellState;
 using service::Coordinator;
-using service::CoordinatorConfig;
 using service::LeaseBeat;
 using service::LeaseCell;
 
 constexpr const char *EXPERIMENT = "smoke-gsm";
 constexpr const char *FINGERPRINT = "00000000deadbeef";
+constexpr uint64_t TTL_MS = 10000;
 
 LeaseCell
 testCell(unsigned trials)
@@ -68,12 +70,30 @@ testCell(unsigned trials)
     return cell;
 }
 
+/** Admit @p spec and take it through a probe that missed: its
+ *  @p shardCount leases open, @p alreadyDone stripes start done. */
+std::shared_ptr<Cell>
+openCell(Coordinator &coordinator, const LeaseCell &spec,
+         unsigned shardCount, const std::vector<bool> &alreadyDone = {})
+{
+    auto cell = coordinator.admit(spec, store::CellKey{});
+    EXPECT_EQ(coordinator.takeQueued(), cell);
+    coordinator.openLeases(*cell, shardCount, alreadyDone);
+    return cell;
+}
+
+CellState
+stateOf(const Coordinator &coordinator, const std::shared_ptr<Cell> &cell)
+{
+    return coordinator.status({cell}).front().state;
+}
+
 TEST(CoordinatorTest, DecomposesCellsIntoStripeLeases)
 {
-    Coordinator coordinator(CoordinatorConfig{});
-    ASSERT_TRUE(coordinator.registerCell(testCell(16), 4, {}));
-    // Re-registering a live fingerprint is a no-op.
-    EXPECT_FALSE(coordinator.registerCell(testCell(16), 4, {}));
+    Coordinator coordinator(TTL_MS);
+    auto cell = openCell(coordinator, testCell(16), 4);
+    // Admitting a live fingerprint again shares the cell.
+    EXPECT_EQ(coordinator.admit(testCell(16), store::CellKey{}), cell);
 
     auto stats = coordinator.stats();
     EXPECT_EQ(stats.cells, 1u);
@@ -102,35 +122,35 @@ TEST(CoordinatorTest, DecomposesCellsIntoStripeLeases)
 
 TEST(CoordinatorTest, ResumeStripesStartDoneAndCompletionPromotes)
 {
-    Coordinator coordinator(CoordinatorConfig{});
+    Coordinator coordinator(TTL_MS);
     // Stripe 0's shard record is already stored (the resume path):
     // only stripe 1 is ever issued.
-    ASSERT_TRUE(
-        coordinator.registerCell(testCell(8), 2, {true, false}));
+    auto cell = openCell(coordinator, testCell(8), 2, {true, false});
     auto grants = coordinator.acquire("w1", 8);
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].shardIndex, 1u);
 
     EXPECT_TRUE(coordinator.complete(grants[0].id, "w1", 4, 0.5));
-    auto done = coordinator.takeCompleted();
+    auto done = coordinator.claimCompleted();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0].cell.fingerprint, FINGERPRINT);
-    EXPECT_EQ(done[0].shardCount, 2u);
-    EXPECT_EQ(done[0].trialsExecuted, 4u);
+    EXPECT_EQ(done[0], cell);
     // Claimed exactly once; a second harvest finds nothing.
-    EXPECT_TRUE(coordinator.takeCompleted().empty());
+    EXPECT_TRUE(coordinator.claimCompleted().empty());
 
-    coordinator.finishCell(FINGERPRINT);
+    coordinator.settleDone(cell, 0.0);
     EXPECT_EQ(coordinator.stats().cells, 0u);
+    auto status = coordinator.status({cell}).front();
+    EXPECT_EQ(status.state, CellState::Done);
+    EXPECT_EQ(status.trialsExecuted, 4u);
 }
 
 TEST(CoordinatorTest, AcquireGrantsOneCellsPendingLeases)
 {
-    Coordinator coordinator(CoordinatorConfig{});
+    Coordinator coordinator(TTL_MS);
     LeaseCell other = testCell(8);
     other.fingerprint = "00000000feedface";
-    ASSERT_TRUE(coordinator.registerCell(testCell(16), 4, {}));
-    ASSERT_TRUE(coordinator.registerCell(other, 2, {}));
+    openCell(coordinator, testCell(16), 4);
+    openCell(coordinator, other, 2);
 
     // Room for both cells' six leases, but a grant is one cell's:
     // its stripes run as one pass.
@@ -147,10 +167,10 @@ TEST(CoordinatorTest, AcquireGrantsOneCellsPendingLeases)
 
 TEST(CoordinatorTest, LoneCellFansOutOverIdleWorkers)
 {
-    Coordinator coordinator(CoordinatorConfig{});
+    Coordinator coordinator(TTL_MS);
     // w2 has asked before (and found nothing): it is an idle worker.
     EXPECT_TRUE(coordinator.acquire("w2", 8).empty());
-    ASSERT_TRUE(coordinator.registerCell(testCell(16), 4, {}));
+    openCell(coordinator, testCell(16), 4);
 
     // Two idle workers split the lone cell's four stripes.
     auto first = coordinator.acquire("w1", 8);
@@ -166,7 +186,7 @@ TEST(CoordinatorTest, LoneCellFansOutOverIdleWorkers)
     // With w2 busy, w1 takes the next cell whole once it is done.
     LeaseCell other = testCell(8);
     other.fingerprint = "00000000feedface";
-    ASSERT_TRUE(coordinator.registerCell(other, 4, {}));
+    openCell(coordinator, other, 4);
     for (const auto &grant : first)
         EXPECT_TRUE(coordinator.complete(grant.id, "w1", 4, 0.25));
     auto whole = coordinator.acquire("w1", 8);
@@ -177,10 +197,8 @@ TEST(CoordinatorTest, LoneCellFansOutOverIdleWorkers)
 
 TEST(CoordinatorTest, HeartbeatExtendsOwnersAndAnswersLostToOthers)
 {
-    CoordinatorConfig config;
-    config.leaseTtlMs = 60000;
-    Coordinator coordinator(config);
-    ASSERT_TRUE(coordinator.registerCell(testCell(8), 1, {}));
+    Coordinator coordinator(60000);
+    openCell(coordinator, testCell(8), 1);
     auto grants = coordinator.acquire("w1", 1);
     ASSERT_EQ(grants.size(), 1u);
 
@@ -200,10 +218,8 @@ TEST(CoordinatorTest, HeartbeatExtendsOwnersAndAnswersLostToOthers)
 
 TEST(CoordinatorTest, ExpiredLeaseReissuesAndLateCompletionIsIdempotent)
 {
-    CoordinatorConfig config;
-    config.leaseTtlMs = 30;
-    Coordinator coordinator(config);
-    ASSERT_TRUE(coordinator.registerCell(testCell(8), 1, {}));
+    Coordinator coordinator(30);
+    auto cell = openCell(coordinator, testCell(8), 1);
 
     auto first = coordinator.acquire("w1", 1);
     ASSERT_EQ(first.size(), 1u);
@@ -225,54 +241,97 @@ TEST(CoordinatorTest, ExpiredLeaseReissuesAndLateCompletionIsIdempotent)
     // the tally counts the work once.
     EXPECT_TRUE(coordinator.complete(second[0].id, "w2", 8, 1.0));
     EXPECT_TRUE(coordinator.complete(first[0].id, "w1", 8, 1.0));
-    auto done = coordinator.takeCompleted();
+    auto done = coordinator.claimCompleted();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0].trialsExecuted, 8u);
+    coordinator.settleDone(done[0], 0.0);
+    EXPECT_EQ(coordinator.status({cell}).front().trialsExecuted, 8u);
     EXPECT_EQ(coordinator.stats().completed, 1u);
 }
 
 TEST(CoordinatorTest, LeaseAtIssueCapFailsItsWholeCell)
 {
-    CoordinatorConfig config;
-    config.maxIssues = 2;
-    Coordinator coordinator(config);
-    ASSERT_TRUE(coordinator.registerCell(testCell(8), 2, {}));
+    Coordinator coordinator(TTL_MS);
+    auto cell = openCell(coordinator, testCell(8), 2);
 
-    // Two worker-reported failures on the same lease: the first
-    // re-pends it, the second (at the cap) fails the cell.
-    for (unsigned round = 0; round < 2; ++round) {
+    // Worker-reported failures on the same lease: each re-pends it
+    // until the one at the cap settles the cell failed.
+    for (unsigned round = 0; round < Coordinator::MAX_LEASE_ISSUES;
+         ++round) {
+        EXPECT_EQ(stateOf(coordinator, cell), CellState::Running);
         auto grants = coordinator.acquire("w1", 1);
         ASSERT_EQ(grants.size(), 1u);
+        EXPECT_EQ(grants[0].issue, round + 1);
         EXPECT_TRUE(
             coordinator.fail(grants[0].id, "w1", "simulated crash"));
     }
-    auto failed = coordinator.takeFailed();
-    ASSERT_EQ(failed.size(), 1u);
-    EXPECT_EQ(failed[0].first, FINGERPRINT);
-    EXPECT_NE(failed[0].second.find("simulated crash"),
-              std::string::npos);
-    // takeFailed() erases the cell.
+    auto status = coordinator.status({cell}).front();
+    EXPECT_EQ(status.state, CellState::Failed);
+    EXPECT_NE(status.error.find("simulated crash"), std::string::npos);
+    // Settling drops the cell from the table.
     EXPECT_EQ(coordinator.stats().cells, 0u);
 }
 
 TEST(CoordinatorTest, ReopenStripesRePendsAClaimedCell)
 {
-    Coordinator coordinator(CoordinatorConfig{});
-    ASSERT_TRUE(coordinator.registerCell(testCell(8), 2, {}));
+    Coordinator coordinator(TTL_MS);
+    auto cell = openCell(coordinator, testCell(8), 2);
     auto grants = coordinator.acquire("w1", 2);
     ASSERT_EQ(grants.size(), 2u);
     for (const auto &grant : grants)
         EXPECT_TRUE(coordinator.complete(grant.id, "w1", 4, 0.25));
-    ASSERT_EQ(coordinator.takeCompleted().size(), 1u);
+    ASSERT_EQ(coordinator.claimCompleted().size(), 1u);
 
     // The promoting worker found stripe 1's shard missing from the
     // store: that stripe re-pends and is re-issued.
-    coordinator.reopenStripes(FINGERPRINT, {1});
+    coordinator.reopenStripes(*cell, {1});
     EXPECT_EQ(coordinator.stats().leasesPending, 1u);
     auto regrants = coordinator.acquire("w2", 8);
     ASSERT_EQ(regrants.size(), 1u);
     EXPECT_EQ(regrants[0].shardIndex, 1u);
     EXPECT_EQ(regrants[0].issue, 2u);
+}
+
+TEST(CoordinatorTest, AdmissionSharesTheLiveCellUntilItSettles)
+{
+    Coordinator coordinator(TTL_MS);
+    LeaseCell spec = testCell(8);
+    auto first = coordinator.admit(spec, store::CellKey{});
+    EXPECT_EQ(stateOf(coordinator, first), CellState::Queued);
+    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}), first);
+
+    // Waiting for its probe's answer, the cell has no leases: none is
+    // granted, and it is not claimed as done.
+    ASSERT_EQ(coordinator.takeQueued(), first);
+    EXPECT_EQ(coordinator.takeQueued(), nullptr);
+    EXPECT_TRUE(coordinator.acquire("w1", 8).empty());
+    EXPECT_TRUE(coordinator.claimCompleted().empty());
+    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}), first);
+
+    // Claimed for promotion, it is still the live cell.
+    coordinator.openLeases(*first, 1, {true});
+    ASSERT_EQ(coordinator.claimCompleted().size(), 1u);
+    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}), first);
+
+    // Settled done, it is not reused: the next admission is a fresh
+    // queued cell, and the old cell's holders still read its end.
+    coordinator.settleDone(first, 0.25);
+    auto second = coordinator.admit(spec, store::CellKey{});
+    EXPECT_NE(second, first);
+    EXPECT_EQ(stateOf(coordinator, second), CellState::Queued);
+    auto settled = coordinator.status({first}).front();
+    EXPECT_EQ(settled.state, CellState::Done);
+    EXPECT_TRUE(settled.cached);
+    EXPECT_EQ(settled.wallSeconds, 0.25);
+
+    // Settled failed, likewise.
+    ASSERT_EQ(coordinator.takeQueued(), second);
+    coordinator.settleFailed(second, "unreadable store");
+    auto third = coordinator.admit(spec, store::CellKey{});
+    EXPECT_NE(third, second);
+    EXPECT_EQ(stateOf(coordinator, third), CellState::Queued);
+    auto failed = coordinator.status({second}).front();
+    EXPECT_EQ(failed.state, CellState::Failed);
+    EXPECT_EQ(failed.error, "unreadable store");
 }
 
 /**
@@ -665,10 +724,10 @@ TEST_F(FleetTest, AgentTakesNoMoreThanMaxLeases)
     // Two cells of two stripes each: four pending leases.
     std::string jobId = submit(
         std::string("{\"experiment\":\"") + EXPERIMENT + "\"}");
-    for (int i = 0; i < 200 && scheduler_->fleetStats().leasesPending < 4;
-         ++i)
+    Coordinator &coordinator = scheduler_->coordinator();
+    for (int i = 0; i < 200 && coordinator.stats().leasesPending < 4; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_EQ(scheduler_->fleetStats().leasesPending, 4u);
+    ASSERT_EQ(coordinator.stats().leasesPending, 4u);
 
     service::WorkerConfig config = workerConfig("capped");
     config.maxLeases = 3;
@@ -677,7 +736,7 @@ TEST_F(FleetTest, AgentTakesNoMoreThanMaxLeases)
     agent.join();
     EXPECT_EQ(agent.summary().leasesCompleted, 3u);
     EXPECT_EQ(agent.summary().leasesFailed, 0u);
-    EXPECT_EQ(scheduler_->fleetStats().issued, 3u);
+    EXPECT_EQ(coordinator.stats().issued, 3u);
 
     // A second agent finishes the job.
     service::WorkerAgent rest(workerConfig("rest"));

@@ -5,8 +5,9 @@
  * a temp result store, and the blocking Client driving the full API
  * -- submit -> poll -> fetch, warm-cache submissions executing zero
  * trials, duplicate submissions attaching to the live job, >= 8
- * concurrent clients, malformed requests answered with 4xx JSON, and
- * the GET /v1/figures/<name> byte-identity contract with `etc_lab
+ * concurrent clients, malformed requests answered with 4xx JSON,
+ * seeded byte mutations of fleet traffic never answered with a 5xx,
+ * and the GET /v1/figures/<name> byte-identity contract with `etc_lab
  * report`'s render path.
  */
 
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,6 +39,7 @@
 #include "service/scheduler.hh"
 #include "service/service.hh"
 #include "store/json.hh"
+#include "store/record.hh"
 #include "store/result_store.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
@@ -773,8 +776,8 @@ TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
         for (int i = 0; i < 6000; ++i) {
             status = scheduler.jobStatus(id);
             ASSERT_TRUE(status.has_value());
-            mostActive =
-                std::max(mostActive, scheduler.fleetStats().leasesActive);
+            mostActive = std::max(
+                mostActive, scheduler.coordinator().stats().leasesActive);
             if (status->state == "done" || status->state == "failed")
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -785,11 +788,155 @@ TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
     scheduler.stop();
     EXPECT_EQ(mostActive, 2u);
 
-    auto fleet = scheduler.fleetStats();
+    auto fleet = scheduler.coordinator().stats();
     EXPECT_EQ(fleet.expired, 0u);
     EXPECT_EQ(fleet.reissued, 0u);
     EXPECT_EQ(counterValue("etc_lease_expired_total"), expired);
     EXPECT_EQ(counterValue("etc_lease_reissued_total"), reissued);
+}
+
+// Hostile fleet traffic: seeded byte mutations (flip, insert, delete,
+// duplicate) of every fleet call's body and lease id are answered with
+// a JSON body and a status below 500, and nothing escapes the router.
+// A coordinator-only scheduler serves them, so nothing simulates.
+TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
+{
+    SchedulerConfig config;
+    config.cacheDir = (root_ / "hostile").string();
+    config.workers = 0;
+    config.threads = 1;
+    config.chunks = 2;
+    Scheduler scheduler(config);
+    CampaignService campaign(scheduler);
+    scheduler.start();
+
+    auto post = [&](const std::string &target, const std::string &body) {
+        service::HttpRequest request;
+        request.method = "POST";
+        request.target = target;
+        request.version = "HTTP/1.1";
+        request.body = body;
+        return campaign.handle(request);
+    };
+
+    // The seeds: one smoke-gsm cell, a lease of it, and a valid shard
+    // record of that lease's stripe.
+    std::string jobBody = std::string("{\"experiment\":\"") + EXPERIMENT +
+                          "\",\"errors\":1,\"policy\":\"protected\"}";
+    auto submitted = post("/v1/jobs", jobBody);
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    for (int i = 0;
+         i < 500 && scheduler.coordinator().stats().leasesPending == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::string acquireBody = "{\"worker\":\"w\",\"max\":1}";
+    auto acquired = post("/v1/leases/acquire", acquireBody);
+    ASSERT_EQ(acquired.status, 200) << acquired.body;
+    auto leases = store::parseJson(acquired.body).at("leases");
+    ASSERT_EQ(leases.elements.size(), 1u) << acquired.body;
+    const auto &grant = leases.elements.front();
+    std::string leaseId = grant.at("id").asString();
+
+    const bench::Experiment *exp = bench::findExperiment(EXPERIMENT);
+    ASSERT_NE(exp, nullptr);
+    std::optional<store::CellKey> key;
+    for (auto &candidate :
+         bench::experimentCellKeys(*exp, scheduler.studyOptions()))
+        if (candidate.fingerprint() == grant.at("cell").asString())
+            key = candidate;
+    ASSERT_TRUE(key.has_value());
+    core::CellSummary summary;
+    summary.errors = key->errors;
+    summary.policy = key->policy;
+    summary.trials = grant.at("hi").asU32() - grant.at("lo").asU32();
+    summary.crashed = summary.trials;
+    std::string shard = store::encodeShardRecord(
+        *key, grant.at("lo").asU32(), grant.at("hi").asU32(), summary);
+
+    struct Seed
+    {
+        std::string target; //!< "<lease id>" stands for the lease id
+        std::string body;
+    };
+    const std::string LEASE = "<lease id>";
+    // In an order each succeeds in: the failure re-pends the lease,
+    // and the second acquire re-grants it.
+    const std::vector<Seed> seeds = {
+        {"/v1/jobs", jobBody},
+        {"/v1/leases/" + LEASE + "/heartbeat", "{\"worker\":\"w\"}"},
+        {"/v1/shards", shard},
+        {"/v1/leases/" + LEASE + "/complete",
+         "{\"worker\":\"w\",\"failed\":true,\"error\":\"crash\"}"},
+        {"/v1/leases/acquire", acquireBody},
+        {"/v1/leases/" + LEASE + "/complete",
+         "{\"worker\":\"w\",\"trialsExecuted\":4,"
+         "\"wallSeconds\":\"0.5\"}"},
+    };
+    auto expand = [&](const Seed &seed, const std::string &id) {
+        std::string target = seed.target;
+        if (size_t at = target.find(LEASE); at != std::string::npos)
+            target.replace(at, LEASE.size(), id);
+        return target;
+    };
+    for (const Seed &seed : seeds) {
+        auto response = post(expand(seed, leaseId), seed.body);
+        EXPECT_LT(response.status, 300)
+            << expand(seed, leaseId) << ": " << response.body;
+    }
+
+    std::mt19937_64 rng(20061025);
+    auto pick = [&](size_t n) {
+        return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+    };
+    auto mutate = [&](std::string text) {
+        for (size_t edits = 1 + pick(4); edits > 0; --edits) {
+            size_t at = pick(text.size() + 1);
+            switch (pick(4)) {
+              case 0: // flip one bit
+                if (at < text.size())
+                    text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
+                break;
+              case 1: // insert a byte
+                text.insert(at, 1, static_cast<char>(pick(256)));
+                break;
+              case 2: // delete a run
+                if (at < text.size())
+                    text.erase(at, 1 + pick(8));
+                break;
+              default: // duplicate a run
+                if (at < text.size())
+                    text.insert(pick(text.size() + 1),
+                                text.substr(at, 1 + pick(16)));
+                break;
+            }
+        }
+        return text;
+    };
+
+    constexpr int MUTATIONS = 2400;
+    for (int i = 0; i < MUTATIONS; ++i) {
+        const Seed &seed = seeds[pick(seeds.size())];
+        bool leaseCall = seed.target.find(LEASE) != std::string::npos;
+        bool mutateId = leaseCall && pick(2) == 0;
+        std::string target =
+            expand(seed, mutateId ? mutate(leaseId) : leaseId);
+        std::string body = mutateId ? seed.body : mutate(seed.body);
+        service::HttpResponse response;
+        try {
+            response = post(target, body);
+        } catch (const std::exception &e) {
+            FAIL() << "mutation " << i << " of " << target
+                   << " escaped the router: " << e.what();
+        }
+        ASSERT_GE(response.status, 200) << target;
+        ASSERT_LT(response.status, 500)
+            << target << " " << body << ": " << response.body;
+        ASSERT_EQ(response.contentType, "application/json") << target;
+        store::JsonValue answer;
+        ASSERT_NO_THROW(answer = store::parseJson(response.body))
+            << target << ": " << response.body;
+        ASSERT_TRUE(answer.isObject()) << target << ": " << response.body;
+    }
+    scheduler.stop();
 }
 
 } // namespace

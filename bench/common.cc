@@ -3,7 +3,6 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,7 +10,6 @@
 #include "store/cell_key.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
-#include "telemetry/trace.hh"
 
 namespace etc::bench {
 
@@ -76,59 +74,6 @@ parseGangWidthValue(const std::string &flag, const std::string &text)
         fatal(flag, " must be 'auto' or 0..",
               sim::GangSimulator::MAX_LANES, ", got '", text, "'");
     return width;
-}
-
-std::optional<std::string>
-flagValue(int argc, char **argv, int &i, const std::string &flag)
-{
-    std::string arg = argv[i];
-    if (arg == flag) {
-        if (i + 1 >= argc)
-            fatal(flag, " expects a value");
-        return std::string(argv[++i]);
-    }
-    if (arg.rfind(flag + "=", 0) == 0)
-        return arg.substr(flag.size() + 1);
-    return std::nullopt;
-}
-
-bool
-parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts)
-{
-    auto valueOf = [&](const std::string &flag) {
-        return flagValue(argc, argv, i, flag);
-    };
-    if (auto threads = valueOf("--threads")) {
-        opts.threads = parseCount32("--threads", *threads);
-    } else if (auto trials = valueOf("--trials")) {
-        opts.trials = parseCount32("--trials", *trials);
-        if (opts.trials == 0)
-            fatal("--trials must be >= 1 (omit the flag for the "
-                  "default)");
-    } else if (auto policy = valueOf("--policy")) {
-        opts.policies.push_back(parsePolicyName(*policy).name);
-    } else if (auto seed = valueOf("--seed")) {
-        opts.seed = parseSeedValue("--seed", *seed);
-    } else if (auto dir = valueOf("--cache-dir")) {
-        if (dir->empty())
-            fatal("--cache-dir expects a directory");
-        opts.cacheDir = *dir;
-    } else if (auto trace = valueOf("--trace-out")) {
-        if (trace->empty())
-            fatal("--trace-out expects a file path");
-        opts.traceOut = *trace;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-void
-finishCampaignFlags(const BenchOptions &opts)
-{
-    // The singleton flushes on process exit.
-    if (!opts.traceOut.empty())
-        telemetry::Tracer::instance().open(opts.traceOut);
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared infrastructure of `etc_lab` and the campaign service: the
- * campaign flags parsed through one function, the BENCH_JSON perf
+ * campaign options and the flag-value parsers, the BENCH_JSON perf
  * record, and the figure renderer.
  *
  * Every paper artifact runs through `etc_lab run --experiment <name>`
@@ -15,7 +15,6 @@
 #define ETC_BENCH_COMMON_HH
 
 #include <functional>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -71,12 +70,6 @@ struct BenchOptions
      *  core::StudyConfig::gangWidth). Set like checkpointInterval. */
     unsigned gangWidth = fault::GANG_WIDTH_AUTO;
 
-    /** --trace-out FILE: emit Chrome Trace Event JSONL spans there
-     *  (empty = tracing off). finishCampaignFlags() opens the tracer.
-     *  Observation only -- results are identical with tracing on or
-     *  off. */
-    std::string traceOut;
-
     /** @return the trial count: this option, or @p dflt when unset. */
     unsigned
     trialsOr(unsigned dflt) const
@@ -95,31 +88,6 @@ struct BenchOptions
         config.gangWidth = gangWidth;
     }
 };
-
-/**
- * Parse argv[i] into @p opts when it is one of the campaign flags --
- * --threads, --trials, --policy, --seed, --cache-dir, --trace-out
- * (see the BenchOptions fields and `etc_lab --help`) -- consuming its
- * value.
- * `--trials 0` is rejected: 0 previously meant "experiment default",
- * which silently masked typos; omit the flag instead.
- *
- * @return false when argv[i] is not a campaign flag
- * @throws FatalError on a bad or missing value
- */
-bool parseCampaignFlag(int argc, char **argv, int &i, BenchOptions &opts);
-
-/** Open the tracer when --trace-out was given (once, after the last
- *  flag). */
-void finishCampaignFlags(const BenchOptions &opts);
-
-/**
- * The value of @p flag when argv[i] is `flag VALUE` (consuming VALUE)
- * or `flag=VALUE`; nullopt when argv[i] is some other argument.
- * @throws FatalError when the value is missing
- */
-std::optional<std::string> flagValue(int argc, char **argv, int &i,
-                                     const std::string &flag);
 
 /**
  * Shared flag-value parsers (etc_lab and the campaign service use

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -31,386 +32,50 @@
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/table.hh"
+#include "telemetry/trace.hh"
 
 namespace etc::bench {
 
 namespace {
 
+/** What the command line asked for: the subcommand and every flag
+ *  value, at its default until a flag sets it (FLAGS below names the
+ *  flag of each field, SUBCOMMANDS which subcommands read it). */
 struct LabOptions
 {
-    std::string command;    //!< run | resume | report | list
-                            //!< | query | reindex | policies
-                            //!< | analyze | lint | serve | submit
-                            //!< | status | fetch | stats
-    std::string experiment; //!< registry name (--experiment)
-    std::string workload;   //!< analyze/lint: registry workload name
-    unsigned chunks = 4;    //!< stripes persisted per cell during run
+    std::string command;    //!< the subcommand's name
+    std::string experiment; //!< a registry entry
+    std::string workload;   //!< a registry workload
+    unsigned chunks = 4;    //!< stripes persisted per cell
     BenchOptions bench;     //!< the shared campaign knobs (--policy
                             //!< lands in bench.policies)
+    std::string traceOut;   //!< empty = tracing off
 
-    // Campaign-service knobs (serve + the remote subcommands).
-    uint16_t port = 8977;            //!< --port (serve binds, others dial)
-    std::string host = "127.0.0.1";  //!< --host for remote subcommands
-    unsigned workers = 2;            //!< serve: local cell workers
+    // The campaign service and its fleet.
+    uint16_t port = 8977;            //!< serve binds it, the others dial
+    std::string host = "127.0.0.1";  //!< the daemon to dial
+    unsigned workers = 2;            //!< local cell workers
                                      //!< (0 = coordinator-only)
+    std::string coordinator;         //!< http://HOST:PORT
+    std::string workerName;          //!< empty = w<pid>
+    uint64_t leaseTtlMs = 10000;     //!< lease heartbeat deadline
+    uint64_t maxLeases = 0;          //!< 0 = until SIGTERM
+    uint64_t pollMs = 500;           //!< idle poll interval
+    bool wait = false;               //!< poll until the job drains
+    std::string job;                 //!< a job id
+    std::string figure;              //!< a figure name
+    std::string cell;                //!< a cell fingerprint
+    bool verbose = false;            //!< per-request access log
 
-    // Fleet knobs (serve + work).
-    std::string coordinator;         //!< work: http://HOST:PORT
-    std::string workerName;          //!< work: --name (default w<pid>)
-    uint64_t leaseTtlMs = 10000;     //!< serve: --lease-ttl-ms
-    uint64_t maxLeases = 0;          //!< work: stop after N leases
-    uint64_t pollMs = 500;           //!< work: idle poll interval
-    std::optional<unsigned> errors;  //!< submit: single-cell error count
-    bool wait = false;               //!< submit: poll until the job drains
-    std::string job;                 //!< status: job id
-    std::string figure;              //!< fetch: figure name
-    std::string cell;                //!< fetch: cell fingerprint
-    bool verbose = false;            //!< serve: per-request access log
-
-    // Archive-query knobs (query + reindex).
-    std::vector<unsigned> errorsList;  //!< query: every --errors value
-    std::optional<uint64_t> querySeed; //!< query: --seed filter, only
+    // The archive.
+    std::vector<unsigned> errors;      //!< every --errors value
+    std::optional<uint64_t> querySeed; //!< the --seed filter, only
                                        //!< when explicitly given
-    std::string agg = "cells";         //!< query: aggregation name
-    std::string basePolicy = "protected"; //!< query: delta baseline
-    bool json = false;                 //!< query: print the envelope
-    bool quarantine = false;           //!< reindex: move corrupt aside
+    std::string agg = "cells";         //!< aggregation name
+    std::string basePolicy = "protected"; //!< delta baseline
+    bool json = false;                 //!< print the envelope
+    bool quarantine = false;           //!< move corrupt records aside
 };
-
-[[noreturn]] void
-usage(int status)
-{
-    std::cerr
-        << "usage: etc_lab <subcommand> [options]\n"
-           "\n"
-           "local subcommands:\n"
-           "  run     execute the sweeps; persist every cell to the\n"
-           "          cache, skip stored cells, resume partial ones,\n"
-           "          then render the figure or table. SIGINT/SIGTERM\n"
-           "          stops starting new stripes, finishes and persists\n"
-           "          the ones in flight, and exits with a summary\n"
-           "          (status 130)\n"
-           "  resume  same as run (requires --cache-dir); continues a\n"
-           "          killed campaign from its stored shards\n"
-           "  report  render the figure or table purely from stored\n"
-           "          records (no trials; fails on missing cells)\n"
-           "  list    print the registry: every paper figure and\n"
-           "          table, and the smoke sweeps (with --cache-dir, a\n"
-           "          'cached' column reports archive coverage per\n"
-           "          entry from the secondary index)\n"
-           "  query   roll up the archived cells of a cache directory\n"
-           "          (--cache-dir) without simulating anything:\n"
-           "          filter by --workload/--policy/--errors/--seed/\n"
-           "          --trials, aggregate with --agg (cells, coverage,\n"
-           "          curve, delta, cdf, avf; --base names delta's\n"
-           "          baseline policy). Prints a table; --json prints\n"
-           "          the exact bytes GET /v1/query serves\n"
-           "  reindex rebuild the secondary index from a full store\n"
-           "          scan, reporting orphaned shard files and corrupt\n"
-           "          records (count + paths; --quarantine moves\n"
-           "          corrupt files under index/quarantine/); nonzero\n"
-           "          exit when corruption was found\n"
-           "  policies\n"
-           "          print the injection-policy registry (name,\n"
-           "          description, result kinds, bit model) -- the\n"
-           "          same rows GET /v1/policies serves\n"
-           "  analyze print the static ACE/AVF vulnerability report of\n"
-           "          one workload (--workload; --policy to pick the\n"
-           "          classified policies) -- the same bytes\n"
-           "          GET /v1/analysis/<workload> serves\n"
-           "  lint    run the assembly lint (CFG well-formedness,\n"
-           "          unreachable code, uninitialized reads, stack\n"
-           "          discipline, injectable-bitmap consistency) over\n"
-           "          one workload (--workload) or the whole registry;\n"
-           "          nonzero exit on findings\n"
-           "\n"
-           "campaign-service subcommands:\n"
-           "  serve   run the HTTP campaign daemon: submitted jobs\n"
-           "          decompose into shard-range leases executed by\n"
-           "          the local worker pool and/or remote `etc_lab\n"
-           "          work` agents (--workers 0 = coordinator-only:\n"
-           "          all simulation happens on workers); lapsed\n"
-           "          leases re-issue automatically and fleet results\n"
-           "          are bit-identical to single-host runs;\n"
-           "          SIGINT/SIGTERM finishes and persists the\n"
-           "          stripes in flight and exits cleanly\n"
-           "  work    run a worker agent: pull its share of one\n"
-           "          cell's pending shard-range leases at a time from\n"
-           "          a coordinator daemon (--coordinator\n"
-           "          http://HOST:PORT), run them as one pass through\n"
-           "          the same cache-aware engine, push each canonical\n"
-           "          shard record back as it lands, heartbeat every\n"
-           "          held lease\n"
-           "  submit  POST a job to a daemon (--experiment, optional\n"
-           "          --errors/--policy for one cell, --wait to poll\n"
-           "          until it drains)\n"
-           "  status  GET a job's status (--job ID)\n"
-           "  fetch   GET a figure (--figure NAME; bytes match\n"
-           "          `etc_lab report`) or a cell record (--cell KEY)\n"
-           "  stats   GET /v1/metricz from a daemon and render the\n"
-           "          scrape as a human table (metric, type, value)\n"
-           "\n"
-           "options:\n"
-           "  --experiment NAME        one of: "
-        << experimentNames()
-        << "\n"
-           "  --cache-dir DIR          result-store root (required for\n"
-           "                           resume/report/serve; run\n"
-           "                           without it persists nothing)\n"
-           "  --trials N               trials per cell (>= 1; default:\n"
-           "                           each sweep's)\n"
-           "  --policy NAME            run/resume/report: sweep\n"
-           "                           this injection policy instead\n"
-           "                           of the sweep's own list\n"
-           "                           (repeatable; refused on a\n"
-           "                           paper table). submit: the\n"
-           "                           single cell's policy (needs\n"
-           "                           --errors). See `etc_lab\n"
-           "                           policies` for the registry\n"
-           "  --threads N              worker threads (0 = all cores)\n"
-           "  --seed S                 master study seed (decimal or 0x"
-           " hex)\n"
-           "  --workload NAME          analyze/lint: the registry\n"
-           "                           workload to analyze (lint\n"
-           "                           defaults to all)\n"
-           "  --chunks N               stripes persisted as shard\n"
-           "                           records per cell while running\n"
-           "                           (default 4). A cell's stripes\n"
-           "                           run as one pass, each persisted\n"
-           "                           as it ends, so a kill loses at\n"
-           "                           most the stripes in flight\n"
-           "  --port N                 daemon TCP port (default 8977;\n"
-           "                           serve: 0 picks one). The daemon\n"
-           "                           binds 127.0.0.1 only\n"
-           "  --host H                 daemon host for submit/status/\n"
-           "                           fetch (default 127.0.0.1; a\n"
-           "                           remote daemon is loopback-only,\n"
-           "                           so reach it through a tunnel or\n"
-           "                           port forward)\n"
-           "  --workers K              serve: local cell workers\n"
-           "                           (default 2; 0 = coordinator-\n"
-           "                           only, remote agents do all the\n"
-           "                           simulating)\n"
-           "  --coordinator URL        work: the coordinator daemon,\n"
-           "                           http://HOST:PORT (required)\n"
-           "  --name NAME              work: worker name on lease\n"
-           "                           calls (default w<pid>)\n"
-           "  --lease-ttl-ms N         serve: lease heartbeat deadline\n"
-           "                           before re-issue (default 10000)\n"
-           "  --max-leases N           work: exit after N leases\n"
-           "                           (default: run until SIGTERM)\n"
-           "  --poll-ms N              work: idle poll interval when\n"
-           "                           the coordinator has no work\n"
-           "                           (default 500)\n"
-           "  --errors N               submit: one cell at this error\n"
-           "                           count instead of the whole sweep.\n"
-           "                           query: filter to this error\n"
-           "                           count (repeatable)\n"
-           "  --agg NAME               query: the rollup to compute\n"
-           "                           (cells, coverage, curve, delta,\n"
-           "                           cdf, avf; default cells)\n"
-           "  --base NAME              query: delta's baseline policy\n"
-           "                           (default protected)\n"
-           "  --json                   query: print the JSON envelope\n"
-           "                           (byte-identical to GET\n"
-           "                           /v1/query) instead of a table\n"
-           "  --quarantine             reindex: move corrupt record\n"
-           "                           files under index/quarantine/\n"
-           "  --wait                   submit: poll until the job\n"
-           "                           drains, then print its status\n"
-           "  --job ID                 status: the job to query\n"
-           "  --figure NAME            fetch: render this experiment's\n"
-           "                           figure from the daemon's store\n"
-           "  --cell KEY               fetch: stored record of this\n"
-           "                           cell fingerprint\n"
-           "  --trace-out FILE         run/serve: write Chrome Trace\n"
-           "                           Event JSONL spans to FILE (view\n"
-           "                           via `jq -s . FILE` in Perfetto;\n"
-           "                           results are identical with\n"
-           "                           tracing on or off)\n"
-           "  --verbose                serve: one access-log line per\n"
-           "                           HTTP request (method, path,\n"
-           "                           status, bytes, latency)\n"
-           "  --help                   this message\n"
-           "\n"
-           "Results are bit-identical for every --threads value, every\n"
-           "--chunks value, across kill/resume, and whether cells were\n"
-           "computed by `run`, by a daemon or by its agents -- only\n"
-           "wall-clock time changes.\n";
-    std::exit(status);
-}
-
-LabOptions
-parseLabArgs(int argc, char **argv)
-{
-    if (argc < 2)
-        usage(2);
-    LabOptions opts;
-    opts.command = argv[1];
-    if (opts.command == "--help" || opts.command == "-h")
-        usage(0);
-    const std::vector<std::string> commands = {
-        "run",     "resume", "report",  "list",   "query",
-        "reindex", "policies", "analyze", "lint", "serve",  "work",
-        "submit",  "status", "fetch",  "stats"};
-    if (std::find(commands.begin(), commands.end(), opts.command) ==
-        commands.end()) {
-        std::cerr << "etc_lab: unknown subcommand '" << opts.command
-                  << "'\n";
-        usage(2);
-    }
-
-    std::vector<std::string> given; // every flag, by name
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        given.push_back(arg.substr(0, arg.find('=')));
-        auto valueOf = [&](const std::string &flag) {
-            return flagValue(argc, argv, i, flag);
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (parseCampaignFlag(argc, argv, i, opts.bench)) {
-            // An explicit --seed also filters `query`.
-            if (arg.rfind("--seed", 0) == 0)
-                opts.querySeed = opts.bench.seed;
-        } else if (auto name = valueOf("--experiment")) {
-            opts.experiment = *name;
-        } else if (auto workload = valueOf("--workload")) {
-            opts.workload = *workload;
-        } else if (auto chunks = valueOf("--chunks")) {
-            opts.chunks = parseCount32("--chunks", *chunks);
-            if (opts.chunks == 0)
-                fatal("--chunks must be >= 1");
-        } else if (auto port = valueOf("--port")) {
-            opts.port = static_cast<uint16_t>(
-                parseCountValue("--port", *port, 65535));
-        } else if (auto host = valueOf("--host")) {
-            opts.host = *host;
-        } else if (auto workers = valueOf("--workers")) {
-            // An agent runs one pass at a time, spread over --threads.
-            if (opts.command != "serve")
-                fatal("--workers only applies to `serve`");
-            opts.workers = parseCount32("--workers", *workers);
-        } else if (auto coordinator = valueOf("--coordinator")) {
-            opts.coordinator = *coordinator;
-        } else if (auto name = valueOf("--name")) {
-            opts.workerName = *name;
-        } else if (auto ttl = valueOf("--lease-ttl-ms")) {
-            opts.leaseTtlMs = parseCountValue(
-                "--lease-ttl-ms", *ttl,
-                std::numeric_limits<uint64_t>::max());
-            if (opts.leaseTtlMs == 0)
-                fatal("--lease-ttl-ms must be >= 1");
-        } else if (auto leases = valueOf("--max-leases")) {
-            opts.maxLeases = parseCountValue(
-                "--max-leases", *leases,
-                std::numeric_limits<uint64_t>::max());
-        } else if (auto poll = valueOf("--poll-ms")) {
-            opts.pollMs = parseCountValue(
-                "--poll-ms", *poll,
-                std::numeric_limits<uint64_t>::max());
-        } else if (auto errors = valueOf("--errors")) {
-            opts.errors = parseCount32("--errors", *errors);
-            opts.errorsList.push_back(*opts.errors);
-        } else if (auto agg = valueOf("--agg")) {
-            opts.agg = *agg;
-        } else if (auto base = valueOf("--base")) {
-            opts.basePolicy = parsePolicyName(*base).name;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--quarantine") {
-            opts.quarantine = true;
-        } else if (arg == "--wait") {
-            opts.wait = true;
-        } else if (auto job = valueOf("--job")) {
-            opts.job = *job;
-        } else if (auto figure = valueOf("--figure")) {
-            opts.figure = *figure;
-        } else if (auto cell = valueOf("--cell")) {
-            opts.cell = *cell;
-        } else if (arg == "--verbose") {
-            opts.verbose = true;
-        } else {
-            std::cerr << "etc_lab: unknown argument '" << arg << "'\n";
-            usage(2);
-        }
-    }
-
-    // The daemon's own flags and each lease grant decide everything
-    // else a serve or work process runs, so a flag it would ignore is
-    // refused rather than silently dropped.
-    static const std::map<std::string, std::set<std::string>> READS = {
-        {"serve",
-         {"--cache-dir", "--port", "--workers", "--threads", "--chunks",
-          "--seed", "--lease-ttl-ms", "--verbose", "--trace-out"}},
-        {"work",
-         {"--coordinator", "--name", "--cache-dir", "--threads",
-          "--max-leases", "--poll-ms", "--trace-out"}},
-    };
-    if (auto reads = READS.find(opts.command); reads != READS.end())
-        for (const std::string &flag : given)
-            if (!reads->second.count(flag))
-                fatal(flag, " does not apply to `", opts.command, "`");
-
-    bool local = opts.command == "run" || opts.command == "resume" ||
-                 opts.command == "report";
-    bool cached = !opts.bench.cacheDir.empty();
-    if (local && opts.experiment.empty())
-        fatal("--experiment is required (one of: ", experimentNames(),
-              ")");
-    if (local && opts.command != "run" && !cached)
-        fatal(opts.command, " requires --cache-dir");
-    if (!opts.workload.empty()) {
-        auto names = workloads::workloadNames();
-        if (std::find(names.begin(), names.end(), opts.workload) ==
-            names.end())
-            fatal("unknown workload '", opts.workload,
-                  "' (available: ", [&names] {
-                      std::string list;
-                      for (const auto &name : names) {
-                          if (!list.empty())
-                              list += ", ";
-                          list += name;
-                      }
-                      return list;
-                  }(), ")");
-    }
-    if (opts.command == "analyze" && opts.workload.empty())
-        fatal("analyze requires --workload NAME");
-    if ((opts.command == "query" || opts.command == "reindex") &&
-        !cached)
-        fatal(opts.command, " requires --cache-dir (it reads the "
-              "archive, never simulates)");
-    if (opts.command == "submit" && opts.errorsList.size() > 1)
-        fatal("submit takes a single --errors (one cell per "
-              "submission)");
-    if (opts.command == "serve" && !cached)
-        fatal("serve requires --cache-dir (jobs persist to and resume "
-              "from the result store)");
-    if (opts.command == "work" && opts.coordinator.empty())
-        fatal("work requires --coordinator http://HOST:PORT");
-    if (opts.command != "work" && !opts.coordinator.empty())
-        fatal("--coordinator only applies to `work`");
-    if (opts.command == "submit" && opts.experiment.empty())
-        fatal("submit requires --experiment");
-    if (opts.command == "submit" && !opts.errors &&
-        !opts.bench.policies.empty())
-        fatal("submit: --policy requires --errors (a single-cell "
-              "submission names both)");
-    if (opts.command == "submit" && opts.bench.policies.size() > 1)
-        fatal("submit takes a single --policy (one cell per "
-              "submission)");
-    if (opts.command == "status" && opts.job.empty())
-        fatal("status requires --job ID");
-    if (opts.command == "fetch" &&
-        opts.figure.empty() == opts.cell.empty())
-        fatal("fetch requires exactly one of --figure NAME or "
-              "--cell KEY");
-    // Tracing opens at parse time, so every subcommand's spans are
-    // captured.
-    finishCampaignFlags(opts.bench);
-    return opts;
-}
 
 void
 emitLabJson(const LabOptions &opts, size_t cells, size_t cellsCached,
@@ -431,9 +96,21 @@ emitLabJson(const LabOptions &opts, size_t cells, size_t cellsCached,
 /** Exit status of a run cut short by SIGINT/SIGTERM (128 + SIGINT). */
 constexpr int EXIT_INTERRUPTED = 130;
 
-int
-labRun(const LabOptions &opts, const Artifact &artifact)
+/** The registry entry --experiment names. */
+Artifact
+artifactOf(const LabOptions &opts)
 {
+    auto artifact = findArtifact(opts.experiment);
+    if (!artifact)
+        fatal("unknown experiment '", opts.experiment,
+              "' (available: ", experimentNames(), ")");
+    return *artifact;
+}
+
+int
+labRun(const LabOptions &opts)
+{
+    Artifact artifact = artifactOf(opts);
     installStopSignalHandlers();
     SweepStudies studies(opts.bench);
     ArtifactRun run = runArtifact(std::cout, artifact, studies, opts.chunks);
@@ -452,8 +129,9 @@ labRun(const LabOptions &opts, const Artifact &artifact)
 }
 
 int
-labReport(const LabOptions &opts, const Artifact &artifact)
+labReport(const LabOptions &opts)
 {
+    Artifact artifact = artifactOf(opts);
     store::ResultStore cache(opts.bench.cacheDir);
     std::vector<std::vector<store::CellKey>> keys;
     size_t cells = 0;
@@ -471,7 +149,7 @@ labReport(const LabOptions &opts, const Artifact &artifact)
 }
 
 int
-labPolicies()
+labPolicies(const LabOptions &)
 {
     // The same describeInjectionPolicies() rows GET /v1/policies
     // serves -- one code path, two renderings.
@@ -549,7 +227,7 @@ labQuery(const LabOptions &opts)
     core::QueryOptions options;
     options.filter.workload = opts.workload;
     options.filter.policies = opts.bench.policies;
-    options.filter.errors = opts.errorsList;
+    options.filter.errors = opts.errors;
     if (opts.querySeed)
         options.filter.seed = *opts.querySeed;
     if (opts.bench.trials)
@@ -752,13 +430,23 @@ labWork(const LabOptions &opts)
 int
 labSubmit(const LabOptions &opts)
 {
+    if (opts.errors.size() > 1)
+        fatal("submit takes a single --errors (one cell per "
+              "submission)");
+    if (opts.errors.empty() && !opts.bench.policies.empty())
+        fatal("submit: --policy requires --errors (a single-cell "
+              "submission names both)");
+    if (opts.bench.policies.size() > 1)
+        fatal("submit takes a single --policy (one cell per "
+              "submission)");
+
     service::Client client(opts.host, opts.port);
     store::JsonObjectWriter body;
     body.field("experiment", opts.experiment);
     if (opts.bench.trials)
         body.field("trials", uint64_t{opts.bench.trials});
-    if (opts.errors) {
-        body.field("errors", uint64_t{*opts.errors});
+    if (!opts.errors.empty()) {
+        body.field("errors", uint64_t{opts.errors.front()});
         body.field("policy", opts.bench.policies.empty()
                                  ? std::string(fault::PROTECTED_POLICY)
                                  : opts.bench.policies.front());
@@ -882,6 +570,9 @@ labStatus(const LabOptions &opts)
 int
 labFetch(const LabOptions &opts)
 {
+    if (opts.figure.empty() == opts.cell.empty())
+        fatal("fetch requires exactly one of --figure NAME or "
+              "--cell KEY");
     service::Client client(opts.host, opts.port);
     if (!opts.figure.empty()) {
         std::string target = "/v1/figures/" + opts.figure;
@@ -906,44 +597,406 @@ labFetch(const LabOptions &opts)
     return 0;
 }
 
+/** One flag: its value placeholder (nullptr for a switch), the parser
+ *  that stores its value in LabOptions, and its help text. */
+struct Flag
+{
+    const char *name;
+    const char *value;
+    void (*parse)(LabOptions &opts, const std::string &value);
+    const char *help;
+};
+
+const Flag FLAGS[] = {
+    {"--experiment", "NAME",
+     [](LabOptions &o, const std::string &v) { o.experiment = v; },
+     "a paper figure or table, or a smoke sweep (`etc_lab\n"
+     "list` names them all)"},
+    {"--cache-dir", "DIR",
+     [](LabOptions &o, const std::string &v) {
+         if (v.empty())
+             fatal("--cache-dir expects a directory");
+         o.bench.cacheDir = v;
+     },
+     "result-store root (run without it persists nothing)"},
+    {"--trials", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.bench.trials = parseCount32("--trials", v);
+         if (o.bench.trials == 0)
+             fatal("--trials must be >= 1 (omit the flag for the "
+                   "default)");
+     },
+     "trials per cell (>= 1; default: each sweep's); query:\n"
+     "keep only cells of this trial count"},
+    {"--policy", "NAME",
+     [](LabOptions &o, const std::string &v) {
+         o.bench.policies.push_back(parsePolicyName(v).name);
+     },
+     "an injection policy (repeatable; `etc_lab policies`\n"
+     "names them). run: sweep these instead of the sweep's\n"
+     "own list (refused on a paper table); submit: the single\n"
+     "cell's (needs --errors); query: filter; analyze: the\n"
+     "policies to classify"},
+    {"--threads", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.bench.threads = parseCount32("--threads", v);
+     },
+     "worker threads (0 = all cores)"},
+    {"--seed", "S",
+     [](LabOptions &o, const std::string &v) {
+         o.bench.seed = parseSeedValue("--seed", v);
+         o.querySeed = o.bench.seed; // an explicit --seed filters query
+     },
+     "master study seed (decimal or 0x hex); query: filter\n"
+     "to this seed"},
+    {"--workload", "NAME",
+     [](LabOptions &o, const std::string &v) {
+         const auto &names = workloads::workloadNames();
+         if (std::find(names.begin(), names.end(), v) == names.end()) {
+             std::string list;
+             for (const auto &name : names)
+                 list += (list.empty() ? "" : ", ") + name;
+             fatal("unknown workload '", v, "' (available: ", list, ")");
+         }
+         o.workload = v;
+     },
+     "a registry workload (lint: default all; query: filter)"},
+    {"--chunks", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.chunks = parseCount32("--chunks", v);
+         if (o.chunks == 0)
+             fatal("--chunks must be >= 1");
+     },
+     "stripes persisted as shard records per cell (default\n"
+     "4). A cell's stripes run as one pass, each persisted\n"
+     "as it ends, so a kill loses at most the stripes in\n"
+     "flight"},
+    {"--port", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.port = static_cast<uint16_t>(parseCountValue("--port", v, 65535));
+     },
+     "daemon TCP port (default 8977; serve: 0 picks one).\n"
+     "The daemon binds 127.0.0.1 only"},
+    {"--host", "H", [](LabOptions &o, const std::string &v) { o.host = v; },
+     "daemon host (default 127.0.0.1; a remote daemon is\n"
+     "loopback-only, so reach it through a tunnel or port\n"
+     "forward)"},
+    {"--workers", "K",
+     [](LabOptions &o, const std::string &v) {
+         o.workers = parseCount32("--workers", v);
+     },
+     "local cell workers (default 2; 0 = coordinator-only,\n"
+     "remote agents do all the simulating)"},
+    {"--coordinator", "URL",
+     [](LabOptions &o, const std::string &v) { o.coordinator = v; },
+     "the coordinator daemon, http://HOST:PORT"},
+    {"--name", "NAME",
+     [](LabOptions &o, const std::string &v) { o.workerName = v; },
+     "worker name on lease calls (default w<pid>)"},
+    {"--lease-ttl-ms", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.leaseTtlMs = parseCountValue(
+             "--lease-ttl-ms", v, std::numeric_limits<uint64_t>::max());
+         if (o.leaseTtlMs == 0)
+             fatal("--lease-ttl-ms must be >= 1");
+     },
+     "lease heartbeat deadline before re-issue (default\n"
+     "10000)"},
+    {"--max-leases", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.maxLeases = parseCountValue(
+             "--max-leases", v, std::numeric_limits<uint64_t>::max());
+     },
+     "exit after N leases (default: run until SIGTERM)"},
+    {"--poll-ms", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.pollMs = parseCountValue("--poll-ms", v,
+                                    std::numeric_limits<uint64_t>::max());
+     },
+     "idle poll interval when the coordinator has no work\n"
+     "(default 500)"},
+    {"--errors", "N",
+     [](LabOptions &o, const std::string &v) {
+         o.errors.push_back(parseCount32("--errors", v));
+     },
+     "submit: one cell at this error count instead of the\n"
+     "whole sweep; query: filter (repeatable)"},
+    {"--agg", "NAME", [](LabOptions &o, const std::string &v) { o.agg = v; },
+     "the rollup: cells, coverage, curve, delta, cdf or avf\n"
+     "(default cells)"},
+    {"--base", "NAME",
+     [](LabOptions &o, const std::string &v) {
+         o.basePolicy = parsePolicyName(v).name;
+     },
+     "delta's baseline policy (default protected)"},
+    {"--json", nullptr,
+     [](LabOptions &o, const std::string &) { o.json = true; },
+     "print the JSON envelope (byte-identical to GET\n"
+     "/v1/query) instead of a table"},
+    {"--quarantine", nullptr,
+     [](LabOptions &o, const std::string &) { o.quarantine = true; },
+     "move corrupt record files under index/quarantine/"},
+    {"--wait", nullptr,
+     [](LabOptions &o, const std::string &) { o.wait = true; },
+     "poll until the job drains, then print its status"},
+    {"--job", "ID", [](LabOptions &o, const std::string &v) { o.job = v; },
+     "the job to query"},
+    {"--figure", "NAME",
+     [](LabOptions &o, const std::string &v) { o.figure = v; },
+     "render this experiment's figure from the daemon's\n"
+     "store"},
+    {"--cell", "KEY", [](LabOptions &o, const std::string &v) { o.cell = v; },
+     "the stored record of this cell fingerprint"},
+    {"--trace-out", "FILE",
+     [](LabOptions &o, const std::string &v) {
+         if (v.empty())
+             fatal("--trace-out expects a file path");
+         o.traceOut = v;
+     },
+     "write Chrome Trace Event JSONL spans to FILE (view via\n"
+     "`jq -s . FILE` in Perfetto; results are identical\n"
+     "with tracing on or off)"},
+    {"--verbose", nullptr,
+     [](LabOptions &o, const std::string &) { o.verbose = true; },
+     "one access-log line per HTTP request (method, path,\n"
+     "status, bytes, latency)"},
+};
+
+/** One subcommand: its handler, every flag its code reads (it refuses
+ *  the others), the flags it cannot run without, and its help text. */
+struct Subcommand
+{
+    const char *name;
+    int (*run)(const LabOptions &opts);
+    std::vector<std::string_view> reads;
+    std::vector<std::string_view> required;
+    const char *help;
+
+    bool
+    readsFlag(std::string_view flag) const
+    {
+        return std::find(reads.begin(), reads.end(), flag) != reads.end();
+    }
+};
+
+/** The flags `run` and `resume` read. */
+const std::vector<std::string_view> RUN_FLAGS = {
+    "--experiment", "--cache-dir", "--trials", "--policy",
+    "--threads", "--seed", "--chunks", "--trace-out"};
+
+const Subcommand SUBCOMMANDS[] = {
+    {"run", labRun, RUN_FLAGS, {"--experiment"},
+     "execute the sweeps: persist every cell to the cache, skip\n"
+     "stored cells, resume partial ones, then render the figure\n"
+     "or table. SIGINT/SIGTERM stops starting new stripes,\n"
+     "finishes and persists the ones in flight, and exits with\n"
+     "a summary (status 130)"},
+    {"resume", labRun, RUN_FLAGS, {"--experiment", "--cache-dir"},
+     "run, continuing a killed campaign from its stored shards"},
+    {"report", labReport,
+     {"--experiment", "--cache-dir", "--trials", "--policy", "--seed",
+      "--trace-out"},
+     {"--experiment", "--cache-dir"},
+     "render the figure or table purely from stored records\n"
+     "(no trials; fails on missing cells)"},
+    {"list", labList,
+     {"--cache-dir", "--trials", "--policy", "--seed", "--trace-out"},
+     {},
+     "print the registry: every paper figure and table, and the\n"
+     "smoke sweeps (with --cache-dir, a 'cached' column reports\n"
+     "archive coverage per entry from the secondary index)"},
+    {"query", labQuery,
+     {"--cache-dir", "--workload", "--policy", "--errors", "--seed",
+      "--trials", "--agg", "--base", "--json", "--trace-out"},
+     {"--cache-dir"},
+     "roll up the archived cells of a cache directory without\n"
+     "simulating anything: filter, then aggregate with --agg.\n"
+     "Prints a table; --json prints the exact bytes GET\n"
+     "/v1/query serves"},
+    {"reindex", labReindex, {"--cache-dir", "--quarantine", "--trace-out"},
+     {"--cache-dir"},
+     "rebuild the secondary index from a full store scan,\n"
+     "reporting orphaned shard files and corrupt records (count\n"
+     "and paths); nonzero exit when corruption was found"},
+    {"policies", labPolicies, {}, {},
+     "print the injection-policy registry (name, description,\n"
+     "result kinds, bit model) -- the same rows GET /v1/policies\n"
+     "serves"},
+    {"analyze", labAnalyze, {"--workload", "--policy"}, {"--workload"},
+     "print the static ACE/AVF vulnerability report of one\n"
+     "workload -- the same bytes GET /v1/analysis/<workload>\n"
+     "serves"},
+    {"lint", labLint, {"--workload"}, {},
+     "run the assembly lint (CFG well-formedness, unreachable\n"
+     "code, uninitialized reads, stack discipline, injectable-\n"
+     "bitmap consistency) over one workload or the whole\n"
+     "registry; nonzero exit on findings"},
+    {"serve", labServe,
+     {"--cache-dir", "--port", "--workers", "--threads", "--chunks",
+      "--seed", "--lease-ttl-ms", "--verbose", "--trace-out"},
+     {"--cache-dir"},
+     "run the HTTP campaign daemon: submitted jobs decompose\n"
+     "into shard-range leases run by the local workers and/or\n"
+     "remote `etc_lab work` agents; lapsed leases re-issue, and\n"
+     "fleet results are bit-identical to single-host runs.\n"
+     "SIGINT/SIGTERM finishes and persists the stripes in\n"
+     "flight"},
+    {"work", labWork,
+     {"--coordinator", "--name", "--cache-dir", "--threads",
+      "--max-leases", "--poll-ms", "--trace-out"},
+     {"--coordinator"},
+     "run a worker agent: pull its share of one cell's pending\n"
+     "shard-range leases at a time from a coordinator daemon,\n"
+     "run them as one pass through the same cache-aware engine,\n"
+     "push each shard record back as it lands, heartbeat every\n"
+     "held lease"},
+    {"submit", labSubmit,
+     {"--host", "--port", "--experiment", "--trials", "--errors",
+      "--policy", "--wait"},
+     {"--experiment"},
+     "POST a job to a daemon (--errors and --policy for one\n"
+     "cell, --wait to poll until it drains)"},
+    {"status", labStatus, {"--host", "--port", "--job"}, {"--job"},
+     "GET a job's status"},
+    {"fetch", labFetch, {"--host", "--port", "--figure", "--cell", "--trials"},
+     {},
+     "GET a figure (--figure; bytes match `etc_lab report`) or\n"
+     "a cell record (--cell): exactly one of the two"},
+    {"stats", labStats, {"--host", "--port"}, {},
+     "GET /v1/metricz from a daemon and render the scrape as a\n"
+     "human table (metric, type, value)"},
+};
+
+/** Print "  @p left" padded to @p width, then @p text, each of its
+ *  lines indented to the same column. */
+void
+printEntry(std::ostream &os, const std::string &left, size_t width,
+           const std::string &text)
+{
+    os << "  " << left;
+    if (left.size() + 1 > width)
+        os << '\n' << std::string(width + 2, ' ');
+    else
+        os << std::string(width - left.size(), ' ');
+    for (char c : text) {
+        os << c;
+        if (c == '\n')
+            os << std::string(width + 2, ' ');
+    }
+    os << '\n';
+}
+
+[[noreturn]] void
+usage(int status)
+{
+    std::ostream &os = std::cerr;
+    os << "usage: etc_lab <subcommand> [options]\n"
+          "\n"
+          "subcommands (each refuses the options it does not read):\n";
+    for (const Subcommand &command : SUBCOMMANDS) {
+        std::string help = command.help;
+        for (size_t i = 0; i < command.required.size(); ++i)
+            help += (i ? ", " : "\nrequires ") +
+                    std::string(command.required[i]);
+        printEntry(os, command.name, 10, help);
+    }
+    os << "\noptions (--flag V or --flag=V):\n";
+    for (const Flag &flag : FLAGS) {
+        std::string help = flag.help;
+        help += "\nread by:";
+        for (const Subcommand &command : SUBCOMMANDS)
+            if (command.readsFlag(flag.name))
+                help += std::string(" ") + command.name;
+        printEntry(os,
+                   flag.value ? std::string(flag.name) + " " + flag.value
+                              : flag.name,
+                   19, help);
+    }
+    printEntry(os, "--help, -h", 19, "this message (anywhere)");
+    os << "\nResults are bit-identical for every --threads value, every\n"
+          "--chunks value, across kill/resume, and whether cells were\n"
+          "computed by `run`, by a daemon or by its agents -- only\n"
+          "wall-clock time changes.\n";
+    std::exit(status);
+}
+
+const Flag *
+findFlag(std::string_view name)
+{
+    for (const Flag &flag : FLAGS)
+        if (name == flag.name)
+            return &flag;
+    return nullptr;
+}
+
+/**
+ * Parse argv against the tables into @p opts: an unknown flag prints
+ * usage and exits 2; a flag the subcommand does not read, a bad value
+ * or a missing required flag throws FatalError.
+ * @return the subcommand's row
+ */
+const Subcommand &
+parseLabArgs(int argc, char **argv, LabOptions &opts)
+{
+    if (argc < 2)
+        usage(2);
+    std::string_view name = argv[1];
+    if (name == "--help" || name == "-h")
+        usage(0);
+    const Subcommand *command = nullptr;
+    for (const Subcommand &row : SUBCOMMANDS)
+        if (name == row.name)
+            command = &row;
+    if (!command) {
+        std::cerr << "etc_lab: unknown subcommand '" << name << "'\n";
+        usage(2);
+    }
+    opts.command = command->name;
+
+    std::set<std::string_view> given;
+    for (int i = 2; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h")
+            usage(0);
+        size_t eq = arg.find('=');
+        const Flag *flag = findFlag(arg.substr(0, eq));
+        if (!flag || (!flag->value && eq != std::string::npos)) {
+            std::cerr << "etc_lab: unknown argument '" << arg << "'\n";
+            usage(2);
+        }
+        if (!command->readsFlag(flag->name))
+            fatal(flag->name, " does not apply to `", command->name, "`");
+        std::string value;
+        if (eq != std::string::npos) {
+            value = arg.substr(eq + 1);
+        } else if (flag->value) {
+            if (i + 1 >= argc)
+                fatal(flag->name, " expects a value");
+            value = argv[++i];
+        }
+        flag->parse(opts, value);
+        given.insert(flag->name);
+    }
+    for (std::string_view required : command->required)
+        if (!given.count(required))
+            fatal(command->name, " requires ", required, " ",
+                  findFlag(required)->value);
+    return *command;
+}
+
 } // namespace
 
 int
 labMain(int argc, char **argv)
 {
     try {
-        LabOptions opts = parseLabArgs(argc, argv);
-        if (opts.command == "list")
-            return labList(opts);
-        if (opts.command == "query")
-            return labQuery(opts);
-        if (opts.command == "reindex")
-            return labReindex(opts);
-        if (opts.command == "policies")
-            return labPolicies();
-        if (opts.command == "analyze")
-            return labAnalyze(opts);
-        if (opts.command == "lint")
-            return labLint(opts);
-        if (opts.command == "serve")
-            return labServe(opts);
-        if (opts.command == "work")
-            return labWork(opts);
-        if (opts.command == "submit")
-            return labSubmit(opts);
-        if (opts.command == "status")
-            return labStatus(opts);
-        if (opts.command == "fetch")
-            return labFetch(opts);
-        if (opts.command == "stats")
-            return labStats(opts);
-        auto artifact = findArtifact(opts.experiment);
-        if (!artifact)
-            fatal("unknown experiment '", opts.experiment,
-                  "' (available: ", experimentNames(), ")");
-        if (opts.command == "report")
-            return labReport(opts, *artifact);
-        return labRun(opts, *artifact);
+        LabOptions opts;
+        const Subcommand &command = parseLabArgs(argc, argv, opts);
+        // Tracing opens before the handler runs, so every span it
+        // emits is captured; the tracer flushes on process exit.
+        if (!opts.traceOut.empty())
+            telemetry::Tracer::instance().open(opts.traceOut);
+        return command.run(opts);
     } catch (const FatalError &error) {
         std::cerr << "etc_lab: " << error.what() << '\n';
         return 1;

@@ -1,33 +1,15 @@
 /**
  * @file
- * etc_lab: unified campaign orchestration CLI over the result store.
+ * etc_lab: unified campaign orchestration CLI over the result store
+ * and the campaign service (src/service/).
  *
- * Subcommands (one registry name per invocation: a paper figure or
- * table, a smoke sweep, or one of a table's sweeps):
- *
- *   run     execute the sweeps, persisting every cell to --cache-dir;
- *           stored cells are skipped outright, partially-stored cells
- *           resume from their shards, and each cell's --chunks stripes
- *           run as one pass, each persisted as a shard record as it
- *           ends, so a killed run loses at most the stripes in flight.
- *           Renders the figure or table when done.
- *   resume  alias of run that requires --cache-dir (documents intent
- *           after a kill; run already resumes from whatever exists).
- *   report  render the figure or table purely from stored records --
- *           no trials run; fails if any cell is missing.
- *   list    print the registry (name, headline, workloads, cell
- *           count, default trials, error counts).
- *
- * Campaign-service subcommands (src/service/):
- *
- *   serve   long-running HTTP daemon: submitted experiments/cells
- *           execute on an async worker pool over the result store;
- *           SIGINT/SIGTERM finishes and persists the stripes in
- *           flight, then exits with a summary.
- *   submit  POST a job to a daemon (optionally --wait until drained).
- *   status  GET a job's status and per-cell progress.
- *   fetch   GET a figure (byte-identical to `report` on the daemon's
- *           cache) or a stored cell record.
+ * Two tables in lab.cc are the one list of what it accepts: a row per
+ * subcommand (its handler, the flags its code reads, the flags it
+ * requires, its help) and a row per flag (its value placeholder, the
+ * parser that stores it, its help). Parsing, dispatch and `etc_lab
+ * --help` all read them. A subcommand refuses (exit 1) every flag its
+ * row does not list, so no flag is ever silently dropped; an unknown
+ * flag prints usage and exits 2.
  *
  * A figure or table rendered by run, by report from the warm cache,
  * by a direct uncached run, and by GET /v1/figures/<name> is

@@ -1,7 +1,5 @@
 #include "analysis/control_protection.hh"
 
-#include <deque>
-
 #include "support/logging.hh"
 
 namespace etc::analysis {
@@ -88,35 +86,17 @@ computeControlProtection(const assembly::Program &program,
     result.cvarOut.resize(n);
     result.tagged.assign(n, false);
 
-    std::deque<uint32_t> worklist;
-    std::vector<bool> queued(n, false);
-    for (uint32_t i = n; i-- > 0;) {
-        worklist.push_back(i);
-        queued[i] = true;
-    }
-
-    while (!worklist.empty()) {
-        uint32_t i = worklist.front();
-        worklist.pop_front();
-        queued[i] = false;
-        ++result.iterations;
-
+    result.iterations = solveBackward(graph, [&](uint32_t i) {
         LocSet out;
         for (uint32_t s : graph.successors(i))
             out |= result.cvarIn[s];
         result.cvarOut[i] = out;
 
         LocSet in = transfer(program.code[i], out, config);
-        if (in != result.cvarIn[i]) {
-            result.cvarIn[i] = in;
-            for (uint32_t p : graph.predecessors(i)) {
-                if (!queued[p]) {
-                    queued[p] = true;
-                    worklist.push_back(p);
-                }
-            }
-        }
-    }
+        bool changed = in != result.cvarIn[i];
+        result.cvarIn[i] = in;
+        return changed;
+    });
 
     // Tag pass: an ALU instruction whose destination is not in CVar at
     // its program point is low-reliability -- if its function is

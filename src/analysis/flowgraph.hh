@@ -21,6 +21,7 @@
 #define ETC_ANALYSIS_FLOWGRAPH_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "asm/program.hh"
@@ -82,6 +83,42 @@ class FlowGraph
     std::vector<Block> blocks_;
     std::vector<uint32_t> blockOf_;
 };
+
+/**
+ * Run a backward dataflow problem over @p graph to its fixpoint. A
+ * FIFO worklist, seeded with every instruction in reverse order
+ * (backward problems converge fastest that way), visits instruction i
+ * with @p step(i): it recomputes i's out set from its successors' in
+ * sets and its in set from that, and returns whether the in set
+ * changed, which re-queues i's predecessors.
+ *
+ * @return the number of visits
+ */
+template <typename Step>
+unsigned
+solveBackward(const FlowGraph &graph, Step &&step)
+{
+    std::deque<uint32_t> worklist;
+    std::vector<bool> queued(graph.size(), true);
+    for (uint32_t i = graph.size(); i-- > 0;)
+        worklist.push_back(i);
+    unsigned visits = 0;
+    while (!worklist.empty()) {
+        uint32_t i = worklist.front();
+        worklist.pop_front();
+        queued[i] = false;
+        ++visits;
+        if (!step(i))
+            continue;
+        for (uint32_t p : graph.predecessors(i)) {
+            if (!queued[p]) {
+                queued[p] = true;
+                worklist.push_back(p);
+            }
+        }
+    }
+    return visits;
+}
 
 } // namespace etc::analysis
 

@@ -1,7 +1,5 @@
 #include "analysis/liveness.hh"
 
-#include <deque>
-
 namespace etc::analysis {
 
 using namespace isa;
@@ -14,19 +12,7 @@ computeLiveness(const assembly::Program &program, const FlowGraph &graph)
     result.liveIn.resize(n);
     result.liveOut.resize(n);
 
-    std::deque<uint32_t> worklist;
-    std::vector<bool> queued(n, false);
-    // Seed in reverse order: backward analyses converge fastest that way.
-    for (uint32_t i = n; i-- > 0;) {
-        worklist.push_back(i);
-        queued[i] = true;
-    }
-
-    while (!worklist.empty()) {
-        uint32_t i = worklist.front();
-        worklist.pop_front();
-        queued[i] = false;
-
+    solveBackward(graph, [&](uint32_t i) {
         LocSet out;
         for (uint32_t s : graph.successors(i))
             out |= result.liveIn[s];
@@ -40,16 +26,10 @@ computeLiveness(const assembly::Program &program, const FlowGraph &graph)
             if (use != REG_ZERO)
                 in.set(use);
 
-        if (in != result.liveIn[i]) {
-            result.liveIn[i] = in;
-            for (uint32_t p : graph.predecessors(i)) {
-                if (!queued[p]) {
-                    queued[p] = true;
-                    worklist.push_back(p);
-                }
-            }
-        }
-    }
+        bool changed = in != result.liveIn[i];
+        result.liveIn[i] = in;
+        return changed;
+    });
     return result;
 }
 

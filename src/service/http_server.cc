@@ -54,32 +54,6 @@ httpMetrics()
     return metrics;
 }
 
-/**
- * Collapse a request path to a bounded endpoint label: known /v1
- * routes keep their first two segments (ids/fingerprints become "*"),
- * anything else -- arbitrary 404 targets included -- is "other", so a
- * path-scanning client cannot mint unbounded label cardinality.
- */
-std::string
-normalizeEndpoint(const std::string &path)
-{
-    static const char *const known[] = {
-        "/v1/jobs", "/v1/cells",   "/v1/experiments",
-        "/v1/policies", "/v1/figures", "/v1/analysis",
-        "/v1/healthz", "/v1/metricz",
-    };
-    for (const char *prefix : known) {
-        size_t n = std::strlen(prefix);
-        if (path.compare(0, n, prefix) != 0)
-            continue;
-        if (path.size() == n)
-            return prefix;
-        if (path[n] == '/')
-            return std::string(prefix) + "/*";
-    }
-    return "other";
-}
-
 /** The (endpoint, status) series of etc_http_requests_total. The
  *  registry lookup is mutex-guarded but cheap; request dispatch is
  *  not a simulation hot path. */
@@ -90,7 +64,7 @@ requestCounter(const std::string &endpoint, int status)
         "etc_http_requests_total",
         "endpoint=\"" + telemetry::escapeLabelValue(endpoint) +
             "\",status=\"" + std::to_string(status) + "\"",
-        "Requests served, by normalized endpoint and response status");
+        "Requests served, by route label and response status");
 }
 
 bool
@@ -436,9 +410,7 @@ HttpServer::dispatchBuffered(Connection &conn)
         }
         std::string wire = serializeResponse(response, keepAlive);
         httpMetrics().bytesOut.add(wire.size());
-        requestCounter(normalizeEndpoint(request.path()),
-                       response.status)
-            .add();
+        requestCounter(response.endpoint, response.status).add();
         if (conn.served > 0)
             httpMetrics().keepAliveReuse.add();
         ++conn.served;

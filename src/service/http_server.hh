@@ -18,6 +18,12 @@
  *
  * Protocol limits (64 KiB of headers, 8 MiB of body) turn oversized
  * or malformed traffic into 4xx responses, never unbounded buffering.
+ *
+ * etc_http_requests_total counts each response under the label its
+ * handler stamped on it (HttpResponse::endpoint). The campaign router
+ * stamps its route's label; parse errors, unmatched paths and a plain
+ * handler's responses count as "other", so a path-scanning client
+ * cannot mint new series.
  */
 
 #ifndef ETC_SERVICE_HTTP_SERVER_HH
@@ -64,6 +70,7 @@ struct HttpResponse
     int status = 200;
     std::string contentType = "application/json";
     std::string body;
+    std::string endpoint = "other"; //!< the route label it counts under
 
     static HttpResponse json(int status, std::string body);
     static HttpResponse text(int status, std::string body);

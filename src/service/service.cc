@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "core/query.hh"
 #include "core/vulnerability_report.hh"
@@ -14,6 +15,7 @@
 #include "support/logging.hh"
 #include "support/table.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace etc::service {
 
@@ -219,92 +221,71 @@ CampaignService::CampaignService(Scheduler &scheduler)
 HttpResponse
 CampaignService::handle(const HttpRequest &request)
 {
-    const std::string path = request.path();
+    // A path ending in '/' is a prefix, and the rest of the request's
+    // path goes to the handler. The first match answers.
+    struct Route
+    {
+        const char *path;
+        const char *method;
+        const char *refusal; //!< the 405 message for any other method
+        HttpResponse (CampaignService::*handler)(const HttpRequest &,
+                                                 const std::string &rest);
+        const char *label; //!< etc_http_requests_total's endpoint
+    };
+    static const Route ROUTES[] = {
+        {"/v1/jobs", "POST", "use POST to submit a job",
+         &CampaignService::submitJob, "/v1/jobs"},
+        {"/v1/jobs/", "GET", "use GET for job status",
+         &CampaignService::jobStatus, "/v1/jobs/*"},
+        {"/v1/cells/", "GET", "use GET for cell records",
+         &CampaignService::cellRecord, "/v1/cells/*"},
+        {"/v1/experiments", "GET", "use GET for the experiment registry",
+         &CampaignService::experimentList, "/v1/experiments"},
+        {"/v1/policies", "GET", "use GET for the policy registry",
+         &CampaignService::policyList, "/v1/policies"},
+        {"/v1/figures/", "GET", "use GET for figures",
+         &CampaignService::figure, "/v1/figures/*"},
+        {"/v1/analysis/", "GET", "use GET for analysis reports",
+         &CampaignService::analysis, "/v1/analysis/*"},
+        {"/v1/query", "GET", "use GET for archive queries",
+         &CampaignService::query, "/v1/query"},
+        {"/v1/index", "GET", "use GET for the archive index",
+         &CampaignService::indexStatus, "/v1/index"},
+        {"/v1/leases/acquire", "POST", "use POST to acquire leases",
+         &CampaignService::acquireLeases, "/v1/leases/acquire"},
+        {"/v1/leases/", "POST", "use POST for lease lifecycle calls",
+         &CampaignService::leaseAction, "/v1/leases/*"},
+        {"/v1/shards", "POST", "use POST to push shard records",
+         &CampaignService::ingestShard, "/v1/shards"},
+        {"/v1/fleet", "GET", "use GET for fleet status",
+         &CampaignService::fleet, "/v1/fleet"},
+        {"/v1/healthz", "GET", "use GET for health checks",
+         &CampaignService::healthz, "/v1/healthz"},
+        {"/v1/metricz", "GET", "use GET for metrics",
+         &CampaignService::metricz, "/v1/metricz"},
+    };
 
-    if (path == "/v1/jobs") {
-        if (request.method != "POST")
-            return errorResponse(405, "use POST to submit a job");
-        return submitJob(request);
-    }
-    if (path.rfind("/v1/jobs/", 0) == 0) {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for job status");
-        return jobStatus(path.substr(9));
-    }
-    if (path.rfind("/v1/cells/", 0) == 0) {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for cell records");
-        return cellRecord(path.substr(10));
-    }
-    if (path == "/v1/experiments") {
-        if (request.method != "GET")
-            return errorResponse(405,
-                                 "use GET for the experiment registry");
-        return experimentList();
-    }
-    if (path == "/v1/policies") {
-        if (request.method != "GET")
-            return errorResponse(405,
-                                 "use GET for the policy registry");
-        return policyList();
-    }
-    if (path.rfind("/v1/figures/", 0) == 0) {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for figures");
-        return figure(path.substr(12), request);
-    }
-    if (path.rfind("/v1/analysis/", 0) == 0) {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for analysis reports");
-        return analysis(path.substr(13));
-    }
-    if (path == "/v1/query") {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for archive queries");
-        return query(request);
-    }
-    if (path == "/v1/index") {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for the archive index");
-        return indexStatus();
-    }
-    if (path == "/v1/leases/acquire") {
-        if (request.method != "POST")
-            return errorResponse(405, "use POST to acquire leases");
-        return acquireLeases(request);
-    }
-    if (path.rfind("/v1/leases/", 0) == 0) {
-        if (request.method != "POST")
-            return errorResponse(405,
-                                 "use POST for lease lifecycle calls");
-        return leaseAction(path.substr(11), request);
-    }
-    if (path == "/v1/shards") {
-        if (request.method != "POST")
-            return errorResponse(405,
-                                 "use POST to push shard records");
-        return ingestShard(request);
-    }
-    if (path == "/v1/fleet") {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for fleet status");
-        return fleet();
-    }
-    if (path == "/v1/healthz") {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for health checks");
-        return healthz();
-    }
-    if (path == "/v1/metricz") {
-        if (request.method != "GET")
-            return errorResponse(405, "use GET for metrics");
-        return metricz();
+    const std::string path = request.path();
+    for (const Route &route : ROUTES) {
+        std::string_view routePath = route.path;
+        if (routePath.ends_with('/') ? !path.starts_with(routePath)
+                                     : path != routePath)
+            continue;
+        telemetry::TraceSpan span("http", route.label);
+        HttpResponse response =
+            request.method == route.method
+                ? (this->*route.handler)(request,
+                                         path.substr(routePath.size()))
+                : errorResponse(405, route.refusal);
+        response.endpoint = route.label;
+        return response;
     }
     return errorResponse(404, "no such endpoint: " + path);
 }
 
 HttpResponse
-CampaignService::submitJob(const HttpRequest &request)
+CampaignService::submitJob(const HttpRequest &request,
+                           const std::string &)
 {
     store::JsonValue body;
     if (auto refused = readObjectBody(request, body))
@@ -380,7 +361,7 @@ CampaignService::submitJob(const HttpRequest &request)
 }
 
 HttpResponse
-CampaignService::jobStatus(const std::string &id)
+CampaignService::jobStatus(const HttpRequest &, const std::string &id)
 {
     auto status = scheduler_.jobStatus(id);
     if (!status)
@@ -389,7 +370,8 @@ CampaignService::jobStatus(const std::string &id)
 }
 
 HttpResponse
-CampaignService::cellRecord(const std::string &fingerprint)
+CampaignService::cellRecord(const HttpRequest &,
+                            const std::string &fingerprint)
 {
     if (!store::isFingerprint(fingerprint))
         return errorResponse(
@@ -407,7 +389,7 @@ CampaignService::cellRecord(const std::string &fingerprint)
 }
 
 HttpResponse
-CampaignService::experimentList()
+CampaignService::experimentList(const HttpRequest &, const std::string &)
 {
     // Archive coverage per experiment, from the index alone. Cell
     // keys need the workload assembled and analyzed (memoized in
@@ -470,7 +452,7 @@ CampaignService::experimentList()
 }
 
 HttpResponse
-CampaignService::policyList()
+CampaignService::policyList(const HttpRequest &, const std::string &)
 {
     // The same describeInjectionPolicies() rows `etc_lab policies`
     // prints -- one code path, two renderings.
@@ -493,8 +475,8 @@ CampaignService::policyList()
 }
 
 HttpResponse
-CampaignService::figure(const std::string &name,
-                        const HttpRequest &request)
+CampaignService::figure(const HttpRequest &request,
+                        const std::string &name)
 {
     auto artifact = bench::findArtifact(name);
     if (!artifact)
@@ -548,7 +530,7 @@ CampaignService::figure(const std::string &name,
 }
 
 HttpResponse
-CampaignService::analysis(const std::string &name)
+CampaignService::analysis(const HttpRequest &, const std::string &name)
 {
     // Validate against the workload registry before doing any work.
     auto names = workloads::workloadNames();
@@ -584,7 +566,7 @@ CampaignService::figureKeys(const bench::Experiment &exp,
 }
 
 HttpResponse
-CampaignService::query(const HttpRequest &request)
+CampaignService::query(const HttpRequest &request, const std::string &)
 {
     core::QueryOptions options;
     try {
@@ -625,7 +607,7 @@ CampaignService::query(const HttpRequest &request)
 }
 
 HttpResponse
-CampaignService::indexStatus()
+CampaignService::indexStatus(const HttpRequest &, const std::string &)
 {
     std::lock_guard<std::mutex> lock(readMutex_);
     index_.load();
@@ -659,7 +641,8 @@ CampaignService::indexStatus()
 }
 
 HttpResponse
-CampaignService::acquireLeases(const HttpRequest &request)
+CampaignService::acquireLeases(const HttpRequest &request,
+                               const std::string &)
 {
     store::JsonValue body;
     if (auto refused = readObjectBody(request, body))
@@ -693,8 +676,8 @@ CampaignService::acquireLeases(const HttpRequest &request)
 }
 
 HttpResponse
-CampaignService::leaseAction(const std::string &suffix,
-                             const HttpRequest &request)
+CampaignService::leaseAction(const HttpRequest &request,
+                             const std::string &suffix)
 {
     size_t slash = suffix.rfind('/');
     if (slash == std::string::npos || slash == 0)
@@ -799,7 +782,8 @@ CampaignService::leaseAction(const std::string &suffix,
 }
 
 HttpResponse
-CampaignService::ingestShard(const HttpRequest &request)
+CampaignService::ingestShard(const HttpRequest &request,
+                             const std::string &)
 {
     static telemetry::Counter &ingested = telemetry::counter(
         "etc_worker_shards_ingested_total",
@@ -825,7 +809,7 @@ CampaignService::ingestShard(const HttpRequest &request)
 }
 
 HttpResponse
-CampaignService::fleet()
+CampaignService::fleet(const HttpRequest &, const std::string &)
 {
     auto stats = coordinator_.stats();
     std::vector<std::string> leases;
@@ -860,7 +844,7 @@ CampaignService::fleet()
 }
 
 HttpResponse
-CampaignService::healthz()
+CampaignService::healthz(const HttpRequest &, const std::string &)
 {
     auto stats = scheduler_.stats();
     store::JsonObjectWriter writer;
@@ -905,7 +889,7 @@ CampaignService::healthz()
 }
 
 HttpResponse
-CampaignService::metricz()
+CampaignService::metricz(const HttpRequest &, const std::string &)
 {
     // Refresh the daemon's index first, so the etc_index_* gauges a
     // scrape sees describe the archive as it is now.

@@ -2,6 +2,11 @@
  * @file
  * CampaignService: the JSON request router of the `etc_lab serve`
  * daemon, mapping the HTTP API onto the scheduler and result store.
+ * handle() walks one route table (path or prefix, method, 405
+ * message, handler, label); the matched route's label is what
+ * etc_http_requests_total counts the response under and names the
+ * request's `http/<label>` trace span. Labels are the paths below,
+ * with a prefix route's id or name as "*":
  *
  *   POST /v1/jobs                submit a figure, a paper table or
  *                                one cell of a sweep (idempotent on
@@ -98,27 +103,28 @@ class CampaignService
     /** @param scheduler started scheduler (not owned; must outlive). */
     explicit CampaignService(Scheduler &scheduler);
 
-    /** Route one request (the HttpServer handler). */
+    /** Route one request (the HttpServer handler), stamping the
+     *  route's label on the response (HttpResponse::endpoint). */
     HttpResponse handle(const HttpRequest &request);
 
   private:
-    HttpResponse submitJob(const HttpRequest &request);
-    HttpResponse jobStatus(const std::string &id);
-    HttpResponse cellRecord(const std::string &fingerprint);
-    HttpResponse experimentList();
-    HttpResponse policyList();
-    HttpResponse figure(const std::string &name,
-                        const HttpRequest &request);
-    HttpResponse analysis(const std::string &name);
-    HttpResponse query(const HttpRequest &request);
-    HttpResponse indexStatus();
-    HttpResponse acquireLeases(const HttpRequest &request);
-    HttpResponse leaseAction(const std::string &suffix,
-                             const HttpRequest &request);
-    HttpResponse ingestShard(const HttpRequest &request);
-    HttpResponse fleet();
-    HttpResponse healthz();
-    HttpResponse metricz();
+    // The route handlers: each takes the request and the rest of its
+    // path past the route's own (a prefix route's id or name).
+    HttpResponse submitJob(const HttpRequest &, const std::string &);
+    HttpResponse jobStatus(const HttpRequest &, const std::string &id);
+    HttpResponse cellRecord(const HttpRequest &, const std::string &key);
+    HttpResponse experimentList(const HttpRequest &, const std::string &);
+    HttpResponse policyList(const HttpRequest &, const std::string &);
+    HttpResponse figure(const HttpRequest &, const std::string &name);
+    HttpResponse analysis(const HttpRequest &, const std::string &name);
+    HttpResponse query(const HttpRequest &, const std::string &);
+    HttpResponse indexStatus(const HttpRequest &, const std::string &);
+    HttpResponse acquireLeases(const HttpRequest &, const std::string &);
+    HttpResponse leaseAction(const HttpRequest &, const std::string &suffix);
+    HttpResponse ingestShard(const HttpRequest &, const std::string &);
+    HttpResponse fleet(const HttpRequest &, const std::string &);
+    HttpResponse healthz(const HttpRequest &, const std::string &);
+    HttpResponse metricz(const HttpRequest &, const std::string &);
 
     /**
      * The sweep's cell keys for (sweep, trials override), memoized:

@@ -7,11 +7,12 @@
  *
  *     jq -s . campaign.trace.jsonl > campaign.trace.json
  *
- * Enabled by `--trace-out FILE` on `etc_lab run/serve` and the bench
- * drivers. When disabled (the default), a span costs one relaxed
- * atomic load -- cheap enough for per-trial spans on the campaign
- * fast paths. When enabled, events buffer in memory and flush on
- * close (and periodically), serialized under one mutex.
+ * Enabled by `--trace-out FILE` on the etc_lab subcommands that run,
+ * serve or read campaigns (`etc_lab --help` names them). When
+ * disabled (the default), a span costs one relaxed atomic load --
+ * cheap enough for per-trial spans on the campaign fast paths. When
+ * enabled, events buffer in memory and flush on close (and
+ * periodically), serialized under one mutex.
  *
  * Tracing is observation only: it never feeds an RNG draw or a cache
  * key, so campaign tallies and fidelity bits are bit-identical with

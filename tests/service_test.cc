@@ -7,8 +7,9 @@
  * trials, duplicate submissions attaching to the live job, >= 8
  * concurrent clients, malformed requests answered with 4xx JSON,
  * seeded byte mutations of fleet traffic never answered with a 5xx,
- * and the GET /v1/figures/<name> byte-identity contract with `etc_lab
- * report`'s render path.
+ * every route counted under its own metric label, and the GET
+ * /v1/figures/<name> byte-identity contract with `etc_lab report`'s
+ * render path.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +24,11 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,6 +48,7 @@
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace {
 
@@ -68,6 +73,25 @@ counterValue(const std::string &name)
         if (line.rfind(name + " ", 0) == 0)
             return std::stoull(line.substr(name.size() + 1));
     return 0;
+}
+
+/** Every etc_http_requests_total series, summed over statuses per
+ *  endpoint label, from the scrape. */
+std::map<std::string, uint64_t>
+requestsByEndpoint()
+{
+    const std::string prefix = "etc_http_requests_total{endpoint=\"";
+    std::map<std::string, uint64_t> requests;
+    std::istringstream scrape(telemetry::renderPrometheus());
+    std::string line;
+    while (std::getline(scrape, line)) {
+        if (line.rfind(prefix, 0) != 0)
+            continue;
+        size_t quote = line.find('"', prefix.size());
+        requests[line.substr(prefix.size(), quote - prefix.size())] +=
+            std::stoull(line.substr(line.rfind(' ') + 1));
+    }
+    return requests;
 }
 
 class ServiceTest : public ::testing::Test
@@ -496,6 +520,77 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
                       "heartbeat",
                       "{\"worker\":\"w\"}"),
         404);
+}
+
+// One request to each of the router's 15 routes counts once under
+// that route's own label, whatever its status, and opens one
+// http/<label> span; only a path no route claims counts as "other",
+// and it opens none.
+TEST_F(ServiceTest, EveryRouteCountsUnderItsOwnLabel)
+{
+    struct Call
+    {
+        bool post;
+        std::string target;
+        std::string label;
+    };
+    const std::vector<Call> calls = {
+        {true, "/v1/jobs", "/v1/jobs"},
+        {false, "/v1/jobs/j999", "/v1/jobs/*"},
+        {false, "/v1/cells/0123456789abcdef", "/v1/cells/*"},
+        {false, "/v1/experiments", "/v1/experiments"},
+        {false, "/v1/policies", "/v1/policies"},
+        {false, "/v1/figures/no-such-sweep", "/v1/figures/*"},
+        {false, "/v1/analysis/no-such-workload", "/v1/analysis/*"},
+        {false, "/v1/query?agg=cells", "/v1/query"},
+        {false, "/v1/index", "/v1/index"},
+        {true, "/v1/leases/acquire", "/v1/leases/acquire"},
+        {true, "/v1/leases/0123456789abcdef.0of1/heartbeat", "/v1/leases/*"},
+        {true, "/v1/shards", "/v1/shards"},
+        {false, "/v1/fleet", "/v1/fleet"},
+        {false, "/v1/healthz", "/v1/healthz"},
+        {false, "/v1/metricz", "/v1/metricz"},
+        {false, "/v1/no-such-route", "other"},
+    };
+    std::filesystem::create_directories(root_);
+    const std::string tracePath = (root_ / "routes.trace.jsonl").string();
+    auto before = requestsByEndpoint();
+    telemetry::Tracer::instance().open(tracePath);
+    Client http = client();
+    for (const Call &call : calls) {
+        auto response = call.post
+                            ? http.post(call.target, "{\"worker\":\"w\"}")
+                            : http.get(call.target);
+        EXPECT_LT(response.status, 500) << call.target << ": "
+                                        << response.body;
+    }
+    telemetry::Tracer::instance().close();
+    auto after = requestsByEndpoint();
+
+    std::map<std::string, unsigned> spans;
+    std::ifstream trace(tracePath);
+    for (std::string line; std::getline(trace, line);) {
+        if (line.find("\"cat\":\"http\"") == std::string::npos)
+            continue;
+        size_t name = line.find("\"name\":\"") + 8;
+        ++spans[line.substr(name, line.find('"', name) - name)];
+    }
+    EXPECT_EQ(spans.size(), calls.size() - 1);
+
+    std::set<std::string> labels;
+    for (const Call &call : calls) {
+        labels.insert(call.label);
+        EXPECT_EQ(after[call.label] - before[call.label], 1u)
+            << call.target;
+        EXPECT_EQ(spans[call.label], call.label == "other" ? 0u : 1u)
+            << call.target;
+    }
+    EXPECT_EQ(labels.size(), calls.size());
+    for (const auto &[label, requests] : after) {
+        if (labels.count(label))
+            continue;
+        EXPECT_EQ(requests, before[label]) << label;
+    }
 }
 
 // Two million '[' nest deeper than the JSON reader accepts: a 400,

@@ -175,31 +175,32 @@ labList(const LabOptions &opts)
     if (!opts.bench.cacheDir.empty()) {
         index.emplace(opts.bench.cacheDir);
         index->load();
-        for (const auto &[fingerprint, entry] : index->entries()) {
-            (void)fingerprint;
-            if (entry.complete)
-                indexedWorkloads.insert(entry.key.workload);
-        }
+        for (const auto &[fingerprint, key] : index->entries())
+            indexedWorkloads.insert(key.workload);
     }
 
     Table table({"name", "figure", "workload", "cells", "cached",
                  "trials", "error counts"});
     for (const auto &artifact : artifacts()) {
-        std::string coverage = "-";
-        if (index) {
-            size_t hits = 0, total = 0;
-            for (const Experiment *sweep : artifact.sweeps) {
-                total += experimentCells(*sweep,
-                                         sweepPolicies(*sweep, opts.bench))
-                             .size();
-                if (indexedWorkloads.count(sweep->workload))
-                    for (const auto &key :
-                         experimentCellKeys(*sweep, opts.bench))
-                        if (index->hasCell(key.fingerprint()))
-                            ++hits;
-            }
-            coverage = std::to_string(hits) + "/" + std::to_string(total);
+        // Both columns count the cells `run --experiment <name>` would
+        // run under these flags: a figure's under --policy's list, a
+        // paper table's under its sweeps' own (`run` refuses --policy
+        // on a table).
+        BenchOptions sweepOpts = opts.bench;
+        if (artifact.table)
+            sweepOpts.policies.clear();
+        size_t hits = 0, total = 0;
+        for (const Experiment *sweep : artifact.sweeps) {
+            total += experimentCells(*sweep, sweepPolicies(*sweep, sweepOpts))
+                         .size();
+            if (indexedWorkloads.count(sweep->workload))
+                for (const auto &key : experimentCellKeys(*sweep, sweepOpts))
+                    if (index->hasCell(key.fingerprint()))
+                        ++hits;
         }
+        std::string coverage =
+            index ? std::to_string(hits) + "/" + std::to_string(total)
+                  : "-";
         // A paper table's sweeps each have their own workload, trials
         // and error counts (GET /v1/experiments names them).
         std::string trials = "-", errorCounts = "-";
@@ -214,7 +215,7 @@ labList(const LabOptions &opts)
         }
         table.addRow({artifact.name, artifact.headline(),
                       artifact.figure ? artifact.figure->workload : "-",
-                      std::to_string(artifact.cells()), coverage, trials,
+                      std::to_string(total), coverage, trials,
                       errorCounts});
     }
     table.print(std::cout);

@@ -218,13 +218,10 @@ runQuery(store::StoreIndex &index, store::ResultStore &store,
 
     QueryReport report;
     std::vector<std::pair<std::string, const store::CellKey *>> matched;
-    for (const auto &[fingerprint, entry] : index.entries()) {
-        if (!entry.complete)
-            continue;
-        ++report.cellsIndexed;
-        if (options.filter.matches(entry.key))
-            matched.emplace_back(fingerprint, &entry.key);
-    }
+    report.cellsIndexed = index.entries().size();
+    for (const auto &[fingerprint, key] : index.entries())
+        if (options.filter.matches(key))
+            matched.emplace_back(fingerprint, &key);
     report.cellsMatched = matched.size();
     uint64_t trialsCovered = 0;
     for (const auto &[fingerprint, key] : matched)

@@ -1,7 +1,5 @@
 #include "fault/policy.hh"
 
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 
 #include "isa/instruction.hh"
@@ -26,119 +24,6 @@ const char *
 tagScopeName(TagScope scope)
 {
     return scope == TagScope::Tagged ? "tagged" : "all";
-}
-
-std::deque<InjectionPolicy>
-builtinPolicies()
-{
-    std::deque<InjectionPolicy> policies;
-
-    InjectionPolicy prot;
-    prot.name = PROTECTED_POLICY;
-    prot.description =
-        "paper baseline: inject only into CVar-tagged (low-"
-        "reliability) register results";
-    prot.chartLabel = "static analysis ON";
-    prot.scope = TagScope::Tagged;
-    prot.resultKinds = RK_REGISTER;
-    prot.legacy = true;
-    policies.push_back(std::move(prot));
-
-    InjectionPolicy unprot;
-    unprot.name = UNPROTECTED_POLICY;
-    unprot.description =
-        "paper baseline: inject into every result -- register defs, "
-        "stored values, and next-PCs";
-    unprot.chartLabel = "static analysis OFF";
-    unprot.scope = TagScope::All;
-    unprot.resultKinds = RK_ALL;
-    unprot.legacy = true;
-    policies.push_back(std::move(unprot));
-
-    InjectionPolicy controlOnly;
-    controlOnly.name = "control-only";
-    controlOnly.description =
-        "corrupt only control flow: the next PC of branches, jumps, "
-        "and calls";
-    controlOnly.chartLabel = "control-only";
-    controlOnly.scope = TagScope::All;
-    controlOnly.resultKinds = RK_CONTROL;
-    policies.push_back(std::move(controlOnly));
-
-    InjectionPolicy dataOnly;
-    dataOnly.name = "data-only";
-    dataOnly.description =
-        "corrupt only data results (register defs and stored values); "
-        "control transfers keep their PCs";
-    dataOnly.chartLabel = "data-only";
-    dataOnly.scope = TagScope::All;
-    dataOnly.resultKinds = RK_REGISTER | RK_MEMORY;
-    policies.push_back(std::move(dataOnly));
-
-    InjectionPolicy unprotRegs;
-    unprotRegs.name = "unprotected-regs";
-    unprotRegs.description =
-        "every register def is fair game (tagged or not), but memory "
-        "and control results are safe";
-    unprotRegs.chartLabel = "unprotected-regs";
-    unprotRegs.scope = TagScope::All;
-    unprotRegs.resultKinds = RK_REGISTER;
-    policies.push_back(std::move(unprotRegs));
-
-    InjectionPolicy protBurst;
-    protBurst.name = "protected-burst2";
-    protBurst.description =
-        "the protected target set under a harsher error model: each "
-        "error flips 2 adjacent bits";
-    protBurst.chartLabel = "protected-burst2";
-    protBurst.scope = TagScope::Tagged;
-    protBurst.resultKinds = RK_REGISTER;
-    protBurst.bitModel.kind = BitErrorModel::Kind::Burst;
-    protBurst.bitModel.burst = 2;
-    policies.push_back(std::move(protBurst));
-
-    InjectionPolicy low16;
-    low16.name = "unprotected-low16";
-    low16.description =
-        "every result, but flips land only in the low half-word "
-        "(bits 0..15) -- a magnitude-bounded error model";
-    low16.chartLabel = "unprotected-low16";
-    low16.scope = TagScope::All;
-    low16.resultKinds = RK_ALL;
-    low16.bitModel.hi = 16;
-    policies.push_back(std::move(low16));
-
-    return policies;
-}
-
-/** Registry storage; guarded because services register from threads.
- *  A deque so registration never moves existing entries -- pointers
- *  handed out by findInjectionPolicy() stay valid for process life. */
-struct Registry
-{
-    std::mutex mutex;
-    std::deque<InjectionPolicy> policies = builtinPolicies();
-};
-
-Registry &
-registry()
-{
-    static Registry instance;
-    return instance;
-}
-
-void
-validateModel(const InjectionPolicy &policy)
-{
-    const BitErrorModel &m = policy.bitModel;
-    if (m.lo >= m.hi || m.hi > 32)
-        panic("policy '", policy.name, "': bad bit range [", m.lo, ", ",
-              m.hi, ")");
-    if (m.kind == BitErrorModel::Kind::Burst &&
-        (m.burst == 0 || m.burst > 32))
-        panic("policy '", policy.name, "': bad burst width ", m.burst);
-    if ((policy.resultKinds & RK_ALL) == 0)
-        panic("policy '", policy.name, "': no result kinds");
 }
 
 } // namespace
@@ -237,22 +122,68 @@ InjectionPolicy::resultKindsName() const
     return out;
 }
 
-std::vector<InjectionPolicy>
+const std::vector<InjectionPolicy> &
 injectionPolicies()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    return {reg.policies.begin(), reg.policies.end()};
+    static const std::vector<InjectionPolicy> policies = {
+        {.name = PROTECTED_POLICY,
+         .description = "paper baseline: inject only into CVar-tagged "
+                        "(low-reliability) register results",
+         .chartLabel = "static analysis ON",
+         .scope = TagScope::Tagged,
+         .resultKinds = RK_REGISTER,
+         .legacy = true},
+        {.name = UNPROTECTED_POLICY,
+         .description = "paper baseline: inject into every result -- "
+                        "register defs, stored values, and next-PCs",
+         .chartLabel = "static analysis OFF",
+         .scope = TagScope::All,
+         .resultKinds = RK_ALL,
+         .legacy = true},
+        {.name = "control-only",
+         .description = "corrupt only control flow: the next PC of "
+                        "branches, jumps, and calls",
+         .chartLabel = "control-only",
+         .scope = TagScope::All,
+         .resultKinds = RK_CONTROL},
+        {.name = "data-only",
+         .description = "corrupt only data results (register defs and "
+                        "stored values); control transfers keep their "
+                        "PCs",
+         .chartLabel = "data-only",
+         .scope = TagScope::All,
+         .resultKinds = RK_REGISTER | RK_MEMORY},
+        {.name = "unprotected-regs",
+         .description = "every register def is fair game (tagged or "
+                        "not), but memory and control results are safe",
+         .chartLabel = "unprotected-regs",
+         .scope = TagScope::All,
+         .resultKinds = RK_REGISTER},
+        {.name = "protected-burst2",
+         .description = "the protected target set under a harsher error "
+                        "model: each error flips 2 adjacent bits",
+         .chartLabel = "protected-burst2",
+         .scope = TagScope::Tagged,
+         .resultKinds = RK_REGISTER,
+         .bitModel = {.kind = BitErrorModel::Kind::Burst, .burst = 2}},
+        {.name = "unprotected-low16",
+         .description = "every result, but flips land only in the low "
+                        "half-word (bits 0..15) -- a magnitude-bounded "
+                        "error model",
+         .chartLabel = "unprotected-low16",
+         .scope = TagScope::All,
+         .resultKinds = RK_ALL,
+         .bitModel = {.hi = 16}},
+    };
+    return policies;
 }
 
 const InjectionPolicy *
 findInjectionPolicy(const std::string &name)
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &policy : reg.policies)
+    for (const auto &policy : injectionPolicies())
         if (policy.name == name)
-            return &policy; // deque entries never move: stable
+            return &policy;
     return nullptr;
 }
 
@@ -276,26 +207,6 @@ injectionPolicyNames()
         names += policy.name;
     }
     return names;
-}
-
-void
-registerInjectionPolicy(InjectionPolicy policy)
-{
-    if (policy.name.empty())
-        panic("registerInjectionPolicy: empty policy name");
-    if (policy.legacy)
-        panic("registerInjectionPolicy: the legacy flag is reserved "
-              "for the built-in paper modes");
-    if (policy.chartLabel.empty())
-        policy.chartLabel = policy.name;
-    validateModel(policy);
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &existing : reg.policies)
-        if (existing.name == policy.name)
-            panic("registerInjectionPolicy: duplicate policy '",
-                  policy.name, "'");
-    reg.policies.push_back(std::move(policy));
 }
 
 std::vector<PolicyDescription>

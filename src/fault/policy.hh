@@ -23,8 +23,9 @@
  * paper's modes bit-for-bit -- same RNG draws, same flips, same store
  * fingerprints as the historical binary protection switch.
  *
- * The process-wide registry starts with the built-in policies below;
- * embedders may add their own with registerInjectionPolicy().
+ * The registry is one constant table (policy.cc): the two legacy
+ * policies, then the five ablation policies. A new policy is one more
+ * row there.
  */
 
 #ifndef ETC_FAULT_POLICY_HH
@@ -99,7 +100,7 @@ struct InjectionPolicy
 
     TagScope scope = TagScope::All;
     unsigned resultKinds = RK_ALL; //!< ResultKind bitmask
-    BitErrorModel bitModel;
+    BitErrorModel bitModel{};
 
     /**
      * True for the two policies that reproduce the paper's original
@@ -148,13 +149,12 @@ inline constexpr const char *PROTECTED_POLICY = "protected";
 inline constexpr const char *UNPROTECTED_POLICY = "unprotected";
 
 /**
- * The process-wide policy registry: the built-ins (two legacy modes
- * plus the ablation policies) followed by any registered extras, in
- * registration order. Thread-safe; the returned snapshot is stable.
+ * The policy registry, a constant table: the two legacy modes, then
+ * the ablation policies.
  */
-std::vector<InjectionPolicy> injectionPolicies();
+const std::vector<InjectionPolicy> &injectionPolicies();
 
-/** @return the registered policy named @p name, or nullptr. */
+/** @return the registry's policy named @p name, or nullptr. */
 const InjectionPolicy *findInjectionPolicy(const std::string &name);
 
 /**
@@ -162,19 +162,12 @@ const InjectionPolicy *findInjectionPolicy(const std::string &name);
  * flags, HTTP job fields, store records).
  *
  * @throws std::invalid_argument naming the known policies when @p name
- *         is not registered.
+ *         is not in the registry.
  */
 const InjectionPolicy &resolveInjectionPolicy(const std::string &name);
 
-/** @return comma-separated registered names (for usage/errors). */
+/** @return comma-separated policy names (for usage/errors). */
 std::string injectionPolicyNames();
-
-/**
- * Register a custom policy (name must be new; panics on duplicates or
- * empty names). Registered policies participate everywhere built-ins
- * do: CLI flags, sweeps, job submissions, and cell keys.
- */
-void registerInjectionPolicy(InjectionPolicy policy);
 
 /** One row of the shared policy listing (CLI table + HTTP JSON). */
 struct PolicyDescription

@@ -398,11 +398,8 @@ CampaignService::experimentList(const HttpRequest &, const std::string &)
     std::lock_guard<std::mutex> lock(readMutex_);
     index_.load();
     std::set<std::string> indexedWorkloads;
-    for (const auto &[fingerprint, entry] : index_.entries()) {
-        (void)fingerprint;
-        if (entry.complete)
-            indexedWorkloads.insert(entry.key.workload);
-    }
+    for (const auto &[fingerprint, key] : index_.entries())
+        indexedWorkloads.insert(key.workload);
     bench::BenchOptions opts = scheduler_.studyOptions();
     std::vector<std::string> list;
     for (const auto &artifact : bench::artifacts()) {
@@ -614,23 +611,14 @@ CampaignService::indexStatus(const HttpRequest &, const std::string &)
     auto health = index_.health();
 
     std::vector<std::string> entries;
-    for (const auto &[fingerprint, entry] : index_.entries()) {
+    for (const auto &[fingerprint, key] : index_.entries()) {
         store::JsonObjectWriter writer;
         writer.field("fingerprint", fingerprint)
-            .field("complete", entry.complete)
-            .field("workload", entry.key.workload)
-            .field("policy", entry.key.policy)
-            .field("errors", uint64_t{entry.key.errors})
-            .field("trials", uint64_t{entry.key.trials})
-            .field("seed", store::hexU64(entry.key.seed));
-        if (!entry.complete) {
-            std::vector<std::string> ranges;
-            ranges.reserve(entry.shardRanges.size());
-            for (const auto &[lo, hi] : entry.shardRanges)
-                ranges.push_back(jsonArray(
-                    {std::to_string(lo), std::to_string(hi)}));
-            writer.rawField("shardRanges", jsonArray(ranges));
-        }
+            .field("workload", key.workload)
+            .field("policy", key.policy)
+            .field("errors", uint64_t{key.errors})
+            .field("trials", uint64_t{key.trials})
+            .field("seed", store::hexU64(key.seed));
         entries.push_back(writer.str());
     }
 

@@ -22,9 +22,6 @@ struct IndexMetrics
     telemetry::Gauge &cells = telemetry::gauge(
         "etc_index_cells",
         "Complete cells tracked by the secondary index");
-    telemetry::Gauge &shardSets = telemetry::gauge(
-        "etc_index_shard_sets",
-        "Partial (shard-only) cells tracked by the secondary index");
     telemetry::Gauge &journalEntries = telemetry::gauge(
         "etc_index_journal_entries",
         "Index journal entries folded over the manifest (staleness)");
@@ -80,8 +77,8 @@ manifestPath(const std::string &root)
 void
 appendJournalLine(const std::string &root, std::string body)
 {
-    // No args: a record's append nests in the store/cell-write or
-    // store/shard-write span that names its cell.
+    // No args: the append nests in the store/cell-write span that
+    // names its cell.
     telemetry::TraceSpan span("index", "journal-append");
     uint64_t checksum = fnv1a(body.data(), body.size());
     body.resize(body.size() - 1); // strip the closing brace
@@ -129,27 +126,13 @@ StoreIndex::StoreIndex(std::string root) : root_(std::move(root))
 }
 
 void
-StoreIndex::journalRecord(const std::string &root, const CellKey &key,
-                          unsigned lo, unsigned hi)
+StoreIndex::journalCell(const std::string &root, const CellKey &key)
 {
     JsonObjectWriter writer;
     writer.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", hi ? "shard" : "cell")
-        .field("fingerprint", key.fingerprint());
-    if (hi)
-        writer.field("lo", uint64_t{lo}).field("hi", uint64_t{hi});
-    writer.rawField("key", encodeCellKeyObject(key));
-    appendJournalLine(root, writer.str());
-}
-
-void
-StoreIndex::journalDropShards(const std::string &root,
-                              const CellKey &key)
-{
-    JsonObjectWriter writer;
-    writer.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", "drop-shards")
-        .field("fingerprint", key.fingerprint());
+        .field("kind", "cell")
+        .field("fingerprint", key.fingerprint())
+        .rawField("key", encodeCellKeyObject(key));
     appendJournalLine(root, writer.str());
 }
 
@@ -178,7 +161,9 @@ StoreIndex::load()
     // Manifest first: the compacted base. A corrupt manifest is
     // dropped wholesale (a partial base could never match a rebuild);
     // the journal alone may still recover recent writes, and
-    // rebuild() restores the rest.
+    // rebuild() restores the rest. The header's counts are derivable,
+    // and an older archive's "shards" lines describe shard files,
+    // which shards/ itself records.
     if (auto contents = readFile(manifestPath(root_))) {
         try {
             std::vector<std::string> lines = splitLines(*contents);
@@ -199,24 +184,12 @@ StoreIndex::load()
                 if (line.at("schema").asU64() != SCHEMA_VERSION)
                     throw StoreFormatError("manifest schema mismatch");
                 std::string kind = line.at("kind").asString();
-                if (kind == "index")
-                    continue; // header: counts are derivable
-                IndexEntry entry;
-                entry.key = decodeCellKeyObject(line.at("key"));
-                if (kind == "cell") {
-                    entry.complete = true;
-                } else if (kind == "shards") {
-                    for (const JsonValue &range :
-                         line.at("ranges").elements)
-                        entry.shardRanges.emplace(
-                            range.elements.at(0).asU32(),
-                            range.elements.at(1).asU32());
-                } else {
+                if (kind == "cell")
+                    entries_[line.at("fingerprint").asString()] =
+                        decodeCellKeyObject(line.at("key"));
+                else if (kind != "index" && kind != "shards")
                     throw StoreFormatError(
                         "unknown manifest entry kind " + kind);
-                }
-                entries_[line.at("fingerprint").asString()] =
-                    std::move(entry);
             }
             manifestPresent_ = true;
         } catch (const std::exception &error) {
@@ -226,51 +199,27 @@ StoreIndex::load()
         }
     }
 
-    // Fold the journal on top. These rules mirror what a rescan of
-    // the store observes, keeping incremental == rebuild:
-    //   cell        -> complete entry; any shard ranges are gone
-    //   shard       -> range added unless the cell is complete
-    //   drop-shards -> a shard-only entry disappears entirely
+    // Fold the journal on top: each cell line indexes its cell. An
+    // older archive's "shard" and "drop-shards" lines are skipped, as
+    // its manifest's "shards" lines are; any other line is corrupt.
     if (auto contents = readFile(journalPath(root_))) {
         for (const std::string &line : splitLines(*contents)) {
             if (line.empty())
                 continue;
-            JsonValue value;
-            if (!unsealLine(line, value)) {
-                ++journalCorrupt_;
-                indexMetrics().journalCorrupt.add();
-                continue;
-            }
             try {
-                ++journalEntries_;
+                JsonValue value;
+                if (!unsealLine(line, value))
+                    throw StoreFormatError("torn or garbled line");
                 std::string kind = value.at("kind").asString();
-                std::string fingerprint =
-                    value.at("fingerprint").asString();
                 if (kind == "cell") {
-                    IndexEntry &entry = entries_[fingerprint];
-                    entry.key = decodeCellKeyObject(value.at("key"));
-                    entry.complete = true;
-                    entry.shardRanges.clear();
-                } else if (kind == "shard") {
-                    IndexEntry &entry = entries_[fingerprint];
-                    if (!entry.complete) {
-                        entry.key =
-                            decodeCellKeyObject(value.at("key"));
-                        entry.shardRanges.emplace(
-                            value.at("lo").asU32(),
-                            value.at("hi").asU32());
-                    }
-                } else if (kind == "drop-shards") {
-                    auto it = entries_.find(fingerprint);
-                    if (it != entries_.end() && !it->second.complete)
-                        entries_.erase(it);
-                } else {
-                    --journalEntries_;
-                    ++journalCorrupt_;
-                    indexMetrics().journalCorrupt.add();
+                    entries_[value.at("fingerprint").asString()] =
+                        decodeCellKeyObject(value.at("key"));
+                    ++journalEntries_;
+                } else if (kind != "shard" && kind != "drop-shards") {
+                    throw StoreFormatError("unknown journal entry kind " +
+                                           kind);
                 }
             } catch (const std::exception &) {
-                --journalEntries_;
                 ++journalCorrupt_;
                 indexMetrics().journalCorrupt.add();
             }
@@ -287,33 +236,37 @@ StoreIndex::load()
 bool
 StoreIndex::hasCell(const std::string &fingerprint) const
 {
-    auto it = entries_.find(fingerprint);
-    return it != entries_.end() && it->second.complete;
+    return entries_.count(fingerprint) != 0;
 }
 
 IndexHealth
 StoreIndex::health() const
 {
     IndexHealth health;
-    for (const auto &[fingerprint, entry] : entries_) {
-        if (entry.complete)
-            ++health.cells;
-        else
-            ++health.shardSets;
-        health.shardRanges += entry.shardRanges.size();
-    }
+    health.cells = entries_.size();
     health.journalEntries = journalEntries_;
     health.journalCorrupt = journalCorrupt_;
     health.manifestPresent = manifestPresent_;
 
+    // A shard directory beside an indexed cell is an orphan; any other
+    // is a partial cell with one range per shard file.
     std::error_code ec;
     fs::directory_iterator it(fs::path(root_) / "shards", ec);
     if (!ec) {
         for (const auto &dir : it) {
             if (!dir.is_directory(ec))
                 continue;
-            if (hasCell(dir.path().filename().string()))
+            if (hasCell(dir.path().filename().string())) {
                 ++health.orphanedShards;
+                continue;
+            }
+            uint64_t files = 0;
+            fs::directory_iterator shards(dir.path(), ec);
+            if (!ec)
+                for (const auto &file : shards)
+                    files += file.is_regular_file(ec);
+            health.shardSets += files != 0;
+            health.shardRanges += files;
         }
     }
     return health;
@@ -322,52 +275,25 @@ StoreIndex::health() const
 std::string
 StoreIndex::encodeManifest() const
 {
-    uint64_t cells = 0, shardSets = 0;
-    for (const auto &[fingerprint, entry] : entries_) {
-        (void)fingerprint;
-        entry.complete ? ++cells : ++shardSets;
-    }
-
-    std::string body;
-    {
-        JsonObjectWriter header;
-        header.field("schema", uint64_t{SCHEMA_VERSION})
-            .field("kind", "index")
-            .field("cells", cells)
-            .field("shardSets", shardSets);
-        body = header.str() + "\n";
-    }
-    uint64_t lines = 1;
-    for (const auto &[fingerprint, entry] : entries_) {
+    JsonObjectWriter header;
+    header.field("schema", uint64_t{SCHEMA_VERSION})
+        .field("kind", "index")
+        .field("cells", uint64_t{entries_.size()});
+    std::string body = header.str() + "\n";
+    for (const auto &[fingerprint, key] : entries_) {
         JsonObjectWriter writer;
         writer.field("schema", uint64_t{SCHEMA_VERSION})
-            .field("kind", entry.complete ? "cell" : "shards")
-            .field("fingerprint", fingerprint);
-        if (!entry.complete) {
-            std::string ranges = "[";
-            for (const auto &[lo, hi] : entry.shardRanges) {
-                if (ranges.size() > 1)
-                    ranges += ',';
-                ranges += '[';
-                ranges += std::to_string(lo);
-                ranges += ',';
-                ranges += std::to_string(hi);
-                ranges += ']';
-            }
-            ranges += "]";
-            writer.rawField("ranges", ranges);
-        }
-        writer.rawField("key", encodeCellKeyObject(entry.key));
+            .field("kind", "cell")
+            .field("fingerprint", fingerprint)
+            .rawField("key", encodeCellKeyObject(key));
         body += writer.str() + "\n";
-        ++lines;
     }
     JsonObjectWriter trailer;
     trailer.field("schema", uint64_t{SCHEMA_VERSION})
         .field("kind", "end")
-        .field("lines", lines)
+        .field("lines", uint64_t{entries_.size() + 1})
         .field("fnv", hexU64(fnv1a(body.data(), body.size())));
-    body += trailer.str() + "\n";
-    return body;
+    return body + trailer.str() + "\n";
 }
 
 void
@@ -432,11 +358,11 @@ StoreIndex::rebuild(bool quarantine)
         if (fingerprint + ".jsonl" != path.filename().string())
             throw StoreFormatError(
                 "record fingerprint does not match its file name");
-        IndexEntry &entry = entries_[fingerprint];
-        entry.key = std::move(record.key);
-        entry.complete = true;
+        entries_[fingerprint] = std::move(record.key);
     });
+    report.cells = entries_.size();
 
+    // shards/ holds no index state: it is scanned for the report only.
     std::error_code ec;
     fs::directory_iterator shardIt(fs::path(root_) / "shards", ec);
     if (!ec) {
@@ -444,29 +370,22 @@ StoreIndex::rebuild(bool quarantine)
             if (!dir.is_directory(ec))
                 continue;
             std::string fingerprint = dir.path().filename().string();
-            bool shadowed = hasCell(fingerprint);
+            bool shadowed = hasCell(fingerprint), partial = false;
             scan(fs::path("shards") / fingerprint,
                  [&](const fs::path &path, const std::string &contents) {
-                     ShardRecord shard = decodeShardRecord(contents, nullptr);
-                     if (shard.key.fingerprint() != fingerprint)
+                     if (decodeShardRecord(contents, nullptr)
+                             .key.fingerprint() != fingerprint)
                          throw StoreFormatError(
                              "shard key does not match its directory");
-                     if (shadowed) {
-                         // Valid but already superseded by a complete
-                         // cell: an interrupted promotion's leftovers.
+                     // A valid shard beside a complete cell is an
+                     // interrupted promotion's leftover.
+                     if (shadowed)
                          report.orphanedShards.push_back(path.string());
-                         return;
-                     }
-                     IndexEntry &entry = entries_[fingerprint];
-                     entry.key = std::move(shard.key);
-                     entry.shardRanges.emplace(shard.lo, shard.hi);
+                     else
+                         partial = true;
                  });
+            report.shardSets += partial;
         }
-    }
-
-    for (const auto &[fingerprint, entry] : entries_) {
-        (void)fingerprint;
-        entry.complete ? ++report.cells : ++report.shardSets;
     }
     compact();
     indexMetrics().scanSeconds.observe(
@@ -479,13 +398,7 @@ StoreIndex::rebuild(bool quarantine)
 void
 StoreIndex::setGauges() const
 {
-    int64_t cells = 0, shardSets = 0;
-    for (const auto &[fingerprint, entry] : entries_) {
-        (void)fingerprint;
-        entry.complete ? ++cells : ++shardSets;
-    }
-    indexMetrics().cells.set(cells);
-    indexMetrics().shardSets.set(shardSets);
+    indexMetrics().cells.set(static_cast<int64_t>(entries_.size()));
     indexMetrics().journalEntries.set(
         static_cast<int64_t>(journalEntries_));
 }

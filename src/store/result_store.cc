@@ -124,7 +124,8 @@ ResultStore::writeRecord(const CellKey &key, unsigned lo, unsigned hi,
                         text);
     storeMetrics().bytesWritten.add(text.size());
     (shard ? storeMetrics().shardsStored : storeMetrics().cellsStored).add();
-    StoreIndex::journalRecord(root_, key, lo, hi);
+    if (!shard)
+        StoreIndex::journalCell(root_, key);
 }
 
 bool
@@ -300,12 +301,8 @@ ResultStore::ingestRecord(const std::string &text)
 void
 ResultStore::dropShards(const CellKey &key)
 {
-    // remove_all() counts the files it removed: nothing to journal
-    // when the cell never had shards (an error, -1, may have removed
-    // some).
     std::error_code ec;
-    if (fs::remove_all(shardDir(key), ec) != 0)
-        StoreIndex::journalDropShards(root_, key);
+    fs::remove_all(shardDir(key), ec);
 }
 
 core::CellSummary

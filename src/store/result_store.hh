@@ -9,13 +9,14 @@
  *   <root>/tmp/                                staging for atomic writes
  *   <root>/index/                              secondary index (index.hh)
  *
- * Every cell/shard write (and every shard drop that removes a file)
- * also appends one line to the secondary index journal, so query and
- * coverage surfaces can enumerate the archive without scanning record
- * bodies. Every record write -- storeCell(), storeShard(),
- * ingestRecord() and so promoteShards() -- goes through one private
- * path that stages, counts and journals it, and all file access goes
- * through file_io.hh.
+ * Every cell-record write also appends one line to the secondary
+ * index journal (index.hh), so query and coverage surfaces can
+ * enumerate the archive without scanning record bodies. Shard writes
+ * and drops journal nothing: the files under shards/ are the one
+ * record of partial cells. Every record write -- storeCell(),
+ * storeShard(), ingestRecord() and so promoteShards() -- goes through
+ * one private path that stages and counts it (and journals a cell
+ * record), and all file access goes through file_io.hh.
  *
  * Records are addressed by the CellKey fingerprint, so equal work is
  * deduplicated across runs, drivers, and machines sharing a cache
@@ -108,8 +109,7 @@ class ResultStore
      */
     std::vector<ShardRecord> loadShards(const CellKey &key);
 
-    /** Delete all shards of @p key (after promotion to a cell); the
-     *  index journal hears of it only when a file was removed. */
+    /** Delete all shards of @p key (after promotion to a cell). */
     void dropShards(const CellKey &key);
 
     /**
@@ -181,8 +181,8 @@ class ResultStore
     /**
      * The one record write: stage @p text and rename it into place as
      * the shard [lo, hi) of @p key, or as its cell record when @p hi
-     * is 0 (a shard range is never empty), then count it and journal
-     * it.
+     * is 0 (a shard range is never empty), then count it and, for a
+     * cell record, journal it.
      */
     void writeRecord(const CellKey &key, unsigned lo, unsigned hi,
                      const std::string &text);

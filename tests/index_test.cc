@@ -1,11 +1,12 @@
 /**
  * @file
  * Secondary-index contract tests: incremental maintenance (journal
- * appends from store writes) folds to the byte-identical manifest a
- * from-scratch rebuild produces, torn journal lines and corrupt
- * record files are counted/quarantined instead of crashing, orphaned
- * shard directories are detected, and concurrent writers keep the
- * journal decodable (the TSan CI job runs this binary).
+ * appends from cell-record writes) folds to the byte-identical
+ * manifest a from-scratch rebuild produces, partial and orphaned
+ * shard directories are counted from disk, torn journal lines and
+ * corrupt record files are counted/quarantined instead of crashing,
+ * an older archive's shard lines load clean, and concurrent writers
+ * keep the journal decodable (the TSan CI job runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -126,15 +127,19 @@ TEST_F(StoreIndexTest, IncrementalMatchesRebuild)
     CellKey c = sampleKey("adpcm", "protected", 3, 20);
     cache.storeShard(c, 0, 10, shard);
 
+    // C is no entry: its shard file is the one record of it, and
+    // health() reads it from disk.
     StoreIndex incremental(root_.string());
     std::string viaJournal = manifestOf(incremental);
-    EXPECT_EQ(incremental.entries().size(), 3u);
+    EXPECT_EQ(incremental.entries().size(), 2u);
     EXPECT_TRUE(incremental.hasCell(a.fingerprint()));
     EXPECT_TRUE(incremental.hasCell(b.fingerprint()));
     EXPECT_FALSE(incremental.hasCell(c.fingerprint()));
-    auto partial = incremental.entries().at(c.fingerprint());
-    EXPECT_EQ(partial.shardRanges.size(), 1u);
-    EXPECT_EQ(partial.shardRanges.count({0u, 10u}), 1u);
+    auto health = incremental.health();
+    EXPECT_EQ(health.cells, 2u);
+    EXPECT_EQ(health.shardSets, 1u);
+    EXPECT_EQ(health.shardRanges, 1u);
+    EXPECT_EQ(health.orphanedShards, 0u);
 
     StoreIndex rebuilt(root_.string());
     rebuilt.load();
@@ -249,6 +254,69 @@ TEST_F(StoreIndexTest, RebuildReportsOrphanedShards)
                            "0-10.jsonl"));
 }
 
+/** @p body sealed as a journal line: a trailing "fnv" member over
+ *  the unsealed bytes. */
+std::string
+sealed(const std::string &body)
+{
+    return body.substr(0, body.size() - 1) + ",\"fnv\":\"" +
+           hexU64(fnv1a(body.data(), body.size())) + "\"}\n";
+}
+
+// An archive written while the index still mirrored shard state holds
+// "shard" and "drop-shards" journal lines and "shards" manifest
+// lines: they are skipped, not counted as corrupt, and their cells
+// load. Any other unknown kind is still corrupt.
+TEST_F(StoreIndexTest, OldShardLinesLoadClean)
+{
+    CellKey compacted = sampleKey("gsm", "protected", 5, 20);
+    CellKey partial = sampleKey("gsm", "unprotected", 5, 20);
+    CellKey promoted = sampleKey("adpcm", "protected", 3, 20);
+    CellKey striped = sampleKey("adpcm", "unprotected", 3, 20);
+    auto line = [](const char *kind, const CellKey &key,
+                   const std::string &extra) {
+        return std::string("{\"schema\":1,\"kind\":\"") + kind +
+               "\",\"fingerprint\":\"" + key.fingerprint() + "\"" +
+               extra + ",\"key\":" + encodeCellKeyObject(key) + "}";
+    };
+
+    fs::create_directories(root_ / "index");
+    std::string manifest =
+        "{\"schema\":1,\"kind\":\"index\",\"cells\":1,"
+        "\"shardSets\":1}\n" +
+        line("cell", compacted, "") + "\n" +
+        line("shards", partial, ",\"ranges\":[[0,10]]") + "\n";
+    manifest += "{\"schema\":1,\"kind\":\"end\",\"lines\":3,"
+                "\"fnv\":\"" +
+                hexU64(fnv1a(manifest.data(), manifest.size())) + "\"}\n";
+    std::ofstream(root_ / "index" / "manifest.jsonl") << manifest;
+    std::ofstream(root_ / "index" / "journal.jsonl")
+        << sealed(line("shard", promoted, ",\"lo\":0,\"hi\":10"))
+        << sealed(line("shard", promoted, ",\"lo\":10,\"hi\":20"))
+        << sealed(line("cell", promoted, ""))
+        << sealed("{\"schema\":1,\"kind\":\"drop-shards\","
+                  "\"fingerprint\":\"" +
+                  promoted.fingerprint() + "\"}")
+        << sealed(line("shard", striped, ",\"lo\":0,\"hi\":10"));
+
+    StoreIndex index(root_.string());
+    index.load();
+    auto health = index.health();
+    EXPECT_TRUE(health.manifestPresent);
+    EXPECT_EQ(health.journalCorrupt, 0u);
+    EXPECT_EQ(health.journalEntries, 1u);
+    EXPECT_EQ(health.cells, 2u);
+    ASSERT_EQ(index.entries().size(), 2u);
+    EXPECT_EQ(index.entries().at(compacted.fingerprint()), compacted);
+    EXPECT_EQ(index.entries().at(promoted.fingerprint()), promoted);
+
+    std::ofstream(root_ / "index" / "journal.jsonl", std::ios::app)
+        << sealed(line("bogus", striped, ""));
+    index.load();
+    EXPECT_EQ(index.health().journalCorrupt, 1u);
+    EXPECT_EQ(index.entries().size(), 2u);
+}
+
 std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, bool,
            uint64_t>
 healthFields(const IndexHealth &health)
@@ -317,7 +385,8 @@ TEST_F(StoreIndexTest, LongLivedIndexSeesEveryChange)
     cache.storeShard(b, 0, 10, sampleSummary(10));
     StoreIndex(root_.string()).rebuild();
     expectFresh("rebuild");
-    EXPECT_EQ(live.entries().size(), 2u);
+    EXPECT_EQ(live.entries().size(), 1u);
+    EXPECT_EQ(live.health().shardSets, 1u);
     fs::remove_all(root_ / "index");
     expectFresh("index deleted");
     EXPECT_TRUE(live.entries().empty());
@@ -357,10 +426,13 @@ TEST_F(StoreIndexTest, ConcurrentWritersKeepJournalDecodable)
     EXPECT_EQ(index.health().journalCorrupt, 0u);
     EXPECT_EQ(index.entries().size(),
               (size_t)WRITERS * CELLS_PER_WRITER);
-    for (const auto &[fingerprint, entry] : index.entries()) {
-        EXPECT_TRUE(entry.complete) << fingerprint;
-        EXPECT_TRUE(entry.shardRanges.empty()) << fingerprint;
-    }
+    // One journal line per cell: its shard write and drop journal
+    // nothing.
+    std::ifstream journal(root_ / "index" / "journal.jsonl");
+    size_t lines = 0;
+    for (std::string line; std::getline(journal, line);)
+        ++lines;
+    EXPECT_EQ(lines, (size_t)WRITERS * CELLS_PER_WRITER);
 
     // And the incremental result still matches a rebuild.
     std::string viaJournal = index.encodeManifest();

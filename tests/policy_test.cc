@@ -243,28 +243,6 @@ TEST(PolicyRegistryTest, ResolveUnknownNameListsKnownPolicies)
     }
 }
 
-TEST(PolicyRegistryTest, RegisteredCustomPolicyParticipates)
-{
-    fault::InjectionPolicy custom;
-    custom.name = "test-stores-only";
-    custom.description = "stores only (registry unit test)";
-    custom.scope = fault::TagScope::All;
-    custom.resultKinds = fault::RK_MEMORY;
-    fault::registerInjectionPolicy(custom);
-
-    const auto *found = fault::findInjectionPolicy("test-stores-only");
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->resultKinds, fault::RK_MEMORY);
-    EXPECT_EQ(found->chartLabel, "test-stores-only"); // defaulted
-
-    // Duplicate names and reserved flags are library bugs.
-    EXPECT_THROW(fault::registerInjectionPolicy(custom), PanicError);
-    fault::InjectionPolicy bogus = custom;
-    bogus.name = "test-bogus-legacy";
-    bogus.legacy = true;
-    EXPECT_THROW(fault::registerInjectionPolicy(bogus), PanicError);
-}
-
 TEST(PolicyRegistryTest, DescriptionsMirrorRegistry)
 {
     auto rows = fault::describeInjectionPolicies();

@@ -656,10 +656,9 @@ TEST_F(ResultStoreTest, RecordMemoPastItsCapKeepsEveryAnswer)
     EXPECT_EQ(counterValue("etc_store_cache_misses_total"), misses);
 }
 
-// A shard drop is journaled only when it removes a file: promoting a
-// one-stripe cell that was never written as a shard journals its cell
-// line alone, and so does dropping it again, while a promotion over
-// stored shards journals their drop.
+// Only cell records are journaled: shard writes, ingested shards and
+// shard drops append nothing, and a promotion appends exactly its one
+// cell line.
 TEST_F(ResultStoreTest, ShardDropsJournalOnlyWhatTheyRemove)
 {
     ResultStore cache(root_.string());
@@ -674,12 +673,20 @@ TEST_F(ResultStoreTest, ShardDropsJournalOnlyWhatTheyRemove)
 
     CellKey sharded = sampleKey(16);
     cache.storeShard(sharded, 0, 8, sampleSummary(8));
-    cache.storeShard(sharded, 8, 16, sampleSummary(8));
+    EXPECT_TRUE(cache.ingestRecord(
+                         encodeShardRecord(sharded, 8, 16, sampleSummary(8)))
+                    .stored);
+    EXPECT_EQ(cache.loadShards(sharded).size(), 2u);
+    EXPECT_EQ(fileLines(journal).size(), 1u);
     cache.promoteShards(sharded, cache.loadShards(sharded));
     lines = fileLines(journal);
-    ASSERT_EQ(lines.size(), 5u);
-    EXPECT_NE(lines[4].find("\"kind\":\"drop-shards\""),
-              std::string::npos);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[1].find("\"kind\":\"cell\""), std::string::npos);
+    EXPECT_NE(lines[1].find(sharded.fingerprint()), std::string::npos);
+    EXPECT_FALSE(std::filesystem::exists(root_ / "shards" /
+                                         sharded.fingerprint()));
+    cache.dropShards(sharded);
+    EXPECT_EQ(fileLines(journal).size(), 2u);
 }
 
 // A traced storeCell emits one store/cell-write span naming its cell

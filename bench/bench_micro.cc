@@ -1,6 +1,6 @@
 /**
  * @file
- * Microbenchmarks (google-benchmark): simulator throughput per
+ * Microbenchmarks (google-benchmark): interpreter rate per paper
  * workload, static-analysis throughput, assembler throughput, and the
  * injector hook's overhead. These size the experimental harness, not
  * the paper's results.
@@ -40,16 +40,28 @@ namespace {
 
 using namespace etc;
 
+/**
+ * Interpreter rate on the six paper workloads' golden programs at
+ * Bench scale, one benchmark per workload and mode: `hookless` is
+ * run() without a hook; `counting` is runUntilInjectable() under the
+ * unprotected mask with a quota the run never reaches, which is how a
+ * trial runs after its last site (and so most of a many-error trial).
+ */
 void
-simulateWorkload(benchmark::State &state, const std::string &name)
+interpret(benchmark::State &state, const char *name, bool counting)
 {
-    auto workload = workloads::createWorkload(name,
-                                              workloads::Scale::Test);
-    sim::Simulator sim(workload->program());
+    auto workload = workloads::createWorkload(name, workloads::Scale::Bench);
+    const auto &program = workload->program();
+    sim::StraightRuns runs(program,
+                           fault::injectableWithoutProtection(program));
+    sim::Simulator sim(program);
+    const uint64_t quota = sim.run().instructions + 1;
     uint64_t instructions = 0;
     for (auto _ : state) {
-        sim.reset();
-        auto result = sim.run();
+        sim.fastReset();
+        auto result =
+            counting ? sim.runUntilInjectable(quota, runs) : sim.run();
+        benchmark::DoNotOptimize(result);
         if (!result.completed())
             state.SkipWithError("golden run failed");
         instructions += result.instructions;
@@ -58,26 +70,16 @@ simulateWorkload(benchmark::State &state, const std::string &name)
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
 
-void
-BM_SimulateSusan(benchmark::State &state)
-{
-    simulateWorkload(state, "susan");
-}
-BENCHMARK(BM_SimulateSusan);
-
-void
-BM_SimulateBlowfish(benchmark::State &state)
-{
-    simulateWorkload(state, "blowfish");
-}
-BENCHMARK(BM_SimulateBlowfish);
-
-void
-BM_SimulateArtFloatingPoint(benchmark::State &state)
-{
-    simulateWorkload(state, "art");
-}
-BENCHMARK(BM_SimulateArtFloatingPoint);
+[[maybe_unused]] const bool interpretRegistered = [] {
+    for (const char *name : {"susan", "mpeg", "mcf", "blowfish", "gsm", "art"})
+        for (bool counting : {false, true})
+            benchmark::RegisterBenchmark(
+                (std::string("BM_Interpret/") + name +
+                 (counting ? "/counting" : "/hookless"))
+                    .c_str(),
+                interpret, name, counting);
+    return true;
+}();
 
 void
 BM_SimulatorWithInjectorHook(benchmark::State &state)

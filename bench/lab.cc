@@ -261,7 +261,7 @@ labReindex(const LabOptions &opts)
     store::StoreIndex index(opts.bench.cacheDir);
     auto report = index.rebuild(opts.quarantine);
     std::cout << "cells indexed: " << report.cells << '\n'
-              << "shard sets indexed: " << report.shardSets << '\n'
+              << "partial cells: " << report.shardSets << '\n'
               << "orphaned shards: " << report.orphanedShards.size()
               << '\n';
     for (const auto &path : report.orphanedShards)
@@ -273,7 +273,7 @@ labReindex(const LabOptions &opts)
                   << (opts.quarantine ? " (quarantined)" : "") << '\n';
     std::cerr << "ETC_REINDEX_JSON {"
               << "\"cells\":" << report.cells << ","
-              << "\"shard_sets\":" << report.shardSets << ","
+              << "\"partial_cells\":" << report.shardSets << ","
               << "\"orphaned_shards\":" << report.orphanedShards.size()
               << ","
               << "\"corrupt_records\":" << report.corruptRecords.size()

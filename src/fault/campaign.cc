@@ -174,13 +174,10 @@ CampaignRunner::CampaignRunner(const assembly::Program &program,
                                unsigned resultKinds,
                                BitErrorModel bitModel, bool staticPrune)
     : program_(program), injectable_(std::move(injectable)),
-      model_(model), resultKinds_(resultKinds), bitModel_(bitModel),
+      runs_(program_, injectable_), model_(model),
+      resultKinds_(resultKinds), bitModel_(bitModel),
       checkpointInterval_(checkpointInterval), staticPrune_(staticPrune)
 {
-    if (injectable_.size() != program_.size())
-        panic("CampaignRunner: injectable bitmap size mismatch");
-    injectableBytes_ = sim::toByteMask(injectable_);
-
     std::vector<uint32_t> staticLiveMasks;
     if (staticPrune_)
         staticLiveMasks = computeSiteLiveMasks(program_, injectable_,
@@ -709,8 +706,8 @@ CampaignRunner::runSites(sim::Simulator &simulator,
             cursor.next < plan.sites.size()
                 ? plan.sites[cursor.next] + 1 - injectableRetired
                 : 0; // no more sites: run to completion
-        run = simulator.runUntilInjectable(stopAfter, injectableBytes_,
-                                           budget, instructions);
+        run = simulator.runUntilInjectable(stopAfter, runs_, budget,
+                                           instructions);
         instructions = run.instructions;
         if (run.status != sim::RunStatus::Paused)
             break;
@@ -793,8 +790,7 @@ CampaignRunner::runGang(const LiveTrial *trials, unsigned lanes,
             nextSite == std::numeric_limits<uint64_t>::max()
                 ? 0 // no sites left in-gang: run to completion
                 : nextSite + 1 - gang.injectableRetired();
-        sim::RunResult run = gang.runUntilInjectable(
-            stopAfter, injectableBytes_, budget);
+        sim::RunResult run = gang.runUntilInjectable(stopAfter, runs_, budget);
         if (run.status != sim::RunStatus::Paused)
             break; // gang drained (every lane has an exit record)
         // Apply every flip scheduled at this site (several lanes can

@@ -446,7 +446,7 @@ class CampaignRunner
 
     const assembly::Program &program_;
     std::vector<bool> injectable_;
-    sim::ByteMask injectableBytes_; //!< fast-path copy of injectable_
+    sim::StraightRuns runs_; //!< program_'s straight runs under injectable_
     sim::MemoryModel model_;
     unsigned resultKinds_;
     BitErrorModel bitModel_;

@@ -82,6 +82,7 @@ GangSimulator::reset(const Machine &machine, const Memory &base,
     execList_.push_back(static_cast<uint8_t>(g));
 
     pc_ = machine.pc;
+    retiredPc_ = machine.retiredPc;
     instructions_ = instructions;
     injectableRetired_ = injectableRetired;
     outputPrefix_ = outputPrefixLength;
@@ -105,19 +106,16 @@ GangSimulator::allocPage()
 }
 
 uint8_t *
-GangSimulator::pageForWrite(unsigned slot, unsigned index)
+GangSimulator::clonePage(size_t at)
 {
-    size_t at = size_t{slot} * pageCount_ + index;
-    if (!own_[at]) {
-        uint8_t *fresh = allocPage();
-        if (tables_[at])
-            std::memcpy(fresh, tables_[at], Memory::PAGE_SIZE);
-        else
-            std::memset(fresh, 0, Memory::PAGE_SIZE);
-        tables_[at] = fresh;
-        own_[at] = 1;
-    }
-    return tables_[at];
+    uint8_t *fresh = allocPage();
+    if (tables_[at])
+        std::memcpy(fresh, tables_[at], Memory::PAGE_SIZE);
+    else
+        std::memset(fresh, 0, Memory::PAGE_SIZE);
+    tables_[at] = fresh;
+    own_[at] = 1;
+    return fresh;
 }
 
 void
@@ -184,6 +182,7 @@ GangSimulator::evictDiverged(unsigned lane)
     for (unsigned r = 0; r < NUM_REGS; ++r)
         exit.machine.regs[r] = reg(lane, r);
     exit.machine.pc = lanePc_[lane];
+    exit.machine.retiredPc = retiredPc_;
     for (unsigned i = 0; i < pageCount_; ++i) {
         const uint8_t *page = tables_[size_t{lane} * pageCount_ + i];
         if (page != baseTable_[i])
@@ -199,20 +198,21 @@ GangSimulator::evictDiverged(unsigned lane)
 
 void
 GangSimulator::exitFinished(unsigned lane, RunStatus status,
-                            uint32_t faultPc)
+                            uint32_t faultPc, uint64_t instructions,
+                            uint64_t injectableRetired)
 {
     bool wasAlias = laneState_[lane] == LaneState::Alias;
     LaneExit exit;
     exit.lane = lane;
     exit.kind = ExitKind::Finished;
     exit.run.status = status;
-    exit.run.instructions = instructions_;
+    exit.run.instructions = instructions;
     exit.run.faultPc = faultPc;
     if (status == RunStatus::Completed)
         exit.outputTail = wasAlias ? outputs_[width_]
                                    : std::move(outputs_[lane]);
-    exit.instructions = instructions_;
-    exit.injectableRetired = injectableRetired_;
+    exit.instructions = instructions;
+    exit.injectableRetired = injectableRetired;
     exits_.push_back(std::move(exit));
     laneState_[lane] = LaneState::Exited;
     if (wasAlias)
@@ -226,7 +226,8 @@ GangSimulator::finishAll(RunStatus status, uint32_t faultPc)
 {
     for (unsigned l = 0; l < lanes_; ++l)
         if (laneState_[l] != LaneState::Exited)
-            exitFinished(l, status, faultPc);
+            exitFinished(l, status, faultPc, instructions_,
+                         injectableRetired_);
     goldenLive_ = false;
     execList_.clear();
 }
@@ -294,7 +295,19 @@ GangSimulator::reconcile()
     pc_ = pack;
 }
 
-bool
+void
+GangSimulator::exitFaulted(unsigned faults, uint32_t pc,
+                           uint64_t instructions, uint64_t injectableRetired)
+{
+    for (unsigned i = 0; i < faults; ++i) {
+        if (faultSlot_[i] == width_)
+            panic("GangSimulator: golden lane faulted at pc ", pc);
+        exitFinished(faultSlot_[i], faultKind_[i], pc, instructions,
+                     injectableRetired);
+    }
+}
+
+unsigned
 GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
 {
     // Two execution regimes:
@@ -327,14 +340,12 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
     const uint32_t *rsCol = &regs_[size_t{ins.rs} * stride_];
     const uint32_t *rtCol = &regs_[size_t{ins.rt} * stride_];
 
-    // Faults are recorded during the slot loops and processed after
-    // them (evicting mid-loop would edit execList_ under iteration).
-    uint8_t faultSlot[MAX_LANES + 1];
-    RunStatus faultKind[MAX_LANES + 1];
+    // Faults are recorded during the slot loops and exited by the
+    // caller (evicting mid-loop would edit execList_ under iteration).
     unsigned faults = 0;
     auto faultLane = [&](unsigned slot, RunStatus status) {
-        faultSlot[faults] = static_cast<uint8_t>(slot);
-        faultKind[faults] = status;
+        faultSlot_[faults] = static_cast<uint8_t>(slot);
+        faultKind_[faults] = status;
         ++faults;
     };
 
@@ -491,13 +502,8 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
             pcs[s] = rsCol[s];
         break;
       case Opcode::NOP:
+      case Opcode::HALT: // runUntilInjectable ends the gang before it
         break;
-      case Opcode::HALT:
-        // Completion dominates any pause request, exactly like the
-        // scalar interpreter; every in-gang lane (aliases included)
-        // completes with its own output tail.
-        finishAll(RunStatus::Completed, 0);
-        return true;
       case Opcode::OUTB:
         for (unsigned i = 0; i < n; ++i) {
             unsigned s = slots[i];
@@ -526,21 +532,15 @@ GangSimulator::executeStep(const Instruction &ins, uint32_t thisPc)
 #undef ETC_LOAD
 #undef ETC_STORE
 
-    for (unsigned i = 0; i < faults; ++i) {
-        if (faultSlot[i] == width_)
-            panic("GangSimulator: golden lane faulted at pc ", thisPc);
-        exitFinished(faultSlot[i], faultKind[i], thisPc);
-    }
-    return false;
+    return faults;
 }
 
 RunResult
-GangSimulator::runUntilInjectable(uint64_t count,
-                                  const ByteMask &injectable,
+GangSimulator::runUntilInjectable(uint64_t count, const StraightRuns &runs,
                                   uint64_t maxInstructions)
 {
-    if (injectable.size() != program_.size())
-        panic("GangSimulator: injectable bitmap size mismatch");
+    if (runs.size() != program_.size())
+        panic("GangSimulator: straight-run table size mismatch");
     if (maxInstructions == 0)
         maxInstructions = Simulator::DEFAULT_BUDGET;
 
@@ -567,7 +567,7 @@ GangSimulator::runUntilInjectable(uint64_t count,
     maybeDropGolden();
 
     RunResult result;
-    uint64_t remaining = count;
+    uint64_t quota = count == 0 ? UINT64_MAX : count;
     const auto codeSize = program_.size();
     const auto *code = program_.code.data();
 
@@ -579,11 +579,13 @@ GangSimulator::runUntilInjectable(uint64_t count,
             return result;
         }
         if (pc_ >= codeSize) {
-            // Mirrors the scalar loop top: falling off the end is
-            // completion, anything past it a bad jump.
-            finishAll(pc_ == codeSize ? RunStatus::Completed
-                                      : RunStatus::BadJump,
-                      pc_ == codeSize ? 0 : pc_);
+            // Mirrors the scalar run entry: falling off the end is
+            // completion, anything past it a bad jump, reported at the
+            // control transfer that left the code.
+            if (pc_ == codeSize)
+                finishAll(RunStatus::Completed, 0);
+            else
+                finishAll(RunStatus::BadJump, retiredPc_);
             result.status = RunStatus::Completed;
             result.instructions = instructions_;
             return result;
@@ -595,22 +597,67 @@ GangSimulator::runUntilInjectable(uint64_t count,
             return result;
         }
 
+        // The body of the straight run at pc_ -- all of it before its
+        // control transfer or HALT, or before the injectable the next
+        // pause lands on -- steps back to back when the budget covers
+        // it: its counts are credited once, and a lane that faults
+        // inside it exits with the counts through its own instruction.
+        // The instruction that ends the body takes the checked step
+        // below.
+        const StraightRuns::Run &run = runs[pc_];
+        if (run.length > 1) {
+            uint32_t last = pc_ + run.length - 1;
+            uint32_t bodyInjectable = run.injectable - runs[last].injectable;
+            if (quota <= bodyInjectable) {
+                last = pc_;
+                for (uint64_t seen = 0;; ++last)
+                    if (runs.injectable(last) && ++seen == quota)
+                        break;
+                bodyInjectable = static_cast<uint32_t>(quota - 1);
+            }
+            if (last != pc_ &&
+                instructions_ + (last - pc_) <= maxInstructions) {
+                instructions_ += last - pc_;
+                injectableRetired_ += bodyInjectable;
+                quota -= bodyInjectable;
+                for (uint32_t pc = pc_; pc != last; ++pc) {
+                    if (unsigned faults = executeStep(code[pc], pc)) {
+                        exitFaulted(faults, pc,
+                                    instructions_ - (last - 1 - pc),
+                                    injectableRetired_ -
+                                        (runs[pc].injectable -
+                                         runs[last].injectable));
+                        if (execList_.empty())
+                            break;
+                    }
+                }
+                pc_ = last;
+                continue;
+            }
+        }
+
         const Instruction &ins = code[pc_];
         const uint32_t thisPc = pc_;
+        retiredPc_ = thisPc;
         ++instructions_;
-        bool halted = executeStep(ins, thisPc);
-        bool isInjectable = injectable[thisPc] != 0;
-        if (isInjectable)
-            ++injectableRetired_;
-        if (halted) {
+        if (ins.op == Opcode::HALT) {
+            // Completion dominates any pause request, exactly like the
+            // scalar interpreter; every in-gang lane (aliases included)
+            // completes with its own output tail.
+            finishAll(RunStatus::Completed, 0);
             result.status = RunStatus::Completed;
             result.instructions = instructions_;
             return result;
         }
-        bool control = ins.isControl();
+        if (unsigned faults = executeStep(ins, thisPc))
+            exitFaulted(faults, thisPc, instructions_, injectableRetired_);
+        const bool isInjectable = runs.injectable(thisPc) != 0;
+        if (isInjectable)
+            ++injectableRetired_;
+        const bool control = ins.isControl();
         if (!control)
             pc_ = thisPc + 1;
-        if (isInjectable && remaining != 0 && --remaining == 0) {
+        if (isInjectable && --quota == 0) {
             // Pause BEFORE reconciling: the caller's flips must see
             // (and may change) each lane's own next PC, exactly as the
             // scalar path applies flips after the PC update.

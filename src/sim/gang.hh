@@ -232,13 +232,21 @@ class GangSimulator
      * flips through the lane proxies; any other status means the gang
      * is drained (all lanes are in takeExits()).
      *
+     * Like the scalar path it goes by straight runs: the body of a run
+     * -- everything before its control transfer or HALT, or before the
+     * injectable the pause lands on -- steps without per-instruction
+     * bounds, budget, pause and control checks when the budget covers
+     * it, and the instruction that ends the body takes the checked
+     * step. A lane that faults inside a body still exits with its
+     * exact instruction and injectable counts.
+     *
      * @param count           injectable retires before pausing
-     * @param injectable      static injectable-instruction byte mask
+     * @param runs            the program's straight runs under the
+     *                        campaign's injectable mask
      * @param maxInstructions total dynamic budget (absolute, like the
      *                        scalar path's; must be nonzero)
      */
-    RunResult runUntilInjectable(uint64_t count,
-                                 const ByteMask &injectable,
+    RunResult runUntilInjectable(uint64_t count, const StraightRuns &runs,
                                  uint64_t maxInstructions);
 
     /** @return true while @p lane (alias or active) is still executing
@@ -315,7 +323,18 @@ class GangSimulator
                    ? dataFirstPage_ + index
                    : stackFirstPage_ + (index - dataPageCount_);
     }
-    uint8_t *pageForWrite(unsigned slot, unsigned index);
+    /** @return @p slot's page @p index, writable in place: an owned
+     *  page as is, a shared one cloned first (once). */
+    uint8_t *
+    pageForWrite(unsigned slot, unsigned index)
+    {
+        const size_t at = size_t{slot} * pageCount_ + index;
+        return own_[at] ? tables_[at] : clonePage(at);
+    }
+
+    /** Give table entry @p at its own copy of the page it shares
+     *  (out of line, so pageForWrite's owned case stays small). */
+    [[gnu::noinline]] uint8_t *clonePage(size_t at);
 
     template <typename T>
     MemStatus
@@ -358,8 +377,15 @@ class GangSimulator
     /** Evict @p lane with a divergence snapshot. */
     void evictDiverged(unsigned lane);
 
-    /** Record a terminal result for @p lane and drop it. */
-    void exitFinished(unsigned lane, RunStatus status, uint32_t faultPc);
+    /** Record a terminal result for @p lane, which retired
+     *  @p instructions and @p injectableRetired, and drop it. */
+    void exitFinished(unsigned lane, RunStatus status, uint32_t faultPc,
+                      uint64_t instructions, uint64_t injectableRetired);
+
+    /** Exit the @p faults lanes the last executeStep() of the
+     *  instruction at @p pc recorded, with the given counts. */
+    void exitFaulted(unsigned faults, uint32_t pc, uint64_t instructions,
+                     uint64_t injectableRetired);
 
     /** Terminal result for every lane still in the gang (incl. aliases). */
     void finishAll(RunStatus status, uint32_t faultPc);
@@ -370,9 +396,10 @@ class GangSimulator
     /** Retire the golden lane once no aliases remain. */
     void maybeDropGolden();
 
-    /** Execute one instruction on every execute-set slot.
-     *  @return true if the program halted (gang fully drained). */
-    bool executeStep(const isa::Instruction &ins, uint32_t thisPc);
+    /** Execute one instruction (never HALT) on every execute-set slot.
+     *  @return how many lanes faulted (see faultSlot_), for the
+     *          caller to exit through exitFaulted(). */
+    unsigned executeStep(const isa::Instruction &ins, uint32_t thisPc);
 
     const assembly::Program &program_;
     MemoryModel model_;
@@ -396,6 +423,10 @@ class GangSimulator
 
     /** Shared pack PC (all in-gang lanes, between control steps). */
     uint32_t pc_ = 0;
+
+    /** PC of the last checked step: the control transfer behind a
+     *  pack PC or an evicted lane's PC (see Machine::retiredPc). */
+    uint32_t retiredPc_ = 0;
 
     /** Base image page pointers (nullptr = zero page), flat index. */
     std::vector<const uint8_t *> baseTable_;
@@ -430,6 +461,10 @@ class GangSimulator
     /// @}
 
     std::vector<LaneExit> exits_;
+
+    /** The lanes the last executeStep() faulted, and how. */
+    uint8_t faultSlot_[MAX_LANES + 1];
+    RunStatus faultKind_[MAX_LANES + 1];
 };
 
 } // namespace etc::sim

@@ -39,7 +39,12 @@ storedBits(isa::RegId reg, uint32_t value)
 struct Machine
 {
     /** Reset all registers to zero (PC is managed by the Simulator). */
-    void reset() { regs.fill(0); }
+    void
+    reset()
+    {
+        regs.fill(0);
+        retiredPc = 0;
+    }
 
     /** Read any register by flat id. */
     uint32_t readFlat(isa::RegId reg) const { return regs[reg]; }
@@ -51,7 +56,8 @@ struct Machine
         regs[reg] = storedBits(reg, value);
     }
 
-    /** Full architectural-state equality (checkpoint round-trips). */
+    /** Full architectural-state equality (checkpoint round-trips);
+     *  retiredPc is bookkeeping, not architectural state. */
     bool
     operator==(const Machine &other) const
     {
@@ -62,6 +68,16 @@ struct Machine
 
     /** Current program counter (an instruction index). */
     uint32_t pc = 0;
+
+    /**
+     * Static index of the instruction that retired last: the control
+     * transfer a BadJump reports when pc has left the code. The
+     * interpreters keep it in a local while they run and store it
+     * before each hook call and at each pause, so it survives a pause
+     * (whose flip may corrupt pc) and travels with an evicted gang
+     * lane to its scalar drain.
+     */
+    uint32_t retiredPc = 0;
 };
 
 } // namespace etc::sim

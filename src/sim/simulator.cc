@@ -11,57 +11,100 @@ using namespace isa;
 
 namespace {
 
-/** Retire policy: forward every retire to an ExecHook (classic path). */
+/*
+ * A retire policy decides, on entering a straight run, how much of it
+ * executes counted (count()), and sees every other retire (retire(),
+ * which returns true to pause the run). One that never COUNTS steps
+ * every instruction without reading the run table.
+ */
+
+/**
+ * Retire policy: step one instruction at a time and forward every
+ * retire to an ExecHook (the Injector oracle, the profiler and the
+ * checkpoint recorder see each instruction).
+ */
 struct HookRetire
 {
+    static constexpr bool COUNTS = false;
+
     ExecHook *hook;
 
+    uint32_t count(const StraightRuns::Run &, uint32_t) { return 0; }
+
     bool
-    operator()(uint32_t staticIdx, const Instruction &ins, Machine &m,
-               Memory &mem)
+    retire(uint32_t staticIdx, const Instruction &ins, Machine &m,
+           Memory &mem)
     {
         hook->onRetire(staticIdx, ins, m, mem);
         return false;
     }
 };
 
-/** Retire policy: do nothing (plain hookless execution). */
-struct NoRetire
+/**
+ * Retire policy: pause once `left` more injectable instructions have
+ * retired (UINT64_MAX: never).
+ */
+struct Quota
 {
-    bool
-    operator()(uint32_t, const Instruction &, Machine &, Memory &)
+    static constexpr bool COUNTS = true;
+
+    const StraightRuns &runs;
+    uint64_t left;
+
+    /**
+     * Take the injectables of the run at @p pc up front. @return the
+     * run's length when the quota outlasts them; otherwise the pause
+     * lands on the run's left-th injectable, and the instructions
+     * before it are counted (its own retire comes to retire()).
+     */
+    uint32_t
+    count(const StraightRuns::Run &run, uint32_t pc)
     {
-        return false;
+        if (left > run.injectable) {
+            left -= run.injectable;
+            return run.length;
+        }
+        uint32_t at = pc;
+        for (uint64_t seen = 0;; ++at)
+            if (runs.injectable(at) && ++seen == left)
+                break;
+        left = 1;
+        return at - pc;
     }
-};
-
-/** Retire policy: pause after N injectable instructions retire. */
-struct CountInjectable
-{
-    const uint8_t *injectable;
-    uint64_t remaining;
 
     bool
-    operator()(uint32_t staticIdx, const Instruction &, Machine &,
-               Memory &)
+    retire(uint32_t staticIdx, const Instruction &, Machine &, Memory &)
     {
-        return injectable[staticIdx] && --remaining == 0;
+        return runs.injectable(staticIdx) && --left == 0;
     }
 };
 
 } // namespace
 
-ByteMask
-toByteMask(const std::vector<bool> &bits)
+StraightRuns::StraightRuns(const assembly::Program &program,
+                           const std::vector<bool> &injectable)
+    : runs_(program.size()), injectable_(program.size())
 {
-    ByteMask mask(bits.size());
-    for (size_t i = 0; i < bits.size(); ++i)
-        mask[i] = bits[i] ? 1 : 0;
-    return mask;
+    if (injectable.size() != program.size())
+        panic("StraightRuns: injectable bitmap size mismatch");
+    // Backwards, so each PC extends the run of the PC after it; the
+    // entry past the end is a run that never reaches a transfer.
+    Run next;
+    for (size_t pc = program.size(); pc-- > 0;) {
+        const Instruction &ins = program.code[pc];
+        injectable_[pc] = injectable[pc] ? 1 : 0;
+        Run run{1, injectable_[pc]};
+        if (!ins.isControl() && ins.op != Opcode::HALT) {
+            run.length = next.length == 0 ? 0 : next.length + 1;
+            run.injectable += next.injectable;
+        }
+        runs_[pc] = next = run;
+    }
 }
 
 Simulator::Simulator(const assembly::Program &program, MemoryModel model)
     : program_(program),
+      hookless_(program, std::vector<bool>(program.size())),
       memory_(assembly::DATA_BASE,
               std::max(program.dataEnd, assembly::DATA_BASE), model)
 {
@@ -115,28 +158,21 @@ Simulator::run(uint64_t maxInstructions, ExecHook *hook)
         maxInstructions = DEFAULT_BUDGET;
     if (hook) {
         HookRetire policy{hook};
-        return runCore(maxInstructions, 0, policy);
+        return runCore(hookless_, maxInstructions, 0, policy);
     }
-    NoRetire policy;
-    return runCore(maxInstructions, 0, policy);
+    Quota policy{hookless_, UINT64_MAX};
+    return runCore(hookless_, maxInstructions, 0, policy);
 }
 
 RunResult
-Simulator::runUntilInjectable(uint64_t count,
-                              const ByteMask &injectable,
+Simulator::runUntilInjectable(uint64_t count, const StraightRuns &runs,
                               uint64_t maxInstructions,
                               uint64_t instructionsSoFar)
 {
     if (maxInstructions == 0)
         maxInstructions = DEFAULT_BUDGET;
-    if (injectable.size() != program_.size())
-        panic("runUntilInjectable: injectable bitmap size mismatch");
-    if (count == 0) {
-        NoRetire policy;
-        return runCore(maxInstructions, instructionsSoFar, policy);
-    }
-    CountInjectable policy{injectable.data(), count};
-    return runCore(maxInstructions, instructionsSoFar, policy);
+    Quota policy{runs, count == 0 ? UINT64_MAX : count};
+    return runCore(runs, maxInstructions, instructionsSoFar, policy);
 }
 
 void
@@ -177,56 +213,116 @@ Simulator::restoreFrom(const Checkpoint &checkpoint,
 
 /*
  * The interpreter: threaded dispatch (GNU C labels-as-values). Every
- * handler ends by retiring its instruction and jumping straight to the
- * next handler through a label table indexed by opcode, so each opcode
- * gets its own indirect branch and the branch predictor learns
- * per-opcode successor patterns. The value-computing handlers are
- * expanded from the shared semantics lists (sim/semantics.hh); only
- * the ops that touch the PC, the link register, or the output stream
- * are written here.
+ * handler ends by jumping straight to the next handler through a label
+ * table indexed by opcode, so each opcode gets its own indirect branch
+ * and the branch predictor learns per-opcode successor patterns. The
+ * value-computing handlers are expanded from the shared semantics
+ * lists (sim/semantics.hh); only the ops that touch the PC, the link
+ * register, or the output stream are written here.
  *
- * Every handler retires identically: prologue (PC bounds, budget,
- * fetch) -> execute -> epilogue (publish next PC, run the retire
- * policy). Faults return before the epilogue, so faultPc is the
- * faulting instruction's own PC.
+ * Execution goes by straight runs (see StraightRuns): a run is checked
+ * once against the code bounds and the budget, and the retire policy
+ * counts as much of it as its quota allows -- all of it, or up to the
+ * injectable the next pause lands on. Counted instructions fall
+ * through to one another unchecked; only an entry's last instruction
+ * reaches the boundary. The hooked policy counts nothing, so it steps,
+ * as does a run the budget does not cover or that falls off the end of
+ * code. Faults return from the handler, so faultPc is the faulting
+ * instruction's own PC; a BadJump reports the control transfer that
+ * left the code.
  */
 
 #if !defined(__GNUC__) && !defined(__clang__)
 #error "the interpreter needs GNU C labels-as-values (GCC or Clang)"
 #endif
 
-// Prologue: completion/bad-jump/budget checks, then fetch and jump to
-// the handler. Returns out of runCore on any terminal condition.
-#define ETC_DISPATCH()                                                     \
+// The static index of the instruction in flight. Handlers walk `ins`
+// itself; the index is needed only at run boundaries, links and exits.
+#define ETC_PC static_cast<uint32_t>(ins - code)
+
+// Every exit. An entry counts all of its instructions up front, so a
+// fault inside it gives back the ones past `ins` (none anywhere else:
+// there runEnd == ins). A macro, not a lambda: a capture would keep
+// the loop's variables in memory.
+#define ETC_FINISH(runStatus, pc)                                          \
     do {                                                                   \
-        if (m.pc >= codeSize) {                                            \
+        RunResult result;                                                  \
+        result.status = (runStatus);                                       \
+        result.instructions =                                              \
+            instructions - static_cast<uint64_t>(runEnd - ins);            \
+        result.faultPc = (pc);                                             \
+        return result;                                                     \
+    } while (0)
+
+// A handler's fault: the run ends at the faulting instruction.
+#define ETC_FAULT(runStatus)                                               \
+    do {                                                                   \
+        m.pc = ETC_PC;                                                     \
+        ETC_FINISH(runStatus, m.pc);                                       \
+    } while (0)
+
+// Enter the run at nextPc: completion and bad-jump checks, then one
+// budget check for the whole run, after which the policy counts as
+// much of it as its quota allows. The entry executes from nextPc to
+// runEnd; if the policy did not count runEnd, its retire goes through
+// the policy (retireLast). A run the budget does not cover, one that
+// falls off the end of code, and every run under a policy that does
+// not count, steps: its entry is one instruction, checked against the
+// budget. Returns out of runCore on any terminal condition; a bad
+// jump reports `ins`, the instruction that retired last.
+#define ETC_ENTER_RUN()                                                    \
+    do {                                                                   \
+        if (nextPc >= codeSize) {                                          \
+            m.pc = nextPc;                                                 \
             /* Returning from the entry function lands exactly at */       \
             /* codeSize (see reset()); that is a clean completion. */      \
-            if (m.pc == codeSize) {                                        \
-                result.status = RunStatus::Completed;                      \
-                return result;                                             \
-            }                                                              \
-            return fault(RunStatus::BadJump);                              \
+            if (nextPc == codeSize)                                        \
+                ETC_FINISH(RunStatus::Completed, 0);                       \
+            ETC_FINISH(RunStatus::BadJump, ETC_PC);                        \
         }                                                                  \
-        if (result.instructions >= maxInstructions)                        \
-            return fault(RunStatus::Timeout);                              \
-        ins = &code[m.pc];                                                 \
-        thisPc = m.pc;                                                     \
-        nextPc = m.pc + 1;                                                 \
-        ++result.instructions;                                             \
+        const StraightRuns::Run run =                                      \
+            Policy::COUNTS ? runs[nextPc] : StraightRuns::Run{};           \
+        uint32_t entry = 1;                                                \
+        retireLast = true;                                                 \
+        if (run.length != 0 &&                                             \
+            instructions + run.length <= maxInstructions) {                \
+            const uint32_t counted = policy.count(run, nextPc);            \
+            retireLast = counted != run.length;                            \
+            entry = retireLast ? counted + 1 : counted;                    \
+        } else if (instructions >= maxInstructions) {                      \
+            m.pc = nextPc;                                                 \
+            ETC_FINISH(RunStatus::Timeout, nextPc);                        \
+        }                                                                  \
+        instructions += entry;                                             \
+        ins = &code[nextPc];                                               \
+        runEnd = ins + (entry - 1);                                        \
         goto *dispatch[static_cast<unsigned>(ins->op)];                    \
     } while (0)
 
-// Epilogue: publish the next PC before the retire policy so a control
-// transfer's "result" (the PC) is visible and corruptible.
-#define ETC_NEXT                                                           \
-    m.pc = nextPc;                                                         \
-    if (policy(thisPc, *ins, m, memory_)) {                                \
-        result.status = RunStatus::Paused;                                 \
-        result.faultPc = thisPc;                                           \
-        return result;                                                     \
+// The boundary after an entry's last instruction. One the policy did
+// not count publishes the next PC before the policy sees it, so a
+// control transfer's "result" (the PC) is visible and corruptible; a
+// counted run keeps the PC to itself until it exits.
+#define ETC_RETIRE()                                                       \
+    if (retireLast) {                                                      \
+        const uint32_t retired = ETC_PC;                                   \
+        m.pc = nextPc;                                                     \
+        m.retiredPc = retired;                                             \
+        if (policy.retire(retired, *ins, m, memory_))                      \
+            ETC_FINISH(RunStatus::Paused, retired);                        \
+        nextPc = m.pc;                                                     \
     }                                                                      \
-    ETC_DISPATCH();
+    ETC_ENTER_RUN();
+
+// Epilogue of an instruction that falls through: straight on to the
+// next one, unless it ends the entry (a counted run ends in a control
+// transfer or HALT, so only a partly counted or stepped entry ends
+// here).
+#define ETC_NEXT                                                           \
+    if (ins == runEnd)                                                     \
+        goto retire;                                                       \
+    ++ins;                                                                 \
+    goto *dispatch[static_cast<unsigned>(ins->op)];
 
 // The operands the semantics lists are written over.
 #define ETC_OPERANDS                                                       \
@@ -254,16 +350,15 @@ Simulator::restoreFrom(const Checkpoint &checkpoint,
 #define ETC_BRANCH(name, expr)                                             \
     handle_##name : {                                                      \
         ETC_OPERANDS                                                       \
-        if (expr)                                                          \
-            nextPc = ins->target;                                          \
+        nextPc = (expr) ? ins->target : ETC_PC + 1;                        \
     }                                                                      \
-    ETC_NEXT
+    ETC_RETIRE()
 
 #define ETC_DIVIDE(name, expr)                                             \
     handle_##name : {                                                      \
         ETC_OPERANDS                                                       \
         if (b == 0)                                                        \
-            return fault(RunStatus::DivByZero);                            \
+            ETC_FAULT(RunStatus::DivByZero);                               \
         if (ins->rd != REG_ZERO)                                           \
             R[ins->rd] = (expr);                                           \
     }                                                                      \
@@ -274,7 +369,7 @@ Simulator::restoreFrom(const Checkpoint &checkpoint,
         ETC_OPERANDS                                                       \
         T v{};                                                             \
         if (memory_.read(a + imm, v) != MemStatus::Ok)                     \
-            return fault(RunStatus::MemoryFault);                          \
+            ETC_FAULT(RunStatus::MemoryFault);                             \
         if (ins->rd != REG_ZERO)                                           \
             R[ins->rd] = (expr);                                           \
     }                                                                      \
@@ -285,31 +380,28 @@ Simulator::restoreFrom(const Checkpoint &checkpoint,
         ETC_OPERANDS                                                       \
         if (memory_.write(a + imm, static_cast<T>(R[ins->rd])) !=          \
             MemStatus::Ok)                                                 \
-            return fault(RunStatus::MemoryFault);                          \
+            ETC_FAULT(RunStatus::MemoryFault);                             \
     }                                                                      \
     ETC_NEXT
 
 template <typename Policy>
 RunResult
-Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
-                   Policy &policy)
+Simulator::runCore(const StraightRuns &runs, uint64_t maxInstructions,
+                   uint64_t instructions, Policy policy)
 {
-    RunResult result;
-    result.instructions = baseInstructions;
+    if (runs.size() != program_.size())
+        panic("Simulator: straight-run table size mismatch");
     const auto codeSize = program_.size();
     const auto *code = program_.code.data();
     Machine &m = machine_;
     auto &R = m.regs;
 
-    const Instruction *ins = nullptr;
-    uint32_t thisPc = 0;
-    uint32_t nextPc = 0;
-
-    auto fault = [&](RunStatus status) {
-        result.status = status;
-        result.faultPc = m.pc;
-        return result;
-    };
+    // Until the first retire, `ins` is the instruction that retired
+    // before this call (a bad jump right away reports it).
+    const Instruction *ins = code + m.retiredPc;
+    const Instruction *runEnd = ins; //!< the current entry's last
+    uint32_t nextPc = m.pc;
+    bool retireLast = true; //!< runEnd's retire goes through the policy
 
     // One label per opcode, in table order, so Opcode values index
     // the dispatch table directly.
@@ -319,7 +411,11 @@ Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
 #undef ETC_X
     };
 
-    ETC_DISPATCH();
+    ETC_ENTER_RUN();
+
+retire:
+    nextPc = ETC_PC + 1;
+    ETC_RETIRE()
 
     ETC_SEM_REGISTER_RESULTS(ETC_REGISTER_RESULT)
     ETC_SEM_FLAG_RESULTS(ETC_FLAG_RESULT)
@@ -330,45 +426,49 @@ Simulator::runCore(uint64_t maxInstructions, uint64_t baseInstructions,
 
 handle_J:
     nextPc = ins->target;
-    ETC_NEXT
+    ETC_RETIRE()
 handle_JAL:
-    R[REG_RA] = thisPc + 1;
+    R[REG_RA] = ETC_PC + 1;
     nextPc = ins->target;
-    ETC_NEXT
+    ETC_RETIRE()
 handle_JR:
     nextPc = R[ins->rs];
-    ETC_NEXT
+    ETC_RETIRE()
 handle_JALR:
     // Link before reading the target: jalr with rd == rs jumps to the
     // link.
     if (ins->rd != REG_ZERO)
-        R[ins->rd] = thisPc + 1;
+        R[ins->rd] = ETC_PC + 1;
     nextPc = R[ins->rs];
-    ETC_NEXT
+    ETC_RETIRE()
 handle_NOP:
     ETC_NEXT
 handle_HALT:
-    // Completion dominates any pause request (HALT is never
-    // injectable, so a counting policy cannot pause here).
-    policy(thisPc, *ins, m, memory_);
-    result.status = RunStatus::Completed;
-    return result;
+    // Completion dominates any pause request: a counting policy that
+    // reaches its quota here still completes.
+    m.pc = m.retiredPc = ETC_PC;
+    policy.retire(m.pc, *ins, m, memory_);
+    ETC_FINISH(RunStatus::Completed, 0);
 handle_OUTB:
     output_.push_back(static_cast<uint8_t>(R[ins->rs]));
     if (output_.size() > OUTPUT_CAP)
-        return fault(RunStatus::OutputOverflow);
+        ETC_FAULT(RunStatus::OutputOverflow);
     ETC_NEXT
 handle_OUTW: {
     const uint32_t value = R[ins->rs];
     for (int byte = 0; byte < 4; ++byte)
         output_.push_back(static_cast<uint8_t>(value >> (8 * byte)));
     if (output_.size() > OUTPUT_CAP)
-        return fault(RunStatus::OutputOverflow);
+        ETC_FAULT(RunStatus::OutputOverflow);
 }
     ETC_NEXT
 }
 
-#undef ETC_DISPATCH
+#undef ETC_PC
+#undef ETC_FINISH
+#undef ETC_FAULT
+#undef ETC_ENTER_RUN
+#undef ETC_RETIRE
 #undef ETC_NEXT
 #undef ETC_OPERANDS
 #undef ETC_REGISTER_RESULT

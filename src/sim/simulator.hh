@@ -27,15 +27,44 @@ namespace etc::sim {
 struct Checkpoint;
 
 /**
- * Byte-per-instruction copy of a static instruction bitmap.
- * std::vector<bool> packs bits, which costs a shift+mask in the
- * interpreter's hottest loop; the fast path tests a plain byte
- * instead. Build once per campaign with toByteMask().
+ * The straight runs of one program under one injectable mask. A
+ * straight run is the stretch from a PC up to and including the next
+ * control transfer (branch, jump or call) or HALT. The interpreters
+ * check the PC bounds, the instruction budget and the injectable quota
+ * once per run against this table instead of once per instruction
+ * (QEMU's icount mode counts per translation block the same way).
+ * Every PC has an entry, because a fault can land in the middle of a
+ * run. Build one per program and mask: a CampaignRunner holds one.
  */
-using ByteMask = std::vector<uint8_t>;
+class StraightRuns
+{
+  public:
+    struct Run
+    {
+        /** Instructions from this PC through the run's control
+         *  transfer or HALT; 0 where the run falls off the end of
+         *  code. */
+        uint32_t length = 0;
+        /** How many of those instructions are injectable. */
+        uint32_t injectable = 0;
+    };
 
-/** @return @p bits widened to one byte per instruction. */
-ByteMask toByteMask(const std::vector<bool> &bits);
+    /** @param injectable per-instruction mask, one entry per
+     *                    instruction of @p program */
+    StraightRuns(const assembly::Program &program,
+                 const std::vector<bool> &injectable);
+
+    const Run &operator[](uint32_t pc) const { return runs_[pc]; }
+
+    /** @return 1 if the instruction at @p pc is injectable, else 0. */
+    uint32_t injectable(uint32_t pc) const { return injectable_[pc]; }
+
+    size_t size() const { return runs_.size(); }
+
+  private:
+    std::vector<Run> runs_;
+    std::vector<uint8_t> injectable_;
+};
 
 /**
  * Observer invoked after each retired instruction. Implementations may
@@ -97,9 +126,10 @@ class Simulator
     /**
      * Execute until HALT, a fault, or the budget runs out.
      *
-     * Without a hook the interpreter takes a hookless fast path (no
-     * per-retire virtual dispatch); the architectural behaviour is
-     * identical either way.
+     * Without a hook the interpreter executes whole straight runs
+     * (over a table of the program with nothing injectable); with one
+     * it steps one instruction at a time and calls the hook after
+     * each. The architectural behaviour is identical either way.
      *
      * @param maxInstructions dynamic-instruction budget (0 = default)
      * @param hook            optional retire observer (may be null)
@@ -109,8 +139,15 @@ class Simulator
     /**
      * Hookless fast path for checkpointed fault-injection trials:
      * resume from the current machine state and execute until @p count
-     * more *injectable* instructions (per @p injectable, indexed by
-     * static instruction index) have retired, or the program ends.
+     * more *injectable* instructions (per @p runs) have retired, or
+     * the program ends.
+     *
+     * Once the budget covers a straight run, the run executes with no
+     * per-instruction checks up to its control transfer, or up to the
+     * injectable the pause lands on; a run the budget does not cover
+     * steps one instruction at a time. So a pause or a timeout lands
+     * on exactly the instruction it would without the table, and a
+     * fault inside a run reports its exact instruction count.
      *
      * When the quota is reached the result's status is
      * RunStatus::Paused and its faultPc holds the static index of the
@@ -125,14 +162,14 @@ class Simulator
      * dynamic instruction as an uncheckpointed one.
      *
      * @param count            injectable retires before pausing (0 = none)
-     * @param injectable       static injectable-instruction byte mask
+     * @param runs             the program's straight runs under the
+     *                         campaign's injectable mask
      * @param maxInstructions  total dynamic budget (0 = default)
      * @param instructionsSoFar instructions already accounted to this
      *                          run (from a restored checkpoint or a
      *                          previous pause)
      */
-    RunResult runUntilInjectable(uint64_t count,
-                                 const ByteMask &injectable,
+    RunResult runUntilInjectable(uint64_t count, const StraightRuns &runs,
                                  uint64_t maxInstructions = 0,
                                  uint64_t instructionsSoFar = 0);
 
@@ -172,13 +209,14 @@ class Simulator
     /**
      * The interpreter loop, templated on a retire policy so the
      * per-retire callback inlines away: the hooked instantiation
-     * dispatches to an ExecHook, the hookless ones do a bitmap test or
-     * nothing. @p policy returns true to pause the run (see
+     * steps every instruction and dispatches to an ExecHook, the
+     * quota one executes straight runs up to the next pause and steps
+     * only where the budget ends inside a run (see
      * runUntilInjectable).
      */
     template <typename Policy>
-    RunResult runCore(uint64_t maxInstructions, uint64_t baseInstructions,
-                      Policy &policy);
+    RunResult runCore(const StraightRuns &runs, uint64_t maxInstructions,
+                      uint64_t instructions, Policy policy);
 
     /** Rewind memory to the post-reset image (cheaply if possible). */
     void revertMemoryToStart();
@@ -187,6 +225,8 @@ class Simulator
     void initMachine();
 
     const assembly::Program &program_;
+    /** The program's runs with nothing injectable, for run(). */
+    StraightRuns hookless_;
     Machine machine_;
     Memory memory_;
     std::vector<uint8_t> output_;

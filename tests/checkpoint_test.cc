@@ -122,11 +122,11 @@ TEST(CheckpointTest, ResumedRunsFinishBitIdenticallyFromEveryCheckpoint)
     ASSERT_GT(store.size(), 3u) << "interval too coarse for this test";
 
     Simulator resumed(prog);
-    auto mask = toByteMask(injectable);
+    StraightRuns runs(prog, injectable);
     for (size_t i = 0; i < store.size(); ++i) {
         const Checkpoint &ckpt = store[i];
         resumed.restoreFrom(ckpt, golden.output());
-        auto tail = resumed.runUntilInjectable(0, mask, 0,
+        auto tail = resumed.runUntilInjectable(0, runs, 0,
                                                ckpt.instructions);
         EXPECT_EQ(tail.status, RunStatus::Completed) << "checkpoint " << i;
         EXPECT_EQ(tail.instructions, goldenRun.instructions)

@@ -163,14 +163,14 @@ struct Trace
     std::vector<uint8_t> outputTail;
 };
 
-ByteMask
+StraightRuns
 everyInstruction(const Program &program)
 {
-    ByteMask mask(program.size(), 1);
+    std::vector<bool> mask(program.size(), true);
     for (uint32_t i = 0; i < program.size(); ++i)
         if (program.code[i].op == Opcode::HALT)
-            mask[i] = 0;
-    return mask;
+            mask[i] = false;
+    return StraightRuns(program, mask);
 }
 
 std::vector<uint8_t>
@@ -181,7 +181,7 @@ tail(const std::vector<uint8_t> &output, size_t prefix)
 
 /** The scalar twin of one lane (@p lane null: a golden alias). */
 Trace
-scalarTrace(const Case &c, const LaneInit *lane, const ByteMask &mask)
+scalarTrace(const Case &c, const LaneInit *lane, const StraightRuns &mask)
 {
     Simulator sim(c.program, c.model);
     apply(c.golden, sim.machine(), sim.memory());
@@ -227,7 +227,7 @@ void
 runCase(const Case &c, std::set<Opcode> &covered)
 {
     SCOPED_TRACE(c.name);
-    const ByteMask mask = everyInstruction(c.program);
+    const StraightRuns mask = everyInstruction(c.program);
     const unsigned live = static_cast<unsigned>(c.lanes.size());
     const unsigned lanes = live + c.aliases;
     std::vector<Trace> twins;

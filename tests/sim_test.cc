@@ -17,6 +17,7 @@
 #include "asm/builder.hh"
 #include "sim/memory.hh"
 #include "fault/injection.hh"
+#include "sim/gang.hh"
 #include "sim/profiler.hh"
 #include "sim/simulator.hh"
 #include "sim/tracer.hh"
@@ -224,6 +225,116 @@ TEST(SimulatorTest, WildJumpIsBadJump)
     });
     Simulator sim(prog);
     EXPECT_EQ(sim.run().status, RunStatus::BadJump);
+}
+
+/** Static index of the first instruction with opcode @p op. */
+uint32_t
+indexOf(const Program &program, Opcode op)
+{
+    for (uint32_t pc = 0; pc < program.size(); ++pc)
+        if (program.code[pc].op == op)
+            return pc;
+    ADD_FAILURE() << "no " << mnemonic(op);
+    return 0;
+}
+
+TEST(SimulatorTest, BadJumpReportsTheTransferThatLeftTheCode)
+{
+    // faultPc is the jr whose target left the code, not the target.
+    auto wild = makeProgram([](ProgramBuilder &b) {
+        b.li(REG_T0, 123456);
+        b.jr(REG_T0);
+    });
+    const uint32_t wildJr = indexOf(wild, Opcode::JR);
+    const std::vector<bool> none(wild.size());
+    const StraightRuns wildRuns(wild, none);
+
+    struct Nothing : ExecHook
+    {
+        void
+        onRetire(uint32_t, const Instruction &, Machine &, Memory &) override
+        {
+        }
+    } nothing;
+    for (int path = 0; path < 3; ++path) {
+        Simulator sim(wild);
+        RunResult result = path == 0   ? sim.run()
+                           : path == 1 ? sim.run(0, &nothing)
+                                       : sim.runUntilInjectable(0, wildRuns);
+        EXPECT_EQ(result.status, RunStatus::BadJump) << "path " << path;
+        EXPECT_EQ(result.faultPc, wildJr) << "path " << path;
+        EXPECT_EQ(sim.machine().pc, 123456u) << "path " << path;
+    }
+
+    // A jr that stays in the code, paused at and corrupted by a flip:
+    // the next call reports the jr -- on the scalar path, in a lane
+    // the flip evicts and drains, and in a gang whose every lane
+    // jumped.
+    auto tame = makeProgram([](ProgramBuilder &b) {
+        b.li(REG_T0, 3); // the second nop
+        b.jr(REG_T0);
+        b.nop();
+        b.nop();
+    });
+    const uint32_t jr = indexOf(tame, Opcode::JR);
+    ASSERT_EQ(jr, 1u);
+    std::vector<bool> mask(tame.size());
+    mask[0] = mask[jr] = true;
+    const StraightRuns runs(tame, mask);
+
+    Simulator scalar(tame);
+    RunResult paused = scalar.runUntilInjectable(2, runs);
+    ASSERT_EQ(paused.status, RunStatus::Paused);
+    ASSERT_EQ(paused.faultPc, jr);
+    scalar.machine().pc = 9000;
+    RunResult end = scalar.runUntilInjectable(0, runs, 0, paused.instructions);
+    EXPECT_EQ(end.status, RunStatus::BadJump);
+    EXPECT_EQ(end.faultPc, jr);
+    EXPECT_EQ(end.instructions, paused.instructions);
+
+    Simulator base(tame);
+    GangSimulator gang(tame, MemoryModel::Lenient, 2);
+    // Lane 1 stays an alias, so the pack follows golden and lane 0
+    // leaves alone.
+    gang.reset(base.machine(), base.memory(), 2, 0, 0, 0);
+    ASSERT_EQ(gang.runUntilInjectable(2, runs, 1000).status,
+              RunStatus::Paused);
+    gang.laneMachine(0).pc = 9000;
+    ASSERT_EQ(gang.runUntilInjectable(0, runs, 1000).status,
+              RunStatus::Completed);
+    for (const auto &exit : gang.takeExits()) {
+        if (exit.lane != 0) {
+            EXPECT_TRUE(exit.run.completed());
+            continue;
+        }
+        ASSERT_EQ(exit.kind, GangSimulator::ExitKind::Diverged);
+        Simulator drain(tame);
+        drain.machine() = exit.machine;
+        RunResult drained =
+            drain.runUntilInjectable(0, runs, 1000, exit.instructions);
+        EXPECT_EQ(drained.status, RunStatus::BadJump);
+        EXPECT_EQ(drained.faultPc, jr);
+    }
+
+    // Both lanes materialize at the first retire (so golden retires),
+    // then both jump out together: the gang's bad pack jump.
+    gang.reset(base.machine(), base.memory(), 2, 0, 0, 0);
+    ASSERT_EQ(gang.runUntilInjectable(1, runs, 1000).status,
+              RunStatus::Paused);
+    gang.laneMachine(0);
+    gang.laneMachine(1);
+    ASSERT_EQ(gang.runUntilInjectable(1, runs, 1000).status,
+              RunStatus::Paused);
+    gang.laneMachine(0).pc = 9000;
+    gang.laneMachine(1).pc = 9000;
+    gang.runUntilInjectable(0, runs, 1000);
+    auto exits = gang.takeExits();
+    ASSERT_EQ(exits.size(), 2u);
+    for (const auto &exit : exits) {
+        EXPECT_EQ(exit.kind, GangSimulator::ExitKind::Finished);
+        EXPECT_EQ(exit.run.status, RunStatus::BadJump);
+        EXPECT_EQ(exit.run.faultPc, jr);
+    }
 }
 
 TEST(SimulatorTest, ReturnFromEntryCompletes)

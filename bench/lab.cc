@@ -259,7 +259,7 @@ int
 labReindex(const LabOptions &opts)
 {
     store::StoreIndex index(opts.bench.cacheDir);
-    auto report = index.rebuild(opts.quarantine);
+    auto report = index.audit(opts.quarantine);
     std::cout << "cells indexed: " << report.cells << '\n'
               << "partial cells: " << report.shardSets << '\n'
               << "orphaned shards: " << report.orphanedShards.size()
@@ -816,9 +816,9 @@ const Subcommand SUBCOMMANDS[] = {
      "/v1/query serves"},
     {"reindex", labReindex, {"--cache-dir", "--quarantine", "--trace-out"},
      {"--cache-dir"},
-     "rebuild the secondary index from a full store scan,\n"
-     "reporting orphaned shard files and corrupt records (count\n"
-     "and paths); nonzero exit when corruption was found"},
+     "audit the store: decode every record file, reporting\n"
+     "orphaned shard files and corrupt records (count and\n"
+     "paths); nonzero exit when corruption was found"},
     {"policies", labPolicies, {}, {},
      "print the injection-policy registry (name, description,\n"
      "result kinds, bit model) -- the same rows GET /v1/policies\n"

@@ -115,14 +115,14 @@ struct QueryReport
 /**
  * Run one query over the archive @p index and @p store front.
  *
- * Refreshes the secondary index (load(): a no-op while its files are
- * unchanged), folds the matching stored records through the store's
- * record memo, and renders the rollup. Never simulates trials: the
- * store is only ever read (an indexed-but-unreadable record warns and
- * is skipped, exactly like every other store read path), and agg=avf
- * reads the process-wide vulnerabilityReportOf(). A long-lived caller
- * (the daemon) keeps both across queries; recordsLoaded counts every
- * record folded, memoized or read.
+ * Refreshes the secondary index (load(): a no-op while cells/ is
+ * settled and unchanged), folds the matching stored records through
+ * the store's record memo, and renders the rollup. Never simulates
+ * trials: the store is only ever read (an indexed-but-unreadable
+ * record warns and is skipped, exactly like every other store read
+ * path), and agg=avf reads the process-wide vulnerabilityReportOf().
+ * A long-lived caller (the daemon) keeps both across queries;
+ * recordsLoaded counts every record folded, memoized or read.
  *
  * @throws QueryError on an invalid request (never on archive state)
  */

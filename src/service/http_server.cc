@@ -172,12 +172,14 @@ parseRequest(std::string &in, HttpRequest &request,
 
     size_t bodyLength = 0;
     if (const std::string *length = request.header("Content-Length")) {
-        char *parseEnd = nullptr;
+        // Digits only, like ?trials= and ?seed=: strtoull alone
+        // accepts a sign, so "-1" would wrap and "+2" read as 2.
         errno = 0;
         unsigned long long parsed =
-            std::strtoull(length->c_str(), &parseEnd, 10);
-        if (errno != 0 || parseEnd == length->c_str() ||
-            *parseEnd != '\0') {
+            std::strtoull(length->c_str(), nullptr, 10);
+        if (length->empty() ||
+            length->find_first_not_of("0123456789") != std::string::npos ||
+            errno != 0) {
             error = HttpResponse::json(
                 400,
                 "{\"error\":\"malformed Content-Length\",\"status\":"

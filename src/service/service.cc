@@ -28,9 +28,6 @@ encodeIndexHealth(const store::IndexHealth &health)
     writer.field("cells", health.cells)
         .field("shardSets", health.shardSets)
         .field("shardRanges", health.shardRanges)
-        .field("journalEntries", health.journalEntries)
-        .field("journalCorrupt", health.journalCorrupt)
-        .field("manifestPresent", health.manifestPresent)
         .field("orphanedShards", health.orphanedShards);
     return writer.str();
 }
@@ -860,8 +857,8 @@ CampaignService::healthz(const HttpRequest &, const std::string &)
         .field("leasesCompleted", fleetStats.completed)
         .field("fleetWorkers", uint64_t{fleetStats.workers});
     // Archive-index health rides along so one probe covers both the
-    // daemon and the store it fronts (stale journal growth or
-    // orphaned shards show up here before anyone queries).
+    // daemon and the store it fronts (orphaned shards show up here
+    // before anyone queries).
     store::IndexHealth health;
     {
         std::lock_guard<std::mutex> lock(readMutex_);
@@ -870,8 +867,6 @@ CampaignService::healthz(const HttpRequest &, const std::string &)
     }
     writer.field("indexCells", health.cells)
         .field("indexShardSets", health.shardSets)
-        .field("indexJournalEntries", health.journalEntries)
-        .field("indexJournalCorrupt", health.journalCorrupt)
         .field("indexOrphanedShards", health.orphanedShards);
     return HttpResponse::json(200, writer.str());
 }

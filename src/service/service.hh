@@ -36,8 +36,8 @@
  *                                delta/cdf/avf (base= names delta's
  *                                baseline); bytes identical to
  *                                `etc_lab query --json`
- *   GET  /v1/index               the secondary index: health counters
- *                                plus every indexed cell/shard entry
+ *   GET  /v1/index               the archive index: health counters
+ *                                plus one entry per indexed cell
  *   POST /v1/leases/acquire      grant up to {"max":N} shard-range
  *                                leases to {"worker":name} (the fleet
  *                                pull API of `etc_lab work`)
@@ -73,12 +73,12 @@
  *
  * Read side: the service keeps one StoreIndex and one ResultStore for
  * its cache root, loaded lazily by the first request that reads the
- * archive. Each request refreshes them, and a refresh re-reads the
- * index only when its manifest or journal changed on disk and a cell
- * record only when its file changed (file_io.hh), so an unchanged
- * archive is served from memory while a cell any process writes shows
- * up in the next answer. Response bytes are never cached: every
- * request folds the current index and records.
+ * archive. Each request refreshes them, and a refresh lists cells/
+ * again only when the directory changed on disk (index.hh) and reads
+ * a cell record only when its file changed (file_io.hh), so an
+ * unchanged archive is served from memory while a cell any process
+ * renames into place shows up in the next answer. Response bytes are
+ * never cached: every request folds the current index and records.
  */
 
 #ifndef ETC_SERVICE_SERVICE_HH

@@ -1,6 +1,5 @@
 #include "store/file_io.hh"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -43,6 +42,16 @@ readFile(const std::string &path)
     return contents.str();
 }
 
+std::optional<std::string>
+readFirstLine(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    if (!std::getline(in, line))
+        return std::nullopt;
+    return line;
+}
+
 std::vector<std::string>
 splitLines(const std::string &text)
 {
@@ -72,43 +81,32 @@ writeFileAtomically(const std::string &root, const std::string &path,
 
     // Whichever of two racing renames lands last wins; writers of one
     // path write identical bytes (a record is a pure function of its
-    // key, a manifest of the store's contents).
+    // key).
     static std::atomic<uint64_t> counter{0};
     fs::path tmp = tmpDir / (target.filename().string() + "." +
                              std::to_string(::getpid()) + "." +
                              std::to_string(counter.fetch_add(1)) +
                              ".tmp");
+    std::string failure;
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         out << contents;
         out.flush();
         if (!out)
-            fatal("result store: cannot write ", tmp.string());
+            failure = "cannot write " + tmp.string();
     }
-    fs::rename(tmp, target, ec);
-    if (ec)
-        fatal("result store: cannot move ", tmp.string(), " to ", path,
-              ": ", ec.message());
-}
-
-bool
-appendLine(const std::string &path, const std::string &line)
-{
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    int fd = ::open(path.c_str(),
-                    O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd < 0)
-        return false;
-    ssize_t written = ::write(fd, line.data(), line.size());
-    ::close(fd);
-    return written == static_cast<ssize_t>(line.size());
-}
-
-void
-truncateFile(const std::string &path)
-{
-    std::ofstream truncate(path, std::ios::binary | std::ios::trunc);
+    if (failure.empty()) {
+        fs::rename(tmp, target, ec);
+        if (ec)
+            failure = "cannot move " + tmp.string() + " to " + path +
+                      ": " + ec.message();
+    }
+    // Callers may survive the throw (the daemon does), so a failed
+    // write must not leave its staged file behind.
+    if (!failure.empty()) {
+        fs::remove(tmp, ec);
+        fatal("result store: ", failure);
+    }
 }
 
 } // namespace etc::store

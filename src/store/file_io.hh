@@ -1,21 +1,23 @@
 /**
  * @file
  * The result store's file I/O: the one module under src/store/ that
- * opens, reads, writes or truncates a file (CI fails on file streams
- * or raw open()/write() anywhere else in src/store/).
+ * opens, reads or writes a file (CI fails on file streams or raw
+ * open()/write() anywhere else in src/store/).
  *
- * No file is edited in place: records and the index manifest are
- * staged under <root>/tmp/ (pid + counter names, so racing processes
- * never share one) and renamed into place; a journal entry is one
- * O_APPEND write(), so racing appenders never interleave; compaction
- * truncates the journal. Nothing calls fsync(): a rename survives a
- * crash of the writer, not a power loss of the host.
+ * No file is edited in place: writeFileAtomically() stages every
+ * record under <root>/tmp/ (pid + counter names, so racing processes
+ * never share one) and renames it into place, and a failed write
+ * removes what it staged. It is the store's one write path. Nothing
+ * calls fsync(): a rename survives a crash of the writer, not a power
+ * loss of the host.
  *
  * So a file's FileStamp changes whenever what a reader decoded from it
- * could have changed, and a long-lived reader (the daemon's index and
- * record memo) re-reads a file only when its stamp differs from the one
- * taken before its last read (before, so a racing write is picked up by
- * the next call, never lost).
+ * could have changed, and a long-lived reader (the daemon's record
+ * memo) re-reads a file only when its stamp differs from the one taken
+ * before its last read (before, so a racing write is picked up by the
+ * next call, never lost). A directory's stamp moves when an entry is
+ * renamed in or removed, up to the granularity of its mtime (the
+ * archive index, index.hh, covers that gap).
  *
  * Nothing here counts bytes: ResultStore counts its record I/O itself.
  */
@@ -49,21 +51,19 @@ std::optional<FileStamp> stampFile(const std::string &path);
  *  be read. */
 std::optional<std::string> readFile(const std::string &path);
 
+/** @return the first line of @p path without its newline, or nullopt
+ *  if the file is empty or cannot be read. */
+std::optional<std::string> readFirstLine(const std::string &path);
+
 /** Split @p text at '\n': a final newline ends the last line, and a
  *  last line without one is kept. */
 std::vector<std::string> splitLines(const std::string &text);
 
 /** Write @p contents to @p path (creating its directory): stage it in
- *  <root>/tmp/, then rename it into place. fatal() on failure. */
+ *  <root>/tmp/, then rename it into place. fatal() on failure, after
+ *  removing the staged file. */
 void writeFileAtomically(const std::string &root, const std::string &path,
                          const std::string &contents);
-
-/** Append @p line to @p path (creating both) in one O_APPEND write().
- *  @return false when the file cannot be opened or the write is short */
-bool appendLine(const std::string &path, const std::string &line);
-
-/** Empty @p path, creating it if absent (its directory must exist). */
-void truncateFile(const std::string &path);
 
 } // namespace etc::store
 

@@ -2,11 +2,10 @@
 
 #include <chrono>
 #include <filesystem>
-#include <optional>
+#include <set>
 #include <system_error>
 
 #include "store/file_io.hh"
-#include "store/json.hh"
 #include "support/logging.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
@@ -22,23 +21,15 @@ struct IndexMetrics
     telemetry::Gauge &cells = telemetry::gauge(
         "etc_index_cells",
         "Complete cells tracked by the secondary index");
-    telemetry::Gauge &journalEntries = telemetry::gauge(
-        "etc_index_journal_entries",
-        "Index journal entries folded over the manifest (staleness)");
-    telemetry::Counter &journalAppends = telemetry::counter(
-        "etc_index_journal_appends_total",
-        "Lines appended to the index journal");
-    telemetry::Counter &journalCorrupt = telemetry::counter(
-        "etc_index_journal_corrupt_total",
-        "Torn or garbled index journal lines skipped");
     telemetry::Histogram &lookupSeconds = telemetry::histogram(
         "etc_index_lookup_seconds",
-        "Wall time to read the index (manifest + journal fold); "
-        "loads that find both files unchanged are not timed",
+        "Wall time to list cells/ and decode the headers of new "
+        "records; loads that find the directory settled and unchanged "
+        "are not timed",
         {0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5});
     telemetry::Histogram &scanSeconds = telemetry::histogram(
         "etc_index_scan_seconds",
-        "Wall time for a full-scan index rebuild",
+        "Wall time for a full-scan audit (etc_lab reindex)",
         {0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120});
 };
 
@@ -47,74 +38,6 @@ indexMetrics()
 {
     static IndexMetrics metrics;
     return metrics;
-}
-
-fs::path
-indexDir(const std::string &root)
-{
-    return fs::path(root) / "index";
-}
-
-fs::path
-journalPath(const std::string &root)
-{
-    return indexDir(root) / "journal.jsonl";
-}
-
-fs::path
-manifestPath(const std::string &root)
-{
-    return indexDir(root) / "manifest.jsonl";
-}
-
-/**
- * Seal @p body (a complete single-line object) by splicing in a
- * trailing "fnv" member computed over the unsealed bytes, and append
- * it to the journal in one O_APPEND write() so concurrent writers
- * never interleave within a line. Never throws: an unwritable journal
- * warns once per call and leaves the index stale (rebuildable).
- */
-void
-appendJournalLine(const std::string &root, std::string body)
-{
-    // No args: the append nests in the store/cell-write span that
-    // names its cell.
-    telemetry::TraceSpan span("index", "journal-append");
-    uint64_t checksum = fnv1a(body.data(), body.size());
-    body.resize(body.size() - 1); // strip the closing brace
-    body += ",\"fnv\":" + jsonQuote(hexU64(checksum)) + "}\n";
-
-    if (appendLine(journalPath(root).string(), body))
-        indexMetrics().journalAppends.add();
-    else
-        warn("store index: cannot append to ",
-             journalPath(root).string());
-}
-
-/**
- * Verify and parse one sealed line (journal entry). Returns false on
- * any malformation -- a torn tail line, garbage, or a checksum
- * mismatch -- without throwing.
- */
-bool
-unsealLine(const std::string &line, JsonValue &out)
-{
-    size_t pos = line.rfind(",\"fnv\":\"");
-    if (pos == std::string::npos)
-        return false;
-    std::string body = line.substr(0, pos) + "}";
-    try {
-        JsonValue value = parseJson(line);
-        if (value.at("schema").asU64() != SCHEMA_VERSION)
-            return false;
-        if (parseHexU64(value.at("fnv").asString()) !=
-            fnv1a(body.data(), body.size()))
-            return false;
-        out = std::move(value);
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
 }
 
 } // namespace
@@ -126,107 +49,57 @@ StoreIndex::StoreIndex(std::string root) : root_(std::move(root))
 }
 
 void
-StoreIndex::journalCell(const std::string &root, const CellKey &key)
-{
-    JsonObjectWriter writer;
-    writer.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", "cell")
-        .field("fingerprint", key.fingerprint())
-        .rawField("key", encodeCellKeyObject(key));
-    appendJournalLine(root, writer.str());
-}
-
-void
 StoreIndex::load()
 {
-    // Stamp before reading: a write racing the read below changes a
-    // stamp after it was taken, so the next load() reads again.
-    auto manifestStamp = stampFile(manifestPath(root_).string());
-    auto journalStamp = stampFile(journalPath(root_).string());
-    if (loaded_ && manifestStamp == manifestStamp_ &&
-        journalStamp == journalStamp_)
+    // The clock before the stamp, and the stamp before the listing: a
+    // cell renamed in after the stamp either moves it or finds this
+    // listing racy, and either way the next load() lists again.
+    auto now = std::chrono::system_clock::now().time_since_epoch();
+    fs::path dir = fs::path(root_) / "cells";
+    auto stamp = stampFile(dir.string());
+    if (loaded_ && stamp == stamp_ && !racy_)
         return;
     loaded_ = true;
-    manifestStamp_ = manifestStamp;
-    journalStamp_ = journalStamp;
+    stamp_ = stamp;
+    racy_ = stamp && now - std::chrono::nanoseconds(stamp->mtimeNs) <
+                         RACY_WINDOW;
 
     telemetry::TraceSpan span("index", "load");
     auto start = std::chrono::steady_clock::now();
 
-    entries_.clear();
-    journalEntries_ = 0;
-    journalCorrupt_ = 0;
-    manifestPresent_ = false;
-
-    // Manifest first: the compacted base. A corrupt manifest is
-    // dropped wholesale (a partial base could never match a rebuild);
-    // the journal alone may still recover recent writes, and
-    // rebuild() restores the rest. The header's counts are derivable,
-    // and an older archive's "shards" lines describe shard files,
-    // which shards/ itself records.
-    if (auto contents = readFile(manifestPath(root_))) {
+    // A file listed before keeps its entry: its name is the hash of
+    // the key its header holds. Any other file's header is decoded.
+    std::map<std::string, CellKey> listed;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const fs::path &path = it->path();
+        auto known = entries_.find(path.stem().string());
+        if (known != entries_.end() && path.extension() == ".jsonl") {
+            listed.insert(entries_.extract(known));
+            continue;
+        }
+        std::error_code typeError;
+        if (!it->is_regular_file(typeError))
+            continue;
+        auto header = readFirstLine(path.string());
+        if (!header)
+            continue; // removed since the listing, or empty
         try {
-            std::vector<std::string> lines = splitLines(*contents);
-            if (lines.empty())
-                throw StoreFormatError("empty manifest");
-            JsonValue trailer = parseJson(lines.back());
-            if (trailer.at("schema").asU64() != SCHEMA_VERSION ||
-                trailer.at("kind").asString() != "end" ||
-                trailer.at("lines").asU64() != lines.size() - 1)
-                throw StoreFormatError("bad manifest trailer");
-            size_t bodySize =
-                contents->size() - (lines.back().size() + 1);
-            if (parseHexU64(trailer.at("fnv").asString()) !=
-                fnv1a(contents->data(), bodySize))
-                throw StoreFormatError("manifest checksum mismatch");
-            for (size_t i = 0; i + 1 < lines.size(); ++i) {
-                JsonValue line = parseJson(lines[i]);
-                if (line.at("schema").asU64() != SCHEMA_VERSION)
-                    throw StoreFormatError("manifest schema mismatch");
-                std::string kind = line.at("kind").asString();
-                if (kind == "cell")
-                    entries_[line.at("fingerprint").asString()] =
-                        decodeCellKeyObject(line.at("key"));
-                else if (kind != "index" && kind != "shards")
-                    throw StoreFormatError(
-                        "unknown manifest entry kind " + kind);
-            }
-            manifestPresent_ = true;
-        } catch (const std::exception &error) {
-            warn("store index: ignoring corrupt manifest ",
-                 manifestPath(root_).string(), ": ", error.what());
-            entries_.clear();
+            CellKey key = decodeCellRecordKey(*header);
+            std::string fingerprint = key.fingerprint();
+            if (fingerprint + ".jsonl" != path.filename().string())
+                throw StoreFormatError(
+                    "record key does not hash to its file name");
+            listed.emplace(std::move(fingerprint), std::move(key));
+        } catch (const StoreFormatError &error) {
+            warn("store index: skipping ", path.string(), ": ",
+                 error.what());
         }
     }
+    entries_ = std::move(listed);
 
-    // Fold the journal on top: each cell line indexes its cell. An
-    // older archive's "shard" and "drop-shards" lines are skipped, as
-    // its manifest's "shards" lines are; any other line is corrupt.
-    if (auto contents = readFile(journalPath(root_))) {
-        for (const std::string &line : splitLines(*contents)) {
-            if (line.empty())
-                continue;
-            try {
-                JsonValue value;
-                if (!unsealLine(line, value))
-                    throw StoreFormatError("torn or garbled line");
-                std::string kind = value.at("kind").asString();
-                if (kind == "cell") {
-                    entries_[value.at("fingerprint").asString()] =
-                        decodeCellKeyObject(value.at("key"));
-                    ++journalEntries_;
-                } else if (kind != "shard" && kind != "drop-shards") {
-                    throw StoreFormatError("unknown journal entry kind " +
-                                           kind);
-                }
-            } catch (const std::exception &) {
-                ++journalCorrupt_;
-                indexMetrics().journalCorrupt.add();
-            }
-        }
-    }
-
-    setGauges();
+    indexMetrics().cells.set(static_cast<int64_t>(entries_.size()));
     indexMetrics().lookupSeconds.observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -244,9 +117,6 @@ StoreIndex::health() const
 {
     IndexHealth health;
     health.cells = entries_.size();
-    health.journalEntries = journalEntries_;
-    health.journalCorrupt = journalCorrupt_;
-    health.manifestPresent = manifestPresent_;
 
     // A shard directory beside an indexed cell is an orphan; any other
     // is a partial cell with one range per shard file.
@@ -272,53 +142,13 @@ StoreIndex::health() const
     return health;
 }
 
-std::string
-StoreIndex::encodeManifest() const
+AuditReport
+StoreIndex::audit(bool quarantine) const
 {
-    JsonObjectWriter header;
-    header.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", "index")
-        .field("cells", uint64_t{entries_.size()});
-    std::string body = header.str() + "\n";
-    for (const auto &[fingerprint, key] : entries_) {
-        JsonObjectWriter writer;
-        writer.field("schema", uint64_t{SCHEMA_VERSION})
-            .field("kind", "cell")
-            .field("fingerprint", fingerprint)
-            .rawField("key", encodeCellKeyObject(key));
-        body += writer.str() + "\n";
-    }
-    JsonObjectWriter trailer;
-    trailer.field("schema", uint64_t{SCHEMA_VERSION})
-        .field("kind", "end")
-        .field("lines", uint64_t{entries_.size() + 1})
-        .field("fnv", hexU64(fnv1a(body.data(), body.size())));
-    return body + trailer.str() + "\n";
-}
-
-void
-StoreIndex::compact()
-{
-    telemetry::TraceSpan span("index", "compact");
-    writeFileAtomically(root_, manifestPath(root_), encodeManifest());
-    truncateFile(journalPath(root_));
-    journalEntries_ = 0;
-    journalCorrupt_ = 0;
-    manifestPresent_ = true;
-    setGauges();
-}
-
-RebuildReport
-StoreIndex::rebuild(bool quarantine)
-{
-    telemetry::TraceSpan span("index", "rebuild");
+    telemetry::TraceSpan span("index", "audit");
     auto start = std::chrono::steady_clock::now();
 
-    RebuildReport report;
-    entries_.clear();
-    journalEntries_ = 0;
-    journalCorrupt_ = 0;
-
+    AuditReport report;
     // Decode every regular file in the store directory @p relative; an
     // undecodable one is reported and, with @p quarantine, moved to the
     // same relative path under index/quarantine/.
@@ -339,8 +169,9 @@ StoreIndex::rebuild(bool quarantine)
                 report.corruptRecords.push_back(file.path().string());
                 if (!quarantine)
                     continue;
-                fs::path target = indexDir(root_) / "quarantine" /
-                                  relative / file.path().filename();
+                fs::path target = fs::path(root_) / "index" /
+                                  "quarantine" / relative /
+                                  file.path().filename();
                 fs::create_directories(target.parent_path(), ec);
                 fs::rename(file.path(), target, ec);
                 if (ec)
@@ -352,17 +183,17 @@ StoreIndex::rebuild(bool quarantine)
         }
     };
 
+    std::set<std::string> cells;
     scan("cells", [&](const fs::path &path, const std::string &contents) {
-        CellRecord record = decodeCellRecordWithKey(contents, nullptr);
-        std::string fingerprint = record.key.fingerprint();
+        std::string fingerprint =
+            decodeCellRecordWithKey(contents, nullptr).key.fingerprint();
         if (fingerprint + ".jsonl" != path.filename().string())
             throw StoreFormatError(
                 "record fingerprint does not match its file name");
-        entries_[fingerprint] = std::move(record.key);
+        cells.insert(std::move(fingerprint));
     });
-    report.cells = entries_.size();
+    report.cells = cells.size();
 
-    // shards/ holds no index state: it is scanned for the report only.
     std::error_code ec;
     fs::directory_iterator shardIt(fs::path(root_) / "shards", ec);
     if (!ec) {
@@ -370,7 +201,7 @@ StoreIndex::rebuild(bool quarantine)
             if (!dir.is_directory(ec))
                 continue;
             std::string fingerprint = dir.path().filename().string();
-            bool shadowed = hasCell(fingerprint), partial = false;
+            bool shadowed = cells.count(fingerprint) != 0, partial = false;
             scan(fs::path("shards") / fingerprint,
                  [&](const fs::path &path, const std::string &contents) {
                      if (decodeShardRecord(contents, nullptr)
@@ -387,20 +218,11 @@ StoreIndex::rebuild(bool quarantine)
             report.shardSets += partial;
         }
     }
-    compact();
     indexMetrics().scanSeconds.observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count());
     return report;
-}
-
-void
-StoreIndex::setGauges() const
-{
-    indexMetrics().cells.set(static_cast<int64_t>(entries_.size()));
-    indexMetrics().journalEntries.set(
-        static_cast<int64_t>(journalEntries_));
 }
 
 } // namespace etc::store

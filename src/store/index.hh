@@ -1,52 +1,40 @@
 /**
  * @file
- * Persistent secondary index over the result store.
+ * The archive index: every complete cell of a result store, by
+ * fingerprint.
  *
  * The content-addressed store answers "give me cell <fingerprint>" in
  * one file read, but answers "what do we have for workload X?" only by
- * scanning and decoding every record. The index inverts that: a small
- * sidecar under <root>/index/ maps every complete cell's fingerprint
+ * decoding records. The index maps every complete cell's fingerprint
  * back to its full CellKey (workload x policy x errors x seed x trials
  * x program hash), so query engines and coverage reports enumerate the
- * archive without touching record bodies. It indexes cells only: the
- * shard files under <root>/shards/ are the one record of partial
- * cells, and health() and rebuild() count them there.
+ * archive without reading record bodies.
  *
- * Layout:
+ * It keeps no files of its own: <root>/cells/ is the index. load()
+ * lists that directory and decodes the header line of each record file
+ * it has not listed before (decodeCellRecordKey()); a file whose header
+ * key does not hash to its file name is skipped with a warning. So a
+ * record renamed into cells/ is indexed by the next load(), whatever
+ * became of its writer after the rename. The shard files under
+ * <root>/shards/ are the one record of partial cells, and health() and
+ * audit() count them there.
  *
- *   <root>/index/journal.jsonl    append-only cell entries
- *   <root>/index/manifest.jsonl   compacted snapshot (sorted, sealed)
- *   <root>/index/quarantine/      corrupt records moved by rebuild
- *
- * ResultStore appends one self-checksummed line to the journal per
- * cell-record write -- a single O_APPEND write(), so any number of
- * processes or threads may race on the same journal and readers at
- * worst skip a torn final line. Readers fold the journal over the
- * manifest; compact() folds everything into a fresh manifest and
- * truncates the journal. Archives written before the index dropped
- * shard state may also hold "shard" and "drop-shards" journal lines
- * and "shards" manifest lines; load() skips them. Every read, append,
- * staged write and truncation goes through file_io.hh; this file only
- * seals, parses and folds lines.
- *
- * Determinism contract: the manifest encoding carries no timestamps,
- * entries sort by fingerprint, and a cell line is journaled exactly
- * when a cell record lands in cells/, so an incrementally maintained
- * index and a from-scratch rebuild() produce byte-identical manifests
- * (pinned by index_test.cc). compact() and rebuild() must not race
- * concurrent writers (appends between snapshot and journal truncation
- * would be lost); the daemon and query paths only ever load().
+ * audit() (`etc_lab reindex`) decodes every record file in full and
+ * reports corrupt records and orphaned shards; with quarantine it
+ * moves the corrupt files under <root>/index/quarantine/, mirroring
+ * their store-relative paths. That is the only write under
+ * <root>/index/. Archives written before the index read cells/ may
+ * hold index/journal.jsonl and index/manifest.jsonl; nothing reads
+ * them.
  *
  * Like every record surface, corruption is reported and tolerated,
- * never fatal: torn journal lines are skipped and counted, a corrupt
- * manifest is ignored (rebuild() restores it), and rebuild() reports
- * -- and optionally quarantines -- undecodable record files instead
- * of crashing.
+ * never fatal.
  */
 
 #ifndef ETC_STORE_INDEX_HH
 #define ETC_STORE_INDEX_HH
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -58,6 +46,20 @@
 
 namespace etc::store {
 
+/**
+ * How close to the wall clock a directory's mtime makes a listing of
+ * it racy (git's racily-clean rule). Kernels without multigrain
+ * timestamps (before Linux 6.13) advance a directory's mtime once per
+ * jiffy (up to 10 ms), so a cell renamed into cells/ in the same tick
+ * as a listing leaves the directory's stamp unchanged. A listing taken
+ * while the mtime is within this window of the clock is therefore
+ * taken again by the next load(). A second is a hundred jiffies at
+ * HZ=100: clock slew and the lag of the kernel's coarse clock stay
+ * inside it, and a second of re-listing after each write costs one
+ * readdir per load().
+ */
+constexpr std::chrono::nanoseconds RACY_WINDOW = std::chrono::seconds(1);
+
 /** Index health for /v1/healthz and `etc_lab stats`. */
 struct IndexHealth
 {
@@ -66,18 +68,15 @@ struct IndexHealth
      *  hold at least one file. */
     uint64_t shardSets = 0;
     uint64_t shardRanges = 0;    //!< shard files across those sets
-    uint64_t journalEntries = 0; //!< cell lines folded over the manifest
-    uint64_t journalCorrupt = 0; //!< torn/garbled journal lines
-    bool manifestPresent = false;
     /** Shard directories whose fingerprint already has a complete
      *  cell (leftovers of an interrupted promotion). */
     uint64_t orphanedShards = 0;
 };
 
-/** What a full-scan rebuild found (counts plus offending paths). */
-struct RebuildReport
+/** What a full-scan audit found (counts plus offending paths). */
+struct AuditReport
 {
-    uint64_t cells = 0;
+    uint64_t cells = 0;     //!< decodable cell records
     uint64_t shardSets = 0; //!< partial cells with a decodable shard
     std::vector<std::string> orphanedShards; //!< shard files shadowed
                                              //!< by a complete cell
@@ -86,13 +85,14 @@ struct RebuildReport
 };
 
 /**
- * The secondary index over one store root. Instances are snapshots:
- * load() reads manifest + journal; call it again to refresh. A
- * refresh re-reads both files only when either one's FileStamp
- * changed since the last read (file_io.hh), so a long-lived
- * instance (the daemon's) costs two stat() calls per request over an
- * unchanged archive. Not internally synchronized -- use one instance
- * per thread, like ResultStore.
+ * The index over one store root. Instances are snapshots: load() lists
+ * cells/; call it again to refresh. A refresh lists the directory again
+ * only when its FileStamp changed since the last listing or that
+ * listing was racy (RACY_WINDOW), and decodes only the headers of
+ * files it has not listed before, so a long-lived instance (the
+ * daemon's) costs one stat() per request over a settled archive. Not
+ * internally synchronized -- use one instance per thread, like
+ * ResultStore.
  */
 class StoreIndex
 {
@@ -101,20 +101,7 @@ class StoreIndex
 
     const std::string &root() const { return root_; }
 
-    /**
-     * The writer side (stateless, any thread or process): journal the
-     * cell record of @p key as one self-checksummed O_APPEND line.
-     * Never throws -- an unwritable journal warns and the index goes
-     * stale until the next rebuild (the store itself stays correct
-     * regardless).
-     */
-    static void journalCell(const std::string &root, const CellKey &key);
-
-    /**
-     * Read manifest + journal into memory (see the file comment). On an
-     * instance that has loaded before, returns at once when neither
-     * file's stamp changed since that read.
-     */
+    /** List cells/ (see the class comment). Never throws. */
     void load();
 
     /** Indexed cells by fingerprint, in sorted order (after load()). */
@@ -131,40 +118,24 @@ class StoreIndex
     IndexHealth health() const;
 
     /**
-     * Fold the loaded state into a fresh manifest (atomic rename) and
-     * truncate the journal. Callers must guarantee no concurrent
-     * writers (see the file comment).
-     */
-    void compact();
-
-    /**
-     * Rebuild from a full scan of cells/, replacing the loaded state,
-     * then compact(). shards/ is scanned only for the report: partial
-     * cells are counted, and valid shard files whose cell is already
+     * Decode every record file under cells/ and shards/ in full.
+     * Partial cells are counted, and valid shard files whose cell is
      * complete are reported as orphans and left in place. Corrupt
      * record files of either kind are reported and, when
      * @p quarantine is set, moved under index/quarantine/ (mirroring
-     * their store-relative path). Same no-concurrent-writers contract
-     * as compact().
+     * their store-relative path). The loaded entries are untouched.
      */
-    RebuildReport rebuild(bool quarantine = false);
-
-    /** The canonical manifest bytes of the loaded state. */
-    std::string encodeManifest() const;
+    AuditReport audit(bool quarantine = false) const;
 
   private:
-    void setGauges() const;
-
     std::string root_;
     std::map<std::string, CellKey> entries_;
-    uint64_t journalEntries_ = 0;
-    uint64_t journalCorrupt_ = 0;
-    bool manifestPresent_ = false;
 
-    /** The files' stamps taken before the last load()'s read. */
+    /** The stamp of cells/ taken before the last listing, and whether
+     *  that listing was racy. */
     bool loaded_ = false;
-    std::optional<FileStamp> manifestStamp_;
-    std::optional<FileStamp> journalStamp_;
+    bool racy_ = false;
+    std::optional<FileStamp> stamp_;
 };
 
 } // namespace etc::store

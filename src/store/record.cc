@@ -92,6 +92,21 @@ parseRecordLine(const std::string &line, size_t index)
     return value;
 }
 
+/** The key of a parsed header line, which must be of kind
+ *  @p expectedKind and carry its key's fingerprint. */
+CellKey
+decodeHeaderKey(const JsonValue &header, const char *expectedKind)
+{
+    std::string kind = header.at("kind").asString();
+    if (kind != expectedKind)
+        throw StoreFormatError("expected a '" + std::string(expectedKind) +
+                               "' record, found '" + kind + "'");
+    CellKey key = decodeCellKeyObject(header.at("key"));
+    if (header.at("fingerprint").asString() != key.fingerprint())
+        throw StoreFormatError("header fingerprint does not match its key");
+    return key;
+}
+
 struct DecodedRecord
 {
     CellKey key;
@@ -115,23 +130,15 @@ decodeRecord(const std::string &text, const char *expectedKind,
             throw StoreFormatError("record has fewer than 3 lines");
 
         JsonValue header = parseRecordLine(lines[0], 0);
-        std::string kind = header.at("kind").asString();
-        if (kind != expectedKind)
-            throw StoreFormatError("expected a '" +
-                                   std::string(expectedKind) +
-                                   "' record, found '" + kind + "'");
         DecodedRecord record;
-        record.key = decodeCellKeyObject(header.at("key"));
-        if (header.at("fingerprint").asString() !=
-            record.key.fingerprint())
-            throw StoreFormatError(
-                "header fingerprint does not match its key");
+        record.key = decodeHeaderKey(header, expectedKind);
+        bool shard = std::string(expectedKind) == "shard";
         if (expected && !(record.key == *expected))
             throw StoreFormatError(
                 "record key mismatch: stored " +
                 record.key.canonical() + ", requested " +
                 expected->canonical());
-        if (kind == "shard") {
+        if (shard) {
             record.lo = header.at("lo").asU32();
             record.hi = header.at("hi").asU32();
             if (record.lo >= record.hi ||
@@ -166,9 +173,8 @@ decodeRecord(const std::string &text, const char *expectedKind,
             parseHexU64(summaryLine.at("wall_seconds_bits").asString()));
         uint64_t fidelityCount = summaryLine.at("fidelities").asU64();
 
-        unsigned expectTrials = kind == "shard"
-                                    ? record.hi - record.lo
-                                    : record.key.trials;
+        unsigned expectTrials =
+            shard ? record.hi - record.lo : record.key.trials;
         if (summary.trials != expectTrials)
             throw StoreFormatError(
                 "summary covers " + std::to_string(summary.trials) +
@@ -304,6 +310,18 @@ decodeCellRecordWithKey(const std::string &text, const CellKey *expected)
 {
     DecodedRecord decoded = decodeRecord(text, "cell", expected);
     return CellRecord{std::move(decoded.key), std::move(decoded.summary)};
+}
+
+CellKey
+decodeCellRecordKey(const std::string &headerLine)
+{
+    try {
+        return decodeHeaderKey(parseRecordLine(headerLine, 0), "cell");
+    } catch (const JsonError &error) {
+        throw StoreFormatError(error.what());
+    } catch (const std::invalid_argument &error) {
+        throw StoreFormatError(error.what());
+    }
 }
 
 ShardRecord

@@ -79,9 +79,7 @@ class JsonValue;
 
 /**
  * Encode @p key as the record header's single-line key object (the
- * "mode"/"policy" member layout documented above). The secondary
- * index journal and manifest embed the same bytes, so a key decoded
- * from any of the three re-encodes identically.
+ * "mode"/"policy" member layout documented above).
  */
 std::string encodeCellKeyObject(const CellKey &key);
 
@@ -116,6 +114,17 @@ core::CellSummary decodeCellRecord(const std::string &text,
  */
 CellRecord decodeCellRecordWithKey(const std::string &text,
                                    const CellKey *expected);
+
+/**
+ * Decode the key of a cell record from its header line alone (the
+ * record file's first line, without its newline): a "cell" header of
+ * this schema whose fingerprint member is its key's. Nothing past the
+ * header is read or checked -- this is how the archive index
+ * (index.hh) lists cells; readers decode the whole record.
+ *
+ * @throws StoreFormatError on any malformation
+ */
+CellKey decodeCellRecordKey(const std::string &headerLine);
 
 /** Decode a shard record; same validation as decodeCellRecord(). */
 ShardRecord decodeShardRecord(const std::string &text,

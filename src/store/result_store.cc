@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <system_error>
 
-#include "store/index.hh"
 #include "store/json.hh"
 #include "support/logging.hh"
 #include "telemetry/metrics.hh"
@@ -17,7 +16,8 @@ namespace fs = std::filesystem;
 namespace {
 
 /** Process-wide store metrics (/v1/metricz, the benchmark's probe).
- *  The byte counters count record files only, never index files. */
+ *  The byte counters count record I/O only, never the index's
+ *  listing or audit. */
 struct StoreMetrics
 {
     telemetry::Counter &cellHits = telemetry::counter(
@@ -124,8 +124,6 @@ ResultStore::writeRecord(const CellKey &key, unsigned lo, unsigned hi,
                         text);
     storeMetrics().bytesWritten.add(text.size());
     (shard ? storeMetrics().shardsStored : storeMetrics().cellsStored).add();
-    if (!shard)
-        StoreIndex::journalCell(root_, key);
 }
 
 bool

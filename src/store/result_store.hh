@@ -7,16 +7,15 @@
  *   <root>/cells/<fingerprint>.jsonl          complete cell records
  *   <root>/shards/<fingerprint>/<lo>-<hi>.jsonl   partial shards
  *   <root>/tmp/                                staging for atomic writes
- *   <root>/index/                              secondary index (index.hh)
+ *   <root>/index/quarantine/                   corrupt records moved
+ *                                              aside by `etc_lab reindex`
  *
- * Every cell-record write also appends one line to the secondary
- * index journal (index.hh), so query and coverage surfaces can
- * enumerate the archive without scanning record bodies. Shard writes
- * and drops journal nothing: the files under shards/ are the one
- * record of partial cells. Every record write -- storeCell(),
- * storeShard(), ingestRecord() and so promoteShards() -- goes through
- * one private path that stages and counts it (and journals a cell
- * record), and all file access goes through file_io.hh.
+ * The files are the whole state: the archive index (index.hh) lists
+ * cells/, and the files under shards/ are the one record of partial
+ * cells. Every record write -- storeCell(), storeShard(),
+ * ingestRecord() and so promoteShards() -- goes through one private
+ * path that stages and counts it, and all file access goes through
+ * file_io.hh, so a record renamed into place is all a write leaves.
  *
  * Records are addressed by the CellKey fingerprint, so equal work is
  * deduplicated across runs, drivers, and machines sharing a cache
@@ -181,8 +180,7 @@ class ResultStore
     /**
      * The one record write: stage @p text and rename it into place as
      * the shard [lo, hi) of @p key, or as its cell record when @p hi
-     * is 0 (a shard range is never empty), then count it and, for a
-     * cell record, journal it.
+     * is 0 (a shard range is never empty), then count it.
      */
     void writeRecord(const CellKey &key, unsigned lo, unsigned hi,
                      const std::string &text);

@@ -1,12 +1,16 @@
 /**
  * @file
- * Secondary-index contract tests: incremental maintenance (journal
- * appends from cell-record writes) folds to the byte-identical
- * manifest a from-scratch rebuild produces, partial and orphaned
- * shard directories are counted from disk, torn journal lines and
- * corrupt record files are counted/quarantined instead of crashing,
- * an older archive's shard lines load clean, and concurrent writers
- * keep the journal decodable (the TSan CI job runs this binary).
+ * Archive-index contract tests: load() lists exactly the record files
+ * in cells/ whose header key hashes to their name -- however they got
+ * there, and whatever an older archive's index files say -- a
+ * long-lived index sees every change, including one made in the same
+ * mtime tick as its last listing, and lists nothing again over a
+ * settled directory; seeded byte mutations of a record never make
+ * load() throw or list a file under a key that does not hash to its
+ * name; partial and orphaned shard directories are counted from disk,
+ * and the audit reports (and quarantines) corrupt records. Writers
+ * racing a reader leave every cell listed (the TSan CI job runs this
+ * binary).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <thread>
 #include <tuple>
 
@@ -75,6 +80,23 @@ sampleSummary(unsigned trials = 8)
     return summary;
 }
 
+std::string
+recordName(const CellKey &key)
+{
+    return key.fingerprint() + ".jsonl";
+}
+
+/** Move cells/'s mtime 2 x RACY_WINDOW into the past: the directory
+ *  is settled, so a listing of it is not racy. */
+void
+settle(const fs::path &root)
+{
+    fs::path cells = root / "cells";
+    if (fs::exists(cells))
+        fs::last_write_time(cells,
+                            fs::last_write_time(cells) - 2 * RACY_WINDOW);
+}
+
 class StoreIndexTest : public ::testing::Test
 {
   protected:
@@ -93,30 +115,26 @@ class StoreIndexTest : public ::testing::Test
 
     void TearDown() override { fs::remove_all(root_); }
 
-    std::string
-    manifestOf(StoreIndex &index)
-    {
-        index.load();
-        return index.encodeManifest();
-    }
-
     std::filesystem::path root_;
 };
 
-// The core determinism contract: an index maintained incrementally by
-// store writes (shard -> shard -> promote -> drop, plus a partial
-// cell left as shards) must encode the byte-identical manifest a
-// full-scan rebuild produces -- queries may trust either path.
+// An index kept across store writes (shard -> shard -> promote ->
+// drop, plus a partial cell left as shards) lists what a fresh index
+// and a full-scan audit find, and no write touches index/.
 TEST_F(StoreIndexTest, IncrementalMatchesRebuild)
 {
     ResultStore cache(root_.string());
+    StoreIndex incremental(root_.string());
+    incremental.load();
 
     // Cell A: sharded, merged, promoted, shards dropped.
     CellKey a = sampleKey("gsm", "protected", 5, 20);
     auto shard = sampleSummary(10);
     cache.storeShard(a, 0, 10, shard);
+    incremental.load();
     cache.storeShard(a, 10, 20, shard);
     cache.storeCell(a, sampleSummary(20));
+    incremental.load();
     cache.dropShards(a);
 
     // Cell B: complete in one write.
@@ -129,8 +147,7 @@ TEST_F(StoreIndexTest, IncrementalMatchesRebuild)
 
     // C is no entry: its shard file is the one record of it, and
     // health() reads it from disk.
-    StoreIndex incremental(root_.string());
-    std::string viaJournal = manifestOf(incremental);
+    incremental.load();
     EXPECT_EQ(incremental.entries().size(), 2u);
     EXPECT_TRUE(incremental.hasCell(a.fingerprint()));
     EXPECT_TRUE(incremental.hasCell(b.fingerprint()));
@@ -141,46 +158,77 @@ TEST_F(StoreIndexTest, IncrementalMatchesRebuild)
     EXPECT_EQ(health.shardRanges, 1u);
     EXPECT_EQ(health.orphanedShards, 0u);
 
-    StoreIndex rebuilt(root_.string());
-    rebuilt.load();
-    auto report = rebuilt.rebuild();
+    StoreIndex fresh(root_.string());
+    fresh.load();
+    EXPECT_EQ(fresh.entries(), incremental.entries());
+    auto report = fresh.audit();
     EXPECT_EQ(report.cells, 2u);
     EXPECT_EQ(report.shardSets, 1u);
     EXPECT_TRUE(report.orphanedShards.empty());
     EXPECT_TRUE(report.corruptRecords.empty());
-    EXPECT_EQ(manifestOf(rebuilt), viaJournal);
-
-    // Compacting the incremental index must be a fixed point: the
-    // reloaded state encodes the same bytes again.
-    incremental.load();
-    incremental.compact();
-    StoreIndex reloaded(root_.string());
-    EXPECT_EQ(manifestOf(reloaded), viaJournal);
-    EXPECT_TRUE(reloaded.health().manifestPresent);
-    EXPECT_EQ(reloaded.health().journalEntries, 0u);
+    EXPECT_EQ(fresh.entries(), incremental.entries());
+    EXPECT_FALSE(fs::exists(root_ / "index"));
 }
 
-TEST_F(StoreIndexTest, TornJournalLineIsCountedNotFatal)
+// Files in cells/ that are not a cell record named by its key's hash
+// -- garbage, a truncated header, an empty file, a shard record, a
+// valid record under another cell's name -- are skipped, never fatal.
+TEST_F(StoreIndexTest, MisnamedOrGarbledCellFilesAreSkipped)
 {
     ResultStore cache(root_.string());
-    cache.storeCell(sampleKey("gsm", "protected", 5), sampleSummary());
+    CellKey good = sampleKey("gsm", "protected", 5);
+    cache.storeCell(good, sampleSummary());
+    std::string record = encodeCellRecord(good, sampleSummary());
+    CellKey stray = sampleKey("gsm", "protected", 6);
+    CellKey other = sampleKey("gsm", "protected", 7);
 
-    // A torn/garbled final line (no checksum seal) and a sealed line
-    // whose body was tampered with must both be skipped and counted.
-    {
-        std::ofstream journal(root_ / "index" / "journal.jsonl",
-                              std::ios::app);
-        journal << "{\"schema\":1,\"kind\":\"cell\",\"fing";
-        journal << '\n';
-        journal << "{\"schema\":1,\"kind\":\"cell\",\"tampered\":true,"
-                   "\"fnv\":\"0x0\"}\n";
-    }
+    fs::path cells = root_ / "cells";
+    std::ofstream(cells / "00112233445566ff.jsonl") << "not json\n";
+    std::ofstream(cells / "0011223344556600.jsonl")
+        << record.substr(0, record.find('\n') / 2);
+    std::ofstream(cells / "0011223344556611.jsonl");
+    std::ofstream(cells / recordName(other))
+        << encodeCellRecord(stray, sampleSummary());
+    std::ofstream(cells / "0011223344556622.jsonl")
+        << encodeShardRecord(good, 0, 4, sampleSummary(4));
+    fs::create_directory(cells / "0011223344556633.jsonl");
+
+    StoreIndex index(root_.string());
+    ASSERT_NO_THROW(index.load());
+    ASSERT_EQ(index.entries().size(), 1u);
+    EXPECT_EQ(index.entries().at(good.fingerprint()), good);
+    EXPECT_EQ(index.health().cells, 1u);
+}
+
+// A record renamed into cells/ right after a load() is listed by the
+// next one: the directory's stamp moves, and where a coarse mtime
+// clock would leave it unchanged (simulated by restoring the mtime
+// with the entry count kept) the last listing was racy.
+TEST_F(StoreIndexTest, ACellWrittenRightAfterALoadIsListedNext)
+{
+    ResultStore cache(root_.string());
+    CellKey a = sampleKey("gsm", "protected", 1);
+    CellKey b = sampleKey("gsm", "protected", 2);
+    CellKey c = sampleKey("gsm", "protected", 3);
+    cache.storeCell(a, sampleSummary());
 
     StoreIndex index(root_.string());
     index.load();
-    EXPECT_EQ(index.entries().size(), 1u);
-    EXPECT_EQ(index.health().journalCorrupt, 2u);
-    EXPECT_EQ(index.health().cells, 1u);
+    cache.storeCell(b, sampleSummary());
+    index.load();
+    EXPECT_TRUE(index.hasCell(b.fingerprint()));
+
+    fs::path cells = root_ / "cells";
+    auto stamped = stampFile(cells.string());
+    auto mtime = fs::last_write_time(cells);
+    fs::remove(cells / recordName(a));
+    cache.storeCell(c, sampleSummary());
+    fs::last_write_time(cells, mtime);
+    ASSERT_EQ(stampFile(cells.string()), stamped);
+    index.load();
+    EXPECT_TRUE(index.hasCell(c.fingerprint()));
+    EXPECT_FALSE(index.hasCell(a.fingerprint()));
+    EXPECT_EQ(index.entries().size(), 2u);
 }
 
 TEST_F(StoreIndexTest, RebuildQuarantinesCorruptRecords)
@@ -205,27 +253,31 @@ TEST_F(StoreIndexTest, RebuildQuarantinesCorruptRecords)
 
     StoreIndex index(root_.string());
     index.load();
-    auto report = index.rebuild(/*quarantine=*/true);
+    auto report = index.audit(/*quarantine=*/true);
     EXPECT_EQ(report.cells, 1u);
     EXPECT_EQ(report.shardSets, 1u);
     ASSERT_EQ(report.corruptRecords.size(), 2u);
     EXPECT_EQ(report.quarantined, 2u);
 
     // The corrupt files moved under index/quarantine/, mirroring
-    // their store-relative paths; the good records stayed put.
+    // their store-relative paths; the good records stayed put, and
+    // nothing else was written under index/.
     EXPECT_FALSE(fs::exists(root_ / "cells" / badCell));
     EXPECT_FALSE(fs::exists(shardDir / "10-20.jsonl"));
     EXPECT_TRUE(
         fs::exists(root_ / "index" / "quarantine" / "cells" / badCell));
     EXPECT_TRUE(fs::exists(root_ / "index" / "quarantine" / "shards" /
                            partial.fingerprint() / "10-20.jsonl"));
-    EXPECT_TRUE(fs::exists(root_ / "cells" /
-                           (good.fingerprint() + ".jsonl")));
+    EXPECT_TRUE(fs::exists(root_ / "cells" / recordName(good)));
     EXPECT_TRUE(fs::exists(shardDir / "0-10.jsonl"));
+    std::vector<std::string> underIndex;
+    for (const auto &entry : fs::directory_iterator(root_ / "index"))
+        underIndex.push_back(entry.path().filename().string());
+    EXPECT_EQ(underIndex, std::vector<std::string>{"quarantine"});
 
     // Without the flag the same corruption is only reported.
     { std::ofstream(root_ / "cells" / badCell) << "still not json\n"; }
-    auto report2 = index.rebuild(/*quarantine=*/false);
+    auto report2 = index.audit(/*quarantine=*/false);
     EXPECT_EQ(report2.corruptRecords.size(), 1u);
     EXPECT_EQ(report2.quarantined, 0u);
     EXPECT_TRUE(fs::exists(root_ / "cells" / badCell));
@@ -244,7 +296,7 @@ TEST_F(StoreIndexTest, RebuildReportsOrphanedShards)
     index.load();
     EXPECT_EQ(index.health().orphanedShards, 1u);
 
-    auto report = index.rebuild();
+    auto report = index.audit();
     EXPECT_EQ(report.cells, 1u);
     EXPECT_EQ(report.shardSets, 0u);
     ASSERT_EQ(report.orphanedShards.size(), 1u);
@@ -254,8 +306,8 @@ TEST_F(StoreIndexTest, RebuildReportsOrphanedShards)
                            "0-10.jsonl"));
 }
 
-/** @p body sealed as a journal line: a trailing "fnv" member over
- *  the unsealed bytes. */
+/** @p body sealed as an older archive's journal line: a trailing
+ *  "fnv" member over the unsealed bytes. */
 std::string
 sealed(const std::string &body)
 {
@@ -263,16 +315,18 @@ sealed(const std::string &body)
            hexU64(fnv1a(body.data(), body.size())) + "\"}\n";
 }
 
-// An archive written while the index still mirrored shard state holds
-// "shard" and "drop-shards" journal lines and "shards" manifest
-// lines: they are skipped, not counted as corrupt, and their cells
-// load. Any other unknown kind is still corrupt.
+// An archive written while the index kept its own files holds
+// index/manifest.jsonl and index/journal.jsonl, with "shard",
+// "drop-shards" and "shards" lines, a torn line and cells that are no
+// longer (or never were) in cells/. The listing is exactly cells/,
+// and the old files are left as they were.
 TEST_F(StoreIndexTest, OldShardLinesLoadClean)
 {
     CellKey compacted = sampleKey("gsm", "protected", 5, 20);
     CellKey partial = sampleKey("gsm", "unprotected", 5, 20);
     CellKey promoted = sampleKey("adpcm", "protected", 3, 20);
     CellKey striped = sampleKey("adpcm", "unprotected", 3, 20);
+    CellKey unjournaled = sampleKey("art", "protected", 1, 20);
     auto line = [](const char *kind, const CellKey &key,
                    const std::string &extra) {
         return std::string("{\"schema\":1,\"kind\":\"") + kind +
@@ -289,75 +343,71 @@ TEST_F(StoreIndexTest, OldShardLinesLoadClean)
     manifest += "{\"schema\":1,\"kind\":\"end\",\"lines\":3,"
                 "\"fnv\":\"" +
                 hexU64(fnv1a(manifest.data(), manifest.size())) + "\"}\n";
+    std::string journal =
+        sealed(line("shard", promoted, ",\"lo\":0,\"hi\":10")) +
+        sealed(line("shard", promoted, ",\"lo\":10,\"hi\":20")) +
+        sealed(line("cell", promoted, "")) +
+        sealed("{\"schema\":1,\"kind\":\"drop-shards\","
+               "\"fingerprint\":\"" +
+               promoted.fingerprint() + "\"}") +
+        sealed(line("shard", striped, ",\"lo\":0,\"hi\":10")) +
+        "{\"schema\":1,\"kind\":\"cell\",\"fing";
     std::ofstream(root_ / "index" / "manifest.jsonl") << manifest;
-    std::ofstream(root_ / "index" / "journal.jsonl")
-        << sealed(line("shard", promoted, ",\"lo\":0,\"hi\":10"))
-        << sealed(line("shard", promoted, ",\"lo\":10,\"hi\":20"))
-        << sealed(line("cell", promoted, ""))
-        << sealed("{\"schema\":1,\"kind\":\"drop-shards\","
-                  "\"fingerprint\":\"" +
-                  promoted.fingerprint() + "\"}")
-        << sealed(line("shard", striped, ",\"lo\":0,\"hi\":10"));
+    std::ofstream(root_ / "index" / "journal.jsonl") << journal;
+
+    // cells/ holds promoted and a cell no journal line names;
+    // compacted's record is gone.
+    ResultStore cache(root_.string());
+    cache.storeCell(promoted, sampleSummary(20));
+    cache.storeCell(unjournaled, sampleSummary(20));
 
     StoreIndex index(root_.string());
     index.load();
-    auto health = index.health();
-    EXPECT_TRUE(health.manifestPresent);
-    EXPECT_EQ(health.journalCorrupt, 0u);
-    EXPECT_EQ(health.journalEntries, 1u);
-    EXPECT_EQ(health.cells, 2u);
     ASSERT_EQ(index.entries().size(), 2u);
-    EXPECT_EQ(index.entries().at(compacted.fingerprint()), compacted);
     EXPECT_EQ(index.entries().at(promoted.fingerprint()), promoted);
+    EXPECT_EQ(index.entries().at(unjournaled.fingerprint()), unjournaled);
+    EXPECT_EQ(index.health().cells, 2u);
+    EXPECT_EQ(index.audit().cells, 2u);
 
-    std::ofstream(root_ / "index" / "journal.jsonl", std::ios::app)
-        << sealed(line("bogus", striped, ""));
-    index.load();
-    EXPECT_EQ(index.health().journalCorrupt, 1u);
-    EXPECT_EQ(index.entries().size(), 2u);
+    EXPECT_EQ(readFile((root_ / "index" / "manifest.jsonl").string()),
+              manifest);
+    EXPECT_EQ(readFile((root_ / "index" / "journal.jsonl").string()),
+              journal);
 }
 
-std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, bool,
-           uint64_t>
+std::tuple<uint64_t, uint64_t, uint64_t, uint64_t>
 healthFields(const IndexHealth &health)
 {
-    return {health.cells,          health.shardSets,
-            health.shardRanges,    health.journalEntries,
-            health.journalCorrupt, health.manifestPresent,
+    return {health.cells, health.shardSets, health.shardRanges,
             health.orphanedShards};
 }
 
 // A long-lived index (the daemon's) refreshed after every kind of
-// archive change agrees with a fresh instance's read, and a refresh
-// over unchanged files reads nothing.
+// archive change agrees with a fresh instance's listing, and once
+// cells/ has settled (its mtime older than RACY_WINDOW) a refresh
+// lists nothing: etc_index_lookup_seconds does not tick.
 TEST_F(StoreIndexTest, LongLivedIndexSeesEveryChange)
 {
     ResultStore cache(root_.string());
     StoreIndex live(root_.string());
     live.load(); // registers the index metrics with their buckets
-    telemetry::Histogram &reads =
+    telemetry::Histogram &listings =
         telemetry::histogram("etc_index_lookup_seconds", "", {});
-    telemetry::Counter &corrupt =
-        telemetry::counter("etc_index_journal_corrupt_total", "");
     auto expectFresh = [&](const std::string &step) {
         live.load();
         StoreIndex fresh(root_.string());
         fresh.load();
-        EXPECT_EQ(live.encodeManifest(), fresh.encodeManifest()) << step;
+        EXPECT_EQ(live.entries(), fresh.entries()) << step;
         EXPECT_EQ(healthFields(live.health()),
                   healthFields(fresh.health()))
             << step;
 
-        uint64_t readsBefore = reads.count();
-        uint64_t corruptBefore = corrupt.value();
+        settle(root_);
         live.load();
-        EXPECT_EQ(reads.count(), readsBefore) << step;
-        EXPECT_EQ(corrupt.value(), corruptBefore) << step;
-        EXPECT_EQ(live.encodeManifest(), fresh.encodeManifest()) << step;
-    };
-    auto appendJournal = [&](const std::string &text) {
-        std::ofstream(root_ / "index" / "journal.jsonl", std::ios::app)
-            << text;
+        uint64_t before = listings.count();
+        live.load();
+        EXPECT_EQ(listings.count(), before) << step;
+        EXPECT_EQ(live.entries(), fresh.entries()) << step;
     };
 
     expectFresh("empty store");
@@ -369,38 +419,108 @@ TEST_F(StoreIndexTest, LongLivedIndexSeesEveryChange)
     expectFresh("storeShard");
     cache.dropShards(b);
     expectFresh("dropShards");
-    appendJournal("{\"schema\":1,\"kind\":\"cell\",\"fing");
-    expectFresh("torn line");
-    appendJournal("\n{\"schema\":1,\"kind\":\"cell\",\"tampered\":true,"
-                  "\"fnv\":\"0x0\"}\n");
-    expectFresh("garbled sealed line");
-    EXPECT_EQ(live.health().journalCorrupt, 2u);
-    {
-        StoreIndex compactor(root_.string());
-        compactor.load();
-        compactor.compact();
-    }
-    expectFresh("compact");
-    EXPECT_EQ(live.health().journalEntries, 0u);
-    cache.storeShard(b, 0, 10, sampleSummary(10));
-    StoreIndex(root_.string()).rebuild();
-    expectFresh("rebuild");
+    CellKey c = sampleKey("adpcm", "protected", 4, 20);
+    fs::path staged = root_ / "tmp" / "renamed";
+    std::ofstream(staged) << encodeCellRecord(c, sampleSummary(20));
+    fs::rename(staged, root_ / "cells" / recordName(c));
+    expectFresh("record renamed in");
+    EXPECT_TRUE(live.hasCell(c.fingerprint()));
+    std::ofstream(root_ / "cells" / "00112233445566ff.jsonl") << "junk\n";
+    expectFresh("garbage file");
+    EXPECT_EQ(live.entries().size(), 2u);
+    EXPECT_EQ(StoreIndex(root_.string()).audit(true).quarantined, 1u);
+    expectFresh("audit quarantined the garbage");
+    fs::remove(root_ / "cells" / recordName(a));
+    expectFresh("record removed");
     EXPECT_EQ(live.entries().size(), 1u);
+    cache.storeShard(b, 0, 10, sampleSummary(10));
+    expectFresh("partial cell");
     EXPECT_EQ(live.health().shardSets, 1u);
-    fs::remove_all(root_ / "index");
-    expectFresh("index deleted");
+    fs::remove_all(root_ / "cells");
+    expectFresh("cells/ deleted");
     EXPECT_TRUE(live.entries().empty());
-    EXPECT_FALSE(live.health().manifestPresent);
+    cache.storeCell(a, sampleSummary(20));
+    expectFresh("cells/ recreated");
+    EXPECT_EQ(live.entries().size(), 1u);
 }
 
-// Many threads appending through their own ResultStore instances must
-// leave a fully decodable journal (each entry is one O_APPEND write).
-// The TSan CI job runs this test to pin the data-race contract.
-TEST_F(StoreIndexTest, ConcurrentWritersKeepJournalDecodable)
+// Seeded byte mutations (flip, insert, delete, duplicate) of a valid
+// record in cells/, mostly of its header line: load() never throws,
+// lists the file only under the key whose hash is its name, and lists
+// it whenever the header line survived intact.
+TEST_F(StoreIndexTest, MutatedCellFilesNeverThrowAndListOnlyTheirKey)
+{
+    CellKey key = sampleKey("gsm", "protected", 5, 20);
+    const std::string record = encodeCellRecord(key, sampleSummary(20));
+    const std::string header = record.substr(0, record.find('\n'));
+    fs::path path = root_ / "cells" / recordName(key);
+    fs::create_directories(path.parent_path());
+
+    std::mt19937_64 rng(20061025);
+    auto pick = [&](size_t n) {
+        return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+    };
+    auto mutate = [&](std::string text) {
+        // Three in four edits land in the header line.
+        for (size_t edits = 1 + pick(4); edits > 0; --edits) {
+            size_t span = pick(4) ? header.size() + 1 : text.size();
+            size_t at = pick(std::min(span, text.size()) + 1);
+            switch (pick(4)) {
+              case 0: // flip one bit
+                if (at < text.size())
+                    text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
+                break;
+              case 1: // insert a byte
+                text.insert(at, 1, static_cast<char>(pick(256)));
+                break;
+              case 2: // delete a run
+                if (at < text.size())
+                    text.erase(at, 1 + pick(8));
+                break;
+              default: // duplicate a run
+                if (at < text.size())
+                    text.insert(pick(text.size() + 1),
+                                text.substr(at, 1 + pick(16)));
+                break;
+            }
+        }
+        return text;
+    };
+
+    constexpr int MUTATIONS = 1500;
+    unsigned listed = 0, intact = 0;
+    for (int i = 0; i < MUTATIONS; ++i) {
+        std::string mutated = mutate(record);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << mutated;
+        StoreIndex index(root_.string());
+        ASSERT_NO_THROW(index.load()) << "mutation " << i;
+        for (const auto &[fingerprint, listedKey] : index.entries()) {
+            ++listed;
+            ASSERT_EQ(fingerprint, key.fingerprint()) << "mutation " << i;
+            ASSERT_EQ(listedKey, key) << "mutation " << i << ": " << mutated;
+        }
+        if (mutated.substr(0, mutated.find('\n')) == header) {
+            ++intact;
+            ASSERT_TRUE(index.hasCell(key.fingerprint()))
+                << "mutation " << i << ": " << mutated;
+        }
+    }
+    // Both outcomes occur, so the run exercised both paths.
+    EXPECT_GT(intact, 0u);
+    EXPECT_LT(listed, static_cast<unsigned>(MUTATIONS));
+}
+
+// Writers racing a reader: each writer thread stores through its own
+// ResultStore (shard, cell, shard drop) while a reader's long-lived
+// index keeps loading. Every listing holds only well-keyed cells, and
+// the reader's final load() lists every cell. The TSan CI job runs
+// this test to pin the data-race contract.
+TEST_F(StoreIndexTest, ConcurrentWritersRaceAReadersLoad)
 {
     constexpr int WRITERS = 4;
     constexpr int CELLS_PER_WRITER = 24;
     std::atomic<bool> go{false};
+    std::atomic<int> writing{WRITERS};
     std::vector<std::thread> threads;
     for (int w = 0; w < WRITERS; ++w)
         threads.emplace_back([&, w] {
@@ -416,30 +536,28 @@ TEST_F(StoreIndexTest, ConcurrentWritersKeepJournalDecodable)
                 cache.storeCell(key, sampleSummary(20));
                 cache.dropShards(key);
             }
+            --writing;
         });
+
+    StoreIndex reader(root_.string());
     go = true;
+    size_t listings = 0, miskeyed = 0;
+    while (writing.load() > 0) {
+        reader.load();
+        ++listings;
+        for (const auto &[fingerprint, key] : reader.entries())
+            miskeyed += key.fingerprint() != fingerprint;
+    }
     for (auto &t : threads)
         t.join();
 
-    StoreIndex index(root_.string());
-    index.load();
-    EXPECT_EQ(index.health().journalCorrupt, 0u);
-    EXPECT_EQ(index.entries().size(),
+    reader.load();
+    EXPECT_GT(listings, 0u);
+    EXPECT_EQ(miskeyed, 0u);
+    EXPECT_EQ(reader.entries().size(),
               (size_t)WRITERS * CELLS_PER_WRITER);
-    // One journal line per cell: its shard write and drop journal
-    // nothing.
-    std::ifstream journal(root_ / "index" / "journal.jsonl");
-    size_t lines = 0;
-    for (std::string line; std::getline(journal, line);)
-        ++lines;
-    EXPECT_EQ(lines, (size_t)WRITERS * CELLS_PER_WRITER);
-
-    // And the incremental result still matches a rebuild.
-    std::string viaJournal = index.encodeManifest();
-    auto report = index.rebuild();
-    EXPECT_EQ(report.cells, (uint64_t)WRITERS * CELLS_PER_WRITER);
-    index.load();
-    EXPECT_EQ(index.encodeManifest(), viaJournal);
+    EXPECT_EQ(reader.audit().cells, (uint64_t)WRITERS * CELLS_PER_WRITER);
+    EXPECT_FALSE(fs::exists(root_ / "index"));
 }
 
 } // namespace

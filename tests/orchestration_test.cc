@@ -132,18 +132,22 @@ TEST_F(OrchestrationTest, CacheHitIsBitIdenticalAndRunsNothing)
     EXPECT_EQ(second.trialsExecuted(), 0u);
 }
 
-// A cell served from the store has no shards to drop, so repeated
-// warm runCell calls leave the index journal as it was.
-TEST_F(OrchestrationTest, WarmRunCellLeavesTheJournalUnchanged)
+// A cell served from the store is only read: repeated warm runCell
+// calls rewrite neither its record nor anything else in cells/.
+TEST_F(OrchestrationTest, WarmRunCellRewritesNothing)
 {
     ErrorToleranceStudy study(*workload_, config(2));
     study.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
-    auto journal = root_ / "index" / "journal.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(journal));
-    auto size = std::filesystem::file_size(journal);
+    std::string cells = (root_ / "cells").string();
+    std::string record =
+        std::filesystem::directory_iterator(cells)->path().string();
+    auto cellsStamp = store::stampFile(cells);
+    auto recordStamp = store::stampFile(record);
+    ASSERT_TRUE(cellsStamp && recordStamp);
     for (int i = 0; i < 5; ++i)
         study.runCell(ERRORS, fault::PROTECTED_POLICY, TRIALS);
-    EXPECT_EQ(std::filesystem::file_size(journal), size);
+    EXPECT_EQ(store::stampFile(cells), cellsStamp);
+    EXPECT_EQ(store::stampFile(record), recordStamp);
     EXPECT_EQ(study.trialsExecuted(), TRIALS);
 }
 

@@ -42,6 +42,7 @@
 #include "service/http_server.hh"
 #include "service/scheduler.hh"
 #include "service/service.hh"
+#include "store/index.hh"
 #include "store/json.hh"
 #include "store/record.hh"
 #include "store/result_store.hh"
@@ -148,6 +149,31 @@ class ServiceTest : public ::testing::Test
     client()
     {
         return Client("127.0.0.1", server_->port());
+    }
+
+    /** Send @p bytes on a fresh connection; @return everything the
+     *  server answers until it closes the connection. */
+    std::string
+    rawExchange(const std::string &bytes)
+    {
+        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        EXPECT_GE(fd, 0);
+        sockaddr_in address = {};
+        address.sin_family = AF_INET;
+        address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        address.sin_port = htons(server_->port());
+        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&address),
+                            sizeof(address)),
+                  0);
+        EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
+                  static_cast<ssize_t>(bytes.size()));
+        std::string reply;
+        char buffer[4096];
+        ssize_t n;
+        while ((n = ::read(fd, buffer, sizeof(buffer))) > 0)
+            reply.append(buffer, static_cast<size_t>(n));
+        ::close(fd);
+        return reply;
     }
 
     /** POST a job; @return the response. */
@@ -608,25 +634,24 @@ TEST_F(ServiceTest, DeeplyNestedJsonBodyGetsA400)
 // or a dropped connection without an answer.
 TEST_F(ServiceTest, GarbageRequestLineGetsA400)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in address = {};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    address.sin_port = htons(server_->port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&address),
-                        sizeof(address)),
-              0);
-    const char garbage[] = "EXTERMINATE\r\n\r\n";
-    ASSERT_EQ(::write(fd, garbage, sizeof(garbage) - 1),
-              static_cast<ssize_t>(sizeof(garbage) - 1));
-    std::string reply;
-    char buffer[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buffer, sizeof(buffer))) > 0)
-        reply.append(buffer, static_cast<size_t>(n));
-    ::close(fd);
+    std::string reply = rawExchange("EXTERMINATE\r\n\r\n");
     EXPECT_EQ(reply.rfind("HTTP/1.1 400 ", 0), 0u) << reply;
+}
+
+// Content-Length is digits only, like ?trials= and ?seed=: a signed
+// length is a 400, neither a wrapped "body too large" nor a length.
+TEST_F(ServiceTest, SignedContentLengthGetsA400)
+{
+    for (const char *length : {"-1", "+2", "2x", ""}) {
+        std::string reply = rawExchange(
+            std::string("GET /v1/healthz HTTP/1.1\r\nConnection: close"
+                        "\r\nContent-Length: ") +
+            length + "\r\n\r\nxx");
+        EXPECT_EQ(reply.rfind("HTTP/1.1 400 ", 0), 0u)
+            << length << ": " << reply;
+        EXPECT_NE(reply.find("malformed Content-Length"), std::string::npos)
+            << length << ": " << reply;
+    }
 }
 
 // The acceptance bar: >= 8 concurrent clients served without error,
@@ -802,6 +827,54 @@ TEST_F(ServiceTest, AnswersFollowCellsWrittenBehindTheDaemon)
     EXPECT_EQ(counterValue("etc_store_bytes_read_total"), bytes);
 }
 
+// What a writer killed right after its rename leaves -- a record in
+// cells/ and nothing else -- is the whole of a cell: a fresh index and
+// a long-lived one list it, agg=cells counts it, and the running
+// daemon's next /v1/query serves it.
+TEST_F(ServiceTest, ARecordRenamedIntoCellsAloneIsServed)
+{
+    store::CellKey key;
+    key.workload = "gsm";
+    key.policy = "protected";
+    key.errors = 1;
+    key.trials = 4;
+    key.seed = 0xbe7c;
+    key.budgetFactor = 10.0;
+    key.memoryModel = "lenient";
+    key.programHash = "0x1";
+    core::CellSummary summary;
+    summary.errors = key.errors;
+    summary.policy = key.policy;
+    summary.trials = key.trials;
+    summary.crashed = key.trials;
+
+    core::QueryOptions cells;
+    cells.agg = core::QueryAgg::Cells;
+    store::StoreIndex longLived(root_.string());
+    longLived.load();
+    auto before = client().get("/v1/query?agg=cells");
+    ASSERT_EQ(before.status, 200) << before.body;
+    EXPECT_EQ(store::parseJson(before.body).at("cellsMatched").asU64(), 0u);
+
+    auto staged = root_ / "staged";
+    std::filesystem::create_directories(root_ / "cells");
+    std::ofstream(staged, std::ios::binary)
+        << store::encodeCellRecord(key, summary);
+    std::filesystem::rename(staged, root_ / "cells" /
+                                        (key.fingerprint() + ".jsonl"));
+
+    store::StoreIndex fresh(root_.string());
+    fresh.load();
+    EXPECT_TRUE(fresh.hasCell(key.fingerprint()));
+    longLived.load();
+    EXPECT_TRUE(longLived.hasCell(key.fingerprint()));
+    auto offline = core::runQuery(root_.string(), cells);
+    EXPECT_EQ(store::parseJson(offline.json).at("cellsMatched").asU64(), 1u);
+    auto served = client().get("/v1/query?agg=cells");
+    ASSERT_EQ(served.status, 200) << served.body;
+    EXPECT_EQ(served.body, offline.json);
+}
+
 TEST_F(ServiceTest, IndexEndpointAndHealthReflectTheArchive)
 {
     startWorkers();
@@ -814,14 +887,14 @@ TEST_F(ServiceTest, IndexEndpointAndHealthReflectTheArchive)
     ASSERT_EQ(index.status, 200) << index.body;
     auto parsed = store::parseJson(index.body);
     EXPECT_EQ(parsed.at("health").at("cells").asU64(), 2u);
-    EXPECT_EQ(parsed.at("health").at("journalCorrupt").asU64(), 0u);
+    EXPECT_EQ(parsed.at("health").at("orphanedShards").asU64(), 0u);
     ASSERT_EQ(parsed.at("entries").elements.size(), 2u);
     for (const auto &entry : parsed.at("entries").elements)
         EXPECT_EQ(entry.at("workload").asString(), "gsm");
 
     auto health = store::parseJson(client().get("/v1/healthz").body);
     EXPECT_EQ(health.at("indexCells").asU64(), 2u);
-    EXPECT_EQ(health.at("indexJournalCorrupt").asU64(), 0u);
+    EXPECT_EQ(health.at("indexOrphanedShards").asU64(), 0u);
 
     // The experiment registry reports archive coverage via the index.
     auto registry =

@@ -23,6 +23,7 @@
 #include "store/json.hh"
 #include "store/record.hh"
 #include "store/result_store.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
@@ -656,42 +657,9 @@ TEST_F(ResultStoreTest, RecordMemoPastItsCapKeepsEveryAnswer)
     EXPECT_EQ(counterValue("etc_store_cache_misses_total"), misses);
 }
 
-// Only cell records are journaled: shard writes, ingested shards and
-// shard drops append nothing, and a promotion appends exactly its one
-// cell line.
-TEST_F(ResultStoreTest, ShardDropsJournalOnlyWhatTheyRemove)
-{
-    ResultStore cache(root_.string());
-    auto journal = root_ / "index" / "journal.jsonl";
-    CellKey key = sampleKey(8);
-    cache.promoteShards(key, {ShardRecord{key, 0, 8, sampleSummary(8)}});
-    auto lines = fileLines(journal);
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_NE(lines[0].find("\"kind\":\"cell\""), std::string::npos);
-    cache.dropShards(key);
-    EXPECT_EQ(fileLines(journal).size(), 1u);
-
-    CellKey sharded = sampleKey(16);
-    cache.storeShard(sharded, 0, 8, sampleSummary(8));
-    EXPECT_TRUE(cache.ingestRecord(
-                         encodeShardRecord(sharded, 8, 16, sampleSummary(8)))
-                    .stored);
-    EXPECT_EQ(cache.loadShards(sharded).size(), 2u);
-    EXPECT_EQ(fileLines(journal).size(), 1u);
-    cache.promoteShards(sharded, cache.loadShards(sharded));
-    lines = fileLines(journal);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[1].find("\"kind\":\"cell\""), std::string::npos);
-    EXPECT_NE(lines[1].find(sharded.fingerprint()), std::string::npos);
-    EXPECT_FALSE(std::filesystem::exists(root_ / "shards" /
-                                         sharded.fingerprint()));
-    cache.dropShards(sharded);
-    EXPECT_EQ(fileLines(journal).size(), 2u);
-}
-
-// A traced storeCell emits one store/cell-write span naming its cell
-// and one index/journal-append span; an untraced one emits none.
-TEST_F(ResultStoreTest, CellWriteAndJournalAppendAreTraced)
+// A traced storeCell emits one store/cell-write span naming its cell,
+// and no index span; an untraced one emits none.
+TEST_F(ResultStoreTest, CellWriteIsTraced)
 {
     auto tracePath = root_.string() + ".trace.jsonl";
     ResultStore cache(root_.string());
@@ -703,27 +671,25 @@ TEST_F(ResultStoreTest, CellWriteAndJournalAppendAreTraced)
     untraced.errors += 1;
     cache.storeCell(untraced, sampleSummary());
 
-    unsigned cellWrites = 0, appends = 0;
+    unsigned cellWrites = 0, indexSpans = 0;
     for (const std::string &line : fileLines(tracePath)) {
         if (line.find("\"cat\":\"store\",\"name\":\"cell-write\"") !=
             std::string::npos) {
             ++cellWrites;
             EXPECT_NE(line.find(traced.fingerprint()), std::string::npos);
         }
-        if (line.find("\"cat\":\"index\",\"name\":\"journal-append\"") !=
-            std::string::npos)
-            ++appends;
+        indexSpans += line.find("\"cat\":\"index\"") != std::string::npos;
     }
     EXPECT_EQ(cellWrites, 1u);
-    EXPECT_EQ(appends, 1u);
+    EXPECT_EQ(indexSpans, 0u);
     std::filesystem::remove(tracePath);
 }
 
 // Every write kind takes the one staged write path and keeps its byte
 // accounting: tmp/ is left empty, etc_store_bytes_written_total rises
-// by exactly the bytes of the record files written, and the index's
-// own reads and writes (load, compact, rebuild) move neither byte
-// counter.
+// by exactly the bytes of the record files written, the index's own
+// reads (load, audit) move neither byte counter, and nothing is
+// written under index/.
 TEST_F(ResultStoreTest, EveryWriteKindStagesAndCountsRecordBytesOnly)
 {
     ResultStore cache(root_.string());
@@ -764,17 +730,27 @@ TEST_F(ResultStoreTest, EveryWriteKindStagesAndCountsRecordBytesOnly)
         StoreIndex index(root_.string());
         index.load();
         EXPECT_EQ(index.entries().size(), 3u);
-        index.compact();
-        StoreIndex rebuilt(root_.string());
-        auto report = rebuilt.rebuild();
+        auto report = index.audit();
         EXPECT_EQ(report.cells, 3u);
         EXPECT_EQ(report.shardSets, 0u);
-        rebuilt.load();
-        EXPECT_EQ(rebuilt.encodeManifest(), index.encodeManifest());
     }
     EXPECT_EQ(counterValue("etc_store_bytes_read_total"), read);
     EXPECT_EQ(counterValue("etc_store_bytes_written_total"),
               written + recordBytes);
+    EXPECT_TRUE(std::filesystem::is_empty(root_ / "tmp"));
+    EXPECT_FALSE(std::filesystem::exists(root_ / "index"));
+}
+
+// A write that fails -- here, a directory sits at the cell's path, so
+// the rename cannot land -- throws and leaves no staged file in tmp/:
+// the daemon survives the throw, so leftovers would pile up.
+TEST_F(ResultStoreTest, AFailedWriteLeavesNoStagedFile)
+{
+    ResultStore cache(root_.string());
+    CellKey key = sampleKey();
+    std::filesystem::create_directories(root_ / "cells" /
+                                        (key.fingerprint() + ".jsonl"));
+    EXPECT_THROW(cache.storeCell(key, sampleSummary()), FatalError);
     EXPECT_TRUE(std::filesystem::is_empty(root_ / "tmp"));
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "fault/trial_pool.hh"
 #include "sim/simulator.hh"
 #include "store/result_store.hh"
 #include "support/logging.hh"
@@ -129,15 +130,20 @@ fault::CampaignRunner &
 ErrorToleranceStudy::runner(const fault::InjectionPolicy &policy)
 {
     auto &slot = runners_[policy.name];
-    if (!slot) {
-        auto injectable = policy.injectableBitmap(workload_.program(),
-                                                  protection_.tagged);
-        slot = std::make_unique<fault::CampaignRunner>(
-            workload_.program(), std::move(injectable),
-            config_.memoryModel, config_.checkpointInterval,
-            policy.resultKinds, policy.bitModel, config_.staticPrune);
-    }
+    if (!slot)
+        slot = buildRunner(policy);
     return *slot;
+}
+
+std::unique_ptr<fault::CampaignRunner>
+ErrorToleranceStudy::buildRunner(const fault::InjectionPolicy &policy) const
+{
+    auto injectable = policy.injectableBitmap(workload_.program(),
+                                              protection_.tagged);
+    return std::make_unique<fault::CampaignRunner>(
+        workload_.program(), std::move(injectable), config_.memoryModel,
+        config_.checkpointInterval, policy.resultKinds, policy.bitModel,
+        config_.staticPrune);
 }
 
 const std::vector<uint8_t> &
@@ -239,8 +245,25 @@ ErrorToleranceStudy::tileCells(std::vector<TileJob> jobs, bool stoppable)
         }
     }
 
-    // One engine pass over every job's gaps. Runners are built here,
-    // so jobs the store tiles need no golden run.
+    // Runners are built here, so jobs the store tiles need no golden
+    // run. The missing ones are built at once, on up to
+    // config_.threads workers, before the pass needs them.
+    std::vector<const fault::InjectionPolicy *> missing;
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        const fault::InjectionPolicy *policy = jobs[j].policy;
+        if (!tilings[j].gaps.empty() && !runners_[policy->name] &&
+            std::find(missing.begin(), missing.end(), policy) ==
+                missing.end())
+            missing.push_back(policy);
+    }
+    fault::TrialPool::run(
+        fault::TrialPool::resolveWorkers(config_.threads, missing.size()),
+        missing.size(), [&](uint64_t i, unsigned) {
+            // The slots exist, so no worker changes the map itself.
+            runners_.at(missing[i]->name) = buildRunner(*missing[i]);
+        });
+
+    // One engine pass over every job's gaps.
     std::vector<fault::PassCell> cells;
     cells.reserve(jobs.size());
     std::chrono::steady_clock::time_point last; // the previous landing

@@ -341,6 +341,12 @@ class ErrorToleranceStudy
   private:
     fault::CampaignRunner &runner(const fault::InjectionPolicy &policy);
 
+    /** A new runner for @p policy: its golden run and checkpoint
+     *  capture. Touches no member but the constant inputs, so several
+     *  may be built at once. */
+    std::unique_ptr<fault::CampaignRunner>
+    buildRunner(const fault::InjectionPolicy &policy) const;
+
     /** Receives range @p range of a TileJob once it is tiled: its
      *  pieces, of which the first @p reused are stored shards and the
      *  rest were simulated. */

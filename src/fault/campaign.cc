@@ -44,8 +44,10 @@ struct EngineMetrics
     telemetry::Counter &gangLaneSlots = telemetry::counter(
         "etc_gang_lane_slots_total",
         "Lane slots offered by gang launches (each gang's dealt "
-        "width: min(gang width, ceil(live trials / workers)) of its "
-        "range); occupancy = etc_gang_lanes_total / this");
+        "width: the widest near-equal gang its range deals at most "
+        "min(gang width, ceil(max(range trials, 64) / workers), "
+        "ceil(pass trials / workers)) lanes); occupancy = "
+        "etc_gang_lanes_total / this");
     telemetry::Counter &gangLanes = telemetry::counter(
         "etc_gang_lanes_total",
         "Trials launched as gang lanes");
@@ -262,17 +264,6 @@ struct CampaignRunner::CellRun
         budget = static_cast<uint64_t>(static_cast<double>(golden) *
                                        config.budgetFactor);
         budget = std::max(budget, golden + 1000);
-        // The widest gang any range can deal: dealGangs() with every
-        // trial live.
-        for (auto [lo, hi] : cell.ranges) {
-            if (gangWidth == 0 || hi <= lo)
-                continue;
-            uint64_t workers = TrialPool::resolveWorkers(config.threads,
-                                                         hi - lo);
-            maxLanes = std::max(
-                maxLanes, static_cast<unsigned>(std::min<uint64_t>(
-                              gangWidth, (hi - lo + workers - 1) / workers)));
-        }
     }
 
     /**
@@ -302,7 +293,7 @@ struct CampaignRunner::CellRun
      */
     unsigned gangWidth;
     uint64_t budget = 0;
-    unsigned maxLanes = 0;
+    unsigned maxLanes = 0; //!< the widest of its ranges' widths
     std::atomic<uint64_t> lanesDone{0};
     std::atomic<uint64_t> lanesEvicted{0};
 };
@@ -358,7 +349,9 @@ struct CampaignRunner::RangeRun
     std::vector<LiveTrial> live;
     std::deque<Gang> gangs;
     std::vector<Task> tasks; //!< one per live trial, in deal order
-    unsigned width = 0;      //!< dealt gang width (gang path)
+    /** The widest gang the pass's deal rule gives the range (0 on
+     *  the scalar paths): its gangs hold at most this many lanes. */
+    unsigned width = 0;
 
     std::once_flag started;
     bool skipped = false; //!< a stop request left it unstarted
@@ -431,25 +424,19 @@ CampaignRunner::dealGangs(const CellRun &cell, RangeRun &range) const
     // restores the checkpoint of its EARLIEST first site -- instruction
     // accounting includes the restored prefix, so an earlier restore
     // changes nothing but replay length -- and sorting keeps that
-    // shared replay short. The sorted trials are dealt into near-equal
-    // contiguous gangs, one per worker unless that would exceed the
-    // configured width.
+    // shared replay short. The sorted trials are dealt into the fewest
+    // near-equal contiguous gangs of at most the range's width.
     std::stable_sort(live.begin(), live.end(),
                      [](const LiveTrial &a, const LiveTrial &b) {
                          return firstSite(a.plan) < firstSite(b.plan);
                      });
-    uint64_t workers =
-        TrialPool::resolveWorkers(cell.cell.config.threads, live.size());
-    auto width = static_cast<unsigned>(std::min<uint64_t>(
-        cell.gangWidth, (live.size() + workers - 1) / workers));
-    uint64_t count = (live.size() + width - 1) / width;
+    uint64_t count = (live.size() + range.width - 1) / range.width;
     for (uint64_t g = 0; g < count; ++g) {
         size_t first = live.size() * g / count;
         size_t next = live.size() * (g + 1) / count;
         deal(first, static_cast<unsigned>(next - first),
              static_cast<unsigned>(g));
     }
-    range.width = width;
 }
 
 namespace {
@@ -524,6 +511,26 @@ CampaignRunner::runPass(const std::vector<PassCell> &cells)
             grid.emplace_back(taskCount, &range);
             taskCount += range.count;
         }
+    }
+
+    // One deal rule for the whole pass (see CampaignConfig::gangWidth):
+    // a range's gangs hold at most `cap` lanes, and its width is the
+    // widest of the fewest near-equal gangs that keep to it, as
+    // dealGangs() deals them. A cell's gang simulators are as wide as
+    // its widest range's gangs.
+    unsigned workers = TrialPool::resolveWorkers(threads, taskCount);
+    for (RangeRun &range : rangeRuns) {
+        CellRun &cell = range.cell;
+        if (cell.gangWidth == 0 || range.count == 0)
+            continue;
+        uint64_t spread = std::max<uint64_t>(range.count,
+                                             PASS_LANES_IN_FLIGHT);
+        uint64_t cap = std::min<uint64_t>(
+            {cell.gangWidth, (spread + workers - 1) / workers,
+             (taskCount + workers - 1) / workers});
+        uint64_t gangs = (range.count + cap - 1) / cap;
+        range.width = static_cast<unsigned>((range.count + gangs - 1) / gangs);
+        cell.maxLanes = std::max(cell.maxLanes, range.width);
     }
 
     // Plan drawing: the workers that reach a range's tasks draw its
@@ -649,7 +656,6 @@ CampaignRunner::runPass(const std::vector<PassCell> &cells)
 
     // Worker-local executors: simulators are self-contained (no
     // global state), so worker-local instances make tasks re-entrant.
-    unsigned workers = TrialPool::resolveWorkers(threads, taskCount);
     std::vector<WorkerSimulators> simulators(workers);
     TrialPool::run(workers, taskCount, [&](uint64_t t, unsigned w) {
         auto at = std::prev(std::upper_bound(

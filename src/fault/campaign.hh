@@ -37,14 +37,17 @@
  *
  * Gang execution: on the checkpointed path, each range's trials are
  * sorted by their first injection site and dealt into near-equal
- * gangs, one per worker, of at most CampaignConfig::gangWidth lanes;
- * a gang's lanes share one checkpoint restore and one fetch/decode
- * stream (sim/gang.hh). A lane whose fault diverges control flow is
- * evicted: it leaves the gang with a state snapshot and finishes in
- * the same site loop on a scalar simulator, so results match
- * gangWidth = 0 (pure scalar) bit for bit. A gang pays only while its
- * lanes stay in lockstep, so a cell stops ganging once its finished
- * gangs hold at least GANG_FALLBACK_MIN_LANES lanes and more than
+ * gangs by one rule for the whole pass (CampaignConfig::gangWidth): a
+ * large range splits over the pass's workers, a small one runs as one
+ * gang. A gang's lanes share one checkpoint restore and one
+ * fetch/decode stream (sim/gang.hh), and a worker's gang simulator is
+ * as wide as the widest gang the rule deals its cell. A lane whose
+ * fault diverges control flow is evicted: it leaves the gang with a
+ * state snapshot and finishes in the same site loop on a scalar
+ * simulator, so results match gangWidth = 0 (pure scalar) bit for
+ * bit. A gang pays only while its lanes stay in lockstep, so a cell
+ * stops ganging once its finished gangs hold at least
+ * GANG_FALLBACK_MIN_LANES lanes and more than
  * GANG_FALLBACK_EVICTION_RATIO of them were evicted: every gang of
  * that cell that starts later runs its trials one by one on the
  * scalar simulator. The choice is per cell, so a diverging cell never
@@ -111,6 +114,19 @@ inline constexpr unsigned DEFAULT_GANG_WIDTH = 32;
 inline constexpr unsigned GANG_FALLBACK_MIN_LANES = 8;
 inline constexpr double GANG_FALLBACK_EVICTION_RATIO = 0.5;
 
+/**
+ * The trial lanes a pass keeps in flight across its workers: a range
+ * of fewer trials is dealt as if it had this many, so a small stripe
+ * runs as one gang rather than as a gang of one or two lanes per
+ * worker (see CampaignConfig::gangWidth). A constant, not a knob:
+ * results are bit-identical at any value. It also bounds memory, since
+ * every lane holds its own copy-on-write pages and output tail: at 4
+ * workers a 50-trial stripe still deals four gangs of 12-13 lanes,
+ * where two gangs of 25 ran faster but raised fig2's peak RSS by 45%
+ * (ROADMAP item 4).
+ */
+inline constexpr unsigned PASS_LANES_IN_FLIGHT = 64;
+
 /** Knobs of one campaign cell. */
 struct CampaignConfig
 {
@@ -124,10 +140,14 @@ struct CampaignConfig
      * Most trial lanes per gang on the checkpointed fast path: 0
      * forces pure scalar execution, GANG_WIDTH_AUTO (default) picks
      * DEFAULT_GANG_WIDTH, anything else is clamped to
-     * sim::GangSimulator::MAX_LANES. A range of L live trials over W
-     * workers deals gangs of at most min(gangWidth, ceil(L / W))
-     * lanes, which run scalar anyway once the cell's gangs diverge
-     * (see the file comment). Purely an execution strategy --
+     * sim::GangSimulator::MAX_LANES. In a pass of T trials over W
+     * workers, a range of L trials deals its live trials into
+     * near-equal gangs of at most min(gangWidth,
+     * ceil(max(L, PASS_LANES_IN_FLIGHT) / W), ceil(T / W)) lanes: a
+     * range of 64 trials or more splits over the workers, a smaller
+     * one runs as one gang, and a pass of few trials still splits
+     * over its workers. Gangs run scalar anyway once the cell's gangs
+     * diverge (see the file comment). Purely an execution strategy --
      * results are bit-identical for every value -- so it is NOT part
      * of a cell's identity.
      */
@@ -384,7 +404,8 @@ class CampaignRunner
                    uint64_t index) const;
 
     /** Sort @p range's drawn live trials by first site and deal them
-     *  into gangs (one per trial on the scalar paths). */
+     *  into near-equal gangs of at most its width (one per trial on
+     *  the scalar paths). */
     void dealGangs(const CellRun &cell, RangeRun &range) const;
 
     /** Injection progress of one trial. */

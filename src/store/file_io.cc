@@ -1,9 +1,11 @@
 #include "store/file_io.hh"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,18 +17,28 @@ namespace etc::store {
 
 namespace fs = std::filesystem;
 
-std::optional<FileStamp>
-stampFile(const std::string &path)
+namespace {
+
+FileStamp
+stampOf(const struct stat &info)
 {
-    struct stat info;
-    if (::stat(path.c_str(), &info) != 0)
-        return std::nullopt;
     return FileStamp{static_cast<uint64_t>(info.st_dev),
                      static_cast<uint64_t>(info.st_ino),
                      static_cast<int64_t>(info.st_size),
                      static_cast<int64_t>(info.st_mtim.tv_sec) *
                              1000000000 +
                          info.st_mtim.tv_nsec};
+}
+
+} // namespace
+
+std::optional<FileStamp>
+stampFile(const std::string &path)
+{
+    struct stat info;
+    if (::stat(path.c_str(), &info) != 0)
+        return std::nullopt;
+    return stampOf(info);
 }
 
 std::optional<std::string>
@@ -42,14 +54,37 @@ readFile(const std::string &path)
     return contents.str();
 }
 
-std::optional<std::string>
+std::optional<FirstLine>
 readFirstLine(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    std::string line;
-    if (!std::getline(in, line))
+    // One descriptor for the stamp and the bytes, so both are of one
+    // version of the file; no stream, since a cold index listing opens
+    // every record file.
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return std::nullopt;
-    return line;
+    std::optional<FirstLine> first;
+    struct stat info;
+    if (::fstat(fd, &info) == 0) {
+        std::string line;
+        char buffer[4096];
+        ssize_t got = 0;
+        bool any = false;
+        while ((got = ::read(fd, buffer, sizeof buffer)) > 0) {
+            any = true;
+            auto size = static_cast<size_t>(got);
+            auto *end = static_cast<const char *>(
+                std::memchr(buffer, '\n', size));
+            line.append(buffer, end ? static_cast<size_t>(end - buffer)
+                                    : size);
+            if (end)
+                break;
+        }
+        if (any && got >= 0)
+            first = FirstLine{std::move(line), stampOf(info)};
+    }
+    ::close(fd);
+    return first;
 }
 
 std::vector<std::string>

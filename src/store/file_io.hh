@@ -51,9 +51,17 @@ std::optional<FileStamp> stampFile(const std::string &path);
  *  be read. */
 std::optional<std::string> readFile(const std::string &path);
 
-/** @return the first line of @p path without its newline, or nullopt
- *  if the file is empty or cannot be read. */
-std::optional<std::string> readFirstLine(const std::string &path);
+/** The first line of a file, and the stamp of the version it came
+ *  from. */
+struct FirstLine
+{
+    std::string line; //!< without its newline
+    FileStamp stamp;  //!< of the open file, so of the version read
+};
+
+/** @return the first line of @p path, or nullopt if the file is empty
+ *  or cannot be read. */
+std::optional<FirstLine> readFirstLine(const std::string &path);
 
 /** Split @p text at '\n': a final newline ends the last line, and a
  *  last line without one is kept. */

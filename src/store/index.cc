@@ -68,8 +68,11 @@ StoreIndex::load()
     auto start = std::chrono::steady_clock::now();
 
     // A file listed before keeps its entry: its name is the hash of
-    // the key its header holds. Any other file's header is decoded.
+    // the key its header holds. A file skipped before stays skipped,
+    // unread past its first line, while its stamp holds. Any other
+    // file's header is decoded.
     std::map<std::string, CellKey> listed;
+    std::map<std::string, FileStamp> skipped;
     std::error_code ec;
     for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
          it.increment(ec)) {
@@ -85,19 +88,27 @@ StoreIndex::load()
         auto header = readFirstLine(path.string());
         if (!header)
             continue; // removed since the listing, or empty
+        std::string name = path.filename().string();
+        auto seen = skipped_.find(name);
+        if (seen != skipped_.end() && seen->second == header->stamp) {
+            skipped.insert(skipped_.extract(seen));
+            continue;
+        }
         try {
-            CellKey key = decodeCellRecordKey(*header);
+            CellKey key = decodeCellRecordKey(header->line);
             std::string fingerprint = key.fingerprint();
-            if (fingerprint + ".jsonl" != path.filename().string())
+            if (fingerprint + ".jsonl" != name)
                 throw StoreFormatError(
                     "record key does not hash to its file name");
             listed.emplace(std::move(fingerprint), std::move(key));
         } catch (const StoreFormatError &error) {
             warn("store index: skipping ", path.string(), ": ",
                  error.what());
+            skipped.emplace(std::move(name), header->stamp);
         }
     }
     entries_ = std::move(listed);
+    skipped_ = std::move(skipped);
 
     indexMetrics().cells.set(static_cast<int64_t>(entries_.size()));
     indexMetrics().lookupSeconds.observe(

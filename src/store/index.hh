@@ -13,11 +13,11 @@
  * It keeps no files of its own: <root>/cells/ is the index. load()
  * lists that directory and decodes the header line of each record file
  * it has not listed before (decodeCellRecordKey()); a file whose header
- * key does not hash to its file name is skipped with a warning. So a
- * record renamed into cells/ is indexed by the next load(), whatever
- * became of its writer after the rename. The shard files under
- * <root>/shards/ are the one record of partial cells, and health() and
- * audit() count them there.
+ * key does not hash to its file name is skipped with a warning, once
+ * per version (FileStamp) of the file. So a record renamed into cells/
+ * is indexed by the next load(), whatever became of its writer after
+ * the rename. The shard files under <root>/shards/ are the one record
+ * of partial cells, and health() and audit() count them there.
  *
  * audit() (`etc_lab reindex`) decodes every record file in full and
  * reports corrupt records and orphaned shards; with quarantine it
@@ -89,10 +89,10 @@ struct AuditReport
  * cells/; call it again to refresh. A refresh lists the directory again
  * only when its FileStamp changed since the last listing or that
  * listing was racy (RACY_WINDOW), and decodes only the headers of
- * files it has not listed before, so a long-lived instance (the
- * daemon's) costs one stat() per request over a settled archive. Not
- * internally synchronized -- use one instance per thread, like
- * ResultStore.
+ * files it has not listed before, or skipped in another version, so a
+ * long-lived instance (the daemon's) costs one stat() per request over
+ * a settled archive. Not internally synchronized -- use one instance
+ * per thread, like ResultStore.
  */
 class StoreIndex
 {
@@ -136,6 +136,10 @@ class StoreIndex
     bool loaded_ = false;
     bool racy_ = false;
     std::optional<FileStamp> stamp_;
+
+    /** The files of cells/ the last listing skipped, by name, with the
+     *  stamp of the version it decoded (and warned about). */
+    std::map<std::string, FileStamp> skipped_;
 };
 
 } // namespace etc::store

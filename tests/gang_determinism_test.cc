@@ -8,7 +8,8 @@
  * through the scalar Simulator, so even the worst case (every lane
  * diverges at its first fault) must reproduce scalar bits exactly, and
  * so must a pass whose gangs diverge so often that its later gangs
- * fall back to scalar.
+ * fall back to scalar. The gang counters pin the one deal rule a pass
+ * sizes its gangs by.
  */
 
 #include <gtest/gtest.h>
@@ -146,18 +147,18 @@ struct SweepRecord
     {
     }
 
-    /** Cell @p c of a pass: @p config.trials in STRIPES equal stripes,
-     *  recording into this. */
+    /** Cell @p c of a pass: @p config.trials in this record's number
+     *  of equal stripes, recording into this. */
     PassCell
     cell(size_t c, CampaignRunner &runner, const CampaignConfig &config)
     {
         PassCell cell;
         cell.runner = &runner;
         cell.config = config;
-        for (unsigned s = 0; s < STRIPES; ++s)
-            cell.ranges.push_back({uint64_t{config.trials} * s / STRIPES,
-                                   uint64_t{config.trials} * (s + 1) /
-                                       STRIPES});
+        uint64_t stripes = results[c].size();
+        for (uint64_t s = 0; s < stripes; ++s)
+            cell.ranges.push_back({config.trials * s / stripes,
+                                   config.trials * (s + 1) / stripes});
         cell.hooks.rangeDone = [this, c](size_t range,
                                          CampaignResult &result) {
             ++calls[c][range];
@@ -409,11 +410,16 @@ TEST(GangDeterminismTest, TracingIsObservationOnly)
     EXPECT_GE(plans, passes * configs.size() * STRIPES);
 }
 
-/** mcf's runners under the paper's two policies. */
+/** A workload's runners (mcf's by default) under the paper's two
+ *  policies. */
 struct PolicyRunners
 {
-    std::unique_ptr<workloads::Workload> workload =
-        workloads::createWorkload("mcf", workloads::Scale::Test);
+    explicit PolicyRunners(const std::string &name = "mcf")
+        : workload(workloads::createWorkload(name, workloads::Scale::Test))
+    {
+    }
+
+    std::unique_ptr<workloads::Workload> workload;
     std::vector<bool> tagged =
         core::computeStudyProtection(*workload, core::StudyConfig{})
             .tagged;
@@ -506,6 +512,77 @@ TEST(GangDeterminismTest, FallbackStaysPerCell)
     scalar = golden;
     scalar.gangWidth = 0;
     pass.expectSlicesOf(1, mcf.protectedRunner.run(scalar));
+}
+
+// One deal rule for the whole pass: in a pass of T trials over W
+// workers, a range of L trials deals near-equal gangs of at most
+// min(gangWidth, ceil(max(L, 64) / W), ceil(T / W)) lanes. Protected
+// susan stays in lockstep, so every dealt gang runs as one, and the
+// gang counters read the deal: gangs, lanes, and per gang its range's
+// widest gang as lane slots. Every case gives the scalar bits.
+TEST(GangDeterminismTest, OneDealRulePerPass)
+{
+    PolicyRunners susan("susan");
+    struct Case
+    {
+        const char *what;
+        unsigned cells, trials, stripes, threads, width;
+        uint64_t gangs, slots; //!< per pass
+    };
+    const Case cases[] = {
+        // 200-trial cells in 50-trial stripes: four gangs of 12-13
+        // lanes per stripe at 4 threads, two of 25 at 1 or 2.
+        {"four 50-trial stripes, 4 threads", 1, 200, 4, 4, GANG_WIDTH_AUTO,
+         16, 16 * 13},
+        {"four 50-trial stripes, 2 threads", 1, 200, 4, 2, GANG_WIDTH_AUTO,
+         8, 8 * 25},
+        {"four 50-trial stripes, 1 thread", 1, 200, 4, 1, GANG_WIDTH_AUTO,
+         8, 8 * 25},
+        // Many small stripes: one gang each.
+        {"twelve 6-trial stripes, 4 threads", 3, 24, 4, 4,
+         GANG_WIDTH_AUTO, 12, 12 * 6},
+        // A pass of few trials still splits over its workers.
+        {"one 12-trial range, 4 threads", 1, 12, 1, 4, GANG_WIDTH_AUTO, 4,
+         4 * 3},
+        // Ranges of 64 trials or more: min(gangWidth, ceil(L / W)).
+        {"one 100-trial range, 4 threads", 1, 100, 1, 4, GANG_WIDTH_AUTO,
+         4, 4 * 25},
+        {"one 64-trial range, 1 thread", 1, 64, 1, 1, GANG_WIDTH_AUTO, 2,
+         2 * 32},
+        {"one 100-trial range, 2 threads, width 8", 1, 100, 1, 2, 8, 13,
+         13 * 8},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        SweepRecord record(c.cells, c.stripes);
+        std::vector<PassCell> cells;
+        std::vector<CampaignConfig> configs;
+        for (unsigned i = 0; i < c.cells; ++i) {
+            CampaignConfig config = cellConfig(c.width, c.threads);
+            config.trials = c.trials;
+            config.seed ^= uint64_t{i} << 32;
+            configs.push_back(config);
+            cells.push_back(
+                record.cell(i, susan.protectedRunner, config));
+        }
+        const std::string fallback = "etc_gang_scalar_fallback_trials_total";
+        uint64_t fellBack = counterValue(fallback);
+        uint64_t batches = counterValue("etc_gang_batches_total");
+        uint64_t lanes = counterValue("etc_gang_lanes_total");
+        uint64_t slots = counterValue("etc_gang_lane_slots_total");
+        CampaignRunner::runPass(cells);
+        EXPECT_EQ(counterValue(fallback), fellBack);
+        EXPECT_EQ(counterValue("etc_gang_batches_total") - batches, c.gangs);
+        EXPECT_EQ(counterValue("etc_gang_lanes_total") - lanes,
+                  uint64_t{c.cells} * c.trials);
+        EXPECT_EQ(counterValue("etc_gang_lane_slots_total") - slots,
+                  c.slots);
+        for (unsigned i = 0; i < c.cells; ++i) {
+            CampaignConfig scalar = configs[i];
+            scalar.gangWidth = 0;
+            record.expectSlicesOf(i, susan.protectedRunner.run(scalar));
+        }
+    }
 }
 
 TEST(GangDeterminismTest, WidthResolution)

@@ -4,13 +4,14 @@
  * in cells/ whose header key hashes to their name -- however they got
  * there, and whatever an older archive's index files say -- a
  * long-lived index sees every change, including one made in the same
- * mtime tick as its last listing, and lists nothing again over a
- * settled directory; seeded byte mutations of a record never make
- * load() throw or list a file under a key that does not hash to its
- * name; partial and orphaned shard directories are counted from disk,
- * and the audit reports (and quarantines) corrupt records. Writers
- * racing a reader leave every cell listed (the TSan CI job runs this
- * binary).
+ * mtime tick as its last listing, lists nothing again over a settled
+ * directory and warns about a skipped file once per version; a record
+ * whose header fingerprint is not its key's is refused and skipped;
+ * seeded byte mutations of a record never make load() throw or list a
+ * file under a key that does not hash to its name; partial and
+ * orphaned shard directories are counted from disk, and the audit
+ * reports (and quarantines) corrupt records. Writers racing a reader
+ * leave every cell listed (the TSan CI job runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +199,52 @@ TEST_F(StoreIndexTest, MisnamedOrGarbledCellFilesAreSkipped)
     ASSERT_EQ(index.entries().size(), 1u);
     EXPECT_EQ(index.entries().at(good.fingerprint()), good);
     EXPECT_EQ(index.health().cells, 1u);
+}
+
+// A record under its key's file name whose header names another
+// fingerprint than its key's is refused by loadCell() and skipped by
+// the index. Its key hashes to the file name and its checksum is
+// resealed, so only the header's own fingerprint check catches it.
+TEST_F(StoreIndexTest, HeaderFingerprintOtherThanItsKeysIsRefused)
+{
+    CellKey key = sampleKey("gsm", "protected", 5);
+    CellKey other = sampleKey("gsm", "protected", 6);
+    // The trailer's checksum covers every line before it.
+    auto reseal = [](std::string record) {
+        size_t trailer = record.rfind('\n', record.size() - 2) + 1;
+        size_t fnv = record.find("\"fnv\":\"", trailer) + 7;
+        record.replace(fnv, record.find('"', fnv) - fnv,
+                       hexU64(fnv1a(record.data(), trailer)));
+        return record;
+    };
+    const std::string valid = encodeCellRecord(key, sampleSummary());
+    ASSERT_EQ(reseal(valid), valid);
+    std::string record = valid;
+    size_t at = record.find("\"fingerprint\":\"" + key.fingerprint());
+    ASSERT_LT(at, record.find('\n'));
+    record.replace(at + 15, key.fingerprint().size(), other.fingerprint());
+    fs::create_directories(root_ / "cells");
+    std::ofstream(root_ / "cells" / recordName(key), std::ios::binary)
+        << reseal(record);
+
+    ResultStore cache(root_.string());
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(cache.loadCell(key).has_value());
+    StoreIndex index(root_.string());
+    index.load();
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "header fingerprint does not match its key"),
+              std::string::npos);
+    EXPECT_TRUE(index.entries().empty());
+
+    // The valid record under the same name is served and listed.
+    std::ofstream(root_ / "cells" / recordName(key),
+                  std::ios::binary | std::ios::trunc)
+        << valid;
+    EXPECT_TRUE(ResultStore(root_.string()).loadCell(key).has_value());
+    StoreIndex fresh(root_.string());
+    fresh.load();
+    EXPECT_TRUE(fresh.hasCell(key.fingerprint()));
 }
 
 // A record renamed into cells/ right after a load() is listed by the
@@ -425,8 +472,28 @@ TEST_F(StoreIndexTest, LongLivedIndexSeesEveryChange)
     fs::rename(staged, root_ / "cells" / recordName(c));
     expectFresh("record renamed in");
     EXPECT_TRUE(live.hasCell(c.fingerprint()));
-    std::ofstream(root_ / "cells" / "00112233445566ff.jsonl") << "junk\n";
-    expectFresh("garbage file");
+    // A skipped file warns once per version and index: here once by
+    // the live index and once by the fresh one, although the live one
+    // lists cells/ twice in the step.
+    fs::path garbage = root_ / "cells" / "00112233445566ff.jsonl";
+    auto warningsIn = [&](const std::string &step) {
+        ::testing::internal::CaptureStderr();
+        expectFresh(step);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        size_t count = 0;
+        for (size_t at = 0;
+             (at = err.find("skipping " + garbage.string(), at)) !=
+             std::string::npos;
+             ++at)
+            ++count;
+        return count;
+    };
+    std::ofstream(garbage) << "junk\n";
+    EXPECT_EQ(warningsIn("garbage file"), 2u);
+    EXPECT_EQ(live.entries().size(), 2u);
+    std::ofstream(staged) << "other junk\n";
+    fs::rename(staged, garbage);
+    EXPECT_EQ(warningsIn("garbage file replaced"), 2u);
     EXPECT_EQ(live.entries().size(), 2u);
     EXPECT_EQ(StoreIndex(root_.string()).audit(true).quarantined, 1u);
     expectFresh("audit quarantined the garbage");

@@ -579,10 +579,10 @@ TEST_F(OrchestrationTest, Fig5BytesIgnoreCheckpointIntervalAndGangWidth)
 
 // fig3 (mcf) is the divergent side: most lanes are evicted, so its
 // passes fall back to scalar after their first gangs, and it must
-// still print the bytes of the scalar path. A cell's 4 stripes deal
-// 8 gangs over the 2 threads, so gangs start after others finish and
-// the fallback fires, with a store (as `etc_lab run --cache-dir`
-// runs) and without one alike.
+// still print the bytes of the scalar path. A cell's 4 stripes of 10
+// trials deal one gang each over the 2 threads, so gangs start after
+// others finish and the fallback fires, with a store (as `etc_lab run
+// --cache-dir` runs) and without one alike.
 TEST_F(OrchestrationTest, Fig3BytesMatchScalarWhenGangsFallBack)
 {
     auto fallbackTrials = [] {

@@ -415,14 +415,12 @@ labWork(const LabOptions &opts)
     auto summary = agent.summary();
     inform("etc_lab: work summary: ", summary.leasesCompleted,
            " leases completed, ", summary.leasesFailed, " failed, ",
-           summary.recordsPushed, " records pushed, ",
            summary.trialsExecuted, " trials executed");
     std::cerr << "ETC_WORK_JSON {"
               << "\"worker\":\"" << agent.config().name << "\","
               << "\"leases_completed\":" << summary.leasesCompleted
               << ","
               << "\"leases_failed\":" << summary.leasesFailed << ","
-              << "\"records_pushed\":" << summary.recordsPushed << ","
               << "\"trials_executed\":" << summary.trialsExecuted
               << "}" << std::endl;
     return summary.leasesFailed ? 1 : 0;
@@ -619,7 +617,9 @@ const Flag FLAGS[] = {
              fatal("--cache-dir expects a directory");
          o.bench.cacheDir = v;
      },
-     "result-store root (run without it persists nothing)"},
+     "result-store root (run without it persists nothing;\n"
+     "work without it keeps a scratch store under $TMPDIR,\n"
+     "removed on exit but left behind by a SIGKILL)"},
     {"--trials", "N",
      [](LabOptions &o, const std::string &v) {
          o.bench.trials = parseCount32("--trials", v);
@@ -849,8 +849,8 @@ const Subcommand SUBCOMMANDS[] = {
      "run a worker agent: pull its share of one cell's pending\n"
      "shard-range leases at a time from a coordinator daemon,\n"
      "run them as one pass through the same cache-aware engine,\n"
-     "push each shard record back as it lands, heartbeat every\n"
-     "held lease"},
+     "complete each lease with its stripe's record as it lands,\n"
+     "heartbeat every held lease"},
     {"submit", labSubmit,
      {"--host", "--port", "--experiment", "--trials", "--errors",
       "--policy", "--wait"},

@@ -453,8 +453,9 @@ Coordinator::settleLocked(const std::shared_ptr<Cell> &cell,
     cell->state = state;
     if (state == CellState::Done) {
         cell->wallSeconds += seconds;
-        // Every stripe came from stored shards: the cell was stored,
-        // resumed or pushed without this daemon simulating a trial.
+        // Every stripe came from stored records: the cell was
+        // stored, resumed or answered from agents' own stores, and
+        // nobody simulated a trial of it.
         cell->cached = cell->trialsExecuted == 0;
         trialsSettled_ += cell->trialsExecuted;
         fleetMetrics().cellsDone.add();

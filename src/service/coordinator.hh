@@ -32,8 +32,9 @@
  * store. The coordinator never touches the result store or the
  * simulator: it is pure bookkeeping behind one mutex, so every method
  * is safe to call from the single-threaded HTTP event loop and from
- * scheduler workers concurrently. The probe, store verification and
- * shard-merge promotion stay in the Scheduler, which owns the store.
+ * scheduler workers concurrently. The probe, a completion's record
+ * ingest and shard-merge promotion stay in the Scheduler, which owns
+ * the store.
  * The executor side both kinds of worker share -- LeaseKeeper and
  * runLeasePass() -- lives here too.
  *
@@ -206,7 +207,8 @@ class Cell
     std::string error;
 };
 
-/** The store range a lease covers (a completion must have landed it). */
+/** The store range a lease covers (a completion's record must be of
+ *  it). */
 struct LeaseRange
 {
     store::CellKey key;
@@ -281,8 +283,8 @@ class Coordinator
      * Mark @p leaseId done. Idempotent and owner-agnostic: a stale
      * owner of a re-issued lease completed the same content-addressed
      * bytes, so its completion is accepted too (double completions
-     * simply keep the lease done). The caller verifies the shard
-     * actually landed in the store first. @return false if unknown.
+     * simply keep the lease done). The caller stores the stripe's
+     * record first. @return false if unknown.
      */
     bool complete(const std::string &leaseId, const std::string &worker,
                   uint64_t trialsExecuted, double wallSeconds);
@@ -420,9 +422,9 @@ class LeaseKeeper
  * each grant for @p worker until its stripe, persisted, has been
  * through @p landed. The @p landed calls run in landing order on
  * threads of the call's own, off the engine's path, so a slow
- * completion (an agent's push to a stalled coordinator) never holds
- * up the pass; the call returns once every landed stripe has been
- * through it. When the pass fails, every grant that never landed
+ * completion (an agent's request to a stalled coordinator) never
+ * holds up the pass; the call returns once every landed stripe has
+ * been through it. When the pass fails, every grant that never landed
  * reaches @p failed; the grants a stop request left unstarted reach
  * neither, and lapse and re-issue.
  */

@@ -331,7 +331,7 @@ Scheduler::executeLeases()
             continue;
         schedulerMetrics().workersBusy.add(1);
         // Each stripe is persisted as a shard record before it lands;
-        // an already stored one (e.g. pushed by a remote worker while
+        // an already stored one (e.g. completed by a remote worker while
         // its lease lapsed) lands without simulating.
         runLeasePass(
             lab->study, grants, LOCAL_WORKER, keeper_,
@@ -379,9 +379,10 @@ Scheduler::promoteCell(const std::shared_ptr<Cell> &cell,
                 store.promoteShards(cell->key,
                                     store.loadShards(cell->key));
             } catch (const store::StoreFormatError &) {
-                // The tiling has gaps: some "completed" stripes never
-                // reached the store (a worker lied or its push was
-                // lost). Re-pend exactly those stripes.
+                // The tiling has gaps: the shard of some completed
+                // stripe is gone or unreadable (removed or damaged
+                // behind the daemon's back). Re-pend exactly those
+                // stripes.
                 unsigned shardCount =
                     shardCountOf(config_.chunks, cell->spec.trials);
                 std::vector<unsigned> missing;
@@ -414,6 +415,7 @@ Scheduler::promoteCell(const std::shared_ptr<Cell> &cell,
 Scheduler::LeaseCompletion
 Scheduler::completeLease(const std::string &leaseId,
                          const std::string &worker,
+                         const std::string &record,
                          uint64_t trialsExecuted, double wallSeconds)
 {
     auto lease = coordinator_.lookupLease(leaseId);
@@ -431,24 +433,13 @@ Scheduler::completeLease(const std::string &leaseId,
         return LeaseCompletion::Unknown;
     }
 
-    // Trust but verify: "complete" must mean the stripe's bytes are
-    // actually in the store (pushed via /v1/shards, written by a
-    // local worker sharing the cache, or subsumed by the promoted
-    // cell record). A completion without bytes would merge a hole.
-    store::ResultStore store(config_.cacheDir);
-    if (!store.hasShard(lease->key, lease->lo, lease->hi) &&
-        !store.hasCell(lease->key))
-        return LeaseCompletion::MissingShard;
+    // The record lands before the lease is done, so a done lease
+    // never merges a hole.
+    store::ResultStore(config_.cacheDir)
+        .ingestRecord(record, lease->key, lease->lo, lease->hi);
     coordinator_.complete(leaseId, worker, trialsExecuted,
                           wallSeconds);
     return LeaseCompletion::Done;
-}
-
-store::ResultStore::IngestOutcome
-Scheduler::ingestRecord(const std::string &text)
-{
-    store::ResultStore store(config_.cacheDir);
-    return store.ingestRecord(text);
 }
 
 std::string

@@ -6,14 +6,14 @@
  * over the coordinator's cells (see coordinator.hh), which own each
  * cell's state from admission to settlement. The scheduler keeps the
  * jobs, the studies their sweeps share and the pool of threads that
- * do every store read and write: the probe, promotion, the completion
- * check and ingest. Cells run on whoever holds their shard-range
- * leases -- the daemon's own bounded pool of local workers, remote
- * `etc_lab work` agents, or a mix. A local executor first locks a
- * sweep's study that no other local executor is running, so it never
- * holds leases it cannot start; it then acquires its share of one of
- * that sweep's cells' pending stripes (all of them when no other
- * worker is idle), runs them as one pass
+ * probe and promote cells, and it stores the record each remote
+ * lease completion carries (completeLease()). Cells run on whoever
+ * holds their shard-range leases -- the daemon's own bounded pool of
+ * local workers, remote `etc_lab work` agents, or a mix. A local
+ * executor first locks a sweep's study that no other local executor
+ * is running, so it never holds leases it cannot start; it then
+ * acquires its share of one of that sweep's cells' pending stripes
+ * (all of them when no other worker is idle), runs them as one pass
  * (ErrorToleranceStudy::runStripes), completes each lease as its
  * stripe lands, and heartbeats every lease it holds meanwhile,
  * exactly like an agent:
@@ -170,36 +170,35 @@ class Scheduler
      *  no store go to it directly. */
     Coordinator &coordinator() { return coordinator_; }
 
-    /// @name Fleet calls that touch the store
+    /// @name The fleet call that touches the store
     /// @{
 
     /** Outcome of completeLease(). */
     enum class LeaseCompletion
     {
-        Done,         //!< accepted (possibly a repeat -- idempotent)
-        LateDone,     //!< lease gone but its cell is promoted; the
-                      //!< stale worker's bytes matched by construction
-        MissingShard, //!< the shard record never reached the store
-        Unknown,      //!< no such lease and no such cell
+        Done,     //!< accepted (possibly a repeat -- idempotent)
+        LateDone, //!< lease gone but its cell is promoted; the
+                  //!< stale worker's bytes matched by construction
+        Unknown,  //!< no such lease and no such cell
     };
 
     /**
-     * POST /v1/leases/<id>/complete: verify the stripe's shard record
-     * (or the whole cell) is actually in the store, then mark the
-     * lease done. Idempotent and owner-agnostic: late completions of
-     * re-issued leases -- even after the cell was promoted and the
-     * lease forgotten -- are accepted, because every writer of a
-     * content-addressed record produced identical bytes.
+     * POST /v1/leases/<id>/complete: ingest the stripe's @p record --
+     * its shard record, or the whole cell's -- checked against the
+     * lease (ResultStore::ingestRecord()), then mark the lease done.
+     * Idempotent and owner-agnostic: late completions of re-issued
+     * leases are accepted, because every writer of a content-addressed
+     * record produced identical bytes; once the cell is promoted and
+     * the lease forgotten, one answers LateDone and writes nothing.
+     *
+     * @throws store::StoreFormatError when @p record is not the
+     *         lease's; nothing is written and the lease stays as it was.
      */
     LeaseCompletion completeLease(const std::string &leaseId,
                                   const std::string &worker,
+                                  const std::string &record,
                                   uint64_t trialsExecuted,
                                   double wallSeconds);
-
-    /** POST /v1/shards: validate and store a pushed record. Throws
-     *  store::StoreFormatError on malformed input. */
-    store::ResultStore::IngestOutcome ingestRecord(
-        const std::string &text);
     /// @}
 
   private:

@@ -1,6 +1,7 @@
 #include "service/service.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -33,9 +34,9 @@ encodeIndexHealth(const store::IndexHealth &health)
 }
 
 /**
- * Non-negative seconds from a JSON number or string field (absent
- * fields are 0; wall time is telemetry, not bit-exact data, so plain
- * decimal text is fine here). nullopt means unparseable.
+ * Finite non-negative seconds from a JSON number or string field
+ * (absent fields are 0; wall time is telemetry, not bit-exact data,
+ * so plain decimal text is fine here). nullopt means unparseable.
  */
 std::optional<double>
 parseSeconds(const store::JsonValue *value)
@@ -48,7 +49,8 @@ parseSeconds(const store::JsonValue *value)
     try {
         size_t used = 0;
         double parsed = std::stod(value->text, &used);
-        if (used != value->text.size() || !(parsed >= 0.0))
+        if (used != value->text.size() || !(parsed >= 0.0) ||
+            !std::isfinite(parsed))
             return std::nullopt;
         return parsed;
     } catch (const std::exception &) {
@@ -252,8 +254,6 @@ CampaignService::handle(const HttpRequest &request)
          &CampaignService::acquireLeases, "/v1/leases/acquire"},
         {"/v1/leases/", "POST", "use POST for lease lifecycle calls",
          &CampaignService::leaseAction, "/v1/leases/*"},
-        {"/v1/shards", "POST", "use POST to push shard records",
-         &CampaignService::ingestShard, "/v1/shards"},
         {"/v1/fleet", "GET", "use GET for fleet status",
          &CampaignService::fleet, "/v1/fleet"},
         {"/v1/healthz", "GET", "use GET for health checks",
@@ -687,6 +687,8 @@ CampaignService::leaseAction(const HttpRequest &request,
                              std::string("bad request field: ") +
                                  e.what());
     }
+    if (worker.empty())
+        return errorResponse(400, "'worker' must be non-empty");
 
     if (action == "heartbeat") {
         switch (coordinator_.heartbeat(id, worker)) {
@@ -708,9 +710,14 @@ CampaignService::leaseAction(const HttpRequest &request,
     }
 
     if (action == "complete") {
+        static telemetry::Counter &ingested = telemetry::counter(
+            "etc_worker_shards_ingested_total",
+            "Records accepted with lease completions "
+            "(POST /v1/leases/<id>/complete)");
         bool failed = false;
         uint64_t trialsExecuted = 0;
         std::string error;
+        std::optional<std::string> record;
         try {
             if (const store::JsonValue *value = body.find("failed"))
                 failed = value->asBool();
@@ -719,6 +726,8 @@ CampaignService::leaseAction(const HttpRequest &request,
                 trialsExecuted = value->asU64();
             if (const store::JsonValue *value = body.find("error"))
                 error = value->asString();
+            if (const store::JsonValue *value = body.find("record"))
+                record = value->asString();
         } catch (const store::JsonError &e) {
             return errorResponse(400,
                                  std::string("bad request field: ") +
@@ -738,10 +747,23 @@ CampaignService::leaseAction(const HttpRequest &request,
             writer.field("state", "pending");
             return HttpResponse::json(200, writer.str());
         }
+        if (!record)
+            return errorResponse(
+                400, "missing required field 'record' (the stripe's "
+                     "shard record, or the cell record)");
 
-        switch (scheduler_.completeLease(id, worker, trialsExecuted,
-                                         *wallSeconds)) {
+        Scheduler::LeaseCompletion outcome;
+        try {
+            outcome = scheduler_.completeLease(
+                id, worker, *record, trialsExecuted, *wallSeconds);
+        } catch (const store::StoreFormatError &e) {
+            return errorResponse(400,
+                                 std::string("unacceptable record: ") +
+                                     e.what());
+        }
+        switch (outcome) {
           case Scheduler::LeaseCompletion::Done: {
+            ingested.add();
             store::JsonObjectWriter writer;
             writer.field("state", "done");
             return HttpResponse::json(200, writer.str());
@@ -751,11 +773,6 @@ CampaignService::leaseAction(const HttpRequest &request,
             writer.field("state", "done").field("late", true);
             return HttpResponse::json(200, writer.str());
           }
-          case Scheduler::LeaseCompletion::MissingShard:
-            return errorResponse(
-                409, "lease '" + id +
-                         "' has no shard record in the store -- "
-                         "push it to POST /v1/shards first");
           case Scheduler::LeaseCompletion::Unknown:
             break;
         }
@@ -764,33 +781,6 @@ CampaignService::leaseAction(const HttpRequest &request,
 
     return errorResponse(404, "unknown lease action '" + action +
                                   "' (heartbeat or complete)");
-}
-
-HttpResponse
-CampaignService::ingestShard(const HttpRequest &request,
-                             const std::string &)
-{
-    static telemetry::Counter &ingested = telemetry::counter(
-        "etc_worker_shards_ingested_total",
-        "Records accepted over POST /v1/shards");
-    if (request.body.empty())
-        return errorResponse(400, "empty record body");
-    try {
-        auto outcome = scheduler_.ingestRecord(request.body);
-        ingested.add();
-        store::JsonObjectWriter writer;
-        writer.field("kind", outcome.cellRecord ? "cell" : "shard")
-            .field("cell", outcome.key.fingerprint())
-            .field("stored", outcome.stored);
-        if (!outcome.cellRecord)
-            writer.field("lo", uint64_t{outcome.lo})
-                .field("hi", uint64_t{outcome.hi});
-        return HttpResponse::json(200, writer.str());
-    } catch (const store::StoreFormatError &e) {
-        return errorResponse(400,
-                             std::string("unacceptable record: ") +
-                                 e.what());
-    }
 }
 
 HttpResponse

@@ -43,16 +43,16 @@
  *                                pull API of `etc_lab work`)
  *   POST /v1/leases/<id>/heartbeat  extend the lease deadline; "lost"
  *                                means it was re-issued elsewhere
- *   POST /v1/leases/<id>/complete   report a lease finished (or
- *                                {"failed":true} to re-pend it); the
- *                                service verifies the shard record is
- *                                actually in the store first (409 if
- *                                not), and answers "done" to stale
- *                                owners of re-issued leases -- their
- *                                bytes matched by construction
- *   POST /v1/shards              push one shard/cell record (raw JSONL
- *                                body, exactly the on-disk bytes);
- *                                idempotent and safe to race
+ *   POST /v1/leases/<id>/complete   report a lease finished with its
+ *                                stripe's record, exactly the on-disk
+ *                                bytes of its shard or of the whole
+ *                                cell, in "record" (or {"failed":true}
+ *                                to re-pend it); a record that is not
+ *                                the lease's is a 400 that writes
+ *                                nothing. Idempotent and safe to race;
+ *                                answers "done" to stale owners of
+ *                                re-issued leases -- their bytes
+ *                                matched by construction
  *   GET  /v1/fleet               coordinator stats + the lease table
  *   GET  /v1/healthz             liveness: uptime, version, build
  *                                flags, queue depth + aggregate
@@ -68,8 +68,8 @@
  * on scheduler workers or agents -- so they are safe to call from the
  * single-threaded HTTP event loop. The lease calls that touch no
  * store (acquire, heartbeat, failure, fleet status) go to the
- * coordinator directly; completion checks the store first, through
- * the scheduler.
+ * coordinator directly; a completion stores its record first,
+ * through the scheduler.
  *
  * Read side: the service keeps one StoreIndex and one ResultStore for
  * its cache root, loaded lazily by the first request that reads the
@@ -121,7 +121,6 @@ class CampaignService
     HttpResponse indexStatus(const HttpRequest &, const std::string &);
     HttpResponse acquireLeases(const HttpRequest &, const std::string &);
     HttpResponse leaseAction(const HttpRequest &, const std::string &suffix);
-    HttpResponse ingestShard(const HttpRequest &, const std::string &);
     HttpResponse fleet(const HttpRequest &, const std::string &);
     HttpResponse healthz(const HttpRequest &, const std::string &);
     HttpResponse metricz(const HttpRequest &, const std::string &);

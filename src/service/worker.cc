@@ -3,8 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
@@ -33,9 +36,6 @@ struct WorkerMetrics
     telemetry::Counter &leasesFailed = telemetry::counter(
         "etc_work_leases_failed_total",
         "Leases this agent reported failed");
-    telemetry::Counter &recordsPushed = telemetry::counter(
-        "etc_work_records_pushed_total",
-        "Shard/cell records pushed to the coordinator");
 };
 
 WorkerMetrics &
@@ -86,11 +86,18 @@ WorkerAgent::WorkerAgent(WorkerConfig config)
         config_.name = name;
     }
     if (config_.cacheDir.empty()) {
+        // A fresh directory of its own, so no other agent (of this
+        // process or of an earlier one with the same pid) shares it.
         std::string scratch = "etc_work.";
         scratch += std::to_string(::getpid());
-        config_.cacheDir =
-            (std::filesystem::temp_directory_path() / scratch)
-                .string();
+        scratch = (std::filesystem::temp_directory_path() /
+                   (scratch + ".XXXXXX"))
+                      .string();
+        if (!::mkdtemp(scratch.data()))
+            fatal("worker: cannot create a scratch store at ", scratch,
+                  ": ", std::strerror(errno));
+        config_.cacheDir = scratch;
+        ownsCacheDir_ = true;
     }
     config_.pollMs = std::max<uint64_t>(10, config_.pollMs);
 }
@@ -98,6 +105,10 @@ WorkerAgent::WorkerAgent(WorkerConfig config)
 WorkerAgent::~WorkerAgent()
 {
     stop();
+    if (ownsCacheDir_) {
+        std::error_code ec;
+        std::filesystem::remove_all(config_.cacheDir, ec);
+    }
 }
 
 void
@@ -261,9 +272,8 @@ WorkerAgent::processLeases(const std::vector<LeaseGrant> &grants)
     try {
         lab = &contextFor(cell);
         key = lab->study.cellKey(cell.errors, cell.policy, cell.trials);
-        // Never execute (let alone push) under a disputed key: the
-        // coordinator would file our bytes under a different cell
-        // than we computed.
+        // Never execute under a disputed key: the coordinator checks
+        // each record against its lease's key and would refuse ours.
         if (key.fingerprint() != cell.fingerprint)
             error = "cell key mismatch: worker derived " +
                     key.fingerprint() + ", lease names " +
@@ -278,7 +288,7 @@ WorkerAgent::processLeases(const std::vector<LeaseGrant> &grants)
         return;
     }
 
-    // As each stripe lands, push its record and complete its lease.
+    // As each stripe lands, complete its lease with its record.
     runLeasePass(
         lab->study, grants, config_.name, keeper_,
         [&](const LeaseGrant &grant, const core::StripeResult &stripe) {
@@ -295,36 +305,32 @@ WorkerAgent::finishLease(const LeaseGrant &grant,
                          const core::StripeResult &stripe)
 {
     // The engine answers with the *complete cell* when the whole cell
-    // was already in this worker's local store; push the cell record
+    // was already in this worker's local store; send the cell record
     // then, so the coordinator can promote without any shard
     // arithmetic. Either way these are the canonical codec bytes --
     // identical to what a local run on the coordinator would have
     // written.
     bool fullCell = stripe.hi - stripe.lo == grant.cell.trials &&
                     grant.hi - grant.lo != grant.cell.trials;
-    std::string record =
-        fullCell ? store::encodeCellRecord(key, stripe.summary)
-                 : store::encodeShardRecord(key, stripe.lo, stripe.hi,
-                                            stripe.summary);
+    store::JsonObjectWriter body;
+    body.field("worker", config_.name)
+        .field("trialsExecuted", stripe.trialsSimulated)
+        .field("wallSeconds", readableDouble(stripe.wallSeconds))
+        .field("record",
+               fullCell ? store::encodeCellRecord(key, stripe.summary)
+                        : store::encodeShardRecord(key, stripe.lo,
+                                                   stripe.hi,
+                                                   stripe.summary));
     try {
         Client client(config_.host, config_.port);
-        auto pushed = client.post("/v1/shards", record);
-        if (!pushed.ok()) {
-            failLease(grant, "record push rejected: HTTP " +
-                                 std::to_string(pushed.status) + " " +
-                                 pushed.body);
+        auto response = client.post(
+            "/v1/leases/" + grant.id + "/complete", body.str());
+        if (!response.ok()) {
+            failLease(grant, "completion rejected: HTTP " +
+                                 std::to_string(response.status) + " " +
+                                 response.body);
             return;
         }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++summary_.recordsPushed;
-        }
-        workerMetrics().recordsPushed.add();
-        completeLease(grant, stripe.trialsSimulated, stripe.wallSeconds);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++summary_.leasesCompleted;
-        summary_.trialsExecuted += stripe.trialsSimulated;
-        summary_.wallSeconds += stripe.wallSeconds;
     } catch (const std::exception &e) {
         // Transport died between execution and completion. Do not
         // fail the lease (we cannot reach the coordinator anyway);
@@ -334,24 +340,13 @@ WorkerAgent::finishLease(const LeaseGrant &grant,
              " executed but not completed: ", e.what());
         std::lock_guard<std::mutex> lock(mutex_);
         ++summary_.leasesFailed;
+        return;
     }
-}
-
-void
-WorkerAgent::completeLease(const LeaseGrant &grant, uint64_t trials,
-                           double wallSeconds)
-{
-    Client client(config_.host, config_.port);
-    store::JsonObjectWriter body;
-    body.field("worker", config_.name)
-        .field("trialsExecuted", trials)
-        .field("wallSeconds", readableDouble(wallSeconds));
-    auto response = client.post("/v1/leases/" + grant.id + "/complete",
-                                body.str());
-    if (!response.ok())
-        warn("worker ", config_.name, ": completion of ", grant.id,
-             " answered HTTP ", response.status, ": ", response.body);
     workerMetrics().leasesCompleted.add();
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++summary_.leasesCompleted;
+    summary_.trialsExecuted += stripe.trialsSimulated;
+    summary_.wallSeconds += stripe.wallSeconds;
 }
 
 void

@@ -9,32 +9,38 @@
  * workers -- rebuilds the cell's exact study context from the grant
  * (the sweep's registry name and seed), and runs the stripes as one
  * pass through the same cache-aware engine `etc_lab run` uses; one
- * pass at a time, spread over its threads. As
- * each stripe lands, the agent pushes its shard record back
- * (POST /v1/shards) and completes its lease, off the engine's path
- * (see runLeasePass), so a stalled coordinator never stalls the
- * pass. A LeaseKeeper thread heartbeats every held lease at a third
- * of its TTL, as the daemon's local executors do, so a live worker
- * never loses a lease and a SIGKILLed one loses them within one TTL.
+ * pass at a time, spread over its threads. As each stripe lands, the
+ * agent completes its lease with one request that carries the
+ * stripe's record (POST /v1/leases/<id>/complete), off the engine's
+ * path (see runLeasePass), so a stalled coordinator never stalls the
+ * pass. A completion the coordinator refuses counts as a failed lease
+ * and is reported failed, so the lease re-pends. A LeaseKeeper thread
+ * heartbeats every held lease at a third of its TTL, as the daemon's
+ * local executors do, so a live worker never loses a lease and a
+ * SIGKILLed one loses them within one TTL.
  *
  * Correctness invariants:
  *
  *  - Before executing, the agent re-derives the CellKey from its own
  *    workload assembly and compares fingerprints with the grant; a
  *    mismatch (version skew between worker and coordinator binaries)
- *    fails the lease rather than pushing wrong-keyed bytes.
- *  - The pushed record is the canonical codec encoding -- the exact
- *    bytes a local run on the coordinator would have written -- so
- *    fleet results are bit-identical to single-host runs and races
- *    between duplicate workers are harmless by construction.
+ *    fails the lease rather than sending wrong-keyed bytes.
+ *  - The record a completion carries is the canonical codec encoding
+ *    -- the exact bytes a local run on the coordinator would have
+ *    written -- so fleet results are bit-identical to single-host
+ *    runs and races between duplicate workers are harmless by
+ *    construction.
  *  - A lease lost to re-issue (heartbeat answers "lost") is still
- *    finished and pushed: the bytes match the replacement worker's,
- *    and the coordinator accepts late completions idempotently.
+ *    finished and completed: the bytes match the replacement
+ *    worker's, and the coordinator accepts late completions
+ *    idempotently.
  *
- * The agent keeps its own result store (scratch by default), so a
- * re-granted stripe it already executed is a local cache hit, and the
- * stripes of a cell it has fully cached are answered with the cell
- * record, without simulation.
+ * The agent keeps its own result store, so a re-granted stripe it
+ * already executed is a local cache hit, and the stripes of a cell it
+ * has fully cached are answered with the cell record, without
+ * simulation. Without a cache directory that store is a scratch
+ * directory the agent creates under the system temp dir and removes
+ * when it is destroyed; a SIGKILLed agent leaves it behind.
  */
 
 #ifndef ETC_SERVICE_WORKER_HH
@@ -66,10 +72,13 @@ struct WorkerConfig
      *  /v1/fleet and lease ownership). Default: "w<pid>". */
     std::string name;
 
-    /** Local result-store root; empty = a per-process scratch
-     *  directory under the system temp dir. Pointing it at the
-     *  coordinator's cache directory on a shared filesystem also
-     *  works -- pushes then dedup to no-ops. */
+    /** Local result-store root; empty = a fresh scratch directory
+     *  etc_work.<pid>.XXXXXX under the system temp dir ($TMPDIR),
+     *  which the agent removes when destroyed (a SIGKILLed agent
+     *  leaves it behind). A given directory is never removed.
+     *  Pointing it at the coordinator's cache directory on a shared
+     *  filesystem also works: a completion then rewrites the same
+     *  bytes. */
     std::string cacheDir;
 
     unsigned threads = 0; //!< campaign threads per pass (0 = all)
@@ -88,7 +97,8 @@ class WorkerAgent
   public:
     explicit WorkerAgent(WorkerConfig config);
 
-    /** stop() + join (idempotent). */
+    /** stop() + join (idempotent), then remove the scratch store
+     *  the agent created (never a configured cacheDir). */
     ~WorkerAgent();
 
     WorkerAgent(const WorkerAgent &) = delete;
@@ -111,7 +121,6 @@ class WorkerAgent
     {
         uint64_t leasesCompleted = 0;
         uint64_t leasesFailed = 0; //!< reported failed to coordinator
-        uint64_t recordsPushed = 0;
         uint64_t trialsExecuted = 0;
         double wallSeconds = 0.0; //!< summed pass time of its stripes
     };
@@ -126,12 +135,11 @@ class WorkerAgent
     void processLeases(const std::vector<LeaseGrant> &grants);
     void finishLease(const LeaseGrant &grant, const store::CellKey &key,
                      const core::StripeResult &stripe);
-    void completeLease(const LeaseGrant &grant, uint64_t trials,
-                       double wallSeconds);
     void failLease(const LeaseGrant &grant, const std::string &error);
     bench::ExperimentStudy &contextFor(const LeaseCell &cell);
 
     WorkerConfig config_;
+    bool ownsCacheDir_ = false; //!< a scratch store it made itself
 
     /** Per-sweep engine state, rebuilt when a grant names another
      *  seed. Only the executor touches it. */

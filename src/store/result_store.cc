@@ -256,44 +256,39 @@ ResultStore::loadShards(const CellKey &key)
     return shards;
 }
 
-ResultStore::IngestOutcome
-ResultStore::ingestRecord(const std::string &text)
+void
+ResultStore::ingestRecord(const std::string &text, const CellKey &key,
+                          unsigned lo, unsigned hi)
 {
     // Peek the header's kind before dispatching to the strict
-    // decoder, so a cell pushed to a shard path (or vice versa) gets
-    // a precise error instead of a kind-mismatch from the wrong
-    // decoder.
+    // decoder, so a record of the wrong kind gets a precise error
+    // instead of a kind-mismatch from the wrong decoder.
     std::string kind;
     try {
-        size_t newline = text.find('\n');
-        auto header = parseJson(text.substr(
-            0, newline == std::string::npos ? text.size() : newline));
-        kind = header.at("kind").asString();
+        kind = parseJson(text.substr(0, text.find('\n')))
+                   .at("kind")
+                   .asString();
     } catch (const JsonError &error) {
         throw StoreFormatError(
             std::string("unreadable record header: ") + error.what());
     }
 
-    IngestOutcome outcome;
-    if (kind == "shard") {
-        ShardRecord record = decodeShardRecord(text, nullptr);
-        outcome.key = std::move(record.key);
-        outcome.lo = record.lo;
-        outcome.hi = record.hi;
-    } else if (kind == "cell") {
-        outcome.cellRecord = true;
-        outcome.key = decodeCellRecordWithKey(text, nullptr).key;
+    if (kind == "cell") {
+        decodeCellRecord(text, &key);
+        lo = hi = 0;
+    } else if (kind == "shard") {
+        ShardRecord shard = decodeShardRecord(text, &key);
+        if (shard.lo != lo || shard.hi != hi)
+            throw StoreFormatError(
+                "shard [" + std::to_string(shard.lo) + ", " +
+                std::to_string(shard.hi) + ") is not the stripe [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + ")");
     } else {
         throw StoreFormatError("cannot ingest record kind '" + kind +
                                "' (expected shard or cell)");
     }
-    // A stored cell holds these very bytes already, or supersedes
-    // this shard, which would only orphan a file next to it.
-    if (!hasCell(outcome.key)) {
-        writeRecord(outcome.key, outcome.lo, outcome.hi, text);
-        outcome.stored = true;
-    }
-    return outcome;
+    if (!hasCell(key))
+        writeRecord(key, lo, hi, text);
 }
 
 void

@@ -12,10 +12,11 @@
  *
  * The files are the whole state: the archive index (index.hh) lists
  * cells/, and the files under shards/ are the one record of partial
- * cells. Every record write -- storeCell(), storeShard(),
- * ingestRecord() and so promoteShards() -- goes through one private
- * path that stages and counts it, and all file access goes through
- * file_io.hh, so a record renamed into place is all a write leaves.
+ * cells. Every record write -- storeCell(), storeShard(), the
+ * lease-checked ingestRecord() and so promoteShards() -- goes through
+ * one private path that stages and counts it, and all file access
+ * goes through file_io.hh, so a record renamed into place is all a
+ * write leaves.
  *
  * Records are addressed by the CellKey fingerprint, so equal work is
  * deduplicated across runs, drivers, and machines sharing a cache
@@ -125,32 +126,25 @@ class ResultStore
     core::CellSummary promoteShards(const CellKey &key,
                                     std::vector<ShardRecord> shards);
 
-    /** What ingestRecord() accepted. */
-    struct IngestOutcome
-    {
-        bool cellRecord = false; //!< a complete cell (vs a shard)
-        bool stored = false;     //!< false: skipped, cell already
-                                 //!< complete (nothing to add)
-        CellKey key;
-        unsigned lo = 0; //!< shard trial range (shard records only)
-        unsigned hi = 0;
-    };
-
     /**
-     * Ingest a record pushed over the wire (POST /v1/shards): decode
-     * and fully validate @p text (shard or complete-cell kind), then
-     * write the received bytes verbatim to the record's
-     * content-addressed path. Verbatim, because a cell is a pure
-     * function of its key: the pushing worker's bytes are identical
-     * to what a local run would have written, so raced ingests and
-     * local computes overwrite each other with themselves. A shard
-     * whose cell record already exists is skipped (stored = false) --
-     * it would only orphan a file next to the promoted cell.
+     * Ingest the record a lease completion carries (POST
+     * /v1/leases/<id>/complete): decode and fully validate @p text as
+     * the complete cell record of @p key, or as its shard record over
+     * exactly [lo, hi), then write the received bytes verbatim to the
+     * record's content-addressed path. Verbatim, because a cell is a
+     * pure function of its key: the worker's bytes are identical to
+     * what a local run would have written, so raced ingests and local
+     * computes overwrite each other with themselves. Nothing is
+     * written when the cell record is already stored: it holds these
+     * very bytes, or supersedes the shard, which would only orphan a
+     * file next to it.
      *
-     * @throws StoreFormatError on malformed, truncated, or
-     *         unrecognized records (nothing is written).
+     * @throws StoreFormatError on a malformed, truncated or
+     *         unrecognized record, or one of another cell or stripe
+     *         (nothing is written then).
      */
-    IngestOutcome ingestRecord(const std::string &text);
+    void ingestRecord(const std::string &text, const CellKey &key,
+                      unsigned lo, unsigned hi);
 
     /**
      * The one cell-record read, behind loadCell() and every reader that

@@ -6,26 +6,32 @@
  * full coordinator + worker-agent fleets over loopback HTTP -- a
  * coordinator-only daemon drained by two in-process WorkerAgents
  * produces figure bytes identical to the offline render, and a
- * vanished worker's lease re-issues, with the ghost's late shard push
- * and completion accepted idempotently (same content-addressed bytes,
- * single store write, job tally unchanged). The vanished worker
- * mirrors the orchestration suite's kill idiom: it simply stops
- * calling, which is indistinguishable from SIGKILL to the
- * coordinator. A coordinator stalled on a shard push does not stall
- * the agent's pass, an agent takes no more leases than --max-leases
- * allows, and an agent rebuilds each of a paper table's ablation
- * variants from the sweep name its leases carry.
+ * vanished worker's lease re-issues, with the ghost's late completion
+ * and the record it carries accepted idempotently (same
+ * content-addressed bytes, no second store write, job tally
+ * unchanged). The vanished worker mirrors the orchestration suite's
+ * kill idiom: it simply stops calling, which is indistinguishable
+ * from SIGKILL to the coordinator. An agent returns each landed
+ * stripe in one completion request and reports a refused one failed,
+ * a coordinator stalled on a completion does not stall the agent's
+ * pass, an agent takes no more leases than --max-leases allows and
+ * removes the scratch store it made (never a given one), and an agent
+ * rebuilds each of a paper table's ablation variants from the sweep
+ * name its leases carry.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -366,13 +372,14 @@ class FleetTest : public ::testing::Test
             std::make_unique<service::CampaignService>(*scheduler_);
         server_ = std::make_unique<service::HttpServer>(
             0, [this](const service::HttpRequest &request) {
-                std::function<void(const service::HttpRequest &)> stall;
+                Hook hook;
                 {
-                    std::lock_guard<std::mutex> lock(stallMutex_);
-                    stall = stall_;
+                    std::lock_guard<std::mutex> lock(hookMutex_);
+                    hook = hook_;
                 }
-                if (stall)
-                    stall(request);
+                if (hook)
+                    if (auto answer = hook(request))
+                        return *answer;
                 return serviceFacade_->handle(request);
             });
         serverThread_ = std::thread([this] { server_->run(50); });
@@ -436,13 +443,17 @@ class FleetTest : public ::testing::Test
         return "";
     }
 
-    /** Run @p stall on the server thread before each request is
-     *  handled: blocking in it stalls the whole coordinator. */
+    /** What the server thread runs before it handles each request;
+     *  blocking in it stalls the whole coordinator, and a response it
+     *  returns answers the request instead of the router. */
+    using Hook = std::function<std::optional<service::HttpResponse>(
+        const service::HttpRequest &)>;
+
     void
-    stallWith(std::function<void(const service::HttpRequest &)> stall)
+    hookWith(Hook hook)
     {
-        std::lock_guard<std::mutex> lock(stallMutex_);
-        stall_ = std::move(stall);
+        std::lock_guard<std::mutex> lock(hookMutex_);
+        hook_ = std::move(hook);
     }
 
     /** Wait (up to 2 s) for the coordinator to decompose a cell into
@@ -460,8 +471,8 @@ class FleetTest : public ::testing::Test
     }
 
     std::filesystem::path root_;
-    std::mutex stallMutex_;
-    std::function<void(const service::HttpRequest &)> stall_;
+    std::mutex hookMutex_;
+    Hook hook_;
     std::unique_ptr<service::Scheduler> scheduler_;
     std::unique_ptr<service::CampaignService> serviceFacade_;
     std::unique_ptr<service::HttpServer> server_;
@@ -544,7 +555,7 @@ TEST_F(FleetTest, VanishedWorkerLeaseReissuesAndGhostPushIsIdempotent)
     unsigned hi = grant.at("hi").asU32();
 
     // Before dying, the ghost executed its stripe (into its own
-    // scratch store) -- the bytes it would have pushed.
+    // scratch store) -- the record its completion would have carried.
     const bench::Experiment *exp = bench::findExperiment(EXPERIMENT);
     ASSERT_NE(exp, nullptr);
     auto workload =
@@ -620,25 +631,31 @@ TEST_F(FleetTest, VanishedWorkerLeaseReissuesAndGhostPushIsIdempotent)
                   replSum.fidelities[i].acceptable);
     }
 
-    // The ghost's late push is accepted without a second store write
-    // (the cell is already promoted), and its late completion answers
-    // done -- idempotent, not an error.
-    auto pushed = poller.post("/v1/shards", ghostRecord);
-    ASSERT_EQ(pushed.status, 200) << pushed.body;
-    auto ingest = store::parseJson(pushed.body);
-    EXPECT_EQ(ingest.at("kind").asString(), "shard");
-    EXPECT_FALSE(ingest.at("stored").asBool());
-
+    // The ghost's late completion, carrying its record, answers done
+    // -- idempotent, not an error -- and writes nothing: the cell is
+    // already promoted.
+    auto coordinatorFiles = [&] {
+        std::map<std::string, std::filesystem::file_time_type> files;
+        for (const auto &entry :
+             std::filesystem::recursive_directory_iterator(root_ /
+                                                           "coordinator"))
+            if (entry.is_regular_file())
+                files[entry.path().string()] = entry.last_write_time();
+        return files;
+    };
+    auto filesBefore = coordinatorFiles();
     store::JsonObjectWriter completeBody;
     completeBody.field("worker", "ghost")
         .field("trialsExecuted", uint64_t{hi - lo})
-        .field("wallSeconds", "0.5");
+        .field("wallSeconds", "0.5")
+        .field("record", ghostRecord);
     auto completed = poller.post("/v1/leases/" + leaseId + "/complete",
                                  completeBody.str());
     ASSERT_EQ(completed.status, 200) << completed.body;
     auto lateOutcome = store::parseJson(completed.body);
     EXPECT_EQ(lateOutcome.at("state").asString(), "done");
     EXPECT_TRUE(lateOutcome.at("late").asBool());
+    EXPECT_EQ(coordinatorFiles(), filesBefore);
 
     // The ghost's late traffic changed nothing: the job's tally is
     // what the replacement reported.
@@ -675,6 +692,64 @@ TEST_F(FleetTest, WarmFleetCacheServesSecondSubmissionWithoutWork)
     EXPECT_EQ(fleetAfter.at("leasesIssued").asU64(), issuedBefore);
 }
 
+// An agent returns each stripe it lands in one request: its lease's
+// completion, carrying the record. Two cells of two stripes cost four
+// completions, and no other request carries a record.
+TEST_F(FleetTest, AgentReturnsEachStripeInOneCompletion)
+{
+    std::atomic<unsigned> completions{0}, pushes{0};
+    hookWith([&](const service::HttpRequest &request)
+                 -> std::optional<service::HttpResponse> {
+        std::string path = request.path();
+        if (path.ends_with("/complete"))
+            ++completions;
+        else if (path == "/v1/shards")
+            ++pushes;
+        return std::nullopt;
+    });
+    std::string jobId = submit(
+        std::string("{\"experiment\":\"") + EXPERIMENT + "\"}");
+    service::WorkerAgent agent(workerConfig("single"));
+    agent.start();
+    auto final = store::parseJson(awaitJob(jobId));
+    agent.stop();
+    EXPECT_EQ(final.at("state").asString(), "done");
+    EXPECT_EQ(agent.summary().leasesCompleted, 4u);
+    EXPECT_EQ(agent.summary().leasesFailed, 0u);
+    EXPECT_EQ(completions.load(), 4u);
+    EXPECT_EQ(pushes.load(), 0u);
+}
+
+// A completion the coordinator refuses is a failed lease: the agent
+// reports it failed, so it re-pends, and completes its re-grant.
+TEST_F(FleetTest, AgentReportsARefusedCompletionFailed)
+{
+    std::string jobId = submit(
+        std::string("{\"experiment\":\"") + EXPERIMENT +
+        "\",\"errors\":1,\"policy\":\"protected\"}");
+    awaitPendingLeases();
+    std::atomic<bool> refused{false};
+    hookWith([&](const service::HttpRequest &request)
+                 -> std::optional<service::HttpResponse> {
+        if (!request.path().ends_with("/complete") ||
+            request.body.find("\"failed\":true") != std::string::npos ||
+            refused.exchange(true))
+            return std::nullopt;
+        return service::errorResponse(400, "refused by the test");
+    });
+
+    service::WorkerAgent agent(workerConfig("refused"));
+    agent.start();
+    auto final = store::parseJson(awaitJob(jobId));
+    agent.stop();
+    EXPECT_TRUE(refused.load());
+    EXPECT_EQ(final.at("state").asString(), "done");
+    EXPECT_EQ(agent.summary().leasesFailed, 1u);
+    EXPECT_EQ(agent.summary().leasesCompleted, 2u);
+    auto fleet = store::parseJson(client().get("/v1/fleet").body);
+    EXPECT_EQ(fleet.at("leasesFailed").asU64(), 1u);
+}
+
 TEST_F(FleetTest, StalledCoordinatorDoesNotStallThePass)
 {
     std::string jobId = submit(
@@ -682,10 +757,10 @@ TEST_F(FleetTest, StalledCoordinatorDoesNotStallThePass)
         "\",\"errors\":1,\"policy\":\"protected\"}");
     awaitPendingLeases();
 
-    // The agent's first shard push stalls the whole coordinator until
+    // The agent's first completion stalls the whole coordinator until
     // the agent's own store holds both of the cell's stripes. A pass
-    // that pushed from inside the engine could not persist the other
-    // stripe meanwhile, and would wait out the stall.
+    // that completed from inside the engine could not persist the
+    // other stripe meanwhile, and would wait out the stall.
     std::filesystem::path agentShards = root_ / "stalled" / "shards";
     auto persisted = [&] {
         size_t stripes = 0;
@@ -700,12 +775,15 @@ TEST_F(FleetTest, StalledCoordinatorDoesNotStallThePass)
     };
     std::atomic<bool> stalled{false};
     std::atomic<size_t> persistedDuringStall{0};
-    stallWith([&](const service::HttpRequest &request) {
-        if (request.path() != "/v1/shards" || stalled.exchange(true))
-            return;
+    hookWith([&](const service::HttpRequest &request)
+                 -> std::optional<service::HttpResponse> {
+        if (!request.path().ends_with("/complete") ||
+            stalled.exchange(true))
+            return std::nullopt;
         for (int i = 0; i < 1500 && persisted() < 2; ++i)
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
         persistedDuringStall = persisted();
+        return std::nullopt;
     });
 
     service::WorkerAgent agent(workerConfig("stalled"));
@@ -745,6 +823,68 @@ TEST_F(FleetTest, AgentTakesNoMoreThanMaxLeases)
     rest.stop();
     EXPECT_EQ(final.at("state").asString(), "done");
     EXPECT_EQ(rest.summary().leasesCompleted, 1u);
+}
+
+/** Point $TMPDIR at @p dir for the object's lifetime. */
+class ScopedTmpdir
+{
+  public:
+    explicit ScopedTmpdir(const std::filesystem::path &dir)
+    {
+        if (const char *old = std::getenv("TMPDIR"))
+            old_ = old;
+        ::setenv("TMPDIR", dir.c_str(), 1);
+    }
+
+    ScopedTmpdir(const ScopedTmpdir &) = delete;
+    ScopedTmpdir &operator=(const ScopedTmpdir &) = delete;
+
+    ~ScopedTmpdir()
+    {
+        if (old_)
+            ::setenv("TMPDIR", old_->c_str(), 1);
+        else
+            ::unsetenv("TMPDIR");
+    }
+
+  private:
+    std::optional<std::string> old_;
+};
+
+// Without a cache directory an agent works in a scratch store of its
+// own under $TMPDIR and removes it once destroyed; a directory it was
+// given outlives it.
+TEST_F(FleetTest, AgentRemovesOnlyTheScratchStoreItMade)
+{
+    std::filesystem::path tmp = root_ / "tmp";
+    std::filesystem::create_directories(tmp);
+    ScopedTmpdir scopedTmpdir(tmp);
+    std::string jobId = submit(
+        std::string("{\"experiment\":\"") + EXPERIMENT +
+        "\",\"errors\":1,\"policy\":\"protected\"}");
+    awaitPendingLeases();
+    {
+        service::WorkerConfig config = workerConfig("scratch");
+        config.cacheDir.clear();
+        config.maxLeases = 1;
+        service::WorkerAgent agent(config);
+        std::filesystem::path scratch = agent.config().cacheDir;
+        EXPECT_EQ(scratch.parent_path(), tmp);
+        agent.start();
+        agent.join();
+        EXPECT_EQ(agent.summary().leasesCompleted, 1u);
+        EXPECT_TRUE(std::filesystem::is_directory(scratch / "shards"));
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(tmp));
+
+    {
+        service::WorkerAgent agent(workerConfig("given"));
+        agent.start();
+        auto final = store::parseJson(awaitJob(jobId));
+        EXPECT_EQ(final.at("state").asString(), "done");
+    }
+    EXPECT_TRUE(std::filesystem::is_directory(root_ / "given" / "shards"));
+    EXPECT_TRUE(std::filesystem::is_empty(tmp));
 }
 
 TEST_F(FleetTest, AgentRebuildsEachAblationVariantFromItsSweepName)

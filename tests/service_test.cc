@@ -6,8 +6,9 @@
  * -- submit -> poll -> fetch, warm-cache submissions executing zero
  * trials, duplicate submissions attaching to the live job, >= 8
  * concurrent clients, malformed requests answered with 4xx JSON,
- * seeded byte mutations of fleet traffic never answered with a 5xx,
- * every route counted under its own metric label, and the GET
+ * lease completions that take only their own stripe's record, seeded
+ * byte mutations of fleet traffic never answered with a 5xx, every
+ * route counted under its own metric label, and the GET
  * /v1/figures/<name> byte-identity contract with `etc_lab report`'s
  * render path.
  */
@@ -57,6 +58,7 @@ using namespace etc;
 using service::CampaignService;
 using service::Client;
 using service::HttpServer;
+using service::LeaseBeat;
 using service::Scheduler;
 using service::SchedulerConfig;
 
@@ -93,6 +95,92 @@ requestsByEndpoint()
             std::stoull(line.substr(line.rfind(' ') + 1));
     }
     return requests;
+}
+
+/** A daemon with no local executors over @p cacheDir: every lease
+ *  stays where a test puts it, and nothing simulates. */
+SchedulerConfig
+coordinatorOnly(const std::filesystem::path &cacheDir)
+{
+    SchedulerConfig config;
+    config.cacheDir = cacheDir.string();
+    config.workers = 0;
+    config.threads = 1;
+    config.chunks = 2;
+    return config;
+}
+
+/** POST @p body to @p target straight through @p campaign's router. */
+service::HttpResponse
+postTo(CampaignService &campaign, const std::string &target,
+       const std::string &body)
+{
+    service::HttpRequest request;
+    request.method = "POST";
+    request.target = target;
+    request.version = "HTTP/1.1";
+    request.body = body;
+    return campaign.handle(request);
+}
+
+/** A record of trials [lo, hi) of @p key in which every trial
+ *  crashed: its shard record, or its cell record when hi is 0. */
+std::string
+crashedRecord(const store::CellKey &key, unsigned lo, unsigned hi)
+{
+    core::CellSummary summary;
+    summary.errors = key.errors;
+    summary.policy = key.policy;
+    summary.trials = hi ? hi - lo : key.trials;
+    summary.crashed = summary.trials;
+    return hi ? store::encodeShardRecord(key, lo, hi, summary)
+              : store::encodeCellRecord(key, summary);
+}
+
+/** One stripe lease of a smoke-gsm cell, granted to worker "w". */
+struct OneLease
+{
+    std::string jobBody;     //!< the cell's submission
+    std::string acquireBody; //!< the acquire that granted the lease
+    std::string id;
+    store::CellKey key;   //!< the lease's cell
+    store::CellKey other; //!< the sweep's other cell
+    unsigned lo = 0;
+    unsigned hi = 0;
+};
+
+/** Submit one smoke-gsm cell to the coordinator-only @p campaign and
+ *  acquire one of its two stripe leases into @p lease. */
+void
+openOneLease(Scheduler &scheduler, CampaignService &campaign,
+             OneLease &lease)
+{
+    lease.jobBody = std::string("{\"experiment\":\"") + EXPERIMENT +
+                    "\",\"errors\":1,\"policy\":\"protected\"}";
+    auto submitted = postTo(campaign, "/v1/jobs", lease.jobBody);
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    for (int i = 0;
+         i < 500 && scheduler.coordinator().stats().leasesPending == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    lease.acquireBody = "{\"worker\":\"w\",\"max\":1}";
+    auto acquired = postTo(campaign, "/v1/leases/acquire", lease.acquireBody);
+    ASSERT_EQ(acquired.status, 200) << acquired.body;
+    auto leases = store::parseJson(acquired.body).at("leases");
+    ASSERT_EQ(leases.elements.size(), 1u) << acquired.body;
+    const auto &grant = leases.elements.front();
+    lease.id = grant.at("id").asString();
+    lease.lo = grant.at("lo").asU32();
+    lease.hi = grant.at("hi").asU32();
+
+    const bench::Experiment *exp = bench::findExperiment(EXPERIMENT);
+    ASSERT_NE(exp, nullptr);
+    auto keys = bench::experimentCellKeys(*exp, scheduler.studyOptions());
+    ASSERT_EQ(keys.size(), 2u);
+    bool first = keys[0].fingerprint() == grant.at("cell").asString();
+    ASSERT_TRUE(first ||
+                keys[1].fingerprint() == grant.at("cell").asString());
+    lease.key = keys[first ? 0 : 1];
+    lease.other = keys[first ? 1 : 0];
 }
 
 class ServiceTest : public ::testing::Test
@@ -546,9 +634,37 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
                       "heartbeat",
                       "{\"worker\":\"w\"}"),
         404);
+    // A lease call checks its fields as strictly as acquire does: an
+    // empty worker name is refused before it is registered as a fleet
+    // worker, and wall time is finite.
+    const std::string lease = "/v1/leases/0123456789abcdef.0of1/";
+    uint64_t workers =
+        store::parseJson(client().get("/v1/fleet").body).at("workers").asU64();
+    for (const char *action : {"heartbeat", "complete"})
+        expectJsonError(client().post(lease + action, "{\"worker\":\"\"}"),
+                        400);
+    EXPECT_EQ(
+        store::parseJson(client().get("/v1/fleet").body).at("workers").asU64(),
+        workers);
+    for (const char *seconds :
+         {"\"inf\"", "\"-inf\"", "\"nan\"", "\"1e999\"", "1e999", "\"-1\""}) {
+        auto refused = client().post(
+            lease + "complete",
+            std::string("{\"worker\":\"w\",\"wallSeconds\":") + seconds +
+                "}");
+        expectJsonError(refused, 400);
+        EXPECT_NE(refused.body.find("'wallSeconds'"), std::string::npos)
+            << seconds << ": " << refused.body;
+    }
+    // Records travel only with their lease's completion: no route
+    // takes a record on its own.
+    auto pushed = client().post("/v1/shards", "{}");
+    expectJsonError(pushed, 404);
+    EXPECT_NE(pushed.body.find("no such endpoint"), std::string::npos)
+        << pushed.body;
 }
 
-// One request to each of the router's 15 routes counts once under
+// One request to each of the router's 14 routes counts once under
 // that route's own label, whatever its status, and opens one
 // http/<label> span; only a path no route claims counts as "other",
 // and it opens none.
@@ -572,7 +688,6 @@ TEST_F(ServiceTest, EveryRouteCountsUnderItsOwnLabel)
         {false, "/v1/index", "/v1/index"},
         {true, "/v1/leases/acquire", "/v1/leases/acquire"},
         {true, "/v1/leases/0123456789abcdef.0of1/heartbeat", "/v1/leases/*"},
-        {true, "/v1/shards", "/v1/shards"},
         {false, "/v1/fleet", "/v1/fleet"},
         {false, "/v1/healthz", "/v1/healthz"},
         {false, "/v1/metricz", "/v1/metricz"},
@@ -961,62 +1076,96 @@ TEST_F(ServiceTest, LocalExecutorsRenewEveryLeaseTheyHold)
     EXPECT_EQ(counterValue("etc_lease_reissued_total"), reissued);
 }
 
+// A completion must carry its own stripe's record. Without one, or
+// with one that does not decode, that is the sweep's other cell's or
+// that is the cell's other stripe, it is a 400 that writes no file
+// and leaves the lease active with its holder; the lease's own shard
+// record completes it and is the one file written.
+TEST_F(ServiceTest, CompletionTakesOnlyItsLeasesRecord)
+{
+    std::filesystem::path cache = root_ / "refusals";
+    Scheduler scheduler(coordinatorOnly(cache));
+    CampaignService campaign(scheduler);
+    scheduler.start();
+    OneLease lease;
+    ASSERT_NO_FATAL_FAILURE(openOneLease(scheduler, campaign, lease));
+
+    auto complete = [&](const std::optional<std::string> &record) {
+        store::JsonObjectWriter body;
+        body.field("worker", "w")
+            .field("trialsExecuted", uint64_t{lease.hi - lease.lo});
+        if (record)
+            body.field("record", *record);
+        return postTo(campaign, "/v1/leases/" + lease.id + "/complete",
+                      body.str());
+    };
+    auto files = [&] {
+        size_t count = 0;
+        std::error_code ec;
+        for (std::filesystem::recursive_directory_iterator it(cache, ec),
+             end;
+             !ec && it != end; it.increment(ec))
+            count += it->is_regular_file();
+        return count;
+    };
+    unsigned trials = lease.key.trials;
+    auto [otherLo, otherHi] = lease.lo == 0
+                                  ? std::pair(lease.hi, trials)
+                                  : std::pair(0u, lease.lo);
+    std::string own = crashedRecord(lease.key, lease.lo, lease.hi);
+    const std::vector<std::pair<std::string, std::optional<std::string>>>
+        refused = {
+            {"no record", std::nullopt},
+            {"a record that does not decode", "not a record"},
+            {"a truncated record", own.substr(0, own.size() / 2)},
+            {"the other cell's record", crashedRecord(lease.other, 0, 0)},
+            {"the other cell's shard",
+             crashedRecord(lease.other, lease.lo, lease.hi)},
+            {"the other stripe's shard",
+             crashedRecord(lease.key, otherLo, otherHi)},
+        };
+    for (const auto &[what, record] : refused) {
+        auto response = complete(record);
+        EXPECT_EQ(response.status, 400) << what << ": " << response.body;
+        EXPECT_EQ(files(), 0u) << what;
+        EXPECT_EQ(scheduler.coordinator().heartbeat(lease.id, "w"),
+                  LeaseBeat::Active)
+            << what;
+    }
+    auto stats = scheduler.coordinator().stats();
+    EXPECT_EQ(stats.leasesActive, 1u);
+    EXPECT_EQ(stats.completed, 0u);
+
+    auto done = complete(own);
+    ASSERT_EQ(done.status, 200) << done.body;
+    EXPECT_EQ(store::parseJson(done.body).at("state").asString(), "done");
+    EXPECT_EQ(files(), 1u);
+    EXPECT_TRUE(store::ResultStore(cache.string())
+                    .hasShard(lease.key, lease.lo, lease.hi));
+    EXPECT_EQ(scheduler.coordinator().stats().completed, 1u);
+    scheduler.stop();
+}
+
 // Hostile fleet traffic: seeded byte mutations (flip, insert, delete,
 // duplicate) of every fleet call's body and lease id are answered with
 // a JSON body and a status below 500, and nothing escapes the router.
 // A coordinator-only scheduler serves them, so nothing simulates.
 TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
 {
-    SchedulerConfig config;
-    config.cacheDir = (root_ / "hostile").string();
-    config.workers = 0;
-    config.threads = 1;
-    config.chunks = 2;
-    Scheduler scheduler(config);
+    Scheduler scheduler(coordinatorOnly(root_ / "hostile"));
     CampaignService campaign(scheduler);
     scheduler.start();
 
-    auto post = [&](const std::string &target, const std::string &body) {
-        service::HttpRequest request;
-        request.method = "POST";
-        request.target = target;
-        request.version = "HTTP/1.1";
-        request.body = body;
-        return campaign.handle(request);
-    };
-
-    // The seeds: one smoke-gsm cell, a lease of it, and a valid shard
-    // record of that lease's stripe.
-    std::string jobBody = std::string("{\"experiment\":\"") + EXPERIMENT +
-                          "\",\"errors\":1,\"policy\":\"protected\"}";
-    auto submitted = post("/v1/jobs", jobBody);
-    ASSERT_EQ(submitted.status, 202) << submitted.body;
-    for (int i = 0;
-         i < 500 && scheduler.coordinator().stats().leasesPending == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    std::string acquireBody = "{\"worker\":\"w\",\"max\":1}";
-    auto acquired = post("/v1/leases/acquire", acquireBody);
-    ASSERT_EQ(acquired.status, 200) << acquired.body;
-    auto leases = store::parseJson(acquired.body).at("leases");
-    ASSERT_EQ(leases.elements.size(), 1u) << acquired.body;
-    const auto &grant = leases.elements.front();
-    std::string leaseId = grant.at("id").asString();
-
-    const bench::Experiment *exp = bench::findExperiment(EXPERIMENT);
-    ASSERT_NE(exp, nullptr);
-    std::optional<store::CellKey> key;
-    for (auto &candidate :
-         bench::experimentCellKeys(*exp, scheduler.studyOptions()))
-        if (candidate.fingerprint() == grant.at("cell").asString())
-            key = candidate;
-    ASSERT_TRUE(key.has_value());
-    core::CellSummary summary;
-    summary.errors = key->errors;
-    summary.policy = key->policy;
-    summary.trials = grant.at("hi").asU32() - grant.at("lo").asU32();
-    summary.crashed = summary.trials;
-    std::string shard = store::encodeShardRecord(
-        *key, grant.at("lo").asU32(), grant.at("hi").asU32(), summary);
+    // The seeds: one smoke-gsm cell, a lease of it, and the lease's
+    // completion carrying a valid shard record of its stripe, so the
+    // mutations reach the record decoder too.
+    OneLease lease;
+    ASSERT_NO_FATAL_FAILURE(openOneLease(scheduler, campaign, lease));
+    store::JsonObjectWriter completion;
+    completion.field("worker", "w")
+        .field("trialsExecuted", uint64_t{lease.hi - lease.lo})
+        .field("wallSeconds", "0.5")
+        .field("record", crashedRecord(lease.key, lease.lo, lease.hi));
 
     struct Seed
     {
@@ -1027,15 +1176,12 @@ TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
     // In an order each succeeds in: the failure re-pends the lease,
     // and the second acquire re-grants it.
     const std::vector<Seed> seeds = {
-        {"/v1/jobs", jobBody},
+        {"/v1/jobs", lease.jobBody},
         {"/v1/leases/" + LEASE + "/heartbeat", "{\"worker\":\"w\"}"},
-        {"/v1/shards", shard},
         {"/v1/leases/" + LEASE + "/complete",
          "{\"worker\":\"w\",\"failed\":true,\"error\":\"crash\"}"},
-        {"/v1/leases/acquire", acquireBody},
-        {"/v1/leases/" + LEASE + "/complete",
-         "{\"worker\":\"w\",\"trialsExecuted\":4,"
-         "\"wallSeconds\":\"0.5\"}"},
+        {"/v1/leases/acquire", lease.acquireBody},
+        {"/v1/leases/" + LEASE + "/complete", completion.str()},
     };
     auto expand = [&](const Seed &seed, const std::string &id) {
         std::string target = seed.target;
@@ -1044,9 +1190,9 @@ TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
         return target;
     };
     for (const Seed &seed : seeds) {
-        auto response = post(expand(seed, leaseId), seed.body);
+        auto response = postTo(campaign, expand(seed, lease.id), seed.body);
         EXPECT_LT(response.status, 300)
-            << expand(seed, leaseId) << ": " << response.body;
+            << expand(seed, lease.id) << ": " << response.body;
     }
 
     std::mt19937_64 rng(20061025);
@@ -1079,16 +1225,17 @@ TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
     };
 
     constexpr int MUTATIONS = 2400;
+    unsigned recordsRefused = 0;
     for (int i = 0; i < MUTATIONS; ++i) {
         const Seed &seed = seeds[pick(seeds.size())];
         bool leaseCall = seed.target.find(LEASE) != std::string::npos;
         bool mutateId = leaseCall && pick(2) == 0;
         std::string target =
-            expand(seed, mutateId ? mutate(leaseId) : leaseId);
+            expand(seed, mutateId ? mutate(lease.id) : lease.id);
         std::string body = mutateId ? seed.body : mutate(seed.body);
         service::HttpResponse response;
         try {
-            response = post(target, body);
+            response = postTo(campaign, target, body);
         } catch (const std::exception &e) {
             FAIL() << "mutation " << i << " of " << target
                    << " escaped the router: " << e.what();
@@ -1101,7 +1248,11 @@ TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
         ASSERT_NO_THROW(answer = store::parseJson(response.body))
             << target << ": " << response.body;
         ASSERT_TRUE(answer.isObject()) << target << ": " << response.body;
+        recordsRefused +=
+            response.body.find("unacceptable record") != std::string::npos;
     }
+    // Mutated records reached the record decoders and were refused.
+    EXPECT_GT(recordsRefused, 0u);
     scheduler.stop();
 }
 

@@ -705,21 +705,21 @@ TEST_F(ResultStoreTest, EveryWriteKindStagesAndCountsRecordBytesOnly)
     CellKey sharded = sampleKey(16);
     std::string firstShard = encodeShardRecord(sharded, 0, 8, summary);
     cache.storeShard(sharded, 0, 8, summary);
-    std::string pushedShard = encodeShardRecord(sharded, 8, 16, summary);
-    EXPECT_TRUE(cache.ingestRecord(pushedShard).stored);
-    recordBytes += firstShard.size() + pushedShard.size();
+    std::string ingestedShard = encodeShardRecord(sharded, 8, 16, summary);
+    cache.ingestRecord(ingestedShard, sharded, 8, 16);
+    recordBytes += firstShard.size() + ingestedShard.size();
 
-    CellKey pushed = sampleKey(8);
-    pushed.errors += 1;
-    std::string pushedCell = encodeCellRecord(pushed, summary);
-    EXPECT_TRUE(cache.ingestRecord(pushedCell).stored);
-    EXPECT_FALSE(cache.ingestRecord(pushedCell).stored); // in place
-    recordBytes += pushedCell.size();
+    CellKey ingested = sampleKey(8);
+    ingested.errors += 1;
+    std::string ingestedCell = encodeCellRecord(ingested, summary);
+    cache.ingestRecord(ingestedCell, ingested, 0, 4);
+    cache.ingestRecord(ingestedCell, ingested, 4, 8); // stored: no write
+    recordBytes += ingestedCell.size();
 
     auto shards = cache.loadShards(sharded);
     ASSERT_EQ(shards.size(), 2u);
     EXPECT_EQ(counterValue("etc_store_bytes_read_total"),
-              read + firstShard.size() + pushedShard.size());
+              read + firstShard.size() + ingestedShard.size());
     auto promoted = cache.promoteShards(sharded, std::move(shards));
     recordBytes += encodeCellRecord(sharded, promoted).size();
     EXPECT_EQ(counterValue("etc_store_bytes_written_total"),
@@ -739,6 +739,39 @@ TEST_F(ResultStoreTest, EveryWriteKindStagesAndCountsRecordBytesOnly)
               written + recordBytes);
     EXPECT_TRUE(std::filesystem::is_empty(root_ / "tmp"));
     EXPECT_FALSE(std::filesystem::exists(root_ / "index"));
+}
+
+// A lease completion's record must be its lease's: the cell record of
+// the lease's key, or its shard of exactly the lease's stripe.
+// Anything else is refused before a byte is written, and once the
+// cell is stored an accepted shard writes nothing either.
+TEST_F(ResultStoreTest, IngestTakesOnlyTheLeasesRecord)
+{
+    ResultStore cache(root_.string());
+    CellKey key = sampleKey(16);
+    CellKey other = key;
+    other.errors += 1;
+    auto half = sampleSummary(8);
+    std::string own = encodeShardRecord(key, 0, 8, half);
+    for (const std::string &record :
+         {std::string(), std::string("not a record"),
+          own.substr(0, own.size() / 2),
+          encodeShardRecord(key, 8, 16, half),
+          encodeShardRecord(key, 0, 16, sampleSummary(16)),
+          encodeShardRecord(other, 0, 8, half),
+          encodeCellRecord(other, sampleSummary(16))})
+        EXPECT_THROW(cache.ingestRecord(record, key, 0, 8),
+                     StoreFormatError)
+            << record;
+    EXPECT_FALSE(std::filesystem::exists(root_));
+
+    cache.ingestRecord(own, key, 0, 8);
+    EXPECT_TRUE(cache.hasShard(key, 0, 8));
+    cache.ingestRecord(encodeCellRecord(key, sampleSummary(16)), key, 8,
+                       16);
+    EXPECT_TRUE(cache.hasCell(key));
+    cache.ingestRecord(encodeShardRecord(key, 8, 16, half), key, 8, 16);
+    EXPECT_FALSE(cache.hasShard(key, 8, 16));
 }
 
 // A write that fails -- here, a directory sits at the cell's path, so

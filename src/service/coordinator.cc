@@ -105,57 +105,38 @@ Coordinator::leaseId(const Cell &cell, unsigned shardIndex)
 }
 
 std::shared_ptr<Cell>
-Coordinator::findLease(const std::string &leaseId,
-                       Cell::Lease **lease) const
+Coordinator::findLease(const std::string &id, Cell::Lease **lease) const
 {
-    // Caller holds mutex_.
-    size_t dot = leaseId.find('.');
-    size_t of = leaseId.find("of", dot == std::string::npos ? 0 : dot);
-    if (dot == std::string::npos || of == std::string::npos ||
-        of <= dot + 1)
+    // Caller holds mutex_. The stripe index must parse (a client-chosen
+    // one too large for a stripe number must not throw or wrap), and
+    // the whole id must be the one leaseId() prints for it: no other
+    // stripe count, no leading zeros, nothing trailing.
+    size_t dot = id.find('.');
+    if (dot == std::string::npos)
         return nullptr;
-    // Digits only, and in range: a client-chosen index too large for
-    // a stripe number names no lease (it must not throw or wrap).
-    const char *first = leaseId.data() + dot + 1;
-    const char *last = leaseId.data() + of;
+    auto it = cells_.find(id.substr(0, dot));
     unsigned shardIndex = 0;
-    auto [end, error] = std::from_chars(first, last, shardIndex);
-    if (error != std::errc() || end != last)
-        return nullptr;
-    auto it = cells_.find(leaseId.substr(0, dot));
-    if (it == cells_.end() || shardIndex >= it->second->leases.size())
+    if (it == cells_.end() ||
+        std::from_chars(id.data() + dot + 1, id.data() + id.size(),
+                        shardIndex)
+                .ec != std::errc() ||
+        shardIndex >= it->second->leases.size() ||
+        id != leaseId(*it->second, shardIndex))
         return nullptr;
     *lease = &it->second->leases[shardIndex];
     return it->second;
 }
 
-std::shared_ptr<Cell>
+std::pair<std::shared_ptr<Cell>, bool>
 Coordinator::admit(LeaseCell spec, store::CellKey key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto &cell = cells_[spec.fingerprint];
-    if (!cell) {
-        cell = std::make_shared<Cell>(std::move(spec), std::move(key));
-        cell->admitted = admitted_++;
-        updateGauges();
-    }
-    return cell;
-}
-
-std::shared_ptr<Cell>
-Coordinator::takeQueued()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<Cell> oldest;
-    for (const auto &[fingerprint, cell] : cells_)
-        if (cell->state == CellState::Queued &&
-            (!oldest || cell->admitted < oldest->admitted))
-            oldest = cell;
-    if (oldest) {
-        oldest->state = CellState::Running;
-        updateGauges();
-    }
-    return oldest;
+    if (cell)
+        return {cell, false};
+    cell = std::make_shared<Cell>(std::move(spec), std::move(key));
+    updateGauges();
+    return {cell, true};
 }
 
 void
@@ -178,8 +159,6 @@ Coordinator::openLeases(Cell &cell, unsigned shardCount,
         }
         updateGauges();
     }
-    // A fully-stored cell opens with every lease done; wake the pool
-    // so a harvester promotes it without waiting for a tick.
     notifyActivity();
 }
 
@@ -207,8 +186,7 @@ Coordinator::acquire(const std::string &worker, unsigned max,
     for (auto &[fingerprint, cell] : cells_) {
         if (!grants.empty())
             break; // one cell per grant: its stripes run as one pass
-        if (cell->promoting ||
-            (!experiment.empty() && cell->spec.experiment != experiment))
+        if (!experiment.empty() && cell->spec.experiment != experiment)
             continue;
         // This worker's share of the cell's pending stripes: a busy
         // fleet takes whole cells, a lone cell fans out over the idle.
@@ -223,6 +201,7 @@ Coordinator::acquire(const std::string &worker, unsigned max,
                 break;
             if (lease.state != Cell::LeaseState::Pending)
                 continue;
+            cell->state = CellState::Running;
             lease.state = Cell::LeaseState::Active;
             lease.owner = worker;
             lease.deadline = deadline;
@@ -265,35 +244,35 @@ Coordinator::heartbeat(const std::string &leaseId,
     return LeaseBeat::Active;
 }
 
-bool
+std::shared_ptr<Cell>
 Coordinator::complete(const std::string &leaseId,
                       const std::string &worker,
                       uint64_t trialsExecuted, double wallSeconds)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        touchWorker(worker);
-        Cell::Lease *lease = nullptr;
-        auto cell = findLease(leaseId, &lease);
-        if (!cell)
-            return false;
-        if (lease->state != Cell::LeaseState::Done) {
-            lease->state = Cell::LeaseState::Done;
-            lease->owner = worker;
-            cell->trialsExecuted += trialsExecuted;
-            cell->wallSeconds += wallSeconds;
-            ++completed_;
-            fleetMetrics().completed.add();
-        }
-        // else: the stale owner of a re-issued lease finished the
-        // same content-addressed range -- idempotently done.
-        updateGauges();
-    }
-    notifyActivity();
-    return true;
+    std::lock_guard<std::mutex> lock(mutex_);
+    touchWorker(worker);
+    Cell::Lease *lease = nullptr;
+    auto cell = findLease(leaseId, &lease);
+    // A repeat is the stale owner of a re-issued lease finishing the
+    // same content-addressed range: idempotently done, and the cell
+    // is not handed over twice.
+    if (!cell || lease->state == Cell::LeaseState::Done)
+        return nullptr;
+    lease->state = Cell::LeaseState::Done;
+    lease->owner = worker;
+    cell->trialsExecuted += trialsExecuted;
+    cell->wallSeconds += wallSeconds;
+    ++completed_;
+    fleetMetrics().completed.add();
+    updateGauges();
+    bool last = std::all_of(cell->leases.begin(), cell->leases.end(),
+                            [](const Cell::Lease &l) {
+                                return l.state == Cell::LeaseState::Done;
+                            });
+    return last ? cell : nullptr;
 }
 
-bool
+LeaseBeat
 Coordinator::fail(const std::string &leaseId,
                   const std::string &worker, const std::string &error)
 {
@@ -302,8 +281,11 @@ Coordinator::fail(const std::string &leaseId,
         touchWorker(worker);
         Cell::Lease *lease = nullptr;
         auto cell = findLease(leaseId, &lease);
-        if (!cell || lease->state == Cell::LeaseState::Done)
-            return false;
+        if (!cell)
+            return LeaseBeat::Unknown;
+        if (lease->state != Cell::LeaseState::Active ||
+            lease->owner != worker)
+            return LeaseBeat::Lost;
         ++failed_;
         fleetMetrics().failed.add();
         if (lease->issue >= MAX_LEASE_ISSUES) {
@@ -321,7 +303,7 @@ Coordinator::fail(const std::string &leaseId,
         }
     }
     notifyActivity();
-    return true;
+    return LeaseBeat::Active;
 }
 
 void
@@ -386,33 +368,12 @@ Coordinator::lookupLease(const std::string &leaseId) const
     return LeaseRange{cell->key, lease->lo, lease->hi};
 }
 
-std::vector<std::shared_ptr<Cell>>
-Coordinator::claimCompleted()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::shared_ptr<Cell>> ready;
-    for (const auto &[fingerprint, cell] : cells_) {
-        // A cell still waiting for its probe has no leases yet, which
-        // does not make it done.
-        if (cell->promoting || cell->leases.empty() ||
-            !std::all_of(cell->leases.begin(), cell->leases.end(),
-                         [](const Cell::Lease &l) {
-                             return l.state == Cell::LeaseState::Done;
-                         }))
-            continue;
-        cell->promoting = true;
-        ready.push_back(cell);
-    }
-    return ready;
-}
-
 void
 Coordinator::reopenStripes(Cell &cell,
                            const std::vector<unsigned> &stripes)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        cell.promoting = false;
         for (unsigned stripe : stripes) {
             if (stripe >= cell.leases.size())
                 continue;
@@ -472,9 +433,10 @@ Coordinator::settleLocked(const std::shared_ptr<Cell> &cell,
 }
 
 std::vector<CellStatus>
-Coordinator::status(const std::vector<std::shared_ptr<Cell>> &cells) const
+Coordinator::status(const std::vector<std::shared_ptr<Cell>> &cells)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    sweepExpiredLocked();
     std::vector<CellStatus> statuses;
     statuses.reserve(cells.size());
     for (const auto &cell : cells) {
@@ -498,9 +460,10 @@ Coordinator::status(const std::vector<std::shared_ptr<Cell>> &cells) const
 }
 
 CoordinatorStats
-Coordinator::stats() const
+Coordinator::stats()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    sweepExpiredLocked();
     CoordinatorStats stats;
     for (const auto &[fingerprint, cell] : cells_) {
         if (!cell->leases.empty())
@@ -524,9 +487,10 @@ Coordinator::stats() const
 }
 
 std::vector<LeaseInfo>
-Coordinator::leases() const
+Coordinator::leases()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    sweepExpiredLocked();
     auto now = Clock::now();
     std::vector<LeaseInfo> rows;
     for (const auto &[fingerprint, cell] : cells_) {

@@ -5,25 +5,24 @@
  * runs them through.
  *
  * A submitted cell is admitted once per fingerprint: while it is live
- * (queued, probing, leased or being promoted) a duplicate submission
- * shares it. The scheduler's probe takes queued cells in admission
- * order; a cell whose record is stored settles done at once, and any
- * other opens `shardCount` leases, one per
- * ErrorToleranceStudy::shardRange() stripe. Workers (remote agents
- * via POST /v1/leases/acquire, or the daemon's own local pool)
- * acquire leases -- one acquire grants up to `max` pending stripes,
- * all of one cell and no more than the asker's share among the idle
- * workers -- run them as one engine pass, and complete them one by
- * one as each stripe lands. A holder keeps a lease only by
- * renewing it (LeaseKeeper; local executors heartbeat like agents);
- * a lease whose deadline lapses without a heartbeat is re-issued to
- * the next acquirer. Because shard records are
- * content-addressed and a cell is a pure function of its key, a late
+ * (queued, leased or being promoted) a duplicate submission shares it.
+ * The submission that creates a cell probes it (Scheduler::submit): a
+ * cell whose record is stored settles done at once, and any other
+ * opens `shardCount` leases, one per ErrorToleranceStudy::shardRange()
+ * stripe. Workers (remote agents via POST /v1/leases/acquire, or the
+ * daemon's own local executors) acquire leases -- one acquire grants
+ * up to `max` pending stripes, all of one cell and no more than the
+ * asker's share among the idle workers -- run them as one engine
+ * pass, and complete them one by one as each stripe lands. A holder
+ * keeps a lease only by renewing it (LeaseKeeper; local executors
+ * heartbeat like agents); a lease whose deadline lapses without a
+ * heartbeat is re-issued to the next acquirer. Because shard records
+ * are content-addressed and a cell is a pure function of its key, a late
  * completion of a re-issued lease is harmless -- both workers wrote
  * identical bytes, so completion is accepted idempotently from any
- * owner, past or present. A cell whose every lease is done is claimed
- * by one promoter, which settles it done (or reopens the stripes the
- * store lacks).
+ * owner, past or present. The completion that marks a cell's last
+ * open lease done hands the cell to its caller to promote (or to
+ * reopen the stripes the store lacks); a repeat hands over nothing.
  *
  * Settling a cell, done or failed, records its outcome in place and
  * drops it from the table: jobs hold their cells by shared pointer,
@@ -34,12 +33,13 @@
  * is safe to call from the single-threaded HTTP event loop and from
  * scheduler workers concurrently. The probe, a completion's record
  * ingest and shard-merge promotion stay in the Scheduler, which owns
- * the store.
- * The executor side both kinds of worker share -- LeaseKeeper and
- * runLeasePass() -- lives here too.
+ * the store. Expiry needs no thread: acquires and reads re-pend
+ * lapsed leases. The executor side both kinds of worker share --
+ * LeaseKeeper and runLeasePass() -- lives here too.
  *
- * Failure model: worker-reported failures and deadline expiries both
- * re-pend the lease; a lease that reaches MAX_LEASE_ISSUES grants
+ * Failure model: a failure reported by the lease's holder and a
+ * deadline expiry both re-pend the lease (a report from anyone else
+ * changes nothing); a lease that reaches MAX_LEASE_ISSUES grants
  * settles its whole cell failed at once (a deterministic simulation
  * bug would otherwise re-issue forever).
  */
@@ -57,6 +57,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "store/cell_key.hh"
@@ -94,19 +95,21 @@ struct LeaseGrant
     uint64_t ttlMs = 0;
 };
 
-/** Heartbeat verdict (the worker decides whether to keep going). */
+/** A worker's standing on a lease: the answer to a heartbeat or a
+ *  failure report (the worker decides whether to keep going). */
 enum class LeaseBeat
 {
-    Active,  //!< deadline extended
-    Lost,    //!< re-issued to another worker (finishing is harmless)
+    Active,  //!< the worker holds it (renewed, or failure taken)
+    Lost,    //!< re-issued to another worker, or done (finishing is
+             //!< harmless)
     Unknown, //!< no such lease (cell settled, or never seen)
 };
 
 /** Lifecycle of one submitted cell. */
 enum class CellState
 {
-    Queued,  //!< admitted, waiting for the probe
-    Running, //!< probing, leased or being promoted
+    Queued,  //!< admitted; no worker has taken a lease yet
+    Running, //!< a lease of it has been granted
     Done,
     Failed,
 };
@@ -197,10 +200,8 @@ class Cell
         std::chrono::steady_clock::time_point deadline{};
     };
 
-    uint64_t admitted = 0; //!< admission order (the probe's FIFO)
     CellState state = CellState::Queued;
     std::vector<Lease> leases; //!< empty until the probe opens them
-    bool promoting = false;    //!< claimed by claimCompleted()
     bool cached = false;
     uint64_t trialsExecuted = 0; //!< summed from complete() reports
     double wallSeconds = 0.0;    //!< likewise, plus probe or promotion
@@ -226,27 +227,24 @@ class Coordinator
      *  third of it. */
     explicit Coordinator(uint64_t leaseTtlMs);
 
-    /** @p callback runs (outside the coordinator mutex) whenever a
-     *  lease completes or fails or a cell's leases open -- the
-     *  scheduler pokes its condvar so promotion does not wait for the
-     *  next poll tick. */
+    /** @p callback runs (outside the coordinator mutex) whenever
+     *  leases turn pending -- a cell's leases open, or a failure or a
+     *  promotion re-pends some -- so the scheduler's idle executors
+     *  need not wait for their next poll. */
     void setActivityCallback(std::function<void()> callback);
 
-    /// @name Admission and the probe
+    /// @name Admission
     /// @{
 
     /**
      * @return the live cell of @p spec's fingerprint -- queued,
-     * running or claimed for promotion -- or a new queued one. A
-     * duplicate submission thus shares the live cell and never runs
-     * it twice; a settled cell is never reused, so a fresh one
-     * re-reads the store.
+     * running or being promoted -- or a new queued one, and whether
+     * this call created it (its creator probes it). A duplicate
+     * submission thus shares the live cell and never runs it twice; a
+     * settled cell is never reused, so a fresh one re-reads the store.
      */
-    std::shared_ptr<Cell> admit(LeaseCell spec, store::CellKey key);
-
-    /** Hand the oldest queued cell to the probe; it is then running,
-     *  with no leases until openLeases(). @return nullptr if none. */
-    std::shared_ptr<Cell> takeQueued();
+    std::pair<std::shared_ptr<Cell>, bool> admit(LeaseCell spec,
+                                                 store::CellKey key);
 
     /** The probe missed: decompose @p cell into @p shardCount stripe
      *  leases. @p alreadyDone marks stripes whose shard record is
@@ -282,24 +280,28 @@ class Coordinator
     /**
      * Mark @p leaseId done. Idempotent and owner-agnostic: a stale
      * owner of a re-issued lease completed the same content-addressed
-     * bytes, so its completion is accepted too (double completions
-     * simply keep the lease done). The caller stores the stripe's
-     * record first. @return false if unknown.
+     * bytes, so its completion is accepted too (a repeat simply keeps
+     * the lease done). The caller stores the stripe's record first.
+     * @return the lease's cell when this call marked its last open
+     *         lease done (the caller promotes it), else nullptr.
      */
-    bool complete(const std::string &leaseId, const std::string &worker,
-                  uint64_t trialsExecuted, double wallSeconds);
+    std::shared_ptr<Cell> complete(const std::string &leaseId,
+                                   const std::string &worker,
+                                   uint64_t trialsExecuted,
+                                   double wallSeconds);
 
     /**
-     * Worker-reported failure: re-pend the lease for the next
-     * acquirer, or -- at the issue cap -- settle the whole cell
-     * failed. @return false if unknown (or already done).
+     * Failure reported by @p worker: if it holds the active lease,
+     * re-pend the lease for the next acquirer, or -- at the issue cap
+     * -- settle the whole cell failed; otherwise change nothing.
+     * @return Active when the report was taken, else Lost or Unknown.
      */
-    bool fail(const std::string &leaseId, const std::string &worker,
-              const std::string &error);
+    LeaseBeat fail(const std::string &leaseId, const std::string &worker,
+                   const std::string &error);
 
     /** Re-pend lapsed active leases (a cell at the issue cap settles
-     *  failed) and age out idle workers. Cheap; called at poll
-     *  frequency. */
+     *  failed) and age out idle workers. Cheap; every acquire and
+     *  every read of cell or lease state calls it. */
     void sweepExpired();
 
     /** @return the store range of open lease @p leaseId, or nullopt
@@ -310,13 +312,8 @@ class Coordinator
     /// @name Promotion and settlement
     /// @{
 
-    /** Claim cells whose every lease is done, each exactly once. The
-     *  claimer promotes it and settles it, or calls reopenStripes()
-     *  if the store disagrees. */
-    std::vector<std::shared_ptr<Cell>> claimCompleted();
-
-    /** Put the given stripes of a claimed cell back to pending (the
-     *  promoting worker found their shards missing from the store). */
+    /** Put the given stripes of @p cell, whose promotion found their
+     *  shards missing from the store, back to pending. */
     void reopenStripes(Cell &cell, const std::vector<unsigned> &stripes);
 
     /** Settle @p cell done -- promoted, or probed as already stored
@@ -329,23 +326,27 @@ class Coordinator
                       const std::string &error);
     /// @}
 
+    /// @name Reads: each calls sweepExpired() first.
+    /// @{
+
     /** @return a snapshot of each of @p cells, in order (a job's
      *  status); trials and wall time show once a cell settles done. */
     std::vector<CellStatus> status(
-        const std::vector<std::shared_ptr<Cell>> &cells) const;
+        const std::vector<std::shared_ptr<Cell>> &cells);
 
-    CoordinatorStats stats() const;
+    CoordinatorStats stats();
 
     /** Every lease of every open cell (fleet debugging). */
-    std::vector<LeaseInfo> leases() const;
+    std::vector<LeaseInfo> leases();
+    /// @}
 
   private:
     using Clock = std::chrono::steady_clock;
 
     static std::string leaseId(const Cell &cell, unsigned shardIndex);
-    /** @return the open cell of @p leaseId, with @p lease set to the
-     *  lease, or nullptr if no open cell has it. */
-    std::shared_ptr<Cell> findLease(const std::string &leaseId,
+    /** @return the open cell of lease @p id (exactly as leaseId()
+     *  prints it), with @p lease set, or nullptr. */
+    std::shared_ptr<Cell> findLease(const std::string &id,
                                     Cell::Lease **lease) const;
     /** @p cell is a pointer of the caller's own, not the table's
      *  entry, which this erases. */
@@ -363,7 +364,6 @@ class Coordinator
     /** Every live cell, by fingerprint: one per fingerprint. */
     std::map<std::string, std::shared_ptr<Cell>> cells_;
     std::map<std::string, Clock::time_point> workersSeen_;
-    uint64_t admitted_ = 0;
     uint64_t issued_ = 0;
     uint64_t reissued_ = 0;
     uint64_t expired_ = 0;

@@ -39,9 +39,9 @@ schedulerMetrics()
     return metrics;
 }
 
-/** How long an idle worker sleeps between coordinator polls. Lease
- *  activity (completions, failures) pokes the condvar, so this bounds
- *  only the latency of *expiry* detection, not of normal progress. */
+/** How long an idle executor sleeps between acquires. Leases turning
+ *  pending poke the condvar, so this bounds only how late an *expired*
+ *  lease is picked up. */
 constexpr std::chrono::milliseconds IDLE_POLL{100};
 
 /** The worker name of every local executor: they share one study per
@@ -61,22 +61,27 @@ shardCountOf(unsigned chunks, unsigned trials)
 
 Scheduler::Scheduler(SchedulerConfig config)
     : config_(std::move(config)), coordinator_(config_.leaseTtlMs),
-      keeper_([this](const std::string &leaseId,
-                     const std::string &worker) {
-          coordinator_.heartbeat(leaseId, worker);
-      }),
       studies_(studyOptions())
 {
     if (config_.cacheDir.empty())
         fatal("scheduler: a cache directory is required (jobs resume "
               "from persisted shards)");
-    // Lease completions wake an idle worker immediately, so cells
-    // promote as soon as their last shard lands instead of on the
-    // next poll tick. The callback fires outside the coordinator
-    // mutex; notifying without mutex_ held is safe (workers re-check
-    // all state on wakeup anyway).
-    coordinator_.setActivityCallback(
-        [this] { workAvailable_.notify_all(); });
+    if (config_.workers == 0)
+        return;
+    keeper_.emplace([this](const std::string &leaseId,
+                           const std::string &worker) {
+        coordinator_.heartbeat(leaseId, worker);
+    });
+    // Pending leases wake an idle executor at once instead of on its
+    // next poll. The callback fires outside the coordinator mutex, and
+    // no caller of the coordinator holds mutex_.
+    coordinator_.setActivityCallback([this] {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++activity_;
+        }
+        workAvailable_.notify_all();
+    });
 }
 
 Scheduler::~Scheduler()
@@ -101,13 +106,9 @@ Scheduler::start()
     if (started_)
         return;
     started_ = true;
-    // workers = 0 still spawns one thread: the steward that probes
-    // the cache, registers leases, and promotes completed cells. It
-    // just never executes leases itself (remote agents do).
-    unsigned threads = std::max(1u, config_.workers);
-    schedulerMetrics().workers.set(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    schedulerMetrics().workers.set(config_.workers);
+    for (unsigned i = 0; i < config_.workers; ++i)
+        workers_.emplace_back([this] { executorLoop(); });
 }
 
 void
@@ -128,7 +129,7 @@ Scheduler::submit(
     const bench::Artifact &artifact, unsigned trialsOverride,
     std::optional<std::pair<unsigned, std::string>> cell)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     std::vector<std::pair<LeaseCell, store::CellKey>> planned;
     std::string signature;
     for (const bench::Experiment *exp : artifact.sweeps) {
@@ -176,17 +177,24 @@ Scheduler::submit(
     job.signature = signature;
     // Cell-level idempotency: the coordinator shares a live cell of
     // the same CellKey instead of running it twice.
-    for (auto &[spec, key] : planned)
-        job.cells.push_back(
-            coordinator_.admit(std::move(spec), std::move(key)));
+    std::vector<std::shared_ptr<Cell>> admitted;
+    for (auto &[spec, key] : planned) {
+        auto [entry, created] =
+            coordinator_.admit(std::move(spec), std::move(key));
+        if (created)
+            admitted.push_back(entry);
+        job.cells.push_back(std::move(entry));
+    }
 
-    std::string id = job.id;
-    size_t cellCount = job.cells.size();
-    jobs_[id] = std::move(job);
-    activeJobsBySignature_[signature] = id;
+    SubmitOutcome outcome{job.id, false, job.cells.size()};
+    jobs_[outcome.jobId] = std::move(job);
+    activeJobsBySignature_[signature] = outcome.jobId;
     evictCompletedJobs();
-    workAvailable_.notify_all();
-    return {id, false, cellCount};
+    // The probes read the store: status reads need not wait for them.
+    lock.unlock();
+    for (const auto &entry : admitted)
+        probeCell(entry);
+    return outcome;
 }
 
 void
@@ -218,50 +226,34 @@ Scheduler::evictCompletedJobs()
 }
 
 void
-Scheduler::workerLoop()
+Scheduler::executorLoop()
 {
     // Local executors are lease workers like any remote agent, just
     // with a function call instead of an HTTP round trip, and they
     // heartbeat the leases they hold like one (keeper_).
-    const bool executor = config_.workers > 0;
-    // This thread's own store handle for promotions (see the store's
-    // one-instance-per-thread contract).
-    store::ResultStore store(config_.cacheDir);
     bool idle = false;
+    uint64_t seen = 0;
     while (true) {
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            if (stopping_)
-                return;
-            // No predicate: lease completions notify without holding
-            // mutex_, and the loop below re-derives all state anyway.
-            // The timeout bounds expiry-detection latency when every
-            // remote agent has gone silent.
             if (idle)
-                workAvailable_.wait_for(lock, IDLE_POLL);
+                workAvailable_.wait_for(lock, IDLE_POLL, [&] {
+                    return stopping_ || activity_ != seen;
+                });
             if (stopping_)
                 return;
+            seen = activity_;
         }
-        coordinator_.sweepExpired();
-        bool didWork = promoteCompletedCells(store);
-        didWork |= probeNextCell();
-        if (executor)
-            didWork |= executeLeases();
-        idle = !didWork;
+        idle = !executeLeases();
     }
 }
 
-bool
-Scheduler::probeNextCell()
+void
+Scheduler::probeCell(const std::shared_ptr<Cell> &cell)
 {
-    auto cell = coordinator_.takeQueued();
-    if (!cell)
-        return false;
     try {
         // Cache first: a warm-cache cell settles with zero simulation
-        // and never opens a lease. (Each worker probes through its own
-        // ResultStore instance; see the store's concurrent-writer
-        // contract.)
+        // and never opens a lease.
         auto probeStarted = std::chrono::steady_clock::now();
         store::ResultStore probe(config_.cacheDir);
         if (probe.loadCell(cell->key)) {
@@ -272,12 +264,13 @@ Scheduler::probeNextCell()
             std::chrono::duration<double> probeSpan =
                 std::chrono::steady_clock::now() - probeStarted;
             coordinator_.settleDone(cell, probeSpan.count());
-            return true;
+            return;
         }
 
         // Miss: decompose into shard-range leases. Stripes whose
         // shard record is already stored (a killed predecessor's
-        // progress) open as done, so the cell resumes.
+        // progress) open as done, so the cell resumes -- or promotes
+        // now, if that is all of them.
         unsigned shardCount =
             shardCountOf(config_.chunks, cell->spec.trials);
         std::vector<bool> alreadyDone(shardCount, false);
@@ -287,10 +280,12 @@ Scheduler::probeNextCell()
             alreadyDone[i] = probe.hasShard(cell->key, lo, hi);
         }
         coordinator_.openLeases(*cell, shardCount, alreadyDone);
+        if (std::find(alreadyDone.begin(), alreadyDone.end(), false) ==
+            alreadyDone.end())
+            promoteCell(cell);
     } catch (const std::exception &e) {
         coordinator_.settleFailed(cell, e.what());
     }
-    return true;
 }
 
 bool
@@ -334,7 +329,7 @@ Scheduler::executeLeases()
         // an already stored one (e.g. completed by a remote worker while
         // its lease lapsed) lands without simulating.
         runLeasePass(
-            lab->study, grants, LOCAL_WORKER, keeper_,
+            lab->study, grants, LOCAL_WORKER, *keeper_,
             [this](const LeaseGrant &grant,
                    const core::StripeResult &stripe) {
                 schedulerMetrics().chunkSeconds.observe(
@@ -342,9 +337,10 @@ Scheduler::executeLeases()
                 // The cell's tallies sum in the coordinator and show
                 // at promotion -- one accounting path for local and
                 // remote workers alike.
-                coordinator_.complete(grant.id, LOCAL_WORKER,
-                                      stripe.trialsSimulated,
-                                      stripe.wallSeconds);
+                if (auto cell = coordinator_.complete(
+                        grant.id, LOCAL_WORKER, stripe.trialsSimulated,
+                        stripe.wallSeconds))
+                    promoteCell(cell);
             },
             fail);
         schedulerMetrics().workersBusy.add(-1);
@@ -353,21 +349,13 @@ Scheduler::executeLeases()
     return false;
 }
 
-bool
-Scheduler::promoteCompletedCells(store::ResultStore &store)
-{
-    auto completed = coordinator_.claimCompleted();
-    for (const auto &cell : completed)
-        promoteCell(cell, store);
-    return !completed.empty();
-}
-
 void
-Scheduler::promoteCell(const std::shared_ptr<Cell> &cell,
-                       store::ResultStore &store)
+Scheduler::promoteCell(const std::shared_ptr<Cell> &cell)
 {
     auto promoteStarted = std::chrono::steady_clock::now();
     try {
+        // Its own store: promotions run on the completing thread.
+        store::ResultStore store(config_.cacheDir);
         if (store.hasCell(cell->key)) {
             store.dropShards(cell->key);
         } else {
@@ -437,8 +425,9 @@ Scheduler::completeLease(const std::string &leaseId,
     // never merges a hole.
     store::ResultStore(config_.cacheDir)
         .ingestRecord(record, lease->key, lease->lo, lease->hi);
-    coordinator_.complete(leaseId, worker, trialsExecuted,
-                          wallSeconds);
+    if (auto cell = coordinator_.complete(leaseId, worker, trialsExecuted,
+                                          wallSeconds))
+        promoteCell(cell);
     return LeaseCompletion::Done;
 }
 
@@ -465,7 +454,7 @@ Scheduler::jobStateOf(const std::vector<CellStatus> &cells)
 }
 
 std::optional<JobStatus>
-Scheduler::jobStatus(const std::string &id) const
+Scheduler::jobStatus(const std::string &id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = jobs_.find(id);
@@ -488,7 +477,7 @@ Scheduler::jobStatus(const std::string &id) const
 }
 
 SchedulerStats
-Scheduler::stats() const
+Scheduler::stats()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     SchedulerStats stats;

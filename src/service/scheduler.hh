@@ -5,26 +5,30 @@
  * Submitted figures and paper tables (or single cells) become jobs
  * over the coordinator's cells (see coordinator.hh), which own each
  * cell's state from admission to settlement. The scheduler keeps the
- * jobs, the studies their sweeps share and the pool of threads that
- * probe and promote cells, and it stores the record each remote
- * lease completion carries (completeLease()). Cells run on whoever
- * holds their shard-range leases -- the daemon's own bounded pool of
- * local workers, remote `etc_lab work` agents, or a mix. A local
- * executor first locks a sweep's study that no other local executor
- * is running, so it never holds leases it cannot start; it then
- * acquires its share of one of that sweep's cells' pending stripes
- * (all of them when no other worker is idle), runs them as one pass
- * (ErrorToleranceStudy::runStripes), completes each lease as its
- * stripe lands, and heartbeats every lease it holds meanwhile,
- * exactly like an agent:
+ * jobs, the studies their sweeps share and the daemon's own bounded
+ * pool of local lease executors, and it settles each cell in the call
+ * that ends its work: submit() probes every cell it admits, and the
+ * completion of a cell's last open lease -- completeLease() for a
+ * remote agent, the landed callback for a local executor -- promotes
+ * it before it returns. Cells run on whoever holds their shard-range
+ * leases -- the local executors, remote `etc_lab work` agents, or a
+ * mix. A local executor first locks a sweep's study that no other
+ * local executor is running, so it never holds leases it cannot
+ * start; it then acquires its share of one of that sweep's cells'
+ * pending stripes (all of them when no other worker is idle), runs
+ * them as one pass (ErrorToleranceStudy::runStripes), completes each
+ * lease as its stripe lands, and heartbeats every lease it holds
+ * meanwhile, exactly like an agent:
  *
  *  - Idempotent on CellKey: a duplicate submission shares the
  *    coordinator's live cell (and an identical active job is returned
  *    outright instead of creating a twin).
- *  - Cache-first: the probe settles a cell whose record is already in
- *    the ResultStore with zero simulation (`cached`, trialsExecuted
- *    == 0); stripes whose shard records are already stored open as
- *    done leases, so a resubmission resumes.
+ *  - Cache-first: the submission's probe settles a cell whose record
+ *    is already in the ResultStore with zero simulation (`cached`,
+ *    trialsExecuted == 0), so a warm job is done when its POST
+ *    answers; stripes whose shard records are already stored open as
+ *    done leases, so a resubmission resumes, and a cell with every
+ *    stripe stored is promoted by the submission itself.
  *  - Kill-tolerant twice over: every lease persists as a shard
  *    record as its stripe lands, so losing the daemon mid-cell loses
  *    at most the stripes in flight, and losing a *worker* mid-pass
@@ -40,9 +44,9 @@
  *    passes from starting new stripes, and their unstarted leases
  *    lapse and re-issue.
  *
- * `workers = 0` runs a pure coordinator: one steward thread still
- * probes the cache and promotes completed cells, but all simulation
- * happens on remote agents.
+ * `workers = 0` runs a pure coordinator with no thread of its own:
+ * probes, promotions and lease expiry all happen in the calls that
+ * cause them, and all simulation happens on remote agents.
  *
  * Cells of the same sweep share one study (each policy's golden
  * run is made once) and are serialized on it -- the study itself is
@@ -125,8 +129,8 @@ class Scheduler
      *  with, so its cell keys match `etc_lab run`'s. */
     bench::BenchOptions studyOptions() const;
 
-    /** Spawn the worker pool (call once). A workers = 0 config still
-     *  spawns one steward thread for probe and promotion duty. */
+    /** Spawn the `workers` local executors (call once); a workers =
+     *  0 config spawns none. */
     void start();
 
     /**
@@ -150,7 +154,8 @@ class Scheduler
      * artifact. @p trialsOverride nonzero overrides each sweep's
      * default trial count. Idempotent: an identical active submission
      * is returned with attached = true, and a cell the coordinator
-     * holds live is shared, never duplicated.
+     * holds live is shared, never duplicated. Each cell this call
+     * admits is probed before it returns: done if stored, else leased.
      *
      * Callers validate names themselves (the service router resolves
      * the artifact and the policy against their registries, and
@@ -161,10 +166,10 @@ class Scheduler
         std::optional<std::pair<unsigned, std::string>> cell);
 
     /** @return a snapshot of job @p id, or nullopt if unknown. */
-    std::optional<JobStatus> jobStatus(const std::string &id) const;
+    std::optional<JobStatus> jobStatus(const std::string &id);
 
     /** @return aggregate counters over every job and cell. */
-    SchedulerStats stats() const;
+    SchedulerStats stats();
 
     /** The daemon's cell and lease table: the lease calls that touch
      *  no store go to it directly. */
@@ -185,11 +190,13 @@ class Scheduler
     /**
      * POST /v1/leases/<id>/complete: ingest the stripe's @p record --
      * its shard record, or the whole cell's -- checked against the
-     * lease (ResultStore::ingestRecord()), then mark the lease done.
-     * Idempotent and owner-agnostic: late completions of re-issued
-     * leases are accepted, because every writer of a content-addressed
-     * record produced identical bytes; once the cell is promoted and
-     * the lease forgotten, one answers LateDone and writes nothing.
+     * lease (ResultStore::ingestRecord()), then mark the lease done;
+     * the completion of the cell's last open lease promotes the cell
+     * before it returns. Idempotent and owner-agnostic: late
+     * completions of re-issued leases are accepted, because every
+     * writer of a content-addressed record produced identical bytes;
+     * once the cell is promoted and the lease forgotten, one answers
+     * LateDone and writes nothing.
      *
      * @throws store::StoreFormatError when @p record is not the
      *         lease's; nothing is written and the lease stays as it was.
@@ -216,25 +223,24 @@ class Scheduler
      *  evicted (the daemon must not grow per submission forever). */
     static constexpr size_t MAX_RETAINED_JOBS = 512;
 
-    void workerLoop();
-    bool probeNextCell();
+    void executorLoop();
     bool executeLeases();
-    bool promoteCompletedCells(store::ResultStore &store);
-    void promoteCell(const std::shared_ptr<Cell> &cell,
-                     store::ResultStore &store);
+    void probeCell(const std::shared_ptr<Cell> &cell);
+    void promoteCell(const std::shared_ptr<Cell> &cell);
     void evictCompletedJobs();
     static std::string jobStateOf(const std::vector<CellStatus> &cells);
 
     SchedulerConfig config_;
     Coordinator coordinator_;
-    LeaseKeeper keeper_; //!< renews the local executors' leases
+    std::optional<LeaseKeeper> keeper_; //!< only with local executors
 
-    mutable std::mutex mutex_; //!< guards everything below
+    std::mutex mutex_; //!< guards everything below
     std::condition_variable workAvailable_;
     std::map<std::string, Job> jobs_;
     std::map<std::string, std::string> activeJobsBySignature_;
     bench::SweepStudies studies_; //!< one per submitted sweep
     uint64_t nextJobId_ = 1;
+    uint64_t activity_ = 0; //!< times leases turned pending
     bool stopping_ = false;
     bool started_ = false;
 

@@ -96,6 +96,15 @@ encodeLeaseGrant(const LeaseGrant &grant)
     return writer.str();
 }
 
+/** A lease call's 200 answer, {"state":<state>}. */
+HttpResponse
+leaseState(const char *state)
+{
+    store::JsonObjectWriter writer;
+    writer.field("state", state);
+    return HttpResponse::json(200, writer.str());
+}
+
 /** A JSON array of pre-encoded @p values. */
 std::string
 jsonArray(const std::vector<std::string> &values)
@@ -698,11 +707,8 @@ CampaignService::leaseAction(const HttpRequest &request,
                 .field("ttlMs", scheduler_.config().leaseTtlMs);
             return HttpResponse::json(200, writer.str());
           }
-          case LeaseBeat::Lost: {
-            store::JsonObjectWriter writer;
-            writer.field("state", "lost");
-            return HttpResponse::json(200, writer.str());
-          }
+          case LeaseBeat::Lost:
+            return leaseState("lost");
           case LeaseBeat::Unknown:
             break;
         }
@@ -738,14 +744,20 @@ CampaignService::leaseAction(const HttpRequest &request,
             return errorResponse(400, "bad 'wallSeconds' value");
 
         if (failed) {
-            if (!coordinator_.fail(id, worker,
-                                   error.empty() ? "worker-reported failure"
-                                                 : error))
-                return errorResponse(404,
-                                     "unknown lease '" + id + "'");
-            store::JsonObjectWriter writer;
-            writer.field("state", "pending");
-            return HttpResponse::json(200, writer.str());
+            // Only the lease's holder fails it; anyone else hears
+            // "lost", as from a heartbeat, and changes nothing.
+            switch (coordinator_.fail(id, worker,
+                                      error.empty()
+                                          ? "worker-reported failure"
+                                          : error)) {
+              case LeaseBeat::Active:
+                return leaseState("pending");
+              case LeaseBeat::Lost:
+                return leaseState("lost");
+              case LeaseBeat::Unknown:
+                break;
+            }
+            return errorResponse(404, "unknown lease '" + id + "'");
         }
         if (!record)
             return errorResponse(
@@ -762,12 +774,9 @@ CampaignService::leaseAction(const HttpRequest &request,
                                      e.what());
         }
         switch (outcome) {
-          case Scheduler::LeaseCompletion::Done: {
+          case Scheduler::LeaseCompletion::Done:
             ingested.add();
-            store::JsonObjectWriter writer;
-            writer.field("state", "done");
-            return HttpResponse::json(200, writer.str());
-          }
+            return leaseState("done");
           case Scheduler::LeaseCompletion::LateDone: {
             store::JsonObjectWriter writer;
             writer.field("state", "done").field("late", true);
@@ -864,8 +873,10 @@ CampaignService::healthz(const HttpRequest &, const std::string &)
 HttpResponse
 CampaignService::metricz(const HttpRequest &, const std::string &)
 {
-    // Refresh the daemon's index first, so the etc_index_* gauges a
-    // scrape sees describe the archive as it is now.
+    // Refresh the lease table and the daemon's index first, so the
+    // etc_lease_* and etc_index_* series a scrape sees describe them
+    // as they are now.
+    coordinator_.sweepExpired();
     {
         std::lock_guard<std::mutex> lock(readMutex_);
         index_.load();

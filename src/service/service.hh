@@ -47,12 +47,15 @@
  *                                stripe's record, exactly the on-disk
  *                                bytes of its shard or of the whole
  *                                cell, in "record" (or {"failed":true}
- *                                to re-pend it); a record that is not
- *                                the lease's is a 400 that writes
- *                                nothing. Idempotent and safe to race;
- *                                answers "done" to stale owners of
- *                                re-issued leases -- their bytes
- *                                matched by construction
+ *                                to re-pend it; "lost" from anyone
+ *                                but its holder); a record that is
+ *                                not the lease's is a 400 that writes
+ *                                nothing. The cell's last completion
+ *                                answers once the cell is promoted.
+ *                                Idempotent and safe to race; answers
+ *                                "done" to stale owners of re-issued
+ *                                leases -- their bytes matched by
+ *                                construction
  *   GET  /v1/fleet               coordinator stats + the lease table
  *   GET  /v1/healthz             liveness: uptime, version, build
  *                                flags, queue depth + aggregate
@@ -68,8 +71,8 @@
  * on scheduler workers or agents -- so they are safe to call from the
  * single-threaded HTTP event loop. The lease calls that touch no
  * store (acquire, heartbeat, failure, fleet status) go to the
- * coordinator directly; a completion stores its record first,
- * through the scheduler.
+ * coordinator directly; a completion stores its record first, and a
+ * submission probes its new cells, through the scheduler.
  *
  * Read side: the service keeps one StoreIndex and one ResultStore for
  * its cache root, loaded lazily by the first request that reads the

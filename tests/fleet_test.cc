@@ -2,22 +2,23 @@
  * @file
  * Distributed campaign fabric tests: the coordinator's cell and lease
  * bookkeeping (admission, decompose, acquire, heartbeat, expiry,
- * re-issue, idempotent completion, issue-cap failure, settlement), and
- * full coordinator + worker-agent fleets over loopback HTTP -- a
- * coordinator-only daemon drained by two in-process WorkerAgents
- * produces figure bytes identical to the offline render, and a
- * vanished worker's lease re-issues, with the ghost's late completion
- * and the record it carries accepted idempotently (same
- * content-addressed bytes, no second store write, job tally
- * unchanged). The vanished worker mirrors the orchestration suite's
- * kill idiom: it simply stops calling, which is indistinguishable
- * from SIGKILL to the coordinator. An agent returns each landed
- * stripe in one completion request and reports a refused one failed,
- * a coordinator stalled on a completion does not stall the agent's
- * pass, an agent takes no more leases than --max-leases allows and
- * removes the scratch store it made (never a given one), and an agent
- * rebuilds each of a paper table's ablation variants from the sweep
- * name its leases carry.
+ * re-issue, idempotent completion that hands a cell over on its last
+ * open lease, holder-only failure reports, issue-cap failure,
+ * settlement), and full coordinator + worker-agent fleets over
+ * loopback HTTP -- a coordinator-only daemon drained by two
+ * in-process WorkerAgents produces figure bytes identical to the
+ * offline render, and a vanished worker's lease re-issues, with the
+ * ghost's late completion and the record it carries accepted
+ * idempotently (same content-addressed bytes, no second store write,
+ * job tally unchanged). The vanished worker mirrors the orchestration
+ * suite's kill idiom: it simply stops calling, which is
+ * indistinguishable from SIGKILL to the coordinator. An agent returns
+ * each landed stripe in one completion request and reports a refused
+ * one failed, a coordinator stalled on a completion does not stall
+ * the agent's pass, an agent takes no more leases than --max-leases
+ * allows and removes the scratch store it made (never a given one),
+ * and an agent rebuilds each of a paper table's ablation variants
+ * from the sweep name its leases carry.
  */
 
 #include <gtest/gtest.h>
@@ -76,20 +77,20 @@ testCell(unsigned trials)
     return cell;
 }
 
-/** Admit @p spec and take it through a probe that missed: its
- *  @p shardCount leases open, @p alreadyDone stripes start done. */
+/** Admit @p spec and open its leases as a submission whose probe
+ *  missed does: @p shardCount of them, @p alreadyDone stripes done. */
 std::shared_ptr<Cell>
 openCell(Coordinator &coordinator, const LeaseCell &spec,
          unsigned shardCount, const std::vector<bool> &alreadyDone = {})
 {
-    auto cell = coordinator.admit(spec, store::CellKey{});
-    EXPECT_EQ(coordinator.takeQueued(), cell);
+    auto [cell, created] = coordinator.admit(spec, store::CellKey{});
+    EXPECT_TRUE(created);
     coordinator.openLeases(*cell, shardCount, alreadyDone);
     return cell;
 }
 
 CellState
-stateOf(const Coordinator &coordinator, const std::shared_ptr<Cell> &cell)
+stateOf(Coordinator &coordinator, const std::shared_ptr<Cell> &cell)
 {
     return coordinator.status({cell}).front().state;
 }
@@ -99,7 +100,9 @@ TEST(CoordinatorTest, DecomposesCellsIntoStripeLeases)
     Coordinator coordinator(TTL_MS);
     auto cell = openCell(coordinator, testCell(16), 4);
     // Admitting a live fingerprint again shares the cell.
-    EXPECT_EQ(coordinator.admit(testCell(16), store::CellKey{}), cell);
+    auto again = coordinator.admit(testCell(16), store::CellKey{});
+    EXPECT_EQ(again.first, cell);
+    EXPECT_FALSE(again.second);
 
     auto stats = coordinator.stats();
     EXPECT_EQ(stats.cells, 1u);
@@ -136,12 +139,10 @@ TEST(CoordinatorTest, ResumeStripesStartDoneAndCompletionPromotes)
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].shardIndex, 1u);
 
-    EXPECT_TRUE(coordinator.complete(grants[0].id, "w1", 4, 0.5));
-    auto done = coordinator.claimCompleted();
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0], cell);
-    // Claimed exactly once; a second harvest finds nothing.
-    EXPECT_TRUE(coordinator.claimCompleted().empty());
+    // The only open lease was the last: its completion hands the cell
+    // over for promotion, and a repeat hands over nothing.
+    EXPECT_EQ(coordinator.complete(grants[0].id, "w1", 4, 0.5), cell);
+    EXPECT_EQ(coordinator.complete(grants[0].id, "w1", 4, 0.5), nullptr);
 
     coordinator.settleDone(cell, 0.0);
     EXPECT_EQ(coordinator.stats().cells, 0u);
@@ -194,7 +195,7 @@ TEST(CoordinatorTest, LoneCellFansOutOverIdleWorkers)
     other.fingerprint = "00000000feedface";
     openCell(coordinator, other, 4);
     for (const auto &grant : first)
-        EXPECT_TRUE(coordinator.complete(grant.id, "w1", 4, 0.25));
+        EXPECT_EQ(coordinator.complete(grant.id, "w1", 4, 0.25), nullptr);
     auto whole = coordinator.acquire("w1", 8);
     ASSERT_EQ(whole.size(), 4u);
     for (const auto &grant : whole)
@@ -244,12 +245,11 @@ TEST(CoordinatorTest, ExpiredLeaseReissuesAndLateCompletionIsIdempotent)
 
     // The replacement completes; the original's late completion of
     // the same content-addressed range is accepted idempotently --
-    // the tally counts the work once.
-    EXPECT_TRUE(coordinator.complete(second[0].id, "w2", 8, 1.0));
-    EXPECT_TRUE(coordinator.complete(first[0].id, "w1", 8, 1.0));
-    auto done = coordinator.claimCompleted();
-    ASSERT_EQ(done.size(), 1u);
-    coordinator.settleDone(done[0], 0.0);
+    // the tally counts the work once, and the cell is handed over
+    // for promotion once.
+    EXPECT_EQ(coordinator.complete(second[0].id, "w2", 8, 1.0), cell);
+    EXPECT_EQ(coordinator.complete(first[0].id, "w1", 8, 1.0), nullptr);
+    coordinator.settleDone(cell, 0.0);
     EXPECT_EQ(coordinator.status({cell}).front().trialsExecuted, 8u);
     EXPECT_EQ(coordinator.stats().completed, 1u);
 }
@@ -263,12 +263,12 @@ TEST(CoordinatorTest, LeaseAtIssueCapFailsItsWholeCell)
     // until the one at the cap settles the cell failed.
     for (unsigned round = 0; round < Coordinator::MAX_LEASE_ISSUES;
          ++round) {
-        EXPECT_EQ(stateOf(coordinator, cell), CellState::Running);
         auto grants = coordinator.acquire("w1", 1);
         ASSERT_EQ(grants.size(), 1u);
         EXPECT_EQ(grants[0].issue, round + 1);
-        EXPECT_TRUE(
-            coordinator.fail(grants[0].id, "w1", "simulated crash"));
+        EXPECT_EQ(stateOf(coordinator, cell), CellState::Running);
+        EXPECT_EQ(coordinator.fail(grants[0].id, "w1", "simulated crash"),
+                  LeaseBeat::Active);
     }
     auto status = coordinator.status({cell}).front();
     EXPECT_EQ(status.state, CellState::Failed);
@@ -283,61 +283,104 @@ TEST(CoordinatorTest, ReopenStripesRePendsAClaimedCell)
     auto cell = openCell(coordinator, testCell(8), 2);
     auto grants = coordinator.acquire("w1", 2);
     ASSERT_EQ(grants.size(), 2u);
-    for (const auto &grant : grants)
-        EXPECT_TRUE(coordinator.complete(grant.id, "w1", 4, 0.25));
-    ASSERT_EQ(coordinator.claimCompleted().size(), 1u);
+    EXPECT_EQ(coordinator.complete(grants[0].id, "w1", 4, 0.25), nullptr);
+    ASSERT_EQ(coordinator.complete(grants[1].id, "w1", 4, 0.25), cell);
 
-    // The promoting worker found stripe 1's shard missing from the
-    // store: that stripe re-pends and is re-issued.
+    // The promoter found stripe 1's shard missing from the store: that
+    // stripe re-pends and is re-issued, and its completion hands the
+    // cell over again, once.
     coordinator.reopenStripes(*cell, {1});
     EXPECT_EQ(coordinator.stats().leasesPending, 1u);
     auto regrants = coordinator.acquire("w2", 8);
     ASSERT_EQ(regrants.size(), 1u);
     EXPECT_EQ(regrants[0].shardIndex, 1u);
     EXPECT_EQ(regrants[0].issue, 2u);
+    EXPECT_EQ(coordinator.complete(regrants[0].id, "w2", 4, 0.25), cell);
+    EXPECT_EQ(coordinator.complete(regrants[0].id, "w2", 4, 0.25), nullptr);
 }
 
 TEST(CoordinatorTest, AdmissionSharesTheLiveCellUntilItSettles)
 {
     Coordinator coordinator(TTL_MS);
     LeaseCell spec = testCell(8);
-    auto first = coordinator.admit(spec, store::CellKey{});
+    auto [first, created] = coordinator.admit(spec, store::CellKey{});
+    EXPECT_TRUE(created);
     EXPECT_EQ(stateOf(coordinator, first), CellState::Queued);
-    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}), first);
+    auto again = coordinator.admit(spec, store::CellKey{});
+    EXPECT_EQ(again.first, first);
+    EXPECT_FALSE(again.second);
 
-    // Waiting for its probe's answer, the cell has no leases: none is
-    // granted, and it is not claimed as done.
-    ASSERT_EQ(coordinator.takeQueued(), first);
-    EXPECT_EQ(coordinator.takeQueued(), nullptr);
+    // Until its creator's probe opens its leases, none is granted.
     EXPECT_TRUE(coordinator.acquire("w1", 8).empty());
-    EXPECT_TRUE(coordinator.claimCompleted().empty());
-    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}), first);
+    // Open, it stays queued until a worker takes a lease.
+    coordinator.openLeases(*first, 1, {false});
+    EXPECT_EQ(stateOf(coordinator, first), CellState::Queued);
+    auto grants = coordinator.acquire("w1", 8);
+    ASSERT_EQ(grants.size(), 1u);
+    EXPECT_EQ(stateOf(coordinator, first), CellState::Running);
 
-    // Claimed for promotion, it is still the live cell.
-    coordinator.openLeases(*first, 1, {true});
-    ASSERT_EQ(coordinator.claimCompleted().size(), 1u);
-    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}), first);
+    // Handed over for promotion, it is still the live cell.
+    ASSERT_EQ(coordinator.complete(grants[0].id, "w1", 0, 0.0), first);
+    EXPECT_EQ(coordinator.admit(spec, store::CellKey{}).first, first);
 
     // Settled done, it is not reused: the next admission is a fresh
     // queued cell, and the old cell's holders still read its end.
     coordinator.settleDone(first, 0.25);
     auto second = coordinator.admit(spec, store::CellKey{});
-    EXPECT_NE(second, first);
-    EXPECT_EQ(stateOf(coordinator, second), CellState::Queued);
+    EXPECT_NE(second.first, first);
+    EXPECT_TRUE(second.second);
+    EXPECT_EQ(stateOf(coordinator, second.first), CellState::Queued);
     auto settled = coordinator.status({first}).front();
     EXPECT_EQ(settled.state, CellState::Done);
     EXPECT_TRUE(settled.cached);
     EXPECT_EQ(settled.wallSeconds, 0.25);
 
     // Settled failed, likewise.
-    ASSERT_EQ(coordinator.takeQueued(), second);
-    coordinator.settleFailed(second, "unreadable store");
+    coordinator.settleFailed(second.first, "unreadable store");
     auto third = coordinator.admit(spec, store::CellKey{});
-    EXPECT_NE(third, second);
-    EXPECT_EQ(stateOf(coordinator, third), CellState::Queued);
-    auto failed = coordinator.status({second}).front();
+    EXPECT_NE(third.first, second.first);
+    EXPECT_TRUE(third.second);
+    EXPECT_EQ(stateOf(coordinator, third.first), CellState::Queued);
+    auto failed = coordinator.status({second.first}).front();
     EXPECT_EQ(failed.state, CellState::Failed);
     EXPECT_EQ(failed.error, "unreadable store");
+}
+
+// A failure report from a worker that no longer holds the lease -- it
+// lapsed and was re-granted -- changes nothing: the new holder keeps
+// it, it is not granted a third time, and no failure is counted.
+TEST(CoordinatorTest, OnlyTheHolderCanReportALeaseFailed)
+{
+    Coordinator coordinator(200);
+    openCell(coordinator, testCell(8), 1);
+    auto first = coordinator.acquire("w1", 1);
+    ASSERT_EQ(first.size(), 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(450));
+    auto second = coordinator.acquire("w2", 1);
+    ASSERT_EQ(second.size(), 1u);
+    ASSERT_EQ(second[0].issue, 2u);
+
+    EXPECT_EQ(coordinator.fail(first[0].id, "w1", "late crash"),
+              LeaseBeat::Lost);
+    EXPECT_EQ(coordinator.heartbeat(second[0].id, "w2"), LeaseBeat::Active);
+    EXPECT_TRUE(coordinator.acquire("w3", 1).empty());
+    auto rows = coordinator.leases();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].state, "active");
+    EXPECT_EQ(rows[0].owner, "w2");
+    EXPECT_EQ(rows[0].issue, 2u);
+    EXPECT_EQ(coordinator.stats().failed, 0u);
+
+    // The holder's own report is taken, and a done lease is nobody's.
+    EXPECT_EQ(coordinator.fail(second[0].id, "w2", "crash"),
+              LeaseBeat::Active);
+    auto third = coordinator.acquire("w3", 1);
+    ASSERT_EQ(third.size(), 1u);
+    EXPECT_EQ(third[0].issue, 3u);
+    EXPECT_EQ(coordinator.stats().failed, 1u);
+    EXPECT_NE(coordinator.complete(third[0].id, "w3", 8, 0.5), nullptr);
+    EXPECT_EQ(coordinator.fail(third[0].id, "w3", "crash"), LeaseBeat::Lost);
+    EXPECT_EQ(coordinator.stats().failed, 1u);
 }
 
 /**
@@ -456,18 +499,14 @@ class FleetTest : public ::testing::Test
         hook_ = std::move(hook);
     }
 
-    /** Wait (up to 2 s) for the coordinator to decompose a cell into
-     *  leases. */
-    void
-    awaitPendingLeases()
+    /** The coordinator's pending leases right now (a submission
+     *  opens its cells' leases before its POST answers). */
+    uint64_t
+    pendingLeases()
     {
-        service::Client poller = client();
-        for (int i = 0; i < 200; ++i) {
-            auto fleet = store::parseJson(poller.get("/v1/fleet").body);
-            if (fleet.at("leasesPending").asU64() > 0)
-                break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
+        return store::parseJson(client().get("/v1/fleet").body)
+            .at("leasesPending")
+            .asU64();
     }
 
     std::filesystem::path root_;
@@ -531,8 +570,7 @@ TEST_F(FleetTest, VanishedWorkerLeaseReissuesAndGhostPushIsIdempotent)
         std::string("{\"experiment\":\"") + EXPERIMENT +
         "\",\"errors\":1,\"policy\":\"protected\"}");
 
-    // Wait for the scheduler to decompose the cell into leases.
-    awaitPendingLeases();
+    ASSERT_EQ(pendingLeases(), 2u);
     service::Client poller = client();
 
     // The "ghost" acquires a lease over HTTP and then vanishes: it
@@ -727,7 +765,7 @@ TEST_F(FleetTest, AgentReportsARefusedCompletionFailed)
     std::string jobId = submit(
         std::string("{\"experiment\":\"") + EXPERIMENT +
         "\",\"errors\":1,\"policy\":\"protected\"}");
-    awaitPendingLeases();
+    ASSERT_EQ(pendingLeases(), 2u);
     std::atomic<bool> refused{false};
     hookWith([&](const service::HttpRequest &request)
                  -> std::optional<service::HttpResponse> {
@@ -755,7 +793,7 @@ TEST_F(FleetTest, StalledCoordinatorDoesNotStallThePass)
     std::string jobId = submit(
         std::string("{\"experiment\":\"") + EXPERIMENT +
         "\",\"errors\":1,\"policy\":\"protected\"}");
-    awaitPendingLeases();
+    ASSERT_EQ(pendingLeases(), 2u);
 
     // The agent's first completion stalls the whole coordinator until
     // the agent's own store holds both of the cell's stripes. A pass
@@ -803,8 +841,6 @@ TEST_F(FleetTest, AgentTakesNoMoreThanMaxLeases)
     std::string jobId = submit(
         std::string("{\"experiment\":\"") + EXPERIMENT + "\"}");
     Coordinator &coordinator = scheduler_->coordinator();
-    for (int i = 0; i < 200 && coordinator.stats().leasesPending < 4; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ASSERT_EQ(coordinator.stats().leasesPending, 4u);
 
     service::WorkerConfig config = workerConfig("capped");
@@ -862,7 +898,7 @@ TEST_F(FleetTest, AgentRemovesOnlyTheScratchStoreItMade)
     std::string jobId = submit(
         std::string("{\"experiment\":\"") + EXPERIMENT +
         "\",\"errors\":1,\"policy\":\"protected\"}");
-    awaitPendingLeases();
+    ASSERT_EQ(pendingLeases(), 2u);
     {
         service::WorkerConfig config = workerConfig("scratch");
         config.cacheDir.clear();

@@ -5,12 +5,16 @@
  * a temp result store, and the blocking Client driving the full API
  * -- submit -> poll -> fetch, warm-cache submissions executing zero
  * trials, duplicate submissions attaching to the live job, >= 8
- * concurrent clients, malformed requests answered with 4xx JSON,
+ * concurrent clients, malformed requests (a lease id other than the
+ * one granted among them) answered with 4xx JSON,
  * lease completions that take only their own stripe's record, seeded
  * byte mutations of fleet traffic never answered with a 5xx, every
  * route counted under its own metric label, and the GET
  * /v1/figures/<name> byte-identity contract with `etc_lab report`'s
- * render path.
+ * render path. Cells settle in the calls that end their work, with
+ * no scheduler thread: a warm or fully striped submission in its
+ * POST, a cell in its last lease completion, and a lease's fifth
+ * lapse at the next status read.
  */
 
 #include <gtest/gtest.h>
@@ -57,6 +61,7 @@ namespace {
 using namespace etc;
 using service::CampaignService;
 using service::Client;
+using service::Coordinator;
 using service::HttpServer;
 using service::LeaseBeat;
 using service::Scheduler;
@@ -123,6 +128,17 @@ postTo(CampaignService &campaign, const std::string &target,
     return campaign.handle(request);
 }
 
+/** GET @p target straight through @p campaign's router. */
+service::HttpResponse
+getFrom(CampaignService &campaign, const std::string &target)
+{
+    service::HttpRequest request;
+    request.method = "GET";
+    request.target = target;
+    request.version = "HTTP/1.1";
+    return campaign.handle(request);
+}
+
 /** A record of trials [lo, hi) of @p key in which every trial
  *  crashed: its shard record, or its cell record when hi is 0. */
 std::string
@@ -141,6 +157,7 @@ crashedRecord(const store::CellKey &key, unsigned lo, unsigned hi)
 struct OneLease
 {
     std::string jobBody;     //!< the cell's submission
+    std::string job;         //!< the job it made
     std::string acquireBody; //!< the acquire that granted the lease
     std::string id;
     store::CellKey key;   //!< the lease's cell
@@ -159,9 +176,9 @@ openOneLease(Scheduler &scheduler, CampaignService &campaign,
                     "\",\"errors\":1,\"policy\":\"protected\"}";
     auto submitted = postTo(campaign, "/v1/jobs", lease.jobBody);
     ASSERT_EQ(submitted.status, 202) << submitted.body;
-    for (int i = 0;
-         i < 500 && scheduler.coordinator().stats().leasesPending == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    lease.job = store::parseJson(submitted.body).at("job").asString();
+    // The POST opened the cell's leases before it answered.
+    ASSERT_EQ(scheduler.coordinator().stats().leasesPending, 2u);
     lease.acquireBody = "{\"worker\":\"w\",\"max\":1}";
     auto acquired = postTo(campaign, "/v1/leases/acquire", lease.acquireBody);
     ASSERT_EQ(acquired.status, 200) << acquired.body;
@@ -662,6 +679,44 @@ TEST_F(ServiceTest, MalformedRequestsReturn4xxJsonErrors)
     expectJsonError(pushed, 404);
     EXPECT_NE(pushed.body.find("no such endpoint"), std::string::npos)
         << pushed.body;
+
+    // Only the exact id the coordinator issued names a lease: another
+    // stripe count, a malformed one or a leading zero is a 404 to
+    // every lease call, and changes nothing.
+    auto submitted = submit(std::string("{\"experiment\":\"") + EXPERIMENT +
+                            "\",\"errors\":1,\"policy\":\"protected\"}");
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    auto acquired =
+        client().post("/v1/leases/acquire", "{\"worker\":\"w\",\"max\":1}");
+    ASSERT_EQ(acquired.status, 200) << acquired.body;
+    auto grant = store::parseJson(acquired.body).at("leases").elements.at(0);
+    const std::string cell = grant.at("cell").asString();
+    ASSERT_EQ(grant.at("id").asString(), cell + ".0of2");
+    auto fleetCounts = [&] {
+        auto fleet = store::parseJson(client().get("/v1/fleet").body);
+        std::vector<uint64_t> counts;
+        for (const char *field : {"leasesPending", "leasesActive",
+                                  "leasesCompleted", "leasesFailed"})
+            counts.push_back(fleet.at(field).asU64());
+        return counts;
+    };
+    auto before = fleetCounts();
+    for (const char *stripe :
+         {"0of99", "0ofzz", "0of", "00of2", "1of7", "0of2x", "+0of2"}) {
+        const std::string target = "/v1/leases/" + cell + "." + stripe + "/";
+        expectJsonError(
+            client().post(target + "heartbeat", "{\"worker\":\"w\"}"), 404);
+        expectJsonError(client().post(target + "complete",
+                                      "{\"worker\":\"w\",\"record\":\"x\"}"),
+                        404);
+        expectJsonError(client().post(target + "complete",
+                                      "{\"worker\":\"w\",\"failed\":true}"),
+                        404);
+    }
+    EXPECT_EQ(fleetCounts(), before);
+    EXPECT_FALSE(std::filesystem::exists(root_ / "shards"));
+    EXPECT_EQ(scheduler_->coordinator().heartbeat(cell + ".0of2", "w"),
+              LeaseBeat::Active);
 }
 
 // One request to each of the router's 14 routes counts once under
@@ -1253,6 +1308,172 @@ TEST_F(ServiceTest, MutatedFleetTrafficNeverGetsA5xx)
     }
     // Mutated records reached the record decoders and were refused.
     EXPECT_GT(recordsRefused, 0u);
+    scheduler.stop();
+}
+
+// A warm submission settles in its own POST: the 202 answers "done",
+// every cell cached, although no scheduler thread was ever started.
+TEST_F(ServiceTest, WarmSubmissionSettlesInItsPost)
+{
+    auto artifact = bench::findArtifact(EXPERIMENT);
+    ASSERT_TRUE(artifact.has_value());
+    {
+        bench::SweepStudies studies(scheduler_->studyOptions());
+        std::ostringstream rendered;
+        ASSERT_FALSE(
+            bench::runArtifact(rendered, *artifact, studies, 1).interrupted);
+    }
+
+    auto submitted =
+        submit(std::string("{\"experiment\":\"") + EXPERIMENT + "\"}");
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    auto outcome = store::parseJson(submitted.body);
+    EXPECT_EQ(outcome.at("state").asString(), "done") << submitted.body;
+    auto status = store::parseJson(
+        client().get("/v1/jobs/" + outcome.at("job").asString()).body);
+    EXPECT_EQ(status.at("state").asString(), "done");
+    EXPECT_EQ(status.at("trialsExecuted").asU64(), 0u);
+    ASSERT_EQ(status.at("cells").elements.size(), 2u);
+    for (const auto &cell : status.at("cells").elements)
+        EXPECT_TRUE(cell.at("cached").asBool());
+    EXPECT_EQ(scheduler_->coordinator().stats().issued, 0u);
+}
+
+// The completion of a cell's last lease promotes the cell before it
+// answers: with no scheduler thread at all, the record is in cells/
+// when the response arrives, and the job reads done at once.
+TEST_F(ServiceTest, LastCompletionAnswersAfterTheCellIsStored)
+{
+    std::filesystem::path cache = root_ / "settle";
+    Scheduler scheduler(coordinatorOnly(cache));
+    CampaignService campaign(scheduler);
+    OneLease lease;
+    ASSERT_NO_FATAL_FAILURE(openOneLease(scheduler, campaign, lease));
+    auto rest = postTo(campaign, "/v1/leases/acquire", lease.acquireBody);
+    ASSERT_EQ(rest.status, 200) << rest.body;
+    auto grants = store::parseJson(rest.body).at("leases");
+    ASSERT_EQ(grants.elements.size(), 1u) << rest.body;
+    const auto &other = grants.elements.front();
+
+    auto complete = [&](const std::string &id, unsigned lo, unsigned hi) {
+        store::JsonObjectWriter body;
+        body.field("worker", "w")
+            .field("trialsExecuted", uint64_t{hi - lo})
+            .field("record", crashedRecord(lease.key, lo, hi));
+        auto response =
+            postTo(campaign, "/v1/leases/" + id + "/complete", body.str());
+        EXPECT_EQ(response.status, 200) << response.body;
+    };
+    std::filesystem::path record =
+        cache / "cells" / (lease.key.fingerprint() + ".jsonl");
+    complete(lease.id, lease.lo, lease.hi);
+    EXPECT_FALSE(std::filesystem::exists(record));
+    complete(other.at("id").asString(), other.at("lo").asU32(),
+             other.at("hi").asU32());
+    EXPECT_TRUE(std::filesystem::exists(record));
+    EXPECT_FALSE(std::filesystem::exists(cache / "shards" /
+                                         lease.key.fingerprint()));
+
+    auto answer = getFrom(campaign, "/v1/jobs/" + lease.job);
+    ASSERT_EQ(answer.status, 200) << answer.body;
+    auto status = store::parseJson(answer.body);
+    EXPECT_EQ(status.at("state").asString(), "done");
+    EXPECT_EQ(status.at("trialsExecuted").asU64(), lease.key.trials);
+    EXPECT_FALSE(status.at("cells").elements.at(0).at("cached").asBool());
+}
+
+// A submission whose every stripe is stored is promoted by its POST:
+// no lease is granted, and no trial is counted.
+TEST_F(ServiceTest, FullyStoredSubmissionIsPromotedByItsPost)
+{
+    std::filesystem::path cache = root_ / "stripes";
+    Scheduler scheduler(coordinatorOnly(cache));
+    CampaignService campaign(scheduler);
+    const bench::Experiment *exp = bench::findExperiment(EXPERIMENT);
+    ASSERT_NE(exp, nullptr);
+    auto keys = bench::experimentCellKeys(*exp, scheduler.studyOptions());
+    ASSERT_EQ(keys.size(), 2u);
+    const store::CellKey &key = keys.front();
+    store::ResultStore store(cache.string());
+    for (unsigned i = 0; i < 2; ++i) {
+        auto [lo, hi] =
+            core::ErrorToleranceStudy::shardRange(key.trials, i, 2);
+        store.ingestRecord(crashedRecord(key, lo, hi), key, lo, hi);
+    }
+
+    auto submitted = postTo(
+        campaign, "/v1/jobs",
+        store::JsonObjectWriter()
+            .field("experiment", EXPERIMENT)
+            .field("errors", uint64_t{key.errors})
+            .field("policy", key.policy)
+            .str());
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    auto outcome = store::parseJson(submitted.body);
+    EXPECT_EQ(outcome.at("state").asString(), "done") << submitted.body;
+    EXPECT_TRUE(store.hasCell(key));
+    auto status = scheduler.jobStatus(outcome.at("job").asString());
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->trialsExecuted, 0u);
+    EXPECT_TRUE(status->cells.front().cached);
+    EXPECT_EQ(scheduler.coordinator().stats().issued, 0u);
+}
+
+// A lease that lapses on its fifth grant fails its cell at the next
+// status read, with no scheduler thread to notice the lapse.
+TEST_F(ServiceTest, FifthLapseFailsItsCellAtTheNextStatusRead)
+{
+    SchedulerConfig config = coordinatorOnly(root_ / "lapses");
+    config.leaseTtlMs = 30;
+    Scheduler scheduler(config);
+    auto artifact = bench::findArtifact(EXPERIMENT);
+    ASSERT_TRUE(artifact.has_value());
+    std::string job =
+        scheduler
+            .submit(*artifact, 0, std::make_pair(1u, std::string("protected")))
+            .jobId;
+    Coordinator &coordinator = scheduler.coordinator();
+    for (unsigned issue = 1; issue <= Coordinator::MAX_LEASE_ISSUES; ++issue) {
+        auto grants = coordinator.acquire("w", 1);
+        ASSERT_EQ(grants.size(), 1u);
+        EXPECT_EQ(grants[0].issue, issue);
+        std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    }
+    auto status = scheduler.jobStatus(job);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, "failed");
+    EXPECT_NE(status->cells.front().error.find("expired after 5 grants"),
+              std::string::npos)
+        << status->cells.front().error;
+}
+
+/** Threads of this process, from /proc/self/task. */
+size_t
+threadCount()
+{
+    size_t threads = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++threads;
+    return threads;
+}
+
+// A coordinator-only scheduler runs no thread of its own, started or
+// not; with executors, it runs one per executor and a lease keeper.
+TEST_F(ServiceTest, SchedulerThreadsAreItsExecutorsAndTheirKeeper)
+{
+    size_t before = threadCount();
+    {
+        Scheduler scheduler(coordinatorOnly(root_ / "threads0"));
+        scheduler.start();
+        EXPECT_EQ(threadCount(), before);
+    }
+    SchedulerConfig config = coordinatorOnly(root_ / "threads2");
+    config.workers = 2;
+    Scheduler scheduler(config);
+    EXPECT_EQ(threadCount(), before + 1);
+    scheduler.start();
+    EXPECT_EQ(threadCount(), before + 3);
     scheduler.stop();
 }
 
